@@ -3,11 +3,11 @@
 //!
 //! Every `benches/figXX_*.rs` target uses the helpers here so that all experiments agree
 //! on workload scale, tuner budgets, measurement protocol, and output format. The scale
-//! is deliberately reduced relative to the paper (see [`ExperimentScale`] and
-//! `EXPERIMENTS.md` at the repository root): search spaces of a few hundred thousand
-//! points instead of millions, and a few hundred regions instead of 10,000, so that the
-//! whole suite finishes in minutes on a laptop while preserving the relative coverage of
-//! DarwinGame versus the baselines.
+//! is reduced relative to the paper (see [`ExperimentScale`]): search spaces of a few
+//! hundred thousand points instead of millions, and a few hundred regions instead of
+//! 10,000, preserving the relative coverage of DarwinGame versus the baselines. The
+//! paper's own scale is the `paper_scale` workload of the repository benchmark in
+//! `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -73,19 +73,67 @@ pub struct SimulatedPlay {
 /// games allocate nothing but their returned observation vectors.
 #[derive(Debug, Default)]
 struct GameScratch {
-    /// VM-scaled base time per player (the SoA split of `ExecutionSpec` that lets the
-    /// rate pass vectorise).
+    /// VM-scaled base time per player (the SoA split of `ExecutionSpec` that the
+    /// per-step pass reads as flat columns).
     base: Vec<f64>,
     /// Sensitivity per player.
     sens: Vec<f64>,
     jitter: Vec<f64>,
     noise: Vec<f64>,
-    /// Per-step progress rate per player, refilled by the branch-free rate pass.
-    rate: Vec<f64>,
     progress: Vec<f64>,
     /// Finish time per player; NaN = not finished (the fast-path stand-in for
     /// `Option<f64>` that keeps the array flat).
     finish: Vec<f64>,
+}
+
+/// Steps whose interference level [`AmbientLookahead`] samples at once.
+const LOOKAHEAD: usize = 8;
+
+/// The VM-scaled interference level of each step of a run, sampled `LOOKAHEAD` steps
+/// ahead.
+///
+/// The samples are pure functions of time and independent of each other, so sampling a
+/// batch lets the processor overlap them instead of waiting on each one (its `cos`
+/// above all) at the head of every step. The batch's times repeat the exact additions
+/// the run's `elapsed += dt` makes, so every step sees the level it would have sampled
+/// itself; a run that ends mid-batch only wastes the rest of the batch.
+struct AmbientLookahead {
+    start_seconds: f64,
+    dt: f64,
+    interference_factor: f64,
+    /// Elapsed seconds of the first step not yet in `levels`.
+    elapsed: f64,
+    levels: [f64; LOOKAHEAD],
+    next: usize,
+}
+
+impl AmbientLookahead {
+    fn new(start_seconds: f64, dt: f64, interference_factor: f64) -> Self {
+        Self {
+            start_seconds,
+            dt,
+            interference_factor,
+            elapsed: 0.0,
+            levels: [0.0; LOOKAHEAD],
+            next: LOOKAHEAD,
+        }
+    }
+
+    /// The level of the next step: the `k`-th call returns the level at `k - 1`
+    /// additions of `dt` from the start.
+    #[inline]
+    fn next(&mut self, sampler: &InterferenceSampler) -> f64 {
+        if self.next == LOOKAHEAD {
+            for level in &mut self.levels {
+                *level = sampler.level_at_seconds(self.start_seconds + self.elapsed)
+                    * self.interference_factor;
+                self.elapsed += self.dt;
+            }
+            self.next = 0;
+        }
+        self.next += 1;
+        self.levels[self.next - 1]
+    }
 }
 
 /// A shared, interference-prone cloud node on which tuning is performed.
@@ -315,8 +363,8 @@ impl CloudEnvironment {
 
     /// Plays one full co-located game through the fused fast path: the same physics as
     /// stepping a [`ColocatedRun`] under the execution layer's early-termination loop,
-    /// rewritten as a single struct-of-arrays pass per step with the memoized
-    /// [`InterferenceSampler`] and reusable scratch buffers.
+    /// rewritten as one fused struct-of-arrays pass per step (rate, advance, top-2) with
+    /// the memoized [`InterferenceSampler`] and reusable scratch buffers.
     ///
     /// Bit-identical to the reference path in every output field and in the RNG stream
     /// it consumes (the per-player jitter and measurement-noise draws happen in the
@@ -341,7 +389,7 @@ impl CloudEnvironment {
         // Per-player hot state as flat struct-of-arrays, refilled in place. The jitter
         // draws for all players come before the noise draws, mirroring
         // `ColocatedRun::new`; the scaled specs are split into base/sensitivity columns
-        // so the per-step rate pass is a straight-line loop over flat `f64` arrays.
+        // so the per-step pass is a straight-line loop over flat `f64` arrays.
         let scratch = &mut self.scratch;
         let rng = &mut self.rng;
         scratch.base.clear();
@@ -360,8 +408,6 @@ impl CloudEnvironment {
             rng.normal_with(1.0, MEASUREMENT_NOISE_STD)
                 .clamp(0.99, 1.01)
         }));
-        scratch.rate.clear();
-        scratch.rate.resize(players, 0.0);
         scratch.progress.clear();
         scratch.progress.resize(players, 0.0);
         scratch.finish.clear();
@@ -381,89 +427,77 @@ impl CloudEnvironment {
             .fold(0.0_f64, f64::max)
             * MAX_RUN_MULTIPLIER;
 
+        // `x / 1.0 == x` for every f64, so skipping the division when nobody
+        // time-shares is exact.
+        let overloaded = overload != 1.0;
         let check_early = rules.early_termination && players > 1;
         let mut elapsed = 0.0_f64;
         let mut finished = 0usize;
         let mut early_terminated = false;
 
+        let base = &scratch.base[..players];
+        let sens = &scratch.sens[..players];
+        let jitter = &scratch.jitter[..players];
+        let noise = &scratch.noise[..players];
+        let progress = &mut scratch.progress[..players];
+        let finish = &mut scratch.finish[..players];
+        let mut ambient = AmbientLookahead::new(start_seconds, dt, interference_factor);
         while finished == 0 && elapsed < max_seconds {
-            let ambient =
-                self.sampler.level_at_seconds(start_seconds + elapsed) * interference_factor;
-            let shared = ambient + contention;
-            // Rate pass: branch-free and bounds-check-free over the SoA columns, so the
-            // compiler can vectorise the divisions (the per-step cost centre). Rates
-            // for already-finished players are computed but never consumed — while the
-            // game is still running at most one player can have finished this very
-            // step, so the waste is nil and no consumed value changes.
-            {
-                let base = &scratch.base[..players];
-                let sens = &scratch.sens[..players];
-                let jitter = &scratch.jitter[..players];
-                let noise = &scratch.noise[..players];
-                let rate = &mut scratch.rate[..players];
-                for i in 0..players {
-                    let effective = shared * jitter[i];
-                    // Identical expression shape to `ExecutionSpec::progress_rate`
-                    // composed with the noise/overload factors of the reference loop.
-                    rate[i] = 1.0 / (base[i] * (1.0 + sens[i] * effective.max(0.0))) * noise[i]
-                        / overload;
-                }
-            }
-            // Advance pass: integrate progress and interpolate finish instants.
+            let shared = ambient.next(&self.sampler) + contention;
+            // One fused pass per step: rate, advance, then the top-2 work fractions for
+            // the early-termination check (leader = first strictly-greatest index,
+            // exactly like `ColocatedRun::leader`). The loop stops at the step in which
+            // the first player finishes, so every player is still running here and
+            // needs no finished guard.
+            let mut best_work = f64::NEG_INFINITY;
+            let mut second_work = f64::NEG_INFINITY;
             for i in 0..players {
-                if scratch.finish[i].is_nan() {
-                    let rate = scratch.rate[i];
-                    let advanced = scratch.progress[i] + rate * dt;
-                    if advanced >= 1.0 {
-                        // Interpolate the exact finish instant inside this step.
-                        let remaining = 1.0 - scratch.progress[i];
-                        scratch.finish[i] = elapsed + remaining / rate;
-                        scratch.progress[i] = 1.0;
-                        finished += 1;
-                    } else {
-                        scratch.progress[i] = advanced;
-                    }
+                let effective = shared * jitter[i];
+                // Identical expression shape to `ExecutionSpec::progress_rate` composed
+                // with the noise/overload factors of the reference loop.
+                let mut rate = 1.0 / (base[i] * (1.0 + sens[i] * effective.max(0.0))) * noise[i];
+                if overloaded {
+                    rate /= overload;
+                }
+                let advanced = progress[i] + rate * dt;
+                let work = if advanced >= 1.0 {
+                    // Interpolate the exact finish instant inside this step.
+                    finish[i] = elapsed + (1.0 - progress[i]) / rate;
+                    finished += 1;
+                    1.0
+                } else {
+                    advanced
+                };
+                progress[i] = work;
+                if work > best_work {
+                    second_work = best_work;
+                    best_work = work;
+                } else if work > second_work {
+                    second_work = work;
                 }
             }
             elapsed += dt;
-            if check_early {
-                // Top-2 work fractions for the early-termination check (leader = first
-                // strictly-greatest index, exactly like `ColocatedRun::leader`).
-                let mut best_work = f64::NEG_INFINITY;
-                let mut second_work = f64::NEG_INFINITY;
-                for &work in &scratch.progress[..players] {
-                    if work > best_work {
-                        second_work = best_work;
-                        best_work = work;
-                    } else if work > second_work {
-                        second_work = work;
-                    }
-                }
-                if best_work >= rules.min_leader_progress {
-                    // The reference path folds the runner-up from 0.0; progress is
-                    // never negative, so clamping the tracked second value reproduces
-                    // it exactly.
-                    let runner_up = second_work.max(0.0);
-                    let gap = if best_work > 0.0 {
-                        (best_work - runner_up) / best_work
-                    } else {
-                        0.0
-                    };
-                    if gap >= rules.work_done_deviation {
-                        early_terminated = true;
-                        break;
-                    }
+            if check_early && best_work >= rules.min_leader_progress {
+                // The reference path folds the runner-up from 0.0; progress is never
+                // negative, so clamping the tracked second value reproduces it exactly.
+                let runner_up = second_work.max(0.0);
+                let gap = if best_work > 0.0 {
+                    (best_work - runner_up) / best_work
+                } else {
+                    0.0
+                };
+                if gap >= rules.work_done_deviation {
+                    early_terminated = true;
+                    break;
                 }
             }
         }
 
         let mut observed_times = Vec::with_capacity(players);
-        for i in 0..players {
-            let finish = scratch.finish[i];
+        for (&finish, &progress) in finish.iter().zip(progress.iter()) {
             observed_times.push(if finish.is_nan() {
                 // Extrapolate from current progress; players that have done no work get
                 // an effectively infinite estimate.
-                let progress = scratch.progress[i];
                 if progress > 0.0 {
                     elapsed / progress
                 } else {
@@ -539,10 +573,9 @@ impl CloudEnvironment {
         let mut elapsed = 0.0_f64;
         let mut progress = 0.0_f64;
         let mut finish = f64::NAN;
+        let mut ambient = AmbientLookahead::new(start_seconds, dt, interference_factor);
         while finish.is_nan() && elapsed < cap {
-            let ambient =
-                self.sampler.level_at_seconds(start_seconds + elapsed) * interference_factor;
-            let effective = (ambient + contention) * jitter;
+            let effective = (ambient.next(&self.sampler) + contention) * jitter;
             let rate = scaled.progress_rate(effective) * noise / overload;
             let advanced = progress + rate * dt;
             if advanced >= 1.0 {
@@ -796,12 +829,12 @@ mod tests {
 
     /// The reference game loop: a [`ColocatedRun`] stepped under the execution layer's
     /// early-termination rules, exactly as `dg-exec::play_on` drives it. The fused fast
-    /// path must reproduce this bit for bit.
+    /// path must reproduce this bit for bit. Also returns how many players finished.
     fn reference_game(
         env: &mut CloudEnvironment,
         specs: &[ExecutionSpec],
         rules: &GameTermination,
-    ) -> SimulatedPlay {
+    ) -> (SimulatedPlay, usize) {
         let mut run = env.start_colocated(specs);
         let step = run.default_step();
         let max_seconds = specs
@@ -836,13 +869,15 @@ mod tests {
             }
         }
         let outcome = run.into_outcome();
-        SimulatedPlay {
+        let finished = outcome.finish_times().iter().flatten().count();
+        let play = SimulatedPlay {
             start: outcome.start_time(),
             elapsed: outcome.elapsed(),
             observed_times: outcome.observed_times().to_vec(),
             execution_scores: outcome.execution_scores(),
             early_terminated,
-        }
+        };
+        (play, finished)
     }
 
     fn assert_plays_bit_identical(fast: &SimulatedPlay, reference: &SimulatedPlay, label: &str) {
@@ -912,7 +947,7 @@ mod tests {
                             rules_playoff
                         };
                         let fast = fast_env.play_game_fast(&specs, &rules);
-                        let reference = reference_game(&mut ref_env, &specs, &rules);
+                        let (reference, _) = reference_game(&mut ref_env, &specs, &rules);
                         assert_plays_bit_identical(
                             &fast,
                             &reference,
@@ -925,6 +960,72 @@ mod tests {
                     }
                 }
             }
+        }
+
+        // 64 seeded games whose players are drawn from the paper-scale Redis surface,
+        // covering the engine's edge cases: duplicate specs, several players finishing
+        // in the same step (a tie at the top of the top-2 scan), more players than
+        // vCPUs (overload above 1), and base times under 50 s (the step size clamped to
+        // 0.25 s).
+        let redis = dg_workloads::Workload::full(dg_workloads::Application::Redis);
+        let mut draw = SimRng::new(0x64).derive("paper-scale-battery");
+        let draw_spec = |draw: &mut SimRng, scale: f64| {
+            let id = ((draw.uniform() * redis.size() as f64) as u64).min(redis.size() - 1);
+            let spec = redis.spec(id);
+            ExecutionSpec::new(spec.base_time() * scale, spec.sensitivity())
+        };
+        let (mut duplicates, mut same_step, mut overloaded, mut clamped) = (0, 0, 0, 0);
+        for case in 0..64_u64 {
+            let vm = VmType::ALL[draw.index(VmType::ALL.len())];
+            let profile = [
+                InterferenceProfile::typical(),
+                InterferenceProfile::heavy(),
+                InterferenceProfile::Dedicated,
+            ][case as usize % 3]
+                .clone();
+            let players = 2 + draw.index(15);
+            let scale = if case % 4 == 3 { 0.1 } else { 1.0 };
+            let mut specs: Vec<ExecutionSpec> =
+                (0..players).map(|_| draw_spec(&mut draw, scale)).collect();
+            match case % 8 {
+                // One spec repeated for the whole game: the players only differ by
+                // their jitter and noise draws, so several finish in the same step.
+                0 | 5 => specs = vec![specs[0]; players],
+                // A few duplicates among distinct specs.
+                2 | 7 => {
+                    for i in (1..players).step_by(2) {
+                        specs[i] = specs[i - 1];
+                    }
+                }
+                _ => {}
+            }
+            let rules = if case % 3 == 1 {
+                rules_playoff
+            } else {
+                rules_default
+            };
+            let mut fast_env = CloudEnvironment::new(vm, profile.clone(), case);
+            let mut ref_env = CloudEnvironment::new(vm, profile.clone(), case);
+            let fast = fast_env.play_game_fast(&specs, &rules);
+            let (reference, finished) = reference_game(&mut ref_env, &specs, &rules);
+            assert_plays_bit_identical(&fast, &reference, &format!("paper-scale case {case}"));
+
+            duplicates += usize::from((1..players).any(|i| specs[..i].contains(&specs[i])));
+            same_step += usize::from(finished >= 2);
+            overloaded += usize::from(players > vm.vcpus());
+            let min_base = specs
+                .iter()
+                .map(|s| s.base_time() * vm.speed_factor())
+                .fold(f64::INFINITY, f64::min);
+            clamped += usize::from(min_base < 50.0);
+        }
+        for (covered, what) in [
+            (duplicates, "duplicate specs"),
+            (same_step, "players finishing in the same step"),
+            (overloaded, "more players than vCPUs"),
+            (clamped, "base times under 50 s"),
+        ] {
+            assert!(covered > 0, "the paper-scale battery never covers {what}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Playing a single game: a co-located execution of several configurations.
 
 use crate::score::rank_descending;
+use dg_cloudsim::ExecutionSpec;
 use dg_exec::{ExecutionBackend, GameBatchItem, GamePlay};
 use dg_workloads::{ConfigId, Workload};
 use serde::{Deserialize, Serialize};
@@ -64,8 +65,22 @@ pub fn play_game(
 ) -> GameResult {
     assert!(!configs.is_empty(), "a game needs at least one player");
     let specs: Vec<_> = configs.iter().map(|id| workload.spec(*id)).collect();
-    let play = exec.play_game(&specs, &options);
+    play_game_with_specs(exec, configs, &specs, options)
+}
 
+/// [`play_game`] for a caller that already holds the players' execution specs
+/// (`specs[i]` is `workload.spec(configs[i])`), such as a region that caches them.
+pub(crate) fn play_game_with_specs(
+    exec: &mut dyn ExecutionBackend,
+    configs: &[ConfigId],
+    specs: &[ExecutionSpec],
+    options: GameOptions,
+) -> GameResult {
+    game_result(configs.to_vec(), exec.play_game(specs, &options))
+}
+
+/// Ranks a backend-level play into a [`GameResult`].
+fn game_result(configs: Vec<ConfigId>, play: GamePlay) -> GameResult {
     let execution_scores = play.execution_scores.clone();
     let ranks = rank_descending(&execution_scores);
     let winner = ranks
@@ -73,7 +88,7 @@ pub fn play_game(
         .position(|r| *r == 1)
         .expect("exactly one player holds rank 1");
     GameResult {
-        configs: configs.to_vec(),
+        configs,
         execution_scores,
         ranks,
         winner,
@@ -120,23 +135,7 @@ pub fn play_games(
     games
         .iter()
         .zip(plays)
-        .map(|(configs, play)| {
-            let execution_scores = play.execution_scores.clone();
-            let ranks = rank_descending(&execution_scores);
-            let winner = ranks
-                .iter()
-                .position(|r| *r == 1)
-                .expect("exactly one player holds rank 1");
-            GameResult {
-                configs: configs.clone(),
-                execution_scores,
-                ranks,
-                winner,
-                elapsed: play.elapsed,
-                early_terminated: play.early_terminated,
-                play,
-            }
-        })
+        .map(|(configs, play)| game_result(configs.clone(), play))
         .collect()
 }
 

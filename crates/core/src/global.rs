@@ -10,7 +10,7 @@
 
 use crate::config::TournamentConfig;
 use crate::game::{play_game, play_games, GameOptions};
-use crate::player::Player;
+use crate::player::{take_by_index, Player};
 use crate::score::combined_ranking;
 use dg_exec::ExecutionBackend;
 use dg_obs::{emit_with, ObsEvent};
@@ -105,7 +105,10 @@ pub fn run_global_phase(
     while players.len() > config.main_bracket_target {
         rounds += 1;
         let groups = build_diverse_groups(&players, players_per_game, config.main_bracket_target);
-        let mut winners: Vec<Player> = Vec::with_capacity(groups.len());
+        // Indices into `players` of this round's winners and losers, in the order they
+        // advance; the players themselves are moved once the round is scored.
+        let mut winners: Vec<usize> = Vec::with_capacity(groups.len());
+        let mut losers: Vec<usize> = Vec::new();
         let mut round_outcomes = Vec::with_capacity(groups.len());
 
         // A round's games are independent (groups are disjoint), so the whole round
@@ -131,7 +134,7 @@ pub fn run_global_phase(
         for group in &groups {
             if group.len() == 1 {
                 // A lone player advances without playing.
-                winners.push(players[group[0]].clone());
+                winners.push(group[0]);
                 continue;
             }
             let result = results.next().expect("one result per multi-player group");
@@ -152,12 +155,9 @@ pub fn run_global_phase(
                 config.ablation.execution_score,
                 config.ablation.consistency_score,
             );
-            let winner_slot = order[0];
-            winners.push(players[group[winner_slot]].clone());
-            for slot in order.into_iter().skip(1) {
-                if config.ablation.double_elimination {
-                    loser_bracket.push(players[group[slot]].clone());
-                }
+            winners.push(group[order[0]]);
+            if config.ablation.double_elimination {
+                losers.extend(order[1..].iter().map(|slot| group[*slot]));
             }
             round_outcomes.push(result.play);
         }
@@ -165,38 +165,35 @@ pub fn run_global_phase(
         // Games within a round run on parallel VMs of the same type.
         exec.commit_parallel(&round_outcomes);
 
-        if winners.len() >= players.len() {
-            // No reduction is possible (degenerate small input); stop to guarantee
-            // termination.
-            players = winners;
+        // No reduction is possible (degenerate small input): stop to guarantee
+        // termination.
+        let stalled = winners.len() >= players.len();
+        let mut seats = take_by_index(players);
+        loser_bracket.extend(losers.iter().map(|i| seats(*i)));
+        players = winners.iter().map(|i| seats(*i)).collect();
+        if stalled {
             break;
         }
-        players = winners;
     }
 
     // Wild card from the loser bracket.
     let wildcard = if config.ablation.double_elimination && loser_bracket.len() >= 2 {
-        loser_bracket.sort_by(|a, b| {
-            let score_a = a.average_execution_score() + a.consistency_score();
-            let score_b = b.average_execution_score() + b.consistency_score();
-            score_b
-                .partial_cmp(&score_a)
-                .expect("scores are not NaN")
-                .then(a.config().cmp(&b.config()))
-        });
-        loser_bracket.truncate(players_per_game);
-        let configs: Vec<ConfigId> = loser_bracket.iter().map(Player::config).collect();
+        let keys: Vec<(f64, ConfigId)> = loser_bracket.iter().map(wildcard_key).collect();
+        let order = wildcard_entrants(&keys, players_per_game);
+        let mut seats = take_by_index(loser_bracket);
+        let mut entrants: Vec<Player> = order.iter().map(|i| seats(*i)).collect();
+        let configs: Vec<ConfigId> = entrants.iter().map(Player::config).collect();
         let result = play_game(exec, workload, &configs, game_options);
         exec.commit(&result.play);
         games_played += 1;
-        for (slot, player) in loser_bracket.iter_mut().enumerate() {
+        for (slot, player) in entrants.iter_mut().enumerate() {
             player
                 .scores_mut()
                 .record_game(result.execution_scores[slot], result.ranks[slot]);
         }
-        Some(loser_bracket[result.winner].clone())
+        Some(entrants.swap_remove(result.winner))
     } else if config.ablation.double_elimination {
-        loser_bracket.first().cloned()
+        loser_bracket.into_iter().next()
     } else {
         None
     };
@@ -237,10 +234,41 @@ fn build_diverse_groups(
     groups
 }
 
+/// A loser's wild-card key: its average execution score plus its consistency score,
+/// and its configuration.
+fn wildcard_key(player: &Player) -> (f64, ConfigId) {
+    (
+        player.average_execution_score() + player.consistency_score(),
+        player.config(),
+    )
+}
+
+/// Indices of the wild-card game's entrants, best first: the top `count` of the loser
+/// bracket by [`wildcard_key`], score descending, ties broken by config and then by
+/// bracket position. That is exactly the order a stable sort of the whole bracket by
+/// (score descending, config ascending) gives, found with a partial selection.
+fn wildcard_entrants(keys: &[(f64, ConfigId)], count: usize) -> Vec<usize> {
+    let rank = |a: &usize, b: &usize| {
+        keys[*b]
+            .0
+            .partial_cmp(&keys[*a].0)
+            .expect("scores are not NaN")
+            .then(keys[*a].1.cmp(&keys[*b].1))
+            .then(a.cmp(b))
+    };
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    if count < order.len() {
+        order.select_nth_unstable_by(count, rank);
+        order.truncate(count);
+    }
+    order.sort_unstable_by(rank);
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
+    use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimRng, VmType};
     use dg_workloads::Application;
 
     fn setup() -> (Workload, CloudEnvironment, TournamentConfig) {
@@ -323,6 +351,58 @@ mod tests {
                 .collect();
             assert!(regions.len() >= 2, "groups should span multiple regions");
         }
+    }
+
+    /// The wild-card entrants as they were chosen before the keyed selection: a stable
+    /// sort of the whole loser bracket whose comparator recomputes both scores,
+    /// truncated to `count`.
+    fn stable_sort_entrants(bracket: &[Player], count: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..bracket.len()).collect();
+        order.sort_by(|a, b| {
+            let (a, b) = (&bracket[*a], &bracket[*b]);
+            let score_a = a.average_execution_score() + a.consistency_score();
+            let score_b = b.average_execution_score() + b.consistency_score();
+            score_b
+                .partial_cmp(&score_a)
+                .expect("scores are not NaN")
+                .then(a.config().cmp(&b.config()))
+        });
+        order.truncate(count);
+        order
+    }
+
+    #[test]
+    fn keyed_wildcard_selection_matches_the_stable_sort() {
+        let mut rng = SimRng::new(0x3c).derive("wildcard-selection");
+        let mut tied_cases = 0;
+        for case in 0..400 {
+            // Brackets from empty to well past the largest P, drawn from few configs
+            // and few score histories, so keys tie often and configs repeat.
+            let bracket: Vec<Player> = (0..rng.index(48))
+                .map(|_| {
+                    let mut player = Player::new(rng.index(6) as u64, None);
+                    for _ in 0..=rng.index(3) {
+                        let score = [0.25, 0.5, 1.0][rng.index(3)];
+                        player.scores_mut().record_game(score, 1 + rng.index(3));
+                    }
+                    player
+                })
+                .collect();
+            let keys: Vec<(f64, ConfigId)> = bracket.iter().map(wildcard_key).collect();
+            tied_cases += usize::from((1..keys.len()).any(|i| keys[..i].contains(&keys[i])));
+            for count in [2, 8, 16, 32] {
+                assert_eq!(
+                    wildcard_entrants(&keys, count),
+                    stable_sort_entrants(&bracket, count),
+                    "case {case}, P = {count}, bracket of {}",
+                    bracket.len()
+                );
+            }
+        }
+        assert!(
+            tied_cases > 100,
+            "only {tied_cases} brackets had fully tied entries"
+        );
     }
 
     #[test]

@@ -54,6 +54,15 @@ impl Player {
     }
 }
 
+/// Turns `players` into a take-once lookup by index, so players that advance are moved
+/// rather than cloned.
+///
+/// The returned closure panics if asked for the same index twice.
+pub(crate) fn take_by_index(players: Vec<Player>) -> impl FnMut(usize) -> Player {
+    let mut seats: Vec<Option<Player>> = players.into_iter().map(Some).collect();
+    move |i| seats[i].take().expect("each player advances at most once")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,9 +10,9 @@
 //! deviation of the regional best advances to the global phase.
 
 use crate::config::TournamentConfig;
-use crate::game::{play_game, GameOptions};
-use crate::player::Player;
-use dg_cloudsim::{CostTracker, SimRng};
+use crate::game::{play_game_with_specs, GameOptions};
+use crate::player::{take_by_index, Player};
+use dg_cloudsim::{CostTracker, ExecutionSpec, SimRng};
 use dg_exec::ExecutionBackend;
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, IndexPartition, Workload};
@@ -89,9 +89,17 @@ pub fn run_region(
         1
     };
 
+    // Region-local spec cache: a candidate's spec is looked up before its first game
+    // and reused for every later one, which matters once the space is too large for
+    // the workload's own spec memo.
+    let mut specs: Vec<Option<ExecutionSpec>> = vec![None; players.len()];
+
     // Round scratch, reused so the per-round loop allocates nothing for selection.
     let mut participants: Vec<usize> = Vec::with_capacity(players_per_game);
+    let mut veterans: Vec<usize> = Vec::with_capacity(players.len());
+    let mut weights: Vec<f64> = Vec::with_capacity(players.len());
     let mut configs: Vec<ConfigId> = Vec::with_capacity(players_per_game);
+    let mut game_specs: Vec<ExecutionSpec> = Vec::with_capacity(players_per_game);
 
     for round in 0..rounds {
         // Select this round's participants.
@@ -107,18 +115,22 @@ pub fn run_region(
             for _ in 0..new_slots {
                 participants.push(unplayed.pop().expect("unplayed is non-empty"));
             }
-            let veteran_indices: Vec<usize> = (0..players.len())
-                .filter(|i| players[*i].scores().games_played() > 0 && !participants.contains(i))
-                .collect();
-            let veteran_slots = (players_per_game - participants.len()).min(veteran_indices.len());
-            let mut weights: Vec<f64> = veteran_indices
-                .iter()
-                .map(|i| players[*i].average_execution_score().max(0.01))
-                .collect();
-            let mut remaining = veteran_indices;
+            veterans.clear();
+            veterans.extend(
+                (0..players.len()).filter(|i| {
+                    players[*i].scores().games_played() > 0 && !participants.contains(i)
+                }),
+            );
+            let veteran_slots = (players_per_game - participants.len()).min(veterans.len());
+            weights.clear();
+            weights.extend(
+                veterans
+                    .iter()
+                    .map(|i| players[*i].average_execution_score().max(0.01)),
+            );
             for _ in 0..veteran_slots {
                 let pick = rng.weighted_index(&weights);
-                participants.push(remaining.swap_remove(pick));
+                participants.push(veterans.swap_remove(pick));
                 weights.swap_remove(pick);
             }
         }
@@ -127,8 +139,13 @@ pub fn run_region(
         }
 
         configs.clear();
-        configs.extend(participants.iter().map(|i| players[*i].config()));
-        let result = play_game(exec, workload, &configs, game_options);
+        game_specs.clear();
+        for &i in &participants {
+            let config = players[i].config();
+            configs.push(config);
+            game_specs.push(*specs[i].get_or_insert_with(|| workload.spec(config)));
+        }
+        let result = play_game_with_specs(exec, &configs, &game_specs, game_options);
         exec.commit(&result.play);
         games_played += 1;
         emit_with(|| ObsEvent::Round {
@@ -160,33 +177,31 @@ pub fn run_region(
     }
 
     // Decide who advances: everyone within the work-done deviation of the best player's
-    // average execution score (or only the single best, under the ablation). Winners
-    // are selected by index and *moved* out of the pool — their score histories were
-    // grown in place all region long and never need copying.
-    let mut veterans: Vec<usize> = (0..players.len())
-        .filter(|i| players[*i].scores().games_played() > 0)
+    // average execution score (or only the single best, under the ablation). Each
+    // average is computed once, up front, as the sort key. Winners are selected by
+    // index and *moved* out of the pool — their score histories were grown in place all
+    // region long and never need copying.
+    let mut ranked: Vec<(f64, ConfigId, usize)> = players
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.scores().games_played() > 0)
+        .map(|(i, p)| (p.average_execution_score(), p.config(), i))
         .collect();
-    veterans.sort_by(|a, b| {
-        players[*b]
-            .average_execution_score()
-            .partial_cmp(&players[*a].average_execution_score())
+    ranked.sort_by(|a, b| {
+        b.0.partial_cmp(&a.0)
             .expect("scores are not NaN")
-            .then(players[*a].config().cmp(&players[*b].config()))
+            .then(a.1.cmp(&b.1))
     });
-    if veterans.is_empty() {
+    if ranked.is_empty() {
         // No games were played (degenerate pool): nobody advances.
     } else if config.ablation.single_regional_winner {
-        veterans.truncate(1);
+        ranked.truncate(1);
     } else {
-        let best_score = players[veterans[0]].average_execution_score();
-        let threshold = best_score * (1.0 - config.work_done_deviation);
-        veterans.retain(|i| players[*i].average_execution_score() >= threshold);
+        let threshold = ranked[0].0 * (1.0 - config.work_done_deviation);
+        ranked.retain(|(score, _, _)| *score >= threshold);
     }
-    let mut pool: Vec<Option<Player>> = players.into_iter().map(Some).collect();
-    let winners: Vec<Player> = veterans
-        .iter()
-        .map(|i| pool[*i].take().expect("winner indices are distinct"))
-        .collect();
+    let mut pool = take_by_index(players);
+    let winners: Vec<Player> = ranked.iter().map(|(_, _, i)| pool(*i)).collect();
 
     RegionalOutcome {
         region,

@@ -112,20 +112,46 @@ impl SurfaceConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SyntheticSurface {
     space: ParameterSpace,
+    /// `space.size()`, which is a product over every parameter.
+    size: u64,
     config: SurfaceConfig,
     seed: u64,
-    /// Per-dimension weight of its penalty contribution (sums to 1 over free dims).
-    weights: Vec<f64>,
     /// Per-dimension optimal level.
     optimal_levels: Vec<usize>,
-    /// Per-dimension penalty table indexed by level.
-    penalties: Vec<Vec<f64>>,
-    /// Pairs of interacting dimensions and their weights.
-    interactions: Vec<(usize, usize, f64)>,
+    /// The free (multi-level) dimensions in dimension order. Pinned dimensions carry
+    /// weight 0 and one level, so they never enter the raw penalty.
+    free: Vec<FreeDimension>,
+    /// Pairwise interactions between free dimensions.
+    interactions: Vec<Interaction>,
     /// Sorted sample of raw penalty values used as an empirical CDF for shaping.
     raw_quantiles: Vec<f64>,
     /// Exponent applied to the CDF value to achieve the configured `fast_fraction`.
     shape_exponent: f64,
+}
+
+/// One free dimension of the raw-penalty decode.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct FreeDimension {
+    /// Level count: the dimension's digit base in the mixed-radix configuration index.
+    radix: u64,
+    /// Weight of the dimension's penalty (the weights sum to 1 over free dimensions).
+    weight: f64,
+    /// Penalty per level.
+    penalties: Vec<f64>,
+}
+
+/// A pair of interacting free dimensions, addressed by their position in
+/// [`SyntheticSurface::free`].
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Interaction {
+    a: usize,
+    b: usize,
+    optimal_a: usize,
+    optimal_b: usize,
+    weight: f64,
+    /// Hash seed of the pair, derived from the surface seed and the two dimension
+    /// indices of the full space.
+    seed: u64,
 }
 
 /// Number of random configurations sampled to build the empirical raw-penalty CDF.
@@ -133,6 +159,10 @@ const CDF_SAMPLES: usize = 4096;
 
 /// Relative strength of pairwise interactions versus per-dimension penalties.
 const INTERACTION_SHARE: f64 = 0.2;
+
+/// Most free dimensions a space can have: each has at least two levels and the size
+/// fits in a `u64`.
+const MAX_FREE_DIMENSIONS: usize = 64;
 
 impl SyntheticSurface {
     /// Generates a surface over `space` from a seed and generation knobs.
@@ -145,22 +175,22 @@ impl SyntheticSurface {
         let mut rng = SimRng::new(seed).derive("surface");
         let dims = space.dimensions();
 
-        // Per-dimension weights, optimal levels, and penalty tables.
-        let mut raw_weights = Vec::with_capacity(dims);
+        // Per-dimension optimal levels; weights and penalty tables for free dimensions.
+        // A pinned dimension has weight 0 and a single level, so it would only ever add
+        // exactly +0.0 to a raw penalty and is left out of it.
         let mut optimal_levels = Vec::with_capacity(dims);
-        let mut penalties = Vec::with_capacity(dims);
-        for parameter in space.parameters() {
+        let mut free_dims = Vec::new();
+        let mut free: Vec<FreeDimension> = Vec::new();
+        for (d, parameter) in space.parameters().iter().enumerate() {
             let levels = parameter.level_count();
             if levels == 1 {
-                raw_weights.push(0.0);
                 optimal_levels.push(0);
-                penalties.push(vec![0.0]);
                 continue;
             }
-            raw_weights.push(rng.uniform_range(0.4, 1.0));
+            let raw_weight = rng.uniform_range(0.4, 1.0);
             let optimal = rng.index(levels);
             optimal_levels.push(optimal);
-            let table: Vec<f64> = (0..levels)
+            let penalties: Vec<f64> = (0..levels)
                 .map(|level| {
                     if level == optimal {
                         0.0
@@ -172,19 +202,21 @@ impl SyntheticSurface {
                     }
                 })
                 .collect();
-            penalties.push(table);
+            free_dims.push(d);
+            free.push(FreeDimension {
+                radix: levels as u64,
+                weight: raw_weight,
+                penalties,
+            });
         }
-        let weight_sum: f64 = raw_weights.iter().sum();
-        let weights: Vec<f64> = if weight_sum > 0.0 {
-            raw_weights.iter().map(|w| w / weight_sum).collect()
-        } else {
-            raw_weights
-        };
+        let weight_sum: f64 = free.iter().map(|dim| dim.weight).sum();
+        if weight_sum > 0.0 {
+            for dim in &mut free {
+                dim.weight /= weight_sum;
+            }
+        }
 
         // A handful of pairwise interactions between free dimensions.
-        let free_dims: Vec<usize> = (0..dims)
-            .filter(|d| space.parameters()[*d].level_count() > 1)
-            .collect();
         let mut interactions = Vec::new();
         if free_dims.len() >= 2 {
             let pair_count = free_dims.len().min(6);
@@ -207,13 +239,32 @@ impl SyntheticSurface {
             }
         }
 
+        let position = |d: usize| {
+            free_dims
+                .iter()
+                .position(|free| *free == d)
+                .expect("interactions pair free dimensions")
+        };
+        let interactions = interactions
+            .into_iter()
+            .map(|(a, b, weight)| Interaction {
+                a: position(a),
+                b: position(b),
+                optimal_a: optimal_levels[a],
+                optimal_b: optimal_levels[b],
+                weight,
+                seed: dg_cloudsim::mix(seed, (a as u64) << 32 | b as u64),
+            })
+            .collect();
+
+        let size = space.size();
         let mut surface = Self {
             space,
+            size,
             config,
             seed,
-            weights,
             optimal_levels,
-            penalties,
+            free,
             interactions,
             raw_quantiles: Vec::new(),
             shape_exponent: 1.0,
@@ -222,7 +273,6 @@ impl SyntheticSurface {
         // Build the empirical CDF of raw penalties and derive the shaping exponent that
         // hits the requested fast_fraction.
         let mut sampler = SimRng::new(seed).derive("surface-cdf");
-        let size = surface.space.size();
         let mut samples: Vec<f64> = (0..CDF_SAMPLES)
             .map(|_| {
                 let id = (sampler.uniform() * size as f64) as u64;
@@ -258,24 +308,33 @@ impl SyntheticSurface {
     }
 
     /// Raw (unshaped) penalty of a configuration, in `[0, 1]`.
+    ///
+    /// Decodes the free dimensions of `id` (mixed radix, least significant first, as
+    /// [`ParameterSpace::point_of`] does) into a stack array, summing the per-dimension
+    /// penalties in dimension order as it goes. Skipping the pinned dimensions leaves
+    /// every partial sum bit-identical, because each would add exactly `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is outside the space.
     fn raw_penalty(&self, id: ConfigId) -> f64 {
-        let point = self.space.point_of(id);
+        assert!(id < self.size, "configuration index out of range");
+        let mut levels = [0usize; MAX_FREE_DIMENSIONS];
+        let mut rest = id;
         let mut per_dimension = 0.0;
-        for (d, level) in point.iter().enumerate() {
-            per_dimension += self.weights[d] * self.penalties[d][*level];
+        for (level, dim) in levels.iter_mut().zip(&self.free) {
+            *level = (rest % dim.radix) as usize;
+            rest /= dim.radix;
+            per_dimension += dim.weight * dim.penalties[*level];
         }
         let mut interaction = 0.0;
-        if !self.interactions.is_empty() {
-            for (a, b, weight) in &self.interactions {
-                let la = point[*a];
-                let lb = point[*b];
-                if la == self.optimal_levels[*a] && lb == self.optimal_levels[*b] {
-                    continue;
-                }
-                let pair_seed = dg_cloudsim::mix(self.seed, (*a as u64) << 32 | *b as u64);
-                let h = dg_cloudsim::hash_unit(pair_seed, (la as u64) << 32 | lb as u64);
-                interaction += weight * h;
+        for pair in &self.interactions {
+            let (la, lb) = (levels[pair.a], levels[pair.b]);
+            if la == pair.optimal_a && lb == pair.optimal_b {
+                continue;
             }
+            let h = dg_cloudsim::hash_unit(pair.seed, (la as u64) << 32 | lb as u64);
+            interaction += pair.weight * h;
         }
         ((1.0 - INTERACTION_SHARE) * per_dimension + INTERACTION_SHARE * interaction)
             .clamp(0.0, 1.0)
@@ -374,9 +433,9 @@ impl PerformanceSurface for SyntheticSurface {
     }
 
     fn spec(&self, id: ConfigId) -> ExecutionSpec {
-        // `normalized_time` (a CDF lookup plus `powf`) dominates the cost of a spec
-        // lookup and is shared by both components; evaluate it once. Same pure value
-        // either way, so the spec is bit-identical to the default two-pass method.
+        // Both components derive from `normalized_time` (raw-penalty decode, CDF
+        // lookup, `powf`), so evaluate it once. Same pure value either way, so the
+        // spec is bit-identical to the default two-pass method.
         let normalized = self.normalized_time(id);
         ExecutionSpec::new(
             self.time_from_normalized(normalized),
@@ -388,6 +447,7 @@ impl PerformanceSurface for SyntheticSurface {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::Application;
     use crate::param::Parameter;
 
     fn test_space() -> ParameterSpace {
@@ -525,6 +585,245 @@ mod tests {
         let spec = surface.spec(42);
         assert_eq!(spec.base_time(), surface.base_time(42));
         assert_eq!(spec.sensitivity(), surface.sensitivity(42));
+    }
+
+    /// The raw penalty as it was computed before the free-dimension decode: every
+    /// dimension decoded with [`ParameterSpace::point_of`] and summed, pinned ones with
+    /// weight 0 and a single 0.0 penalty, and each pair seed mixed per call.
+    struct ReferencePenalty<'a> {
+        surface: &'a SyntheticSurface,
+        weights: Vec<f64>,
+        penalties: Vec<Vec<f64>>,
+        interactions: Vec<(usize, usize, f64)>,
+    }
+
+    impl<'a> ReferencePenalty<'a> {
+        fn new(surface: &'a SyntheticSurface) -> Self {
+            let parameters = surface.space().parameters();
+            let free_dims: Vec<usize> = (0..parameters.len())
+                .filter(|d| !parameters[*d].is_pinned())
+                .collect();
+            let mut weights = vec![0.0; parameters.len()];
+            let mut penalties = vec![vec![0.0]; parameters.len()];
+            for (d, dim) in free_dims.iter().zip(&surface.free) {
+                weights[*d] = dim.weight;
+                penalties[*d] = dim.penalties.clone();
+            }
+            let interactions = surface
+                .interactions
+                .iter()
+                .map(|pair| (free_dims[pair.a], free_dims[pair.b], pair.weight))
+                .collect();
+            Self {
+                surface,
+                weights,
+                penalties,
+                interactions,
+            }
+        }
+
+        fn raw_penalty(&self, id: ConfigId) -> f64 {
+            let point = self.surface.space().point_of(id);
+            let mut per_dimension = 0.0;
+            for (d, level) in point.iter().enumerate() {
+                per_dimension += self.weights[d] * self.penalties[d][*level];
+            }
+            let mut interaction = 0.0;
+            for (a, b, weight) in &self.interactions {
+                let (la, lb) = (point[*a], point[*b]);
+                if la == self.surface.optimal_levels[*a] && lb == self.surface.optimal_levels[*b] {
+                    continue;
+                }
+                let pair_seed = dg_cloudsim::mix(self.surface.seed, (*a as u64) << 32 | *b as u64);
+                let h = dg_cloudsim::hash_unit(pair_seed, (la as u64) << 32 | lb as u64);
+                interaction += weight * h;
+            }
+            ((1.0 - INTERACTION_SHARE) * per_dimension + INTERACTION_SHARE * interaction)
+                .clamp(0.0, 1.0)
+        }
+
+        /// The empirical-CDF sample, drawn exactly as [`SyntheticSurface::generate`]
+        /// draws it.
+        fn quantiles(&self) -> Vec<f64> {
+            let size = self.surface.space().size();
+            let mut sampler = SimRng::new(self.surface.seed).derive("surface-cdf");
+            let mut samples: Vec<f64> = (0..CDF_SAMPLES)
+                .map(|_| {
+                    let id = (sampler.uniform() * size as f64) as u64;
+                    self.raw_penalty(id.min(size - 1))
+                })
+                .collect();
+            samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            samples
+        }
+    }
+
+    /// Asserts the decode equals the reference, bit for bit, on every id of small
+    /// spaces and on an even sample plus both ends of large ones.
+    fn assert_decode_matches_reference(surface: &SyntheticSurface, label: &str) {
+        let reference = ReferencePenalty::new(surface);
+        let size = surface.space().size();
+        let n = size.min(8192);
+        for id in (0..n).map(|i| i * size / n).chain([size - 1]) {
+            assert_eq!(
+                surface.raw_penalty(id).to_bits(),
+                reference.raw_penalty(id).to_bits(),
+                "{label}: raw penalty of {id}"
+            );
+        }
+        let quantiles = reference.quantiles();
+        assert_eq!(quantiles.len(), surface.raw_quantiles.len(), "{label}");
+        for (q, r) in surface.raw_quantiles.iter().zip(&quantiles) {
+            assert_eq!(q.to_bits(), r.to_bits(), "{label}: CDF quantile");
+        }
+        let optimum = surface.planted_optimum();
+        assert_eq!(optimum, surface.space().index_of(&surface.optimal_levels));
+        assert_eq!(
+            surface.raw_penalty(optimum),
+            0.0,
+            "{label}: planted optimum"
+        );
+    }
+
+    fn digest(values: impl Iterator<Item = u64>) -> u64 {
+        values.fold(0, dg_cloudsim::mix)
+    }
+
+    #[test]
+    fn decode_is_bit_identical_to_point_of_reference() {
+        // (application, size cap, planted optimum, digest of the CDF quantiles, digest
+        // of the specs of 4,096 evenly spaced ids), as generated before the decode
+        // skipped pinned dimensions. `u64::MAX` is the full Table 1 space.
+        let pinned: [(Application, u64, ConfigId, u64, u64); 12] = [
+            (
+                Application::Redis,
+                5_000,
+                3470,
+                0xd99772ea889ac4d5,
+                0x8fe7af081852d2e0,
+            ),
+            (
+                Application::Redis,
+                55_296,
+                24206,
+                0xe89b3a236586d33c,
+                0xc691966b42eff37d,
+            ),
+            (
+                Application::Redis,
+                u64::MAX,
+                1517198,
+                0x8de5995e0d2c1cc8,
+                0xdf5148c68b0312a8,
+            ),
+            (
+                Application::Gromacs,
+                5_000,
+                2961,
+                0x5d127da645a3625e,
+                0x127d47c762c2b1c6,
+            ),
+            (
+                Application::Gromacs,
+                55_296,
+                32913,
+                0xe47b46bde2a8f410,
+                0xa63d745e168c8770,
+            ),
+            (
+                Application::Gromacs,
+                u64::MAX,
+                2521233,
+                0x8b2957b79a7f727d,
+                0xe426c3bc86916045,
+            ),
+            (
+                Application::Ffmpeg,
+                5_000,
+                848,
+                0x2de9ca516a82433e,
+                0x88a9a64abe0c8609,
+            ),
+            (
+                Application::Ffmpeg,
+                55_296,
+                12368,
+                0x9341cd150e5d0d21,
+                0xf4c4470a89a20a9c,
+            ),
+            (
+                Application::Ffmpeg,
+                u64::MAX,
+                1339472,
+                0x365364222af55015,
+                0x0c4a31955c8f9d3e,
+            ),
+            (
+                Application::Lammps,
+                5_000,
+                837,
+                0xf8c1262a08738d9a,
+                0x7f633681b0e5e6b7,
+            ),
+            (
+                Application::Lammps,
+                55_296,
+                10053,
+                0x6d487f0b505413f5,
+                0x16353313a3bf8124,
+            ),
+            (
+                Application::Lammps,
+                u64::MAX,
+                2498373,
+                0x3fe235031faec7b0,
+                0x1ec1524e573c7503,
+            ),
+        ];
+        for (app, cap, optimum, quantiles, specs) in pinned {
+            let space = if cap == u64::MAX {
+                app.parameter_space()
+            } else {
+                app.scaled_parameter_space(cap)
+            };
+            let surface =
+                SyntheticSurface::generate(space, app.surface_config(), app.surface_seed());
+            let label = format!("{app}/{cap}");
+            assert_decode_matches_reference(&surface, &label);
+            assert_eq!(
+                surface.planted_optimum(),
+                optimum,
+                "{label}: planted optimum"
+            );
+            let quantile_digest = digest(surface.raw_quantiles.iter().map(|q| q.to_bits()));
+            assert_eq!(quantile_digest, quantiles, "{label}: CDF quantiles");
+            let size = surface.space().size();
+            let spec_digest = digest((0..4096).map(|i| i * size / 4096).flat_map(|id| {
+                let spec = surface.spec(id);
+                [spec.base_time().to_bits(), spec.sensitivity().to_bits()]
+            }));
+            assert_eq!(spec_digest, specs, "{label}: specs");
+        }
+    }
+
+    #[test]
+    fn decode_handles_pinned_dimensions_between_free_ones() {
+        // Table 1 spaces only pin trailing dimensions; here pinned ones sit between
+        // free ones, at both ends, and in a run.
+        let levels = [1, 3, 1, 4, 1, 1, 2, 5, 1, 3, 1];
+        let space = ParameterSpace::new(
+            levels
+                .iter()
+                .enumerate()
+                .map(|(i, n)| Parameter::with_level_count(format!("p{i}"), *n))
+                .collect(),
+        );
+        for seed in [1, 2, 3, 0x4ed1] {
+            let surface = SyntheticSurface::generate(space.clone(), SurfaceConfig::default(), seed);
+            assert_eq!(surface.free.len(), 5);
+            assert_eq!(surface.space().size(), 360);
+            assert_decode_matches_reference(&surface, &format!("interleaved/{seed}"));
+        }
     }
 
     #[test]

@@ -11,15 +11,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Largest search-space size for which a workload pre-allocates a spec memo table
-/// (two `u64` slots per configuration — 16 MiB at the cap). Paper-scale spaces above
-/// the cap fall back to recomputing specs on demand.
+/// (two `u64` slots per configuration — 16 MiB at the cap). Spaces above the cap, such
+/// as the full Table 1 spaces, recompute a spec on every lookup: a few hundred
+/// nanoseconds of allocation-free surface evaluation. The tournament's regional phase
+/// caches specs per region, so there each candidate's spec is computed once.
 const SPEC_MEMO_MAX_CONFIGS: u64 = 1 << 20;
 
 /// A lock-free memo of fully computed [`ExecutionSpec`]s, keyed by configuration id.
 ///
 /// Surface evaluation (`SyntheticSurface::spec`) is a pure function of the id but costs
-/// hundreds of nanoseconds — a CDF walk, several hashes, and a `powf` — and tournament
-/// players re-fetch their spec for every game of every round. The memo stores the two
+/// hundreds of nanoseconds — a decode, a CDF walk, several hashes, and a `powf` — and
+/// tuners fetch the same configuration's spec many times. The memo stores the two
 /// components as raw bit patterns in atomic slots: `base_time` is strictly positive, so
 /// a zero bit pattern doubles as the "empty" marker. Writers publish the sensitivity
 /// first and release the base-time bits last; racing writers store identical bits
