@@ -3,13 +3,14 @@
 //! These do not reproduce a paper figure; they track the performance of the simulator and
 //! tournament building blocks so that regressions in the reproduction's own code are
 //! visible: surface evaluation, interference sampling, a single co-located game, the GP
-//! surrogate fit used by BLISS, and a small end-to-end tournament.
+//! surrogate fit and candidate-pool scoring used by BLISS, and a small end-to-end
+//! tournament.
 //!
 //! Run with `cargo bench --bench micro_components`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use darwin_core::{play_game, play_games, DarwinGame, GameOptions, TournamentConfig};
-use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimTime, VmType};
+use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimRng, SimTime, VmType};
 use dg_scenario::{ScenarioEvent, ScenarioSpec};
 use dg_tuners::GaussianProcess;
 use dg_workloads::{Application, PerformanceSurface, Workload};
@@ -186,6 +187,43 @@ fn bench_gp_fit(c: &mut Criterion) {
     });
 }
 
+fn bench_gp_pool_scoring(c: &mut Criterion) {
+    // BLISS's inner step: a model fit to a full 120-observation window scores a pool
+    // of 193 candidates (192 random configurations plus the incumbent's perturbation).
+    // The space is Redis at the campaigns' default scale: 12 free dimensions of 36.
+    // At the 0.08 length scale most kernel values are tiny, and the triangular solve's
+    // products fall below the smallest normal f64; 0.35 does the same work without
+    // that.
+    let workload = Workload::scaled(Application::Redis, 160_000);
+    let space = workload.space();
+    let normalised = |id: u64| -> Vec<f64> {
+        space
+            .point_of(id)
+            .iter()
+            .zip(space.parameters())
+            .map(|(level, parameter)| match parameter.level_count() {
+                0 | 1 => 0.0,
+                levels => *level as f64 / (levels - 1) as f64,
+            })
+            .collect()
+    };
+    let mut rng = SimRng::new(17);
+    let mut draw = || rng.index(workload.size() as usize) as u64;
+    let observed: Vec<u64> = (0..120).map(|_| draw()).collect();
+    let pool: Vec<Vec<f64>> = (0..193).map(|_| normalised(draw())).collect();
+    let inputs: Vec<Vec<f64>> = observed.iter().map(|&id| normalised(id)).collect();
+    let targets: Vec<f64> = observed.iter().map(|&id| workload.base_time(id)).collect();
+    let best = targets.iter().copied().fold(f64::INFINITY, f64::min);
+    for length_scale in [0.08, 0.35] {
+        let mut gp = GaussianProcess::new(length_scale, 1e-3);
+        gp.fit(&inputs, &targets);
+        c.bench_function(
+            &format!("gp_score_193_of_120_points_l{length_scale}"),
+            |b| b.iter(|| black_box(gp.expected_improvements(black_box(&pool), best))),
+        );
+    }
+}
+
 fn bench_small_tournament(c: &mut Criterion) {
     let workload = Workload::scaled(Application::Redis, 8_000);
     c.bench_function("tournament_16_regions", |b| {
@@ -214,6 +252,7 @@ criterion_group!(
         bench_single_game,
         bench_batched_round,
         bench_gp_fit,
+        bench_gp_pool_scoring,
         bench_small_tournament
 );
 criterion_main!(micro);

@@ -101,70 +101,73 @@ impl Tuner for Bliss {
 
         // Warm-up with random samples (BLISS seeds its models the same way).
         let warmup = (budget.max_evaluations / 8).clamp(4, 24);
-        let mut observations: Vec<(ConfigId, Vec<f64>, f64)> = Vec::new();
+        let mut inputs: Vec<Vec<f64>> = Vec::new();
+        let mut targets: Vec<f64> = Vec::new();
         for _ in 0..warmup {
             if evaluator.exhausted() {
                 break;
             }
             let id = ((rng.uniform() * size as f64) as u64).min(size - 1);
             let observed = evaluator.evaluate(id);
-            observations.push((id, config_to_vector(workload, id), observed));
+            inputs.push(config_to_vector(workload, id));
+            targets.push(observed);
         }
 
+        let mut candidates: Vec<ConfigId> = Vec::with_capacity(CANDIDATE_POOL + 1);
+        let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(CANDIDATE_POOL + 1);
         while !evaluator.exhausted() {
-            // Fit every model on the most recent window of observations.
-            let window_start = observations.len().saturating_sub(FIT_WINDOW);
-            let window = &observations[window_start..];
-            let inputs: Vec<Vec<f64>> = window.iter().map(|(_, x, _)| x.clone()).collect();
-            let targets: Vec<f64> = window.iter().map(|(_, _, y)| *y).collect();
-            if inputs.is_empty() {
+            let window_start = targets.len().saturating_sub(FIT_WINDOW);
+            let window_targets = &targets[window_start..];
+            if window_targets.is_empty() {
                 break;
             }
-            for slot in &mut models {
-                slot.gp.fit(&inputs, &targets);
-            }
 
-            // Probabilistically select a model, weighted by recent accuracy.
+            // Probabilistically select a model, weighted by recent accuracy, and fit it
+            // on the most recent window of observations. Only the selected model is fit:
+            // fitting draws no randomness, and each model is refit before its next use.
             let weights: Vec<f64> = models.iter().map(ModelSlot::weight).collect();
-            let model_index = rng.weighted_index(&weights);
+            let model = &mut models[rng.weighted_index(&weights)];
+            model.gp.fit(&inputs[window_start..], window_targets);
 
-            // Score a candidate pool with expected improvement.
-            let best_observed = targets.iter().copied().fold(f64::INFINITY, f64::min);
-            let mut best_candidate: Option<(ConfigId, f64)> = None;
+            // Draw a candidate pool, plus a local perturbation of the incumbent, which
+            // keeps the search from ignoring the neighbourhood of the best-known
+            // configuration.
+            candidates.clear();
+            vectors.clear();
             for _ in 0..CANDIDATE_POOL {
                 let candidate = ((rng.uniform() * size as f64) as u64).min(size - 1);
-                let vector = config_to_vector(workload, candidate);
-                let ei = models[model_index]
-                    .gp
-                    .expected_improvement(&vector, best_observed);
-                if best_candidate.map_or(true, |(_, best_ei)| ei > best_ei) {
-                    best_candidate = Some((candidate, ei));
-                }
+                candidates.push(candidate);
+                vectors.push(config_to_vector(workload, candidate));
             }
-            // Also consider a local perturbation of the incumbent, which keeps the search
-            // from ignoring the neighbourhood of the best-known configuration.
             if let Some(best) = evaluator.best() {
                 let mut vector = config_to_vector(workload, best.config);
                 if !vector.is_empty() {
                     let dim = rng.index(vector.len());
                     vector[dim] = (vector[dim] + rng.normal_with(0.0, 0.2)).clamp(0.0, 1.0);
                 }
-                let candidate = vector_to_config(workload, &vector);
-                let ei = models[model_index]
-                    .gp
-                    .expected_improvement(&vector, best_observed);
-                if best_candidate.map_or(true, |(_, best_ei)| ei > best_ei) {
-                    best_candidate = Some((candidate, ei));
+                candidates.push(vector_to_config(workload, &vector));
+                vectors.push(vector);
+            }
+
+            // Pick the candidate with the highest expected improvement; the first of tied
+            // maxima wins.
+            let best_observed = window_targets.iter().copied().fold(f64::INFINITY, f64::min);
+            let scores = model.gp.expected_improvements(&vectors, best_observed);
+            let mut pick = 0;
+            for (index, &ei) in scores.iter().enumerate().skip(1) {
+                if ei > scores[pick] {
+                    pick = index;
                 }
             }
 
-            let (chosen_candidate, _) = best_candidate.expect("candidate pool is never empty");
+            let chosen_candidate = candidates[pick];
             let vector = config_to_vector(workload, chosen_candidate);
-            let (predicted, _) = models[model_index].gp.predict(&vector);
+            let (predicted, _) = model.gp.predict(&vector);
             let observed = evaluator.evaluate(chosen_candidate);
             if observed.is_finite() {
-                models[model_index].record_error((observed - predicted).abs());
-                observations.push((chosen_candidate, vector, observed));
+                model.record_error((observed - predicted).abs());
+                inputs.push(vector);
+                targets.push(observed);
             }
         }
 

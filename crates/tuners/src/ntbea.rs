@@ -7,6 +7,7 @@ use dg_cloudsim::SimRng;
 use dg_exec::ExecutionBackend;
 use dg_workloads::{ConfigId, Workload};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// NTBEA [Lucas, Liu, Perez-Liebana]: a bandit-driven evolutionary search that fits an
 /// n-tuple model over the parameter space. Every real evaluation updates the running
@@ -90,11 +91,42 @@ fn pack(point: &[usize], tuple: &[usize], levels: &[usize]) -> u64 {
     key
 }
 
+/// A multiplicative hasher for the tuple-statistics map.
+///
+/// Every update and every UCB score probes the map once per tuple (667 tuples on
+/// Redis's 36 dimensions), so the hash function sets most of NTBEA's own cost, and
+/// SipHash is slow on keys this short. The keys are the tuner's own `(tuple index,
+/// packed levels)` pairs, never outside input, and the map is only probed, never
+/// iterated, so neither collision resistance nor iteration order matters here.
+#[derive(Default)]
+struct TupleKeyHasher(u64);
+
+impl Hasher for TupleKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; the table indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
 /// The running n-tuple fitness model: per-tuple sample counts and mean fitness.
 struct TupleModel {
     tuples: Vec<Vec<usize>>,
     levels: Vec<usize>,
-    stats: HashMap<(usize, u64), (u64, f64)>,
+    stats: HashMap<(usize, u64), (u64, f64), BuildHasherDefault<TupleKeyHasher>>,
     total: u64,
     fit_min: f64,
     fit_max: f64,
@@ -105,7 +137,7 @@ impl TupleModel {
         Self {
             tuples: tuple_sets(levels.len()),
             levels,
-            stats: HashMap::new(),
+            stats: HashMap::default(),
             total: 0,
             fit_min: f64::INFINITY,
             fit_max: f64::NEG_INFINITY,

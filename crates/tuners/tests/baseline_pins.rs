@@ -1,0 +1,81 @@
+//! Bit-for-bit pins of the model-based baselines.
+//!
+//! `deterministic_given_seeds` and `registry_determinism.rs` compare two runs of the
+//! same build, so neither notices when the arithmetic itself shifts. These tests pin a
+//! digest of each outcome instead: the chosen configuration, the sample count, the
+//! bits of the cost totals, and every `(config, observed time)` of the history. A
+//! change that moves a digest changes a baseline's results and must re-pin on purpose.
+//!
+//! The space is Redis at the campaigns' default scale, where 24 of 36 dimensions are
+//! pinned, and the budget of 160 evaluations lets BLISS's 120-observation fit window
+//! slide after its warm-up of 20.
+
+use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
+use dg_tuners::{Bliss, Ntbea, Tuner, TuningBudget, TuningOutcome};
+use dg_workloads::{Application, Workload};
+
+const BUDGET: usize = 160;
+
+/// FNV-1a over the outcome's fields, each as little-endian 64-bit words.
+fn digest(outcome: &TuningOutcome) -> u64 {
+    let mut words = vec![
+        outcome.chosen,
+        outcome.samples as u64,
+        outcome.core_hours.to_bits(),
+        outcome.wall_clock_seconds.to_bits(),
+    ];
+    for record in &outcome.history {
+        words.push(record.config);
+        words.push(record.observed_time.to_bits());
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+fn run(tuner: &mut dyn Tuner, env_seed: u64) -> TuningOutcome {
+    let workload = Workload::scaled(Application::Redis, 160_000);
+    let mut cloud =
+        CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), env_seed);
+    let outcome = tuner.tune(&workload, &mut cloud, TuningBudget::evaluations(BUDGET));
+    assert_eq!(outcome.samples, BUDGET);
+    outcome
+}
+
+#[test]
+fn bliss_outcomes_are_pinned_bit_for_bit() {
+    for (seed, env_seed, pinned) in [
+        (3, 46, 12_748_874_318_939_824_566u64),
+        (11, 47, 10_396_693_199_587_941_649),
+    ] {
+        let outcome = run(&mut Bliss::new(seed), env_seed);
+        assert_eq!(
+            digest(&outcome),
+            pinned,
+            "BLISS seed {seed}: chosen {} of {} samples",
+            outcome.chosen,
+            outcome.samples
+        );
+    }
+}
+
+#[test]
+fn ntbea_outcomes_are_pinned_bit_for_bit() {
+    for (seed, env_seed, pinned) in [
+        (3, 46, 15_514_464_051_250_222_595u64),
+        (11, 47, 10_734_185_009_373_862_430),
+        (29, 48, 7_969_619_385_534_246_801),
+    ] {
+        let outcome = run(&mut Ntbea::new(seed), env_seed);
+        assert_eq!(
+            digest(&outcome),
+            pinned,
+            "NTBEA seed {seed}: chosen {} of {} samples",
+            outcome.chosen,
+            outcome.samples
+        );
+    }
+}
