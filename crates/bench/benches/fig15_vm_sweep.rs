@@ -16,7 +16,7 @@ use dg_campaign::{
     default_workers, Campaign, CampaignReport, CampaignSpec, ExecutionTrace, ShardPlan,
     ShardReport, ShardStrategy,
 };
-use dg_cloudsim::{fast_path_enabled, set_fast_path, VmType};
+use dg_cloudsim::VmType;
 use dg_exec::json::{fnv1a, push_f64, push_key, push_str_literal};
 use dg_exec::sim_ops;
 use dg_stats::{Column, Table};
@@ -33,7 +33,7 @@ fn sweep_spec() -> CampaignSpec {
 /// Runs the serial sweep `reps` times and keeps the fastest wall-clock (the runs are
 /// deterministic, so every repetition must produce the same report). Smoke sweeps
 /// finish in tens of milliseconds, where single-shot timings on a busy CI box swing
-/// by ±20%; best-of-N makes the batched-vs-legacy ratio a steady-state measurement.
+/// by ±20%; best-of-N makes the serial time a steady-state measurement.
 fn timed_serial(campaign: &Campaign, reps: u32) -> (std::time::Duration, CampaignReport) {
     let mut best: Option<(std::time::Duration, CampaignReport)> = None;
     for _ in 0..reps.max(1) {
@@ -158,34 +158,6 @@ fn main() {
         record_elapsed.as_secs_f64() / replay_elapsed.as_secs_f64().max(1e-9)
     );
 
-    // The batched-vs-legacy leg: re-run the serial sweep through the legacy scalar
-    // stepping loop (same binary, fast path toggled off) and demand a byte-identical
-    // report — the fused batch engine is pure speed, zero numbers. Skipped when
-    // DG_FORCE_UNBATCHED already pinned the whole sweep above to the legacy path.
-    let fast = fast_path_enabled();
-    let (unbatched_seconds, batched_speedup) = if fast {
-        set_fast_path(false);
-        let (legacy_elapsed, legacy_report) = timed_serial(&campaign, reps);
-        set_fast_path(true);
-        assert_eq!(
-            legacy_report.to_json(),
-            serial_report.to_json(),
-            "the legacy scalar loop must produce a byte-identical campaign report"
-        );
-        let speedup = legacy_elapsed.as_secs_f64() / serial_elapsed.as_secs_f64().max(1e-9);
-        // The ratio is printed, not gated: both paths share the spec decode, and a
-        // timing ratio from one short run is too noisy to gate on. What is gated is
-        // the byte-identical report above and, in CI, the cross-process fingerprint.
-        println!(
-            "legacy scalar loop:    {:>8.2} s  (fused batch path is {speedup:.2}x faster, byte-identical report)\n",
-            legacy_elapsed.as_secs_f64()
-        );
-        (legacy_elapsed.as_secs_f64(), speedup)
-    } else {
-        println!("legacy scalar loop:    pinned by DG_FORCE_UNBATCHED (whole sweep ran legacy)\n");
-        (serial_elapsed.as_secs_f64(), 0.0)
-    };
-
     let mut table = Table::new(vec![
         Column::left("VM type"),
         Column::right("vCPUs"),
@@ -212,8 +184,8 @@ fn main() {
     // The machine-readable perf trajectory record (BENCH_fig15.json at the repo root
     // is this, re-emitted in full mode whenever the hot path changes). Every timing is
     // seconds; `campaign_fingerprint` hashes the canonical report JSON so separate
-    // processes (e.g. a DG_FORCE_UNBATCHED=1 CI run) can prove they computed the very
-    // same campaign.
+    // processes (e.g. the obs_overhead bench) can prove they computed the very same
+    // campaign.
     let mut json = String::from("{");
     let mut first = true;
     push_key(&mut json, &mut first, "bench");
@@ -222,14 +194,8 @@ fn main() {
     push_str_literal(&mut json, if smoke { "smoke" } else { "full" });
     push_key(&mut json, &mut first, "cells");
     json.push_str(&campaign.spec().grid_size().to_string());
-    push_key(&mut json, &mut first, "fast_path");
-    json.push_str(if fast { "true" } else { "false" });
-    push_key(&mut json, &mut first, "batched_seconds");
+    push_key(&mut json, &mut first, "serial_seconds");
     push_f64(&mut json, serial_elapsed.as_secs_f64());
-    push_key(&mut json, &mut first, "unbatched_seconds");
-    push_f64(&mut json, unbatched_seconds);
-    push_key(&mut json, &mut first, "batched_speedup");
-    push_f64(&mut json, batched_speedup);
     push_key(&mut json, &mut first, "parallel_workers");
     json.push_str(&workers.to_string());
     push_key(&mut json, &mut first, "parallel_seconds");

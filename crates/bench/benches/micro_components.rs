@@ -36,8 +36,8 @@ fn bench_interference_sampling(c: &mut Criterion) {
             black_box(model.level(SimTime::from_seconds(t)))
         })
     });
-    // The memoizing sampler the fused game path uses: bit-identical to the boxed
-    // model above, minus the dyn dispatch and the per-epoch rehashing.
+    // The memoizing sampler the game engine uses: bit-identical to the boxed model
+    // above, minus the dyn dispatch and the per-epoch rehashing.
     let sampler = InterferenceProfile::typical().sampler(42);
     c.bench_function("interference_sampler_level", |b| {
         let mut t = 0.0f64;
@@ -127,8 +127,8 @@ fn bench_single_game(c: &mut Criterion) {
 
 fn bench_batched_round(c: &mut Criterion) {
     // One tournament round (four 8-player games) evaluated game by game vs handed to
-    // the backend as a single batch: the difference is the per-round win of the
-    // batched seam (scratch reuse, hoisted lookups) on top of the fused game engine.
+    // the backend as a single batch. On the bare simulator a batch is the same
+    // per-game loop, so the two should time the same.
     let workload = Workload::scaled(Application::Redis, 50_000);
     let round: Vec<Vec<u64>> = (0..4)
         .map(|g| {

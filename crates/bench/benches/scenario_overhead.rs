@@ -4,7 +4,7 @@
 //! [`ScenarioBackend`] costs effectively nothing: the wrapper adds a handful of float
 //! multiplies and a timeline lookup per operation, against thousands of integration
 //! steps inside each simulated game. This bench drives the identical operation
-//! sequence through a bare `SimBackend` and through a `steady`-wrapped one, asserts
+//! sequence through a bare `CloudEnvironment` and through a `steady`-wrapped one, asserts
 //! the results are bit-identical, and demands the best-of-repeats wall-clock
 //! overhead stays under 5 %. A third leg reports the cost of an *active* timeline (`regime-shift`)
 //! for context — that one is allowed to change results, so only its time is shown.
@@ -12,9 +12,9 @@
 //! Run with `cargo bench --bench scenario_overhead`. Set `DG_SCENARIO_SMOKE=1` for
 //! the CI-sized workload.
 
-use dg_cloudsim::{ExecutionSpec, InterferenceProfile, VmType};
+use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, VmType};
 use dg_exec::json::{push_f64, push_key, push_str_literal};
-use dg_exec::{ExecutionBackend, GameRules, SimBackend};
+use dg_exec::{ExecutionBackend, GameRules};
 use dg_scenario::{ScenarioBackend, ScenarioSpec};
 use std::time::Instant;
 
@@ -54,7 +54,11 @@ fn sweep(mut exec: Box<dyn ExecutionBackend>, rounds: u64) -> (u64, u64, u64) {
 }
 
 fn bare(seed: u64) -> Box<dyn ExecutionBackend> {
-    Box::new(SimBackend::new(VM, InterferenceProfile::typical(), seed))
+    Box::new(CloudEnvironment::new(
+        VM,
+        InterferenceProfile::typical(),
+        seed,
+    ))
 }
 
 fn wrapped(scenario: &ScenarioSpec, seed: u64) -> Box<dyn ExecutionBackend> {
@@ -114,7 +118,7 @@ fn main() {
     let overhead_percent = 100.0 * (steady_best / bare_best - 1.0);
 
     println!(
-        "bare SimBackend:           {:>8.4} s (best of {repeats})",
+        "bare CloudEnvironment:     {:>8.4} s (best of {repeats})",
         bare_best
     );
     println!(

@@ -18,9 +18,9 @@
 //! for the CI-sized sweep and `DG_SURROGATE_OUT=/path/report.json` to write the
 //! machine-readable results (the same JSON always goes to stdout).
 
-use dg_cloudsim::{InterferenceProfile, SimTime, VmType};
+use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimTime, VmType};
 use dg_exec::json::{push_f64, push_key, push_str_literal};
-use dg_exec::{sim_ops, ExecutionBackend, SimBackend, SurrogateBackend, SurrogateConfig};
+use dg_exec::{sim_ops, ExecutionBackend, SurrogateBackend, SurrogateConfig};
 use dg_scenario::{ScenarioBackend, ScenarioSpec};
 use dg_workloads::{Application, ConfigId, Workload};
 
@@ -109,7 +109,11 @@ fn main() {
     for (index, scenario) in scenarios.iter().enumerate() {
         let seed = 0xbead + index as u64;
         let backend = |seed: u64| -> Box<dyn ExecutionBackend> {
-            let sim = Box::new(SimBackend::new(VM, InterferenceProfile::typical(), seed));
+            let sim = Box::new(CloudEnvironment::new(
+                VM,
+                InterferenceProfile::typical(),
+                seed,
+            ));
             if scenario.is_passthrough() {
                 sim
             } else {

@@ -5,12 +5,11 @@ use dg_campaign::ExperimentScale;
 use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimTime, VmType};
 use dg_tuners::{OracleTuner, Tuner, TuningBudget, TuningOutcome};
 use dg_workloads::{Application, ConfigId, Workload};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of one tuning session, re-measured the way the paper's figures report it:
 /// the chosen configuration is executed repeatedly in the cloud at later times, and its
 /// mean execution time and coefficient of variation are recorded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluatedChoice {
     /// The tuner that produced the choice.
     pub tuner: String,

@@ -489,15 +489,14 @@ impl Campaign {
             // serial reference measured by the fig15 bench is exactly this path.
             worker_loop();
         } else {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..worker_count)
-                    .map(|_| scope.spawn(|_| worker_loop()))
+                    .map(|_| scope.spawn(worker_loop))
                     .collect();
                 for handle in handles {
                     handle.join().expect("campaign worker panicked");
                 }
-            })
-            .expect("campaign scope failed");
+            });
         }
 
         let completed: Vec<CellResult> = slots
@@ -545,7 +544,7 @@ fn run_cell(
 
     // Cells share one cached workload per (application, size): the surface is a pure
     // function of those arguments and regenerating it per cell is a fixed tax on every
-    // grid cell (legacy behaviour, preserved under DG_FORCE_UNBATCHED=1).
+    // grid cell.
     let workload = Workload::scaled_cached(cell.application, spec.scale.space_size);
     // The scenario may override the cell's interference profile; the provider sees the
     // effective profile (it is what trace stream headers record and replay validates).

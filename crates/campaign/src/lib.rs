@@ -11,7 +11,7 @@
 //!   regime shifts, heterogeneous fleets — with the default `steady` scenario
 //!   reproducing scenario-less campaigns byte-identically;
 //! * [`Campaign`] fans the cells out across worker threads (a shared-cursor
-//!   work-stealing pool over the `crossbeam` scoped-thread shim) while keeping results
+//!   work-stealing pool over `std::thread::scope`) while keeping results
 //!   **deterministic**: every cell derives its RNG streams from
 //!   [`CampaignSpec::cell_seed`] (built on [`dg_cloudsim::mix`]) and results are
 //!   collected in stable grid order, so the report is byte-identical whether it ran on

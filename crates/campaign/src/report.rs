@@ -3,10 +3,9 @@
 
 use dg_exec::json::{push_f64, push_key, push_str_literal};
 use dg_stats::{Column, EmpiricalCdf, OnlineStats, Table};
-use serde::{Deserialize, Serialize};
 
 /// The result of one completed campaign cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// Position in the campaign grid.
     pub index: usize,
@@ -112,7 +111,7 @@ impl CellResult {
 
 /// Streaming aggregate over all completed cells that share a `(tuner, application, vm,
 /// profile, scenario)` coordinate — i.e. over the seed axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupSummary {
     /// Tuner-axis name.
     pub tuner: String,
@@ -236,7 +235,7 @@ impl GroupAccumulator {
 /// JSON whether it ran on one worker or thirty-two. A `max_core_hours`-capped run may
 /// complete a scheduling-dependent set of cells, but the report always describes exactly
 /// that completed set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Campaign name, copied from the spec.
     pub name: String,

@@ -22,7 +22,6 @@ use dg_cloudsim::{mix, InterferenceProfile, SimRng, VmType};
 use dg_exec::json::{fnv1a, push_f64, push_key, push_str_literal};
 use dg_scenario::{ScenarioEvent, ScenarioSpec};
 use dg_workloads::Application;
-use serde::{Deserialize, Serialize};
 
 /// Policy knobs of the online retuning loop: deployment schedule, drift monitor,
 /// and mini-tournament behaviour.
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// monitor calibrated across several 900-second interference regimes (so steady-state
 /// wobble never fires), and small incremental tournaments that keep the total
 /// evaluation budget modest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetunePolicy {
     /// Evaluation budget of the initial tuning session.
     pub initial_budget: usize,
@@ -181,7 +180,7 @@ pub struct RetuneCellCoord {
 
 /// Declarative description of one retune sweep: a scenario axis crossed with a seed
 /// axis, one workload/tuner/environment, and the loop policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetuneSpec {
     /// Sweep name, echoed into the report.
     pub name: String,
@@ -365,7 +364,7 @@ impl RetuneSpec {
 }
 
 /// The measured outcome of one retune cell: both legs over the same horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetuneCellResult {
     /// Scenario name (group key).
     pub scenario: String,
@@ -452,7 +451,7 @@ impl RetuneCellResult {
 }
 
 /// Per-scenario aggregate of a retune sweep, summed over its seed replicates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetuneScenarioSummary {
     /// Scenario name.
     pub scenario: String,
@@ -511,7 +510,7 @@ impl RetuneScenarioSummary {
 ///
 /// Like `CampaignReport`, the report records nothing host- or schedule-dependent, so
 /// two runs of the same spec are byte-identical regardless of worker count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetuneReport {
     /// Sweep name, copied from the spec.
     pub campaign: String,

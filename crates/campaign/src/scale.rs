@@ -1,7 +1,5 @@
 //! Experiment scale parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// How large the reproduced experiments are.
 ///
 /// The paper's experiments use multi-million-point search spaces, 10,000 regions, and
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// matter — DarwinGame's sampling coverage is orders of magnitude higher than the
 /// baselines', while its per-sample cost is far lower thanks to co-location and early
 /// termination — at a size that runs in minutes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentScale {
     /// Upper bound on the search-space size used for each application.
     pub space_size: u64,

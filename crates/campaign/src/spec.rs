@@ -5,7 +5,6 @@ use dg_cloudsim::{mix, InterferenceProfile, SimRng, VmType};
 use dg_exec::SurrogateConfig;
 use dg_scenario::ScenarioSpec;
 use dg_workloads::Application;
-use serde::{Deserialize, Serialize};
 
 /// A short, human-readable label for an interference profile, used in cell results,
 /// group keys, trace stream headers, and JSON output (re-exported from `dg-exec`, which
@@ -48,7 +47,7 @@ pub struct CellCoord {
 /// on worker count or completion order. Whole-campaign reports are likewise identical
 /// across worker counts, except that a `max_core_hours`-capped run's *completed set*
 /// can vary with scheduling (see the field's documentation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name, echoed into the report.
     pub name: String,

@@ -4,23 +4,20 @@ use crate::colocation::{
     ColocatedRun, ColocationOutcome, CONTENTION_COEFF, MEASUREMENT_NOISE_STD, PLAYER_JITTER_STD,
 };
 use crate::cost::CostTracker;
-use crate::fastpath::fast_path_enabled;
-use crate::interference::{InterferenceModel, InterferenceProfile, InterferenceSampler};
+use crate::interference::{InterferenceProfile, InterferenceSampler};
 use crate::record::{RunKind, RunLog, RunRecord};
 use crate::rng::SimRng;
 use crate::spec::ExecutionSpec;
 use crate::time::SimTime;
 use crate::vm::VmType;
-use serde::{Deserialize, Serialize};
 
 /// Safety cap on simulated game length, expressed as a multiple of the slowest player's
 /// dedicated execution time. Prevents run-away integration if a pathological spec is fed
-/// to the simulator. Public because execution backends that drive games themselves
-/// (`dg-exec`) must apply the exact same cap to stay bit-compatible with committed runs.
-pub const MAX_RUN_MULTIPLIER: f64 = 64.0;
+/// to the simulator.
+const MAX_RUN_MULTIPLIER: f64 = 64.0;
 
 /// The observation returned by a committed single-configuration run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedRun {
     /// Observed execution time in seconds (including interference effects).
     pub observed_time: f64,
@@ -33,17 +30,15 @@ pub struct ObservedRun {
     pub elapsed: f64,
 }
 
-/// Game-termination rules for the fused fast path, mirroring the execution layer's
-/// `GameRules` (`dg-exec` owns the user-facing type; the simulator needs the same three
-/// numbers without a dependency cycle).
+/// How a co-located game is driven.
 ///
 /// These are the game-termination rules of Fig. 5 of the paper: the game runs until the
 /// fastest player completes, or — when early termination is enabled and the leader has
 /// completed at least `min_leader_progress` of its work — until the work-done gap
 /// between the leader and the runner-up exceeds `work_done_deviation`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GameTermination {
-    /// Stop the game early when the leader is far enough ahead.
+pub struct GameRules {
+    /// Stop the game early when the leader is far enough ahead (Fig. 5).
     pub early_termination: bool,
     /// Work-done deviation `d` that triggers early termination.
     pub work_done_deviation: f64,
@@ -51,14 +46,39 @@ pub struct GameTermination {
     pub min_leader_progress: f64,
 }
 
-/// The outcome of a fused fast-path game ([`CloudEnvironment::play_game_fast`]):
-/// bit-identical, field for field, to the reference path that steps a boxed
-/// [`ColocatedRun`] under the same rules.
+impl Default for GameRules {
+    fn default() -> Self {
+        Self {
+            early_termination: true,
+            work_done_deviation: 0.10,
+            min_leader_progress: 0.25,
+        }
+    }
+}
+
+impl GameRules {
+    /// The rules used in the playoffs and final: two-player games that run until the
+    /// faster player completes, with no early termination.
+    pub fn playoff() -> Self {
+        Self {
+            early_termination: false,
+            ..Self::default()
+        }
+    }
+}
+
+/// The result of one co-located game ([`CloudEnvironment::play_game`]): exactly the
+/// observations the tournament layer consumes, with no reference back to the simulator.
+///
+/// A `GamePlay` is *uncommitted*: playing a game does not charge cost or advance the
+/// clock. The tournament phases decide whether a round's games are accounted serially
+/// ([`CloudEnvironment::commit`]) or in parallel ([`CloudEnvironment::commit_parallel`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SimulatedPlay {
+pub struct GamePlay {
     /// Simulated time at which the game started.
     pub start: SimTime,
-    /// Wall-clock seconds the game occupied the node.
+    /// Wall-clock seconds the game occupied its node (the quantity committed to the
+    /// cost tracker).
     pub elapsed: f64,
     /// Observed (or extrapolated) execution time per player, in player order.
     pub observed_times: Vec<f64>,
@@ -68,7 +88,14 @@ pub struct SimulatedPlay {
     pub early_terminated: bool,
 }
 
-/// Reusable per-game buffers for the fused fast path: one flat `Vec<f64>` per hot
+impl GamePlay {
+    /// Number of players in the game.
+    pub fn players(&self) -> usize {
+        self.observed_times.len()
+    }
+}
+
+/// Reusable per-game buffers for the game engine: one flat `Vec<f64>` per hot
 /// per-player quantity (struct-of-arrays), cleared and refilled per game so steady-state
 /// games allocate nothing but their returned observation vectors.
 #[derive(Debug, Default)]
@@ -81,8 +108,8 @@ struct GameScratch {
     jitter: Vec<f64>,
     noise: Vec<f64>,
     progress: Vec<f64>,
-    /// Finish time per player; NaN = not finished (the fast-path stand-in for
-    /// `Option<f64>` that keeps the array flat).
+    /// Finish time per player; NaN = not finished (the stand-in for `Option<f64>`
+    /// that keeps the array flat).
     finish: Vec<f64>,
 }
 
@@ -138,7 +165,7 @@ impl AmbientLookahead {
 
 /// A shared, interference-prone cloud node on which tuning is performed.
 ///
-/// The environment owns a simulated wall clock, an interference model for its node, a
+/// The environment owns a simulated wall clock, an interference sampler for its node, a
 /// cost tracker, and a run log. All tuners (baselines and DarwinGame) evaluate
 /// configurations exclusively through this type, so they are all exposed to the same
 /// noise statistics.
@@ -147,9 +174,8 @@ pub struct CloudEnvironment {
     profile: InterferenceProfile,
     seed: u64,
     node_seed: u64,
-    model: Box<dyn InterferenceModel>,
-    /// Flat memoizing sampler of the same node signal as `model`, bit-identical to it;
-    /// the fused fast path reads interference through this instead of the box.
+    /// The node's interference signal, bit-identical to the boxed model
+    /// `profile.build(node_seed)` that a [`ColocatedRun`] steps through.
     sampler: InterferenceSampler,
     clock: SimTime,
     cost: CostTracker,
@@ -176,14 +202,12 @@ impl CloudEnvironment {
     pub fn new(vm: VmType, profile: InterferenceProfile, seed: u64) -> Self {
         let rng = SimRng::new(seed);
         let node_seed = rng.derive("node").seed();
-        let model = profile.build(node_seed);
         let sampler = profile.sampler(node_seed);
         Self {
             vm,
             profile,
             seed,
             node_seed,
-            model,
             sampler,
             clock: SimTime::ZERO,
             cost: CostTracker::new(),
@@ -247,15 +271,16 @@ impl CloudEnvironment {
     /// The ambient interference level at time `t` (before VM scaling); exposed for
     /// calibration tests and plotting.
     pub fn interference_level(&self, t: SimTime) -> f64 {
-        self.model.level(t)
+        self.sampler.level(t)
     }
 
     /// Starts a co-located game of the given configurations at the current clock.
     ///
-    /// The returned [`ColocatedRun`] is independent of the environment; once stepping is
-    /// done, pass its outcome to [`commit`](Self::commit) (or
-    /// [`commit_parallel`](Self::commit_parallel)) to account for its cost and advance
-    /// the clock.
+    /// The returned [`ColocatedRun`] is the step-by-step reference for the engine behind
+    /// [`play_game`](Self::play_game), drawing from the same RNG stream. It is
+    /// independent of the environment; once stepping is done, pass its outcome's
+    /// players, start and elapsed time to [`commit_parts`](Self::commit_parts) to
+    /// account for its cost and advance the clock.
     ///
     /// # Panics
     ///
@@ -276,16 +301,13 @@ impl CloudEnvironment {
     }
 
     /// Accounts for a finished game and advances the wall clock by its elapsed time.
-    pub fn commit(&mut self, outcome: &ColocationOutcome) {
-        self.commit_parts(outcome.players(), outcome.start_time(), outcome.elapsed());
+    pub fn commit(&mut self, play: &GamePlay) {
+        self.commit_parts(play.players(), play.start, play.elapsed);
     }
 
     /// [`commit`](Self::commit) from the raw accounting triple `(players, start,
-    /// elapsed)` instead of a full [`ColocationOutcome`].
-    ///
-    /// Execution backends that did not resimulate the game (trace replay, memoised
-    /// hits) only carry these three numbers; charging through the same code path keeps
-    /// their cost accounting bit-identical to a live simulation.
+    /// elapsed)` instead of a full [`GamePlay`]: what a solo run or a stepped
+    /// [`ColocatedRun`]'s outcome carries.
     pub fn commit_parts(&mut self, players: usize, start: SimTime, elapsed: f64) {
         self.cost.charge_serial(self.vm, elapsed);
         self.clock += elapsed;
@@ -304,34 +326,25 @@ impl CloudEnvironment {
 
     /// Accounts for a batch of games that ran concurrently on identical VMs: every game
     /// is charged in core-hours but the clock advances only by the longest one.
-    pub fn commit_parallel(&mut self, outcomes: &[ColocationOutcome]) {
-        let parts: Vec<(usize, SimTime, f64)> = outcomes
-            .iter()
-            .map(|o| (o.players(), o.start_time(), o.elapsed()))
-            .collect();
-        self.commit_parallel_parts(&parts);
-    }
-
-    /// [`commit_parallel`](Self::commit_parallel) from raw accounting triples.
-    pub fn commit_parallel_parts(&mut self, parts: &[(usize, SimTime, f64)]) {
-        if parts.is_empty() {
+    pub fn commit_parallel(&mut self, plays: &[GamePlay]) {
+        if plays.is_empty() {
             return;
         }
-        let elapsed: Vec<f64> = parts.iter().map(|(_, _, e)| *e).collect();
+        let elapsed: Vec<f64> = plays.iter().map(|p| p.elapsed).collect();
         self.cost.charge_parallel(self.vm, &elapsed);
         let max_elapsed = elapsed.iter().copied().fold(0.0_f64, f64::max);
         self.clock += max_elapsed;
-        for (players, start, elapsed) in parts.iter().copied() {
+        for play in plays {
             self.log.push(RunRecord {
-                kind: if players == 1 {
+                kind: if play.players() == 1 {
                     RunKind::Single
                 } else {
                     RunKind::Colocated
                 },
-                players,
+                players: play.players(),
                 vm: self.vm,
-                start,
-                elapsed,
+                start: play.start,
+                elapsed: play.elapsed,
             });
         }
     }
@@ -343,41 +356,45 @@ impl CloudEnvironment {
         let cap = self.run_cap(specs);
         run.run_to_completion(cap);
         let outcome = run.into_outcome();
-        self.commit(&outcome);
+        self.commit_parts(outcome.players(), outcome.start_time(), outcome.elapsed());
         outcome
     }
 
     /// Runs a single configuration alone on the node, committing its cost.
+    ///
+    /// Draws the same two normals from the game RNG stream as a one-player
+    /// [`ColocatedRun`], and observes the same time.
     pub fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {
-        if fast_path_enabled() {
-            return self.run_single_fast(spec);
-        }
         let started_at = self.clock;
-        let outcome = self.run_colocated_to_completion(std::slice::from_ref(&spec));
+        let jitter = self.rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4);
+        let noise = self
+            .rng
+            .normal_with(1.0, MEASUREMENT_NOISE_STD)
+            .clamp(0.99, 1.01);
+        let (observed_time, elapsed) = self.solo_run(spec, started_at, jitter, noise);
+        self.commit_parts(1, started_at, elapsed);
         ObservedRun {
-            observed_time: outcome.observed_times()[0],
+            observed_time,
             started_at,
-            elapsed: outcome.elapsed(),
+            elapsed,
         }
     }
 
-    /// Plays one full co-located game through the fused fast path: the same physics as
-    /// stepping a [`ColocatedRun`] under the execution layer's early-termination loop,
-    /// rewritten as one fused struct-of-arrays pass per step (rate, advance, top-2) with
-    /// the memoized [`InterferenceSampler`] and reusable scratch buffers.
+    /// Plays one co-located game among `specs` under `rules`, starting at the current
+    /// clock: the physics of stepping a [`ColocatedRun`] under the Fig. 5 termination
+    /// rules, fused into one struct-of-arrays pass per step (rate, advance, top-2) over
+    /// the node's [`InterferenceSampler`] and reusable scratch buffers.
     ///
-    /// Bit-identical to the reference path in every output field and in the RNG stream
-    /// it consumes (the per-player jitter and measurement-noise draws happen in the
-    /// exact same order). The game is *uncommitted*: cost and clock are untouched.
+    /// Bit-identical to stepping a [`ColocatedRun`] in every output field and in the RNG
+    /// stream it consumes (the per-player jitter and measurement-noise draws happen in
+    /// the exact same order). The game is *uncommitted*: cost and clock are untouched
+    /// until the play is passed to [`commit`](Self::commit) or
+    /// [`commit_parallel`](Self::commit_parallel).
     ///
     /// # Panics
     ///
     /// Panics if `specs` is empty.
-    pub fn play_game_fast(
-        &mut self,
-        specs: &[ExecutionSpec],
-        rules: &GameTermination,
-    ) -> SimulatedPlay {
+    pub fn play_game(&mut self, specs: &[ExecutionSpec], rules: &GameRules) -> GamePlay {
         assert!(!specs.is_empty(), "a game needs at least one player");
         let players = specs.len();
         let vcpus = self.vm.vcpus();
@@ -523,7 +540,7 @@ impl CloudEnvironment {
                 .collect()
         };
 
-        SimulatedPlay {
+        GamePlay {
             start,
             elapsed,
             observed_times,
@@ -532,34 +549,11 @@ impl CloudEnvironment {
         }
     }
 
-    /// `run_single` through the fused scalar path; bit-identical to the reference
-    /// implementation, including the two normals it draws from the game RNG stream.
-    fn run_single_fast(&mut self, spec: ExecutionSpec) -> ObservedRun {
-        let started_at = self.clock;
-        let jitter = self.rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4);
-        let noise = self
-            .rng
-            .normal_with(1.0, MEASUREMENT_NOISE_STD)
-            .clamp(0.99, 1.01);
-        let (observed_time, elapsed) = self.solo_run_fast(spec, started_at, jitter, noise);
-        self.commit_parts(1, started_at, elapsed);
-        ObservedRun {
-            observed_time,
-            started_at,
-            elapsed,
-        }
-    }
-
     /// Runs one player alone to completion (or the run cap) with pre-drawn jitter and
     /// noise; returns `(observed_time, elapsed)`. Shared by the committed
-    /// `run_single_fast` and the cost-free observation fast path.
-    fn solo_run_fast(
-        &self,
-        spec: ExecutionSpec,
-        start: SimTime,
-        jitter: f64,
-        noise: f64,
-    ) -> (f64, f64) {
+    /// [`run_single`](Self::run_single) and the cost-free
+    /// [`observe_single_at`](Self::observe_single_at).
+    fn solo_run(&self, spec: ExecutionSpec, start: SimTime, jitter: f64, noise: f64) -> (f64, f64) {
         let scaled = spec.scaled(self.vm.speed_factor());
         let interference_factor = self.vm.interference_factor();
         let start_seconds = start.as_seconds();
@@ -610,23 +604,11 @@ impl CloudEnvironment {
         let mut rng = SimRng::new(self.node_seed)
             .derive_index(salt)
             .derive("observe");
-        if fast_path_enabled() {
-            let jitter = rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4);
-            let noise = rng
-                .normal_with(1.0, MEASUREMENT_NOISE_STD)
-                .clamp(0.99, 1.01);
-            return self.solo_run_fast(spec, start, jitter, noise).0;
-        }
-        let scaled = spec.scaled(self.vm.speed_factor());
-        let mut run = ColocatedRun::new(
-            self.vm,
-            start,
-            vec![scaled],
-            self.profile.build(self.node_seed),
-            &mut rng,
-        );
-        run.run_to_completion(self.run_cap(std::slice::from_ref(&spec)));
-        run.into_outcome().observed_times()[0]
+        let jitter = rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4);
+        let noise = rng
+            .normal_with(1.0, MEASUREMENT_NOISE_STD)
+            .clamp(0.99, 1.01);
+        self.solo_run(spec, start, jitter, noise).0
     }
 
     /// Observes `count` runs of `spec`, spaced `spacing_seconds` apart starting from the
@@ -773,12 +755,9 @@ mod tests {
         let mut cloud = env(6);
         let specs_a = vec![ExecutionSpec::new(50.0, 0.3); 4];
         let specs_b = vec![ExecutionSpec::new(100.0, 0.3); 4];
-        let mut run_a = cloud.start_colocated(&specs_a);
-        let mut run_b = cloud.start_colocated(&specs_b);
-        run_a.run_to_completion(10_000.0);
-        run_b.run_to_completion(10_000.0);
-        let (a, b) = (run_a.into_outcome(), run_b.into_outcome());
-        let longest = a.elapsed().max(b.elapsed());
+        let a = cloud.play_game(&specs_a, &GameRules::playoff());
+        let b = cloud.play_game(&specs_b, &GameRules::playoff());
+        let longest = a.elapsed.max(b.elapsed);
         cloud.commit_parallel(&[a, b]);
         assert!((cloud.clock().as_seconds() - longest).abs() < 1e-9);
         assert_eq!(cloud.run_log().len(), 2);
@@ -827,14 +806,14 @@ mod tests {
         cloud.set_clock(SimTime::from_seconds(50.0));
     }
 
-    /// The reference game loop: a [`ColocatedRun`] stepped under the execution layer's
-    /// early-termination rules, exactly as `dg-exec::play_on` drives it. The fused fast
-    /// path must reproduce this bit for bit. Also returns how many players finished.
+    /// The reference game loop: a [`ColocatedRun`] stepped under the Fig. 5
+    /// early-termination rules. The fused engine behind [`CloudEnvironment::play_game`]
+    /// must reproduce this bit for bit. Also returns how many players finished.
     fn reference_game(
         env: &mut CloudEnvironment,
         specs: &[ExecutionSpec],
-        rules: &GameTermination,
-    ) -> (SimulatedPlay, usize) {
+        rules: &GameRules,
+    ) -> (GamePlay, usize) {
         let mut run = env.start_colocated(specs);
         let step = run.default_step();
         let max_seconds = specs
@@ -870,7 +849,7 @@ mod tests {
         }
         let outcome = run.into_outcome();
         let finished = outcome.finish_times().iter().flatten().count();
-        let play = SimulatedPlay {
+        let play = GamePlay {
             start: outcome.start_time(),
             elapsed: outcome.elapsed(),
             observed_times: outcome.observed_times().to_vec(),
@@ -880,7 +859,7 @@ mod tests {
         (play, finished)
     }
 
-    fn assert_plays_bit_identical(fast: &SimulatedPlay, reference: &SimulatedPlay, label: &str) {
+    fn assert_plays_bit_identical(fast: &GamePlay, reference: &GamePlay, label: &str) {
         assert_eq!(fast.start, reference.start, "{label}: start");
         assert_eq!(
             fast.elapsed.to_bits(),
@@ -912,15 +891,8 @@ mod tests {
 
     #[test]
     fn fast_game_is_bit_identical_to_reference() {
-        let rules_default = GameTermination {
-            early_termination: true,
-            work_done_deviation: 0.10,
-            min_leader_progress: 0.25,
-        };
-        let rules_playoff = GameTermination {
-            early_termination: false,
-            ..rules_default
-        };
+        let rules_default = GameRules::default();
+        let rules_playoff = GameRules::playoff();
         for vm in VmType::ALL {
             for profile in [
                 InterferenceProfile::typical(),
@@ -946,7 +918,7 @@ mod tests {
                         } else {
                             rules_playoff
                         };
-                        let fast = fast_env.play_game_fast(&specs, &rules);
+                        let fast = fast_env.play_game(&specs, &rules);
                         let (reference, _) = reference_game(&mut ref_env, &specs, &rules);
                         assert_plays_bit_identical(
                             &fast,
@@ -1006,7 +978,7 @@ mod tests {
             };
             let mut fast_env = CloudEnvironment::new(vm, profile.clone(), case);
             let mut ref_env = CloudEnvironment::new(vm, profile.clone(), case);
-            let fast = fast_env.play_game_fast(&specs, &rules);
+            let fast = fast_env.play_game(&specs, &rules);
             let (reference, finished) = reference_game(&mut ref_env, &specs, &rules);
             assert_plays_bit_identical(&fast, &reference, &format!("paper-scale case {case}"));
 
@@ -1036,8 +1008,8 @@ mod tests {
             let mut ref_env = env(seed);
             for i in 0..6 {
                 let spec = ExecutionSpec::new(50.0 + 30.0 * i as f64, 0.2 + 0.1 * i as f64);
-                let fast = fast_env.run_single_fast(spec);
-                // The reference body of `run_single`.
+                let fast = fast_env.run_single(spec);
+                // The same run stepped through a one-player `ColocatedRun`.
                 let started_at = ref_env.clock();
                 let outcome = ref_env.run_colocated_to_completion(std::slice::from_ref(&spec));
                 let reference = ObservedRun {
@@ -1068,16 +1040,8 @@ mod tests {
                 for i in 0..4 {
                     let spec = ExecutionSpec::new(80.0 + 25.0 * i as f64, 0.3 + 0.2 * i as f64);
                     let start = SimTime::from_seconds(500.0 * (salt + 1) as f64);
-                    // Fast path via solo_run_fast with the observe RNG stream.
-                    let mut rng = SimRng::new(cloud.node_seed)
-                        .derive_index(salt)
-                        .derive("observe");
-                    let jitter = rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4);
-                    let noise = rng
-                        .normal_with(1.0, MEASUREMENT_NOISE_STD)
-                        .clamp(0.99, 1.01);
-                    let fast = cloud.solo_run_fast(spec, start, jitter, noise).0;
-                    // Reference body of `observe_single_at`.
+                    let fast = cloud.observe_single_at(spec, start, salt);
+                    // The same observation stepped through a one-player `ColocatedRun`.
                     let mut ref_rng = SimRng::new(cloud.node_seed)
                         .derive_index(salt)
                         .derive("observe");

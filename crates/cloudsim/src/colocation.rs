@@ -1,20 +1,23 @@
 //! Co-located execution of several configurations on one node ("playing a game").
 //!
 //! A [`ColocatedRun`] advances a set of [`ExecutionSpec`]s through simulated time under a
-//! *shared* interference signal plus a co-location contention term. The tournament layer
-//! steps the run, inspects per-player progress (work-done fractions), and may stop it
-//! early; the run itself never decides when to terminate.
+//! *shared* interference signal plus a co-location contention term. The caller steps the
+//! run, inspects per-player progress (work-done fractions), and may stop it early; the
+//! run itself never decides when to terminate. It is the step-by-step reference for the
+//! fused game engine behind [`CloudEnvironment::play_game`], which must match it bit for
+//! bit.
+//!
+//! [`CloudEnvironment::play_game`]: crate::CloudEnvironment::play_game
 
 use crate::interference::InterferenceModel;
 use crate::rng::SimRng;
 use crate::spec::ExecutionSpec;
 use crate::time::SimTime;
 use crate::vm::VmType;
-use serde::{Deserialize, Serialize};
 
 /// Strength of the contention added per co-located competitor, relative to full occupancy
 /// of the VM (`contention = COEFF * (players - 1) / vcpus`). Crate-visible so the fused
-/// fast path in `cloud.rs` applies the exact same physics.
+/// game engine in `cloud.rs` applies the exact same physics.
 pub(crate) const CONTENTION_COEFF: f64 = 0.35;
 
 /// Standard deviation of the per-player contention jitter: some players are hurt more by
@@ -26,7 +29,7 @@ pub(crate) const PLAYER_JITTER_STD: f64 = 0.15;
 pub(crate) const MEASUREMENT_NOISE_STD: f64 = 0.003;
 
 /// Progress of one player inside a co-located run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlayerProgress {
     /// Fraction of total work completed, in `[0, 1]`.
     pub work_done: f64,
@@ -261,7 +264,7 @@ impl ColocatedRun {
 }
 
 /// The result of a finished (or early-terminated) co-located run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColocationOutcome {
     vm: VmType,
     start: SimTime,

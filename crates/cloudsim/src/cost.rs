@@ -1,7 +1,6 @@
 //! Core-hour and wall-clock accounting for tuning runs.
 
 use crate::vm::VmType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, AddAssign};
 ///
 /// Core-hours are the resource metric used by Fig. 12 and Fig. 14 of the paper, where
 /// every tuner's tuning cost is expressed as a percentage of the exhaustive search.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CoreHours(f64);
 
 impl CoreHours {
@@ -85,7 +84,7 @@ impl fmt::Display for CoreHours {
 /// assert!((delta.core_hours - 32.0).abs() < 1e-9);
 /// assert_eq!(delta.runs, 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostSnapshot {
     core_hours: f64,
     wall_clock_seconds: f64,
@@ -107,7 +106,7 @@ impl CostSnapshot {
 }
 
 /// The resources consumed over an interval, as reported by [`CostSnapshot::delta`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostDelta {
     /// Core-hours consumed in the interval.
     pub core_hours: f64,
@@ -122,7 +121,7 @@ pub struct CostDelta {
 /// Wall-clock time and core-hours are tracked separately because games can be played in
 /// parallel on different VMs: parallel games add their core-hours but only the longest of
 /// them extends the wall clock.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostTracker {
     core_hours: CoreHours,
     wall_clock_seconds: f64,

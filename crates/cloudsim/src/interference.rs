@@ -17,7 +17,6 @@
 
 use crate::rng::{hash_unit, mix};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
 /// A time-varying, non-negative interference level.
@@ -32,7 +31,7 @@ pub trait InterferenceModel: Send + Sync {
 }
 
 /// A constant interference level, mostly useful in tests and as a "dedicated node" stand-in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantInterference {
     level: f64,
 }
@@ -71,7 +70,7 @@ impl InterferenceModel for ConstantInterference {
 ///
 /// Produces short-term correlated fluctuations in `[0, amplitude]` with mean
 /// `amplitude / 2`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValueNoise {
     seed: u64,
     period: f64,
@@ -115,7 +114,7 @@ impl InterferenceModel for ValueNoise {
 
 /// Piecewise-constant regime noise: every `period` seconds a new regime is drawn from
 /// `levels` with the given `weights`, imitating co-tenant arrival/departure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegimeNoise {
     seed: u64,
     period: f64,
@@ -181,7 +180,7 @@ impl InterferenceModel for RegimeNoise {
 
 /// Rare bursts: within each `period`-second window, with probability `probability` the
 /// window contains a burst of the given `magnitude` covering a fraction `duty` of it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstNoise {
     seed: u64,
     period: f64,
@@ -236,7 +235,7 @@ impl InterferenceModel for BurstNoise {
 }
 
 /// Sum of component interference models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompositeInterference {
     base: f64,
     value: ValueNoise,
@@ -272,7 +271,7 @@ impl InterferenceModel for CompositeInterference {
 /// Profiles are the value the rest of the system passes around (they are `Copy`-free but
 /// cheap to clone); the concrete model is instantiated per node so that two different VMs
 /// observe different — but individually reproducible — noise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InterferenceProfile {
     /// No interference at all (a dedicated node).
     Dedicated,

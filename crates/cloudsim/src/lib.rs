@@ -12,9 +12,12 @@
 //! * **Per-configuration sensitivity.** Each execution carries an interference
 //!   *sensitivity*; the observed slowdown is `1 + sensitivity * effective_interference`,
 //!   so highly optimised configurations can be more fragile than slower ones (Fig. 2).
-//! * **Co-location.** Multiple executions launched in the same [`ColocatedRun`] share the
-//!   *same* interference samples and additionally contend with each other, which is the
-//!   physical mechanism DarwinGame exploits to rank configurations relatively.
+//! * **Co-location.** The players of one game ([`CloudEnvironment::play_game`]) share
+//!   the *same* interference samples and additionally contend with each other, which is
+//!   the physical mechanism DarwinGame exploits to rank configurations relatively. The
+//!   game engine fuses each step into one pass over flat per-player arrays; a
+//!   [`ColocatedRun`] steps the same physics one call at a time and is the reference
+//!   the engine is tested against bit for bit.
 //! * **Cost accounting.** Every run is charged in core-hours
 //!   (`vCPUs × wall-clock`), the resource metric of Fig. 12 and Fig. 14.
 //!
@@ -39,7 +42,6 @@
 mod cloud;
 mod colocation;
 mod cost;
-mod fastpath;
 mod interference;
 mod record;
 mod rng;
@@ -47,13 +49,9 @@ mod spec;
 mod time;
 mod vm;
 
-pub use cloud::{
-    CloudEnvironment, DedicatedEnvironment, GameTermination, ObservedRun, SimulatedPlay,
-    MAX_RUN_MULTIPLIER,
-};
+pub use cloud::{CloudEnvironment, DedicatedEnvironment, GamePlay, GameRules, ObservedRun};
 pub use colocation::{ColocatedRun, ColocationOutcome, PlayerProgress};
 pub use cost::{CoreHours, CostDelta, CostSnapshot, CostTracker};
-pub use fastpath::{fast_path_enabled, set_fast_path};
 pub use interference::{
     BurstNoise, CompositeInterference, ConstantInterference, InterferenceModel,
     InterferenceProfile, InterferenceSampler, RegimeNoise, ValueNoise,

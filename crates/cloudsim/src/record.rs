@@ -6,10 +6,9 @@
 
 use crate::time::SimTime;
 use crate::vm::VmType;
-use serde::{Deserialize, Serialize};
 
 /// The kind of run that was committed to the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunKind {
     /// One configuration running alone on the node.
     Single,
@@ -18,7 +17,7 @@ pub enum RunKind {
 }
 
 /// One committed run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunRecord {
     /// Single or co-located.
     pub kind: RunKind,
@@ -33,7 +32,7 @@ pub struct RunRecord {
 }
 
 /// An append-only collection of [`RunRecord`]s.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunLog {
     records: Vec<RunRecord>,
 }

@@ -1,7 +1,5 @@
 //! Execution specifications: what the cloud simulator needs to know about one run.
 
-use serde::{Deserialize, Serialize};
-
 /// The intrinsic performance characteristics of one application execution with one
 /// tuning configuration.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.base_time(), 230.0);
 /// assert!((spec.slowdown(0.5) - 1.4).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionSpec {
     base_time: f64,
     sensitivity: f64,

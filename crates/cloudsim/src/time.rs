@@ -1,6 +1,5 @@
 //! Simulated wall-clock time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.as_seconds(), 120.0);
 /// assert_eq!(t.as_minutes(), 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

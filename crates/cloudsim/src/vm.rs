@@ -5,11 +5,10 @@
 //! the tenant to proportionally more interference; specialised classes (compute-,
 //! memory-, storage-optimised) shift both the baseline speed and the interference level.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An AWS-style VM instance type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(non_camel_case_types)]
 pub enum VmType {
     /// General purpose, 2 vCPUs.

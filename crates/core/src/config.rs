@@ -1,13 +1,11 @@
 //! Tournament configuration and ablation switches.
 
-use serde::{Deserialize, Serialize};
-
 /// Which design elements of the tournament are enabled.
 ///
 /// Every switch corresponds to one bar of the Fig. 16 ablation study; the default is the
 /// full DarwinGame design. The ablation benchmark drives these flags against the *same*
 /// tournament code rather than separate re-implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AblationConfig {
     /// Play the regional phase at all (`w/o regional` when false: the global phase starts
     /// from one random player per region).
@@ -143,7 +141,7 @@ impl AblationConfig {
 }
 
 /// All knobs of a DarwinGame tournament.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TournamentConfig {
     /// Number of regions the search space is divided into (`n_r`, Sec. 3.3). The paper
     /// uses 10,000 on multi-million-point spaces; reduced-scale experiments use

@@ -4,7 +4,6 @@ use crate::score::rank_descending;
 use dg_cloudsim::ExecutionSpec;
 use dg_exec::{ExecutionBackend, GameBatchItem, GamePlay};
 use dg_workloads::{ConfigId, Workload};
-use serde::{Deserialize, Serialize};
 
 /// How a game should be driven. This is the backend-level [`dg_exec::GameRules`] type:
 /// the tournament layer decides the rules, the execution backend enforces them while
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub use dg_exec::GameRules as GameOptions;
 
 /// The result of one game.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GameResult {
     /// The configurations that played, in player order.
     pub configs: Vec<ConfigId>,
@@ -103,8 +102,7 @@ fn game_result(configs: Vec<ConfigId>, play: GamePlay) -> GameResult {
 /// Games execute in slot order through [`dg_exec::ExecutionBackend::play_games_batch`],
 /// so outcomes, costs, and the backend's noise stream are identical to calling
 /// [`play_game`] once per entry — backends merely get the whole round at once, which
-/// lets them hoist per-round work (scenario load lookups, scratch reuse) out of the
-/// per-game path. Nothing is committed; the caller decides serial vs parallel
+/// lets the scenario decorator look up the round's load once instead of per game. Nothing is committed; the caller decides serial vs parallel
 /// accounting exactly as with [`play_game`].
 ///
 /// # Panics

@@ -15,10 +15,9 @@ use crate::score::combined_ranking;
 use dg_exec::ExecutionBackend;
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, Workload};
-use serde::{Deserialize, Serialize};
 
 /// The result of the global phase.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalOutcome {
     /// Main-bracket survivors that advance to the playoffs.
     pub finalists: Vec<Player>,

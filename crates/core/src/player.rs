@@ -2,10 +2,9 @@
 
 use crate::score::ScoreBoard;
 use dg_workloads::ConfigId;
-use serde::{Deserialize, Serialize};
 
 /// A player in the tournament: one tuning configuration plus its score history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Player {
     config: ConfigId,
     origin_region: Option<usize>,

@@ -12,10 +12,9 @@ use crate::game::{play_game, GameOptions};
 use crate::player::Player;
 use dg_exec::ExecutionBackend;
 use dg_workloads::{ConfigId, Workload};
-use serde::{Deserialize, Serialize};
 
 /// The result of the playoffs and final.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlayoffOutcome {
     /// The tournament champion: DarwinGame's chosen tuning configuration.
     pub champion: Player,

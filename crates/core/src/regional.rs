@@ -16,10 +16,9 @@ use dg_cloudsim::{CostTracker, ExecutionSpec, SimRng};
 use dg_exec::ExecutionBackend;
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, IndexPartition, Workload};
-use serde::{Deserialize, Serialize};
 
 /// The result of playing one region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionalOutcome {
     /// Which region (partition part) this outcome belongs to.
     pub region: usize,
@@ -250,12 +249,12 @@ pub fn run_regional_phase(
                 chunks.push(regions.drain(..take).collect());
             }
         }
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (chunk_index, chunk) in chunks.into_iter().enumerate() {
                 handles.push((
                     chunk_index,
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         chunk
                             .into_iter()
                             .map(|(region, mut backend)| {
@@ -278,8 +277,7 @@ pub fn run_regional_phase(
                     results[chunk_index * chunk_size + i] = Some(outcome);
                 }
             }
-        })
-        .expect("crossbeam scope failed");
+        });
         results
             .into_iter()
             .map(|r| r.expect("every region produces an outcome"))

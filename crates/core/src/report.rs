@@ -2,10 +2,9 @@
 
 use dg_tuners::{SampleRecord, TuningOutcome};
 use dg_workloads::ConfigId;
-use serde::{Deserialize, Serialize};
 
 /// Summary of one tournament phase, for logging and the examples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSummary {
     /// Phase name ("regional", "global", "playoffs+final").
     pub name: String,
@@ -20,7 +19,7 @@ pub struct PhaseSummary {
 }
 
 /// The full result of a DarwinGame tournament.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TournamentReport {
     /// The winning tuning configuration.
     pub champion: ConfigId,

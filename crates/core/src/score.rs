@@ -8,10 +8,8 @@
 //!   the player has participated in so far (Fig. 7), which rewards configurations whose
 //!   good performance is *repeatable* under changing interference.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-player score history across all games played so far.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScoreBoard {
     execution_scores: Vec<f64>,
     ranks: Vec<usize>,

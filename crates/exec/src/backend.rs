@@ -1,74 +1,10 @@
 //! The [`ExecutionBackend`] trait: everything the tuning stack asks of an execution
 //! environment.
 
-use dg_cloudsim::{CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime, VmType};
-use serde::{Deserialize, Serialize};
-
-/// How a co-located game should be driven.
-///
-/// These are the game-termination rules of Fig. 5 of the paper: the game runs until the
-/// fastest player completes, or — when early termination is enabled and the leader has
-/// completed at least `min_leader_progress` of its work — until the work-done gap
-/// between the leader and the runner-up exceeds `work_done_deviation`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GameRules {
-    /// Stop the game early when the leader is far enough ahead (Fig. 5).
-    pub early_termination: bool,
-    /// Work-done deviation `d` that triggers early termination.
-    pub work_done_deviation: f64,
-    /// Minimum leader progress before early termination is allowed.
-    pub min_leader_progress: f64,
-}
-
-impl Default for GameRules {
-    fn default() -> Self {
-        Self {
-            early_termination: true,
-            work_done_deviation: 0.10,
-            min_leader_progress: 0.25,
-        }
-    }
-}
-
-impl GameRules {
-    /// The rules used in the playoffs and final: two-player games that run until the
-    /// faster player completes, with no early termination.
-    pub fn playoff() -> Self {
-        Self {
-            early_termination: false,
-            ..Self::default()
-        }
-    }
-}
-
-/// The backend-level result of one co-located game: exactly the observations the
-/// tournament layer consumes, with no reference back to the simulator.
-///
-/// A `GamePlay` is *uncommitted*: playing a game does not charge cost or advance the
-/// backend's clock. The tournament phases decide whether a round's games are accounted
-/// serially ([`ExecutionBackend::commit`]) or in parallel
-/// ([`ExecutionBackend::commit_parallel`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GamePlay {
-    /// Simulated time at which the game started.
-    pub start: SimTime,
-    /// Wall-clock seconds the game occupied its node (the quantity committed to the
-    /// cost tracker).
-    pub elapsed: f64,
-    /// Observed (or extrapolated) execution time per player, in player order.
-    pub observed_times: Vec<f64>,
-    /// Execution score per player (work done relative to the best player, in `[0, 1]`).
-    pub execution_scores: Vec<f64>,
-    /// Whether the game was stopped by the early-termination rule.
-    pub early_terminated: bool,
-}
-
-impl GamePlay {
-    /// Number of players in the game.
-    pub fn players(&self) -> usize {
-        self.observed_times.len()
-    }
-}
+use dg_cloudsim::{
+    CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
+    VmType,
+};
 
 /// One game of a batch passed to [`ExecutionBackend::play_games_batch`]: a borrowed
 /// player roster (the batch as a whole shares the caller's spec storage, so building a
@@ -90,8 +26,7 @@ pub struct GameBatchItem<'a> {
 ///
 /// Implementations in this crate:
 ///
-/// * [`SimBackend`](crate::SimBackend) — wraps `dg_cloudsim::CloudEnvironment` (the
-///   default; `CloudEnvironment` itself also implements the trait);
+/// * `dg_cloudsim::CloudEnvironment` — the simulator itself (the default);
 /// * [`RecordingBackend`](crate::RecordingBackend) / [`ReplayBackend`](crate::ReplayBackend)
 ///   — record every outcome to an [`ExecutionTrace`](crate::ExecutionTrace), then replay
 ///   it with zero resimulation;
@@ -142,9 +77,8 @@ pub trait ExecutionBackend: Send {
     /// Semantically this is *exactly* `games.iter().map(|g| self.play_game(g.specs,
     /// rules)).collect()` — the default implementation is that loop, and every override
     /// must stay bit-identical to it in outcomes, cost accounting, clock movement, and
-    /// RNG-stream consumption (games are processed in order). Overrides exist purely
-    /// for speed: simulation backends drive the batch through a fused struct-of-arrays
-    /// pass, and wrappers hoist per-batch work out of the per-game loop.
+    /// RNG-stream consumption (games are processed in order). The one override in the
+    /// workspace is the scenario decorator's, which looks up the round's load once.
     ///
     /// # Panics
     ///

@@ -5,11 +5,10 @@
 //! `dg-campaign` cell executor — asks its environment for the same handful of
 //! operations: play a co-located game, evaluate one configuration solo, observe without
 //! charging, charge cost, fork per-region sub-environments. This crate captures that
-//! surface as the [`ExecutionBackend`] trait and ships four implementations:
+//! surface as the [`ExecutionBackend`] trait and ships these implementations:
 //!
-//! * [`SimBackend`] — wraps `dg_cloudsim::CloudEnvironment` and resimulates everything
-//!   (the default; `CloudEnvironment` itself also implements the trait, so existing
-//!   code keeps passing environments directly);
+//! * `dg_cloudsim::CloudEnvironment` — the simulator itself, which resimulates
+//!   everything (the default, handed out by [`SimProvider`]);
 //! * [`ProcessBackend`] — runs actual OS processes as evaluations: command templates
 //!   rendered per configuration, per-job stdout/stderr capture, `SUCCESS`/`FAIL`
 //!   completion markers, timeouts, and typed [`ProcessError`]s latched into the
@@ -30,10 +29,14 @@
 //! # Quick example
 //!
 //! ```
-//! use dg_cloudsim::{ExecutionSpec, InterferenceProfile, VmType};
-//! use dg_exec::{ExecutionBackend, GameRules, SimBackend};
+//! use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, VmType};
+//! use dg_exec::{ExecutionBackend, GameRules};
 //!
-//! let mut exec = SimBackend::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 42);
+//! let mut exec: Box<dyn ExecutionBackend> = Box::new(CloudEnvironment::new(
+//!     VmType::M5_8xlarge,
+//!     InterferenceProfile::typical(),
+//!     42,
+//! ));
 //! let fast = ExecutionSpec::new(230.0, 0.8);
 //! let slow = ExecutionSpec::new(600.0, 0.2);
 //! let play = exec.play_game(&[fast, slow], &GameRules::default());
@@ -59,13 +62,16 @@ mod trace;
 /// path keeps working.
 pub use dg_obs::json;
 
-pub use backend::{BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules};
+pub use backend::{BackendProvider, ExecutionBackend, GameBatchItem};
+// The game types live with the simulator that produces them; re-exported so the stack
+// above names them through the execution seam.
+pub use dg_cloudsim::{GamePlay, GameRules};
 pub use memo::MemoBackend;
 pub use obs::{ObsBackend, ObsProvider};
 pub use process::{
     process_launches, CommandTemplate, ProcessBackend, ProcessError, ProcessProvider, TimingSource,
 };
-pub use sim::{sim_ops, SimBackend, SimProvider};
+pub use sim::{sim_ops, SimProvider};
 pub use surrogate::{SurrogateBackend, SurrogateConfig, SurrogateProvider, SurrogateStats};
 pub use tap::{ObservationTap, TapBackend, TapEvent, TapProvider, TapSource};
 pub use trace::{

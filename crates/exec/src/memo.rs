@@ -1,7 +1,10 @@
 //! A composable memoizing backend for solo-evaluation-heavy tuners.
 
-use crate::backend::{ExecutionBackend, GameBatchItem, GamePlay, GameRules};
-use dg_cloudsim::{CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime, VmType};
+use crate::backend::ExecutionBackend;
+use dg_cloudsim::{
+    CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
+    VmType,
+};
 use std::collections::HashMap;
 
 /// Bitwise cache key of an [`ExecutionSpec`].
@@ -150,16 +153,6 @@ impl ExecutionBackend for MemoBackend {
         self.inner.play_game(specs, rules)
     }
 
-    fn play_games_batch(
-        &mut self,
-        games: &[GameBatchItem<'_>],
-        rules: &GameRules,
-    ) -> Vec<GamePlay> {
-        // Games are never memoised; hand the whole batch to the inner backend so its
-        // fast path applies.
-        self.inner.play_games_batch(games, rules)
-    }
-
     fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {
         let key = self.solo_key(&spec);
         if let Some(&(observed_time, elapsed)) = self.solo.get(&key) {
@@ -226,10 +219,10 @@ impl ExecutionBackend for MemoBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::SimBackend;
+    use dg_cloudsim::CloudEnvironment;
 
     fn sim(seed: u64) -> Box<dyn ExecutionBackend> {
-        Box::new(SimBackend::new(
+        Box::new(CloudEnvironment::new(
             VmType::M5_8xlarge,
             InterferenceProfile::typical(),
             seed,

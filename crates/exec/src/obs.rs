@@ -9,8 +9,11 @@
 //! bit-identical to the bare one in every output — the differential battery in
 //! `tests/obs_backend.rs` pins that over every backend stack in the crate.
 
-use crate::backend::{BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules};
-use dg_cloudsim::{CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime, VmType};
+use crate::backend::{BackendProvider, ExecutionBackend};
+use dg_cloudsim::{
+    CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
+    VmType,
+};
 use dg_obs::{emit_with, obs_active, ObsEvent};
 
 /// An [`ExecutionBackend`] decorator that reports every game, solo evaluation, and
@@ -82,22 +85,6 @@ impl ExecutionBackend for ObsBackend {
         let play = self.inner.play_game(specs, rules);
         Self::emit_game(&play);
         play
-    }
-
-    fn play_games_batch(
-        &mut self,
-        games: &[GameBatchItem<'_>],
-        rules: &GameRules,
-    ) -> Vec<GamePlay> {
-        // Delegate the whole batch (so the inner backend's fast path applies), then
-        // emit in batch order — the same event sequence as the per-game loop.
-        let plays = self.inner.play_games_batch(games, rules);
-        if obs_active() {
-            for play in &plays {
-                Self::emit_game(play);
-            }
-        }
-        plays
     }
 
     fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {

@@ -36,8 +36,11 @@
 //! if any) lands in the trace, so the campaign replays bit-for-bit afterwards with
 //! **zero** process launches — [`process_launches`] is the proof hook.
 
-use crate::backend::{BackendProvider, ExecutionBackend, GamePlay, GameRules};
-use dg_cloudsim::{CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime, VmType};
+use crate::backend::{BackendProvider, ExecutionBackend};
+use dg_cloudsim::{
+    CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
+    VmType,
+};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -10,9 +10,11 @@
 //! backend. Everything else falls through unchanged, so with the serving fraction at
 //! `0` the wrapper is bit-identical pass-through.
 
-use crate::backend::{ExecutionBackend, GameBatchItem, GamePlay, GameRules};
-use dg_cloudsim::{CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime, VmType};
-use serde::{Deserialize, Serialize};
+use crate::backend::ExecutionBackend;
+use dg_cloudsim::{
+    CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
+    VmType,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,7 +37,7 @@ fn surrogate_counters() -> &'static (dg_obs::Counter, dg_obs::Counter, dg_obs::C
 
 /// Knobs of a [`SurrogateBackend`]: how aggressively to serve from the model and how
 /// much evidence a tuple needs before the model is trusted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurrogateConfig {
     /// Fraction of *confidently predictable* solo evaluations and observations served
     /// from the model instead of the inner backend, in `[0, 1]`. `0` disables the
@@ -359,15 +361,6 @@ impl ExecutionBackend for SurrogateBackend {
         self.inner.play_game(specs, rules)
     }
 
-    fn play_games_batch(
-        &mut self,
-        games: &[GameBatchItem<'_>],
-        rules: &GameRules,
-    ) -> Vec<GamePlay> {
-        // Always live, like play_game; delegate the batch so the inner fast path applies.
-        self.inner.play_games_batch(games, rules)
-    }
-
     fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {
         if !self.config.is_active() {
             return self.inner.run_single(spec);
@@ -487,10 +480,11 @@ impl crate::BackendProvider for SurrogateProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{sim_ops, SimBackend};
+    use crate::sim::sim_ops;
+    use dg_cloudsim::CloudEnvironment;
 
     fn sim(seed: u64) -> Box<dyn ExecutionBackend> {
-        Box::new(SimBackend::new(
+        Box::new(CloudEnvironment::new(
             VmType::M5_8xlarge,
             InterferenceProfile::typical(),
             seed,

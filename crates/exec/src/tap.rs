@@ -10,8 +10,11 @@
 //!
 //! [`dg-serve`]: https://docs.rs/dg-serve
 
-use crate::backend::{BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules};
-use dg_cloudsim::{CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime, VmType};
+use crate::backend::{BackendProvider, ExecutionBackend};
+use dg_cloudsim::{
+    CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
+    VmType,
+};
 use std::sync::{Arc, Mutex};
 
 /// Which backend operation produced a tapped observation.
@@ -140,22 +143,6 @@ impl ExecutionBackend for TapBackend {
         play
     }
 
-    fn play_games_batch(
-        &mut self,
-        games: &[GameBatchItem<'_>],
-        rules: &GameRules,
-    ) -> Vec<GamePlay> {
-        // Delegate the whole batch (so the inner backend's fast path applies), then tap
-        // each play in batch order — the same event sequence as the per-game loop.
-        let plays = self.inner.play_games_batch(games, rules);
-        for play in &plays {
-            for time in &play.observed_times {
-                self.tap.record(TapSource::Game, play.start, *time);
-            }
-        }
-        plays
-    }
-
     fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {
         let run = self.inner.run_single(spec);
         self.tap
@@ -224,19 +211,23 @@ impl BackendProvider for TapProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::SimBackend;
+    use dg_cloudsim::CloudEnvironment;
 
     const VM: VmType = VmType::M5_8xlarge;
 
     fn tapped(seed: u64) -> (TapBackend, ObservationTap) {
         let tap = ObservationTap::new();
-        let inner = Box::new(SimBackend::new(VM, InterferenceProfile::typical(), seed));
+        let inner = Box::new(CloudEnvironment::new(
+            VM,
+            InterferenceProfile::typical(),
+            seed,
+        ));
         (TapBackend::new(inner, tap.clone()), tap)
     }
 
     #[test]
     fn tapped_backend_is_bit_identical_to_bare() {
-        let mut bare = SimBackend::new(VM, InterferenceProfile::typical(), 3);
+        let mut bare = CloudEnvironment::new(VM, InterferenceProfile::typical(), 3);
         let (mut tapped, _tap) = tapped(3);
         let specs = [
             ExecutionSpec::new(100.0, 0.3),

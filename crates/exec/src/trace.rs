@@ -37,9 +37,12 @@
 //! checks, descriptive panics for mid-stream divergence, which can only be reached by
 //! driving a backend differently than it was recorded).
 
-use crate::backend::{BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules};
+use crate::backend::{BackendProvider, ExecutionBackend};
 use crate::json::{self, push_f64, push_key, push_str_literal, JsonValue};
-use dg_cloudsim::{CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime, VmType};
+use dg_cloudsim::{
+    CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
+    VmType,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -597,25 +600,6 @@ impl ExecutionBackend for RecordingBackend {
             play: play.clone(),
         });
         play
-    }
-
-    fn play_games_batch(
-        &mut self,
-        games: &[GameBatchItem<'_>],
-        rules: &GameRules,
-    ) -> Vec<GamePlay> {
-        // Delegate the batch (inner fast path applies), then record one Game event per
-        // play in batch order — the identical event stream to the per-game loop, so
-        // traces recorded under either path replay interchangeably.
-        let plays = self.inner.play_games_batch(games, rules);
-        for (game, play) in games.iter().zip(&plays) {
-            self.record(TraceEvent::Game {
-                specs: game.specs.to_vec(),
-                rules: *rules,
-                play: play.clone(),
-            });
-        }
-        plays
     }
 
     fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {

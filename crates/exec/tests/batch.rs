@@ -4,15 +4,14 @@
 //! reordering of the per-game loop: same outcomes, same cost, same clock, same RNG
 //! stream. These tests enforce that contract across every composable backend — the
 //! raw simulator, the memoizer, the surrogate, scenario wrappers (plain, coupled, and
-//! integrated-load), and record→replay traces — over randomized tournaments, and pin
-//! the fused fast path against the legacy scalar loop end to end.
+//! integrated-load), and record→replay traces — over randomized tournaments.
 //!
 //! Every comparison is on `f64::to_bits`, not approximate equality: the batch path is
 //! only allowed transforms that are bitwise invisible.
 
-use dg_cloudsim::{set_fast_path, ExecutionSpec, InterferenceProfile, SimRng, VmType};
+use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, SimRng, VmType};
 use dg_exec::{
-    BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules, MemoBackend, SimBackend,
+    BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules, MemoBackend,
     SimProvider, SurrogateBackend, SurrogateConfig, TraceRecorder, TraceReplayer,
 };
 use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
@@ -95,7 +94,11 @@ fn drive(
 }
 
 fn sim(seed: u64) -> Box<dyn ExecutionBackend> {
-    Box::new(SimBackend::new(VM, InterferenceProfile::typical(), seed))
+    Box::new(CloudEnvironment::new(
+        VM,
+        InterferenceProfile::typical(),
+        seed,
+    ))
 }
 
 /// A scenario with every kind of timeline structure the batch path must respect.
@@ -223,26 +226,5 @@ fn recorded_batches_replay_interchangeably_with_the_loop() {
                  recording (batched={record_batched})"
             );
         }
-    }
-}
-
-#[test]
-fn fused_batches_match_the_legacy_scalar_loop_end_to_end() {
-    // The strongest cross-check: the legacy scalar stepping loop (fast path off,
-    // per-game calls) against the fused struct-of-arrays batch path (fast path on),
-    // over whole tournaments. This is the same-binary comparison the perf-smoke CI
-    // job and the fig15 bench rely on for their speedup measurements.
-    for tournament in [3u64, 19, 41] {
-        let rounds = random_rounds(tournament);
-        set_fast_path(false);
-        let mut legacy = sim(tournament);
-        let a = drive(legacy.as_mut(), &rounds, false);
-        set_fast_path(true);
-        let mut fused = sim(tournament);
-        let b = drive(fused.as_mut(), &rounds, true);
-        assert_eq!(
-            a, b,
-            "tournament {tournament}: the fused fast path diverged from the legacy loop"
-        );
     }
 }

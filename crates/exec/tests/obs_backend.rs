@@ -6,16 +6,16 @@
 //! byte-for-byte the numbers the bare stack produces. These tests enforce that over
 //! every composable backend in the crate — simulator, memoizer, surrogate, scenario
 //! wrapper, record→replay traces, and the real-process backend — plus the decorator's
-//! side contracts: batch/unbatched interchangeability and `failure()` latching.
+//! side contracts: batch/loop interchangeability and `failure()` latching.
 //!
 //! The global event gate and sink registry are process-wide, so every test
 //! serializes on a shared mutex and restores the disabled state before releasing it.
 
-use dg_cloudsim::{ExecutionSpec, InterferenceProfile, SimRng, SimTime, VmType};
+use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, SimRng, SimTime, VmType};
 use dg_exec::{
     BackendProvider, CommandTemplate, ExecutionBackend, GameBatchItem, GamePlay, GameRules,
-    MemoBackend, ObsBackend, ObsProvider, ProcessBackend, SimBackend, SimProvider,
-    SurrogateBackend, SurrogateConfig, TraceRecorder, TraceReplayer,
+    MemoBackend, ObsBackend, ObsProvider, ProcessBackend, SimProvider, SurrogateBackend,
+    SurrogateConfig, TraceRecorder, TraceReplayer,
 };
 use dg_obs::{install_sink, remove_sink, set_obs_enabled, ObsEvent, RingSink};
 use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
@@ -108,7 +108,11 @@ fn drive(
 }
 
 fn sim(seed: u64) -> Box<dyn ExecutionBackend> {
-    Box::new(SimBackend::new(VM, InterferenceProfile::typical(), seed))
+    Box::new(CloudEnvironment::new(
+        VM,
+        InterferenceProfile::typical(),
+        seed,
+    ))
 }
 
 /// A scenario exercising load shifts, storms, diurnal load, and preemptions, so the

@@ -1,5 +1,4 @@
-//! Process-wide toggle for event emission, mirroring the fast-path gate in
-//! `dg-cloudsim`.
+//! Process-wide toggle for event emission.
 //!
 //! Observability is **off** by default: a bare run pays exactly one relaxed atomic
 //! load per would-be event (see [`obs_active`](crate::obs_active)) and constructs

@@ -1,11 +1,11 @@
 //! Canonical JSON emission and parsing, shared by every wire format in the workspace.
 //!
-//! The vendored `serde` is a no-op shim (see `vendor/README.md`), so campaign reports,
-//! shard reports, and execution traces all serialize through this small hand-rolled
-//! writer instead. The output is *canonical*: fixed key order, no whitespace, and
-//! floats rendered with Rust's shortest-round-trip `Display` — so two documents with
-//! identical contents produce byte-identical strings, which the determinism tests
-//! (1 worker vs N workers, record vs replay) rely on.
+//! The workspace has no serialization dependency: campaign reports, shard reports, and
+//! execution traces all serialize through this small hand-rolled writer. The output is
+//! *canonical*: fixed key order, no whitespace, and floats rendered with Rust's
+//! shortest-round-trip `Display` — so two documents with identical contents produce
+//! byte-identical strings, which the determinism tests (1 worker vs N workers, record
+//! vs replay) rely on.
 //!
 //! The reverse direction is a minimal recursive-descent JSON reader ([`parse`]).
 //! Numbers keep their **raw token** ([`JsonValue::Number`]) instead of being eagerly

@@ -13,9 +13,9 @@
 //!
 //! * **Tracing** — typed [`ObsEvent`]s flow through a global bus ([`emit_with`]) to
 //!   pluggable [`EventSink`]s ([`JsonlSink`], [`RingSink`]); [`Span`] guards pair
-//!   start/end events by monotone sequence id. Emission is gated like the simulator's
-//!   fast path: off by default, `DG_OBS=1` or [`set_obs_enabled`] turns it on, and it
-//!   only becomes *active* once a sink is installed ([`obs_active`]).
+//!   start/end events by monotone sequence id. Emission is gated: off by default,
+//!   `DG_OBS=1` or [`set_obs_enabled`] turns it on, and it only becomes *active* once
+//!   a sink is installed ([`obs_active`]).
 //! * **Metrics** — named [`Counter`]s / [`Gauge`]s / [`Histogram`]s in a process-wide
 //!   registry with one canonical-JSON [`MetricsSnapshot`] export. The scattered
 //!   counters that predate this crate (`sim_ops()`, `process_launches()`, surrogate

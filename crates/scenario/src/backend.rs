@@ -461,12 +461,16 @@ impl BackendProvider for ScenarioProvider {
 mod tests {
     use super::*;
     use crate::spec::ScenarioEvent;
-    use dg_exec::SimBackend;
+    use dg_cloudsim::CloudEnvironment;
 
     const VM: VmType = VmType::M5_8xlarge;
 
     fn sim(seed: u64) -> Box<dyn ExecutionBackend> {
-        Box::new(SimBackend::new(VM, InterferenceProfile::typical(), seed))
+        Box::new(CloudEnvironment::new(
+            VM,
+            InterferenceProfile::typical(),
+            seed,
+        ))
     }
 
     fn wrapped(scenario: ScenarioSpec, seed: u64) -> ScenarioBackend {
@@ -492,7 +496,7 @@ mod tests {
 
     #[test]
     fn steady_scenario_is_bit_identical_to_the_bare_backend() {
-        let mut bare = SimBackend::new(VM, InterferenceProfile::typical(), 9);
+        let mut bare = CloudEnvironment::new(VM, InterferenceProfile::typical(), 9);
         let mut steady = wrapped(ScenarioSpec::steady(), 9);
         let (bare_times, bare_hours, bare_clock) = drive(&mut bare);
         let (times, hours, clock) = drive(&mut steady);
@@ -512,7 +516,7 @@ mod tests {
             factor: 2.0,
         });
         let mut shifted = wrapped(scenario, 5);
-        let mut bare = SimBackend::new(VM, InterferenceProfile::typical(), 5);
+        let mut bare = CloudEnvironment::new(VM, InterferenceProfile::typical(), 5);
         let spec = ExecutionSpec::new(100.0, 0.4);
         let a = shifted.run_single(spec);
         let b = ExecutionBackend::run_single(&mut bare, spec);
@@ -533,7 +537,7 @@ mod tests {
             factor: 1.5,
         });
         let mut stormy = wrapped(scenario, 6);
-        let mut bare = SimBackend::new(VM, InterferenceProfile::typical(), 6);
+        let mut bare = CloudEnvironment::new(VM, InterferenceProfile::typical(), 6);
         let specs = [
             ExecutionSpec::new(120.0, 0.8),
             ExecutionSpec::new(150.0, 0.2),
@@ -556,7 +560,7 @@ mod tests {
             downtime: 30.0,
         });
         let mut spot = wrapped(scenario, 7);
-        let mut bare = SimBackend::new(VM, InterferenceProfile::typical(), 7);
+        let mut bare = CloudEnvironment::new(VM, InterferenceProfile::typical(), 7);
         let spec = ExecutionSpec::new(100.0, 0.2);
         let a = spot.run_single(spec);
         let b = ExecutionBackend::run_single(&mut bare, spec);

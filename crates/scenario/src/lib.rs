@@ -30,11 +30,11 @@
 //! # Quick example
 //!
 //! ```
-//! use dg_cloudsim::{ExecutionSpec, InterferenceProfile, VmType};
-//! use dg_exec::{ExecutionBackend, SimBackend};
+//! use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, VmType};
+//! use dg_exec::ExecutionBackend;
 //! use dg_scenario::{ScenarioBackend, ScenarioSpec};
 //!
-//! let inner = Box::new(SimBackend::new(
+//! let inner = Box::new(CloudEnvironment::new(
 //!     VmType::M5_8xlarge,
 //!     InterferenceProfile::typical(),
 //!     42,

@@ -5,7 +5,6 @@ use dg_cloudsim::{InterferenceProfile, VmType};
 use dg_exec::json::{
     self, fnv1a, parse_profile, push_f64, push_key, push_profile, push_str_literal, JsonValue,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One entry of a scenario's event timeline.
@@ -16,7 +15,7 @@ use std::fmt::Write as _;
 /// scenario but different seeds see *individually reproducible but distinct* incident
 /// schedules — the way two tenants of the same cloud do. `Diurnal` is a continuous
 /// curve rather than an event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioEvent {
     /// Co-tenant arrival/departure: from `at` on, the ambient load level is `factor`
     /// (an absolute multiplier on observed times; `1.0` is the unperturbed node, values
@@ -385,7 +384,7 @@ impl ScenarioEvent {
 /// inner [`ExecutionBackend`](dg_exec::ExecutionBackend). The built-in
 /// [`pack`](Self::pack) names the standard scenarios; the [`then`](Self::then) /
 /// [`overlay`](Self::overlay) / [`scale`](Self::scale) combinators synthesize new ones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name: the label cells and reports carry (`"steady"` is the default
     /// pass-through scenario).

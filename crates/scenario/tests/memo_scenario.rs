@@ -8,8 +8,8 @@
 //! [`MemoBackend::assuming_stationary`] is the explicit opt-in to the old aggressive
 //! caching for workloads that really are time-invariant.
 
-use dg_cloudsim::{ExecutionSpec, InterferenceProfile, SimTime, VmType};
-use dg_exec::{ExecutionBackend, MemoBackend, SimBackend};
+use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, SimTime, VmType};
+use dg_exec::{ExecutionBackend, MemoBackend};
 use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
 
 /// The ambient load triples at t = 1000 s.
@@ -23,7 +23,7 @@ fn shifted_scenario() -> ScenarioSpec {
 }
 
 fn memoized_scenario(seed: u64, stationary: bool) -> MemoBackend {
-    let sim = Box::new(SimBackend::new(
+    let sim = Box::new(CloudEnvironment::new(
         VmType::M5_8xlarge,
         InterferenceProfile::typical(),
         seed,

@@ -432,8 +432,7 @@ fn top_candidates(
 mod tests {
     use super::*;
     use dg_campaign::standard_registry;
-    use dg_cloudsim::{InterferenceProfile, VmType};
-    use dg_exec::SimBackend;
+    use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
     use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
     use dg_workloads::Application;
 
@@ -453,7 +452,11 @@ mod tests {
     }
 
     fn backend(seed: u64) -> Box<dyn ExecutionBackend> {
-        Box::new(SimBackend::new(VM, InterferenceProfile::typical(), seed))
+        Box::new(CloudEnvironment::new(
+            VM,
+            InterferenceProfile::typical(),
+            seed,
+        ))
     }
 
     #[test]

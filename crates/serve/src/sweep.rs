@@ -190,15 +190,14 @@ impl RetuneSweep {
         if worker_count <= 1 {
             worker_loop();
         } else {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..worker_count)
-                    .map(|_| scope.spawn(|_| worker_loop()))
+                    .map(|_| scope.spawn(worker_loop))
                     .collect();
                 for handle in handles {
                     handle.join().expect("retune worker panicked");
                 }
-            })
-            .expect("retune scope failed");
+            });
         }
 
         slots

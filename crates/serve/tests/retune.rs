@@ -3,8 +3,8 @@
 //! bounded number of samples) and the determinism contracts (record→replay and
 //! 1-vs-N-worker byte-identity of whole retune sessions).
 
-use dg_cloudsim::{InterferenceProfile, VmType};
-use dg_exec::{ExecutionBackend, SimBackend};
+use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
+use dg_exec::ExecutionBackend;
 use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
 use dg_serve::{RetuneEvent, RetuneLoop, RetunePolicy, RetuneSpec, RetuneSweep, ServeMode};
 use dg_tuners::TunerRegistry;
@@ -32,7 +32,7 @@ fn serve_under(
     let workload = Workload::scaled(Application::Redis, 500);
     let registry = TunerRegistry::baselines();
     let policy = policy();
-    let mut exec: Box<dyn ExecutionBackend> = Box::new(SimBackend::new(
+    let mut exec: Box<dyn ExecutionBackend> = Box::new(CloudEnvironment::new(
         VM,
         InterferenceProfile::typical(),
         env_seed,
@@ -125,9 +125,9 @@ fn both_legs_share_the_same_regret_baseline() {
     let policy = policy();
     let serve = RetuneLoop::new(&workload, &registry, "RandomSearch", &policy, 3);
     let mut a: Box<dyn ExecutionBackend> =
-        Box::new(SimBackend::new(VM, InterferenceProfile::typical(), 9));
+        Box::new(CloudEnvironment::new(VM, InterferenceProfile::typical(), 9));
     let mut b: Box<dyn ExecutionBackend> =
-        Box::new(SimBackend::new(VM, InterferenceProfile::typical(), 9));
+        Box::new(CloudEnvironment::new(VM, InterferenceProfile::typical(), 9));
     let adaptive = serve.serve(a.as_mut(), ServeMode::Adaptive);
     let fixed = serve.serve(
         b.as_mut(),

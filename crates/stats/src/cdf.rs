@@ -4,8 +4,6 @@
 //! configurations and over repeated runs of fixed configurations. [`EmpiricalCdf`] is the
 //! shared representation the bench harnesses use to emit those series.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF built from a finite sample set.
 ///
 /// Samples are stored sorted; evaluation is a binary search, quantiles are linear
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.fraction_at_or_below(2.0), 0.5);
 /// assert_eq!(cdf.quantile(1.0), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalCdf {
     sorted: Vec<f64>,
 }

@@ -1,7 +1,5 @@
 //! Batch descriptive statistics over slices of `f64` samples.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean of `samples`.
 ///
 /// Returns `0.0` for an empty slice so that callers reporting aggregate rows do not need
@@ -130,7 +128,7 @@ pub fn percent_change(value: f64, reference: f64) -> f64 {
 ///
 /// `Summary` is the value most experiment harnesses attach to each reported row: it packs
 /// the mean, spread, and variability of a batch of simulated execution times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: usize,
     mean: f64,

@@ -15,10 +15,9 @@
 //! detector decides whether that belief still describes the same regime.
 
 use crate::online::OnlineStats;
-use serde::{Deserialize, Serialize};
 
 /// Which way the stream moved when a drift was confirmed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftDirection {
     /// The level rose (observed times got worse — a slowdown regime).
     Up,
@@ -220,7 +219,7 @@ impl DriftDetector {
 /// form): `mean ← mean + α(x − mean)`, `var ← (1 − α)(var + α(x − mean)²)`. The hit
 /// count is the confidence gate — callers should not act on the belief until
 /// enough samples have arrived ([`confident`](Self::confident)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     mean: f64,

@@ -1,7 +1,5 @@
 //! Fixed-width histograms for textual distribution reports.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-bin histogram over a closed range `[lo, hi]`.
 ///
 /// Values outside the range are clamped into the first/last bin so that no sample is ever
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.counts()[0], 1);
 /// assert_eq!(h.counts()[4], 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

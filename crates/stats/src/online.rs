@@ -1,7 +1,5 @@
 //! Streaming (single-pass) statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford's online algorithm for mean and variance.
 ///
 /// Used inside the simulator and tournament driver where samples arrive one at a time
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.count(), 3);
 /// assert!((s.mean() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

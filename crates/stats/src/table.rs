@@ -3,11 +3,10 @@
 //! Every experiment bench prints its result as a small aligned table so that the
 //! `bench_output.txt` transcript can be compared side by side with the paper's figures.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Horizontal alignment of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Alignment {
     /// Pad on the right.
     #[default]
@@ -17,7 +16,7 @@ pub enum Alignment {
 }
 
 /// A single column description: header text plus alignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Header text printed on the first row.
     pub header: String,
@@ -53,7 +52,7 @@ impl Column {
 /// assert!(rendered.contains("DarwinGame"));
 /// assert!(rendered.contains("time (s)"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     columns: Vec<Column>,
     rows: Vec<Vec<String>>,

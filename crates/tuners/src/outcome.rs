@@ -1,10 +1,9 @@
 //! Tuning outcomes and sample records.
 
 use dg_workloads::ConfigId;
-use serde::{Deserialize, Serialize};
 
 /// One configuration evaluation performed during tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleRecord {
     /// The evaluated configuration.
     pub config: ConfigId,
@@ -13,7 +12,7 @@ pub struct SampleRecord {
 }
 
 /// The result of one tuning session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningOutcome {
     /// Name of the tuner that produced this outcome.
     pub tuner: String,

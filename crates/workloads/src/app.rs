@@ -2,7 +2,6 @@
 
 use crate::param::ParameterSpace;
 use crate::surface::SurfaceConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The system-level parameters shared by every application (Table 1, right column).
@@ -88,7 +87,7 @@ pub const LAMMPS_PARAMETERS: [&str; 6] = [
 ];
 
 /// One of the four applications evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Application {
     /// Redis 6.0 serving one million requests.
     Redis,

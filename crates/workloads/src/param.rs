@@ -6,11 +6,10 @@
 //! n-dimensional space is mapped to a one-dimensional index (mixed-radix encoding), which
 //! is what regions, subspaces, and the tuners operate on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One tunable parameter: a name plus its discrete levels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Parameter {
     name: String,
     levels: Vec<String>,
@@ -78,7 +77,7 @@ pub type ConfigPoint = Vec<usize>;
 pub type ConfigId = u64;
 
 /// The cross product of a set of parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParameterSpace {
     parameters: Vec<Parameter>,
 }

@@ -7,11 +7,10 @@
 
 use crate::param::ConfigId;
 use dg_cloudsim::SimRng;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// A contiguous, equal-sized partition of the configuration index space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexPartition {
     total: u64,
     parts: usize,

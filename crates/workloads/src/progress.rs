@@ -7,11 +7,10 @@
 //! reporting progress in logs and examples.
 
 use crate::app::Application;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The unit in which an application's work progress is tracked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkUnit {
     /// Requests completed out of a total (Redis: one million requests).
     Requests {

@@ -16,7 +16,6 @@
 
 use crate::param::{ConfigId, ParameterSpace};
 use dg_cloudsim::{ExecutionSpec, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Anything that can translate a configuration index into execution characteristics.
 pub trait PerformanceSurface {
@@ -36,7 +35,7 @@ pub trait PerformanceSurface {
 }
 
 /// Tuning knobs for [`SyntheticSurface`] generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurfaceConfig {
     /// Execution time of the best configuration in a dedicated environment (seconds).
     pub best_time: f64,
@@ -109,7 +108,7 @@ impl SurfaceConfig {
 }
 
 /// A procedurally generated, deterministic performance surface.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticSurface {
     space: ParameterSpace,
     /// `space.size()`, which is a product over every parameter.
@@ -130,7 +129,7 @@ pub struct SyntheticSurface {
 }
 
 /// One free dimension of the raw-penalty decode.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct FreeDimension {
     /// Level count: the dimension's digit base in the mixed-radix configuration index.
     radix: u64,
@@ -142,7 +141,7 @@ struct FreeDimension {
 
 /// A pair of interacting free dimensions, addressed by their position in
 /// [`SyntheticSurface::free`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Interaction {
     a: usize,
     b: usize,

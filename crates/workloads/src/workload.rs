@@ -5,7 +5,7 @@ use crate::param::{ConfigId, ParameterSpace};
 use crate::partition::IndexPartition;
 use crate::progress::WorkUnit;
 use crate::surface::{PerformanceSurface, SurfaceConfig, SyntheticSurface};
-use dg_cloudsim::{fast_path_enabled, ExecutionSpec, SimRng};
+use dg_cloudsim::{ExecutionSpec, SimRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -108,13 +108,8 @@ impl Workload {
     /// synthetic surface (empirical-CDF sampling) costs over a millisecond — a real tax
     /// when a campaign builds the identical workload for every grid cell. The cached
     /// copies share one spec memo, so repeated spec lookups pool across cells and
-    /// workers. With the fast path disabled (`DG_FORCE_UNBATCHED=1`)
-    /// this regenerates from scratch every time, preserving the legacy cost profile
-    /// that perf comparisons measure against.
+    /// workers.
     pub fn scaled_cached(app: Application, max_size: u64) -> Self {
-        if !fast_path_enabled() {
-            return Self::scaled(app, max_size);
-        }
         static CACHE: OnceLock<Mutex<HashMap<(Application, u64), Workload>>> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         let mut cache = cache.lock().expect("workload cache poisoned");
@@ -188,23 +183,20 @@ impl Workload {
 
     /// The execution spec handed to the cloud simulator for configuration `id`.
     ///
-    /// On the fast path this is memoized per configuration (specs are pure functions of
-    /// the id) and computed with a single normalised-time evaluation; with the fast
-    /// path disabled it recomputes both components from scratch every call, exactly as
-    /// the pre-memo code did. All three routes produce bit-identical specs.
+    /// Memoized per configuration in spaces of up to 2^20 configurations (specs are
+    /// pure functions of the id) and computed with a single normalised-time evaluation.
+    /// Bit-identical to `ExecutionSpec::new(self.base_time(id), self.sensitivity(id))`,
+    /// whether the memo is cold or warm.
     pub fn spec(&self, id: ConfigId) -> ExecutionSpec {
-        if fast_path_enabled() {
-            if let Some(memo) = &self.spec_memo {
-                if let Some(spec) = memo.get(id) {
-                    return spec;
-                }
-                let spec = self.surface.spec(id);
-                memo.put(id, spec);
+        if let Some(memo) = &self.spec_memo {
+            if let Some(spec) = memo.get(id) {
                 return spec;
             }
-            return self.surface.spec(id);
+            let spec = self.surface.spec(id);
+            memo.put(id, spec);
+            return spec;
         }
-        ExecutionSpec::new(self.surface.base_time(id), self.surface.sensitivity(id))
+        self.surface.spec(id)
     }
 
     /// Partitions the search space into `n_r` regions for the regional phase.
@@ -285,6 +277,35 @@ mod tests {
             assert_eq!(a.base_time(id), b.base_time(id));
             assert_eq!(a.sensitivity(id), b.sensitivity(id));
         }
+    }
+
+    #[test]
+    fn spec_equals_its_components_bit_for_bit_with_the_memo_cold_and_warm() {
+        let check = |w: &Workload, pass: &str| {
+            for i in 0..4_096 {
+                let id = i * (w.size() / 4_096);
+                let spec = w.spec(id);
+                let label = format!("{} id {id} ({pass})", w.size());
+                assert_eq!(
+                    spec.base_time().to_bits(),
+                    w.base_time(id).to_bits(),
+                    "{label}"
+                );
+                assert_eq!(
+                    spec.sensitivity().to_bits(),
+                    w.sensitivity(id).to_bits(),
+                    "{label}"
+                );
+            }
+        };
+        let memoized = Workload::scaled(Application::Redis, 60_000);
+        assert!(memoized.spec_memo.is_some());
+        check(&memoized, "cold memo");
+        check(&memoized, "warm memo");
+        // The paper-scale space is past the memo cap, so every lookup recomputes.
+        let full = Workload::full(Application::Redis);
+        assert!(full.spec_memo.is_none());
+        check(&full, "no memo");
     }
 
     #[test]

@@ -66,9 +66,9 @@ pub mod prelude {
     };
     pub use dg_exec::{
         process_launches, BackendProvider, CommandTemplate, ExecutionBackend, ExecutionTrace,
-        GameRules, MemoBackend, ProcessBackend, ProcessError, ProcessProvider, SimBackend,
-        SurrogateBackend, SurrogateConfig, SurrogateProvider, SurrogateStats, TimingSource,
-        TraceRecorder, TraceReplayer,
+        GameRules, MemoBackend, ProcessBackend, ProcessError, ProcessProvider, SurrogateBackend,
+        SurrogateConfig, SurrogateProvider, SurrogateStats, TimingSource, TraceRecorder,
+        TraceReplayer,
     };
     pub use dg_obs::{
         emit, emit_with, install_sink, obs_enabled, remove_sink, set_obs_enabled, EventSink,

@@ -82,8 +82,8 @@ fn darwin_game_choice_is_more_stable_than_baselines() {
 
 /// Running the regional phase on worker threads is an execution detail: with the same
 /// seed, the parallel and serial tournaments must crown the same champion, play the
-/// same number of games, and account the same cost (guards the crossbeam chunking in
-/// `run_regional_phase`).
+/// same number of games, and account the same cost (guards the scoped-thread chunking
+/// in `run_regional_phase`).
 #[test]
 fn parallel_regions_do_not_change_the_tournament() {
     let workload = Workload::scaled(Application::Redis, 20_000);
