@@ -2,9 +2,9 @@
 //!
 //! These do not reproduce a paper figure; they track the performance of the simulator and
 //! tournament building blocks so that regressions in the reproduction's own code are
-//! visible: surface evaluation, interference sampling, a single co-located game, the GP
-//! surrogate fit and candidate-pool scoring used by BLISS, and a small end-to-end
-//! tournament.
+//! visible: surface evaluation, interference sampling, a single co-located game of 16 and
+//! of 5 players, a solo run, the GP surrogate fit and candidate-pool scoring used by
+//! BLISS, and a small end-to-end tournament.
 //!
 //! Run with `cargo bench --bench micro_components`.
 
@@ -108,18 +108,34 @@ fn bench_timeline_lookups(c: &mut Criterion) {
 
 fn bench_single_game(c: &mut Criterion) {
     let workload = Workload::scaled(Application::Redis, 50_000);
-    let configs: Vec<u64> = (0..16).map(|i| i * (workload.size() / 17)).collect();
-    c.bench_function("colocated_game_16_players", |b| {
+    let env = || CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 3);
+    // 16 players fill the engine's four-lane top-2 scan; 5 leave a remainder in it and
+    // in the packed rate pass.
+    for players in [16, 5] {
+        let configs: Vec<u64> = (0..players)
+            .map(|i| i * (workload.size() / (players + 1)))
+            .collect();
+        c.bench_function(&format!("colocated_game_{players}_players"), |b| {
+            b.iter_batched(
+                env,
+                |mut cloud| {
+                    black_box(play_game(
+                        &mut cloud,
+                        &workload,
+                        &configs,
+                        GameOptions::default(),
+                    ))
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    // One committed solo run, the baselines' only simulator call.
+    let spec = workload.spec(workload.size() / 3);
+    c.bench_function("solo_run", |b| {
         b.iter_batched(
-            || CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 3),
-            |mut cloud| {
-                black_box(play_game(
-                    &mut cloud,
-                    &workload,
-                    &configs,
-                    GameOptions::default(),
-                ))
-            },
+            env,
+            |mut cloud| black_box(cloud.run_single(spec)),
             BatchSize::SmallInput,
         )
     });

@@ -2,12 +2,17 @@
 //!
 //! The scenario engine promises that wrapping a backend in a pass-through
 //! [`ScenarioBackend`] costs effectively nothing: the wrapper adds a handful of float
-//! multiplies and a timeline lookup per operation, against thousands of integration
+//! multiplies and a timeline lookup per operation, against about 200 integration
 //! steps inside each simulated game. This bench drives the identical operation
 //! sequence through a bare `CloudEnvironment` and through a `steady`-wrapped one, asserts
-//! the results are bit-identical, and demands the best-of-repeats wall-clock
-//! overhead stays under 5 %. A third leg reports the cost of an *active* timeline (`regime-shift`)
-//! for context — that one is allowed to change results, so only its time is shown.
+//! the results are bit-identical, and demands the wrapper's overhead stay under 5 %.
+//!
+//! The overhead is the median, over many pairs, of the ratio of the two legs of a pair.
+//! The legs of a pair run back to back, bare first in even pairs and wrapped first in
+//! odd ones, so a change in the host's speed between pairs moves both legs of a pair
+//! alike, and neither leg always runs first. A third leg reports the cost of an *active*
+//! timeline (`regime-shift`) for context — that one is allowed to change results, so
+//! only its time is shown.
 //!
 //! Run with `cargo bench --bench scenario_overhead`. Set `DG_SCENARIO_SMOKE=1` for
 //! the CI-sized workload.
@@ -65,20 +70,28 @@ fn wrapped(scenario: &ScenarioSpec, seed: u64) -> Box<dyn ExecutionBackend> {
     Box::new(ScenarioBackend::new(bare(seed), scenario.clone(), seed))
 }
 
-/// Best-of-repeats: the standard overhead estimator — the minimum is the run least
-/// disturbed by the scheduler, and both legs get the same treatment.
-fn best(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
+/// The median of an odd number of `samples`.
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
+/// Times one sweep, returning its signature and its wall-clock seconds.
+fn timed(exec: Box<dyn ExecutionBackend>, rounds: u64) -> ((u64, u64, u64), f64) {
+    let start = Instant::now();
+    let signature = sweep(exec, rounds);
+    (signature, start.elapsed().as_secs_f64())
 }
 
 fn main() {
     let smoke = std::env::var("DG_SCENARIO_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    // Each round costs ~70 us; the sweeps must be long enough that per-sweep timer and
-    // scheduler noise sits well under the 5% budget being verified.
-    let rounds: u64 = if smoke { 1_500 } else { 6_000 };
-    let repeats = 7;
+    // A round costs about 30 us. Short legs keep the two legs of a pair close in time;
+    // many pairs let the median shrug off the pairs a scheduler hiccup lands in.
+    let rounds: u64 = if smoke { 400 } else { 1_500 };
+    let pairs = 41;
 
-    println!("=== Scenario-engine wrapper overhead ({rounds} rounds x {repeats} repeats) ===\n");
+    println!("=== Scenario-engine wrapper overhead ({rounds} rounds x {pairs} pairs) ===\n");
 
     // Warm-up pass, and the correctness gate: steady wrapping must not change a bit.
     let reference = sweep(bare(1), rounds);
@@ -88,46 +101,48 @@ fn main() {
         "steady-wrapped execution must be bit-identical to the bare backend"
     );
 
-    let mut bare_times = Vec::with_capacity(repeats);
-    let mut steady_times = Vec::with_capacity(repeats);
-    let mut active_times = Vec::with_capacity(repeats);
+    let mut bare_times = Vec::with_capacity(pairs);
+    let mut steady_times = Vec::with_capacity(pairs);
+    let mut ratios = Vec::with_capacity(pairs);
+    let mut active_times = Vec::with_capacity(pairs);
     let steady = ScenarioSpec::steady();
     let active = ScenarioSpec::by_name("regime-shift").expect("pack scenario");
-    for repeat in 0..repeats as u64 {
-        let seed = 100 + repeat;
-        let start = Instant::now();
-        let a = sweep(bare(seed), rounds);
-        bare_times.push(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        let b = sweep(wrapped(&steady, seed), rounds);
-        steady_times.push(start.elapsed().as_secs_f64());
+    for pair in 0..pairs as u64 {
+        let seed = 100 + pair;
+        let ((a, bare_s), (b, steady_s)) = if pair % 2 == 0 {
+            let bare_leg = timed(bare(seed), rounds);
+            (bare_leg, timed(wrapped(&steady, seed), rounds))
+        } else {
+            let steady_leg = timed(wrapped(&steady, seed), rounds);
+            (timed(bare(seed), rounds), steady_leg)
+        };
         assert_eq!(
             a, b,
             "steady wrapping must stay bit-identical at every seed"
         );
-
-        let start = Instant::now();
-        let _ = sweep(wrapped(&active, seed), rounds);
-        active_times.push(start.elapsed().as_secs_f64());
+        bare_times.push(bare_s);
+        steady_times.push(steady_s);
+        ratios.push(steady_s / bare_s);
+        active_times.push(timed(wrapped(&active, seed), rounds).1);
     }
 
-    let bare_best = best(&bare_times);
-    let steady_best = best(&steady_times);
-    let active_best = best(&active_times);
-    let overhead_percent = 100.0 * (steady_best / bare_best - 1.0);
+    let bare_median = median(&bare_times);
+    let steady_median = median(&steady_times);
+    let active_median = median(&active_times);
+    let overhead_percent = 100.0 * (median(&ratios) - 1.0);
 
     println!(
-        "bare CloudEnvironment:     {:>8.4} s (best of {repeats})",
-        bare_best
+        "bare CloudEnvironment:     {:>8.4} s (median of {pairs}, {:.1} us per round)",
+        bare_median,
+        bare_median / rounds as f64 * 1e6
     );
     println!(
-        "steady ScenarioBackend:    {:>8.4} s (best of {repeats}, {overhead_percent:+.2}% vs bare, bit-identical)",
-        steady_best
+        "steady ScenarioBackend:    {:>8.4} s (median of {pairs}; median pair {overhead_percent:+.2}% vs bare, bit-identical)",
+        steady_median
     );
     println!(
-        "regime-shift scenario:     {:>8.4} s (best of {repeats}; active timeline, results differ by design)",
-        active_best
+        "regime-shift scenario:     {:>8.4} s (median of {pairs}; active timeline, results differ by design)",
+        active_median
     );
 
     assert!(
@@ -137,7 +152,7 @@ fn main() {
     println!("\nwrapper overhead {overhead_percent:+.2}% < 5% budget — OK");
 
     // Machine-readable record (BENCH_scenario_overhead.json at the repo root is the
-    // committed full-mode emission). All times are best-of-repeats seconds.
+    // committed full-mode emission). All times are medians over the pairs, in seconds.
     let mut json = String::from("{");
     let mut first = true;
     push_key(&mut json, &mut first, "bench");
@@ -146,14 +161,14 @@ fn main() {
     push_str_literal(&mut json, if smoke { "smoke" } else { "full" });
     push_key(&mut json, &mut first, "rounds");
     json.push_str(&rounds.to_string());
-    push_key(&mut json, &mut first, "repeats");
-    json.push_str(&repeats.to_string());
+    push_key(&mut json, &mut first, "pairs");
+    json.push_str(&pairs.to_string());
     push_key(&mut json, &mut first, "bare_seconds");
-    push_f64(&mut json, bare_best);
+    push_f64(&mut json, bare_median);
     push_key(&mut json, &mut first, "steady_seconds");
-    push_f64(&mut json, steady_best);
+    push_f64(&mut json, steady_median);
     push_key(&mut json, &mut first, "active_seconds");
-    push_f64(&mut json, active_best);
+    push_f64(&mut json, active_median);
     push_key(&mut json, &mut first, "overhead_percent");
     push_f64(&mut json, overhead_percent);
     json.push('}');

@@ -97,7 +97,9 @@ impl GamePlay {
 
 /// Reusable per-game buffers for the game engine: one flat `Vec<f64>` per hot
 /// per-player quantity (struct-of-arrays), cleared and refilled per game so steady-state
-/// games allocate nothing but their returned observation vectors.
+/// games allocate nothing but their returned observation vectors. The rate pass reads
+/// the columns by index with no state carried from one player to the next, which is what
+/// lets it compile to packed instructions.
 #[derive(Debug, Default)]
 struct GameScratch {
     /// VM-scaled base time per player (the SoA split of `ExecutionSpec` that the
@@ -107,7 +109,11 @@ struct GameScratch {
     sens: Vec<f64>,
     jitter: Vec<f64>,
     noise: Vec<f64>,
+    /// Work done per player at the start of the step.
     progress: Vec<f64>,
+    /// Work done per player at the end of the step; swapped with `progress` after each
+    /// step instead of copied.
+    advanced: Vec<f64>,
     /// Finish time per player; NaN = not finished (the stand-in for `Option<f64>`
     /// that keeps the array flat).
     finish: Vec<f64>,
@@ -121,9 +127,12 @@ const LOOKAHEAD: usize = 8;
 ///
 /// The samples are pure functions of time and independent of each other, so sampling a
 /// batch lets the processor overlap them instead of waiting on each one (its `cos`
-/// above all) at the head of every step. The batch's times repeat the exact additions
-/// the run's `elapsed += dt` makes, so every step sees the level it would have sampled
-/// itself; a run that ends mid-batch only wastes the rest of the batch.
+/// above all) at the head of every step, and lets the sampler look the regime and burst
+/// components up once per batch (see [`InterferenceSampler`]). The batch's times repeat
+/// the exact additions the run's `elapsed += dt` makes, so they never decrease and every
+/// step sees the level it would have sampled itself, multiplied by the VM's
+/// interference factor in the same place; a run that ends mid-batch only wastes the rest
+/// of the batch.
 struct AmbientLookahead {
     start_seconds: f64,
     dt: f64,
@@ -151,16 +160,75 @@ impl AmbientLookahead {
     #[inline]
     fn next(&mut self, sampler: &InterferenceSampler) -> f64 {
         if self.next == LOOKAHEAD {
-            for level in &mut self.levels {
-                *level = sampler.level_at_seconds(self.start_seconds + self.elapsed)
-                    * self.interference_factor;
-                self.elapsed += self.dt;
-            }
-            self.next = 0;
+            self.refill(sampler);
         }
         self.next += 1;
         self.levels[self.next - 1]
     }
+
+    /// Samples the next `LOOKAHEAD` steps in one sampler call (kept out of line so that
+    /// `next` stays small enough to inline into the step loops).
+    fn refill(&mut self, sampler: &InterferenceSampler) {
+        let mut seconds = [0.0; LOOKAHEAD];
+        for t in &mut seconds {
+            *t = self.start_seconds + self.elapsed;
+            self.elapsed += self.dt;
+        }
+        sampler.levels_at_seconds(&seconds, &mut self.levels);
+        for level in &mut self.levels {
+            *level *= self.interference_factor;
+        }
+        self.next = 0;
+    }
+}
+
+/// The largest and the second-largest value of `work`, counted with multiplicity (two
+/// equal maxima give the pair `(max, max)`); `-inf` stands in for a missing value.
+///
+/// A branch-free max/min update runs in four independent lanes, which are merged at the
+/// end. This equals a sequential scan because the top two of a multiset do not depend
+/// on the order its values arrive in, and it is exact as long as no value is NaN.
+/// `work` holds progress fractions, which are never NaN or `-0.0`.
+fn top_two(work: &[f64]) -> (f64, f64) {
+    // Compare-and-select, the shape of the `maxpd`/`minpd` instructions.
+    fn max(a: f64, b: f64) -> f64 {
+        if a > b {
+            a
+        } else {
+            b
+        }
+    }
+    fn min(a: f64, b: f64) -> f64 {
+        if a < b {
+            a
+        } else {
+            b
+        }
+    }
+    // The top two of the union of two multisets, given the top two of each.
+    fn merge((best_a, second_a): (f64, f64), (best_b, second_b): (f64, f64)) -> (f64, f64) {
+        (
+            max(best_a, best_b),
+            max(min(best_a, best_b), max(second_a, second_b)),
+        )
+    }
+    let mut best = [f64::NEG_INFINITY; 4];
+    let mut second = [f64::NEG_INFINITY; 4];
+    let mut chunks = work.chunks_exact(4);
+    for chunk in &mut chunks {
+        for lane in 0..4 {
+            second[lane] = max(second[lane], min(best[lane], chunk[lane]));
+            best[lane] = max(best[lane], chunk[lane]);
+        }
+    }
+    for (lane, &x) in chunks.remainder().iter().enumerate() {
+        second[lane] = max(second[lane], min(best[lane], x));
+        best[lane] = max(best[lane], x);
+    }
+    merge(
+        merge((best[0], second[0]), (best[1], second[1])),
+        merge((best[2], second[2]), (best[3], second[3])),
+    )
 }
 
 /// A shared, interference-prone cloud node on which tuning is performed.
@@ -382,8 +450,23 @@ impl CloudEnvironment {
 
     /// Plays one co-located game among `specs` under `rules`, starting at the current
     /// clock: the physics of stepping a [`ColocatedRun`] under the Fig. 5 termination
-    /// rules, fused into one struct-of-arrays pass per step (rate, advance, top-2) over
-    /// the node's [`InterferenceSampler`] and reusable scratch buffers.
+    /// rules, over the node's [`InterferenceSampler`] and reusable struct-of-arrays
+    /// scratch buffers.
+    ///
+    /// Each step is four parts, each exact for the reason given:
+    ///
+    /// 1. **Rate and advance.** One indexed loop over the flat columns computes each
+    ///    player's rate with the reference's expression and writes its advanced progress
+    ///    into a second column. No state passes between players except an OR-ed
+    ///    "someone reached 1.0" flag, so the loop compiles to packed instructions, and
+    ///    packed IEEE arithmetic rounds every lane exactly like the scalar form.
+    /// 2. **Finish fix-up**, only on the step where the flag is set. A scalar loop
+    ///    recomputes each finisher's rate with the same expression (so the same bits),
+    ///    interpolates its finish instant inside the step and clamps its progress to 1.
+    /// 3. **Column swap.** The progress and advanced columns trade places, no copy.
+    /// 4. **Top-2**, only when early termination applies: the gap reads only the two
+    ///    largest work fractions counted with multiplicity, never the leader's index,
+    ///    so a branch-free four-lane scan gives the reference's gap (see `top_two`).
     ///
     /// Bit-identical to stepping a [`ColocatedRun`] in every output field and in the RNG
     /// stream it consumes (the per-player jitter and measurement-noise draws happen in
@@ -427,6 +510,8 @@ impl CloudEnvironment {
         }));
         scratch.progress.clear();
         scratch.progress.resize(players, 0.0);
+        scratch.advanced.clear();
+        scratch.advanced.resize(players, 0.0);
         scratch.finish.clear();
         scratch.finish.resize(players, f64::NAN);
 
@@ -449,63 +534,65 @@ impl CloudEnvironment {
         let overloaded = overload != 1.0;
         let check_early = rules.early_termination && players > 1;
         let mut elapsed = 0.0_f64;
-        let mut finished = 0usize;
+        let mut finished = false;
         let mut early_terminated = false;
 
         let base = &scratch.base[..players];
         let sens = &scratch.sens[..players];
         let jitter = &scratch.jitter[..players];
         let noise = &scratch.noise[..players];
-        let progress = &mut scratch.progress[..players];
+        let mut progress = &mut scratch.progress[..players];
+        let mut advanced = &mut scratch.advanced[..players];
         let finish = &mut scratch.finish[..players];
-        let mut ambient = AmbientLookahead::new(start_seconds, dt, interference_factor);
-        while finished == 0 && elapsed < max_seconds {
-            let shared = ambient.next(&self.sampler) + contention;
-            // One fused pass per step: rate, advance, then the top-2 work fractions for
-            // the early-termination check (leader = first strictly-greatest index,
-            // exactly like `ColocatedRun::leader`). The loop stops at the step in which
-            // the first player finishes, so every player is still running here and
-            // needs no finished guard.
-            let mut best_work = f64::NEG_INFINITY;
-            let mut second_work = f64::NEG_INFINITY;
-            for i in 0..players {
-                let effective = shared * jitter[i];
-                // Identical expression shape to `ExecutionSpec::progress_rate` composed
-                // with the noise/overload factors of the reference loop.
-                let mut rate = 1.0 / (base[i] * (1.0 + sens[i] * effective.max(0.0))) * noise[i];
-                if overloaded {
-                    rate /= overload;
-                }
-                let advanced = progress[i] + rate * dt;
-                let work = if advanced >= 1.0 {
-                    // Interpolate the exact finish instant inside this step.
-                    finish[i] = elapsed + (1.0 - progress[i]) / rate;
-                    finished += 1;
-                    1.0
-                } else {
-                    advanced
-                };
-                progress[i] = work;
-                if work > best_work {
-                    second_work = best_work;
-                    best_work = work;
-                } else if work > second_work {
-                    second_work = work;
-                }
+        // Identical expression shape to `ExecutionSpec::progress_rate` composed with the
+        // noise/overload factors of the reference loop.
+        let rate = |i: usize, shared: f64| {
+            let effective = shared * jitter[i];
+            let rate = 1.0 / (base[i] * (1.0 + sens[i] * effective.max(0.0))) * noise[i];
+            if overloaded {
+                rate / overload
+            } else {
+                rate
             }
+        };
+        let mut ambient = AmbientLookahead::new(start_seconds, dt, interference_factor);
+        // The loop stops at the step in which the first player finishes, so every
+        // player is still running at the head of a step and needs no finished guard.
+        while !finished && elapsed < max_seconds {
+            let shared = ambient.next(&self.sampler) + contention;
+            let mut reached = false;
+            for i in 0..players {
+                let work = progress[i] + rate(i, shared) * dt;
+                advanced[i] = work;
+                reached |= work >= 1.0;
+            }
+            if reached {
+                for i in 0..players {
+                    if advanced[i] >= 1.0 {
+                        // Interpolate the exact finish instant inside this step.
+                        finish[i] = elapsed + (1.0 - progress[i]) / rate(i, shared);
+                        advanced[i] = 1.0;
+                    }
+                }
+                finished = true;
+            }
+            std::mem::swap(&mut progress, &mut advanced);
             elapsed += dt;
-            if check_early && best_work >= rules.min_leader_progress {
-                // The reference path folds the runner-up from 0.0; progress is never
-                // negative, so clamping the tracked second value reproduces it exactly.
-                let runner_up = second_work.max(0.0);
-                let gap = if best_work > 0.0 {
-                    (best_work - runner_up) / best_work
-                } else {
-                    0.0
-                };
-                if gap >= rules.work_done_deviation {
-                    early_terminated = true;
-                    break;
+            if check_early {
+                let (best_work, second_work) = top_two(progress);
+                if best_work >= rules.min_leader_progress {
+                    // The reference path folds the runner-up from 0.0; progress is never
+                    // negative, so clamping the second value reproduces it exactly.
+                    let runner_up = second_work.max(0.0);
+                    let gap = if best_work > 0.0 {
+                        (best_work - runner_up) / best_work
+                    } else {
+                        0.0
+                    };
+                    if gap >= rules.work_done_deviation {
+                        early_terminated = true;
+                        break;
+                    }
                 }
             }
         }
@@ -807,7 +894,7 @@ mod tests {
     }
 
     /// The reference game loop: a [`ColocatedRun`] stepped under the Fig. 5
-    /// early-termination rules. The fused engine behind [`CloudEnvironment::play_game`]
+    /// early-termination rules. The engine behind [`CloudEnvironment::play_game`]
     /// must reproduce this bit for bit. Also returns how many players finished.
     fn reference_game(
         env: &mut CloudEnvironment,
@@ -998,6 +1085,83 @@ mod tests {
             (clamped, "base times under 50 s"),
         ] {
             assert!(covered > 0, "the paper-scale battery never covers {what}");
+        }
+    }
+
+    #[test]
+    fn game_is_bit_identical_to_reference_at_every_width() {
+        // Widths 1-33 cover every remainder of the packed rate pass and of the four-lane
+        // top-2 scan. Each width plays on every VM (2 to 96 vCPUs, so overload too),
+        // the profile cycling with the VM and the rule set with the width; a minimum
+        // leader progress of 1.0 lets only a finisher trigger early termination, on
+        // the very step it finishes.
+        let finisher_rules = GameRules {
+            min_leader_progress: 1.0,
+            ..GameRules::default()
+        };
+        let mut draw = SimRng::new(0x21).derive("width-battery");
+        let (mut early, mut early_on_finish, mut overloaded_ragged) = (0, 0, 0);
+        for players in 1..=33_usize {
+            for (v, vm) in VmType::ALL.into_iter().enumerate() {
+                let case = players * VmType::ALL.len() + v;
+                let profile = [
+                    InterferenceProfile::typical(),
+                    InterferenceProfile::heavy(),
+                    InterferenceProfile::Dedicated,
+                ][v % 3]
+                    .clone();
+                let rules =
+                    [GameRules::default(), GameRules::playoff(), finisher_rules][players % 3];
+                let specs: Vec<ExecutionSpec> = (0..players)
+                    .map(|_| {
+                        ExecutionSpec::new(30.0 + 270.0 * draw.uniform(), 1.2 * draw.uniform())
+                    })
+                    .collect();
+                let mut fast_env = CloudEnvironment::new(vm, profile.clone(), case as u64);
+                let mut ref_env = CloudEnvironment::new(vm, profile, case as u64);
+                let fast = fast_env.play_game(&specs, &rules);
+                let (reference, finished) = reference_game(&mut ref_env, &specs, &rules);
+                assert_plays_bit_identical(
+                    &fast,
+                    &reference,
+                    &format!("{vm:?} with {players} players, case {case}"),
+                );
+
+                early += usize::from(reference.early_terminated);
+                early_on_finish += usize::from(reference.early_terminated && finished > 0);
+                overloaded_ragged += usize::from(players > vm.vcpus() && players % 4 != 0);
+            }
+        }
+        for (covered, what) in [
+            (early, "an early-terminated game"),
+            (early_on_finish, "early termination on a finishing step"),
+            (
+                overloaded_ragged,
+                "an overloaded game of a width not a multiple of 4",
+            ),
+        ] {
+            assert!(covered > 0, "the width battery never covers {what}");
+        }
+    }
+
+    #[test]
+    fn top_two_counts_ties_and_every_lane() {
+        assert_eq!(top_two(&[0.3]), (0.3, f64::NEG_INFINITY));
+        assert_eq!(top_two(&[0.5, 0.5]), (0.5, 0.5));
+        for players in 1..=13 {
+            for leader in 0..players {
+                let mut work = vec![0.1; players];
+                work[leader] = 0.9;
+                let second = if players > 1 { 0.1 } else { f64::NEG_INFINITY };
+                assert_eq!(top_two(&work), (0.9, second), "{players} players");
+                if players > 1 {
+                    let runner_up = (leader + 1) % players;
+                    work[runner_up] = 0.7;
+                    assert_eq!(top_two(&work), (0.9, 0.7), "{players} players");
+                    work[runner_up] = 0.9;
+                    assert_eq!(top_two(&work), (0.9, 0.9), "{players} players");
+                }
+            }
         }
     }
 

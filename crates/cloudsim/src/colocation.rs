@@ -4,8 +4,8 @@
 //! *shared* interference signal plus a co-location contention term. The caller steps the
 //! run, inspects per-player progress (work-done fractions), and may stop it early; the
 //! run itself never decides when to terminate. It is the step-by-step reference for the
-//! fused game engine behind [`CloudEnvironment::play_game`], which must match it bit for
-//! bit.
+//! struct-of-arrays game engine behind [`CloudEnvironment::play_game`], which splits each
+//! step into packed passes and must match it bit for bit.
 //!
 //! [`CloudEnvironment::play_game`]: crate::CloudEnvironment::play_game
 
@@ -16,8 +16,8 @@ use crate::time::SimTime;
 use crate::vm::VmType;
 
 /// Strength of the contention added per co-located competitor, relative to full occupancy
-/// of the VM (`contention = COEFF * (players - 1) / vcpus`). Crate-visible so the fused
-/// game engine in `cloud.rs` applies the exact same physics.
+/// of the VM (`contention = COEFF * (players - 1) / vcpus`). Crate-visible so the game
+/// engine in `cloud.rs` applies the exact same physics.
 pub(crate) const CONTENTION_COEFF: f64 = 0.35;
 
 /// Standard deviation of the per-player contention jitter: some players are hurt more by

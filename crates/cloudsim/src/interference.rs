@@ -423,11 +423,76 @@ impl CompositeSampler {
     }
 
     fn level(&self, seconds: f64) -> f64 {
-        // Value noise: identical expressions to `ValueNoise::level`, with the two
-        // anchor hashes (pure functions of the cell index) memoized per cell.
+        let regime_floor = (seconds / self.regime_period).floor();
+        let burst_floor = (seconds / self.burst_period).floor();
+        self.level_in(
+            seconds,
+            (seconds / self.value_period).floor(),
+            self.regime_in(regime_floor as u64),
+            burst_floor,
+            self.burst_in(burst_floor as u64),
+        )
+    }
+
+    /// [`level`](Self::level) at each of `seconds`, which must not decrease.
+    ///
+    /// `floor(t / period)` never decreases as `t` grows (IEEE division by a positive
+    /// constant and `floor` are both monotone), so when the first and the last time
+    /// have the same floor, every time between them has it too. A batch within one
+    /// regime epoch and one burst epoch therefore reads the regime level and the burst
+    /// placement once, and a batch within one value-noise cell skips the per-sample
+    /// `floor` of its cell. A batch that crosses a regime or burst epoch falls back to
+    /// one `level` per time. The value noise's `cos`, the burst window test and the sum
+    /// stay per sample, in [`level_in`](Self::level_in).
+    fn levels<const N: usize>(&self, seconds: &[f64; N], levels: &mut [f64; N]) {
+        let (first, last) = (seconds[0], seconds[N - 1]);
+        let regime_floor = (first / self.regime_period).floor();
+        let burst_floor = (first / self.burst_period).floor();
+        if regime_floor != (last / self.regime_period).floor()
+            || burst_floor != (last / self.burst_period).floor()
+        {
+            for (level, &t) in levels.iter_mut().zip(seconds) {
+                *level = self.level(t);
+            }
+            return;
+        }
+        let regime = self.regime_in(regime_floor as u64);
+        let burst = self.burst_in(burst_floor as u64);
+        let value_floor = (first / self.value_period).floor();
+        let one_cell = value_floor == (last / self.value_period).floor();
+        for (level, &t) in levels.iter_mut().zip(seconds) {
+            *level = if one_cell {
+                self.level_in(t, value_floor, regime, burst_floor, burst)
+            } else {
+                self.level_in(
+                    t,
+                    (t / self.value_period).floor(),
+                    regime,
+                    burst_floor,
+                    burst,
+                )
+            };
+        }
+    }
+
+    /// The level at `seconds`, given the floors of `seconds / period` for the value
+    /// noise and the bursts, the regime level, and the burst epoch's placement:
+    /// identical expressions to the component models, summed in the order of
+    /// `CompositeInterference::level`.
+    #[inline]
+    fn level_in(
+        &self,
+        seconds: f64,
+        value_floor: f64,
+        regime: f64,
+        burst_floor: f64,
+        (has_burst, start): (bool, f64),
+    ) -> f64 {
+        // Value noise: `ValueNoise::level`, with the two anchor hashes (pure functions
+        // of the cell index) memoized per cell.
         let x = seconds / self.value_period;
-        let i0 = x.floor() as u64;
-        let frac = x - x.floor();
+        let i0 = value_floor as u64;
+        let frac = x - value_floor;
         let (a, b) = match self.value_cache.get() {
             Some((cached, a, b)) if cached == i0 => (a, b),
             _ => {
@@ -440,13 +505,33 @@ impl CompositeSampler {
         let w = (1.0 - (std::f64::consts::PI * frac).cos()) / 2.0;
         let value = self.value_amplitude * (a * (1.0 - w) + b * w);
 
-        // Regime noise: the drawn level is constant within an epoch, so the whole
-        // weighted walk of `RegimeNoise::regime_at` is memoized per epoch.
-        let regime_epoch = (seconds / self.regime_period).floor() as u64;
-        let regime = match self.regime_cache.get() {
-            Some((cached, level)) if cached == regime_epoch => level,
+        // Bursts: only the window membership test runs per sample, exactly as in
+        // `BurstNoise::level`.
+        let burst = if has_burst
+            && self.in_burst_window(start, seconds / self.burst_period - burst_floor)
+        {
+            self.burst_magnitude
+        } else {
+            0.0
+        };
+
+        self.base + value + regime + burst
+    }
+
+    /// Whether `frac` of a burst epoch lies in the burst window that starts at `start`.
+    #[inline]
+    fn in_burst_window(&self, start: f64, frac: f64) -> bool {
+        frac >= start && frac < start + self.burst_duty
+    }
+
+    /// The regime level of `epoch`: constant within an epoch, so the whole weighted walk
+    /// of `RegimeNoise::regime_at` is memoized per epoch.
+    #[inline]
+    fn regime_in(&self, epoch: u64) -> f64 {
+        match self.regime_cache.get() {
+            Some((cached, level)) if cached == epoch => level,
             _ => {
-                let mut target = hash_unit(self.regime_seed, regime_epoch) * self.regime_total;
+                let mut target = hash_unit(self.regime_seed, epoch) * self.regime_total;
                 let mut chosen = *self
                     .regime_levels
                     .last()
@@ -458,37 +543,29 @@ impl CompositeSampler {
                     }
                     target -= *weight;
                 }
-                self.regime_cache.set(Some((regime_epoch, chosen)));
+                self.regime_cache.set(Some((epoch, chosen)));
                 chosen
             }
-        };
+        }
+    }
 
-        // Bursts: occupancy and start offset are per-epoch draws, memoized; only the
-        // window membership test runs per call, exactly as in `BurstNoise::level`.
-        let xb = seconds / self.burst_period;
-        let burst_epoch = xb.floor() as u64;
-        let burst_frac = xb - xb.floor();
-        let (has_burst, start) = match self.burst_cache.get() {
-            Some((cached, has, start)) if cached == burst_epoch => (has, start),
+    /// Whether burst `epoch` has a burst, and the start of its window as a fraction of
+    /// the epoch: per-epoch draws, memoized.
+    #[inline]
+    fn burst_in(&self, epoch: u64) -> (bool, f64) {
+        match self.burst_cache.get() {
+            Some((cached, has, start)) if cached == epoch => (has, start),
             _ => {
-                let has =
-                    hash_unit(self.burst_occupancy_seed, burst_epoch) < self.burst_probability;
+                let has = hash_unit(self.burst_occupancy_seed, epoch) < self.burst_probability;
                 let start = if has {
-                    hash_unit(self.burst_start_seed, burst_epoch) * (1.0 - self.burst_duty)
+                    hash_unit(self.burst_start_seed, epoch) * (1.0 - self.burst_duty)
                 } else {
                     0.0
                 };
-                self.burst_cache.set(Some((burst_epoch, has, start)));
+                self.burst_cache.set(Some((epoch, has, start)));
                 (has, start)
             }
-        };
-        let burst = if has_burst && burst_frac >= start && burst_frac < start + self.burst_duty {
-            self.burst_magnitude
-        } else {
-            0.0
-        };
-
-        self.base + value + regime + burst
+        }
     }
 }
 
@@ -506,6 +583,22 @@ impl InterferenceSampler {
         match &self.kind {
             SamplerKind::Constant(level) => *level,
             SamplerKind::Composite(composite) => composite.level(seconds),
+        }
+    }
+
+    /// The level at each of `seconds`, which must not decrease: bit-identical to one
+    /// [`level_at_seconds`](Self::level_at_seconds) call per time. For the composite
+    /// profiles, a batch within one regime epoch and one burst epoch looks those
+    /// components up once instead of once per time.
+    #[inline]
+    pub(crate) fn levels_at_seconds<const N: usize>(
+        &self,
+        seconds: &[f64; N],
+        levels: &mut [f64; N],
+    ) {
+        match &self.kind {
+            SamplerKind::Constant(level) => *levels = [*level; N],
+            SamplerKind::Composite(composite) => composite.levels(seconds, levels),
         }
     }
 }
@@ -748,6 +841,77 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn batch_fill_is_bit_identical_to_scalar_levels() {
+        let profiles = [
+            InterferenceProfile::Dedicated,
+            InterferenceProfile::Constant(0.37),
+            InterferenceProfile::Typical,
+            InterferenceProfile::Heavy,
+            InterferenceProfile::Custom {
+                base: 0.08,
+                value_amplitude: 0.3,
+                regime_scale: 1.5,
+                burst_magnitude: 1.1,
+            },
+        ];
+        // (value 480 s, burst 600 s, regime 900 s) straddles, and batches in a burst.
+        let (mut value_edge, mut burst_edge, mut regime_edge, mut in_burst) = (0, 0, 0, 0);
+        for profile in &profiles {
+            for seed in [3, 41] {
+                let sampler = profile.sampler(seed);
+                let scalar = profile.sampler(seed);
+                for dt in [0.25, 0.3, 0.75, 1.15, 2.5, 4.0, 6.3, 9.9] {
+                    for i in 0..400 {
+                        // Times built like the engine's: repeated additions of `dt`.
+                        let start = (i * 7919 % 40_000) as f64 * 1.37;
+                        let mut elapsed = (i % 5) as f64 * 8.0 * dt;
+                        let mut seconds = [0.0; 8];
+                        for t in &mut seconds {
+                            *t = start + elapsed;
+                            elapsed += dt;
+                        }
+                        let mut batch = [f64::NAN; 8];
+                        sampler.levels_at_seconds(&seconds, &mut batch);
+                        for (level, &t) in batch.iter().zip(&seconds) {
+                            assert_eq!(
+                                level.to_bits(),
+                                scalar.level_at_seconds(t).to_bits(),
+                                "{profile:?} seed={seed} dt={dt} t={t}"
+                            );
+                        }
+
+                        let SamplerKind::Composite(c) = &sampler.kind else {
+                            continue;
+                        };
+                        let crosses = |period: f64| {
+                            (seconds[0] / period).floor() != (seconds[7] / period).floor()
+                        };
+                        value_edge += usize::from(crosses(c.value_period));
+                        burst_edge += usize::from(crosses(c.burst_period));
+                        regime_edge += usize::from(crosses(c.regime_period));
+                        let bursting = seconds.iter().any(|&t| {
+                            let xb = t / c.burst_period;
+                            let (has, start) = c.burst_in(xb.floor() as u64);
+                            has && c.in_burst_window(start, xb - xb.floor())
+                        });
+                        in_burst += usize::from(
+                            bursting && !crosses(c.burst_period) && !crosses(c.regime_period),
+                        );
+                    }
+                }
+            }
+        }
+        for (covered, what) in [
+            (value_edge, "a batch across a value-noise cell"),
+            (burst_edge, "a batch across a burst epoch"),
+            (regime_edge, "a batch across a regime epoch"),
+            (in_burst, "a hoisted batch inside a burst window"),
+        ] {
+            assert!(covered > 0, "the batch battery never covers {what}");
         }
     }
 

@@ -15,7 +15,9 @@
 //! * **Co-location.** The players of one game ([`CloudEnvironment::play_game`]) share
 //!   the *same* interference samples and additionally contend with each other, which is
 //!   the physical mechanism DarwinGame exploits to rank configurations relatively. The
-//!   game engine fuses each step into one pass over flat per-player arrays; a
+//!   game engine steps flat per-player arrays: a packed rate-and-advance pass, a finish
+//!   fix-up only on the step someone finishes, and a four-lane top-2 scan for early
+//!   termination, with interference sampled eight steps per sampler call. A
 //!   [`ColocatedRun`] steps the same physics one call at a time and is the reference
 //!   the engine is tested against bit for bit.
 //! * **Cost accounting.** Every run is charged in core-hours
