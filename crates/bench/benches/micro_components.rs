@@ -3,17 +3,19 @@
 //! These do not reproduce a paper figure; they track the performance of the simulator and
 //! tournament building blocks so that regressions in the reproduction's own code are
 //! visible: surface evaluation, interference sampling, a single co-located game of 16 and
-//! of 5 players, a solo run, the GP surrogate fit and candidate-pool scoring used by
-//! BLISS, and a small end-to-end tournament.
+//! of 5 players, a solo run, one paper-scale region of the regional phase, the GP
+//! surrogate fit and candidate-pool scoring used by BLISS, and a small end-to-end
+//! tournament.
 //!
 //! Run with `cargo bench --bench micro_components`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use darwin_core::{play_game, play_games, DarwinGame, GameOptions, TournamentConfig};
+use darwin_core::{play_game, run_region, DarwinGame, GameOptions, TournamentConfig};
 use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimRng, SimTime, VmType};
+use dg_exec::{ExecutionBackend, GameBatchItem};
 use dg_scenario::{ScenarioEvent, ScenarioSpec};
 use dg_tuners::GaussianProcess;
-use dg_workloads::{Application, PerformanceSurface, Workload};
+use dg_workloads::{Application, IndexPartition, PerformanceSurface, Workload};
 use std::hint::black_box;
 
 fn bench_surface_evaluation(c: &mut Criterion) {
@@ -174,11 +176,42 @@ fn bench_batched_round(c: &mut Criterion) {
         b.iter_batched(
             env,
             |mut cloud| {
-                black_box(play_games(
-                    &mut cloud,
+                let specs: Vec<Vec<_>> = round
+                    .iter()
+                    .map(|configs| configs.iter().map(|id| workload.spec(*id)).collect())
+                    .collect();
+                let items: Vec<GameBatchItem<'_>> =
+                    specs.iter().map(|specs| GameBatchItem { specs }).collect();
+                black_box(cloud.play_games_batch(&items, &GameOptions::default()))
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+fn bench_paper_scale_region(c: &mut Criterion) {
+    // One region of the regional phase at the paper's scale: the full Redis space (past
+    // the spec memo) cut into 10,000 regions, 16 players per game, on a fresh fork of
+    // the region's backend per iteration, so every iteration plays the same games.
+    let workload = Workload::full(Application::Redis);
+    let partition = IndexPartition::new(workload.size(), 10_000);
+    let config = TournamentConfig {
+        players_per_game: Some(16),
+        ..TournamentConfig::default()
+    };
+    let region = 4_321;
+    let mut main = CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 9);
+    c.bench_function("regional_phase_one_region_full_redis", |b| {
+        b.iter_batched(
+            || ExecutionBackend::fork(&mut main, region as u64),
+            |mut exec| {
+                black_box(run_region(
                     &workload,
-                    &round,
-                    GameOptions::default(),
+                    &partition,
+                    region,
+                    0,
+                    exec.as_mut(),
+                    &config,
                 ))
             },
             BatchSize::SmallInput,
@@ -267,6 +300,7 @@ criterion_group!(
         bench_timeline_lookups,
         bench_single_game,
         bench_batched_round,
+        bench_paper_scale_region,
         bench_gp_fit,
         bench_gp_pool_scoring,
         bench_small_tournament

@@ -1,8 +1,7 @@
 //! Playing a single game: a co-located execution of several configurations.
 
 use crate::score::rank_descending;
-use dg_cloudsim::ExecutionSpec;
-use dg_exec::{ExecutionBackend, GameBatchItem, GamePlay};
+use dg_exec::{ExecutionBackend, GamePlay};
 use dg_workloads::{ConfigId, Workload};
 
 /// How a game should be driven. This is the backend-level [`dg_exec::GameRules`] type:
@@ -64,22 +63,7 @@ pub fn play_game(
 ) -> GameResult {
     assert!(!configs.is_empty(), "a game needs at least one player");
     let specs: Vec<_> = configs.iter().map(|id| workload.spec(*id)).collect();
-    play_game_with_specs(exec, configs, &specs, options)
-}
-
-/// [`play_game`] for a caller that already holds the players' execution specs
-/// (`specs[i]` is `workload.spec(configs[i])`), such as a region that caches them.
-pub(crate) fn play_game_with_specs(
-    exec: &mut dyn ExecutionBackend,
-    configs: &[ConfigId],
-    specs: &[ExecutionSpec],
-    options: GameOptions,
-) -> GameResult {
-    game_result(configs.to_vec(), exec.play_game(specs, &options))
-}
-
-/// Ranks a backend-level play into a [`GameResult`].
-fn game_result(configs: Vec<ConfigId>, play: GamePlay) -> GameResult {
+    let play = exec.play_game(&specs, &options);
     let execution_scores = play.execution_scores.clone();
     let ranks = rank_descending(&execution_scores);
     let winner = ranks
@@ -87,7 +71,7 @@ fn game_result(configs: Vec<ConfigId>, play: GamePlay) -> GameResult {
         .position(|r| *r == 1)
         .expect("exactly one player holds rank 1");
     GameResult {
-        configs,
+        configs: configs.to_vec(),
         execution_scores,
         ranks,
         winner,
@@ -95,46 +79,6 @@ fn game_result(configs: Vec<ConfigId>, play: GamePlay) -> GameResult {
         early_terminated: play.early_terminated,
         play,
     }
-}
-
-/// Plays one round's worth of games as a single backend batch.
-///
-/// Games execute in slot order through [`dg_exec::ExecutionBackend::play_games_batch`],
-/// so outcomes, costs, and the backend's noise stream are identical to calling
-/// [`play_game`] once per entry — backends merely get the whole round at once, which
-/// lets the scenario decorator look up the round's load once instead of per game. Nothing is committed; the caller decides serial vs parallel
-/// accounting exactly as with [`play_game`].
-///
-/// # Panics
-///
-/// Panics if any game in `games` is empty.
-pub fn play_games(
-    exec: &mut dyn ExecutionBackend,
-    workload: &Workload,
-    games: &[Vec<ConfigId>],
-    options: GameOptions,
-) -> Vec<GameResult> {
-    // One flat spec buffer for the whole round; each batch item borrows its slice.
-    let mut specs = Vec::with_capacity(games.iter().map(Vec::len).sum());
-    let mut bounds = Vec::with_capacity(games.len());
-    for configs in games {
-        assert!(!configs.is_empty(), "a game needs at least one player");
-        let start = specs.len();
-        specs.extend(configs.iter().map(|id| workload.spec(*id)));
-        bounds.push(start..specs.len());
-    }
-    let items: Vec<GameBatchItem<'_>> = bounds
-        .iter()
-        .map(|range| GameBatchItem {
-            specs: &specs[range.clone()],
-        })
-        .collect();
-    let plays = exec.play_games_batch(&items, &options);
-    games
-        .iter()
-        .zip(plays)
-        .map(|(configs, play)| game_result(configs.clone(), play))
-        .collect()
 }
 
 #[cfg(test)]
@@ -234,36 +178,5 @@ mod tests {
     fn empty_game_rejected() {
         let (workload, mut cloud) = setup();
         play_game(&mut cloud, &workload, &[], GameOptions::default());
-    }
-
-    #[test]
-    fn batched_round_matches_sequential_games_bit_for_bit() {
-        let (workload, mut looped) = setup();
-        let (_, mut batched) = setup();
-        let step = workload.size() / 16;
-        let round: Vec<Vec<ConfigId>> = vec![
-            vec![0, step, 2 * step, 3 * step],
-            vec![4 * step, 5 * step],
-            vec![6 * step, 7 * step, 8 * step],
-        ];
-        let expected: Vec<GameResult> = round
-            .iter()
-            .map(|configs| play_game(&mut looped, &workload, configs, GameOptions::default()))
-            .collect();
-        let got = play_games(&mut batched, &workload, &round, GameOptions::default());
-        assert_eq!(expected, got);
-        for (a, b) in expected.iter().zip(&got) {
-            assert_eq!(
-                a.execution_scores
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect::<Vec<_>>(),
-                b.execution_scores
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect::<Vec<_>>(),
-            );
-            assert_eq!(a.play.elapsed.to_bits(), b.play.elapsed.to_bits());
-        }
     }
 }

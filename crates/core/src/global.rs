@@ -9,12 +9,14 @@
 //! play one game whose winner receives a wild-card entry into the playoffs.
 
 use crate::config::TournamentConfig;
-use crate::game::{play_game, play_games, GameOptions};
-use crate::player::{take_by_index, Player};
-use crate::score::combined_ranking;
-use dg_exec::ExecutionBackend;
+use crate::game::GameOptions;
+use crate::player::Player;
+use crate::score::Ranker;
+use dg_cloudsim::ExecutionSpec;
+use dg_exec::{ExecutionBackend, GameBatchItem};
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, Workload};
+use std::ops::Range;
 
 /// The result of the global phase.
 #[derive(Debug, Clone)]
@@ -33,9 +35,9 @@ impl GlobalOutcome {
     /// All players advancing to the playoffs (finalists plus the wild card).
     pub fn playoff_players(&self) -> Vec<Player> {
         let mut players = self.finalists.clone();
-        if let Some(wildcard) = &self.wildcard {
+        if let Some(wildcard) = self.wildcard {
             if !players.iter().any(|p| p.config() == wildcard.config()) {
-                players.push(wildcard.clone());
+                players.push(wildcard);
             }
         }
         players
@@ -43,6 +45,13 @@ impl GlobalOutcome {
 }
 
 /// Runs the global phase on the main tuning VM.
+///
+/// Each round sorts the main bracket by origin region once and deals it round-robin
+/// into groups without building them: group `g` of `G` is the players at sorted
+/// positions `g, g + G, g + 2G, …`. The round's games go to the backend as one batch,
+/// from one flat spec buffer filled from the specs the players carry from their
+/// regions (a player built with [`Player::new`] has its spec looked up), and are ranked
+/// into reused buffers. `workload` must be the one the regional phase played.
 pub fn run_global_phase(
     exec: &mut dyn ExecutionBackend,
     workload: &Workload,
@@ -71,21 +80,10 @@ pub fn run_global_phase(
         });
         players.truncate(players_per_game.max(2));
         if players.len() >= 2 {
-            let configs: Vec<ConfigId> = players.iter().map(Player::config).collect();
-            let result = play_game(exec, workload, &configs, game_options);
-            exec.commit(&result.play);
+            let standings = play_recorded(exec, workload, &mut players, &game_options);
             games_played += 1;
-            for (slot, player) in players.iter_mut().enumerate() {
-                player
-                    .scores_mut()
-                    .record_game(result.execution_scores[slot], result.ranks[slot]);
-            }
-            let standings = result.standings();
             let keep = config.main_bracket_target.min(standings.len());
-            let finalists: Vec<Player> = standings[..keep]
-                .iter()
-                .map(|i| players[*i].clone())
-                .collect();
+            let finalists: Vec<Player> = standings[..keep].iter().map(|i| players[*i]).collect();
             return GlobalOutcome {
                 finalists,
                 wildcard: None,
@@ -101,14 +99,21 @@ pub fn run_global_phase(
         };
     }
 
+    // Round scratch, reused from round to round.
+    let mut order: Vec<usize> = Vec::with_capacity(players.len());
+    let mut specs: Vec<ExecutionSpec> = Vec::with_capacity(players.len());
+    let mut bounds: Vec<Range<usize>> = Vec::new();
+    let mut members: Vec<usize> = Vec::with_capacity(players_per_game);
+    let mut consistency: Vec<f64> = Vec::with_capacity(players_per_game);
+    let mut winners: Vec<usize> = Vec::new();
+    let mut losers: Vec<usize> = Vec::new();
+    let mut advancing: Vec<Player> = Vec::new();
+    let mut ranker = Ranker::default();
+
     while players.len() > config.main_bracket_target {
         rounds += 1;
-        let groups = build_diverse_groups(&players, players_per_game, config.main_bracket_target);
-        // Indices into `players` of this round's winners and losers, in the order they
-        // advance; the players themselves are moved once the round is scored.
-        let mut winners: Vec<usize> = Vec::with_capacity(groups.len());
-        let mut losers: Vec<usize> = Vec::new();
-        let mut round_outcomes = Vec::with_capacity(groups.len());
+        let groups = group_count(players.len(), players_per_game, config.main_bracket_target);
+        deal(&players, &mut order);
 
         // A round's games are independent (groups are disjoint), so the whole round
         // goes to the backend as one batch: games still execute in group order with
@@ -116,60 +121,73 @@ pub fn run_global_phase(
         // score recording below until after the batch is safe for the same
         // disjointness reason — no group's ranking inputs depend on another group's
         // results from this round.
-        let round_games: Vec<Vec<ConfigId>> = groups
+        specs.clear();
+        bounds.clear();
+        for g in 0..groups {
+            let group = dealt_group(&order, groups, g);
+            if group.len() > 1 {
+                let start = specs.len();
+                specs.extend(group.map(|i| players[i].spec(workload)));
+                bounds.push(start..specs.len());
+            }
+        }
+        let items: Vec<GameBatchItem<'_>> = bounds
             .iter()
-            .filter(|group| group.len() > 1)
-            .map(|group| group.iter().map(|i| players[*i].config()).collect())
+            .map(|range| GameBatchItem {
+                specs: &specs[range.clone()],
+            })
             .collect();
-        let results = play_games(exec, workload, &round_games, game_options);
-        games_played += results.len();
+        let plays = exec.play_games_batch(&items, &game_options);
+        games_played += plays.len();
         emit_with(|| ObsEvent::Round {
             phase: "global".into(),
             round: rounds - 1,
-            games: results.len(),
+            games: plays.len(),
         });
-        let mut results = results.into_iter();
 
-        for group in &groups {
-            if group.len() == 1 {
+        winners.clear();
+        losers.clear();
+        let mut round_plays = plays.iter();
+        for g in 0..groups {
+            members.clear();
+            members.extend(dealt_group(&order, groups, g));
+            if members.len() == 1 {
                 // A lone player advances without playing.
-                winners.push(group[0]);
+                winners.push(members[0]);
                 continue;
             }
-            let result = results.next().expect("one result per multi-player group");
+            let play = round_plays.next().expect("one play per multi-player group");
 
             // Record scores and decide the group winner by the combined ranking.
-            for (slot, player_index) in group.iter().enumerate() {
-                players[*player_index]
+            let ranks = ranker.rank(&play.execution_scores);
+            for (slot, i) in members.iter().enumerate() {
+                players[*i]
                     .scores_mut()
-                    .record_game(result.execution_scores[slot], result.ranks[slot]);
+                    .record_game(play.execution_scores[slot], ranks[slot]);
             }
-            let consistency: Vec<f64> = group
-                .iter()
-                .map(|i| players[*i].consistency_score())
-                .collect();
-            let order = combined_ranking(
-                &result.execution_scores,
+            consistency.clear();
+            consistency.extend(members.iter().map(|i| players[*i].consistency_score()));
+            let standings = ranker.combined(
                 &consistency,
                 config.ablation.execution_score,
                 config.ablation.consistency_score,
             );
-            winners.push(group[order[0]]);
+            winners.push(members[standings[0]]);
             if config.ablation.double_elimination {
-                losers.extend(order[1..].iter().map(|slot| group[*slot]));
+                losers.extend(standings[1..].iter().map(|slot| members[*slot]));
             }
-            round_outcomes.push(result.play);
         }
 
         // Games within a round run on parallel VMs of the same type.
-        exec.commit_parallel(&round_outcomes);
+        exec.commit_parallel(&plays);
 
         // No reduction is possible (degenerate small input): stop to guarantee
         // termination.
         let stalled = winners.len() >= players.len();
-        let mut seats = take_by_index(players);
-        loser_bracket.extend(losers.iter().map(|i| seats(*i)));
-        players = winners.iter().map(|i| seats(*i)).collect();
+        loser_bracket.extend(losers.iter().map(|i| players[*i]));
+        advancing.clear();
+        advancing.extend(winners.iter().map(|i| players[*i]));
+        std::mem::swap(&mut players, &mut advancing);
         if stalled {
             break;
         }
@@ -178,21 +196,15 @@ pub fn run_global_phase(
     // Wild card from the loser bracket.
     let wildcard = if config.ablation.double_elimination && loser_bracket.len() >= 2 {
         let keys: Vec<(f64, ConfigId)> = loser_bracket.iter().map(wildcard_key).collect();
-        let order = wildcard_entrants(&keys, players_per_game);
-        let mut seats = take_by_index(loser_bracket);
-        let mut entrants: Vec<Player> = order.iter().map(|i| seats(*i)).collect();
-        let configs: Vec<ConfigId> = entrants.iter().map(Player::config).collect();
-        let result = play_game(exec, workload, &configs, game_options);
-        exec.commit(&result.play);
+        let mut entrants: Vec<Player> = wildcard_entrants(&keys, players_per_game)
+            .iter()
+            .map(|i| loser_bracket[*i])
+            .collect();
+        let standings = play_recorded(exec, workload, &mut entrants, &game_options);
         games_played += 1;
-        for (slot, player) in entrants.iter_mut().enumerate() {
-            player
-                .scores_mut()
-                .record_game(result.execution_scores[slot], result.ranks[slot]);
-        }
-        Some(entrants.swap_remove(result.winner))
+        Some(entrants[standings[0]])
     } else if config.ablation.double_elimination {
-        loser_bracket.into_iter().next()
+        loser_bracket.first().copied()
     } else {
         None
     };
@@ -205,32 +217,56 @@ pub fn run_global_phase(
     }
 }
 
-/// Splits `players` into groups of at most `players_per_game`, mixing origin regions so
-/// that configurations from the same part of the search space do not only compete with
-/// each other. When few players remain, the number of groups is chosen so the round still
-/// narrows the field toward `main_bracket_target`.
-fn build_diverse_groups(
-    players: &[Player],
-    players_per_game: usize,
-    main_bracket_target: usize,
-) -> Vec<Vec<usize>> {
-    let n = players.len();
-    let group_count = if n > players_per_game {
+/// Sorts `order` to a round's deal of `players`: their indices by origin region (players
+/// of no known region last), ties by index. Dealt round-robin from this order (see
+/// [`dealt_group`]), each group mixes regions.
+fn deal(players: &[Player], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..players.len());
+    // The index makes every key distinct, so the unstable sort gives the stable order.
+    order.sort_unstable_by_key(|i| (players[*i].origin_region().unwrap_or(usize::MAX), *i));
+}
+
+/// Group `g` of a round whose [`deal`] `order` is dealt round-robin into `groups`
+/// groups: the players at positions `g, g + groups, g + 2 * groups, …`.
+fn dealt_group(
+    order: &[usize],
+    groups: usize,
+    g: usize,
+) -> impl ExactSizeIterator<Item = usize> + '_ {
+    order[g..].iter().step_by(groups).copied()
+}
+
+/// Number of groups a round of `n` players is dealt into: enough for games of at most
+/// `players_per_game`, or, when few players remain, as many as still narrow the field
+/// toward `main_bracket_target`.
+fn group_count(n: usize, players_per_game: usize, main_bracket_target: usize) -> usize {
+    if n > players_per_game {
         n.div_ceil(players_per_game)
     } else {
         main_bracket_target.min(n / 2).max(1)
-    };
-
-    // Sort player indices by origin region, then deal them round-robin across groups so
-    // each group mixes regions.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|i| (players[*i].origin_region().unwrap_or(usize::MAX), *i));
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); group_count];
-    for (position, player_index) in order.into_iter().enumerate() {
-        groups[position % group_count].push(player_index);
     }
-    groups.retain(|g| !g.is_empty());
-    groups
+}
+
+/// Plays one committed game among `players` from their specs, records every player's
+/// score, and returns the players' slots from best to worst execution score.
+fn play_recorded(
+    exec: &mut dyn ExecutionBackend,
+    workload: &Workload,
+    players: &mut [Player],
+    options: &GameOptions,
+) -> Vec<usize> {
+    let specs: Vec<ExecutionSpec> = players.iter().map(|p| p.spec(workload)).collect();
+    let play = exec.play_game(&specs, options);
+    exec.commit(&play);
+    let mut ranker = Ranker::default();
+    let ranks = ranker.rank(&play.execution_scores);
+    for (slot, player) in players.iter_mut().enumerate() {
+        player
+            .scores_mut()
+            .record_game(play.execution_scores[slot], ranks[slot]);
+    }
+    ranker.standings().to_vec()
 }
 
 /// A loser's wild-card key: its average execution score plus its consistency score,
@@ -336,12 +372,55 @@ mod tests {
         assert_eq!(outcome.rounds, 0);
     }
 
+    /// The groups a round's deal gives, built out for comparison.
+    fn dealt_groups(
+        players: &[Player],
+        players_per_game: usize,
+        main_bracket_target: usize,
+    ) -> Vec<Vec<usize>> {
+        let groups = group_count(players.len(), players_per_game, main_bracket_target);
+        let mut order = Vec::new();
+        deal(players, &mut order);
+        (0..groups)
+            .map(|g| dealt_group(&order, groups, g).collect::<Vec<_>>())
+            .filter(|group| !group.is_empty())
+            .collect()
+    }
+
+    /// The round's groups as they were built before the deal became implicit: split
+    /// `players` into groups of at most `players_per_game`, mixing origin regions; when
+    /// few players remain, choose the number of groups so the round still narrows the
+    /// field toward `main_bracket_target`.
+    fn build_diverse_groups(
+        players: &[Player],
+        players_per_game: usize,
+        main_bracket_target: usize,
+    ) -> Vec<Vec<usize>> {
+        let n = players.len();
+        let group_count = if n > players_per_game {
+            n.div_ceil(players_per_game)
+        } else {
+            main_bracket_target.min(n / 2).max(1)
+        };
+
+        // Sort player indices by origin region, then deal them round-robin across
+        // groups so each group mixes regions.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|i| (players[*i].origin_region().unwrap_or(usize::MAX), *i));
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); group_count];
+        for (position, player_index) in order.into_iter().enumerate() {
+            groups[position % group_count].push(player_index);
+        }
+        groups.retain(|g| !g.is_empty());
+        groups
+    }
+
     #[test]
     fn groups_mix_origin_regions() {
         let players: Vec<Player> = (0..16)
             .map(|i| Player::new(i as u64, Some(i / 4)))
             .collect();
-        let groups = build_diverse_groups(&players, 4, 3);
+        let groups = dealt_groups(&players, 4, 3);
         assert_eq!(groups.len(), 4);
         for group in &groups {
             let regions: std::collections::BTreeSet<_> = group
@@ -349,6 +428,38 @@ mod tests {
                 .map(|i| players[*i].origin_region().unwrap())
                 .collect();
             assert!(regions.len() >= 2, "groups should span multiple regions");
+        }
+    }
+
+    #[test]
+    fn implicit_deal_matches_the_built_groups() {
+        let mut rng = SimRng::new(0x5d).derive("deal-battery");
+        for n in 1..=300usize {
+            for players_per_game in [2, 3, 8, 16, 32] {
+                for main_bracket_target in [1, 3, 5] {
+                    // Origins shuffled across a few regions (so they repeat), unique per
+                    // player, or unknown for some or all players.
+                    let regions = 1 + rng.index(n.min(40));
+                    let unknown_share = [0.0, 0.3, 1.0][rng.index(3)];
+                    let players: Vec<Player> = (0..n)
+                        .map(|i| {
+                            let origin = if rng.uniform() < unknown_share {
+                                None
+                            } else if regions == n {
+                                Some(n - 1 - i)
+                            } else {
+                                Some(rng.index(regions))
+                            };
+                            Player::new(i as u64, origin)
+                        })
+                        .collect();
+                    assert_eq!(
+                        dealt_groups(&players, players_per_game, main_bracket_target),
+                        build_diverse_groups(&players, players_per_game, main_bracket_target),
+                        "n = {n}, P = {players_per_game}, target = {main_bracket_target}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,14 +1,21 @@
 //! Tournament players.
 
 use crate::score::ScoreBoard;
-use dg_workloads::ConfigId;
+use dg_cloudsim::ExecutionSpec;
+use dg_workloads::{ConfigId, Workload};
 
-/// A player in the tournament: one tuning configuration plus its score history.
-#[derive(Debug, Clone, PartialEq)]
+/// A player in the tournament: one tuning configuration plus its score record.
+///
+/// A player is a small `Copy` value: its [`ScoreBoard`] keeps running sums rather than a
+/// history, so phases copy players between brackets instead of moving heap data. A
+/// player that won its region also carries the execution spec the region looked up
+/// for it, so the global phase plays it without computing the spec again.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Player {
     config: ConfigId,
     origin_region: Option<usize>,
     scores: ScoreBoard,
+    spec: Option<ExecutionSpec>,
 }
 
 impl Player {
@@ -19,6 +26,23 @@ impl Player {
             config,
             origin_region,
             scores: ScoreBoard::new(),
+            spec: None,
+        }
+    }
+
+    /// A regional winner: its record from the region and the spec the region looked up
+    /// for it, which must be `workload.spec(config)` of the tournament's workload.
+    pub(crate) fn regional_winner(
+        config: ConfigId,
+        region: usize,
+        scores: ScoreBoard,
+        spec: Option<ExecutionSpec>,
+    ) -> Self {
+        Self {
+            config,
+            origin_region: Some(region),
+            scores,
+            spec,
         }
     }
 
@@ -32,12 +56,18 @@ impl Player {
         self.origin_region
     }
 
-    /// The player's score history.
+    /// The player's execution spec: the one it carries from its region, or else
+    /// `workload.spec(config)`.
+    pub(crate) fn spec(&self, workload: &Workload) -> ExecutionSpec {
+        self.spec.unwrap_or_else(|| workload.spec(self.config))
+    }
+
+    /// The player's score record.
     pub fn scores(&self) -> &ScoreBoard {
         &self.scores
     }
 
-    /// Mutable access to the score history (used by the game driver).
+    /// Mutable access to the score record (used by the game driver).
     pub fn scores_mut(&mut self) -> &mut ScoreBoard {
         &mut self.scores
     }
@@ -51,15 +81,6 @@ impl Player {
     pub fn consistency_score(&self) -> f64 {
         self.scores.consistency_score()
     }
-}
-
-/// Turns `players` into a take-once lookup by index, so players that advance are moved
-/// rather than cloned.
-///
-/// The returned closure panics if asked for the same index twice.
-pub(crate) fn take_by_index(players: Vec<Player>) -> impl FnMut(usize) -> Player {
-    let mut seats: Vec<Option<Player>> = players.into_iter().map(Some).collect();
-    move |i| seats[i].take().expect("each player advances at most once")
 }
 
 #[cfg(test)]

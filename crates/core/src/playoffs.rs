@@ -98,29 +98,29 @@ pub fn run_playoffs(
                 .record_game(result.execution_scores[slot], result.ranks[slot]);
         }
         let standings = result.standings();
-        finalist_a = players[standings[0]].clone();
-        finalist_b = players[standings[1]].clone();
+        finalist_a = players[standings[0]];
+        finalist_b = players[standings[1]];
     } else if players.len() == 2 {
-        finalist_a = players[0].clone();
-        finalist_b = players[1].clone();
+        finalist_a = players[0];
+        finalist_b = players[1];
     } else if players.len() == 3 {
         // Game 1: the two best players; the winner goes to the final.
-        let mut p0 = players[0].clone();
-        let mut p1 = players[1].clone();
+        let mut p0 = players[0];
+        let mut p1 = players[1];
         let (first_won, _) = two_player_game(exec, &mut p0, &mut p1, &mut games_played);
         let (game1_winner, game1_loser) = if first_won { (p0, p1) } else { (p1, p0) };
         // Game 2: the loser of game 1 against the remaining player.
         let mut loser = game1_loser;
-        let mut p2 = players[2].clone();
+        let mut p2 = players[2];
         let (loser_won, _) = two_player_game(exec, &mut loser, &mut p2, &mut games_played);
         finalist_a = game1_winner;
         finalist_b = if loser_won { loser } else { p2 };
     } else {
         // Four or more players: classic barrage with the top four.
-        let mut p0 = players[0].clone();
-        let mut p1 = players[1].clone();
-        let mut p2 = players[2].clone();
-        let mut p3 = players[3].clone();
+        let mut p0 = players[0];
+        let mut p1 = players[1];
+        let mut p2 = players[2];
+        let mut p3 = players[3];
         // Game 1: top two; winner straight to the final.
         let (first_won, _) = two_player_game(exec, &mut p0, &mut p1, &mut games_played);
         let (game1_winner, game1_loser) = if first_won { (p0, p1) } else { (p1, p0) };

@@ -10,8 +10,9 @@
 //! deviation of the regional best advances to the global phase.
 
 use crate::config::TournamentConfig;
-use crate::game::{play_game_with_specs, GameOptions};
-use crate::player::{take_by_index, Player};
+use crate::game::GameOptions;
+use crate::player::Player;
+use crate::score::{Ranker, ScoreBoard};
 use dg_cloudsim::{CostTracker, ExecutionSpec, SimRng};
 use dg_exec::ExecutionBackend;
 use dg_obs::{emit_with, ObsEvent};
@@ -22,8 +23,10 @@ use dg_workloads::{ConfigId, IndexPartition, Workload};
 pub struct RegionalOutcome {
     /// Which region (partition part) this outcome belongs to.
     pub region: usize,
-    /// Players that advance to the global phase, score history included.
+    /// Players that advance to the global phase, score record and spec included.
     pub winners: Vec<Player>,
+    /// Distinct configurations that played at least one game in the region.
+    pub players_in: usize,
     /// Number of games played inside the region.
     pub games_played: usize,
     /// Core-hours consumed by the region's games.
@@ -44,6 +47,12 @@ fn region_seed(config: &TournamentConfig, region: usize) -> u64 {
 /// from the tournament seed and the region index — see
 /// [`run_regional_phase`], which performs the forking. `exec` must be a fresh fork (its
 /// cost tracker becomes the region's bill).
+///
+/// The region keeps flat per-candidate columns (the sampled configurations, a spec
+/// cache filled before each candidate's first game, and a [`ScoreBoard`] each), plays
+/// every game straight on the backend and ranks it into reused buffers, so its
+/// bookkeeping allocates nothing per game. [`Player`]s are built only for the
+/// candidates that advance, each carrying its spec into the global phase.
 pub fn run_region(
     workload: &Workload,
     partition: &IndexPartition,
@@ -64,17 +73,17 @@ pub fn run_region(
     // Candidate pool: enough distinct configurations to feed every possible round.
     let pool_size =
         players_per_game + (players_per_game / 2) * config.max_regional_rounds.saturating_sub(1);
-    let candidates: Vec<ConfigId> = partition
-        .sample_distinct(region, pool_size, &mut rng)
-        .into_iter()
-        .map(|id| id + offset)
-        .collect();
+    let mut candidates = partition.sample_distinct(region, pool_size, &mut rng);
+    for id in &mut candidates {
+        *id += offset;
+    }
+    let mut boards = vec![ScoreBoard::new(); candidates.len()];
+    // Region-local spec cache: a candidate's spec is looked up before its first game
+    // and reused for every later one, which matters once the space is too large for
+    // the workload's own spec memo.
+    let mut specs: Vec<Option<ExecutionSpec>> = vec![None; candidates.len()];
 
-    let mut players: Vec<Player> = candidates
-        .iter()
-        .map(|id| Player::new(*id, Some(region)))
-        .collect();
-    let mut unplayed: Vec<usize> = (0..players.len()).collect();
+    let mut unplayed: Vec<usize> = (0..candidates.len()).collect();
     rng.shuffle(&mut unplayed);
 
     let mut games_played = 0usize;
@@ -88,17 +97,12 @@ pub fn run_region(
         1
     };
 
-    // Region-local spec cache: a candidate's spec is looked up before its first game
-    // and reused for every later one, which matters once the space is too large for
-    // the workload's own spec memo.
-    let mut specs: Vec<Option<ExecutionSpec>> = vec![None; players.len()];
-
-    // Round scratch, reused so the per-round loop allocates nothing for selection.
+    // Round scratch, reused from round to round.
     let mut participants: Vec<usize> = Vec::with_capacity(players_per_game);
-    let mut veterans: Vec<usize> = Vec::with_capacity(players.len());
-    let mut weights: Vec<f64> = Vec::with_capacity(players.len());
-    let mut configs: Vec<ConfigId> = Vec::with_capacity(players_per_game);
+    let mut veterans: Vec<usize> = Vec::with_capacity(candidates.len());
+    let mut weights: Vec<f64> = Vec::with_capacity(candidates.len());
     let mut game_specs: Vec<ExecutionSpec> = Vec::with_capacity(players_per_game);
+    let mut ranker = Ranker::default();
 
     for round in 0..rounds {
         // Select this round's participants.
@@ -110,22 +114,19 @@ pub fn run_region(
             }
         } else {
             // Half new players, half high-scoring veterans selected probabilistically.
+            // The new players have not played yet, so no veteran is already in the game.
             let new_slots = (players_per_game / 2).min(unplayed.len());
             for _ in 0..new_slots {
                 participants.push(unplayed.pop().expect("unplayed is non-empty"));
             }
             veterans.clear();
-            veterans.extend(
-                (0..players.len()).filter(|i| {
-                    players[*i].scores().games_played() > 0 && !participants.contains(i)
-                }),
-            );
+            veterans.extend((0..boards.len()).filter(|i| boards[*i].games_played() > 0));
             let veteran_slots = (players_per_game - participants.len()).min(veterans.len());
             weights.clear();
             weights.extend(
                 veterans
                     .iter()
-                    .map(|i| players[*i].average_execution_score().max(0.01)),
+                    .map(|i| boards[*i].average_execution_score().max(0.01)),
             );
             for _ in 0..veteran_slots {
                 let pick = rng.weighted_index(&weights);
@@ -137,15 +138,13 @@ pub fn run_region(
             break;
         }
 
-        configs.clear();
         game_specs.clear();
         for &i in &participants {
-            let config = players[i].config();
-            configs.push(config);
-            game_specs.push(*specs[i].get_or_insert_with(|| workload.spec(config)));
+            let id = candidates[i];
+            game_specs.push(*specs[i].get_or_insert_with(|| workload.spec(id)));
         }
-        let result = play_game_with_specs(exec, &configs, &game_specs, game_options);
-        exec.commit(&result.play);
+        let play = exec.play_game(&game_specs, &game_options);
+        exec.commit(&play);
         games_played += 1;
         emit_with(|| ObsEvent::Round {
             phase: "regional".into(),
@@ -153,14 +152,13 @@ pub fn run_region(
             games: 1,
         });
 
-        for (slot, player_index) in participants.iter().enumerate() {
-            players[*player_index]
-                .scores_mut()
-                .record_game(result.execution_scores[slot], result.ranks[slot]);
+        let ranks = ranker.rank(&play.execution_scores);
+        for (slot, i) in participants.iter().enumerate() {
+            boards[*i].record_game(play.execution_scores[slot], ranks[slot]);
         }
 
         // Track consecutive wins of the same configuration for the termination rule.
-        let winning_config = result.winning_config();
+        let winning_config = candidates[participants[ranker.standings()[0]]];
         if Some(winning_config) == last_winner {
             consecutive_wins += 1;
         } else {
@@ -176,17 +174,14 @@ pub fn run_region(
     }
 
     // Decide who advances: everyone within the work-done deviation of the best player's
-    // average execution score (or only the single best, under the ablation). Each
-    // average is computed once, up front, as the sort key. Winners are selected by
-    // index and *moved* out of the pool — their score histories were grown in place all
-    // region long and never need copying.
-    let mut ranked: Vec<(f64, ConfigId, usize)> = players
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.scores().games_played() > 0)
-        .map(|(i, p)| (p.average_execution_score(), p.config(), i))
+    // average execution score (or only the single best, under the ablation). Candidates
+    // are distinct configurations, so the (score, config) order is total.
+    let mut ranked: Vec<(f64, ConfigId, usize)> = (0..candidates.len())
+        .filter(|i| boards[*i].games_played() > 0)
+        .map(|i| (boards[i].average_execution_score(), candidates[i], i))
         .collect();
-    ranked.sort_by(|a, b| {
+    let players_in = ranked.len();
+    ranked.sort_unstable_by(|a, b| {
         b.0.partial_cmp(&a.0)
             .expect("scores are not NaN")
             .then(a.1.cmp(&b.1))
@@ -199,12 +194,15 @@ pub fn run_region(
         let threshold = ranked[0].0 * (1.0 - config.work_done_deviation);
         ranked.retain(|(score, _, _)| *score >= threshold);
     }
-    let mut pool = take_by_index(players);
-    let winners: Vec<Player> = ranked.iter().map(|(_, _, i)| pool(*i)).collect();
+    let winners: Vec<Player> = ranked
+        .iter()
+        .map(|&(_, id, i)| Player::regional_winner(id, region, boards[i], specs[i]))
+        .collect();
 
     RegionalOutcome {
         region,
         winners,
+        players_in,
         games_played,
         core_hours: exec.cost().core_hours(),
         wall_clock_seconds: exec.cost().wall_clock_seconds(),
@@ -340,6 +338,27 @@ mod tests {
             let range = partition.range(3);
             assert!(range.contains(&winner.config()));
         }
+    }
+
+    #[test]
+    fn regions_count_the_configurations_that_played() {
+        let (workload, partition, mut config) = setup(16);
+        for region in 0..16 {
+            let mut exec = region_backend(&config, region);
+            let outcome = run_region(&workload, &partition, region, 0, exec.as_mut(), &config);
+            // The first game seats P new candidates and every later one P/2 more; the
+            // pool holds enough for every round, so none runs short.
+            assert_eq!(
+                outcome.players_in,
+                8 + 4 * (outcome.games_played - 1),
+                "region {region}"
+            );
+            assert!(outcome.players_in >= outcome.winners.len());
+        }
+        config.ablation.swiss_regional = false;
+        let mut exec = region_backend(&config, 5);
+        let outcome = run_region(&workload, &partition, 5, 0, exec.as_mut(), &config);
+        assert_eq!(outcome.players_in, 8);
     }
 
     #[test]

@@ -8,11 +8,36 @@
 //!   the player has participated in so far (Fig. 7), which rewards configurations whose
 //!   good performance is *repeatable* under changing interference.
 
-/// Per-player score history across all games played so far.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A player's score record across all games played so far, kept as running sums.
+///
+/// The board holds the game count, the sum of execution scores, the sum of `1 / rank`,
+/// the number of wins, the current win streak and the latest execution score, so a
+/// player is a fixed-size value and every accessor is O(1). The averages are exactly
+/// the ones a stored history would give: each sum starts at `-0.0` and adds one game at
+/// a time in recording order, which is the fold `Iterator::sum::<f64>()` performs over
+/// the history, and the mean divides by the same `games as f64`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoreBoard {
-    execution_scores: Vec<f64>,
-    ranks: Vec<usize>,
+    games: usize,
+    execution_sum: f64,
+    inverse_rank_sum: f64,
+    wins: usize,
+    streak: usize,
+    latest_execution_score: f64,
+}
+
+impl Default for ScoreBoard {
+    fn default() -> Self {
+        Self {
+            games: 0,
+            // `-0.0` is the additive identity `Iterator::sum::<f64>()` starts from.
+            execution_sum: -0.0,
+            inverse_rank_sum: -0.0,
+            wins: 0,
+            streak: 0,
+            latest_execution_score: 0.0,
+        }
+    }
 }
 
 impl ScoreBoard {
@@ -33,26 +58,34 @@ impl ScoreBoard {
             "execution score must be within [0, 1], got {execution_score}"
         );
         assert!(rank >= 1, "ranks are 1-based");
-        self.execution_scores.push(execution_score);
-        self.ranks.push(rank);
+        self.games += 1;
+        self.execution_sum += execution_score;
+        self.inverse_rank_sum += 1.0 / rank as f64;
+        if rank == 1 {
+            self.wins += 1;
+            self.streak += 1;
+        } else {
+            self.streak = 0;
+        }
+        self.latest_execution_score = execution_score;
     }
 
     /// Number of games recorded.
     pub fn games_played(&self) -> usize {
-        self.execution_scores.len()
+        self.games
     }
 
     /// Execution score of the most recent game, if any.
     pub fn latest_execution_score(&self) -> Option<f64> {
-        self.execution_scores.last().copied()
+        (self.games > 0).then_some(self.latest_execution_score)
     }
 
     /// Average execution score over all games (0 when no games were played).
     pub fn average_execution_score(&self) -> f64 {
-        if self.execution_scores.is_empty() {
+        if self.games == 0 {
             0.0
         } else {
-            self.execution_scores.iter().sum::<f64>() / self.execution_scores.len() as f64
+            self.execution_sum / self.games as f64
         }
     }
 
@@ -60,24 +93,21 @@ impl ScoreBoard {
     /// played). A player that always ranks first scores 1.0; one that alternates between
     /// rank 1 and rank 4 scores 0.625.
     pub fn consistency_score(&self) -> f64 {
-        if self.ranks.is_empty() {
+        if self.games == 0 {
             0.0
         } else {
-            self.ranks.iter().map(|r| 1.0 / *r as f64).sum::<f64>() / self.ranks.len() as f64
+            self.inverse_rank_sum / self.games as f64
         }
     }
 
     /// Number of games this player has won (rank 1).
     pub fn wins(&self) -> usize {
-        self.ranks.iter().filter(|r| **r == 1).count()
+        self.wins
     }
 
     /// True when the player won its most recent `streak` games.
     pub fn winning_streak(&self, streak: usize) -> bool {
-        if streak == 0 || self.ranks.len() < streak {
-            return false;
-        }
-        self.ranks.iter().rev().take(streak).all(|r| *r == 1)
+        streak > 0 && self.streak >= streak
     }
 }
 
@@ -98,48 +128,212 @@ pub fn combined_ranking(
         consistency_scores.len(),
         "score slices must have equal length"
     );
-    let n = execution_scores.len();
-    let exec_rank = rank_descending(execution_scores);
-    let cons_rank = rank_descending(consistency_scores);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|i| {
-        let mut key = 0usize;
-        if use_execution {
-            key += exec_rank[*i];
-        }
-        if use_consistency {
-            key += cons_rank[*i];
-        }
-        if !use_execution && !use_consistency {
-            // Degenerate ablation: fall back to execution rank so the result is total.
-            key = exec_rank[*i];
-        }
-        // Ties on the summed rank are broken by player index for determinism.
-        key * n + *i
-    });
-    order
+    let mut ranker = Ranker::default();
+    ranker.rank(execution_scores);
+    ranker
+        .combined(consistency_scores, use_execution, use_consistency)
+        .to_vec()
 }
 
 /// 1-based ranks of values sorted descending (highest value gets rank 1). Ties are broken
 /// by index for determinism.
 pub fn rank_descending(values: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|a, b| {
+    let mut ranker = Ranker::default();
+    ranker.rank(values);
+    ranker.ranks
+}
+
+/// Ranks one game after another into buffers it reuses, so a tournament phase ranks
+/// its games without allocating; [`rank_descending`] and [`combined_ranking`] are the
+/// one-shot forms.
+#[derive(Debug, Default)]
+pub(crate) struct Ranker {
+    /// Player indices ordered by the last [`Ranker::rank`], best first.
+    standings: Vec<usize>,
+    /// 1-based execution ranks from the last [`Ranker::rank`].
+    ranks: Vec<usize>,
+    consistency_order: Vec<usize>,
+    consistency_ranks: Vec<usize>,
+    combined: Vec<usize>,
+}
+
+impl Ranker {
+    /// Ranks `execution_scores` (see [`rank_descending`]) and returns the ranks.
+    pub(crate) fn rank(&mut self, execution_scores: &[f64]) -> &[usize] {
+        rank_descending_into(execution_scores, &mut self.standings, &mut self.ranks);
+        &self.ranks
+    }
+
+    /// Player indices from best to worst execution score, as last ranked.
+    pub(crate) fn standings(&self) -> &[usize] {
+        &self.standings
+    }
+
+    /// The [`combined_ranking`] order of the last ranked game, given its players'
+    /// consistency scores.
+    pub(crate) fn combined(
+        &mut self,
+        consistency_scores: &[f64],
+        use_execution: bool,
+        use_consistency: bool,
+    ) -> &[usize] {
+        rank_descending_into(
+            consistency_scores,
+            &mut self.consistency_order,
+            &mut self.consistency_ranks,
+        );
+        let (exec_rank, cons_rank) = (&self.ranks, &self.consistency_ranks);
+        let n = exec_rank.len();
+        self.combined.clear();
+        self.combined.extend(0..n);
+        // Keys are distinct (the index is folded in), so the unstable sort gives the
+        // stable sort's order.
+        self.combined.sort_unstable_by_key(|i| {
+            let mut key = 0usize;
+            if use_execution {
+                key += exec_rank[*i];
+            }
+            if use_consistency {
+                key += cons_rank[*i];
+            }
+            if !use_execution && !use_consistency {
+                // Degenerate ablation: fall back to execution rank so the result is total.
+                key = exec_rank[*i];
+            }
+            // Ties on the summed rank are broken by player index for determinism.
+            key * n + *i
+        });
+        &self.combined
+    }
+}
+
+/// [`rank_descending`] into reused buffers: `order` receives the indices best first and
+/// `ranks` each index's 1-based rank.
+fn rank_descending_into(values: &[f64], order: &mut Vec<usize>, ranks: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..values.len());
+    // The index tie-break makes the order total, so the unstable sort gives the stable
+    // sort's order.
+    order.sort_unstable_by(|a, b| {
         values[*b]
             .partial_cmp(&values[*a])
             .expect("scores must not be NaN")
             .then(a.cmp(b))
     });
-    let mut ranks = vec![0usize; values.len()];
+    ranks.clear();
+    ranks.resize(values.len(), 0);
     for (position, index) in order.iter().enumerate() {
         ranks[*index] = position + 1;
     }
-    ranks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_cloudsim::SimRng;
+
+    /// The score board as it was before it kept running sums: the whole history,
+    /// re-summed on every read.
+    #[derive(Default)]
+    struct HistoryBoard {
+        execution_scores: Vec<f64>,
+        ranks: Vec<usize>,
+    }
+
+    impl HistoryBoard {
+        fn record_game(&mut self, execution_score: f64, rank: usize) {
+            self.execution_scores.push(execution_score);
+            self.ranks.push(rank);
+        }
+
+        fn average_execution_score(&self) -> f64 {
+            if self.execution_scores.is_empty() {
+                0.0
+            } else {
+                self.execution_scores.iter().sum::<f64>() / self.execution_scores.len() as f64
+            }
+        }
+
+        fn consistency_score(&self) -> f64 {
+            if self.ranks.is_empty() {
+                0.0
+            } else {
+                self.ranks.iter().map(|r| 1.0 / *r as f64).sum::<f64>() / self.ranks.len() as f64
+            }
+        }
+
+        fn wins(&self) -> usize {
+            self.ranks.iter().filter(|r| **r == 1).count()
+        }
+
+        fn winning_streak(&self, streak: usize) -> bool {
+            if streak == 0 || self.ranks.len() < streak {
+                return false;
+            }
+            self.ranks.iter().rev().take(streak).all(|r| *r == 1)
+        }
+    }
+
+    fn assert_boards_agree(board: &ScoreBoard, history: &HistoryBoard, case: usize) {
+        let games = history.ranks.len();
+        let label = format!("case {case} after {games} games");
+        assert_eq!(board.games_played(), games, "{label}");
+        assert_eq!(
+            board.latest_execution_score().map(f64::to_bits),
+            history.execution_scores.last().map(|s| s.to_bits()),
+            "{label}"
+        );
+        assert_eq!(
+            board.average_execution_score().to_bits(),
+            history.average_execution_score().to_bits(),
+            "{label}"
+        );
+        assert_eq!(
+            board.consistency_score().to_bits(),
+            history.consistency_score().to_bits(),
+            "{label}"
+        );
+        assert_eq!(board.wins(), history.wins(), "{label}");
+        for streak in 0..=games + 1 {
+            assert_eq!(
+                board.winning_streak(streak),
+                history.winning_streak(streak),
+                "{label}, streak {streak}"
+            );
+        }
+    }
+
+    #[test]
+    fn running_sums_match_the_stored_history_bit_for_bit() {
+        let mut rng = SimRng::new(0x5b).derive("score-board-battery");
+        let mut long_streaks = 0;
+        for case in 0..2_000 {
+            let mut board = ScoreBoard::new();
+            let mut history = HistoryBoard::default();
+            assert_boards_agree(&board, &history, case);
+            for _ in 0..rng.index(41) {
+                let score = match rng.index(3) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.uniform(),
+                };
+                // Rank 1 often enough that win streaks build up and break.
+                let rank = if rng.uniform() < 0.4 {
+                    1
+                } else {
+                    1 + rng.index(33)
+                };
+                board.record_game(score, rank);
+                history.record_game(score, rank);
+                assert_boards_agree(&board, &history, case);
+            }
+            long_streaks += usize::from(board.winning_streak(3));
+        }
+        assert!(
+            long_streaks > 50,
+            "only {long_streaks} boards ended on 3 wins"
+        );
+    }
 
     #[test]
     fn consistency_score_matches_paper_example() {

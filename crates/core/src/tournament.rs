@@ -76,14 +76,15 @@ impl DarwinGame {
         let regions = config.regions.min(span as usize).max(1);
         let partition = IndexPartition::new(span, regions);
 
-        let vm = exec.vm();
         let main_start = exec.cost().snapshot();
 
         // -------- Phase I: regional (Swiss style) --------
+        let mut regional_played = 0;
         let (entrants, regional_cost, regional_games) = if config.ablation.regional_phase {
             let _span = Span::enter("phase.regional");
             let (outcomes, cost) = run_regional_phase(workload, &partition, offset, exec, config);
             let games = outcomes.iter().map(|o| o.games_played).sum();
+            regional_played = outcomes.iter().map(|o| o.players_in).sum();
             let players: Vec<Player> = outcomes.into_iter().flat_map(|o| o.winners).collect();
             (players, cost, games)
         } else {
@@ -111,6 +112,12 @@ impl DarwinGame {
             entrants
         };
         let regional_winner_count = entrants.len();
+        // Entrants drawn without a regional game are the phase's players in.
+        let regional_players_in = if regional_games == 0 {
+            regional_winner_count
+        } else {
+            regional_played
+        };
 
         // -------- Phase II: global (double elimination) --------
         let global_start = exec.cost().snapshot();
@@ -143,7 +150,7 @@ impl DarwinGame {
             phases: vec![
                 PhaseSummary {
                     name: "regional".into(),
-                    players_in: regions * config.effective_players_per_game(vm.vcpus()),
+                    players_in: regional_players_in,
                     players_out: regional_winner_count,
                     games: regional_games,
                     core_hours: regional_cost.core_hours(),
@@ -334,5 +341,8 @@ mod tests {
         let report = DarwinGame::new(config).run(&workload, &mut env);
         assert!(report.champion < workload.size());
         assert_eq!(report.phases[0].games, 0);
+        // The drawn entrants, one per region, are the phase's players in and out.
+        assert_eq!(report.phases[0].players_in, 10);
+        assert_eq!(report.phases[0].players_out, 10);
     }
 }

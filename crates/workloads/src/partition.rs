@@ -95,29 +95,37 @@ impl IndexPartition {
 
     /// Draws `count` distinct configuration indices from part `i` (or the whole part if
     /// it has fewer than `count` configurations).
+    ///
+    /// Indices are drawn uniformly with rejection of repeats, at most `64 * count`
+    /// draws, and come back in ascending order; if the draws run out, the result is
+    /// topped up with the part's lowest unchosen indices, appended in order. The picks
+    /// are kept in a sorted `Vec` with binary-search insertion, which makes the same
+    /// draws and rejections as a set would without allocating per pick.
     pub fn sample_distinct(&self, i: usize, count: usize, rng: &mut SimRng) -> Vec<ConfigId> {
         let range = self.range(i);
         let span = (range.end - range.start) as usize;
         if span <= count {
             return range.collect();
         }
-        let mut chosen = std::collections::BTreeSet::new();
+        let mut chosen: Vec<ConfigId> = Vec::with_capacity(count);
         // Rejection sampling is fine because count << span in the regional phase.
         let mut attempts = 0usize;
         while chosen.len() < count && attempts < count * 64 {
-            chosen.insert(self.sample(i, rng));
+            let pick = self.sample(i, rng);
+            if let Err(at) = chosen.binary_search(&pick) {
+                chosen.insert(at, pick);
+            }
             attempts += 1;
         }
         // Degenerate fallback: fill sequentially from the start of the range.
-        let mut result: Vec<ConfigId> = chosen.into_iter().collect();
         let mut next = range.start;
-        while result.len() < count {
-            if !result.contains(&next) {
-                result.push(next);
+        while chosen.len() < count {
+            if !chosen.contains(&next) {
+                chosen.push(next);
             }
             next += 1;
         }
-        result
+        chosen
     }
 }
 
@@ -199,6 +207,60 @@ mod tests {
         let mut rng = SimRng::new(5);
         let samples = partition.sample_distinct(2, 10, &mut rng);
         assert_eq!(samples.len(), 4);
+    }
+
+    /// `sample_distinct` as it was before it kept its picks in a sorted `Vec`: the same
+    /// rejection sampling into a `BTreeSet`.
+    fn sample_distinct_with_a_set(
+        partition: &IndexPartition,
+        i: usize,
+        count: usize,
+        rng: &mut SimRng,
+    ) -> Vec<ConfigId> {
+        let range = partition.range(i);
+        let span = (range.end - range.start) as usize;
+        if span <= count {
+            return range.collect();
+        }
+        let mut chosen = std::collections::BTreeSet::new();
+        let mut attempts = 0usize;
+        while chosen.len() < count && attempts < count * 64 {
+            chosen.insert(partition.sample(i, rng));
+            attempts += 1;
+        }
+        let mut result: Vec<ConfigId> = chosen.into_iter().collect();
+        let mut next = range.start;
+        while result.len() < count {
+            if !result.contains(&next) {
+                result.push(next);
+            }
+            next += 1;
+        }
+        result
+    }
+
+    #[test]
+    fn sorted_vec_sampling_matches_the_set_version() {
+        let mut picker = SimRng::new(0x6a).derive("sample-distinct-battery");
+        for case in 0..2_000 {
+            let count = 1 + picker.index(72);
+            // Parts from just one configuration more than `count` up to ~10^4 times it,
+            // log-uniformly, so near-full parts with many rejections are common.
+            let span = ((count + 1) as f64 * 1e4f64.powf(picker.uniform())) as u64;
+            let parts = 1 + picker.index(4);
+            let partition = IndexPartition::new(span * parts as u64, parts);
+            let part = picker.index(parts);
+            let seed = picker.next_u64();
+            let (mut sorted_rng, mut set_rng) = (SimRng::new(seed), SimRng::new(seed));
+            let got = partition.sample_distinct(part, count, &mut sorted_rng);
+            let want = sample_distinct_with_a_set(&partition, part, count, &mut set_rng);
+            assert_eq!(got, want, "case {case}: count {count}, span {span}");
+            assert_eq!(
+                sorted_rng.next_u64(),
+                set_rng.next_u64(),
+                "case {case}: the two made different numbers of draws"
+            );
+        }
     }
 
     #[test]

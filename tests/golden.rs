@@ -2,10 +2,12 @@
 //!
 //! The full tournament pipeline — region partitioning, Swiss regionals, double
 //! elimination, barrage playoffs, and every RNG stream feeding them — is pinned here
-//! for three fixed seeds at two region counts. Any accidental change to the RNG
-//! discipline, the game ordering, or the cost accounting moves at least one of the
-//! pinned values and fails this suite loudly; an *intentional* change must regenerate
-//! the constants (the tuple layout below is exactly what a regeneration run prints).
+//! for three fixed seeds at two region counts, and as whole-report digests for every
+//! Fig. 16 ablation variant and for one run on the full Redis space. Any accidental
+//! change to the RNG discipline, the game ordering, or the cost accounting moves at
+//! least one of the pinned values and fails this suite loudly; an *intentional* change
+//! must regenerate the constants (the tuple layout below is exactly what a
+//! regeneration run prints; a failing digest prints the report it hashed).
 //!
 //! The values were generated with the committed simulator sources on x86-64
 //! Linux/glibc (the CI platform); debug and release builds produce identical results
@@ -41,23 +43,61 @@ const GOLDEN_HEAVY: [(usize, u64, u64, usize, f64); 6] = [
     (16, 3, 6054, 72, 299.799704432),
 ];
 
+/// `(variant, digest)` of the whole report of the pinned configuration at 16 regions
+/// and seed 4 under the `Typical` profile, for every `AblationConfig::paper_variants()`
+/// entry in its order. The golden tables above pin only the full design; these cover
+/// every branch an ablation switches: the Swiss and single-game regionals, a single
+/// regional winner, no regional or global phase, no loser bracket, either global
+/// ranking criterion off, 2-player games, and no early termination. Seed 4 is one
+/// where all eleven reports differ: at seeds 1 to 3 dropping a ranking criterion
+/// leaves every group winner, and so the whole report, as the full design has it.
+const ABLATION_PINS: [(&str, u64); 11] = [
+    ("full DarwinGame", 1_169_656_791_377_063_589),
+    ("w/o regional", 2_229_885_770_550_186_107),
+    ("one-win regional", 146_331_086_926_957_034),
+    ("w/o Swiss", 3_488_272_453_310_583_525),
+    ("w/o global", 3_226_469_689_401_230_071),
+    ("w/o double elimination", 6_020_838_766_643_457_200),
+    ("w/o barrage", 12_502_381_337_572_602_175),
+    ("w/o consistency score", 9_043_373_539_748_532_960),
+    ("w/o execution score", 14_393_563_328_384_741_822),
+    ("all 2-player games", 17_513_324_579_727_683_078),
+    ("w/o early termination", 17_030_121_235_891_697_907),
+];
+
+/// Digest of a 16-player tournament over the full Redis space (5.3M configurations),
+/// too large for the workload's spec memo, so every spec the tournament uses is
+/// computed from the surface.
+const FULL_REDIS_PIN: u64 = 16_515_972_131_679_087_804;
+
+/// The pinned tournament shape: Redis at 10,000 configurations, 8 players per game and
+/// at most 4 Swiss rounds per region, regions played in order.
+fn pinned_config(regions: usize, seed: u64) -> TournamentConfig {
+    let mut config = TournamentConfig::scaled(regions, seed);
+    config.players_per_game = Some(8);
+    config.max_regional_rounds = 4;
+    config.parallel_regions = false;
+    config
+}
+
+fn run_config(
+    config: TournamentConfig,
+    profile: InterferenceProfile,
+    env_base: u64,
+) -> TournamentReport {
+    let workload = Workload::scaled(Application::Redis, 10_000);
+    let env_seed = env_base + config.seed * 10 + config.regions as u64;
+    let mut cloud = CloudEnvironment::new(VmType::M5_8xlarge, profile, env_seed);
+    DarwinGame::new(config).run(&workload, &mut cloud)
+}
+
 fn run_pinned_with(
     profile: InterferenceProfile,
     env_base: u64,
     regions: usize,
     seed: u64,
 ) -> TournamentReport {
-    let workload = Workload::scaled(Application::Redis, 10_000);
-    let mut config = TournamentConfig::scaled(regions, seed);
-    config.players_per_game = Some(8);
-    config.max_regional_rounds = 4;
-    config.parallel_regions = false;
-    let mut cloud = CloudEnvironment::new(
-        VmType::M5_8xlarge,
-        profile,
-        env_base + seed * 10 + regions as u64,
-    );
-    DarwinGame::new(config).run(&workload, &mut cloud)
+    run_config(pinned_config(regions, seed), profile, env_base)
 }
 
 fn run_pinned(regions: usize, seed: u64) -> TournamentReport {
@@ -73,6 +113,7 @@ fn tournament_outputs_match_golden_values() {
     for (regions, seed, champion, games, core_hours) in GOLDEN {
         let report = run_pinned(regions, seed);
         let label = format!("regions {regions}, seed {seed}");
+        assert_phases_never_create_players(&report, &label);
         assert_eq!(
             report.champion, champion,
             "{label}: champion drifted — the RNG stream or game ordering changed"
@@ -94,6 +135,7 @@ fn heavy_profile_tournament_outputs_match_golden_values() {
     for (regions, seed, champion, games, core_hours) in GOLDEN_HEAVY {
         let report = run_pinned_heavy(regions, seed);
         let label = format!("heavy profile, regions {regions}, seed {seed}");
+        assert_phases_never_create_players(&report, &label);
         assert_eq!(
             report.champion, champion,
             "{label}: champion drifted — the RNG stream or game ordering changed"
@@ -119,4 +161,96 @@ fn golden_runs_are_reproducible_within_a_process() {
     assert_eq!(first.champion, second.champion);
     assert_eq!(first.games_played, second.games_played);
     assert_eq!(first.core_hours.to_bits(), second.core_hours.to_bits());
+}
+
+/// No phase lets out more players than it took in. The regional phase takes in the
+/// configurations that played a regional game (or, without regional games, the
+/// entrants drawn for the global phase). A region puts `P/2` more into play each round
+/// after the first and may advance more than `P`, so counting `P` per region would
+/// understate it.
+fn assert_phases_never_create_players(report: &TournamentReport, label: &str) {
+    for phase in &report.phases {
+        assert!(
+            phase.players_in >= phase.players_out,
+            "{label}: the {} phase took in {} players and let out {}",
+            phase.name,
+            phase.players_in,
+            phase.players_out
+        );
+    }
+}
+
+/// FNV-1a over every field of a report as little-endian 64-bit words, floats as their
+/// bits and phase names byte by byte. The regional phase's `players_in` is left out:
+/// it counts the configurations that played a regional game, which
+/// `assert_phases_never_create_players` checks instead.
+fn report_digest(report: &TournamentReport) -> u64 {
+    let mut words = vec![
+        report.champion,
+        u64::from(report.runner_up.is_some()),
+        report.runner_up.unwrap_or(0),
+        report.champion_observed_time.to_bits(),
+        report.regional_winners as u64,
+        report.games_played as u64,
+        report.core_hours.to_bits(),
+        report.wall_clock_seconds.to_bits(),
+        report.phases.len() as u64,
+    ];
+    for (index, phase) in report.phases.iter().enumerate() {
+        words.push(phase.name.len() as u64);
+        words.extend(phase.name.bytes().map(u64::from));
+        if index > 0 {
+            words.push(phase.players_in as u64);
+        }
+        words.push(phase.players_out as u64);
+        words.push(phase.games as u64);
+        words.push(phase.core_hours.to_bits());
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn every_ablation_variant_matches_its_pinned_report() {
+    let variants = AblationConfig::paper_variants();
+    assert_eq!(variants.len(), ABLATION_PINS.len());
+    let distinct: std::collections::BTreeSet<u64> =
+        ABLATION_PINS.iter().map(|(_, pin)| *pin).collect();
+    assert_eq!(
+        distinct.len(),
+        ABLATION_PINS.len(),
+        "two variants share a report"
+    );
+    for ((name, ablation), (pinned_name, pinned)) in variants.into_iter().zip(ABLATION_PINS) {
+        assert_eq!(name, pinned_name, "paper_variants() changed order");
+        let mut config = pinned_config(16, 4);
+        config.ablation = ablation;
+        let report = run_config(config, InterferenceProfile::typical(), 1000);
+        assert_phases_never_create_players(&report, name);
+        assert_eq!(
+            report_digest(&report),
+            pinned,
+            "{name}: the report moved: {report:?}"
+        );
+    }
+}
+
+#[test]
+fn full_redis_tournament_matches_its_pinned_report() {
+    let workload = Workload::full(Application::Redis);
+    let mut config = TournamentConfig::scaled(24, 5);
+    config.players_per_game = Some(16);
+    config.parallel_regions = false;
+    let mut cloud = CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 53);
+    let report = DarwinGame::new(config).run(&workload, &mut cloud);
+    assert_phases_never_create_players(&report, "full Redis");
+    assert_eq!(
+        report_digest(&report),
+        FULL_REDIS_PIN,
+        "the report moved: {report:?}"
+    );
 }
