@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use darwin_core::{play_game, run_region, DarwinGame, GameOptions, TournamentConfig};
-use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimRng, SimTime, VmType};
+use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimRng, VmType};
 use dg_exec::{ExecutionBackend, GameBatchItem};
 use dg_scenario::{ScenarioEvent, ScenarioSpec};
 use dg_tuners::GaussianProcess;
@@ -30,16 +30,6 @@ fn bench_surface_evaluation(c: &mut Criterion) {
 }
 
 fn bench_interference_sampling(c: &mut Criterion) {
-    let model = InterferenceProfile::typical().build(42);
-    c.bench_function("interference_level", |b| {
-        let mut t = 0.0f64;
-        b.iter(|| {
-            t += 13.7;
-            black_box(model.level(SimTime::from_seconds(t)))
-        })
-    });
-    // The memoizing sampler the game engine uses: bit-identical to the boxed model
-    // above, minus the dyn dispatch and the per-epoch rehashing.
     let sampler = InterferenceProfile::typical().sampler(42);
     c.bench_function("interference_sampler_level", |b| {
         let mut t = 0.0f64;

@@ -3,7 +3,7 @@
 //! `campaign_fingerprint` recorded in `BENCH_fig15.json`. A change to the simulator,
 //! the tournament, or the report that moves any reported number (a champion, a cost, a
 //! re-measured time) fails here; the `dg-cloudsim` batteries check the game engine
-//! itself bit for bit against a stepped `ColocatedRun`.
+//! itself bit for bit against the crate's test-only one-call-per-step reference.
 
 use dg_campaign::Campaign;
 use dg_exec::json::fnv1a;

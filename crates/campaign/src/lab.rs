@@ -121,8 +121,10 @@ pub struct LabOutcome {
     pub discarded_cells: usize,
 }
 
-/// A persistent campaign lab directory. See the [module docs](self) for the layout
-/// and guarantees.
+/// A persistent campaign lab directory: a `manifest.json` and one single-cell
+/// [`ShardReport`] per completed cell under `cells/`. Reopening a lab skips its
+/// completed cells and re-runs any cell whose file is corrupt or belongs to another
+/// spec.
 #[derive(Debug)]
 pub struct CampaignLab {
     dir: PathBuf,

@@ -1,11 +1,7 @@
 //! The top-level cloud and dedicated execution environments.
 
-use crate::colocation::{
-    ColocatedRun, ColocationOutcome, CONTENTION_COEFF, MEASUREMENT_NOISE_STD, PLAYER_JITTER_STD,
-};
 use crate::cost::CostTracker;
 use crate::interference::{InterferenceProfile, InterferenceSampler};
-use crate::record::{RunKind, RunLog, RunRecord};
 use crate::rng::SimRng;
 use crate::spec::ExecutionSpec;
 use crate::time::SimTime;
@@ -14,7 +10,19 @@ use crate::vm::VmType;
 /// Safety cap on simulated game length, expressed as a multiple of the slowest player's
 /// dedicated execution time. Prevents run-away integration if a pathological spec is fed
 /// to the simulator.
-const MAX_RUN_MULTIPLIER: f64 = 64.0;
+pub(crate) const MAX_RUN_MULTIPLIER: f64 = 64.0;
+
+/// Strength of the contention added per co-located competitor, relative to full occupancy
+/// of the VM (`contention = COEFF * (players - 1) / vcpus`).
+pub(crate) const CONTENTION_COEFF: f64 = 0.35;
+
+/// Standard deviation of the per-player contention jitter: some players are hurt more by
+/// their co-runners than others, which is why DarwinGame re-tests promising players in
+/// several games.
+pub(crate) const PLAYER_JITTER_STD: f64 = 0.15;
+
+/// Standard deviation of per-player measurement noise on the progress rate.
+pub(crate) const MEASUREMENT_NOISE_STD: f64 = 0.003;
 
 /// The observation returned by a committed single-configuration run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,8 +241,8 @@ fn top_two(work: &[f64]) -> (f64, f64) {
 
 /// A shared, interference-prone cloud node on which tuning is performed.
 ///
-/// The environment owns a simulated wall clock, an interference sampler for its node, a
-/// cost tracker, and a run log. All tuners (baselines and DarwinGame) evaluate
+/// The environment owns a simulated wall clock, an interference sampler for its node and
+/// a cost tracker. All tuners (baselines and DarwinGame) evaluate
 /// configurations exclusively through this type, so they are all exposed to the same
 /// noise statistics.
 pub struct CloudEnvironment {
@@ -242,13 +250,11 @@ pub struct CloudEnvironment {
     profile: InterferenceProfile,
     seed: u64,
     node_seed: u64,
-    /// The node's interference signal, bit-identical to the boxed model
-    /// `profile.build(node_seed)` that a [`ColocatedRun`] steps through.
+    /// The node's interference signal, `profile.sampler(node_seed)`.
     sampler: InterferenceSampler,
     clock: SimTime,
     cost: CostTracker,
     rng: SimRng,
-    log: RunLog,
     scratch: GameScratch,
 }
 
@@ -258,7 +264,6 @@ impl std::fmt::Debug for CloudEnvironment {
             .field("vm", &self.vm)
             .field("clock", &self.clock)
             .field("core_hours", &self.cost.core_hours())
-            .field("runs", &self.log.len())
             .finish()
     }
 }
@@ -280,7 +285,6 @@ impl CloudEnvironment {
             clock: SimTime::ZERO,
             cost: CostTracker::new(),
             rng: rng.derive("games"),
-            log: RunLog::new(),
             scratch: GameScratch::default(),
         }
     }
@@ -326,11 +330,6 @@ impl CloudEnvironment {
         &self.cost
     }
 
-    /// Audit log of committed runs.
-    pub fn run_log(&self) -> &RunLog {
-        &self.log
-    }
-
     /// Default number of players per game on this VM (its vCPU count), the paper's `P`.
     pub fn players_per_game(&self) -> usize {
         self.vm.vcpus()
@@ -342,54 +341,16 @@ impl CloudEnvironment {
         self.sampler.level(t)
     }
 
-    /// Starts a co-located game of the given configurations at the current clock.
-    ///
-    /// The returned [`ColocatedRun`] is the step-by-step reference for the engine behind
-    /// [`play_game`](Self::play_game), drawing from the same RNG stream. It is
-    /// independent of the environment; once stepping is done, pass its outcome's
-    /// players, start and elapsed time to [`commit_parts`](Self::commit_parts) to
-    /// account for its cost and advance the clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `specs` is empty.
-    pub fn start_colocated(&mut self, specs: &[ExecutionSpec]) -> ColocatedRun {
-        assert!(!specs.is_empty(), "a game needs at least one player");
-        let scaled: Vec<ExecutionSpec> = specs
-            .iter()
-            .map(|s| s.scaled(self.vm.speed_factor()))
-            .collect();
-        ColocatedRun::new(
-            self.vm,
-            self.clock,
-            scaled,
-            self.profile.build(self.node_seed),
-            &mut self.rng,
-        )
-    }
-
     /// Accounts for a finished game and advances the wall clock by its elapsed time.
     pub fn commit(&mut self, play: &GamePlay) {
-        self.commit_parts(play.players(), play.start, play.elapsed);
+        self.commit_elapsed(play.elapsed);
     }
 
-    /// [`commit`](Self::commit) from the raw accounting triple `(players, start,
-    /// elapsed)` instead of a full [`GamePlay`]: what a solo run or a stepped
-    /// [`ColocatedRun`]'s outcome carries.
-    pub fn commit_parts(&mut self, players: usize, start: SimTime, elapsed: f64) {
+    /// Charges `elapsed` seconds of the node and advances the clock by them: the
+    /// accounting of one game or solo run.
+    fn commit_elapsed(&mut self, elapsed: f64) {
         self.cost.charge_serial(self.vm, elapsed);
         self.clock += elapsed;
-        self.log.push(RunRecord {
-            kind: if players == 1 {
-                RunKind::Single
-            } else {
-                RunKind::Colocated
-            },
-            players,
-            vm: self.vm,
-            start,
-            elapsed,
-        });
     }
 
     /// Accounts for a batch of games that ran concurrently on identical VMs: every game
@@ -402,36 +363,13 @@ impl CloudEnvironment {
         self.cost.charge_parallel(self.vm, &elapsed);
         let max_elapsed = elapsed.iter().copied().fold(0.0_f64, f64::max);
         self.clock += max_elapsed;
-        for play in plays {
-            self.log.push(RunRecord {
-                kind: if play.players() == 1 {
-                    RunKind::Single
-                } else {
-                    RunKind::Colocated
-                },
-                players: play.players(),
-                vm: self.vm,
-                start: play.start,
-                elapsed: play.elapsed,
-            });
-        }
-    }
-
-    /// Convenience helper: runs a co-located game to completion, commits it, and returns
-    /// the outcome.
-    pub fn run_colocated_to_completion(&mut self, specs: &[ExecutionSpec]) -> ColocationOutcome {
-        let mut run = self.start_colocated(specs);
-        let cap = self.run_cap(specs);
-        run.run_to_completion(cap);
-        let outcome = run.into_outcome();
-        self.commit_parts(outcome.players(), outcome.start_time(), outcome.elapsed());
-        outcome
     }
 
     /// Runs a single configuration alone on the node, committing its cost.
     ///
     /// Draws the same two normals from the game RNG stream as a one-player
-    /// [`ColocatedRun`], and observes the same time.
+    /// [`play_game`](Self::play_game), and observes the same time as a one-player game
+    /// without early termination.
     pub fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {
         let started_at = self.clock;
         let jitter = self.rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4);
@@ -440,7 +378,7 @@ impl CloudEnvironment {
             .normal_with(1.0, MEASUREMENT_NOISE_STD)
             .clamp(0.99, 1.01);
         let (observed_time, elapsed) = self.solo_run(spec, started_at, jitter, noise);
-        self.commit_parts(1, started_at, elapsed);
+        self.commit_elapsed(elapsed);
         ObservedRun {
             observed_time,
             started_at,
@@ -449,9 +387,22 @@ impl CloudEnvironment {
     }
 
     /// Plays one co-located game among `specs` under `rules`, starting at the current
-    /// clock: the physics of stepping a [`ColocatedRun`] under the Fig. 5 termination
-    /// rules, over the node's [`InterferenceSampler`] and reusable struct-of-arrays
+    /// clock, over the node's [`InterferenceSampler`] and reusable struct-of-arrays
     /// scratch buffers.
+    ///
+    /// The physics: each player draws a contention jitter `J` (normal around 1 with
+    /// standard deviation 0.15, clamped to `[0.6, 1.4]`), then each player a measurement
+    /// noise `N` (0.003, clamped to `[0.99, 1.01]`). The game steps
+    /// `dt = max(smallest scaled base time / 200, 0.25)` seconds at a time. In each step a
+    /// player advances its work fraction by `dt * N / (base * slowdown * O)`, where the
+    /// slowdown is `1 + sensitivity * max(0, (I * f + C) * J)`, `I` is the node's level
+    /// at the start of the step, `f` the VM's interference factor,
+    /// `C = 0.35 * (players - 1) / vcpus` the co-location contention and
+    /// `O = max(1, players / vcpus)` the time-sharing overload. A player that completes
+    /// its work inside a step gets the interpolated finish instant. The game stops after
+    /// the step in which the first player finishes, once 64 times the slowest unscaled
+    /// base time has elapsed, or by the Fig. 5 early-termination rule of [`GameRules`].
+    /// A player that did not finish observes `elapsed / work done`.
     ///
     /// Each step is four parts, each exact for the reason given:
     ///
@@ -468,10 +419,10 @@ impl CloudEnvironment {
     ///    largest work fractions counted with multiplicity, never the leader's index,
     ///    so a branch-free four-lane scan gives the reference's gap (see `top_two`).
     ///
-    /// Bit-identical to stepping a [`ColocatedRun`] in every output field and in the RNG
-    /// stream it consumes (the per-player jitter and measurement-noise draws happen in
-    /// the exact same order). The game is *uncommitted*: cost and clock are untouched
-    /// until the play is passed to [`commit`](Self::commit) or
+    /// The crate's tests check every output field and the RNG stream it consumes bit
+    /// for bit against a textbook loop that steps one player at a time and samples the
+    /// interference one component at a time. The game is *uncommitted*: cost and clock
+    /// are untouched until the play is passed to [`commit`](Self::commit) or
     /// [`commit_parallel`](Self::commit_parallel).
     ///
     /// # Panics
@@ -487,9 +438,9 @@ impl CloudEnvironment {
         let start_seconds = start.as_seconds();
 
         // Per-player hot state as flat struct-of-arrays, refilled in place. The jitter
-        // draws for all players come before the noise draws, mirroring
-        // `ColocatedRun::new`; the scaled specs are split into base/sensitivity columns
-        // so the per-step pass is a straight-line loop over flat `f64` arrays.
+        // draws for all players come before the noise draws; the scaled specs are split
+        // into base/sensitivity columns so the per-step pass is a straight-line loop over
+        // flat `f64` arrays.
         let scratch = &mut self.scratch;
         let rng = &mut self.rng;
         scratch.base.clear();
@@ -772,6 +723,7 @@ impl DedicatedEnvironment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn env(seed: u64) -> CloudEnvironment {
         CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), seed)
@@ -786,7 +738,6 @@ mod tests {
         assert!(run.observed_time >= 110.0, "observed {}", run.observed_time);
         assert!(cloud.clock().as_seconds() > 0.0);
         assert!(cloud.cost().core_hours() > 0.0);
-        assert_eq!(cloud.run_log().len(), 1);
     }
 
     #[test]
@@ -796,7 +747,6 @@ mod tests {
         let t = cloud.observe_single_at(spec, SimTime::from_seconds(1000.0), 0);
         assert!(t >= 95.0);
         assert_eq!(cloud.cost().core_hours(), 0.0);
-        assert_eq!(cloud.run_log().len(), 0);
     }
 
     #[test]
@@ -847,7 +797,6 @@ mod tests {
         let longest = a.elapsed.max(b.elapsed);
         cloud.commit_parallel(&[a, b]);
         assert!((cloud.clock().as_seconds() - longest).abs() < 1e-9);
-        assert_eq!(cloud.run_log().len(), 2);
     }
 
     #[test]
@@ -858,10 +807,89 @@ mod tests {
         // which is the one DarwinGame relies on.
         let mut cloud = env(7);
         let spec = ExecutionSpec::new(300.0, 1.0);
-        let outcome = cloud.run_colocated_to_completion(&[spec, spec]);
-        let times = outcome.observed_times();
+        let play = cloud.play_game(&[spec, spec], &GameRules::playoff());
+        let times = &play.observed_times;
         let relative_gap = (times[0] - times[1]).abs() / times[0].max(times[1]);
         assert!(relative_gap < 0.25, "gap {relative_gap}");
+    }
+
+    #[test]
+    fn single_player_quiet_run_matches_base_time() {
+        let mut cloud =
+            CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::Dedicated, 1);
+        let play = cloud.play_game(&[ExecutionSpec::new(100.0, 0.5)], &GameRules::default());
+        let t = play.observed_times[0];
+        // Only measurement noise (±1 % clamp) separates the observation from base time.
+        assert!((t - 100.0).abs() < 6.0, "observed {t}");
+        assert_eq!(play.execution_scores, [1.0]);
+    }
+
+    #[test]
+    fn faster_config_wins_under_shared_noise() {
+        let mut cloud = env(3);
+        cloud.set_clock(SimTime::from_seconds(500.0));
+        let specs = [
+            ExecutionSpec::new(200.0, 0.6),
+            ExecutionSpec::new(400.0, 0.6),
+        ];
+        let play = cloud.play_game(&specs, &GameRules::playoff());
+        assert!(play.observed_times[0] < play.observed_times[1]);
+        assert_eq!(play.execution_scores[0], 1.0);
+        assert!(play.execution_scores[1] < 1.0);
+    }
+
+    #[test]
+    fn early_stop_produces_extrapolated_times() {
+        // A lopsided game stops by the Fig. 5 rule long before anyone finishes, and each
+        // player's time is extrapolated from its work done.
+        let mut cloud =
+            CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::Dedicated, 1);
+        let specs = [
+            ExecutionSpec::new(100.0, 0.2),
+            ExecutionSpec::new(300.0, 0.2),
+        ];
+        let play = cloud.play_game(&specs, &GameRules::default());
+        assert!(play.early_terminated);
+        assert!(play.elapsed < 50.0, "stopped at {}", play.elapsed);
+        let est = &play.observed_times;
+        assert!(est[0] > 50.0 && est[0] < 200.0, "estimate {est:?}");
+        assert!(est[1] > est[0]);
+    }
+
+    #[test]
+    fn contention_slows_down_crowded_games() {
+        // Same spec run alone vs. packed with 31 co-runners: the crowded one must be slower.
+        let mut cloud =
+            CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::Dedicated, 1);
+        let spec = ExecutionSpec::new(100.0, 1.0);
+        let alone_t = cloud
+            .play_game(&[spec], &GameRules::playoff())
+            .observed_times[0];
+        let crowded_t = cloud
+            .play_game(&[spec; 32], &GameRules::playoff())
+            .observed_times[0];
+        assert!(
+            crowded_t > alone_t * 1.1,
+            "expected contention slowdown, alone={alone_t}, crowded={crowded_t}"
+        );
+    }
+
+    #[test]
+    fn overload_beyond_vcpus_time_shares() {
+        // 4 players on m5.large's 2 vCPUs: roughly 2x slowdown even with zero sensitivity.
+        let vm = VmType::M5Large;
+        let mut cloud = CloudEnvironment::new(vm, InterferenceProfile::Dedicated, 1);
+        let play = cloud.play_game(&[ExecutionSpec::new(100.0, 0.0); 4], &GameRules::playoff());
+        let scaled_base = 100.0 * vm.speed_factor();
+        for t in &play.observed_times {
+            assert!(*t > 1.8 * scaled_base, "observed {t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one player")]
+    fn empty_game_rejected() {
+        env(1).play_game(&[], &GameRules::default());
     }
 
     #[test]
@@ -893,57 +921,24 @@ mod tests {
         cloud.set_clock(SimTime::from_seconds(50.0));
     }
 
-    /// The reference game loop: a [`ColocatedRun`] stepped under the Fig. 5
-    /// early-termination rules. The engine behind [`CloudEnvironment::play_game`]
-    /// must reproduce this bit for bit. Also returns how many players finished.
+    /// Plays `specs` at `env`'s clock through the textbook reference loop, drawing
+    /// from `env`'s game RNG stream as [`CloudEnvironment::play_game`] does. Also
+    /// returns how many players finished.
     fn reference_game(
         env: &mut CloudEnvironment,
         specs: &[ExecutionSpec],
         rules: &GameRules,
     ) -> (GamePlay, usize) {
-        let mut run = env.start_colocated(specs);
-        let step = run.default_step();
-        let max_seconds = specs
-            .iter()
-            .map(ExecutionSpec::base_time)
-            .fold(0.0_f64, f64::max)
-            * MAX_RUN_MULTIPLIER;
-        let mut early_terminated = false;
-        while !run.any_finished() && run.elapsed() < max_seconds {
-            run.step(step);
-            if rules.early_termination && specs.len() > 1 {
-                let fractions = run.work_fractions();
-                let leader = run.leader();
-                let leader_work = fractions[leader];
-                if leader_work >= rules.min_leader_progress {
-                    let runner_up = fractions
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != leader)
-                        .map(|(_, w)| *w)
-                        .fold(0.0_f64, f64::max);
-                    let gap = if leader_work > 0.0 {
-                        (leader_work - runner_up) / leader_work
-                    } else {
-                        0.0
-                    };
-                    if gap >= rules.work_done_deviation {
-                        early_terminated = true;
-                        break;
-                    }
-                }
-            }
-        }
-        let outcome = run.into_outcome();
-        let finished = outcome.finish_times().iter().flatten().count();
-        let play = GamePlay {
-            start: outcome.start_time(),
-            elapsed: outcome.elapsed(),
-            observed_times: outcome.observed_times().to_vec(),
-            execution_scores: outcome.execution_scores(),
-            early_terminated,
-        };
-        (play, finished)
+        let start = env.clock;
+        reference::game(
+            env.vm,
+            &env.profile,
+            env.node_seed,
+            start,
+            specs,
+            &mut env.rng,
+            rules,
+        )
     }
 
     fn assert_plays_bit_identical(fast: &GamePlay, reference: &GamePlay, label: &str) {
@@ -1013,8 +1008,8 @@ mod tests {
                             &format!("{vm:?}/{profile:?}/seed={seed}/game={game}"),
                         );
                         // Advance both clocks identically so later games differ in start.
-                        fast_env.commit_parts(specs.len(), fast.start, fast.elapsed);
-                        ref_env.commit_parts(specs.len(), reference.start, reference.elapsed);
+                        fast_env.commit(&fast);
+                        ref_env.commit(&reference);
                         assert_eq!(fast_env.clock(), ref_env.clock());
                     }
                 }
@@ -1173,20 +1168,15 @@ mod tests {
             for i in 0..6 {
                 let spec = ExecutionSpec::new(50.0 + 30.0 * i as f64, 0.2 + 0.1 * i as f64);
                 let fast = fast_env.run_single(spec);
-                // The same run stepped through a one-player `ColocatedRun`.
-                let started_at = ref_env.clock();
-                let outcome = ref_env.run_colocated_to_completion(std::slice::from_ref(&spec));
-                let reference = ObservedRun {
-                    observed_time: outcome.observed_times()[0],
-                    started_at,
-                    elapsed: outcome.elapsed(),
-                };
+                // The same run as a one-player reference game, committed.
+                let (reference, _) = reference_game(&mut ref_env, &[spec], &GameRules::playoff());
+                ref_env.commit(&reference);
                 assert_eq!(
                     fast.observed_time.to_bits(),
-                    reference.observed_time.to_bits()
+                    reference.observed_times[0].to_bits()
                 );
                 assert_eq!(fast.elapsed.to_bits(), reference.elapsed.to_bits());
-                assert_eq!(fast.started_at, reference.started_at);
+                assert_eq!(fast.started_at, reference.start);
                 assert_eq!(fast_env.clock(), ref_env.clock());
                 assert_eq!(
                     fast_env.cost().core_hours().to_bits(),
@@ -1205,21 +1195,20 @@ mod tests {
                     let spec = ExecutionSpec::new(80.0 + 25.0 * i as f64, 0.3 + 0.2 * i as f64);
                     let start = SimTime::from_seconds(500.0 * (salt + 1) as f64);
                     let fast = cloud.observe_single_at(spec, start, salt);
-                    // The same observation stepped through a one-player `ColocatedRun`.
+                    // The same observation as a one-player reference game.
                     let mut ref_rng = SimRng::new(cloud.node_seed)
                         .derive_index(salt)
                         .derive("observe");
-                    let scaled = spec.scaled(cloud.vm.speed_factor());
-                    let mut run = ColocatedRun::new(
+                    let (reference, _) = reference::game(
                         cloud.vm,
+                        &cloud.profile,
+                        cloud.node_seed,
                         start,
-                        vec![scaled],
-                        cloud.profile.build(cloud.node_seed),
+                        &[spec],
                         &mut ref_rng,
+                        &GameRules::playoff(),
                     );
-                    run.run_to_completion(cloud.run_cap(std::slice::from_ref(&spec)));
-                    let reference = run.into_outcome().observed_times()[0];
-                    assert_eq!(fast.to_bits(), reference.to_bits());
+                    assert_eq!(fast.to_bits(), reference.observed_times[0].to_bits());
                 }
             }
         }

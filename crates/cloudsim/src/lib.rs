@@ -17,24 +17,28 @@
 //!   the physical mechanism DarwinGame exploits to rank configurations relatively. The
 //!   game engine steps flat per-player arrays: a packed rate-and-advance pass, a finish
 //!   fix-up only on the step someone finishes, and a four-lane top-2 scan for early
-//!   termination, with interference sampled eight steps per sampler call. A
-//!   [`ColocatedRun`] steps the same physics one call at a time and is the reference
-//!   the engine is tested against bit for bit.
+//!   termination, with interference sampled eight steps per sampler call. The crate's
+//!   tests check the engine bit for bit against a textbook loop that steps one player
+//!   and one interference component at a time.
 //! * **Cost accounting.** Every run is charged in core-hours
 //!   (`vCPUs × wall-clock`), the resource metric of Fig. 12 and Fig. 14.
 //!
 //! # Quick example
 //!
 //! ```
-//! use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, VmType};
+//! use dg_cloudsim::{CloudEnvironment, ExecutionSpec, GameRules, InterferenceProfile, VmType};
 //!
 //! let mut cloud = CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 42);
 //! let fast = ExecutionSpec::new(230.0, 0.8);
 //! let slow = ExecutionSpec::new(600.0, 0.2);
 //!
 //! // A co-located "game": both specs see identical background noise.
-//! let outcome = cloud.run_colocated_to_completion(&[fast, slow]);
-//! assert!(outcome.observed_times()[0] < outcome.observed_times()[1]);
+//! let play = cloud.play_game(&[fast, slow], &GameRules::playoff());
+//! assert!(play.observed_times[0] < play.observed_times[1]);
+//! assert_eq!(cloud.cost().core_hours(), 0.0);
+//!
+//! // Playing is free; committing charges the game and advances the clock.
+//! cloud.commit(&play);
 //! assert!(cloud.cost().core_hours() > 0.0);
 //! ```
 
@@ -42,23 +46,18 @@
 #![warn(missing_docs)]
 
 mod cloud;
-mod colocation;
 mod cost;
 mod interference;
-mod record;
+#[cfg(test)]
+mod reference;
 mod rng;
 mod spec;
 mod time;
 mod vm;
 
 pub use cloud::{CloudEnvironment, DedicatedEnvironment, GamePlay, GameRules, ObservedRun};
-pub use colocation::{ColocatedRun, ColocationOutcome, PlayerProgress};
 pub use cost::{CoreHours, CostDelta, CostSnapshot, CostTracker};
-pub use interference::{
-    BurstNoise, CompositeInterference, ConstantInterference, InterferenceModel,
-    InterferenceProfile, InterferenceSampler, RegimeNoise, ValueNoise,
-};
-pub use record::{RunKind, RunLog, RunRecord};
+pub use interference::{InterferenceProfile, InterferenceSampler};
 pub use rng::{hash_unit, mix, SimRng};
 pub use spec::ExecutionSpec;
 pub use time::SimTime;

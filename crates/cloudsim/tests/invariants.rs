@@ -4,8 +4,8 @@
 //!   only hurt, never speed a run up;
 //! * the default shared-cloud profile produces execution-time variability inside the
 //!   band the paper's motivation study observed (Fig. 1/2);
-//! * co-location with zero neighbours is a no-op: a single-player "game" behaves like a
-//!   plain dedicated run of that configuration.
+//! * co-location with zero neighbours is a no-op: a solo run behaves like a plain
+//!   dedicated run of that configuration.
 
 use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, SimTime, VmType};
 
@@ -63,17 +63,16 @@ fn typical_profile_cov_falls_in_the_observed_band() {
 
 #[test]
 fn colocation_with_zero_neighbours_is_a_noop() {
-    // A one-player game has no co-runner contention; on a dedicated (quiet) node the
-    // observed time must match the dedicated execution time up to the ±1 % measurement
-    // noise clamp (plus integration granularity).
+    // A solo run has no co-runner contention; on a dedicated (quiet) node the observed
+    // time must match the dedicated execution time up to the ±1 % measurement noise
+    // clamp (plus integration granularity).
     let mut cloud = CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::Dedicated, 9);
-    let spec = ExecutionSpec::new(300.0, 1.2);
-    let outcome = cloud.run_colocated_to_completion(std::slice::from_ref(&spec));
-    assert_eq!(outcome.players(), 1);
-    let observed = outcome.observed_times()[0];
+    let observed = cloud
+        .run_single(ExecutionSpec::new(300.0, 1.2))
+        .observed_time;
     assert!(
         (observed - 300.0).abs() <= 300.0 * 0.02,
-        "single-player quiet game should match base time, got {observed}"
+        "a quiet solo run should match its base time, got {observed}"
     );
 }
 
@@ -83,11 +82,11 @@ fn zero_neighbour_contention_does_not_depend_on_interference_sensitivity() {
     // ignores ambient interference, and with no neighbours there is no contention term,
     // so the observed time again matches the base time within the measurement clamp.
     let mut cloud = CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 21);
-    let spec = ExecutionSpec::new(250.0, 0.0);
-    let outcome = cloud.run_colocated_to_completion(std::slice::from_ref(&spec));
-    let observed = outcome.observed_times()[0];
+    let observed = cloud
+        .run_single(ExecutionSpec::new(250.0, 0.0))
+        .observed_time;
     assert!(
         (observed - 250.0).abs() <= 250.0 * 0.02,
-        "insensitive single-player game saw phantom contention: {observed}"
+        "an insensitive solo run saw phantom contention: {observed}"
     );
 }

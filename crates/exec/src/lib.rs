@@ -54,7 +54,6 @@ mod obs;
 mod process;
 mod sim;
 mod surrogate;
-mod tap;
 mod trace;
 
 /// The canonical JSON writer/parser, re-exported from `dg-obs` (where it moved so
@@ -73,7 +72,6 @@ pub use process::{
 };
 pub use sim::{sim_ops, SimProvider};
 pub use surrogate::{SurrogateBackend, SurrogateConfig, SurrogateProvider, SurrogateStats};
-pub use tap::{ObservationTap, TapBackend, TapEvent, TapProvider, TapSource};
 pub use trace::{
     profile_label, ExecutionTrace, RecordingBackend, ReplayBackend, TraceError, TraceEvent,
     TraceRecorder, TraceReplayer, TraceStream,

@@ -1,13 +1,12 @@
 //! Observability decorator: a transparent backend wrapper emitting a typed
 //! [`ObsEvent`] for every operation that crosses the seam.
 //!
-//! [`ObsBackend`] is the tracing sibling of [`TapBackend`](crate::TapBackend): it
-//! forwards every call verbatim — clock, cost, noise, forks, failure latching — and
-//! emits `game` / `solo` / `probe` events through the global `dg-obs` bus as a side
-//! channel. When observability is inactive (the default) each operation pays one
-//! relaxed atomic load and constructs nothing, and either way the wrapped backend is
-//! bit-identical to the bare one in every output — the differential battery in
-//! `tests/obs_backend.rs` pins that over every backend stack in the crate.
+//! [`ObsBackend`] forwards every call verbatim — clock, cost, noise, forks, failure
+//! latching — and emits `game` / `solo` / `probe` events through the global `dg-obs`
+//! bus as a side channel. When observability is inactive (the default) each operation
+//! pays one relaxed atomic load and constructs nothing, and either way the wrapped
+//! backend is bit-identical to the bare one in every output — the differential battery
+//! in `tests/obs_backend.rs` pins that over every backend stack in the crate.
 
 use crate::backend::{BackendProvider, ExecutionBackend};
 use dg_cloudsim::{

@@ -240,9 +240,11 @@ struct LaunchedJob {
 
 /// An [`ExecutionBackend`] that evaluates configurations by running real OS processes.
 ///
-/// See the [module docs](self) for the execution model, failure discipline, and
-/// timing modes. Job artifacts land under the backend's directory as
-/// `job-<n>/{stdout.log,stderr.log,status}`; forked sub-environments nest under
+/// Each evaluation renders the [`CommandTemplate`], runs the process and reads its
+/// completion marker. The first [`ProcessError`] latches into
+/// [`ExecutionBackend::failure`] and stops every later launch, and [`TimingSource`]
+/// picks how a run's time is measured. Job artifacts land under the backend's directory
+/// as `job-<n>/{stdout.log,stderr.log,status}`; forked sub-environments nest under
 /// `fork-<n>/` and share the parent's failure latch (a failed region fails its cell).
 pub struct ProcessBackend {
     template: CommandTemplate,

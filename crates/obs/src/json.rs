@@ -89,10 +89,12 @@ pub fn push_key(out: &mut String, first: &mut bool, key: &str) {
 /// The named recipes serialize as bare strings (`"typical"`, `"heavy"`,
 /// `"dedicated"`), the parameterised ones as single-key objects
 /// (`{"constant":0.5}`, `{"custom":[base,value_amplitude,regime_scale,
-/// burst_magnitude]}`). All parameters are finite by construction
-/// ([`InterferenceProfile`] builders assert it), so the shortest-round-trip float
-/// rendering of [`push_f64`] is lossless and [`parse_profile`] round-trips bit for
-/// bit. `dg-scenario` embeds profiles in `ScenarioSpec` documents through this pair.
+/// burst_magnitude]}`). The enum itself accepts any value: a negative or non-finite
+/// parameter is written as given, [`parse_profile`] rejects it, and
+/// [`InterferenceProfile::sampler`] panics on it. For every profile a node can run,
+/// the shortest-round-trip float rendering of [`push_f64`] is lossless and
+/// [`parse_profile`] round-trips bit for bit. `dg-scenario` embeds profiles in
+/// `ScenarioSpec` documents through this pair.
 pub fn push_profile(out: &mut String, profile: &InterferenceProfile) {
     match profile {
         InterferenceProfile::Dedicated => out.push_str("\"dedicated\""),

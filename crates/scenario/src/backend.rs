@@ -224,7 +224,7 @@ impl ScenarioBackend {
     }
 
     /// Charges one serially-committed span through the same arithmetic
-    /// `CloudEnvironment::commit_parts` uses, plus the scenario dollar meter.
+    /// `CloudEnvironment::commit` uses, plus the scenario dollar meter.
     fn charge_serial(&mut self, start: SimTime, elapsed: f64) {
         self.cost.charge_serial(self.inner.vm(), elapsed);
         self.clock += elapsed;
