@@ -3,10 +3,10 @@
 //! Runs the Figure 15 VM sweep (the pinned perf trajectory's campaign, via
 //! [`dg_bench::fig15_sweep_spec`]) twice on one worker:
 //!
-//! * **disabled** — the gate off, no sinks, no decorator: exactly the configuration
+//! * **disabled** — no sinks, no decorator: exactly the configuration
 //!   `fig15_vm_sweep` times, so this leg's report fingerprint must equal the one in
 //!   the reference `BENCH_fig15.json` (same process shape, same campaign);
-//! * **instrumented** — the gate on, a counting sink installed, and every cell's
+//! * **instrumented** — a counting sink installed, and every cell's
 //!   backend wrapped in [`ObsBackend`] via [`ObsProvider`]: campaign, cell, phase,
 //!   round, and game events all constructed and delivered.
 //!
@@ -26,7 +26,7 @@
 use dg_campaign::{Campaign, CampaignReport};
 use dg_exec::json::{fnv1a, parse, push_f64, push_key, push_str_literal, JsonValue};
 use dg_exec::{ObsProvider, SimProvider};
-use dg_obs::{install_sink, remove_sink, set_obs_enabled, EventSink, ObsRecord};
+use dg_obs::{install_sink, remove_sink, EventSink, ObsRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -100,20 +100,17 @@ fn main() {
 
     println!("=== dg-obs overhead gate (Fig. 15 sweep, 1 worker) ===\n");
 
-    // Disabled leg first: the gate defaults off, nothing installed — the exact
-    // configuration fig15_vm_sweep times for the pinned trajectory.
-    set_obs_enabled(false);
+    // Disabled leg first: no sink installed — the exact configuration
+    // fig15_vm_sweep times for the pinned trajectory.
     let (disabled_seconds, disabled_report) = timed(&campaign, false, reps);
     let fingerprint = fnv1a(&disabled_report.to_json());
     println!("disabled:     {disabled_seconds:>8.3} s  (fingerprint {fingerprint})");
 
-    // Instrumented leg: gate on, counting sink live, every backend decorated.
+    // Instrumented leg: counting sink live, every backend decorated.
     let sink = Arc::new(CountingSink::default());
-    set_obs_enabled(true);
     let sink_id = install_sink(sink.clone());
     let (instrumented_seconds, instrumented_report) = timed(&campaign, true, reps);
     remove_sink(sink_id);
-    set_obs_enabled(false);
     let events = sink.events.load(Ordering::Relaxed);
 
     assert_eq!(

@@ -226,8 +226,9 @@ impl Campaign {
     }
 
     /// Runs the campaign with every cell's backend supplied by `provider` — the
-    /// extension point record/replay, memoization, and future real-process or
-    /// surrogate backends plug into.
+    /// extension point that record/replay, real processes (`ProcessProvider`) and
+    /// instrumentation (`ObsProvider`) plug into. The cell's scenario and surrogate
+    /// then wrap that backend.
     ///
     /// # Panics
     ///

@@ -57,7 +57,7 @@ mod shard;
 mod spec;
 
 pub use dg_exec::{BackendProvider, ExecutionTrace, SurrogateConfig, TraceError};
-pub use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioProvider, ScenarioSpec};
+pub use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
 pub use executor::{default_workers, register_darwin_variant, standard_registry, Campaign};
 pub use lab::{CampaignLab, LabError, LabOutcome};
 pub use progress::{cell_cost_estimates, ProgressMeter, ProgressUpdate};

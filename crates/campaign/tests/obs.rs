@@ -1,7 +1,7 @@
 //! The `dg-obs` campaign neutrality battery.
 //!
-//! Observability must never perturb canonical artifacts: with the gate on and sinks
-//! installed (every event constructed and delivered), campaign, shard, and replay
+//! Observability must never perturb canonical artifacts: with a sink installed
+//! (every event constructed and delivered), campaign, shard, and replay
 //! reports must stay **byte-identical** to a bare run — across worker counts. The
 //! vendored proptest harness runs 64 deterministic cases per property, rotating
 //! through the three report kinds.
@@ -10,31 +10,29 @@
 //! parallel run, ordered by their `cell_seq` stamps, replay to exactly the sequence a
 //! 1-worker run produces.
 //!
-//! The global event gate and sink registry are process-wide, so everything
-//! serializes on a shared mutex and restores the disabled state before releasing it.
+//! The global sink registry is process-wide, so everything serializes on a shared
+//! mutex and removes its sink before releasing it.
 
 use dg_campaign::{Campaign, CampaignSpec, ExperimentScale, ShardPlan, ShardStrategy};
 use dg_cloudsim::{InterferenceProfile, VmType};
-use dg_obs::{install_sink, remove_sink, set_obs_enabled, ObsEvent, ObsRecord, RingSink};
+use dg_obs::{install_sink, remove_sink, ObsEvent, ObsRecord, RingSink};
 use dg_workloads::Application;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Serializes the battery: the obs gate and sink registry are process-global.
+/// Serializes the battery: the sink registry is process-global.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Runs `f` with observability fully live (gate on, a bounded ring installed) and
-/// restores the disabled state afterwards, returning the result and the ring.
+/// Runs `f` with observability fully live (a bounded ring installed) and removes the
+/// ring afterwards, returning the result and the ring.
 fn with_live_obs<T>(f: impl FnOnce() -> T) -> (T, Arc<RingSink>) {
     let ring = Arc::new(RingSink::new(65_536));
-    set_obs_enabled(true);
     let id = install_sink(ring.clone());
     let result = f();
     remove_sink(id);
-    set_obs_enabled(false);
     (result, ring)
 }
 
@@ -103,7 +101,6 @@ proptest! {
         let _guard = obs_lock();
         let spec = random_spec(tuner_count, seed_count, base_seed);
         let campaign = Campaign::new(spec.clone());
-        set_obs_enabled(false);
         match mode {
             0 => {
                 let bare = campaign.run_with_workers(1);

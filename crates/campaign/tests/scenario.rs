@@ -3,8 +3,8 @@
 //! the default `steady` axis is invisible in reports (pre-axis byte compatibility).
 
 use dg_campaign::{
-    Campaign, CampaignReport, CampaignSpec, ExperimentScale, ScenarioSpec, ShardPlan, ShardReport,
-    ShardStrategy,
+    profile_label, Campaign, CampaignReport, CampaignSpec, ExperimentScale, ScenarioSpec,
+    ShardPlan, ShardReport, ShardStrategy,
 };
 use dg_exec::{sim_ops, ExecutionTrace};
 use std::sync::Arc;
@@ -66,6 +66,30 @@ fn scenario_campaigns_record_and_replay_byte_identically() {
         live.to_json(),
         "scenario transforms must re-apply identically at replay"
     );
+
+    // A scenario's profile override is what the provider sees: the trace stream header
+    // records it, while the cell result keeps the profile axis label.
+    let axis = profile_label(&campaign.spec().profiles[0]);
+    for cell in &live.cells {
+        let stream = trace
+            .stream(&format!("cell-{}", cell.index))
+            .expect("every cell records a stream");
+        let scenario = ScenarioSpec::by_name(&cell.scenario).expect("pack scenario");
+        let expected = scenario
+            .profile
+            .as_ref()
+            .map_or(axis.clone(), profile_label);
+        assert_eq!(stream.profile, expected, "cell {}", cell.index);
+        assert_eq!(cell.profile, axis, "cell {}", cell.index);
+    }
+    let noisy = live
+        .cells
+        .iter()
+        .find(|cell| cell.scenario == "noisy-cheap")
+        .expect("the pack sweeps noisy-cheap");
+    let header = trace.stream(&format!("cell-{}", noisy.index));
+    assert_eq!(header.map(|s| s.profile.as_str()), Some("heavy"));
+    assert_eq!(noisy.profile, "typical");
 }
 
 #[test]

@@ -61,7 +61,7 @@ impl DarwinGame {
     /// The regional phase runs on per-region sub-backends forked from `exec` (same VM
     /// type and interference profile); the global phase, playoffs, and final run on
     /// `exec` itself. Any [`ExecutionBackend`] works: the cloud simulator (the
-    /// default), a trace recorder/replayer, or a memoizing wrapper.
+    /// default), a trace recorder/replayer, or a real-process backend.
     pub fn run(&self, workload: &Workload, exec: &mut dyn ExecutionBackend) -> TournamentReport {
         let config = &self.config;
         let size = workload.size();

@@ -27,11 +27,14 @@ pub struct GameBatchItem<'a> {
 /// Implementations in this crate:
 ///
 /// * `dg_cloudsim::CloudEnvironment` — the simulator itself (the default);
+/// * [`ProcessBackend`](crate::ProcessBackend) — runs real OS processes as evaluations;
 /// * [`RecordingBackend`](crate::RecordingBackend) / [`ReplayBackend`](crate::ReplayBackend)
 ///   — record every outcome to an [`ExecutionTrace`](crate::ExecutionTrace), then replay
 ///   it with zero resimulation;
-/// * [`MemoBackend`](crate::MemoBackend) — a composable wrapper memoising solo
-///   evaluations.
+/// * [`SurrogateBackend`](crate::SurrogateBackend) — a wrapper serving confident repeat
+///   evaluations from an online model;
+/// * [`ObsBackend`](crate::ObsBackend) — a wrapper reporting every operation to the
+///   `dg-obs` event bus.
 pub trait ExecutionBackend: Send {
     /// The VM type this backend executes on.
     fn vm(&self) -> VmType;
@@ -142,6 +145,76 @@ pub trait ExecutionBackend: Send {
         None
     }
 }
+
+/// Writes the [`ExecutionBackend`] methods a decorator passes straight through to its
+/// `inner` backend, one name per method: `vm`, `profile`, `seed`, `clock`,
+/// `set_clock`, `cost`, `play_game`, `commit`, `commit_parallel` and `failure`.
+///
+/// There is no arm for `play_games_batch`, `observe_repeated` or `fork`: their trait
+/// defaults run through the decorator's own `play_game` and `observe_single_at`, and a
+/// fork must re-wrap, so forwarding them would let batched games, repeated probes and
+/// forked regions bypass the decorator. `players_per_game` keeps its default, which
+/// reads the forwarded `vm`.
+macro_rules! forward_to_inner {
+    ($($method:ident),+ $(,)?) => {
+        $(forward_to_inner!(@ $method);)+
+    };
+    (@ vm) => {
+        fn vm(&self) -> ::dg_cloudsim::VmType {
+            self.inner.vm()
+        }
+    };
+    (@ profile) => {
+        fn profile(&self) -> &::dg_cloudsim::InterferenceProfile {
+            self.inner.profile()
+        }
+    };
+    (@ seed) => {
+        fn seed(&self) -> u64 {
+            self.inner.seed()
+        }
+    };
+    (@ clock) => {
+        fn clock(&self) -> ::dg_cloudsim::SimTime {
+            self.inner.clock()
+        }
+    };
+    (@ set_clock) => {
+        fn set_clock(&mut self, t: ::dg_cloudsim::SimTime) {
+            self.inner.set_clock(t);
+        }
+    };
+    (@ cost) => {
+        fn cost(&self) -> &::dg_cloudsim::CostTracker {
+            self.inner.cost()
+        }
+    };
+    (@ play_game) => {
+        fn play_game(
+            &mut self,
+            specs: &[::dg_cloudsim::ExecutionSpec],
+            rules: &::dg_cloudsim::GameRules,
+        ) -> ::dg_cloudsim::GamePlay {
+            self.inner.play_game(specs, rules)
+        }
+    };
+    (@ commit) => {
+        fn commit(&mut self, play: &::dg_cloudsim::GamePlay) {
+            self.inner.commit(play);
+        }
+    };
+    (@ commit_parallel) => {
+        fn commit_parallel(&mut self, plays: &[::dg_cloudsim::GamePlay]) {
+            self.inner.commit_parallel(plays);
+        }
+    };
+    (@ failure) => {
+        fn failure(&self) -> Option<String> {
+            self.inner.failure()
+        }
+    };
+}
+pub(crate) use forward_to_inner;
 
 /// A factory of [`ExecutionBackend`]s, one per independent execution stream.
 ///

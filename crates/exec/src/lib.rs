@@ -16,11 +16,11 @@
 //! * [`TraceRecorder`] / [`TraceReplayer`] — record every outcome into an
 //!   [`ExecutionTrace`] (canonical JSON), then replay a whole campaign byte-identical
 //!   to the live run with **zero** resimulation (and zero process launches);
-//! * [`MemoBackend`] — a composable wrapper memoizing solo evaluations and
-//!   observations for exhaustive/oracle/grid-heavy paths;
 //! * [`SurrogateBackend`] — a composable wrapper fitting an online n-tuple model of
 //!   configuration → outcome and serving confident repeat evaluations from it,
-//!   cost-free, behind a tunable fraction and confidence gate.
+//!   cost-free, behind a tunable fraction and confidence gate;
+//! * [`ObsBackend`] / [`ObsProvider`] — a transparent wrapper reporting every game,
+//!   solo run and probe to the `dg-obs` event bus.
 //!
 //! The [`BackendProvider`] trait is the factory side: campaign executors create one
 //! backend per grid cell through a provider, which is what makes recording and
@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 mod backend;
-mod memo;
 mod obs;
 mod process;
 mod sim;
@@ -65,13 +64,12 @@ pub use backend::{BackendProvider, ExecutionBackend, GameBatchItem};
 // The game types live with the simulator that produces them; re-exported so the stack
 // above names them through the execution seam.
 pub use dg_cloudsim::{GamePlay, GameRules};
-pub use memo::MemoBackend;
 pub use obs::{ObsBackend, ObsProvider};
 pub use process::{
     process_launches, CommandTemplate, ProcessBackend, ProcessError, ProcessProvider, TimingSource,
 };
 pub use sim::{sim_ops, SimProvider};
-pub use surrogate::{SurrogateBackend, SurrogateConfig, SurrogateProvider, SurrogateStats};
+pub use surrogate::{SurrogateBackend, SurrogateConfig, SurrogateStats};
 pub use trace::{
     profile_label, ExecutionTrace, RecordingBackend, ReplayBackend, TraceError, TraceEvent,
     TraceRecorder, TraceReplayer, TraceStream,

@@ -3,15 +3,15 @@
 //!
 //! [`ObsBackend`] forwards every call verbatim — clock, cost, noise, forks, failure
 //! latching — and emits `game` / `solo` / `probe` events through the global `dg-obs`
-//! bus as a side channel. When observability is inactive (the default) each operation
+//! bus as a side channel. While no sink is installed (the default) each operation
 //! pays one relaxed atomic load and constructs nothing, and either way the wrapped
 //! backend is bit-identical to the bare one in every output — the differential battery
-//! in `tests/obs_backend.rs` pins that over every backend stack in the crate.
+//! in `tests/obs_backend.rs` pins that over the simulator, surrogate and scenario
+//! stacks.
 
-use crate::backend::{BackendProvider, ExecutionBackend};
+use crate::backend::{forward_to_inner, BackendProvider, ExecutionBackend};
 use dg_cloudsim::{
-    CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
-    VmType,
+    ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime, VmType,
 };
 use dg_obs::{emit_with, obs_active, ObsEvent};
 
@@ -27,20 +27,6 @@ impl ObsBackend {
     pub fn new(inner: Box<dyn ExecutionBackend>) -> Self {
         Self { inner }
     }
-
-    /// Unwraps the decorator.
-    pub fn into_inner(self) -> Box<dyn ExecutionBackend> {
-        self.inner
-    }
-
-    fn emit_game(play: &GamePlay) {
-        emit_with(|| ObsEvent::Game {
-            players: play.players(),
-            start: play.start.as_seconds(),
-            elapsed: play.elapsed,
-            early_terminated: play.early_terminated,
-        });
-    }
 }
 
 impl std::fmt::Debug for ObsBackend {
@@ -52,37 +38,17 @@ impl std::fmt::Debug for ObsBackend {
 }
 
 impl ExecutionBackend for ObsBackend {
-    fn vm(&self) -> VmType {
-        self.inner.vm()
-    }
-
-    fn profile(&self) -> &InterferenceProfile {
-        self.inner.profile()
-    }
-
-    fn seed(&self) -> u64 {
-        self.inner.seed()
-    }
-
-    fn clock(&self) -> SimTime {
-        self.inner.clock()
-    }
-
-    fn set_clock(&mut self, t: SimTime) {
-        self.inner.set_clock(t);
-    }
-
-    fn cost(&self) -> &CostTracker {
-        self.inner.cost()
-    }
-
-    fn players_per_game(&self) -> usize {
-        self.inner.players_per_game()
-    }
+    forward_to_inner!(vm, profile, seed, clock, set_clock, cost);
+    forward_to_inner!(commit, commit_parallel, failure);
 
     fn play_game(&mut self, specs: &[ExecutionSpec], rules: &GameRules) -> GamePlay {
         let play = self.inner.play_game(specs, rules);
-        Self::emit_game(&play);
+        emit_with(|| ObsEvent::Game {
+            players: play.players(),
+            start: play.start.as_seconds(),
+            elapsed: play.elapsed,
+            early_terminated: play.early_terminated,
+        });
         play
     }
 
@@ -104,22 +70,10 @@ impl ExecutionBackend for ObsBackend {
         observed
     }
 
-    fn commit(&mut self, play: &GamePlay) {
-        self.inner.commit(play);
-    }
-
-    fn commit_parallel(&mut self, plays: &[GamePlay]) {
-        self.inner.commit_parallel(plays);
-    }
-
     fn fork(&mut self, seed: u64) -> Box<dyn ExecutionBackend> {
         // Forked sub-environments stay instrumented; the bus is global, so no state
         // travels with the fork.
         Box::new(ObsBackend::new(self.inner.fork(seed)))
-    }
-
-    fn failure(&self) -> Option<String> {
-        self.inner.failure()
     }
 }
 

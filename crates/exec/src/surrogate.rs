@@ -10,11 +10,8 @@
 //! backend. Everything else falls through unchanged, so with the serving fraction at
 //! `0` the wrapper is bit-identical pass-through.
 
-use crate::backend::ExecutionBackend;
-use dg_cloudsim::{
-    CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
-    VmType,
-};
+use crate::backend::{forward_to_inner, ExecutionBackend};
+use dg_cloudsim::{ExecutionSpec, ObservedRun, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -241,11 +238,6 @@ impl SurrogateBackend {
         &self.config
     }
 
-    /// Unwraps the surrogate, discarding the model.
-    pub fn into_inner(self) -> Box<dyn ExecutionBackend> {
-        self.inner
-    }
-
     /// The four tuple keys of `spec`, most specific first.
     fn tuple_keys(&self, spec: &ExecutionSpec) -> [(u8, u64, u64); 4] {
         let b = spec.base_time();
@@ -331,35 +323,10 @@ impl SurrogateBackend {
 }
 
 impl ExecutionBackend for SurrogateBackend {
-    fn vm(&self) -> VmType {
-        self.inner.vm()
-    }
-
-    fn profile(&self) -> &InterferenceProfile {
-        self.inner.profile()
-    }
-
-    fn seed(&self) -> u64 {
-        self.inner.seed()
-    }
-
-    fn clock(&self) -> SimTime {
-        self.inner.clock()
-    }
-
-    fn set_clock(&mut self, t: SimTime) {
-        self.inner.set_clock(t);
-    }
-
-    fn cost(&self) -> &CostTracker {
-        self.inner.cost()
-    }
-
-    fn play_game(&mut self, specs: &[ExecutionSpec], rules: &GameRules) -> GamePlay {
-        // Games depend on the full player set and the clock: always live, never
-        // trained on (their observed times carry co-location slowdowns).
-        self.inner.play_game(specs, rules)
-    }
+    forward_to_inner!(vm, profile, seed, clock, set_clock, cost);
+    // Games depend on the full player set and the clock: always live, never trained on
+    // (their observed times carry co-location slowdowns).
+    forward_to_inner!(play_game, commit, commit_parallel, failure);
 
     fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {
         if !self.config.is_active() {
@@ -408,14 +375,6 @@ impl ExecutionBackend for SurrogateBackend {
         self.inner.observe_single_at(spec, start, salt)
     }
 
-    fn commit(&mut self, play: &GamePlay) {
-        self.inner.commit(play);
-    }
-
-    fn commit_parallel(&mut self, plays: &[GamePlay]) {
-        self.inner.commit_parallel(plays);
-    }
-
     fn fork(&mut self, seed: u64) -> Box<dyn ExecutionBackend> {
         // A fork is a different noise realisation: fresh model, shared counters.
         Box::new(SurrogateBackend::with_stats(
@@ -424,64 +383,13 @@ impl ExecutionBackend for SurrogateBackend {
             self.stats.clone(),
         ))
     }
-
-    fn failure(&self) -> Option<String> {
-        self.inner.failure()
-    }
-}
-
-/// A [`BackendProvider`](crate::BackendProvider) that wraps every backend of an inner
-/// provider in a [`SurrogateBackend`] — or hands the inner backend through untouched
-/// when the configuration is inactive, so a `fraction` of `0` has zero overhead.
-pub struct SurrogateProvider {
-    inner: Box<dyn crate::BackendProvider>,
-    config: SurrogateConfig,
-    stats: SurrogateStats,
-}
-
-impl SurrogateProvider {
-    /// Wraps `inner` under `config` (validated), with a fresh stats handle.
-    pub fn new(inner: Box<dyn crate::BackendProvider>, config: SurrogateConfig) -> Self {
-        config.validate();
-        Self {
-            inner,
-            config,
-            stats: SurrogateStats::new(),
-        }
-    }
-
-    /// The shared serving counters, summed over every backend this provider created.
-    pub fn stats(&self) -> &SurrogateStats {
-        &self.stats
-    }
-}
-
-impl crate::BackendProvider for SurrogateProvider {
-    fn backend(
-        &self,
-        stream: &str,
-        vm: VmType,
-        profile: &InterferenceProfile,
-        seed: u64,
-    ) -> Box<dyn ExecutionBackend> {
-        let inner = self.inner.backend(stream, vm, profile, seed);
-        if self.config.is_active() {
-            Box::new(SurrogateBackend::with_stats(
-                inner,
-                self.config,
-                self.stats.clone(),
-            ))
-        } else {
-            inner
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::sim_ops;
-    use dg_cloudsim::CloudEnvironment;
+    use dg_cloudsim::{CloudEnvironment, GameRules, InterferenceProfile, VmType};
 
     fn sim(seed: u64) -> Box<dyn ExecutionBackend> {
         Box::new(CloudEnvironment::new(

@@ -37,7 +37,7 @@
 //! checks, descriptive panics for mid-stream divergence, which can only be reached by
 //! driving a backend differently than it was recorded).
 
-use crate::backend::{BackendProvider, ExecutionBackend};
+use crate::backend::{forward_to_inner, BackendProvider, ExecutionBackend};
 use crate::json::{self, push_f64, push_key, push_str_literal, JsonValue};
 use dg_cloudsim::{
     CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
@@ -568,29 +568,8 @@ impl Drop for RecordingBackend {
 }
 
 impl ExecutionBackend for RecordingBackend {
-    fn vm(&self) -> VmType {
-        self.inner.vm()
-    }
-
-    fn profile(&self) -> &InterferenceProfile {
-        self.inner.profile()
-    }
-
-    fn seed(&self) -> u64 {
-        self.inner.seed()
-    }
-
-    fn clock(&self) -> SimTime {
-        self.inner.clock()
-    }
-
-    fn set_clock(&mut self, t: SimTime) {
-        self.inner.set_clock(t);
-    }
-
-    fn cost(&self) -> &CostTracker {
-        self.inner.cost()
-    }
+    forward_to_inner!(vm, profile, seed, clock, set_clock, cost);
+    forward_to_inner!(commit, commit_parallel, failure);
 
     fn play_game(&mut self, specs: &[ExecutionSpec], rules: &GameRules) -> GamePlay {
         let play = self.inner.play_game(specs, rules);
@@ -619,14 +598,6 @@ impl ExecutionBackend for RecordingBackend {
         time
     }
 
-    fn commit(&mut self, play: &GamePlay) {
-        self.inner.commit(play);
-    }
-
-    fn commit_parallel(&mut self, plays: &[GamePlay]) {
-        self.inner.commit_parallel(plays);
-    }
-
     fn fork(&mut self, seed: u64) -> Box<dyn ExecutionBackend> {
         let child_key = format!("{}/{}", self.key, self.forks);
         self.forks += 1;
@@ -640,10 +611,6 @@ impl ExecutionBackend for RecordingBackend {
             events: Vec::new(),
             forks: 0,
         })
-    }
-
-    fn failure(&self) -> Option<String> {
-        self.inner.failure()
     }
 }
 

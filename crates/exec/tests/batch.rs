@@ -3,7 +3,7 @@
 //! `ExecutionBackend::play_games_batch` is documented as an accounting-identical
 //! reordering of the per-game loop: same outcomes, same cost, same clock, same RNG
 //! stream. These tests enforce that contract across every composable backend — the
-//! raw simulator, the memoizer, the surrogate, scenario wrappers (plain, coupled, and
+//! raw simulator, the surrogate, scenario wrappers (plain, coupled, and
 //! integrated-load), and record→replay traces — over randomized tournaments.
 //!
 //! Every comparison is on `f64::to_bits`, not approximate equality: the batch path is
@@ -11,8 +11,8 @@
 
 use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, SimRng, VmType};
 use dg_exec::{
-    BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules, MemoBackend,
-    SimProvider, SurrogateBackend, SurrogateConfig, TraceRecorder, TraceReplayer,
+    BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules, SimProvider,
+    SurrogateBackend, SurrogateConfig, TraceRecorder, TraceReplayer,
 };
 use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
 
@@ -140,10 +140,6 @@ type BackendFactory = Box<dyn Fn(u64) -> Box<dyn ExecutionBackend>>;
 fn factories() -> Vec<(&'static str, BackendFactory)> {
     vec![
         ("sim", Box::new(sim)),
-        (
-            "memo",
-            Box::new(|seed| Box::new(MemoBackend::new(sim(seed))) as Box<dyn ExecutionBackend>),
-        ),
         (
             "surrogate",
             Box::new(|seed| {

@@ -1,43 +1,46 @@
 //! The `dg-obs` neutrality battery at the backend seam.
 //!
-//! [`ObsBackend`] is documented as a bit-transparent decorator: with observability
-//! disabled it is invisible, and with it **enabled** (gate on, sinks installed, every
-//! event actually constructed and delivered) the wrapped stack must still produce
-//! byte-for-byte the numbers the bare stack produces. These tests enforce that over
-//! every composable backend in the crate — simulator, memoizer, surrogate, scenario
-//! wrapper, record→replay traces, and the real-process backend — plus the decorator's
-//! side contracts: batch/loop interchangeability and `failure()` latching.
+//! [`ObsBackend`] is documented as a bit-transparent decorator: with no sink installed
+//! it is invisible, and with one **installed** (every event actually constructed and
+//! delivered) the wrapped stack must still produce byte-for-byte the numbers the bare
+//! stack produces. These tests enforce that over the composable backends — simulator,
+//! surrogate, scenario wrapper, record→replay traces — plus the decorator's side
+//! contracts: batch/loop interchangeability, exactly one event per operation, and
+//! none while no sink is installed.
 //!
-//! The global event gate and sink registry are process-wide, so every test
-//! serializes on a shared mutex and restores the disabled state before releasing it.
+//! A last battery checks the methods every decorator passes through to its inner
+//! backend — `vm`, `profile`, `seed`, `clock`, `cost` and `failure()` latching — on
+//! the obs, surrogate, scenario and recording decorators around a failing real-process
+//! backend.
+//!
+//! The global sink registry is process-wide, so every test serializes on a shared
+//! mutex and removes its sink before releasing it.
 
 use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, SimRng, SimTime, VmType};
 use dg_exec::{
     BackendProvider, CommandTemplate, ExecutionBackend, GameBatchItem, GamePlay, GameRules,
-    MemoBackend, ObsBackend, ObsProvider, ProcessBackend, SimProvider, SurrogateBackend,
-    SurrogateConfig, TraceRecorder, TraceReplayer,
+    ObsBackend, ObsProvider, ProcessProvider, SimProvider, SurrogateBackend, SurrogateConfig,
+    TraceRecorder, TraceReplayer,
 };
-use dg_obs::{install_sink, remove_sink, set_obs_enabled, ObsEvent, RingSink};
+use dg_obs::{install_sink, remove_sink, ObsEvent, RingSink};
 use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 const VM: VmType = VmType::M5_8xlarge;
 
-/// Serializes the battery: the obs gate and sink registry are process-global.
+/// Serializes the battery: the sink registry is process-global.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Runs `f` with observability fully live (gate on, a bounded ring installed) and
-/// restores the disabled state afterwards, returning the result and the ring.
+/// Runs `f` with observability fully live (a bounded ring installed) and removes the
+/// ring afterwards, returning the result and the ring.
 fn with_live_obs<T>(f: impl FnOnce() -> T) -> (T, Arc<RingSink>) {
     let ring = Arc::new(RingSink::new(65_536));
-    set_obs_enabled(true);
     let id = install_sink(ring.clone());
     let result = f();
     remove_sink(id);
-    set_obs_enabled(false);
     (result, ring)
 }
 
@@ -153,10 +156,6 @@ fn factories() -> Vec<(&'static str, BackendFactory)> {
     vec![
         ("sim", Box::new(sim)),
         (
-            "memo",
-            Box::new(|seed| Box::new(MemoBackend::new(sim(seed))) as Box<dyn ExecutionBackend>),
-        ),
-        (
             "surrogate",
             Box::new(|seed| {
                 Box::new(SurrogateBackend::new(sim(seed), SurrogateConfig::default()))
@@ -245,35 +244,6 @@ fn record_replay_stays_interchangeable_under_instrumentation() {
 }
 
 #[test]
-fn failure_latching_passes_through_the_decorator() {
-    let _guard = obs_lock();
-    let dir = std::env::temp_dir().join(format!("dg-obs-failure-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let template = CommandTemplate::new("/bin/sh", ["-c", "exit 3"]);
-    let inner = ProcessBackend::new(
-        template,
-        dir.clone(),
-        VM,
-        InterferenceProfile::typical(),
-        42,
-    );
-    let ((run, failure), _ring) = with_live_obs(|| {
-        let mut exec = ObsBackend::new(Box::new(inner));
-        assert_eq!(exec.failure(), None);
-        let run = exec.run_single(ExecutionSpec::new(100.0, 0.5));
-        (run, exec.failure())
-    });
-    assert_eq!(run.elapsed, 0.0, "failures charge nothing through the seam");
-    assert!(
-        failure
-            .expect("failure latched through the decorator")
-            .contains("exited"),
-        "the inner backend's latched failure must be visible through ObsBackend"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn every_seam_operation_emits_exactly_one_event() {
     let _guard = obs_lock();
     let ((), ring) = with_live_obs(|| {
@@ -294,11 +264,115 @@ fn every_seam_operation_emits_exactly_one_event() {
 #[test]
 fn disabled_obs_emits_nothing_through_the_decorator() {
     let _guard = obs_lock();
-    let ring = Arc::new(RingSink::new(16));
-    set_obs_enabled(false);
-    let id = install_sink(ring.clone());
+    // The sequence id one marker event is stamped with, under a briefly live sink.
+    let stamp = || {
+        let (seq, _ring) = with_live_obs(|| {
+            dg_obs::emit(ObsEvent::SpanStart {
+                name: "mark".into(),
+            })
+        });
+        seq.expect("a live sink stamps the marker")
+    };
+    let before = stamp();
     let mut exec = ObsBackend::new(sim(6));
-    exec.run_single(ExecutionSpec::new(90.0, 0.4));
-    remove_sink(id);
-    assert!(ring.is_empty(), "gate off: no events may reach sinks");
+    let spec = ExecutionSpec::new(90.0, 0.4);
+    let play = exec.play_game(&[spec, spec], &GameRules::default());
+    exec.commit(&play);
+    exec.run_single(spec);
+    exec.observe_single_at(spec, exec.clock(), 1);
+    assert_eq!(
+        stamp(),
+        before + 1,
+        "no sink installed: the decorator may emit no events"
+    );
+}
+
+/// A provider of real-process backends whose every job exits with status 3, each
+/// stream rooted under `root`.
+fn failing_processes(root: &std::path::Path) -> ProcessProvider {
+    ProcessProvider::new(CommandTemplate::new("/bin/sh", ["-c", "exit 3"]), root)
+}
+
+/// Every decorator around a failing process backend, each rooted in its own
+/// directory under `root`.
+fn failing_stacks(root: &std::path::Path) -> Vec<(&'static str, Box<dyn ExecutionBackend>)> {
+    let profile = InterferenceProfile::typical();
+    let inner = |name: &str| failing_processes(&root.join(name)).backend("root", VM, &profile, 42);
+    let mut scenario = ScenarioSpec::new("pass-through-battery");
+    scenario.events.push(ScenarioEvent::LoadShift {
+        at: 0.0,
+        factor: 1.5,
+    });
+    let recorder = TraceRecorder::new(
+        Box::new(failing_processes(&root.join("recording"))),
+        "pass-through-battery",
+        0,
+    );
+    vec![
+        ("obs", Box::new(ObsBackend::new(inner("obs")))),
+        (
+            "surrogate",
+            Box::new(SurrogateBackend::new(
+                inner("surrogate"),
+                SurrogateConfig::default(),
+            )),
+        ),
+        (
+            "scenario",
+            Box::new(ScenarioBackend::new(inner("scenario"), scenario, 42)),
+        ),
+        ("recording", recorder.backend("root", VM, &profile, 42)),
+    ]
+}
+
+#[test]
+fn failure_latching_passes_through_the_decorator() {
+    let _guard = obs_lock();
+    let dir = std::env::temp_dir().join(format!("dg-obs-failure-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = ExecutionSpec::new(100.0, 0.5);
+    let committed = |start: SimTime, elapsed: f64| GamePlay {
+        start,
+        elapsed,
+        observed_times: vec![elapsed],
+        execution_scores: vec![1.0],
+        early_terminated: false,
+    };
+    for (name, mut exec) in failing_stacks(&dir.join("wrapped")) {
+        let mut bare = failing_processes(&dir.join("bare").join(name)).backend(
+            "root",
+            VM,
+            &InterferenceProfile::typical(),
+            42,
+        );
+        let ((), _ring) = with_live_obs(|| {
+            for backend in [bare.as_mut(), exec.as_mut()] {
+                assert_eq!(backend.failure(), None, "{name}: nothing ran yet");
+                backend.set_clock(SimTime::from_seconds(50.0));
+            }
+            let run = exec.run_single(spec);
+            assert_eq!(run.elapsed, 0.0, "{name}: failures charge nothing");
+            assert_eq!(
+                run.observed_time.to_bits(),
+                bare.run_single(spec).observed_time.to_bits(),
+                "{name}: failed runs report the inner sentinel"
+            );
+            let game = exec.play_game(&[spec, spec], &GameRules::default());
+            assert_eq!(game, bare.play_game(&[spec, spec], &GameRules::default()));
+            for backend in [bare.as_mut(), exec.as_mut()] {
+                let start = backend.clock();
+                backend.commit(&committed(start, 30.0));
+                backend.commit_parallel(&[committed(start, 10.0), committed(start, 20.0)]);
+            }
+            let failure = exec.failure().expect("the inner failure is latched");
+            assert!(failure.contains("exited"), "{name}: {failure}");
+            assert_eq!(Some(failure), bare.failure(), "{name}: failure");
+            assert_eq!(exec.vm(), bare.vm(), "{name}: vm");
+            assert_eq!(exec.profile(), bare.profile(), "{name}: profile");
+            assert_eq!(exec.seed(), bare.seed(), "{name}: seed");
+            assert_eq!(exec.clock(), bare.clock(), "{name}: clock");
+            assert_eq!(exec.cost(), bare.cost(), "{name}: cost");
+        });
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,10 +2,9 @@
 //! canonical-JSON [`MetricsSnapshot`] export.
 //!
 //! This absorbs the ad-hoc globals that accumulated across the workspace —
-//! `dg_exec::sim_ops()`, `process_launches()`, `SurrogateStats`, memo
-//! `hits()`/`misses()` — behind one naming scheme (`exec.sim_ops`,
-//! `exec.process_launches`, …) while the original free functions stay as thin shims
-//! over their registry counters.
+//! `dg_exec::sim_ops()`, `process_launches()`, `SurrogateStats` — behind one naming
+//! scheme (`exec.sim_ops`, `exec.process_launches`, …) while the original free
+//! functions stay as thin shims over their registry counters.
 //!
 //! Counters track **two** readings: a process-wide total and a per-thread count.
 //! The per-thread reading is what `sim_ops()` has always exposed (replay tests use
@@ -14,7 +13,8 @@
 //!
 //! Metrics are always-on — an increment is a relaxed atomic add plus a
 //! thread-local add, the same order of cost as the scattered counters they
-//! replaced — only *event* emission sits behind the [`gate`](crate::obs_enabled).
+//! replaced — only *event* emission waits for an installed sink
+//! ([`obs_active`](crate::obs_active)).
 
 use crate::json::{push_f64, push_key, push_str_literal};
 use std::cell::RefCell;

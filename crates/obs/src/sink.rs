@@ -1,18 +1,19 @@
 //! The global event bus and the pluggable sinks it feeds.
 //!
-//! Instrumented code calls [`emit_with`] with a closure; when the process is
-//! *active* — the [`gate`](crate::obs_enabled) is on **and** at least one sink is
-//! installed — the closure builds the event, the bus stamps it with a process-wide
-//! monotone sequence id, and every installed [`EventSink`] receives the record. When
-//! inactive the call is one relaxed atomic load: the closure never runs, nothing
-//! allocates, and the instrumented code is indistinguishable from bare code.
+//! Instrumented code calls [`emit_with`] with a closure; while the bus is *active* —
+//! at least one sink is installed — the closure builds the event, the bus stamps it
+//! with a process-wide monotone sequence id, and every installed [`EventSink`]
+//! receives the record. When inactive the call is one relaxed atomic load: the
+//! closure never runs, nothing allocates, and the instrumented code is
+//! indistinguishable from bare code. Instrumentation never changes *results* — it is a
+//! pure side channel, and the differential batteries pin that reports stay
+//! byte-identical with sinks installed or not.
 //!
 //! Two sinks ship here: [`JsonlSink`] appends each record as one canonical-JSON line
 //! to a file, and [`RingSink`] keeps the most recent records in a bounded in-memory
 //! ring (counting what it dropped) for tests, benches, and live progress consumers.
 
 use crate::event::{ObsEvent, ObsRecord};
-use crate::gate::obs_enabled;
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,17 +33,12 @@ pub struct SinkId(u64);
 static SINKS: RwLock<Vec<(SinkId, Arc<dyn EventSink>)>> = RwLock::new(Vec::new());
 static NEXT_SINK: AtomicU64 = AtomicU64::new(0);
 static SEQ: AtomicU64 = AtomicU64::new(0);
+/// Whether [`SINKS`] is non-empty, cached so the hot path stays a single relaxed
+/// load. Only written under the registry's write lock.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-/// Recomputes the cached activity flag; called whenever the gate flips or the sink
-/// set changes, so the hot path stays a single relaxed load.
-pub(crate) fn refresh_active() {
-    let has_sinks = !SINKS.read().expect("sink registry poisoned").is_empty();
-    ACTIVE.store(obs_enabled() && has_sinks, Ordering::Relaxed);
-}
-
-/// True when events currently flow: the gate is enabled and a sink is installed.
-/// This is the one check instrumented hot paths pay when observability is off.
+/// True when events currently flow: at least one sink is installed. This is the one
+/// check instrumented hot paths pay when observability is off.
 #[inline]
 pub fn obs_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
@@ -51,24 +47,19 @@ pub fn obs_active() -> bool {
 /// Attaches `sink` to the bus; it receives every record emitted from now on.
 pub fn install_sink(sink: Arc<dyn EventSink>) -> SinkId {
     let id = SinkId(NEXT_SINK.fetch_add(1, Ordering::Relaxed));
-    SINKS
-        .write()
-        .expect("sink registry poisoned")
-        .push((id, sink));
-    refresh_active();
+    let mut sinks = SINKS.write().expect("sink registry poisoned");
+    sinks.push((id, sink));
+    ACTIVE.store(true, Ordering::Relaxed);
     id
 }
 
 /// Detaches a sink. Returns whether it was still installed.
 pub fn remove_sink(id: SinkId) -> bool {
-    let removed = {
-        let mut sinks = SINKS.write().expect("sink registry poisoned");
-        let before = sinks.len();
-        sinks.retain(|(sink_id, _)| *sink_id != id);
-        sinks.len() != before
-    };
-    refresh_active();
-    removed
+    let mut sinks = SINKS.write().expect("sink registry poisoned");
+    let before = sinks.len();
+    sinks.retain(|(sink_id, _)| *sink_id != id);
+    ACTIVE.store(!sinks.is_empty(), Ordering::Relaxed);
+    sinks.len() != before
 }
 
 /// Number of installed sinks.
@@ -215,12 +206,11 @@ impl EventSink for RingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::set_obs_enabled;
 
     #[test]
     fn inactive_bus_never_builds_events() {
-        let _guard = crate::test_gate_lock();
-        set_obs_enabled(false);
+        let _guard = crate::test_sink_lock();
+        assert!(!obs_active(), "no sink is installed");
         let built = std::cell::Cell::new(false);
         let seq = emit_with(|| {
             built.set(true);
@@ -231,23 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn enabled_without_sinks_is_still_inactive() {
-        let _guard = crate::test_gate_lock();
-        set_obs_enabled(true);
-        // Other tests in this binary may have sinks installed; only assert when the
-        // bus is really bare.
-        if sink_count() == 0 {
-            assert!(!obs_active());
-            assert_eq!(emit(ObsEvent::SpanStart { name: "x".into() }), None);
-        }
-        set_obs_enabled(false);
-    }
-
-    #[test]
     fn ring_records_and_bounds() {
-        let _guard = crate::test_gate_lock();
+        let _guard = crate::test_sink_lock();
         let ring = Arc::new(RingSink::new(2));
-        set_obs_enabled(true);
         let id = install_sink(ring.clone());
         assert!(obs_active());
         for round in 0..3 {
@@ -259,7 +235,7 @@ mod tests {
         }
         assert!(remove_sink(id));
         assert!(!remove_sink(id), "second removal is a no-op");
-        set_obs_enabled(false);
+        assert!(!obs_active(), "removing the last sink deactivates the bus");
         assert_eq!(ring.dropped(), 1);
         let records = ring.drain();
         assert_eq!(records.len(), 2);

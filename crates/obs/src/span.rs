@@ -54,15 +54,13 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::set_obs_enabled;
     use crate::sink::{install_sink, remove_sink, RingSink};
     use std::sync::Arc;
 
     #[test]
     fn spans_pair_start_and_end_by_sequence_id() {
-        let _guard = crate::test_gate_lock();
+        let _guard = crate::test_sink_lock();
         let ring = Arc::new(RingSink::new(16));
-        set_obs_enabled(true);
         let id = install_sink(ring.clone());
         {
             let span = Span::enter("phase.test");
@@ -70,7 +68,6 @@ mod tests {
             assert!(span.start_seq().is_some());
         }
         remove_sink(id);
-        set_obs_enabled(false);
         let records = ring.drain();
         assert_eq!(records.len(), 2);
         let start_seq = records[0].seq;
@@ -85,8 +82,7 @@ mod tests {
 
     #[test]
     fn inactive_spans_emit_nothing_even_at_drop() {
-        let _guard = crate::test_gate_lock();
-        set_obs_enabled(false);
+        let _guard = crate::test_sink_lock();
         let span = Span::enter("phase.silent");
         assert_eq!(span.start_seq(), None);
         drop(span);

@@ -3,7 +3,7 @@
 use crate::spec::ScenarioSpec;
 use crate::timeline::Timeline;
 use dg_cloudsim::{CostTracker, ExecutionSpec, InterferenceProfile, ObservedRun, SimTime, VmType};
-use dg_exec::{BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules};
+use dg_exec::{ExecutionBackend, GameBatchItem, GamePlay, GameRules};
 use dg_obs::{emit_with, ObsEvent};
 
 /// The pivot interference sensitivity for [`ScenarioSpec::load_coupling`]: a spec
@@ -418,45 +418,6 @@ impl ExecutionBackend for ScenarioBackend {
     }
 }
 
-/// A [`BackendProvider`] that applies one scenario to every stream of an inner
-/// provider: the factory-side composition point, mirroring how `TraceRecorder` wraps a
-/// provider. Campaign cells with per-cell scenarios wrap backends directly instead.
-pub struct ScenarioProvider {
-    inner: Box<dyn BackendProvider>,
-    scenario: ScenarioSpec,
-}
-
-impl ScenarioProvider {
-    /// Applies `scenario` over every backend `inner` creates.
-    pub fn new(inner: Box<dyn BackendProvider>, scenario: ScenarioSpec) -> Self {
-        scenario.validate();
-        Self { inner, scenario }
-    }
-
-    /// The scenario being applied.
-    pub fn scenario(&self) -> &ScenarioSpec {
-        &self.scenario
-    }
-}
-
-impl BackendProvider for ScenarioProvider {
-    fn backend(
-        &self,
-        stream: &str,
-        vm: VmType,
-        profile: &InterferenceProfile,
-        seed: u64,
-    ) -> Box<dyn ExecutionBackend> {
-        let effective = self.scenario.profile.as_ref().unwrap_or(profile);
-        let inner = self.inner.backend(stream, vm, effective, seed);
-        if self.scenario.is_passthrough() {
-            inner
-        } else {
-            Box::new(ScenarioBackend::new(inner, self.scenario.clone(), seed))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,28 +763,5 @@ mod tests {
                 batched.billed_dollars().to_bits()
             );
         }
-    }
-
-    #[test]
-    fn provider_applies_profile_override_and_skips_passthrough_wrapping() {
-        let provider = ScenarioProvider::new(
-            Box::new(dg_exec::SimProvider),
-            ScenarioSpec::by_name("noisy-cheap").expect("pack scenario"),
-        );
-        let backend = provider.backend("s", VM, &InterferenceProfile::typical(), 1);
-        assert_eq!(
-            backend.profile(),
-            &InterferenceProfile::Heavy,
-            "the scenario's profile override must win"
-        );
-
-        let steady = ScenarioProvider::new(Box::new(dg_exec::SimProvider), ScenarioSpec::steady());
-        let mut a = steady.backend("s", VM, &InterferenceProfile::typical(), 2);
-        let mut b = dg_exec::SimProvider.backend("s", VM, &InterferenceProfile::typical(), 2);
-        let spec = ExecutionSpec::new(100.0, 0.4);
-        assert_eq!(
-            a.run_single(spec).observed_time.to_bits(),
-            b.run_single(spec).observed_time.to_bits()
-        );
     }
 }

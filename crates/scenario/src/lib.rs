@@ -15,12 +15,12 @@
 //! * [`Timeline`] — the per-seed realisation: generator events expand through the
 //!   simulator's seeded hash streams, so the same backend sees the same incidents
 //!   every run and different backends see independent ones.
-//! * [`ScenarioBackend`] / [`ScenarioProvider`] — wrap any
-//!   [`ExecutionBackend`](dg_exec::ExecutionBackend) /
-//!   [`BackendProvider`](dg_exec::BackendProvider) and apply the timeline as the clock
-//!   advances, so tournaments, all baseline tuners, record/replay traces, and sharded
-//!   campaigns get scenarios for free through the existing seam. Pass-through
-//!   scenarios ([`ScenarioSpec::steady`]) are bit-identical to unwrapped execution.
+//! * [`ScenarioBackend`] — wraps any [`ExecutionBackend`](dg_exec::ExecutionBackend)
+//!   and applies the timeline as the clock advances, so tournaments, all baseline
+//!   tuners, record/replay traces, and sharded campaigns get scenarios for free through
+//!   the existing seam. Campaign cells wrap each backend their provider creates, after
+//!   applying the scenario's profile override; pass-through scenarios
+//!   ([`ScenarioSpec::steady`]) run unwrapped and stay bit-identical.
 //! * [`ScenarioSpec::pack`] — the built-in named scenarios (`steady`, `diurnal`,
 //!   `bursty-neighbor`, `regime-shift`, `preemption-heavy`, `hetero-fleet`,
 //!   `noisy-cheap`, `quiet-expensive`) plus the [`then`](ScenarioSpec::then) /
@@ -52,6 +52,6 @@ mod backend;
 mod spec;
 mod timeline;
 
-pub use backend::{ScenarioBackend, ScenarioProvider};
+pub use backend::ScenarioBackend;
 pub use spec::{ScenarioEvent, ScenarioSpec};
 pub use timeline::Timeline;

@@ -154,30 +154,27 @@ impl ScenarioEvent {
         event
     }
 
-    /// Validates one event.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a time anchor is negative, a duration/period/interval is not
-    /// strictly positive, a factor is not finite and positive, or a probability is
-    /// outside `[0, 1]`.
-    fn validate(&self) {
-        let anchor = |at: f64| assert!(at.is_finite() && at >= 0.0, "event time must be >= 0");
-        let span = |d: f64| assert!(d.is_finite() && d > 0.0, "durations/periods must be > 0");
-        let load = |f: f64| assert!(f.is_finite() && f > 0.0, "factors must be finite and > 0");
+    /// Checks one event: every time anchor is finite and `>= 0`, every
+    /// duration/period/interval finite and `> 0`, every factor finite and `> 0`, every
+    /// downtime finite and `>= 0`, and every probability in `[0, 1]`.
+    fn check(&self) -> Result<(), String> {
+        let anchor = |at: f64| require(at.is_finite() && at >= 0.0, "event time must be >= 0");
+        let span = |d: f64| require(d.is_finite() && d > 0.0, "durations/periods must be > 0");
+        let load = |f: f64| require(f.is_finite() && f > 0.0, "factors must be finite and > 0");
+        let outage = |d: f64| require(d.is_finite() && d >= 0.0, "downtime must be >= 0");
         match self {
             ScenarioEvent::LoadShift { at, factor } | ScenarioEvent::PriceChange { at, factor } => {
-                anchor(*at);
-                load(*factor);
+                anchor(*at)?;
+                load(*factor)
             }
             ScenarioEvent::Storm {
                 at,
                 duration,
                 factor,
             } => {
-                anchor(*at);
-                span(*duration);
-                load(*factor);
+                anchor(*at)?;
+                span(*duration)?;
+                load(*factor)
             }
             ScenarioEvent::StormFront {
                 start,
@@ -187,21 +184,18 @@ impl ScenarioEvent {
                 factor,
                 ..
             } => {
-                anchor(*start);
-                span(*period);
-                span(*duration);
-                load(*factor);
-                assert!(
+                anchor(*start)?;
+                span(*period)?;
+                span(*duration)?;
+                load(*factor)?;
+                require(
                     (0.0..=1.0).contains(chance),
-                    "storm chance must be in [0, 1]"
-                );
+                    "storm chance must be in [0, 1]",
+                )
             }
             ScenarioEvent::Preemption { at, downtime } => {
-                anchor(*at);
-                assert!(
-                    downtime.is_finite() && *downtime >= 0.0,
-                    "downtime must be >= 0"
-                );
+                anchor(*at)?;
+                outage(*downtime)
             }
             ScenarioEvent::Preemptions {
                 start,
@@ -209,24 +203,21 @@ impl ScenarioEvent {
                 downtime,
                 ..
             } => {
-                anchor(*start);
-                span(*mean_interval);
-                assert!(
-                    downtime.is_finite() && *downtime >= 0.0,
-                    "downtime must be >= 0"
-                );
+                anchor(*start)?;
+                span(*mean_interval)?;
+                outage(*downtime)
             }
             ScenarioEvent::Diurnal {
                 period,
                 amplitude,
                 phase,
             } => {
-                span(*period);
-                assert!(
+                span(*period)?;
+                require(
                     amplitude.is_finite() && *amplitude >= 0.0,
-                    "amplitude must be >= 0"
-                );
-                assert!(phase.is_finite(), "phase must be finite");
+                    "amplitude must be >= 0",
+                )?;
+                require(phase.is_finite(), "phase must be finite")
             }
         }
     }
@@ -373,6 +364,15 @@ impl ScenarioEvent {
     }
 }
 
+/// `Ok` when `ok` holds, otherwise the constraint's `message` as the error.
+fn require(ok: bool, message: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(message.to_string())
+    }
+}
+
 /// A declarative, composable description of a cloud scenario: an optional base
 /// interference-profile override, a VM fleet for forked sub-environments, and a
 /// deterministic event timeline.
@@ -471,18 +471,25 @@ impl ScenarioSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the name is empty or any event is invalid (see
-    /// [`ScenarioEvent`] field docs for the constraints).
+    /// Panics if the name is empty, the load coupling is outside `[0, 1]`, or any event
+    /// is invalid (see [`ScenarioEvent`] field docs for the constraints).
     pub fn validate(&self) {
-        assert!(!self.name.is_empty(), "scenario needs a name");
-        assert!(
-            self.load_coupling.is_finite() && (0.0..=1.0).contains(&self.load_coupling),
-            "load coupling must be in [0, 1], got {}",
-            self.load_coupling
-        );
-        for event in &self.events {
-            event.validate();
+        if let Err(message) = self.check() {
+            panic!("{message}");
         }
+    }
+
+    /// The constraints [`validate`](Self::validate) enforces and
+    /// [`from_value`](Self::from_value) reports, naming the first one violated.
+    fn check(&self) -> Result<(), String> {
+        require(!self.name.is_empty(), "scenario needs a name")?;
+        if !(self.load_coupling.is_finite() && (0.0..=1.0).contains(&self.load_coupling)) {
+            return Err(format!(
+                "load coupling must be in [0, 1], got {}",
+                self.load_coupling
+            ));
+        }
+        self.events.iter().try_for_each(ScenarioEvent::check)
     }
 
     /// Sequencing combinator: this scenario's full timeline overlaid with `next`'s
@@ -690,7 +697,8 @@ impl ScenarioSpec {
     }
 
     /// Parses a scenario from an already-parsed JSON value (used when specs embed
-    /// scenarios in larger documents).
+    /// scenarios in larger documents). A scenario that parses but breaks a constraint
+    /// of [`validate`](Self::validate) is an error too.
     pub fn from_value(root: &JsonValue) -> Result<ScenarioSpec, String> {
         let name = root
             .get("name")
@@ -729,25 +737,21 @@ impl ScenarioSpec {
         };
         let load_coupling = match root.get("load_coupling") {
             None => 0.0,
-            Some(value) => {
-                let c = value
-                    .number_token()
-                    .and_then(|t| t.parse::<f64>().ok())
-                    .ok_or_else(|| "scenario \"load_coupling\" is not a number".to_string())?;
-                if !(c.is_finite() && (0.0..=1.0).contains(&c)) {
-                    return Err(format!("scenario \"load_coupling\" {c} is outside [0, 1]"));
-                }
-                c
-            }
+            Some(value) => value
+                .number_token()
+                .and_then(|t| t.parse::<f64>().ok())
+                .ok_or_else(|| "scenario \"load_coupling\" is not a number".to_string())?,
         };
-        Ok(ScenarioSpec {
+        let spec = ScenarioSpec {
             name,
             profile,
             fleet,
             events,
             integrate_load,
             load_coupling,
-        })
+        };
+        spec.check()?;
+        Ok(spec)
     }
 
     /// A stable 64-bit fingerprint: FNV-1a over the canonical JSON form, so two specs
@@ -930,6 +934,12 @@ mod tests {
             "{\"name\":\"x\",\"profile\":null,\"fleet\":[],\"events\":[{\"op\":\"warp\"}]}",
             "{\"name\":\"x\",\"profile\":\"mystery\",\"fleet\":[],\"events\":[]}",
             "{\"name\":\"x\",\"profile\":null,\"fleet\":[],\"events\":[],\"integrate_load\":\"yes\"}",
+            // Well-formed JSON that breaks a `validate()` constraint.
+            "{\"name\":\"x\",\"fleet\":[],\"events\":[{\"op\":\"load\",\"at\":-5,\"factor\":0}]}",
+            "{\"name\":\"\",\"fleet\":[],\"events\":[]}",
+            "{\"name\":\"x\",\"fleet\":[],\"events\":[{\"op\":\"storm\",\"at\":1e999,\"duration\":60,\"factor\":2}]}",
+            "{\"name\":\"x\",\"fleet\":[],\"events\":[{\"op\":\"preempt\",\"at\":10,\"downtime\":-1}]}",
+            "{\"name\":\"x\",\"fleet\":[],\"events\":[],\"load_coupling\":1.5}",
         ] {
             assert!(ScenarioSpec::from_json(bad).is_err(), "{bad:?} must fail");
         }

@@ -12,7 +12,7 @@ use dg_workloads::{ConfigId, Workload};
 /// is fastest. Implementations differ only in how they choose which configurations to
 /// evaluate; they all observe the same noisy execution times. Because tuners only see
 /// the backend trait, the same tuner runs unchanged against the cloud simulator, a
-/// recorded trace, or a memoizing wrapper.
+/// recorded trace, or a real-process backend.
 pub trait Tuner {
     /// The tuner's display name, as used in the paper's figures.
     fn name(&self) -> &str;

@@ -110,7 +110,6 @@ fn observed<T>(
 }
 
 fn main() {
-    set_obs_enabled(true);
     let jsonl = std::env::var("DG_PROGRESS_JSONL")
         .ok()
         .map(|path| install_sink(Arc::new(JsonlSink::create(&path).expect("open JSONL sink"))));

@@ -11,8 +11,8 @@
 //!   BLISS, NTBEA ([`dg_tuners`]).
 //! * [`darwin`] — the DarwinGame tournament tuner and hybrid integration
 //!   ([`darwin_core`]).
-//! * [`exec`] — the [`dg_exec::ExecutionBackend`] trait with simulation, record/replay,
-//!   memoizing, and surrogate-model backends ([`dg_exec`]).
+//! * [`exec`] — the [`dg_exec::ExecutionBackend`] trait with simulation, real-process,
+//!   record/replay, surrogate-model and observability backends ([`dg_exec`]).
 //! * [`scenario`] — the composable cloud-scenario engine: declarative event timelines
 //!   (preemptions, diurnal load, regime shifts, fleets) over any backend
 //!   ([`dg_scenario`]).
@@ -66,15 +66,14 @@ pub mod prelude {
     };
     pub use dg_exec::{
         process_launches, BackendProvider, CommandTemplate, ExecutionBackend, ExecutionTrace,
-        GameRules, MemoBackend, ProcessBackend, ProcessError, ProcessProvider, SurrogateBackend,
-        SurrogateConfig, SurrogateProvider, SurrogateStats, TimingSource, TraceRecorder,
-        TraceReplayer,
+        GameRules, ProcessBackend, ProcessError, ProcessProvider, SurrogateBackend,
+        SurrogateConfig, SurrogateStats, TimingSource, TraceRecorder, TraceReplayer,
     };
     pub use dg_obs::{
-        emit, emit_with, install_sink, obs_enabled, remove_sink, set_obs_enabled, EventSink,
-        JsonlSink, MetricsSnapshot, ObsEvent, ObsRecord, RingSink, SinkId, Span,
+        emit, emit_with, install_sink, remove_sink, EventSink, JsonlSink, MetricsSnapshot,
+        ObsEvent, ObsRecord, RingSink, SinkId, Span,
     };
-    pub use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioProvider, ScenarioSpec};
+    pub use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
     pub use dg_serve::{
         ChampionMonitor, MonitorConfig, RetuneLoop, RetunePolicy, RetuneReport,
         RetuneScenarioSummary, RetuneSpec, RetuneSweep, ServeMode,
