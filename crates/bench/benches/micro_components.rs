@@ -89,13 +89,6 @@ fn bench_timeline_lookups(c: &mut Criterion) {
             black_box(timeline.price_factor(t))
         })
     });
-    c.bench_function("timeline_integrate_load_300s", |b| {
-        let mut t = 0.0f64;
-        b.iter(|| {
-            t += 37.3;
-            black_box(timeline.integrate_load(t, t + 300.0))
-        })
-    });
 }
 
 fn bench_single_game(c: &mut Criterion) {

@@ -1199,5 +1199,16 @@ mod tests {
             .to_json()
             .replace("\"shard\":0", "\"shard\":\"zero\"");
         assert!(ShardReport::from_json(&broken).is_err());
+        // A repeated key is an error, not a silent first-one-wins read.
+        let doubled = report.to_json().replacen(
+            "\"fingerprint\":",
+            "\"fingerprint\":\"0\",\"fingerprint\":",
+            1,
+        );
+        let err = ShardReport::from_json(&doubled).expect_err("a repeated key must fail");
+        assert!(
+            err.to_string().contains("duplicate key \"fingerprint\""),
+            "{err}"
+        );
     }
 }

@@ -6,6 +6,7 @@ use dg_campaign::{
     profile_label, Campaign, CampaignReport, CampaignSpec, ExperimentScale, ScenarioSpec,
     ShardPlan, ShardReport, ShardStrategy,
 };
+use dg_exec::json::fnv1a;
 use dg_exec::{sim_ops, ExecutionTrace};
 use std::sync::Arc;
 
@@ -31,6 +32,37 @@ fn pack_spec() -> CampaignSpec {
     spec.scale = tiny_scale();
     spec.base_seed = 21;
     spec
+}
+
+/// FNV-1a of the canonical report JSON of `spec` run on one worker.
+fn report_fingerprint(spec: CampaignSpec) -> u64 {
+    fnv1a(&Campaign::new(spec).run_with_workers(1).to_json())
+}
+
+/// Pins the scenario-wrapped reports absolutely. The worker-count, shard, replay and
+/// batch-vs-loop checks each compare two runs of the same decorator code, so a drift
+/// in the scenario arithmetic passes all of them and fails only here.
+#[test]
+fn pack_sweep_fingerprint_is_pinned() {
+    assert_eq!(report_fingerprint(pack_spec()), 8561475168023359286);
+}
+
+/// The same sweep with load coupled through sensitivity. The coupling is 0.7, not 1.0:
+/// at 1.0 the `(1 - c)` term of the exponent vanishes and hides a drift in it.
+#[test]
+fn coupled_pack_sweep_fingerprint_is_pinned() {
+    let mut spec = pack_spec();
+    spec.scenarios = ScenarioSpec::pack()
+        .into_iter()
+        .map(|s| {
+            if s.is_passthrough() {
+                s
+            } else {
+                s.with_load_coupling(0.7)
+            }
+        })
+        .collect();
+    assert_eq!(report_fingerprint(spec), 12896714631702731776);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! `ExecutionBackend::play_games_batch` is documented as an accounting-identical
 //! reordering of the per-game loop: same outcomes, same cost, same clock, same RNG
 //! stream. These tests enforce that contract across every composable backend — the
-//! raw simulator, the surrogate, scenario wrappers (plain, coupled, and
-//! integrated-load), and record→replay traces — over randomized tournaments.
+//! raw simulator, the surrogate, scenario wrappers (plain and load-coupled), and
+//! record→replay traces — over randomized tournaments.
 //!
 //! Every comparison is on `f64::to_bits`, not approximate equality: the batch path is
 //! only allowed transforms that are bitwise invisible.
@@ -102,7 +102,7 @@ fn sim(seed: u64) -> Box<dyn ExecutionBackend> {
 }
 
 /// A scenario with every kind of timeline structure the batch path must respect.
-fn eventful(name: &str, coupling: f64, integrated: bool) -> ScenarioSpec {
+fn eventful(name: &str, coupling: f64) -> ScenarioSpec {
     let mut spec = ScenarioSpec::new(name);
     spec.events = vec![
         ScenarioEvent::LoadShift {
@@ -127,9 +127,6 @@ fn eventful(name: &str, coupling: f64, integrated: bool) -> ScenarioSpec {
         },
     ];
     spec.load_coupling = coupling;
-    if integrated {
-        spec = spec.with_integrated_load();
-    }
     spec
 }
 
@@ -152,7 +149,7 @@ fn factories() -> Vec<(&'static str, BackendFactory)> {
             Box::new(|seed| {
                 Box::new(ScenarioBackend::new(
                     sim(seed),
-                    eventful("plain", 0.0, false),
+                    eventful("plain", 0.0),
                     seed,
                 )) as Box<dyn ExecutionBackend>
             }),
@@ -162,17 +159,7 @@ fn factories() -> Vec<(&'static str, BackendFactory)> {
             Box::new(|seed| {
                 Box::new(ScenarioBackend::new(
                     sim(seed),
-                    eventful("coupled", 0.7, false),
-                    seed,
-                )) as Box<dyn ExecutionBackend>
-            }),
-        ),
-        (
-            "scenario-integrated",
-            Box::new(|seed| {
-                Box::new(ScenarioBackend::new(
-                    sim(seed),
-                    eventful("integrated", 0.0, true),
+                    eventful("coupled", 0.7),
                     seed,
                 )) as Box<dyn ExecutionBackend>
             }),

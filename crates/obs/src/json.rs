@@ -248,7 +248,7 @@ impl JsonValue {
 const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON document. Returns a description of the first syntax error (with a
-/// byte offset) on malformed input.
+/// byte offset) on malformed input; a key repeated within one object is such an error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
@@ -460,7 +460,13 @@ impl Parser<'_> {
         }
         loop {
             self.skip_whitespace();
+            let key_start = self.pos;
             let key = self.parse_string()?;
+            // A repeated key would otherwise be shadowed silently: `get` finds the
+            // first entry only.
+            if entries.iter().any(|(seen, _)| *seen == key) {
+                return Err(format!("duplicate key {key:?} at byte {key_start}"));
+            }
             self.skip_whitespace();
             self.expect(b':')?;
             self.skip_whitespace();
@@ -568,9 +574,20 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "{\"a\":1} x", "1.2.3"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "{\"a\":1} x",
+            "1.2.3",
+            "{\"a\":1,\"b\":2,\"a\":3}",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
+        let err = parse("{\"a\":{\"k\":1,\"k\":2}}").expect_err("nested duplicate");
+        assert_eq!(err, "duplicate key \"k\" at byte 12");
     }
 
     #[test]

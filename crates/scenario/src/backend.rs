@@ -24,10 +24,13 @@ const REFERENCE_SENSITIVITY: f64 = 0.6;
 /// scenario charges its own tracker through the exact arithmetic the simulator uses.
 /// That is what lets the timeline inflate outcomes without double-charging:
 ///
-/// * the ambient **load factor** ([`Timeline::load_factor`], sampled at each
-///   operation's start) multiplies observed times and elapsed time — co-tenant
-///   arrivals/departures, slowdown storms, diurnal curves, and mid-run regime
-///   escalation all act through it;
+/// * the ambient **load factor** ([`Timeline::load_factor`]) multiplies observed times
+///   and elapsed time — co-tenant arrivals/departures, slowdown storms, diurnal
+///   curves, and mid-run regime escalation all act through it. It is read once, at
+///   each operation's start, and held for the whole operation. That is the one load
+///   model every scenario fingerprint pins: another model (integrating the level over
+///   the span, say) is a physics change that replaces this one and re-pins those
+///   fingerprints, not an option beside it;
 /// * **preemptions** strike operations in progress: the work done so far is lost, the
 ///   node is down for the event's `downtime`, and the operation restarts from scratch
 ///   (a preemption whose time passes while the node is idle is skipped);
@@ -112,16 +115,6 @@ impl ScenarioBackend {
         }
     }
 
-    /// The scenario being applied.
-    pub fn scenario(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
-    /// The expanded timeline realisation of this backend.
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
     /// This node's relative hardware speed (`1.0` unless a fleet scenario assigned a
     /// different machine to this fork).
     pub fn relative_speed(&self) -> f64 {
@@ -137,56 +130,20 @@ impl ScenarioBackend {
         self.billed_dollars
     }
 
-    /// The scenario-relative slowdown factor for an operation starting at `t`.
-    fn factor_at(&self, t: SimTime) -> f64 {
-        self.speed * self.timeline.load_factor(t.as_seconds())
-    }
-
-    /// The scenario-scaled span of a base span of `base` seconds starting at `start`.
-    ///
-    /// By default the load factor is sampled once at `start` and held for the whole
-    /// span — stale for long operations that straddle a shift or storm edge. When the
-    /// scenario opts in via [`ScenarioSpec::with_integrated_load`], the factor is
-    /// instead integrated piecewise over the occupied window
-    /// `[start, start + speed * base)`, charging each load level only for the
-    /// wall-clock actually spent under it. The default path computes the exact
-    /// product the pre-flag code did, so existing goldens and fingerprints stay
-    /// byte-identical.
-    fn scaled_span(&self, start: SimTime, base: f64) -> f64 {
-        if self.spec.integrate_load {
-            let s = start.as_seconds();
-            self.timeline.integrate_load(s, s + self.speed * base)
-        } else {
-            self.factor_at(start) * base
-        }
-    }
-
-    /// [`scaled_span`](Self::scaled_span) for one player's observed time, honouring
-    /// [`ScenarioSpec::load_coupling`]: under coupling `c` the timeline's load level
-    /// `L` is felt as `L^((1 - c) + c * s / 0.6)` by a spec with interference
-    /// sensitivity `s` — fragile configurations amplify a storm, robust ones shrug it
-    /// off, and `s = 0.6` feels exactly the nominal factor. Hardware speed stays a
-    /// uniform multiplier (a slower machine slows everything equally). With coupling
-    /// off this *is* `scaled_span`, taken through the identical arithmetic so existing
-    /// goldens stay byte-identical.
-    fn scaled_span_for(&self, start: SimTime, base: f64, sensitivity: f64) -> f64 {
+    /// The observed-time multiplier for a spec with interference `sensitivity` under
+    /// the timeline's load level `load`, honouring [`ScenarioSpec::load_coupling`]:
+    /// under coupling `c` the level is felt as `load^((1 - c) + c * s / 0.6)` by a spec
+    /// with sensitivity `s`, so fragile configurations amplify a storm, robust ones
+    /// shrug it off, and `s = 0.6` feels exactly the nominal level. Hardware speed
+    /// stays a uniform multiplier (a slower machine slows everything equally).
+    fn observed_factor(&self, load: f64, sensitivity: f64) -> f64 {
         let c = self.spec.load_coupling;
         if c == 0.0 {
-            return self.scaled_span(start, base);
+            // The same formula at exponent 1, without the `powf`.
+            return self.speed * load;
         }
-        let load = if self.spec.integrate_load {
-            let s = start.as_seconds();
-            let span = self.speed * base;
-            if span > 0.0 {
-                self.timeline.integrate_load(s, s + span) / span
-            } else {
-                self.timeline.load_factor(s)
-            }
-        } else {
-            self.timeline.load_factor(start.as_seconds())
-        };
         let exponent = (1.0 - c) + c * sensitivity / REFERENCE_SENSITIVITY;
-        self.speed * load.powf(exponent) * base
+        self.speed * load.powf(exponent)
     }
 
     /// Moves the inner backend's clock forward to the scenario clock so inner noise
@@ -238,47 +195,17 @@ impl ScenarioBackend {
     }
 
     /// Applies the timeline transforms of [`play_game`](ExecutionBackend::play_game)
-    /// to one inner play: scale each observation by the (possibly coupled) load, scale
-    /// the wall-clock, then let preemptions strike it. `load` is a batch-hoisted
-    /// `Timeline::load_factor(play.start)` — valid only for sampled-at-start scenarios
-    /// and only when the play really starts at the hoisted instant; `None` recomputes
-    /// per call. Either way the arithmetic is the exact expression the unhoisted path
-    /// evaluates, so hoisting is bit-invisible.
-    // `a = factor * a` rather than `a *= factor`: the assignments keep the exact
-    // operand order of `scaled_span`/`scaled_span_for`, which is what makes the
-    // hoisted path's bit-identity self-evident.
-    #[allow(clippy::assign_op_pattern)]
-    fn apply_scenario_to_play(
-        &mut self,
-        play: &mut GamePlay,
-        specs: &[ExecutionSpec],
-        load: Option<f64>,
-    ) {
+    /// to one inner play: look the load level up once at the play's start, scale each
+    /// observation by its spec's factor, scale the wall-clock, then let preemptions
+    /// strike it.
+    fn apply_scenario_to_play(&mut self, play: &mut GamePlay, specs: &[ExecutionSpec]) {
         let start = play.start;
-        match load {
-            Some(lf) => {
-                let c = self.spec.load_coupling;
-                if c == 0.0 {
-                    for time in play.observed_times.iter_mut() {
-                        *time = self.speed * lf * *time;
-                    }
-                } else {
-                    for (time, spec) in play.observed_times.iter_mut().zip(specs) {
-                        let exponent = (1.0 - c) + c * spec.sensitivity() / REFERENCE_SENSITIVITY;
-                        *time = self.speed * lf.powf(exponent) * *time;
-                    }
-                }
-                let scaled_elapsed = self.speed * lf * play.elapsed;
-                play.elapsed = self.preempted_span(start, scaled_elapsed);
-            }
-            None => {
-                for (time, spec) in play.observed_times.iter_mut().zip(specs) {
-                    *time = self.scaled_span_for(start, *time, spec.sensitivity());
-                }
-                let scaled_elapsed = self.scaled_span(start, play.elapsed);
-                play.elapsed = self.preempted_span(start, scaled_elapsed);
-            }
+        let load = self.timeline.load_factor(start.as_seconds());
+        for (time, spec) in play.observed_times.iter_mut().zip(specs) {
+            *time *= self.observed_factor(load, spec.sensitivity());
         }
+        let scaled_elapsed = self.speed * load * play.elapsed;
+        play.elapsed = self.preempted_span(start, scaled_elapsed);
     }
 }
 
@@ -318,7 +245,7 @@ impl ExecutionBackend for ScenarioBackend {
         // co-located player leaves them untouched. The game's wall-clock (the thing
         // that is billed) scales machine-level: load occupies the node regardless of
         // which players were fragile enough to feel it in their observed times.
-        self.apply_scenario_to_play(&mut play, specs, None);
+        self.apply_scenario_to_play(&mut play, specs);
         play
     }
 
@@ -328,28 +255,12 @@ impl ExecutionBackend for ScenarioBackend {
         rules: &GameRules,
     ) -> Vec<GamePlay> {
         self.sync_inner_clock();
+        // One batch reaches the inner backend; each play is then transformed at its
+        // own start, consuming preemptions in play order exactly as the per-game loop
+        // would.
         let mut plays = self.inner.play_games_batch(games, rules);
-        // Uncommitted games never advance the clock, so every play in the batch starts
-        // at the same instant and one load-factor lookup serves them all — unless the
-        // scenario integrates load over each span (spans differ per play) or an exotic
-        // inner backend moved its clock mid-batch (guarded by the start check below).
-        let hoisted = if self.spec.integrate_load {
-            None
-        } else {
-            plays
-                .first()
-                .map(|p| (p.start, self.timeline.load_factor(p.start.as_seconds())))
-        };
         for (play, game) in plays.iter_mut().zip(games) {
-            let load = match hoisted {
-                Some((t, lf)) if t.as_seconds().to_bits() == play.start.as_seconds().to_bits() => {
-                    Some(lf)
-                }
-                _ => None,
-            };
-            // Preemptions are consumed in play order, exactly as the per-game loop
-            // would consume them.
-            self.apply_scenario_to_play(play, game.specs, load);
+            self.apply_scenario_to_play(play, game.specs);
         }
         plays
     }
@@ -373,7 +284,8 @@ impl ExecutionBackend for ScenarioBackend {
         // Cost-free measurement: the load factor at the observation instant applies,
         // preemptions do not (nothing is charged, nothing restarts).
         let inner = self.inner.observe_single_at(spec, start, salt);
-        self.scaled_span_for(start, inner, spec.sensitivity())
+        let load = self.timeline.load_factor(start.as_seconds());
+        inner * self.observed_factor(load, spec.sensitivity())
     }
 
     fn commit(&mut self, play: &GamePlay) {
@@ -537,84 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn integrated_load_charges_each_level_for_its_own_span() {
-        // A 100 s operation straddles a 2x load shift at t = 50. The stale
-        // sampled-at-start factor charges the whole op at the pre-shift level; the
-        // opt-in piecewise integration charges 50 s at 1.0 plus the remaining 50 s of
-        // base work at 2.0 = 150 s.
-        let shift = ScenarioEvent::LoadShift {
-            at: 50.0,
-            factor: 2.0,
-        };
-        // Sensitivity 0 makes the inner observation exactly the base time, so the
-        // scenario arithmetic is checked without interference noise in the way.
-        let spec = ExecutionSpec::new(100.0, 0.0);
-
-        let mut integrated_spec = ScenarioSpec::new("ramp").with_integrated_load();
-        integrated_spec.events.push(shift.clone());
-        let mut integrated = wrapped(integrated_spec, 11);
-        let mut stale_spec = ScenarioSpec::new("ramp-stale");
-        stale_spec.events.push(shift);
-        let mut stale = wrapped(stale_spec, 11);
-
-        // Both backends share a seed, so the inner (pre-scenario) observation x is
-        // identical; only measurement jitter keeps it from being exactly the 100 s
-        // base. The stale factor (sampled at t = 0, before the shift) reports x; the
-        // integrated window [0, x) charges 50 s at 1.0 plus the rest at 2.0 = 2x - 50.
-        let probe = integrated.observe_single_at(spec, SimTime::ZERO, 0);
-        let old = stale.observe_single_at(spec, SimTime::ZERO, 0);
-        assert!(
-            (old - 100.0).abs() < 6.0,
-            "jitter stays within +/-5%: {old}"
-        );
-        assert!(
-            (probe - (2.0 * old - 50.0)).abs() < 1e-9,
-            "integrated {probe} vs stale {old}"
-        );
-        // An observation starting after the shift sits entirely at the new level, so
-        // the two treatments agree there.
-        let t50 = SimTime::from_seconds(50.0);
-        let after = integrated.observe_single_at(spec, t50, 0);
-        let after_stale = stale.observe_single_at(spec, t50, 0);
-        assert!(
-            (after - after_stale).abs() < 1e-9,
-            "integrated {after} vs stale {after_stale}"
-        );
-        assert!(
-            after > 1.9 * old,
-            "post-shift probes run at the doubled level"
-        );
-
-        // Full runs go through the simulator's tick loop, so compare the two
-        // scenario treatments of the *same* inner outcome: for a window [0, x)
-        // straddling the t = 50 shift, the integral is 2x - 50 where the stale
-        // product is x.
-        let a = integrated.run_single(spec);
-        let b = stale.run_single(spec);
-        assert!(
-            (a.observed_time - (2.0 * b.observed_time - 50.0)).abs() < 1e-9,
-            "integrated {a:?} vs stale {b:?}"
-        );
-        assert!(
-            (a.elapsed - (2.0 * b.elapsed - 50.0)).abs() < 1e-9,
-            "integrated {a:?} vs stale {b:?}"
-        );
-    }
-
-    #[test]
-    fn integrated_steady_scenario_stays_exact() {
-        // With a constant load factor the integral is factor x base exactly, so the
-        // opt-in flag changes nothing on scenarios without mid-span structure.
-        let mut flagged = wrapped(ScenarioSpec::new("flat").with_integrated_load(), 9);
-        let mut plain = wrapped(ScenarioSpec::new("flat"), 9);
-        let spec = ExecutionSpec::new(100.0, 0.4);
-        let a = flagged.run_single(spec);
-        let b = plain.run_single(spec);
-        assert_eq!(a.observed_time.to_bits(), b.observed_time.to_bits());
-        assert_eq!(a.elapsed.to_bits(), b.elapsed.to_bits());
-    }
-
-    #[test]
     fn idle_crossed_preemptions_are_skipped() {
         let mut scenario = ScenarioSpec::new("spot-idle");
         scenario.events.push(ScenarioEvent::Preemption {
@@ -673,9 +507,8 @@ mod tests {
     #[test]
     fn batched_games_are_bit_identical_to_the_per_game_loop() {
         // Rich timelines (shift + storm + diurnal + preemptions), with and without
-        // load coupling and integrated load: the hoisted batch path must reproduce the
-        // sequential play_game loop bit for bit, including stateful preemption
-        // consumption and the shared clock.
+        // load coupling: the batch path must reproduce the sequential play_game loop
+        // bit for bit, including stateful preemption consumption and the shared clock.
         let mut eventful = ScenarioSpec::new("eventful");
         eventful.events = vec![
             ScenarioEvent::LoadShift {
@@ -702,10 +535,8 @@ mod tests {
         let mut coupled = eventful.clone();
         coupled.name = "eventful-coupled".into();
         coupled.load_coupling = 0.8;
-        let mut integrated = eventful.clone().with_integrated_load();
-        integrated.name = "eventful-integrated".into();
 
-        for scenario in [eventful, coupled, integrated] {
+        for scenario in [eventful, coupled] {
             let mut looped = wrapped(scenario.clone(), 21);
             let mut batched = wrapped(scenario, 21);
             let spec_sets: [&[ExecutionSpec]; 3] = [

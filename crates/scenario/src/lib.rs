@@ -20,12 +20,12 @@
 //!   tuners, record/replay traces, and sharded campaigns get scenarios for free through
 //!   the existing seam. Campaign cells wrap each backend their provider creates, after
 //!   applying the scenario's profile override; pass-through scenarios
-//!   ([`ScenarioSpec::steady`]) run unwrapped and stay bit-identical.
+//!   ([`ScenarioSpec::steady`]) run unwrapped and stay bit-identical. There is one
+//!   load model: each operation is scaled by the load level at its start.
 //! * [`ScenarioSpec::pack`] — the built-in named scenarios (`steady`, `diurnal`,
 //!   `bursty-neighbor`, `regime-shift`, `preemption-heavy`, `hetero-fleet`,
-//!   `noisy-cheap`, `quiet-expensive`) plus the [`then`](ScenarioSpec::then) /
-//!   [`overlay`](ScenarioSpec::overlay) / [`scale`](ScenarioSpec::scale) combinators
-//!   for synthesizing new ones.
+//!   `noisy-cheap`, `quiet-expensive`), with [`delayed`](ScenarioSpec::delayed) and
+//!   [`with_load_coupling`](ScenarioSpec::with_load_coupling) for their variants.
 //!
 //! # Quick example
 //!

@@ -50,7 +50,7 @@ pub enum ScenarioEvent {
         duration: f64,
         /// Multiplicative slowdown while a storm is active.
         factor: f64,
-        /// Number of windows to draw.
+        /// Number of windows to draw, at most 10,000.
         windows: u32,
     },
     /// A spot-instance preemption at `at`: the operation in progress loses its work,
@@ -71,7 +71,7 @@ pub enum ScenarioEvent {
         mean_interval: f64,
         /// Seconds until a replacement instance is up, per preemption.
         downtime: f64,
-        /// Number of preemptions to draw.
+        /// Number of preemptions to draw, at most 10,000.
         count: u32,
     },
     /// A spot-market price change: from `at` on, every committed core-hour is billed at
@@ -97,7 +97,7 @@ pub enum ScenarioEvent {
 
 impl ScenarioEvent {
     /// The event with its time anchor shifted `dt` seconds later (used by
-    /// [`ScenarioSpec::then`]). Diurnal curves shift phase so the shifted curve
+    /// [`ScenarioSpec::delayed`]). Diurnal curves shift phase so the shifted curve
     /// evaluates at `t` what the original evaluated at `t − dt`.
     fn shifted(&self, dt: f64) -> ScenarioEvent {
         let mut event = self.clone();
@@ -114,54 +114,21 @@ impl ScenarioEvent {
         event
     }
 
-    /// The event with its time axis stretched by `k` (used by [`ScenarioSpec::scale`]):
-    /// anchors, durations, periods, and intervals all multiply; factors, probabilities,
-    /// and counts are untouched.
-    fn time_scaled(&self, k: f64) -> ScenarioEvent {
-        let mut event = self.clone();
-        match &mut event {
-            ScenarioEvent::LoadShift { at, .. } | ScenarioEvent::PriceChange { at, .. } => *at *= k,
-            ScenarioEvent::Storm { at, duration, .. } => {
-                *at *= k;
-                *duration *= k;
-            }
-            ScenarioEvent::StormFront {
-                start,
-                period,
-                duration,
-                ..
-            } => {
-                *start *= k;
-                *period *= k;
-                *duration *= k;
-            }
-            ScenarioEvent::Preemption { at, downtime } => {
-                *at *= k;
-                *downtime *= k;
-            }
-            ScenarioEvent::Preemptions {
-                start,
-                mean_interval,
-                downtime,
-                ..
-            } => {
-                *start *= k;
-                *mean_interval *= k;
-                *downtime *= k;
-            }
-            ScenarioEvent::Diurnal { period, .. } => *period *= k,
-        }
-        event
-    }
-
     /// Checks one event: every time anchor is finite and `>= 0`, every
     /// duration/period/interval finite and `> 0`, every factor finite and `> 0`, every
-    /// downtime finite and `>= 0`, and every probability in `[0, 1]`.
+    /// downtime finite and `>= 0`, every probability in `[0, 1]`, and every generator
+    /// count at most [`MAX_GENERATOR_DRAWS`].
     fn check(&self) -> Result<(), String> {
         let anchor = |at: f64| require(at.is_finite() && at >= 0.0, "event time must be >= 0");
         let span = |d: f64| require(d.is_finite() && d > 0.0, "durations/periods must be > 0");
         let load = |f: f64| require(f.is_finite() && f > 0.0, "factors must be finite and > 0");
         let outage = |d: f64| require(d.is_finite() && d >= 0.0, "downtime must be >= 0");
+        let draws = |n: u32| match n {
+            0..=MAX_GENERATOR_DRAWS => Ok(()),
+            _ => Err(format!(
+                "generator counts must be <= {MAX_GENERATOR_DRAWS}, got {n}"
+            )),
+        };
         match self {
             ScenarioEvent::LoadShift { at, factor } | ScenarioEvent::PriceChange { at, factor } => {
                 anchor(*at)?;
@@ -182,12 +149,13 @@ impl ScenarioEvent {
                 chance,
                 duration,
                 factor,
-                ..
+                windows,
             } => {
                 anchor(*start)?;
                 span(*period)?;
                 span(*duration)?;
                 load(*factor)?;
+                draws(*windows)?;
                 require(
                     (0.0..=1.0).contains(chance),
                     "storm chance must be in [0, 1]",
@@ -201,11 +169,12 @@ impl ScenarioEvent {
                 start,
                 mean_interval,
                 downtime,
-                ..
+                count,
             } => {
                 anchor(*start)?;
                 span(*mean_interval)?;
-                outage(*downtime)
+                outage(*downtime)?;
+                draws(*count)
             }
             ScenarioEvent::Diurnal {
                 period,
@@ -321,46 +290,91 @@ impl ScenarioEvent {
             .get("op")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| "event has no \"op\"".to_string())?;
-        let event = match op {
-            "load" => ScenarioEvent::LoadShift {
-                at: num("at")?,
-                factor: num("factor")?,
-            },
-            "storm" => ScenarioEvent::Storm {
-                at: num("at")?,
-                duration: num("duration")?,
-                factor: num("factor")?,
-            },
-            "storm_front" => ScenarioEvent::StormFront {
-                start: num("start")?,
-                period: num("period")?,
-                chance: num("chance")?,
-                duration: num("duration")?,
-                factor: num("factor")?,
-                windows: int("windows")?,
-            },
-            "preempt" => ScenarioEvent::Preemption {
-                at: num("at")?,
-                downtime: num("downtime")?,
-            },
-            "preemptions" => ScenarioEvent::Preemptions {
-                start: num("start")?,
-                mean_interval: num("mean_interval")?,
-                downtime: num("downtime")?,
-                count: int("count")?,
-            },
-            "price" => ScenarioEvent::PriceChange {
-                at: num("at")?,
-                factor: num("factor")?,
-            },
-            "diurnal" => ScenarioEvent::Diurnal {
-                period: num("period")?,
-                amplitude: num("amplitude")?,
-                phase: num("phase")?,
-            },
+        // Each arm lists the keys its op carries, so a stray or misspelt field is an
+        // error instead of being dropped.
+        let (event, keys): (ScenarioEvent, &[&str]) = match op {
+            "load" => (
+                ScenarioEvent::LoadShift {
+                    at: num("at")?,
+                    factor: num("factor")?,
+                },
+                &["op", "at", "factor"],
+            ),
+            "storm" => (
+                ScenarioEvent::Storm {
+                    at: num("at")?,
+                    duration: num("duration")?,
+                    factor: num("factor")?,
+                },
+                &["op", "at", "duration", "factor"],
+            ),
+            "storm_front" => (
+                ScenarioEvent::StormFront {
+                    start: num("start")?,
+                    period: num("period")?,
+                    chance: num("chance")?,
+                    duration: num("duration")?,
+                    factor: num("factor")?,
+                    windows: int("windows")?,
+                },
+                &[
+                    "op", "start", "period", "chance", "duration", "factor", "windows",
+                ],
+            ),
+            "preempt" => (
+                ScenarioEvent::Preemption {
+                    at: num("at")?,
+                    downtime: num("downtime")?,
+                },
+                &["op", "at", "downtime"],
+            ),
+            "preemptions" => (
+                ScenarioEvent::Preemptions {
+                    start: num("start")?,
+                    mean_interval: num("mean_interval")?,
+                    downtime: num("downtime")?,
+                    count: int("count")?,
+                },
+                &["op", "start", "mean_interval", "downtime", "count"],
+            ),
+            "price" => (
+                ScenarioEvent::PriceChange {
+                    at: num("at")?,
+                    factor: num("factor")?,
+                },
+                &["op", "at", "factor"],
+            ),
+            "diurnal" => (
+                ScenarioEvent::Diurnal {
+                    period: num("period")?,
+                    amplitude: num("amplitude")?,
+                    phase: num("phase")?,
+                },
+                &["op", "period", "amplitude", "phase"],
+            ),
             other => return Err(format!("unknown scenario event op {other:?}")),
         };
+        if let Some(key) = unknown_key(value, keys) {
+            return Err(format!("unknown key {key:?} in a {op:?} event"));
+        }
         Ok(event)
+    }
+}
+
+/// The most windows a `StormFront`, or preemptions a `Preemptions`, generator may
+/// draw: 200x the pack's largest generator (48 windows). Every backend and every fork
+/// expands its own timeline, so an unbounded count read from a stored scenario could
+/// exhaust memory.
+const MAX_GENERATOR_DRAWS: u32 = 10_000;
+
+/// The first key of the JSON object `value` that `known` does not list.
+fn unknown_key<'a>(value: &'a JsonValue, known: &[&str]) -> Option<&'a str> {
+    match value {
+        JsonValue::Object(entries) => entries
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .find(|key| !known.contains(key)),
+        _ => None,
     }
 }
 
@@ -382,8 +396,8 @@ fn require(ok: bool, message: &str) -> Result<(), String> {
 /// like `CampaignSpec`. Execution semantics live in
 /// [`ScenarioBackend`](crate::ScenarioBackend), which applies the timeline over any
 /// inner [`ExecutionBackend`](dg_exec::ExecutionBackend). The built-in
-/// [`pack`](Self::pack) names the standard scenarios; the [`then`](Self::then) /
-/// [`overlay`](Self::overlay) / [`scale`](Self::scale) combinators synthesize new ones.
+/// [`pack`](Self::pack) names the standard scenarios; [`delayed`](Self::delayed) and
+/// [`with_load_coupling`](Self::with_load_coupling) derive variants of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name: the label cells and reports carry (`"steady"` is the default
@@ -398,13 +412,6 @@ pub struct ScenarioSpec {
     pub fleet: Vec<VmType>,
     /// The event timeline (order irrelevant; expansion sorts by time).
     pub events: Vec<ScenarioEvent>,
-    /// When `true`, long operations are scaled by the load factor *integrated
-    /// piecewise* over `[start, start + duration)` instead of by the factor sampled
-    /// once at `start` — so an operation straddling a `LoadShift`/`Storm` boundary
-    /// feels the new regime for exactly the fraction of its span it overlaps. Off by
-    /// default: the sampled-at-start behaviour (and its byte-identical goldens and
-    /// fingerprints) is preserved, and the flag is only serialized when set.
-    pub integrate_load: bool,
     /// How strongly the load factor bites through each configuration's interference
     /// *sensitivity* instead of uniformly, in `[0, 1]`. At `0.0` (the default) load is
     /// a pure machine-level multiplier: every configuration slows down by the same
@@ -427,16 +434,8 @@ impl ScenarioSpec {
             profile: None,
             fleet: Vec::new(),
             events: Vec::new(),
-            integrate_load: false,
             load_coupling: 0.0,
         }
-    }
-
-    /// The same scenario with piecewise load-factor integration enabled (see
-    /// [`integrate_load`](Self::integrate_load)).
-    pub fn with_integrated_load(mut self) -> Self {
-        self.integrate_load = true;
-        self
     }
 
     /// The same scenario with sensitivity-coupled load (see
@@ -492,44 +491,10 @@ impl ScenarioSpec {
         self.events.iter().try_for_each(ScenarioEvent::check)
     }
 
-    /// Sequencing combinator: this scenario's full timeline overlaid with `next`'s
-    /// shifted `at` seconds later. Profile and fleet come from `self` unless unset/empty,
-    /// in which case `next`'s apply.
-    pub fn then(&self, at: f64, next: &ScenarioSpec) -> ScenarioSpec {
-        assert!(at.is_finite() && at >= 0.0, "`then` offset must be >= 0");
-        let mut combined = self.overlay(next);
-        combined.name = format!("{}-then-{}", self.name, next.name);
-        combined.events = self.events.clone();
-        combined
-            .events
-            .extend(next.events.iter().map(|e| e.shifted(at)));
-        combined
-    }
-
-    /// Parallel-composition combinator: both timelines apply simultaneously
-    /// (load factors multiply where they overlap). Profile and fleet come from `self`
-    /// unless unset/empty.
-    pub fn overlay(&self, other: &ScenarioSpec) -> ScenarioSpec {
-        let mut events = self.events.clone();
-        events.extend(other.events.iter().cloned());
-        ScenarioSpec {
-            name: format!("{}+{}", self.name, other.name),
-            profile: self.profile.clone().or_else(|| other.profile.clone()),
-            fleet: if self.fleet.is_empty() {
-                other.fleet.clone()
-            } else {
-                self.fleet.clone()
-            },
-            events,
-            integrate_load: self.integrate_load || other.integrate_load,
-            load_coupling: self.load_coupling.max(other.load_coupling),
-        }
-    }
-
     /// Delay combinator: the same scenario with every event arriving `dt` seconds
-    /// later — the "neighbour moves in mid-flight" variant of a timeline. Unlike
-    /// [`then`](Self::then) the name, profile, and fleet are preserved, so a delayed
-    /// pack scenario keeps its report column.
+    /// later — the "neighbour moves in mid-flight" variant of a timeline. The name,
+    /// profile, and fleet are preserved, so a delayed pack scenario keeps its report
+    /// column.
     ///
     /// # Panics
     ///
@@ -539,25 +504,6 @@ impl ScenarioSpec {
         ScenarioSpec {
             events: self.events.iter().map(|e| e.shifted(dt)).collect(),
             ..self.clone()
-        }
-    }
-
-    /// Time-stretching combinator: every anchor, duration, period, and interval is
-    /// multiplied by `k` (`k > 1` slows the scenario down, `k < 1` compresses it).
-    /// Factors and probabilities are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not finite and strictly positive.
-    pub fn scale(&self, k: f64) -> ScenarioSpec {
-        assert!(k.is_finite() && k > 0.0, "time scale must be > 0");
-        ScenarioSpec {
-            name: format!("{}x{k}", self.name),
-            profile: self.profile.clone(),
-            fleet: self.fleet.clone(),
-            events: self.events.iter().map(|e| e.time_scaled(k)).collect(),
-            integrate_load: self.integrate_load,
-            load_coupling: self.load_coupling,
         }
     }
 
@@ -676,12 +622,6 @@ impl ScenarioSpec {
             event.to_json(&mut out);
         }
         out.push(']');
-        // Only serialized when set, so pre-existing canonical forms (and every
-        // fingerprint derived from them) stay byte-identical for the default.
-        if self.integrate_load {
-            push_key(&mut out, &mut first, "integrate_load");
-            out.push_str("true");
-        }
         if self.load_coupling != 0.0 {
             push_key(&mut out, &mut first, "load_coupling");
             push_f64(&mut out, self.load_coupling);
@@ -697,9 +637,14 @@ impl ScenarioSpec {
     }
 
     /// Parses a scenario from an already-parsed JSON value (used when specs embed
-    /// scenarios in larger documents). A scenario that parses but breaks a constraint
-    /// of [`validate`](Self::validate) is an error too.
+    /// scenarios in larger documents). A key the schema does not name, in the scenario
+    /// or in an event, is an error, and so is a scenario that parses but breaks a
+    /// constraint of [`validate`](Self::validate).
     pub fn from_value(root: &JsonValue) -> Result<ScenarioSpec, String> {
+        let known = ["name", "profile", "fleet", "events", "load_coupling"];
+        if let Some(key) = unknown_key(root, &known) {
+            return Err(format!("unknown scenario key {key:?}"));
+        }
         let name = root
             .get("name")
             .and_then(JsonValue::as_str)
@@ -729,12 +674,6 @@ impl ScenarioSpec {
         {
             events.push(ScenarioEvent::from_value(entry)?);
         }
-        let integrate_load = match root.get("integrate_load") {
-            None => false,
-            Some(value) => value
-                .as_bool()
-                .ok_or_else(|| "scenario \"integrate_load\" is not a bool".to_string())?,
-        };
         let load_coupling = match root.get("load_coupling") {
             None => 0.0,
             Some(value) => value
@@ -747,7 +686,6 @@ impl ScenarioSpec {
             profile,
             fleet,
             events,
-            integrate_load,
             load_coupling,
         };
         spec.check()?;
@@ -824,53 +762,14 @@ mod tests {
     }
 
     #[test]
-    fn then_shifts_the_second_timeline() {
-        let a = ScenarioSpec::by_name("regime-shift").unwrap();
-        let b = ScenarioSpec::by_name("preemption-heavy").unwrap();
-        let combined = a.then(1_000.0, &b);
-        assert_eq!(combined.name, "regime-shift-then-preemption-heavy");
-        assert_eq!(combined.events.len(), a.events.len() + b.events.len());
-        match combined.events.last().unwrap() {
+    fn delayed_shifts_generator_starts_and_keeps_the_name() {
+        let spot = ScenarioSpec::by_name("preemption-heavy").unwrap();
+        let late = spot.delayed(1_000.0);
+        assert_eq!(late.name, spot.name);
+        assert_eq!(late.events.len(), spot.events.len());
+        match late.events.last().unwrap() {
             ScenarioEvent::Preemptions { start, .. } => assert_eq!(*start, 1_800.0 + 1_000.0),
             other => panic!("unexpected event {other:?}"),
-        }
-    }
-
-    #[test]
-    fn overlay_merges_profile_fleet_and_events() {
-        let noisy = ScenarioSpec::by_name("noisy-cheap").unwrap();
-        let fleet = ScenarioSpec::by_name("hetero-fleet").unwrap();
-        let combined = noisy.overlay(&fleet);
-        assert_eq!(combined.name, "noisy-cheap+hetero-fleet");
-        assert_eq!(combined.profile, Some(InterferenceProfile::Heavy));
-        assert_eq!(combined.fleet, fleet.fleet);
-        assert_eq!(combined.events.len(), noisy.events.len());
-    }
-
-    #[test]
-    fn scale_stretches_the_time_axis_only() {
-        let scenario = ScenarioSpec::by_name("bursty-neighbor").unwrap();
-        let stretched = scenario.scale(2.0);
-        assert_eq!(stretched.name, "bursty-neighborx2");
-        match (&scenario.events[0], &stretched.events[0]) {
-            (
-                ScenarioEvent::StormFront {
-                    period, duration, ..
-                },
-                ScenarioEvent::StormFront {
-                    period: period2,
-                    duration: duration2,
-                    chance,
-                    factor,
-                    ..
-                },
-            ) => {
-                assert_eq!(*period2, period * 2.0);
-                assert_eq!(*duration2, duration * 2.0);
-                assert_eq!(*chance, 0.45);
-                assert_eq!(*factor, 1.7);
-            }
-            other => panic!("unexpected events {other:?}"),
         }
     }
 
@@ -900,33 +799,30 @@ mod tests {
     }
 
     #[test]
-    fn integrate_load_round_trips_and_defaults_stay_byte_identical() {
-        // Off (the default): the canonical form must not mention the flag at all, so
-        // every pre-existing golden and fingerprint stays byte-identical.
-        let plain = ScenarioSpec::by_name("regime-shift").unwrap();
-        assert!(!plain.integrate_load);
-        assert!(!plain.to_json().contains("integrate_load"));
-
-        // On: the flag round-trips through canonical JSON and changes the fingerprint.
-        let flagged = plain.clone().with_integrated_load();
-        assert!(flagged.integrate_load);
-        let json = flagged.to_json();
-        assert!(json.ends_with("\"integrate_load\":true}"), "{json}");
-        let parsed = ScenarioSpec::from_json(&json).expect("flagged scenario parses");
-        assert_eq!(parsed, flagged);
-        assert_eq!(parsed.to_json(), json, "byte-identical re-serialization");
-        assert_ne!(plain.fingerprint(), flagged.fingerprint());
-
-        // The flag survives composition: overlay ORs it, scale copies it.
-        let steady = ScenarioSpec::steady();
-        assert!(steady.overlay(&flagged).integrate_load);
-        assert!(flagged.overlay(&steady).integrate_load);
-        assert!(flagged.scale(2.0).integrate_load);
-        assert!(!plain.scale(2.0).integrate_load);
-    }
-
-    #[test]
     fn malformed_scenarios_are_rejected() {
+        // Keys the schema does not name — a typo, the retired `integrate_load` option, a
+        // field of another op — and a repeated key: each error names the key.
+        for (bad, key) in [
+            (
+                "{\"name\":\"x\",\"fleet\":[],\"events\":[],\"integrate_laod\":true}",
+                "integrate_laod",
+            ),
+            (
+                "{\"name\":\"x\",\"fleet\":[],\"events\":[],\"integrate_load\":true}",
+                "integrate_load",
+            ),
+            (
+                "{\"name\":\"x\",\"fleet\":[],\"events\":[{\"op\":\"load\",\"at\":0,\"factor\":2,\"duration\":9}]}",
+                "duration",
+            ),
+            (
+                "{\"name\":\"a\",\"name\":\"b\",\"fleet\":[],\"events\":[]}",
+                "name",
+            ),
+        ] {
+            let err = ScenarioSpec::from_json(bad).expect_err(bad);
+            assert!(err.contains(key), "{bad:?} failed with {err:?}");
+        }
         for bad in [
             "{}",
             "{\"name\":\"x\"}",
@@ -940,8 +836,13 @@ mod tests {
             "{\"name\":\"x\",\"fleet\":[],\"events\":[{\"op\":\"storm\",\"at\":1e999,\"duration\":60,\"factor\":2}]}",
             "{\"name\":\"x\",\"fleet\":[],\"events\":[{\"op\":\"preempt\",\"at\":10,\"downtime\":-1}]}",
             "{\"name\":\"x\",\"fleet\":[],\"events\":[],\"load_coupling\":1.5}",
+            // Generators past the draw bound.
+            "{\"name\":\"x\",\"fleet\":[],\"events\":[{\"op\":\"preemptions\",\"start\":0,\"mean_interval\":60,\"downtime\":5,\"count\":4294967295}]}",
+            "{\"name\":\"x\",\"fleet\":[],\"events\":[{\"op\":\"storm_front\",\"start\":0,\"period\":60,\"chance\":0.5,\"duration\":10,\"factor\":2,\"windows\":10001}]}",
         ] {
             assert!(ScenarioSpec::from_json(bad).is_err(), "{bad:?} must fail");
         }
+        let at_bound = "{\"name\":\"x\",\"fleet\":[],\"events\":[{\"op\":\"storm_front\",\"start\":0,\"period\":60,\"chance\":0.5,\"duration\":10,\"factor\":2,\"windows\":10000}]}";
+        assert!(ScenarioSpec::from_json(at_bound).is_ok());
     }
 }

@@ -2,16 +2,6 @@
 
 use crate::spec::{ScenarioEvent, ScenarioSpec};
 use dg_cloudsim::{hash_unit, mix};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Scratch for [`Timeline::integrate_load`]'s piece boundaries. Integrated-load
-    /// scenarios call it once per observed time on the hot game path; reusing one
-    /// per-thread buffer keeps that path allocation-free after warm-up. (It cannot
-    /// live on `Timeline` itself: the timeline derives `Clone + PartialEq` and is
-    /// shared immutably.)
-    static CUTS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
 
 /// A storm interval: `[at, at + duration)` multiplies observed times by `factor`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,98 +157,6 @@ impl Timeline {
         factor
     }
 
-    /// The integral of [`load_factor`](Self::load_factor) over `[start, end)`.
-    ///
-    /// Shift and storm edges are exact breakpoints: within each piece the step part of
-    /// the factor is constant, so only the diurnal curves vary. A single diurnal curve
-    /// is integrated analytically; the product of two or more is integrated by
-    /// composite Simpson's rule per piece. With no events in the window this reduces
-    /// to `load_factor(start) * (end - start)` exactly, and an operation straddling a
-    /// [`LoadShift`](ScenarioEvent::LoadShift) is charged each level for precisely the
-    /// wall-clock it spent under that level — the fix for sampling the factor once at
-    /// op start and holding it stale for the whole span.
-    pub fn integrate_load(&self, start: f64, end: f64) -> f64 {
-        // `partial_cmp` so NaN endpoints also take the zero-span branch.
-        if end.partial_cmp(&start) != Some(std::cmp::Ordering::Greater) {
-            return 0.0;
-        }
-        CUTS.with(|scratch| {
-            let mut cuts = scratch.borrow_mut();
-            cuts.clear();
-            cuts.push(start);
-            cuts.push(end);
-            for (at, _) in &self.shifts {
-                if *at > start && *at < end {
-                    cuts.push(*at);
-                }
-            }
-            for storm in &self.storms {
-                for edge in [storm.at, storm.at + storm.duration] {
-                    if edge > start && edge < end {
-                        cuts.push(edge);
-                    }
-                }
-            }
-            cuts.sort_by(|a, b| a.total_cmp(b));
-            cuts.dedup();
-            let mut total = 0.0;
-            for piece in cuts.windows(2) {
-                let (a, b) = (piece[0], piece[1]);
-                total += self.step_factor(0.5 * (a + b)) * self.diurnal_integral(a, b);
-            }
-            total
-        })
-    }
-
-    /// The piecewise-constant part of the load factor at `t`: shifts times storms.
-    fn step_factor(&self, t: f64) -> f64 {
-        let mut factor = last_level(&self.shifts, t);
-        for storm in &self.storms {
-            if t >= storm.at && t < storm.at + storm.duration {
-                factor *= storm.factor;
-            }
-        }
-        factor
-    }
-
-    /// The product of all diurnal curves at `t` (`1.0` with none).
-    fn diurnal_product(&self, t: f64) -> f64 {
-        let mut factor = 1.0;
-        for curve in &self.diurnals {
-            let angle = 2.0 * std::f64::consts::PI * (t / curve.period + curve.phase);
-            factor *= 1.0 + curve.amplitude * (1.0 - angle.cos()) / 2.0;
-        }
-        factor
-    }
-
-    /// `∫ diurnal_product` over `[a, b]`: exact for zero or one curve, composite
-    /// Simpson's rule (32 intervals) for the product of several.
-    fn diurnal_integral(&self, a: f64, b: f64) -> f64 {
-        match self.diurnals.len() {
-            0 => b - a,
-            1 => {
-                // ∫ 1 + A(1 - cos θ(t))/2 dt with θ(t) = 2π(t/P + φ):
-                // (1 + A/2)(b - a) - (A/2)(P/2π)(sin θ(b) - sin θ(a)).
-                let curve = &self.diurnals[0];
-                let theta = |t: f64| 2.0 * std::f64::consts::PI * (t / curve.period + curve.phase);
-                let half_amp = curve.amplitude / 2.0;
-                (1.0 + half_amp) * (b - a)
-                    - half_amp * curve.period / (2.0 * std::f64::consts::PI)
-                        * (theta(b).sin() - theta(a).sin())
-            }
-            _ => {
-                const INTERVALS: usize = 32;
-                let h = (b - a) / INTERVALS as f64;
-                let mut sum = self.diurnal_product(a) + self.diurnal_product(b);
-                for i in 1..INTERVALS {
-                    let weight = if i % 2 == 1 { 4.0 } else { 2.0 };
-                    sum += weight * self.diurnal_product(a + i as f64 * h);
-                }
-                sum * h / 3.0
-            }
-        }
-    }
-
     /// The billing multiplier at time `t`: the factor of the last price change at or
     /// before `t` (default `1.0`).
     pub fn price_factor(&self, t: f64) -> f64 {
@@ -393,92 +291,6 @@ mod tests {
             .map(|w| w[1].0 - w[0].0)
             .collect();
         assert!(gaps.iter().all(|g| *g >= 25.0 - 1e-9 && *g <= 175.0 + 1e-9));
-    }
-
-    #[test]
-    fn integrate_load_matches_closed_forms() {
-        // Constant load: the integral is exactly factor x width.
-        let flat = Timeline::expand(&ScenarioSpec::steady(), 7);
-        assert_eq!(flat.integrate_load(12.0, 112.0), 100.0);
-        assert_eq!(flat.integrate_load(50.0, 50.0), 0.0);
-        assert_eq!(
-            flat.integrate_load(50.0, 40.0),
-            0.0,
-            "inverted window is empty"
-        );
-
-        // A window straddling a load shift charges each level for its own span.
-        let shifted = Timeline::expand(
-            &spec_with(vec![ScenarioEvent::LoadShift {
-                at: 50.0,
-                factor: 2.0,
-            }]),
-            1,
-        );
-        assert!((shifted.integrate_load(0.0, 100.0) - 150.0).abs() < 1e-9);
-
-        // A storm contributes only its overlap with the window.
-        let stormy = Timeline::expand(
-            &spec_with(vec![ScenarioEvent::Storm {
-                at: 40.0,
-                duration: 20.0,
-                factor: 3.0,
-            }]),
-            1,
-        );
-        assert!((stormy.integrate_load(0.0, 100.0) - (80.0 + 20.0 * 3.0)).abs() < 1e-9);
-
-        // One full diurnal period integrates to (1 + amplitude/2) x period exactly.
-        let diurnal = Timeline::expand(
-            &spec_with(vec![ScenarioEvent::Diurnal {
-                period: 100.0,
-                amplitude: 1.0,
-                phase: 0.25,
-            }]),
-            1,
-        );
-        assert!((diurnal.integrate_load(0.0, 100.0) - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn integrate_load_agrees_with_fine_riemann_sums() {
-        // Two overlapping diurnals plus a shift and a storm: compare the piecewise
-        // integrator against a brute-force midpoint sum with a tiny step.
-        let timeline = Timeline::expand(
-            &spec_with(vec![
-                ScenarioEvent::LoadShift {
-                    at: 130.0,
-                    factor: 1.6,
-                },
-                ScenarioEvent::Storm {
-                    at: 60.0,
-                    duration: 35.0,
-                    factor: 2.2,
-                },
-                ScenarioEvent::Diurnal {
-                    period: 90.0,
-                    amplitude: 0.8,
-                    phase: 0.1,
-                },
-                ScenarioEvent::Diurnal {
-                    period: 230.0,
-                    amplitude: 0.5,
-                    phase: 0.6,
-                },
-            ]),
-            1,
-        );
-        let (start, end) = (10.0, 310.0);
-        let steps = 600_000;
-        let h = (end - start) / steps as f64;
-        let brute: f64 = (0..steps)
-            .map(|i| timeline.load_factor(start + (i as f64 + 0.5) * h) * h)
-            .sum();
-        let fast = timeline.integrate_load(start, end);
-        assert!(
-            (fast - brute).abs() < 1e-4 * brute,
-            "piecewise {fast} vs brute-force {brute}"
-        );
     }
 
     #[test]

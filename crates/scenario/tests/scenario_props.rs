@@ -158,24 +158,6 @@ proptest! {
 }
 
 #[test]
-fn combined_pack_scenarios_stay_valid_and_deterministic() {
-    // Combinators over the built-in pack produce valid scenarios whose timelines stay
-    // deterministic — the synthesis path the README documents.
-    let pack = ScenarioSpec::pack();
-    for a in &pack {
-        for b in &pack {
-            for combined in [a.then(3_600.0, b), a.overlay(b), a.scale(0.5)] {
-                combined.validate();
-                assert_eq!(
-                    Timeline::expand(&combined, 7),
-                    Timeline::expand(&combined, 7)
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn set_clock_skips_idle_preemptions_deterministically() {
     // A Fig. 3-style delayed tuning start (set_clock) crosses early preemptions while
     // idle; the backend must skip them identically on record and replay.
