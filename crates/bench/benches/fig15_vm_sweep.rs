@@ -2,19 +2,19 @@
 //!
 //! The Redis workload is tuned with DarwinGame on every VM type of the paper's sweep
 //! (m5.large … m5.24xlarge, c5.9xlarge, r5.8xlarge, i3.8xlarge), two seeds per VM — a
-//! 16-cell campaign. The sweep runs four ways: once on a single worker (the serial
-//! loop this bench used to hand-roll), once on all cores, once *sharded* (K ∈ {2, 4}
-//! shards run independently, round-tripped through the shard-report JSON wire format,
-//! then merged), and once *replayed* from a recorded execution trace (zero simulator
-//! operations) — demonstrating the parallel and replay speed-ups and that all reports
-//! are byte-identical.
+//! 16-cell campaign. The sweep runs four ways, and every report must be byte-identical
+//! to the first: on one worker, on all cores, *sharded* (K ∈ {2, 4} shards run
+//! independently, round-tripped through the shard-report JSON wire format, then
+//! merged), and *replayed* from a recorded execution trace with zero simulator
+//! operations. The bench times nothing: perfbench's `vm_sweep` workload times this
+//! campaign over repeated fresh-process runs.
 //!
 //! Run with `cargo bench --bench fig15_vm_sweep`. Set `DG_FIG15_SMOKE=1` to shrink the
 //! grid to a CI-sized smoke sweep (used by the `replay-smoke` CI job).
 
 use dg_campaign::{
-    default_workers, Campaign, CampaignReport, CampaignSpec, ExecutionTrace, ShardPlan,
-    ShardReport, ShardStrategy,
+    default_workers, Campaign, CampaignReport, ExecutionTrace, ShardPlan, ShardReport,
+    ShardStrategy,
 };
 use dg_cloudsim::VmType;
 use dg_exec::json::{fnv1a, push_f64, push_key, push_str_literal};
@@ -22,46 +22,15 @@ use dg_exec::sim_ops;
 use dg_stats::{Column, Table};
 use dg_tuners::OracleTuner;
 use dg_workloads::{Application, Workload};
-use std::time::Instant;
-
-fn sweep_spec() -> CampaignSpec {
-    // Shared with the `obs_overhead` bench, which gates its overhead measurement on
-    // this exact sweep and proves it via the report fingerprint.
-    dg_bench::fig15_sweep_spec(std::env::var("DG_FIG15_SMOKE").is_ok())
-}
-
-/// Runs the serial sweep `reps` times and keeps the fastest wall-clock (the runs are
-/// deterministic, so every repetition must produce the same report). Smoke sweeps
-/// finish in tens of milliseconds, where single-shot timings on a busy CI box swing
-/// by ±20%; best-of-N makes the serial time a steady-state measurement.
-fn timed_serial(campaign: &Campaign, reps: u32) -> (std::time::Duration, CampaignReport) {
-    let mut best: Option<(std::time::Duration, CampaignReport)> = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let report = campaign.run_with_workers(1);
-        let elapsed = start.elapsed();
-        match &mut best {
-            Some((best_elapsed, best_report)) => {
-                assert_eq!(
-                    report.to_json(),
-                    best_report.to_json(),
-                    "repeated serial sweeps must be byte-identical"
-                );
-                *best_elapsed = (*best_elapsed).min(elapsed);
-            }
-            None => best = Some((elapsed, report)),
-        }
-    }
-    best.expect("at least one repetition")
-}
 
 fn main() {
-    let spec = sweep_spec();
+    let smoke = std::env::var("DG_FIG15_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    // Shared with the `obs_overhead` bench, which gates its overhead measurement on
+    // this exact sweep and proves it via the report fingerprint.
+    let spec = dg_bench::fig15_sweep_spec(smoke);
     let workload = Workload::scaled(Application::Redis, spec.scale.space_size);
     let campaign = Campaign::new(spec);
     let workers = default_workers();
-    let smoke = std::env::var("DG_FIG15_SMOKE").is_ok();
-    let reps = 3;
 
     println!("=== Figure 15: DarwinGame vs Oracle across VM types (Redis) ===\n");
     println!(
@@ -69,26 +38,14 @@ fn main() {
         campaign.spec().grid_size()
     );
 
-    let (serial_elapsed, serial_report) = timed_serial(&campaign, reps);
-
-    let parallel_start = Instant::now();
+    let serial_report = campaign.run_with_workers(1);
     let parallel_report = campaign.run_with_workers(workers);
-    let parallel_elapsed = parallel_start.elapsed();
-
     assert_eq!(
         serial_report.to_json(),
         parallel_report.to_json(),
         "1-worker and {workers}-worker campaigns must be byte-identical"
     );
-    println!(
-        "serial (1 worker):     {:>8.2} s",
-        serial_elapsed.as_secs_f64()
-    );
-    println!(
-        "parallel ({workers:>2} workers): {:>8.2} s  ({:.2}x speed-up, byte-identical report)\n",
-        parallel_elapsed.as_secs_f64(),
-        serial_elapsed.as_secs_f64() / parallel_elapsed.as_secs_f64().max(1e-9)
-    );
+    println!("1 worker vs {workers} workers: byte-identical reports");
 
     // The sharded variant: split the same 16-cell grid into K independent shard runs
     // (each round-tripped through the canonical shard-report JSON, the way real shard
@@ -99,33 +56,25 @@ fn main() {
         (4, ShardStrategy::CostBalanced),
     ] {
         let plan = ShardPlan::new(campaign.spec(), shards, strategy);
-        let sharded_start = Instant::now();
         let reports: Vec<ShardReport> = (0..plan.shard_count())
             .map(|shard| {
-                let report = campaign.run_shard_with_workers(&plan, shard, workers.max(1));
+                let report = campaign.run_shard_with_workers(&plan, shard, workers);
                 ShardReport::from_json(&report.to_json()).expect("canonical round trip")
             })
             .collect();
         let merged = CampaignReport::merge(reports).expect("plan shards merge");
-        let sharded_elapsed = sharded_start.elapsed();
         assert_eq!(
             merged.to_json(),
             serial_report.to_json(),
             "{shards}-shard ({strategy}) merged report must be byte-identical to the serial run"
         );
-        println!(
-            "sharded (K={shards}, {strategy}): {:>8.2} s  (merged report byte-identical)",
-            sharded_elapsed.as_secs_f64()
-        );
+        println!("sharded (K={shards}, {strategy}): merged report byte-identical");
     }
-    println!();
 
     // The replay variant: record the sweep once (trace round-tripped through its
     // canonical JSON wire format, the way a stored artifact travels), then replay it
     // with zero simulator operations and demand byte-identity with the serial report.
-    let record_start = Instant::now();
     let (recorded_report, trace) = campaign.record();
-    let record_elapsed = record_start.elapsed();
     assert_eq!(
         recorded_report.to_json(),
         serial_report.to_json(),
@@ -136,11 +85,9 @@ fn main() {
     // Single-worker replay runs on this thread, so the thread-local simulator-op
     // counter proves zero resimulation exactly.
     let ops_before = sim_ops();
-    let replay_start = Instant::now();
     let replayed_report = campaign
         .replay_with_workers(trace, 1)
         .expect("trace matches its own spec");
-    let replay_elapsed = replay_start.elapsed();
     assert_eq!(sim_ops(), ops_before, "replay must not touch the simulator");
     assert_eq!(
         replayed_report.to_json(),
@@ -148,14 +95,7 @@ fn main() {
         "replayed report must be byte-identical to the serial run"
     );
     println!(
-        "recorded:              {:>8.2} s  ({} trace events)",
-        record_elapsed.as_secs_f64(),
-        trace_events
-    );
-    println!(
-        "replayed:              {:>8.2} s  ({:.0}x vs recording, 0 simulator ops, byte-identical)\n",
-        replay_elapsed.as_secs_f64(),
-        record_elapsed.as_secs_f64() / replay_elapsed.as_secs_f64().max(1e-9)
+        "recorded {trace_events} trace events; replay: 0 simulator ops, byte-identical report\n"
     );
 
     let mut table = Table::new(vec![
@@ -181,9 +121,8 @@ fn main() {
     println!("(paper: DarwinGame stays within ~10 % of the Oracle on every VM type, with");
     println!(" CoV below 0.5 %; smaller VMs see more interference, larger ones less)");
 
-    // The machine-readable perf trajectory record (BENCH_fig15.json at the repo root
-    // is this, re-emitted in full mode whenever the hot path changes). Every timing is
-    // seconds; `campaign_fingerprint` hashes the canonical report JSON so separate
+    // The machine-readable record (BENCH_fig15.json at the repo root is this, re-emitted
+    // in full mode). `campaign_fingerprint` hashes the canonical report JSON so separate
     // processes (e.g. the obs_overhead bench) can prove they computed the very same
     // campaign.
     let mut json = String::from("{");
@@ -194,16 +133,6 @@ fn main() {
     push_str_literal(&mut json, if smoke { "smoke" } else { "full" });
     push_key(&mut json, &mut first, "cells");
     json.push_str(&campaign.spec().grid_size().to_string());
-    push_key(&mut json, &mut first, "serial_seconds");
-    push_f64(&mut json, serial_elapsed.as_secs_f64());
-    push_key(&mut json, &mut first, "parallel_workers");
-    json.push_str(&workers.to_string());
-    push_key(&mut json, &mut first, "parallel_seconds");
-    push_f64(&mut json, parallel_elapsed.as_secs_f64());
-    push_key(&mut json, &mut first, "record_seconds");
-    push_f64(&mut json, record_elapsed.as_secs_f64());
-    push_key(&mut json, &mut first, "replay_seconds");
-    push_f64(&mut json, replay_elapsed.as_secs_f64());
     push_key(&mut json, &mut first, "trace_events");
     json.push_str(&trace_events.to_string());
     push_key(&mut json, &mut first, "campaign_fingerprint");
@@ -237,7 +166,7 @@ fn main() {
     println!("\n{json}");
     // Full runs refresh the pinned repo-root artifact by default; smoke runs only
     // write when CI points them somewhere explicitly, so a quick local smoke never
-    // clobbers the committed full-mode trajectory.
+    // clobbers the committed full-mode record.
     let default_path = if smoke {
         String::new()
     } else {

@@ -1,11 +1,11 @@
 //! Observability overhead gate — `dg-obs` must be free when off and cheap when on.
 //!
-//! Runs the Figure 15 VM sweep (the pinned perf trajectory's campaign, via
+//! Runs the Figure 15 VM sweep (the campaign `BENCH_fig15.json` records, via
 //! [`dg_bench::fig15_sweep_spec`]) twice on one worker:
 //!
 //! * **disabled** — no sinks, no decorator: exactly the configuration
-//!   `fig15_vm_sweep` times, so this leg's report fingerprint must equal the one in
-//!   the reference `BENCH_fig15.json` (same process shape, same campaign);
+//!   `fig15_vm_sweep` runs first, so this leg's report fingerprint must equal the one
+//!   in the reference `BENCH_fig15.json` (same process shape, same campaign);
 //! * **instrumented** — a counting sink installed, and every cell's
 //!   backend wrapped in [`ObsBackend`] via [`ObsProvider`]: campaign, cell, phase,
 //!   round, and game events all constructed and delivered.
@@ -93,7 +93,7 @@ fn baseline_fingerprint(path: &str) -> Option<(u64, String)> {
 }
 
 fn main() {
-    let smoke = std::env::var("DG_FIG15_SMOKE").is_ok();
+    let smoke = std::env::var("DG_FIG15_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let spec = dg_bench::fig15_sweep_spec(smoke);
     let campaign = Campaign::new(spec);
     let reps = if smoke { 5 } else { 3 };
@@ -101,7 +101,7 @@ fn main() {
     println!("=== dg-obs overhead gate (Fig. 15 sweep, 1 worker) ===\n");
 
     // Disabled leg first: no sink installed — the exact configuration
-    // fig15_vm_sweep times for the pinned trajectory.
+    // fig15_vm_sweep records.
     let (disabled_seconds, disabled_report) = timed(&campaign, false, reps);
     let fingerprint = fnv1a(&disabled_report.to_json());
     println!("disabled:     {disabled_seconds:>8.3} s  (fingerprint {fingerprint})");

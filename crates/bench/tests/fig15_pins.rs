@@ -4,6 +4,10 @@
 //! the tournament, or the report that moves any reported number (a champion, a cost, a
 //! re-measured time) fails here; the `dg-cloudsim` batteries check the game engine
 //! itself bit for bit against the crate's test-only one-call-per-step reference.
+//!
+//! The spec fingerprints are pinned too: shard reports, traces and lab manifests carry
+//! them, so a change to the spec's canonical encoding would orphan every file already
+//! written for these campaigns.
 
 use dg_campaign::Campaign;
 use dg_exec::json::fnv1a;
@@ -12,6 +16,18 @@ use dg_exec::json::fnv1a;
 fn fig15_fingerprint(smoke: bool) -> u64 {
     let report = Campaign::new(dg_bench::fig15_sweep_spec(smoke)).run_with_workers(1);
     fnv1a(&report.to_json())
+}
+
+#[test]
+fn fig15_spec_fingerprints_are_pinned() {
+    assert_eq!(
+        dg_bench::fig15_sweep_spec(true).fingerprint(),
+        7677600767402443951
+    );
+    assert_eq!(
+        dg_bench::fig15_sweep_spec(false).fingerprint(),
+        11730536390177712370
+    );
 }
 
 #[test]

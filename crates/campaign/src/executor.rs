@@ -1,15 +1,12 @@
 //! The parallel campaign executor.
 //!
 //! Cells are independent by construction — each derives every RNG stream from its own
-//! [`CampaignSpec::cell_seed`] — so the executor can fan them out across worker threads
-//! with a shared atomic cursor (work stealing degenerates to "take the next unstarted
-//! cell", which is optimal when cells are independent and of similar cost). Results are
-//! collected into a slot per grid position and assembled in stable grid order, so for
-//! uncapped (and `max_cells`-capped) campaigns the [`CampaignReport`] is byte-for-byte
-//! identical no matter how many workers ran or in which order cells completed. The one
-//! exception is the *best-effort* `max_core_hours` cap: which cells are still in flight
-//! when it trips depends on scheduling, so a capped run's completed set can vary with
-//! worker count — the report always describes exactly the cells that completed.
+//! [`CampaignSpec::cell_seed`] — so the executor fans them out with [`run_ordered`]: a
+//! shared atomic cursor (work stealing degenerates to "take the next unstarted cell",
+//! which is optimal when cells are independent and of similar cost) and results
+//! assembled in stable grid order. Every run executes every cell, so the
+//! [`CampaignReport`] is byte-for-byte identical no matter how many workers ran or in
+//! which order cells completed.
 
 use crate::lab::{CampaignLab, LabError, LabOutcome};
 use crate::report::{CampaignReport, CellResult};
@@ -25,7 +22,7 @@ use dg_obs::{emit_with, ObsEvent};
 use dg_scenario::ScenarioBackend;
 use dg_tuners::{TunerRegistry, TuningBudget};
 use dg_workloads::Workload;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A registry with everything the standard experiments sweep over: the `dg-tuners`
@@ -140,16 +137,11 @@ impl Campaign {
     /// instead of the simulator, which turns repeated sweeps into near-instant
     /// replays. The report is byte-identical to the recorded (live) run.
     ///
-    /// For a `max_core_hours`-capped campaign the trace's recorded cell set *is* the
-    /// cap decision (the live run recorded exactly the cells that completed), so
-    /// replay runs precisely those cells with the cap itself disabled — the recorded
-    /// subset replays byte-identically no matter how the live run was scheduled.
-    ///
     /// # Errors
     ///
     /// Returns a typed [`TraceError`] when the trace does not belong to this campaign:
-    /// a different spec fingerprint, a different campaign name, or (for uncapped
-    /// specs, where every scheduled cell must have run) missing cell streams.
+    /// a different spec fingerprint, a different campaign name, or a missing cell
+    /// stream.
     pub fn replay(
         &self,
         trace: impl Into<Arc<ExecutionTrace>>,
@@ -167,56 +159,21 @@ impl Campaign {
         workers: usize,
     ) -> Result<CampaignReport, TraceError> {
         let trace: Arc<ExecutionTrace> = trace.into();
-        let expected = self.spec.fingerprint();
-        if trace.fingerprint != expected {
-            return Err(TraceError::FingerprintMismatch {
-                expected,
-                found: trace.fingerprint,
-            });
-        }
-        if trace.campaign != self.spec.name {
-            return Err(TraceError::CampaignMismatch {
-                expected: self.spec.name.clone(),
-                found: trace.campaign.clone(),
-            });
-        }
-        // A capped live run legitimately skips cells (and records no stream for
-        // them); replay exactly the recorded subset. Without a cap, every scheduled
-        // cell must have a stream — a gap means the trace is truncated or foreign.
-        let capped = self.spec.max_core_hours.is_some();
-        let scheduled: Vec<CellCoord> = self.spec.cells();
-        let mut recorded: Vec<CellCoord> = Vec::with_capacity(scheduled.len());
-        for cell in scheduled.iter().cloned() {
+        trace.check_origin(&self.spec.name, self.spec.fingerprint())?;
+        // Every cell must have a stream: a gap means the trace is truncated or foreign.
+        for cell in self.spec.cells() {
             let stream = cell_stream(&cell);
-            if trace.stream(&stream).is_some() {
-                recorded.push(cell);
-            } else if !capped {
+            if trace.stream(&stream).is_none() {
                 return Err(TraceError::MissingStream { stream });
             }
         }
-        let replayer = TraceReplayer::new(trace);
-        // The cap is not re-applied: replayed costs are bitwise-identical, and which
-        // cells the cap allowed is already encoded in the recorded subset. A capped
-        // run completed fewer cells than scheduled if and only if the cap stopped it,
-        // which is exactly the live report's `budget_exhausted` condition.
-        let (completed, _stopped) = self.execute(&replayer, &recorded, workers, None, None);
-        let budget_exhausted = completed.len() < scheduled.len();
-        Ok(CampaignReport::from_cells(
-            self.spec.name.clone(),
-            self.spec.grid_size(),
-            scheduled.len(),
-            budget_exhausted,
-            completed,
-        ))
+        Ok(self.run_with_provider(&TraceReplayer::new(trace), workers))
     }
 
     /// Runs the campaign on exactly `workers` worker threads.
     ///
-    /// Without a `max_core_hours` cap the report is identical (byte-for-byte in its
-    /// JSON form) for every `workers` value; only host wall-clock time changes. With
-    /// the cap, the completed cell set can depend on scheduling (cells already in
-    /// flight when the cap trips still finish), but the report always lists exactly
-    /// the completed cells.
+    /// The report is identical (byte-for-byte in its JSON form) for every `workers`
+    /// value; only host wall-clock time changes.
     ///
     /// # Panics
     ///
@@ -238,20 +195,8 @@ impl Campaign {
         provider: &dyn BackendProvider,
         workers: usize,
     ) -> CampaignReport {
-        let cells = self.spec.cells();
-        let scheduled = cells.len();
-        let (completed, stopped) =
-            self.execute(provider, &cells, workers, self.spec.max_core_hours, None);
-        // The cap may trip on the very last scheduled cell; that run is complete, not
-        // truncated, so `budget_exhausted` additionally requires unfinished cells.
-        let budget_exhausted = stopped && completed.len() < scheduled;
-        CampaignReport::from_cells(
-            self.spec.name.clone(),
-            self.spec.grid_size(),
-            scheduled,
-            budget_exhausted,
-            completed,
-        )
+        let completed = self.execute(provider, &self.spec.cells(), workers, None);
+        CampaignReport::from_cells(self.spec.name.clone(), self.spec.grid_size(), completed)
     }
 
     /// Runs one shard of a sharded campaign on one worker per available CPU.
@@ -267,8 +212,7 @@ impl Campaign {
     /// Each cell derives every RNG stream from its stable grid index, so the per-cell
     /// results are identical to what a whole-campaign run would have produced for the
     /// same indices — [`CampaignReport::merge`] exploits that to reassemble a report
-    /// that is byte-identical to the single-host one. A `max_core_hours` cap applies
-    /// *per shard process* in a sharded run (each process only sees its own spend).
+    /// that is byte-identical to the single-host one.
     ///
     /// # Panics
     ///
@@ -289,13 +233,7 @@ impl Campaign {
         let all = self.spec.cells();
         let indices = plan.indices(shard);
         let cells: Vec<CellCoord> = indices.iter().map(|i| all[*i].clone()).collect();
-        let (completed, stopped) = self.execute(
-            &SimProvider,
-            &cells,
-            workers,
-            self.spec.max_core_hours,
-            None,
-        );
+        let completed = self.execute(&SimProvider, &cells, workers, None);
         ShardReport {
             campaign: self.spec.name.clone(),
             fingerprint: plan.fingerprint(),
@@ -303,9 +241,8 @@ impl Campaign {
             shard_count: plan.shard_count(),
             strategy: plan.strategy().name().to_string(),
             grid_cells: self.spec.grid_size(),
-            scheduled_cells: plan.scheduled_cells(),
+            scheduled_cells: plan.grid_cells(),
             assigned: indices.to_vec(),
-            budget_exhausted: stopped && completed.len() < indices.len(),
             cells: completed,
         }
     }
@@ -330,8 +267,7 @@ impl Campaign {
     /// processes for them on resume. When the session leaves the lab complete, the
     /// returned [`LabOutcome::report`] is the merged [`CampaignReport`], byte-identical
     /// (in its JSON form) to an uninterrupted single-session run — or to any other
-    /// kill/resume schedule. The spec's `max_core_hours` cap does not apply to lab
-    /// sessions; `max_new_cells` is the session-sizing knob.
+    /// kill/resume schedule.
     ///
     /// # Errors
     ///
@@ -384,7 +320,7 @@ impl Campaign {
                     }
                 }
             };
-            let _ = self.execute(provider, &missing, workers, None, Some(&flush));
+            self.execute(provider, &missing, workers, Some(&flush));
             if let Some(error) = flush_error.into_inner().expect("flush error lock poisoned") {
                 return Err(error);
             }
@@ -400,22 +336,19 @@ impl Campaign {
         })
     }
 
-    /// The shared worker pool: runs `cells` (any subset of the grid, in any order)
-    /// across `workers` threads and returns the completed results in the same order as
-    /// `cells`, plus whether the `max_core_hours` cap tripped. The cap is passed
-    /// explicitly because replay disables it (the recorded cell set already embodies
-    /// the live cap decision). `on_cell` is invoked on the worker thread as soon as
-    /// each cell completes — the campaign lab uses it to flush results to disk before
-    /// the run finishes, so an interrupted run loses at most the cells in flight.
+    /// Runs `cells` (any subset of the grid, in any order) on [`run_ordered`] and
+    /// returns their results in the same order as `cells`. `on_cell` is invoked on the
+    /// worker thread as soon as each cell completes — the campaign lab uses it to flush
+    /// results to disk before the run finishes, so an interrupted run loses at most the
+    /// cells in flight.
     ///
-    /// The callback's second argument is the cell's **claim sequence**: the value of
-    /// the shared cursor when a worker claimed the cell, i.e. its 0-based position in
-    /// schedule order. Completion (and therefore callback) order is racy across
-    /// workers, but the claim sequence is identical for every worker count, so a
-    /// progress stream sorted by it reproduces the single-worker sequence exactly.
-    /// The executor also emits `campaign_start` / `cell_start` / `cell_finish` /
-    /// `campaign_finish` events through `dg-obs` (a no-op unless observability is
-    /// active), stamping cell events with the same claim sequence.
+    /// The callback's second argument is the cell's **claim sequence**: its 0-based
+    /// position in schedule order. Completion (and therefore callback) order is racy
+    /// across workers, but the claim sequence is identical for every worker count, so a
+    /// progress stream sorted by it reproduces the single-worker sequence exactly. The
+    /// executor also emits `campaign_start` / `cell_start` / `cell_finish` /
+    /// `campaign_finish` events through `dg-obs` (a no-op unless a sink is installed),
+    /// stamping cell events with the same claim sequence.
     ///
     /// # Panics
     ///
@@ -425,43 +358,27 @@ impl Campaign {
         provider: &dyn BackendProvider,
         cells: &[CellCoord],
         workers: usize,
-        max_core_hours: Option<f64>,
         on_cell: Option<CellCallback<'_>>,
-    ) -> (Vec<CellResult>, bool) {
-        assert!(workers > 0, "at least one worker is required");
-        let scheduled = cells.len();
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let spent_core_hours = Mutex::new(0.0_f64);
-        let slots: Vec<Mutex<Option<CellResult>>> =
-            (0..scheduled).map(|_| Mutex::new(None)).collect();
+    ) -> Vec<CellResult> {
         emit_with(|| ObsEvent::CampaignStart {
             campaign: self.spec.name.clone(),
-            cells: scheduled,
+            cells: cells.len(),
             total_cost: cells
                 .iter()
                 .map(|cell| self.spec.budget_for(&cell.tuner) as f64)
                 .sum(),
         });
-
-        let worker_loop = || loop {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::SeqCst);
-            if i >= scheduled {
-                break;
-            }
+        let completed = run_ordered(cells, workers, |i, cell| {
             let cell_seq = i as u64;
             emit_with(|| ObsEvent::CellStart {
                 campaign: self.spec.name.clone(),
                 cell_seq,
-                index: cells[i].index,
-                tuner: cells[i].tuner.clone(),
-                vm: cells[i].vm.name().to_string(),
-                est_cost: self.spec.budget_for(&cells[i].tuner) as f64,
+                index: cell.index,
+                tuner: cell.tuner.clone(),
+                vm: cell.vm.name().to_string(),
+                est_cost: self.spec.budget_for(&cell.tuner) as f64,
             });
-            let result = run_cell(provider, &self.spec, &self.registry, &cells[i]);
+            let result = run_cell(provider, &self.spec, &self.registry, cell);
             emit_with(|| ObsEvent::CellFinish {
                 campaign: self.spec.name.clone(),
                 cell_seq,
@@ -473,45 +390,62 @@ impl Campaign {
             if let Some(callback) = on_cell {
                 callback(&result, cell_seq);
             }
-            let hours = result.core_hours;
-            *slots[i].lock().expect("cell slot poisoned") = Some(result);
-            if let Some(cap) = max_core_hours {
-                let mut spent = spent_core_hours.lock().expect("budget lock poisoned");
-                *spent += hours;
-                if *spent >= cap {
-                    stop.store(true, Ordering::SeqCst);
-                }
-            }
-        };
-
-        let worker_count = workers.min(scheduled.max(1));
-        if worker_count <= 1 {
-            // Single-worker runs stay on the caller's thread: no spawn overhead, and the
-            // serial reference measured by the fig15 bench is exactly this path.
-            worker_loop();
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..worker_count)
-                    .map(|_| scope.spawn(worker_loop))
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("campaign worker panicked");
-                }
-            });
-        }
-
-        let completed: Vec<CellResult> = slots
-            .into_iter()
-            .filter_map(|slot| slot.into_inner().expect("cell slot poisoned"))
-            .collect();
-        let stopped = stop.load(Ordering::SeqCst);
+            result
+        });
         emit_with(|| ObsEvent::CampaignFinish {
             campaign: self.spec.name.clone(),
             completed: completed.len(),
-            stopped,
         });
-        (completed, stopped)
+        completed
     }
+}
+
+/// Runs `run(i, &items[i])` for every item on up to `workers` threads and returns the
+/// results in item order, whatever order they finished in.
+///
+/// Workers claim items through a shared atomic cursor, so `i` is also the item's
+/// position in claim order. A single worker runs every item on the caller's thread,
+/// with no spawn. The campaign executor and `dg-serve`'s retune sweep both run on this
+/// pool.
+///
+/// # Panics
+///
+/// Panics if `workers == 0`, and re-raises a panic from `run`.
+pub fn run_ordered<T, R, F>(items: &[T], workers: usize, run: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    assert!(workers > 0, "at least one worker is required");
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| run(i, item))
+            .collect();
+    }
+    let next = AtomicUsize::new(0);
+    let worker_loop = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, run(i, item)));
+        }
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker_loop)).collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("pool worker panicked"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// One worker per available CPU (at least one).
@@ -620,7 +554,6 @@ mod tests {
         let report = Campaign::new(smoke_spec()).run_with_workers(1);
         assert_eq!(report.completed_cells(), 2);
         assert_eq!(report.groups.len(), 1);
-        assert!(!report.budget_exhausted);
         assert!(report.total_core_hours > 0.0);
         assert!(report.cells.iter().all(|c| c.mean_time > 0.0));
     }
@@ -673,7 +606,6 @@ mod tests {
         let a = campaign.run_shard_with_workers(&plan, 0, 1);
         let b = campaign.run_shard_with_workers(&plan, 1, 1);
         assert_eq!(a.cells.len() + b.cells.len(), 2);
-        assert!(!a.budget_exhausted && !b.budget_exhausted);
         let merged = CampaignReport::merge(vec![b, a]).expect("shards merge");
         let whole = campaign.run_with_workers(1);
         assert_eq!(merged.to_json(), whole.to_json());

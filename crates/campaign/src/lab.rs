@@ -12,18 +12,18 @@
 //!
 //! ```text
 //! lab/
-//!   manifest.json          # campaign name, spec fingerprint, grid/scheduled sizes
+//!   manifest.json          # campaign name, spec fingerprint, grid size
 //!   cells/
-//!     cell-0.json          # single-cell ShardReport for scheduled cell 0
+//!     cell-0.json          # single-cell ShardReport for cell 0
 //!     cell-7.json
 //!     ...
 //! ```
 //!
 //! The cell files *are* the persistence format — no bespoke encoding. Cell `i` is
-//! stored as the shard report `{shard: i, shard_count: scheduled_cells, strategy:
-//! "lab", assigned: [i], budget_exhausted: false, cells: [<result>]}`, which makes
+//! stored as the shard report `{shard: i, shard_count: grid_cells, strategy: "lab",
+//! scheduled_cells: grid_cells, assigned: [i], cells: [<result>]}`, which makes
 //! [`CampaignReport::merge`]'s coverage validation the completeness check: the merge
-//! succeeds exactly when every scheduled cell is on disk, and reassembles the report
+//! succeeds exactly when every cell is on disk, and reassembles the report
 //! byte-identically to a single-host run.
 //!
 //! Writes are atomic (write to `*.tmp`, then rename), and loading discards — rather
@@ -107,7 +107,7 @@ impl LabError {
 /// What a lab session accomplished.
 #[derive(Debug)]
 pub struct LabOutcome {
-    /// The merged campaign report — `Some` exactly when every scheduled cell is on
+    /// The merged campaign report — `Some` exactly when every cell is on
     /// disk (byte-identical to an uninterrupted run), `None` when the session was
     /// capped before completing the grid.
     pub report: Option<CampaignReport>,
@@ -131,14 +131,13 @@ pub struct CampaignLab {
     campaign: String,
     fingerprint: u64,
     grid_cells: usize,
-    scheduled_cells: usize,
 }
 
 impl CampaignLab {
     /// Opens (creating if necessary) the lab at `dir` for `spec`.
     ///
     /// A fresh directory gets a `manifest.json` recording the campaign name, the
-    /// [`CampaignSpec::fingerprint`], and the grid/scheduled cell counts. An existing
+    /// [`CampaignSpec::fingerprint`], and the grid size. An existing
     /// manifest is validated against `spec`: a name or fingerprint mismatch is a typed
     /// error, never a silent mixing of two campaigns' cells.
     pub fn open(dir: impl Into<PathBuf>, spec: &CampaignSpec) -> Result<Self, LabError> {
@@ -151,7 +150,6 @@ impl CampaignLab {
             campaign: spec.name.clone(),
             fingerprint: spec.fingerprint(),
             grid_cells: spec.grid_size(),
-            scheduled_cells: spec.cells().len(),
         };
         let manifest = lab.dir.join("manifest.json");
         match fs::read_to_string(&manifest) {
@@ -169,10 +167,10 @@ impl CampaignLab {
         &self.dir
     }
 
-    /// Number of cells the campaign schedules (the lab is complete when this many
-    /// cell files are on disk).
-    pub fn scheduled_cells(&self) -> usize {
-        self.scheduled_cells
+    /// Number of cells in the campaign grid (the lab is complete when this many cell
+    /// files are on disk).
+    pub fn grid_cells(&self) -> usize {
+        self.grid_cells
     }
 
     /// The fingerprint of the spec this lab was opened for.
@@ -188,10 +186,11 @@ impl CampaignLab {
         push_str_literal(&mut out, &self.campaign);
         push_key(&mut out, &mut first, "fingerprint");
         push_str_literal(&mut out, &format!("{:016x}", self.fingerprint));
+        // `scheduled_cells` repeats the grid size, so manifests keep their bytes.
         push_key(&mut out, &mut first, "grid_cells");
         out.push_str(&self.grid_cells.to_string());
         push_key(&mut out, &mut first, "scheduled_cells");
-        out.push_str(&self.scheduled_cells.to_string());
+        out.push_str(&self.grid_cells.to_string());
         out.push('}');
         out
     }
@@ -223,7 +222,7 @@ impl CampaignLab {
         Ok(())
     }
 
-    /// Path of the cell file for scheduled cell `index`.
+    /// Path of the cell file for cell `index`.
     pub fn cell_path(&self, index: usize) -> PathBuf {
         self.dir.join("cells").join(format!("cell-{index}.json"))
     }
@@ -241,17 +240,16 @@ impl CampaignLab {
             campaign: self.campaign.clone(),
             fingerprint: self.fingerprint,
             shard: result.index,
-            shard_count: self.scheduled_cells,
+            shard_count: self.grid_cells,
             strategy: LAB_STRATEGY.to_string(),
             grid_cells: self.grid_cells,
-            scheduled_cells: self.scheduled_cells,
+            scheduled_cells: self.grid_cells,
             assigned: vec![result.index],
-            budget_exhausted: false,
             cells: vec![result],
         }
     }
 
-    /// Loads every valid completed cell from disk, keyed by scheduled index, plus the
+    /// Loads every valid completed cell from disk, keyed by grid index, plus the
     /// number of files discarded as corrupt or foreign.
     ///
     /// A file is accepted only when it parses as a [`ShardReport`] whose framing
@@ -295,20 +293,19 @@ impl CampaignLab {
             && report.campaign == self.campaign
             && report.strategy == LAB_STRATEGY
             && report.grid_cells == self.grid_cells
-            && report.scheduled_cells == self.scheduled_cells
-            && report.shard_count == self.scheduled_cells
-            && report.shard < self.scheduled_cells
+            && report.scheduled_cells == self.grid_cells
+            && report.shard_count == self.grid_cells
+            && report.shard < self.grid_cells
             && report.assigned == [report.shard]
-            && !report.budget_exhausted
             && report.cells.len() == 1
             && report.cells[0].index == report.shard
     }
 
     /// Merges the on-disk cells into a [`CampaignReport`] if — and only if — every
-    /// scheduled cell is present. Returns `Ok(None)` for an incomplete lab.
+    /// cell is present. Returns `Ok(None)` for an incomplete lab.
     pub fn merge_if_complete(&self) -> Result<Option<CampaignReport>, LabError> {
         let (cells, _discarded) = self.load_cells()?;
-        if cells.len() < self.scheduled_cells {
+        if cells.len() < self.grid_cells {
             return Ok(None);
         }
         let shards: Vec<ShardReport> = cells.into_values().collect();
@@ -364,7 +361,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let spec = lab_spec();
         let lab = CampaignLab::open(&dir, &spec).expect("fresh lab opens");
-        assert_eq!(lab.scheduled_cells(), 2);
+        assert_eq!(lab.grid_cells(), 2);
         // Reopening with the same spec succeeds; a different spec is refused.
         CampaignLab::open(&dir, &spec).expect("reopen with same spec");
         let mut other = lab_spec();

@@ -5,18 +5,18 @@
 //! (Figs. 10–16, Table 1). This crate turns "run one tuning session" into "run a
 //! campaign":
 //!
-//! * [`CampaignSpec`] declares the cross-product grid plus per-axis budget overrides
-//!   and optional budget caps; its scenario axis (`dg-scenario`'s [`ScenarioSpec`])
-//!   sweeps the same grid across dynamic cloud regimes — preemptions, diurnal load,
-//!   regime shifts, heterogeneous fleets — with the default `steady` scenario
-//!   reproducing scenario-less campaigns byte-identically;
-//! * [`Campaign`] fans the cells out across worker threads (a shared-cursor
-//!   work-stealing pool over `std::thread::scope`) while keeping results
+//! * [`CampaignSpec`] declares the cross-product grid and the per-cell experiment
+//!   scale; its scenario axis (`dg-scenario`'s [`ScenarioSpec`]) sweeps the same grid
+//!   across dynamic cloud regimes — preemptions, diurnal load, regime shifts,
+//!   heterogeneous fleets — with the default `steady` scenario reproducing
+//!   scenario-less campaigns byte-identically;
+//! * [`Campaign`] runs every cell of the grid across worker threads on
+//!   [`run_ordered`] (a shared-cursor work-stealing pool over `std::thread::scope`,
+//!   which `dg-serve`'s retune sweep shares) while keeping results
 //!   **deterministic**: every cell derives its RNG streams from
 //!   [`CampaignSpec::cell_seed`] (built on [`dg_cloudsim::mix`]) and results are
 //!   collected in stable grid order, so the report is byte-identical whether it ran on
-//!   one worker or thirty-two (the best-effort `max_core_hours` cap is the one
-//!   scheduling-dependent feature; see [`CampaignSpec`]);
+//!   one worker or thirty-two;
 //! * results stream into `dg-stats` online accumulators per `(tuner, application, vm,
 //!   profile)` group and land in a [`CampaignReport`] with canonical JSON emission
 //!   ([`CampaignReport::to_json`]) and a compact text summary
@@ -58,7 +58,9 @@ mod spec;
 
 pub use dg_exec::{BackendProvider, ExecutionTrace, SurrogateConfig, TraceError};
 pub use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
-pub use executor::{default_workers, register_darwin_variant, standard_registry, Campaign};
+pub use executor::{
+    default_workers, register_darwin_variant, run_ordered, standard_registry, Campaign,
+};
 pub use lab::{CampaignLab, LabError, LabOutcome};
 pub use progress::{cell_cost_estimates, ProgressMeter, ProgressUpdate};
 pub use report::{CampaignReport, CellResult, GroupSummary};
@@ -67,5 +69,5 @@ pub use retune::{
     RetuneSpec,
 };
 pub use scale::ExperimentScale;
-pub use shard::{MergeError, PlanError, ShardParseError, ShardPlan, ShardReport, ShardStrategy};
+pub use shard::{MergeError, ShardParseError, ShardPlan, ShardReport, ShardStrategy};
 pub use spec::{profile_label, CampaignSpec, CellCoord};

@@ -231,21 +231,14 @@ impl GroupAccumulator {
 /// The full result of one campaign run.
 ///
 /// The report deliberately records nothing about the host — no worker count, no host
-/// wall-clock — so an uncapped (or `max_cells`-capped) spec serializes to byte-identical
-/// JSON whether it ran on one worker or thirty-two. A `max_core_hours`-capped run may
-/// complete a scheduling-dependent set of cells, but the report always describes exactly
-/// that completed set.
+/// wall-clock — so a spec serializes to byte-identical JSON whether it ran on one
+/// worker or thirty-two.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Campaign name, copied from the spec.
     pub name: String,
-    /// Size of the full cross-product grid.
+    /// Size of the cross-product grid.
     pub grid_cells: usize,
-    /// Cells scheduled after the deterministic `max_cells` cap.
-    pub scheduled_cells: usize,
-    /// True when the core-hour budget cap stopped the campaign before every scheduled
-    /// cell ran.
-    pub budget_exhausted: bool,
     /// Total tuning core-hours over all completed cells.
     pub total_core_hours: f64,
     /// Every completed cell, in stable grid order.
@@ -257,13 +250,7 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Assembles a report from completed cells (already in stable grid order).
-    pub(crate) fn from_cells(
-        name: String,
-        grid_cells: usize,
-        scheduled_cells: usize,
-        budget_exhausted: bool,
-        cells: Vec<CellResult>,
-    ) -> Self {
+    pub(crate) fn from_cells(name: String, grid_cells: usize, cells: Vec<CellResult>) -> Self {
         let mut accumulators: Vec<GroupAccumulator> = Vec::new();
         let mut total_core_hours = 0.0;
         for cell in &cells {
@@ -288,8 +275,6 @@ impl CampaignReport {
         Self {
             name,
             grid_cells,
-            scheduled_cells,
-            budget_exhausted,
             total_core_hours,
             cells,
             groups: accumulators
@@ -306,6 +291,10 @@ impl CampaignReport {
 
     /// Canonical JSON serialization: fixed key order, no whitespace, shortest
     /// round-trip float rendering. Byte-identical for identical reports.
+    ///
+    /// Two keys stay from when runs could be capped, so reports keep their bytes:
+    /// `scheduled_cells` repeats `grid_cells`, and the cap flag after `completed_cells`
+    /// is always `false`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.cells.len() * 256);
         out.push('{');
@@ -315,15 +304,11 @@ impl CampaignReport {
         push_key(&mut out, &mut first, "grid_cells");
         let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.grid_cells));
         push_key(&mut out, &mut first, "scheduled_cells");
-        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.scheduled_cells));
+        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.grid_cells));
         push_key(&mut out, &mut first, "completed_cells");
         let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.cells.len()));
         push_key(&mut out, &mut first, "budget_exhausted");
-        out.push_str(if self.budget_exhausted {
-            "true"
-        } else {
-            "false"
-        });
+        out.push_str("false");
         push_key(&mut out, &mut first, "total_core_hours");
         push_f64(&mut out, self.total_core_hours);
         push_key(&mut out, &mut first, "cells");
@@ -407,8 +392,6 @@ mod tests {
         CampaignReport::from_cells(
             "unit".into(),
             4,
-            4,
-            false,
             vec![
                 cell(0, "Random", 0, 100.0),
                 cell(1, "Random", 1, 110.0),
@@ -465,8 +448,6 @@ mod tests {
         let report = CampaignReport::from_cells(
             "scenario-split".into(),
             3,
-            3,
-            false,
             vec![
                 cell(0, "Random", 0, 100.0),
                 cell(1, "Random", 1, 110.0),
@@ -523,10 +504,9 @@ mod tests {
 
     #[test]
     fn empty_report_is_valid() {
-        let report = CampaignReport::from_cells("empty".into(), 4, 2, true, Vec::new());
+        let report = CampaignReport::from_cells("empty".into(), 4, Vec::new());
         assert_eq!(report.completed_cells(), 0);
         assert!(report.groups.is_empty());
-        assert!(report.budget_exhausted);
         let json = report.to_json();
         assert!(json.contains("\"cells\":[]"));
     }

@@ -7,7 +7,7 @@
 //! every RNG stream from their stable grid index, so the protocol is small:
 //!
 //! 1. every participant builds the same [`ShardPlan`] from the shared
-//!    [`CampaignSpec`] — a deterministic partition of the scheduled cell indices into
+//!    [`CampaignSpec`] — a deterministic partition of the grid's cell indices into
 //!    `K` shards under a [`ShardStrategy`];
 //! 2. shard `k` runs its slice ([`Campaign::run_shard`](crate::Campaign::run_shard))
 //!    and emits a [`ShardReport`] as canonical JSON (a file, a blob, a message — any
@@ -28,6 +28,7 @@
 use crate::report::{CampaignReport, CellResult, STEADY_SCENARIO};
 use crate::spec::CampaignSpec;
 use dg_exec::json::{self, push_key, push_str_literal, JsonValue};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -76,20 +77,19 @@ impl fmt::Display for ShardStrategy {
     }
 }
 
-/// A deterministic partition of a campaign's scheduled cell indices into `K` shards.
+/// A deterministic partition of a campaign's cell indices into `K` shards.
 ///
 /// The plan is a pure function of `(spec, K, strategy)`: every participant in a
 /// distributed run rebuilds it locally and gets the same assignment, so no coordinator
-/// is needed. Shards disjointly cover the scheduled index space `0..scheduled_cells`
-/// (some shards may be empty when `K` exceeds the cell count).
+/// is needed. Shards disjointly cover the index space `0..grid_cells` (some shards may
+/// be empty when `K` exceeds the cell count).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     fingerprint: u64,
     strategy: ShardStrategy,
     grid_cells: usize,
-    scheduled_cells: usize,
     assignments: Vec<Vec<usize>>,
-    costs: Vec<f64>,
+    costs: Vec<u64>,
 }
 
 impl ShardPlan {
@@ -102,73 +102,20 @@ impl ShardPlan {
     pub fn new(spec: &CampaignSpec, shards: usize, strategy: ShardStrategy) -> Self {
         assert!(shards > 0, "a shard plan needs at least one shard");
         spec.validate();
-        let cell_costs: Vec<f64> = spec
+        let cell_costs: Vec<u64> = spec
             .cells()
             .iter()
-            .map(|cell| spec.budget_for(&cell.tuner) as f64)
+            .map(|cell| spec.budget_for(&cell.tuner) as u64)
             .collect();
-        // Budgets are small integers, exact in f64, so this shares the float builder
-        // with `with_cell_costs` without any change in the produced plans.
-        Self::build(spec, shards, strategy, &cell_costs)
-    }
-
-    /// Builds the plan for `spec` using caller-supplied per-cell cost estimates (for
-    /// example measured core-hours from a previous run) instead of the tuner budgets.
-    ///
-    /// Unlike the budget-derived costs of [`new`](Self::new), external estimates can
-    /// be poisoned — a failed cell's core-hours may be `NaN` or `inf`, and a NaN fed
-    /// into the LPT comparisons would silently scramble the assignment. Every cost is
-    /// therefore validated up front and the poisoned index reported as a typed
-    /// [`PlanError`] instead of producing a corrupt plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` or the spec is invalid (the same contract as `new`);
-    /// bad *costs* are an `Err`, not a panic, because they typically come from data
-    /// files rather than code.
-    pub fn with_cell_costs(
-        spec: &CampaignSpec,
-        shards: usize,
-        strategy: ShardStrategy,
-        cell_costs: &[f64],
-    ) -> Result<Self, PlanError> {
-        assert!(shards > 0, "a shard plan needs at least one shard");
-        spec.validate();
-        let scheduled = spec.cells().len();
-        if cell_costs.len() != scheduled {
-            return Err(PlanError::CostCountMismatch {
-                cells: scheduled,
-                costs: cell_costs.len(),
-            });
-        }
-        for (index, &cost) in cell_costs.iter().enumerate() {
-            if !cost.is_finite() {
-                return Err(PlanError::NonFiniteCost { index, cost });
-            }
-            if cost < 0.0 {
-                return Err(PlanError::NegativeCost { index, cost });
-            }
-        }
-        Ok(Self::build(spec, shards, strategy, cell_costs))
-    }
-
-    /// Shared builder; callers have already validated `shards`, the spec, and (for
-    /// external costs) finiteness, so `cell_costs` is known finite and non-negative.
-    fn build(
-        spec: &CampaignSpec,
-        shards: usize,
-        strategy: ShardStrategy,
-        cell_costs: &[f64],
-    ) -> Self {
-        let scheduled = cell_costs.len();
+        let cells = cell_costs.len();
         let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); shards];
         match strategy {
             ShardStrategy::Contiguous => {
                 // Balanced contiguous ranges, same arithmetic as the workloads crate's
                 // `IndexPartition` but tolerating more shards than cells (trailing
                 // shards simply stay empty).
-                let base = scheduled / shards;
-                let remainder = scheduled % shards;
+                let base = cells / shards;
+                let remainder = cells % shards;
                 for (shard, assignment) in assignments.iter_mut().enumerate() {
                     let start = shard * base + shard.min(remainder);
                     let len = base + usize::from(shard < remainder);
@@ -176,23 +123,21 @@ impl ShardPlan {
                 }
             }
             ShardStrategy::Strided => {
-                for index in 0..scheduled {
+                for index in 0..cells {
                     assignments[index % shards].push(index);
                 }
             }
             ShardStrategy::CostBalanced => {
                 // Greedy LPT: most expensive cells first, each onto the currently
-                // cheapest shard; ties break on the lower index/shard id so the plan
-                // is deterministic. `total_cmp` keeps the ordering total — the costs
-                // are pre-validated finite, but a total order costs nothing and makes
-                // the comparator immune to sort-order undefined behavior by
-                // construction.
-                let mut order: Vec<usize> = (0..scheduled).collect();
-                order.sort_by(|a, b| cell_costs[*b].total_cmp(&cell_costs[*a]).then(a.cmp(b)));
-                let mut loads = vec![0.0f64; shards];
+                // cheapest shard; ties go to the lower index and the lower shard id
+                // (a stable sort and `min_by_key` both keep the first), so the plan is
+                // deterministic.
+                let mut order: Vec<usize> = (0..cells).collect();
+                order.sort_by_key(|&index| std::cmp::Reverse(cell_costs[index]));
+                let mut loads = vec![0u64; shards];
                 for index in order {
                     let target = (0..shards)
-                        .min_by(|a, b| loads[*a].total_cmp(&loads[*b]).then(a.cmp(b)))
+                        .min_by_key(|&shard| loads[shard])
                         .expect("shards > 0");
                     loads[target] += cell_costs[index];
                     assignments[target].push(index);
@@ -210,8 +155,7 @@ impl ShardPlan {
         Self {
             fingerprint: spec.fingerprint(),
             strategy,
-            grid_cells: spec.grid_size(),
-            scheduled_cells: scheduled,
+            grid_cells: cells,
             assignments,
             costs,
         }
@@ -232,12 +176,7 @@ impl ShardPlan {
         self.strategy
     }
 
-    /// Number of scheduled cells the plan covers (after any `max_cells` cap).
-    pub fn scheduled_cells(&self) -> usize {
-        self.scheduled_cells
-    }
-
-    /// Size of the full cross-product grid.
+    /// Size of the cross-product grid: the number of cells the plan covers.
     pub fn grid_cells(&self) -> usize {
         self.grid_cells
     }
@@ -256,79 +195,16 @@ impl ShardPlan {
         &self.assignments[shard]
     }
 
-    /// Estimated cost of `shard`, rounded to the nearest whole unit: summed tuner
-    /// evaluation budgets for [`new`](Self::new) plans (always exact — budgets are
-    /// integers), summed caller estimates for [`with_cell_costs`](Self::with_cell_costs)
-    /// plans. Use [`estimated_cost_exact`](Self::estimated_cost_exact) when the
-    /// fractional part matters.
+    /// Estimated cost of `shard`: the summed tuner evaluation budgets of its cells.
     ///
     /// # Panics
     ///
     /// Panics if `shard >= shard_count()`.
     pub fn estimated_cost(&self, shard: usize) -> u64 {
-        self.estimated_cost_exact(shard).round() as u64
-    }
-
-    /// Estimated cost of `shard` as the exact sum of its per-cell costs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shard_count()`.
-    pub fn estimated_cost_exact(&self, shard: usize) -> f64 {
         assert!(shard < self.costs.len(), "shard {shard} out of range");
         self.costs[shard]
     }
 }
-
-/// Why caller-supplied per-cell costs cannot drive a [`ShardPlan`].
-///
-/// External cost estimates (measured core-hours, persisted bench data) can carry the
-/// `inf`/`NaN` sentinels this workspace uses for failed cells; letting one reach the
-/// LPT comparisons would scramble the assignment without any error. Each variant names
-/// the offending index so the caller can repair or drop the estimate.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanError {
-    /// The cost slice does not have one entry per scheduled cell.
-    CostCountMismatch {
-        /// Scheduled cells in the spec (after any `max_cells` cap).
-        cells: usize,
-        /// Entries in the supplied cost slice.
-        costs: usize,
-    },
-    /// A cost is `NaN` or infinite (typically a failed cell's sentinel).
-    NonFiniteCost {
-        /// Index of the poisoned cell cost.
-        index: usize,
-        /// The offending value.
-        cost: f64,
-    },
-    /// A cost is negative, which has no meaning for a load estimate.
-    NegativeCost {
-        /// Index of the negative cell cost.
-        index: usize,
-        /// The offending value.
-        cost: f64,
-    },
-}
-
-impl fmt::Display for PlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanError::CostCountMismatch { cells, costs } => write!(
-                f,
-                "cost count mismatch: {cells} scheduled cells but {costs} cost estimates"
-            ),
-            PlanError::NonFiniteCost { index, cost } => {
-                write!(f, "cell {index} has a non-finite cost estimate ({cost})")
-            }
-            PlanError::NegativeCost { index, cost } => {
-                write!(f, "cell {index} has a negative cost estimate ({cost})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
 
 /// The result of running one shard of a campaign: the completed cells plus everything
 /// the merge needs to validate compatibility and coverage.
@@ -350,13 +226,10 @@ pub struct ShardReport {
     pub strategy: String,
     /// Size of the full cross-product grid.
     pub grid_cells: usize,
-    /// Scheduled cells of the *whole* campaign (after `max_cells`).
+    /// Cells of the *whole* campaign the shards cover between them (the grid size).
     pub scheduled_cells: usize,
     /// The cell indices this shard was assigned, ascending.
     pub assigned: Vec<usize>,
-    /// True when this shard's `max_core_hours` cap stopped it before every assigned
-    /// cell ran (the cap is per-shard in a sharded run).
-    pub budget_exhausted: bool,
     /// The completed cells, in stable grid order.
     pub cells: Vec<CellResult>,
 }
@@ -392,12 +265,6 @@ impl ShardReport {
             let _ = write!(out, "{index}");
         }
         out.push(']');
-        push_key(&mut out, &mut first, "budget_exhausted");
-        out.push_str(if self.budget_exhausted {
-            "true"
-        } else {
-            "false"
-        });
         push_key(&mut out, &mut first, "cells");
         out.push('[');
         for (i, cell) in self.cells.iter().enumerate() {
@@ -414,7 +281,9 @@ impl ShardReport {
     ///
     /// The round trip is lossless, including non-finite floats: infinities and NaN
     /// serialize to the strings `"inf"`/`"-inf"`/`"nan"` and parse back bit-for-bit
-    /// (the legacy `null` encoding older writers used is still accepted as NaN).
+    /// (the legacy `null` encoding older writers used is still accepted as NaN). Keys
+    /// the schema does not name are ignored, so reports from older writers, which
+    /// wrote one more key, still parse.
     pub fn from_json(text: &str) -> Result<Self, ShardParseError> {
         let root = json::parse(text).map_err(ShardParseError::new)?;
         let assigned = array_field(&root, "assigned")?
@@ -438,7 +307,6 @@ impl ShardReport {
             grid_cells: number_field(&root, "grid_cells")?,
             scheduled_cells: number_field(&root, "scheduled_cells")?,
             assigned,
-            budget_exhausted: bool_field(&root, "budget_exhausted")?,
             cells,
         })
     }
@@ -476,12 +344,6 @@ fn str_field(root: &JsonValue, key: &str) -> Result<String, ShardParseError> {
         .as_str()
         .map(str::to_string)
         .ok_or_else(|| ShardParseError::new(format!("field {key:?} is not a string")))
-}
-
-fn bool_field(root: &JsonValue, key: &str) -> Result<bool, ShardParseError> {
-    field(root, key)?
-        .as_bool()
-        .ok_or_else(|| ShardParseError::new(format!("field {key:?} is not a boolean")))
 }
 
 fn array_field<'a>(root: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], ShardParseError> {
@@ -562,7 +424,8 @@ pub enum MergeError {
     /// No shard reports were supplied.
     NoShards,
     /// Two reports disagree on a spec-level field (fingerprint, grid size, shard
-    /// count, strategy, campaign name).
+    /// count, strategy, campaign name), or the cells the shards cover
+    /// (`scheduled_cells`) are not the whole grid (`grid_cells`).
     SpecMismatch {
         /// Which field disagreed.
         field: &'static str,
@@ -620,8 +483,8 @@ pub enum MergeError {
         /// The repeated cell index.
         index: usize,
     },
-    /// A shard completed fewer cells than assigned without declaring budget
-    /// exhaustion — its report is truncated or corrupt.
+    /// A shard completed fewer cells than assigned — its report is truncated or
+    /// corrupt.
     IncompleteShard {
         /// The offending shard index.
         shard: usize,
@@ -679,8 +542,7 @@ impl fmt::Display for MergeError {
                 completed,
             } => write!(
                 f,
-                "shard {shard} completed {completed} of {assigned} assigned cells \
-                 without declaring budget exhaustion"
+                "shard {shard} completed {completed} of {assigned} assigned cells"
             ),
         }
     }
@@ -692,16 +554,16 @@ impl CampaignReport {
     /// Merges the reports of a sharded campaign back into one [`CampaignReport`].
     ///
     /// Validates that the reports come from one plan over one spec (fingerprints,
-    /// shard count, strategy), that every shard is present exactly once, and that the
-    /// declared assignments disjointly cover the whole scheduled index space; then
-    /// reassembles the cells in stable grid order and recomputes the per-group
-    /// aggregates through the same streamed `dg-stats` accumulators the single-host
-    /// executor uses. For uncapped campaigns the result is byte-identical (in its
-    /// [`to_json`](Self::to_json) form) to a single-host run of the same spec.
+    /// shard count, strategy), that every shard is present exactly once, that the
+    /// declared assignments disjointly cover the whole index space, and that every
+    /// shard completed exactly its assigned cells; then reassembles the cells in stable
+    /// grid order and recomputes the per-group aggregates through the same streamed
+    /// `dg-stats` accumulators the single-host executor uses. The result is
+    /// byte-identical (in its [`to_json`](Self::to_json) form) to a single-host run of
+    /// the same spec.
     ///
-    /// The merged `budget_exhausted` flag is the OR over the shards' flags: a sharded
-    /// campaign ran its `max_core_hours` cap per shard, and any shard stopping early
-    /// means the merged report is missing cells just like a capped single-host run.
+    /// Memory stays proportional to the documents: nothing is sized by the declared
+    /// `shard_count` or `scheduled_cells` until the documents are shown to cover them.
     pub fn merge(shards: Vec<ShardReport>) -> Result<CampaignReport, MergeError> {
         let first = shards.first().ok_or(MergeError::NoShards)?;
         let (name, fingerprint) = (first.campaign.clone(), first.fingerprint);
@@ -745,7 +607,7 @@ impl CampaignReport {
         }
 
         // Every shard exactly once.
-        let mut seen_shards = vec![false; shard_count];
+        let mut seen_shards = BTreeSet::new();
         for shard in &shards {
             if shard.shard >= shard_count {
                 return Err(MergeError::ShardIndexOutOfRange {
@@ -753,17 +615,16 @@ impl CampaignReport {
                     shard_count,
                 });
             }
-            if seen_shards[shard.shard] {
+            if !seen_shards.insert(shard.shard) {
                 return Err(MergeError::DuplicateShard { shard: shard.shard });
             }
-            seen_shards[shard.shard] = true;
         }
-        if let Some(missing) = seen_shards.iter().position(|present| !present) {
+        if let Some(missing) = first_gap(seen_shards.iter().copied(), shard_count) {
             return Err(MergeError::MissingShard { shard: missing });
         }
 
         // Assignments disjointly cover 0..scheduled_cells.
-        let mut owner: Vec<Option<usize>> = vec![None; scheduled_cells];
+        let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
         for shard in &shards {
             for index in &shard.assigned {
                 if *index >= scheduled_cells {
@@ -772,24 +633,31 @@ impl CampaignReport {
                         scheduled_cells,
                     });
                 }
-                if owner[*index].is_some() {
+                if owner.insert(*index, shard.shard).is_some() {
                     return Err(MergeError::OverlappingCell { index: *index });
                 }
-                owner[*index] = Some(shard.shard);
             }
         }
-        if let Some(uncovered) = owner.iter().position(Option::is_none) {
+        if let Some(uncovered) = first_gap(owner.keys().copied(), scheduled_cells) {
             return Err(MergeError::UncoveredCell { index: uncovered });
+        }
+        // The shards cover `scheduled_cells` cells; a whole campaign covers its grid.
+        if scheduled_cells != grid_cells {
+            return Err(MergeError::SpecMismatch {
+                field: "scheduled_cells",
+                expected: grid_cells.to_string(),
+                found: scheduled_cells.to_string(),
+            });
         }
 
         // Completed cells belong to their shard's assignment, appear at most once
         // (a duplicate would otherwise mask a dropped cell, since only counts are
-        // compared below), and un-capped shards completed everything they were
-        // assigned.
+        // compared below), and every shard completed everything it was assigned.
+        // Coverage passed, so `scheduled_cells` is now bounded by the documents.
         let mut completed_once = vec![false; scheduled_cells];
         for shard in &shards {
             for cell in &shard.cells {
-                if cell.index >= scheduled_cells || owner[cell.index] != Some(shard.shard) {
+                if owner.get(&cell.index) != Some(&shard.shard) {
                     return Err(MergeError::ForeignCell {
                         shard: shard.shard,
                         index: cell.index,
@@ -803,7 +671,7 @@ impl CampaignReport {
                 }
                 completed_once[cell.index] = true;
             }
-            if !shard.budget_exhausted && shard.cells.len() != shard.assigned.len() {
+            if shard.cells.len() != shard.assigned.len() {
                 return Err(MergeError::IncompleteShard {
                     shard: shard.shard,
                     assigned: shard.assigned.len(),
@@ -812,20 +680,26 @@ impl CampaignReport {
             }
         }
 
-        let budget_exhausted = shards.iter().any(|shard| shard.budget_exhausted);
         let mut cells: Vec<CellResult> = shards
             .into_iter()
             .flat_map(|shard| shard.cells.into_iter())
             .collect();
         cells.sort_by_key(|cell| cell.index);
-        Ok(CampaignReport::from_cells(
-            name,
-            grid_cells,
-            scheduled_cells,
-            budget_exhausted,
-            cells,
-        ))
+        Ok(CampaignReport::from_cells(name, grid_cells, cells))
     }
+}
+
+/// The smallest index in `0..len` missing from `present`, an ascending run of distinct
+/// indices below `len`; `None` when every index is present.
+fn first_gap(present: impl Iterator<Item = usize>, len: usize) -> Option<usize> {
+    let mut expected = 0;
+    for index in present {
+        if index != expected {
+            return Some(expected);
+        }
+        expected += 1;
+    }
+    (expected < len).then_some(expected)
 }
 
 #[cfg(test)]
@@ -846,7 +720,7 @@ mod tests {
         for strategy in ShardStrategy::ALL {
             for shards in [1, 2, 3, 7, 15] {
                 let plan = ShardPlan::new(&spec, shards, strategy);
-                let mut seen = vec![false; plan.scheduled_cells()];
+                let mut seen = vec![false; plan.grid_cells()];
                 for shard in 0..plan.shard_count() {
                     for index in plan.indices(shard) {
                         assert!(!seen[*index], "{strategy}: cell {index} assigned twice");
@@ -904,78 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn external_costs_reproduce_the_budget_plan_when_equal() {
-        // Feeding the budgets back in as external estimates must yield the exact plan
-        // `new` builds — the two entry points share one builder.
-        let spec = spec();
-        let budgets: Vec<f64> = spec
-            .cells()
-            .iter()
-            .map(|c| spec.budget_for(&c.tuner) as f64)
-            .collect();
-        for strategy in ShardStrategy::ALL {
-            let from_budgets = ShardPlan::new(&spec, 3, strategy);
-            let from_costs = ShardPlan::with_cell_costs(&spec, 3, strategy, &budgets)
-                .expect("finite costs plan");
-            assert_eq!(from_budgets, from_costs, "{strategy}");
-        }
-    }
-
-    #[test]
-    fn poisoned_external_costs_are_rejected_with_typed_errors() {
-        let spec = spec();
-        let scheduled = spec.cells().len();
-        let mut costs = vec![1.0; scheduled];
-
-        costs[2] = f64::NAN;
-        assert!(matches!(
-            ShardPlan::with_cell_costs(&spec, 3, ShardStrategy::CostBalanced, &costs),
-            Err(PlanError::NonFiniteCost { index: 2, .. })
-        ));
-
-        costs[2] = f64::INFINITY;
-        assert!(matches!(
-            ShardPlan::with_cell_costs(&spec, 3, ShardStrategy::CostBalanced, &costs),
-            Err(PlanError::NonFiniteCost { index: 2, .. })
-        ));
-
-        costs[2] = -1.0;
-        assert!(matches!(
-            ShardPlan::with_cell_costs(&spec, 3, ShardStrategy::CostBalanced, &costs),
-            Err(PlanError::NegativeCost { index: 2, .. })
-        ));
-
-        costs[2] = 1.0;
-        costs.pop();
-        let short = ShardPlan::with_cell_costs(&spec, 3, ShardStrategy::CostBalanced, &costs);
-        assert_eq!(
-            short,
-            Err(PlanError::CostCountMismatch {
-                cells: scheduled,
-                costs: scheduled - 1
-            })
-        );
-    }
-
-    #[test]
-    fn fractional_external_costs_balance_within_the_lpt_bound() {
-        let spec = spec();
-        let costs: Vec<f64> = (0..spec.cells().len())
-            .map(|i| 0.25 + (i % 7) as f64 * 0.375)
-            .collect();
-        let plan = ShardPlan::with_cell_costs(&spec, 4, ShardStrategy::CostBalanced, &costs)
-            .expect("finite costs plan");
-        let total: f64 = costs.iter().sum();
-        let max_cell = costs.iter().fold(0.0f64, |a, &b| a.max(b));
-        for shard in 0..plan.shard_count() {
-            assert!(
-                plan.estimated_cost_exact(shard) <= total / 4.0 + max_cell + 1e-9,
-                "shard {shard} exceeds the LPT bound"
-            );
-        }
-    }
-
-    #[test]
     fn more_shards_than_cells_leaves_empty_shards() {
         let mut small = spec();
         small.tuners = vec!["RandomSearch".into()];
@@ -1026,7 +828,6 @@ mod tests {
             scheduled_cells: 4,
             cells: assigned.iter().map(|i| cell(*i)).collect(),
             assigned,
-            budget_exhausted: false,
         }
     }
 
@@ -1039,8 +840,7 @@ mod tests {
         .expect("valid shards");
         let indices: Vec<usize> = merged.cells.iter().map(|c| c.index).collect();
         assert_eq!(indices, vec![0, 1, 2, 3]);
-        assert_eq!(merged.scheduled_cells, 4);
-        assert!(!merged.budget_exhausted);
+        assert_eq!(merged.grid_cells, 4);
     }
 
     #[test]
@@ -1132,14 +932,41 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhausted_shards_may_be_partial_and_taint_the_merge() {
-        let mut capped = shard_report(1, 2, vec![2, 3]);
-        capped.cells.pop();
-        capped.budget_exhausted = true;
-        let merged = CampaignReport::merge(vec![shard_report(0, 2, vec![0, 1]), capped])
-            .expect("capped shards merge");
-        assert!(merged.budget_exhausted);
-        assert_eq!(merged.completed_cells(), 3);
+    fn merge_rejects_shards_that_cover_less_than_the_grid() {
+        let mut partial = shard_report(0, 1, vec![0, 1]);
+        partial.scheduled_cells = 2;
+        assert_eq!(
+            CampaignReport::merge(vec![partial]),
+            Err(MergeError::SpecMismatch {
+                field: "scheduled_cells",
+                expected: "4".into(),
+                found: "2".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn merge_rejects_oversized_counts_without_allocating_them() {
+        // Sizes come from the documents; the merge must answer from what the documents
+        // hold, never allocate what they claim. The document is in the older writer's
+        // format, with its retired flag, which the parser skips.
+        let empty = r#"{"campaign":"x","fingerprint":"0000000000000000","shard":0,"shard_count":1,"strategy":"contiguous","grid_cells":0,"scheduled_cells":0,"assigned":[],"budget_exhausted":false,"cells":[]}"#;
+        let huge = usize::MAX.to_string();
+        let parse = |text: String| ShardReport::from_json(&text).expect("document parses");
+        let many_shards =
+            parse(empty.replace("\"shard_count\":1", &format!("\"shard_count\":{huge}")));
+        assert_eq!(
+            CampaignReport::merge(vec![many_shards]),
+            Err(MergeError::MissingShard { shard: 1 })
+        );
+        let many_cells = parse(empty.replace(
+            "\"scheduled_cells\":0",
+            &format!("\"scheduled_cells\":{huge}"),
+        ));
+        assert_eq!(
+            CampaignReport::merge(vec![many_cells]),
+            Err(MergeError::UncoveredCell { index: 0 })
+        );
     }
 
     #[test]

@@ -38,15 +38,14 @@ pub struct CellCoord {
 
 /// Declarative description of an experiment campaign: the cross product of a tuner axis,
 /// an application axis, a VM axis, an interference-profile axis, a cloud-scenario axis,
-/// and a seed axis, plus the per-cell experiment scale and optional budget caps.
+/// and a seed axis, plus the per-cell experiment scale.
 ///
 /// Cells are enumerated in a stable nested order — tuners outermost, then applications,
 /// VM types, profiles, scenarios, and seeds innermost — and each cell derives its RNG
 /// streams from
 /// [`cell_seed`](Self::cell_seed), so each cell's result depends only on the spec, never
-/// on worker count or completion order. Whole-campaign reports are likewise identical
-/// across worker counts, except that a `max_core_hours`-capped run's *completed set*
-/// can vary with scheduling (see the field's documentation).
+/// on worker count or completion order. Every run executes every cell, so whole-campaign
+/// reports are identical across worker counts too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name, echoed into the report.
@@ -71,17 +70,6 @@ pub struct CampaignSpec {
     pub scale: ExperimentScale,
     /// Base seed all cell seeds are derived from.
     pub base_seed: u64,
-    /// Per-tuner evaluation-budget overrides `(tuner name, evaluations)`; tuners without
-    /// an override use [`ExperimentScale::baseline_budget`] (or
-    /// [`ExperimentScale::exhaustive_budget`] for the exhaustive search).
-    pub budget_overrides: Vec<(String, usize)>,
-    /// Deterministic cap: only the first `max_cells` cells of the grid are scheduled.
-    pub max_cells: Option<usize>,
-    /// Best-effort cap on total tuning core-hours: once completed cells have consumed at
-    /// least this much, no further cells are *started* (in-flight cells still finish).
-    /// Because in-flight cells depend on scheduling, the completed set of a capped run
-    /// can vary with worker count; use `max_cells` for a deterministic cap.
-    pub max_core_hours: Option<f64>,
     /// When true, cells that differ only in their tuner-axis entry share the same
     /// environment and tuner RNG seeds, turning every tuner comparison into a *paired*
     /// one (identical noise realisations — the design the Fig. 16 ablation sweep
@@ -110,9 +98,6 @@ impl CampaignSpec {
             seeds: Vec::new(),
             scale: ExperimentScale::default_scale(),
             base_seed: 0x0da2,
-            budget_overrides: Vec::new(),
-            max_cells: None,
-            max_core_hours: None,
             paired_tuners: false,
             surrogate: None,
         }
@@ -131,7 +116,7 @@ impl CampaignSpec {
         spec
     }
 
-    /// Size of the full cross-product grid (before any `max_cells` cap).
+    /// Size of the cross-product grid: the number of cells every run executes.
     pub fn grid_size(&self) -> usize {
         self.tuners.len()
             * self.applications.len()
@@ -152,7 +137,7 @@ impl CampaignSpec {
     ///
     /// # Panics
     ///
-    /// Panics if any axis is empty, the scale is invalid, or `max_cells` is zero.
+    /// Panics if any axis is empty or the scale is invalid.
     pub fn validate(&self) {
         assert!(!self.tuners.is_empty(), "campaign needs at least one tuner");
         assert!(
@@ -183,15 +168,6 @@ impl CampaignSpec {
             );
         }
         assert!(!self.seeds.is_empty(), "campaign needs at least one seed");
-        if let Some(max_cells) = self.max_cells {
-            assert!(max_cells > 0, "max_cells must be positive when set");
-        }
-        if let Some(cap) = self.max_core_hours {
-            assert!(
-                cap.is_finite() && cap > 0.0,
-                "max_core_hours must be positive and finite when set"
-            );
-        }
         if let Some(surrogate) = &self.surrogate {
             surrogate.validate();
         }
@@ -207,8 +183,7 @@ impl CampaignSpec {
         self.surrogate.is_some_and(|s| s.is_active())
     }
 
-    /// The scheduled cells: the full grid in stable nested order, truncated to
-    /// `max_cells` when set.
+    /// The cells of the grid in stable nested order.
     pub fn cells(&self) -> Vec<CellCoord> {
         // With paired tuners, the tuner axis (outermost) is excluded from seed
         // derivation: cells at the same position within each tuner's sub-grid share
@@ -243,14 +218,11 @@ impl CampaignSpec {
                 }
             }
         }
-        if let Some(max_cells) = self.max_cells {
-            cells.truncate(max_cells);
-        }
         cells
     }
 
     /// A stable 64-bit fingerprint of the spec: FNV-1a over a canonical textual
-    /// encoding of every field (axes in order, scale, seeds, caps, overrides).
+    /// encoding of every field (axes in order, scale, seeds, pairing, surrogate).
     ///
     /// Shard reports carry the fingerprint of the spec they were produced from, and
     /// [`CampaignReport::merge`](crate::CampaignReport::merge) refuses to combine
@@ -306,14 +278,10 @@ impl CampaignSpec {
             self.scale.tuning_repeats,
         ));
         push(&format!("|base_seed:{}", self.base_seed));
-        for (tuner, budget) in &self.budget_overrides {
-            push(&format!("|override:{tuner}={budget}"));
-        }
-        push(&format!("|max_cells:{:?}", self.max_cells));
-        push(&format!(
-            "|max_core_hours:{:?}",
-            self.max_core_hours.map(f64::to_bits)
-        ));
+        // Two constant segments from when specs could cap a run; they keep the
+        // fingerprints of existing specs, and so their shard reports, traces and labs.
+        push("|max_cells:None");
+        push("|max_core_hours:None");
         push(&format!("|paired:{}", self.paired_tuners));
         // Only an *active* surrogate is fingerprinted (see `surrogate_active`).
         if self.surrogate_active() {
@@ -342,12 +310,9 @@ impl CampaignSpec {
         SimRng::new(self.cell_seed(index))
     }
 
-    /// The evaluation budget for `tuner`: an explicit override when present, else the
-    /// exhaustive budget for the exhaustive search, else the baseline budget.
+    /// The evaluation budget for `tuner`: the exhaustive budget for the exhaustive
+    /// search, the baseline budget for every other tuner.
     pub fn budget_for(&self, tuner: &str) -> usize {
-        if let Some((_, budget)) = self.budget_overrides.iter().find(|(name, _)| name == tuner) {
-            return *budget;
-        }
         if tuner == "Exhaustive" {
             self.scale.exhaustive_budget
         } else {
@@ -385,14 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn max_cells_truncates_the_grid() {
-        let mut spec = two_by_two();
-        spec.max_cells = Some(3);
-        assert_eq!(spec.cells().len(), 3);
-        assert_eq!(spec.grid_size(), 4, "grid_size reports the full grid");
-    }
-
-    #[test]
     fn cell_seeds_are_distinct_and_stable() {
         let spec = two_by_two();
         let seeds: Vec<u64> = (0..4).map(|i| spec.cell_seed(i)).collect();
@@ -423,12 +380,17 @@ mod tests {
     }
 
     #[test]
-    fn budget_overrides_take_precedence() {
-        let mut spec = two_by_two();
-        assert_eq!(spec.budget_for("RandomSearch"), spec.scale.baseline_budget);
+    fn exhaustive_search_gets_the_exhaustive_budget() {
+        let spec = two_by_two();
+        assert_ne!(spec.scale.exhaustive_budget, spec.scale.baseline_budget);
         assert_eq!(spec.budget_for("Exhaustive"), spec.scale.exhaustive_budget);
-        spec.budget_overrides.push(("RandomSearch".into(), 7));
-        assert_eq!(spec.budget_for("RandomSearch"), 7);
+        for tuner in ["RandomSearch", "BLISS", "DarwinGame"] {
+            assert_eq!(
+                spec.budget_for(tuner),
+                spec.scale.baseline_budget,
+                "{tuner}"
+            );
+        }
     }
 
     #[test]
@@ -480,10 +442,6 @@ mod tests {
         let mut rescaled = two_by_two();
         rescaled.scale.baseline_budget += 1;
         assert_ne!(spec.fingerprint(), rescaled.fingerprint());
-
-        let mut capped = two_by_two();
-        capped.max_cells = Some(3);
-        assert_ne!(spec.fingerprint(), capped.fingerprint());
 
         let mut paired = two_by_two();
         paired.paired_tuners = true;
@@ -582,14 +540,6 @@ mod tests {
     fn empty_tuner_axis_rejected() {
         let mut spec = two_by_two();
         spec.tuners.clear();
-        spec.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "max_cells must be positive")]
-    fn zero_max_cells_rejected() {
-        let mut spec = two_by_two();
-        spec.max_cells = Some(0);
         spec.validate();
     }
 }

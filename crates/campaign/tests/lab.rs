@@ -120,7 +120,7 @@ fn complete_labs_resume_without_executing_anything() {
     let lab = CampaignLab::open(&dir, &spec).expect("lab opens");
     let first = campaign.run_lab(&lab).expect("first run");
     let second = campaign.run_lab(&lab).expect("second run");
-    assert_eq!(second.loaded_cells, lab.scheduled_cells());
+    assert_eq!(second.loaded_cells, lab.grid_cells());
     assert_eq!(second.fresh_cells, 0);
     assert_eq!(
         first.report.expect("first complete").to_json(),
@@ -150,7 +150,7 @@ fn corrupt_cell_files_are_rerun_not_trusted() {
     let outcome = campaign.run_lab(&lab).expect("resume over corruption");
     assert_eq!(outcome.discarded_cells, 1);
     assert_eq!(outcome.fresh_cells, 1);
-    assert_eq!(outcome.loaded_cells, lab.scheduled_cells() - 1);
+    assert_eq!(outcome.loaded_cells, lab.grid_cells() - 1);
     assert_eq!(
         outcome.report.expect("complete again").to_json(),
         whole.to_json()
@@ -181,7 +181,7 @@ fn deeply_nested_corrupt_cell_files_are_discarded_not_fatal() {
     let outcome = campaign.run_lab(&lab).expect("resume over deep nesting");
     assert_eq!(outcome.discarded_cells, 1);
     assert_eq!(outcome.fresh_cells, 1);
-    assert_eq!(outcome.loaded_cells, lab.scheduled_cells() - 1);
+    assert_eq!(outcome.loaded_cells, lab.grid_cells() - 1);
     assert_eq!(
         outcome.report.expect("complete again").to_json(),
         whole.to_json()

@@ -9,8 +9,7 @@
 //! deterministic cases per property.
 
 use dg_campaign::{
-    Campaign, CampaignReport, CampaignSpec, ExperimentScale, PlanError, ShardPlan, ShardReport,
-    ShardStrategy,
+    Campaign, CampaignReport, CampaignSpec, ExperimentScale, ShardPlan, ShardReport, ShardStrategy,
 };
 use dg_cloudsim::{InterferenceProfile, VmType};
 use dg_workloads::Application;
@@ -98,8 +97,8 @@ proptest! {
         );
     }
 
-    /// Shard plans disjointly and exhaustively cover the scheduled index space, for
-    /// every strategy, including grids capped by `max_cells`.
+    /// Shard plans disjointly and exhaustively cover the grid's index space, for
+    /// every strategy.
     #[test]
     fn plans_partition_the_scheduled_index_space(
         tuner_count in 1usize..4,
@@ -107,24 +106,18 @@ proptest! {
         seed_count in 1u64..5,
         shards in 1usize..9,
         strategy_index in 0usize..3,
-        cap_fraction in 0.0f64..1.0,
     ) {
-        let mut spec = random_spec(tuner_count, profile_count, seed_count, 1, false);
+        let spec = random_spec(tuner_count, profile_count, seed_count, 1, false);
         let grid = spec.grid_size();
-        let cap = 1 + (cap_fraction * grid as f64) as usize;
-        if cap < grid {
-            spec.max_cells = Some(cap);
-        }
-        let scheduled = spec.cells().len();
         let strategy = ShardStrategy::ALL[strategy_index];
         let plan = ShardPlan::new(&spec, shards, strategy);
 
-        prop_assert_eq!(plan.scheduled_cells(), scheduled);
-        let mut owner = vec![None::<usize>; scheduled];
+        prop_assert_eq!(plan.grid_cells(), grid);
+        let mut owner = vec![None::<usize>; grid];
         for shard in 0..plan.shard_count() {
             let mut previous = None;
             for index in plan.indices(shard) {
-                prop_assert!(*index < scheduled, "index out of range");
+                prop_assert!(*index < grid, "index out of range");
                 prop_assert!(owner[*index].is_none(), "cell {} assigned twice", index);
                 owner[*index] = Some(shard);
                 prop_assert!(previous < Some(*index), "indices must be ascending");
@@ -149,85 +142,19 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// External (float) cost estimates either build a valid balanced plan or are
-    /// rejected with a typed error naming the first poisoned index — a NaN or
-    /// infinity must never silently scramble the LPT ordering.
-    #[test]
-    fn external_costs_never_poison_cost_balanced_plans(
-        tuner_count in 1usize..4,
-        seed_count in 1u64..5,
-        shards in 1usize..7,
-        cost_seed in 0u64..1_000_000,
-        poison_kind in 0usize..4,
-        poison_slot in 0usize..64,
-    ) {
-        let spec = random_spec(tuner_count, 1, seed_count, 9, false);
-        let scheduled = spec.cells().len();
-        // A cheap deterministic pseudo-random cost per cell, occasionally fractional
-        // and occasionally zero, derived from the sampled seed.
-        let mut costs: Vec<f64> = (0..scheduled)
-            .map(|i| {
-                let bits = (cost_seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                    .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                (bits % 1024) as f64 / 8.0
-            })
-            .collect();
-
-        // Finite costs: the plan must partition the cells and respect the LPT bound.
-        let plan = ShardPlan::with_cell_costs(&spec, shards, ShardStrategy::CostBalanced, &costs)
-            .expect("finite costs always plan");
-        let mut covered = vec![false; scheduled];
-        for shard in 0..plan.shard_count() {
-            for index in plan.indices(shard) {
-                prop_assert!(!covered[*index], "cell {} assigned twice", index);
-                covered[*index] = true;
-            }
-        }
-        prop_assert!(covered.iter().all(|c| *c), "some cell is uncovered");
-        let total: f64 = costs.iter().sum();
-        let max_cell = costs.iter().fold(0.0f64, |a, &b| a.max(b));
-        for shard in 0..plan.shard_count() {
-            prop_assert!(
-                plan.estimated_cost_exact(shard) <= total / shards as f64 + max_cell + 1e-9,
-                "shard {} cost {} exceeds LPT bound ({} total, {} max cell)",
-                shard,
-                plan.estimated_cost_exact(shard),
-                total,
-                max_cell
-            );
-        }
-
-        // Poison one slot: the plan must refuse with a typed error, not reorder.
-        let index = poison_slot % scheduled;
-        costs[index] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0][poison_kind];
-        let poisoned =
-            ShardPlan::with_cell_costs(&spec, shards, ShardStrategy::CostBalanced, &costs);
-        match poison_kind {
-            3 => prop_assert_eq!(
-                poisoned,
-                Err(PlanError::NegativeCost { index, cost: -1.0 })
-            ),
-            _ => prop_assert!(
-                matches!(poisoned, Err(PlanError::NonFiniteCost { index: i, .. }) if i == index),
-                "expected NonFiniteCost at {}, got {:?}",
-                index,
-                poisoned
-            ),
-        }
-    }
-
     /// Cost-balanced plans respect the greedy LPT bound: no shard's estimated cost
-    /// exceeds `total/K + max_cell`, even with budget overrides skewing cell costs.
+    /// exceeds `total/K + max_cell`, even with an Exhaustive tuner skewing cell costs.
     #[test]
     fn cost_balanced_plans_respect_the_lpt_bound(
         tuner_count in 1usize..4,
         seed_count in 1u64..5,
         shards in 1usize..7,
-        override_budget in 1usize..512,
+        exhaustive_budget in 1usize..512,
     ) {
         let mut spec = random_spec(tuner_count, 1, seed_count, 5, false);
         // Skew one tuner's cost so balancing actually has work to do.
-        spec.budget_overrides = vec![("RandomSearch".into(), override_budget)];
+        spec.tuners.push("Exhaustive".into());
+        spec.scale.exhaustive_budget = exhaustive_budget;
         let plan = ShardPlan::new(&spec, shards, ShardStrategy::CostBalanced);
         let total: u64 = (0..plan.shard_count()).map(|s| plan.estimated_cost(s)).sum();
         let max_cell = spec
@@ -249,6 +176,27 @@ proptest! {
     }
 }
 
+/// Shard plans are part of the sharding protocol: every participant rebuilds the plan
+/// locally, so a plan that moved between versions would split one campaign two ways.
+/// Pinned at K=3 on a grid whose Exhaustive cells cost ten times the others.
+#[test]
+fn shard_plans_are_pinned() {
+    let mut spec = CampaignSpec::single("plan-pin", "RandomSearch", 2);
+    spec.tuners = vec!["RandomSearch".into(), "Exhaustive".into(), "BLISS".into()];
+    spec.scale = ExperimentScale::smoke();
+    let expected: [(ShardStrategy, [&[usize]; 3]); 3] = [
+        (ShardStrategy::Contiguous, [&[0, 1], &[2, 3], &[4, 5]]),
+        (ShardStrategy::Strided, [&[0, 3], &[1, 4], &[2, 5]]),
+        (ShardStrategy::CostBalanced, [&[2], &[3], &[0, 1, 4, 5]]),
+    ];
+    for (strategy, shards) in expected {
+        let plan = ShardPlan::new(&spec, 3, strategy);
+        for (shard, indices) in shards.iter().enumerate() {
+            assert_eq!(plan.indices(shard), *indices, "{strategy} shard {shard}");
+        }
+    }
+}
+
 /// The paired-tuner ablation design survives sharding even when the strategy splits a
 /// seed-pair across shards: pairing is a property of seed derivation, not scheduling.
 #[test]
@@ -263,25 +211,6 @@ fn paired_tuners_survive_arbitrary_shard_splits() {
     let reports: Vec<ShardReport> = (0..3).map(|s| campaign.run_shard(&plan, s)).collect();
     let merged = CampaignReport::merge(reports).expect("shards merge");
     assert_eq!(merged.to_json(), whole.to_json());
-}
-
-/// `max_cells`-capped campaigns shard and merge exactly like uncapped ones (the cap is
-/// deterministic, so the scheduled set is identical on every participant).
-#[test]
-fn max_cells_capped_campaigns_shard_cleanly() {
-    let mut spec = random_spec(2, 2, 2, 13, false);
-    spec.max_cells = Some(5);
-    let campaign = Campaign::new(spec.clone());
-    let whole = campaign.run_with_workers(1);
-    for strategy in ShardStrategy::ALL {
-        let plan = ShardPlan::new(&spec, 2, strategy);
-        let reports = vec![
-            campaign.run_shard_with_workers(&plan, 0, 1),
-            campaign.run_shard_with_workers(&plan, 1, 2),
-        ];
-        let merged = CampaignReport::merge(reports).expect("shards merge");
-        assert_eq!(merged.to_json(), whole.to_json(), "strategy {strategy}");
-    }
 }
 
 /// Reports produced under different base seeds refuse to merge: the fingerprint check

@@ -169,6 +169,28 @@ impl ExecutionTrace {
             .ok()
     }
 
+    /// Checks that the trace was recorded from the spec a replay is about to run: the
+    /// spec's `fingerprint` first, then its `campaign` name.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::FingerprintMismatch`] or [`TraceError::CampaignMismatch`].
+    pub fn check_origin(&self, campaign: &str, fingerprint: u64) -> Result<(), TraceError> {
+        if self.fingerprint != fingerprint {
+            return Err(TraceError::FingerprintMismatch {
+                expected: fingerprint,
+                found: self.fingerprint,
+            });
+        }
+        if self.campaign != campaign {
+            return Err(TraceError::CampaignMismatch {
+                expected: campaign.to_string(),
+                found: self.campaign.clone(),
+            });
+        }
+        Ok(())
+    }
+
     /// Total number of recorded events across all streams.
     pub fn events_total(&self) -> usize {
         self.streams.iter().map(|s| s.events.len()).sum()

@@ -34,8 +34,6 @@ pub enum ObsEvent {
         campaign: String,
         /// Cells that completed.
         completed: usize,
-        /// Whether the `max_core_hours` cap stopped the run early.
-        stopped: bool,
     },
     /// A worker claimed a cell and started tuning it.
     CellStart {
@@ -223,14 +221,11 @@ impl ObsRecord {
             ObsEvent::CampaignFinish {
                 campaign,
                 completed,
-                stopped,
             } => {
                 push_key(o, f, "campaign");
                 push_str_literal(o, campaign);
                 push_key(o, f, "completed");
                 o.push_str(&completed.to_string());
-                push_key(o, f, "stopped");
-                o.push_str(if *stopped { "true" } else { "false" });
             }
             ObsEvent::CellStart {
                 campaign,

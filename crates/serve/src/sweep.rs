@@ -1,7 +1,7 @@
 //! The retune sweep driver: runs a [`RetuneSpec`] grid across worker threads.
 //!
-//! Mirrors `dg-campaign`'s executor discipline: cells are independent (every RNG
-//! stream derives from [`RetuneSpec::cell_seed`]), workers pull cells from a shared
+//! Runs on `dg-campaign`'s worker pool ([`run_ordered`]): cells are independent (every
+//! RNG stream derives from [`RetuneSpec::cell_seed`]), workers pull cells from a shared
 //! atomic cursor, and results are assembled in stable grid order — so the
 //! [`RetuneReport`] is byte-identical no matter how many workers ran. Each cell's two
 //! legs draw their backends from a [`BackendProvider`] under distinct stream keys,
@@ -9,15 +9,14 @@
 //! trace machinery.
 
 use crate::retune::{RetuneLoop, ServeMode};
-use dg_campaign::{RetuneCellCoord, RetuneCellResult, RetuneReport, RetuneSpec};
+use dg_campaign::{run_ordered, RetuneCellCoord, RetuneCellResult, RetuneReport, RetuneSpec};
 use dg_exec::{
     BackendProvider, ExecutionTrace, SimProvider, TraceError, TraceRecorder, TraceReplayer,
 };
 use dg_scenario::ScenarioBackend;
 use dg_tuners::TunerRegistry;
 use dg_workloads::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A retune sweep ready to run: a validated spec plus the registry resolving its
 /// tuner.
@@ -94,8 +93,9 @@ impl RetuneSweep {
         provider: &dyn BackendProvider,
         workers: usize,
     ) -> RetuneReport {
-        let cells = self.spec.cells();
-        let completed = self.execute(provider, &cells, workers);
+        let completed = run_ordered(&self.spec.cells(), workers, |_, cell| {
+            run_cell(provider, &self.spec, &self.registry, cell)
+        });
         RetuneReport::from_cells(&self.spec, completed)
     }
 
@@ -138,19 +138,7 @@ impl RetuneSweep {
         workers: usize,
     ) -> Result<RetuneReport, TraceError> {
         let trace: Arc<ExecutionTrace> = trace.into();
-        let expected = self.spec.fingerprint();
-        if trace.fingerprint != expected {
-            return Err(TraceError::FingerprintMismatch {
-                expected,
-                found: trace.fingerprint,
-            });
-        }
-        if trace.campaign != self.spec.name {
-            return Err(TraceError::CampaignMismatch {
-                expected: self.spec.name.clone(),
-                found: trace.campaign.clone(),
-            });
-        }
+        trace.check_origin(&self.spec.name, self.spec.fingerprint())?;
         for cell in self.spec.cells() {
             for leg in ["adaptive", "fixed"] {
                 let stream = leg_stream(&cell, leg);
@@ -161,49 +149,6 @@ impl RetuneSweep {
         }
         let replayer = TraceReplayer::new(trace);
         Ok(self.run_with_provider(&replayer, workers))
-    }
-
-    /// The shared worker pool: identical discipline to the campaign executor (atomic
-    /// cursor, slot per cell, single-worker runs stay on the caller's thread).
-    fn execute(
-        &self,
-        provider: &dyn BackendProvider,
-        cells: &[RetuneCellCoord],
-        workers: usize,
-    ) -> Vec<RetuneCellResult> {
-        assert!(workers > 0, "at least one worker is required");
-        let scheduled = cells.len();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<RetuneCellResult>>> =
-            (0..scheduled).map(|_| Mutex::new(None)).collect();
-
-        let worker_loop = || loop {
-            let i = next.fetch_add(1, Ordering::SeqCst);
-            if i >= scheduled {
-                break;
-            }
-            let result = run_cell(provider, &self.spec, &self.registry, &cells[i]);
-            *slots[i].lock().expect("cell slot poisoned") = Some(result);
-        };
-
-        let worker_count = workers.min(scheduled.max(1));
-        if worker_count <= 1 {
-            worker_loop();
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..worker_count)
-                    .map(|_| scope.spawn(worker_loop))
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("retune worker panicked");
-                }
-            });
-        }
-
-        slots
-            .into_iter()
-            .filter_map(|slot| slot.into_inner().expect("cell slot poisoned"))
-            .collect()
     }
 }
 

@@ -130,7 +130,7 @@ fn main() {
             println!(
                 "\nlab interrupted at {done}/{} cells — rerun with the same DG_LAB_DIR to \
                  resume where it left off",
-                lab.scheduled_cells()
+                lab.grid_cells()
             );
         }
     }
