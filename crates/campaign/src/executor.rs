@@ -241,7 +241,6 @@ impl Campaign {
             shard_count: plan.shard_count(),
             strategy: plan.strategy().name().to_string(),
             grid_cells: self.spec.grid_size(),
-            scheduled_cells: plan.grid_cells(),
             assigned: indices.to_vec(),
             cells: completed,
         }

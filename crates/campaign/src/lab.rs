@@ -243,7 +243,6 @@ impl CampaignLab {
             shard_count: self.grid_cells,
             strategy: LAB_STRATEGY.to_string(),
             grid_cells: self.grid_cells,
-            scheduled_cells: self.grid_cells,
             assigned: vec![result.index],
             cells: vec![result],
         }
@@ -293,7 +292,6 @@ impl CampaignLab {
             && report.campaign == self.campaign
             && report.strategy == LAB_STRATEGY
             && report.grid_cells == self.grid_cells
-            && report.scheduled_cells == self.grid_cells
             && report.shard_count == self.grid_cells
             && report.shard < self.grid_cells
             && report.assigned == [report.shard]

@@ -224,10 +224,8 @@ pub struct ShardReport {
     pub shard_count: usize,
     /// Canonical name of the plan's [`ShardStrategy`].
     pub strategy: String,
-    /// Size of the full cross-product grid.
+    /// Size of the full cross-product grid, which the shards cover between them.
     pub grid_cells: usize,
-    /// Cells of the *whole* campaign the shards cover between them (the grid size).
-    pub scheduled_cells: usize,
     /// The cell indices this shard was assigned, ascending.
     pub assigned: Vec<usize>,
     /// The completed cells, in stable grid order.
@@ -254,8 +252,9 @@ impl ShardReport {
         push_str_literal(&mut out, &self.strategy);
         push_key(&mut out, &mut first, "grid_cells");
         let _ = write!(out, "{}", self.grid_cells);
+        // The shards cover the whole grid; the key keeps the documents' bytes.
         push_key(&mut out, &mut first, "scheduled_cells");
-        let _ = write!(out, "{}", self.scheduled_cells);
+        let _ = write!(out, "{}", self.grid_cells);
         push_key(&mut out, &mut first, "assigned");
         out.push('[');
         for (i, index) in self.assigned.iter().enumerate() {
@@ -283,7 +282,8 @@ impl ShardReport {
     /// serialize to the strings `"inf"`/`"-inf"`/`"nan"` and parse back bit-for-bit
     /// (the legacy `null` encoding older writers used is still accepted as NaN). Keys
     /// the schema does not name are ignored, so reports from older writers, which
-    /// wrote one more key, still parse.
+    /// wrote one more key, still parse. `scheduled_cells` must repeat `grid_cells`:
+    /// the shards of a campaign cover its whole grid.
     pub fn from_json(text: &str) -> Result<Self, ShardParseError> {
         let root = json::parse(text).map_err(ShardParseError::new)?;
         let assigned = array_field(&root, "assigned")?
@@ -298,14 +298,20 @@ impl ShardReport {
         let fingerprint = u64::from_str_radix(&fingerprint_hex, 16).map_err(|_| {
             ShardParseError::new(format!("invalid fingerprint {fingerprint_hex:?}"))
         })?;
+        let grid_cells: usize = number_field(&root, "grid_cells")?;
+        let scheduled_cells: usize = number_field(&root, "scheduled_cells")?;
+        if scheduled_cells != grid_cells {
+            return Err(ShardParseError::new(format!(
+                "field \"scheduled_cells\" is {scheduled_cells}, not grid_cells {grid_cells}"
+            )));
+        }
         Ok(Self {
             campaign: str_field(&root, "campaign")?,
             fingerprint,
             shard: number_field(&root, "shard")?,
             shard_count: number_field(&root, "shard_count")?,
             strategy: str_field(&root, "strategy")?,
-            grid_cells: number_field(&root, "grid_cells")?,
-            scheduled_cells: number_field(&root, "scheduled_cells")?,
+            grid_cells,
             assigned,
             cells,
         })
@@ -424,8 +430,7 @@ pub enum MergeError {
     /// No shard reports were supplied.
     NoShards,
     /// Two reports disagree on a spec-level field (fingerprint, grid size, shard
-    /// count, strategy, campaign name), or the cells the shards cover
-    /// (`scheduled_cells`) are not the whole grid (`grid_cells`).
+    /// count, strategy, campaign name).
     SpecMismatch {
         /// Which field disagreed.
         field: &'static str,
@@ -456,17 +461,17 @@ pub enum MergeError {
         /// The multiply-assigned cell index.
         index: usize,
     },
-    /// A scheduled cell index is assigned to no shard.
+    /// A grid cell index is assigned to no shard.
     UncoveredCell {
         /// The unassigned cell index.
         index: usize,
     },
-    /// An assigned cell index is outside the scheduled range.
+    /// An assigned cell index is outside the grid.
     CellIndexOutOfRange {
         /// The offending cell index.
         index: usize,
-        /// The number of scheduled cells.
-        scheduled_cells: usize,
+        /// The number of grid cells.
+        grid_cells: usize,
     },
     /// A shard reports a completed cell it was never assigned.
     ForeignCell {
@@ -520,13 +525,12 @@ impl fmt::Display for MergeError {
             MergeError::UncoveredCell { index } => {
                 write!(f, "cell {index} is assigned to no shard")
             }
-            MergeError::CellIndexOutOfRange {
-                index,
-                scheduled_cells,
-            } => write!(
-                f,
-                "cell index {index} outside the scheduled range ({scheduled_cells} cells)"
-            ),
+            MergeError::CellIndexOutOfRange { index, grid_cells } => {
+                write!(
+                    f,
+                    "cell index {index} outside the grid ({grid_cells} cells)"
+                )
+            }
             MergeError::ForeignCell { shard, index } => {
                 write!(
                     f,
@@ -563,12 +567,12 @@ impl CampaignReport {
     /// the same spec.
     ///
     /// Memory stays proportional to the documents: nothing is sized by the declared
-    /// `shard_count` or `scheduled_cells` until the documents are shown to cover them.
+    /// `shard_count` or `grid_cells` until the documents are shown to cover them.
     pub fn merge(shards: Vec<ShardReport>) -> Result<CampaignReport, MergeError> {
         let first = shards.first().ok_or(MergeError::NoShards)?;
         let (name, fingerprint) = (first.campaign.clone(), first.fingerprint);
         let (shard_count, strategy) = (first.shard_count, first.strategy.clone());
-        let (grid_cells, scheduled_cells) = (first.grid_cells, first.scheduled_cells);
+        let grid_cells = first.grid_cells;
         for shard in &shards {
             let mismatch =
                 |field: &'static str, expected: &dyn fmt::Display, found: &dyn fmt::Display| {
@@ -597,13 +601,6 @@ impl CampaignReport {
             if shard.grid_cells != grid_cells {
                 return Err(mismatch("grid_cells", &grid_cells, &shard.grid_cells));
             }
-            if shard.scheduled_cells != scheduled_cells {
-                return Err(mismatch(
-                    "scheduled_cells",
-                    &scheduled_cells,
-                    &shard.scheduled_cells,
-                ));
-            }
         }
 
         // Every shard exactly once.
@@ -623,14 +620,14 @@ impl CampaignReport {
             return Err(MergeError::MissingShard { shard: missing });
         }
 
-        // Assignments disjointly cover 0..scheduled_cells.
+        // Assignments disjointly cover 0..grid_cells.
         let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
         for shard in &shards {
             for index in &shard.assigned {
-                if *index >= scheduled_cells {
+                if *index >= grid_cells {
                     return Err(MergeError::CellIndexOutOfRange {
                         index: *index,
-                        scheduled_cells,
+                        grid_cells,
                     });
                 }
                 if owner.insert(*index, shard.shard).is_some() {
@@ -638,23 +635,15 @@ impl CampaignReport {
                 }
             }
         }
-        if let Some(uncovered) = first_gap(owner.keys().copied(), scheduled_cells) {
+        if let Some(uncovered) = first_gap(owner.keys().copied(), grid_cells) {
             return Err(MergeError::UncoveredCell { index: uncovered });
-        }
-        // The shards cover `scheduled_cells` cells; a whole campaign covers its grid.
-        if scheduled_cells != grid_cells {
-            return Err(MergeError::SpecMismatch {
-                field: "scheduled_cells",
-                expected: grid_cells.to_string(),
-                found: scheduled_cells.to_string(),
-            });
         }
 
         // Completed cells belong to their shard's assignment, appear at most once
         // (a duplicate would otherwise mask a dropped cell, since only counts are
         // compared below), and every shard completed everything it was assigned.
-        // Coverage passed, so `scheduled_cells` is now bounded by the documents.
-        let mut completed_once = vec![false; scheduled_cells];
+        // Coverage passed, so `grid_cells` is now bounded by the documents.
+        let mut completed_once = vec![false; grid_cells];
         for shard in &shards {
             for cell in &shard.cells {
                 if owner.get(&cell.index) != Some(&shard.shard) {
@@ -825,7 +814,6 @@ mod tests {
             shard_count,
             strategy: "contiguous".into(),
             grid_cells: 4,
-            scheduled_cells: 4,
             cells: assigned.iter().map(|i| cell(*i)).collect(),
             assigned,
         }
@@ -933,15 +921,15 @@ mod tests {
 
     #[test]
     fn merge_rejects_shards_that_cover_less_than_the_grid() {
-        let mut partial = shard_report(0, 1, vec![0, 1]);
-        partial.scheduled_cells = 2;
+        // A document whose shards would cover less than its grid does not parse, so
+        // it never reaches the merge.
+        let partial = shard_report(0, 1, vec![0, 1])
+            .to_json()
+            .replace("\"scheduled_cells\":4", "\"scheduled_cells\":2");
+        let err = ShardReport::from_json(&partial).expect_err("a partial schedule must fail");
         assert_eq!(
-            CampaignReport::merge(vec![partial]),
-            Err(MergeError::SpecMismatch {
-                field: "scheduled_cells",
-                expected: "4".into(),
-                found: "2".into(),
-            })
+            err.to_string(),
+            "invalid shard report: field \"scheduled_cells\" is 2, not grid_cells 4"
         );
     }
 
@@ -959,14 +947,25 @@ mod tests {
             CampaignReport::merge(vec![many_shards]),
             Err(MergeError::MissingShard { shard: 1 })
         );
-        let many_cells = parse(empty.replace(
-            "\"scheduled_cells\":0",
-            &format!("\"scheduled_cells\":{huge}"),
-        ));
+        let many_cells = parse(
+            empty
+                .replace("\"grid_cells\":0", &format!("\"grid_cells\":{huge}"))
+                .replace(
+                    "\"scheduled_cells\":0",
+                    &format!("\"scheduled_cells\":{huge}"),
+                ),
+        );
         assert_eq!(
             CampaignReport::merge(vec![many_cells]),
             Err(MergeError::UncoveredCell { index: 0 })
         );
+        // A huge schedule over a small grid is rejected before it reaches the merge.
+        let many_scheduled = empty.replace(
+            "\"scheduled_cells\":0",
+            &format!("\"scheduled_cells\":{huge}"),
+        );
+        let err = ShardReport::from_json(&many_scheduled).expect_err("must not parse");
+        assert!(err.to_string().contains("\"scheduled_cells\""), "{err}");
     }
 
     #[test]

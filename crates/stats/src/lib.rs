@@ -29,7 +29,6 @@
 mod cdf;
 mod descriptive;
 mod drift;
-mod histogram;
 mod online;
 mod table;
 
@@ -39,6 +38,5 @@ pub use descriptive::{
     population_variance, sample_variance, std_dev, Summary,
 };
 pub use drift::{DriftConfig, DriftDetector, DriftDirection, Ewma};
-pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use table::{format_row, Alignment, Column, Table};

@@ -4,7 +4,7 @@
 
 use dg_stats::{
     coefficient_of_variation, mean, sample_variance, DriftConfig, DriftDetector, EmpiricalCdf,
-    Histogram, OnlineStats,
+    OnlineStats,
 };
 use proptest::prelude::*;
 
@@ -95,24 +95,6 @@ proptest! {
         prop_assert!(close(merged.variance(), single.variance()));
         prop_assert_eq!(merged.min().to_bits(), single.min().to_bits());
         prop_assert_eq!(merged.max().to_bits(), single.max().to_bits());
-    }
-
-    /// Merging K histogram partials is *exact*: integer bin counts are order-free.
-    #[test]
-    fn histogram_k_way_merge_is_exact(
-        samples in prop::collection::vec(-50.0f64..150.0, 1..128),
-        parts in 2usize..7,
-        bins in 1usize..12,
-    ) {
-        let mut merged = Histogram::new(0.0, 100.0, bins);
-        for chunk in chunked(&samples, parts) {
-            let mut partial = Histogram::new(0.0, 100.0, bins);
-            partial.extend_from_slice(chunk);
-            merged.merge(&partial);
-        }
-        let mut single = Histogram::new(0.0, 100.0, bins);
-        single.extend_from_slice(&samples);
-        prop_assert_eq!(merged, single);
     }
 
     /// Merging K sorted CDF partials is *exact*: the merged sample list equals the

@@ -23,32 +23,15 @@ const FIT_WINDOW: usize = 120;
 #[derive(Debug, Clone)]
 pub struct Bliss {
     seed: u64,
-    length_scales: Vec<f64>,
 }
+
+/// RBF length scales of the model pool, one Gaussian process each.
+const LENGTH_SCALES: [f64; 4] = [0.08, 0.18, 0.35, 0.7];
 
 impl Bliss {
     /// Creates a BLISS-style tuner with the default model pool.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            length_scales: vec![0.08, 0.18, 0.35, 0.7],
-        }
-    }
-
-    /// Creates a BLISS-style tuner with a custom pool of RBF length scales.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `length_scales` is empty.
-    pub fn with_length_scales(seed: u64, length_scales: Vec<f64>) -> Self {
-        assert!(
-            !length_scales.is_empty(),
-            "the model pool must not be empty"
-        );
-        Self {
-            seed,
-            length_scales,
-        }
+        Self { seed }
     }
 }
 
@@ -90,8 +73,7 @@ impl Tuner for Bliss {
         let mut evaluator = CloudEvaluator::new(workload, exec, budget);
         let size = workload.size();
 
-        let mut models: Vec<ModelSlot> = self
-            .length_scales
+        let mut models: Vec<ModelSlot> = LENGTH_SCALES
             .iter()
             .map(|ls| ModelSlot {
                 gp: GaussianProcess::new(*ls, 1e-3),
@@ -234,11 +216,5 @@ mod tests {
                 .chosen
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be empty")]
-    fn empty_model_pool_rejected() {
-        Bliss::with_length_scales(1, Vec::new());
     }
 }

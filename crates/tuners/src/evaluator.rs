@@ -73,11 +73,6 @@ impl<'a> CloudEvaluator<'a> {
         self.workload
     }
 
-    /// Number of samples taken so far.
-    pub fn samples_taken(&self) -> usize {
-        self.history.len()
-    }
-
     /// Remaining evaluations in the budget.
     pub fn remaining(&self) -> usize {
         self.budget
@@ -179,7 +174,7 @@ mod tests {
         assert_eq!(evaluator.remaining(), 3);
         evaluator.evaluate(0);
         evaluator.evaluate(1);
-        assert_eq!(evaluator.samples_taken(), 2);
+        assert_eq!(evaluator.history().len(), 2);
         assert_eq!(evaluator.remaining(), 1);
         let outcome = evaluator.finish("test", 1);
         assert_eq!(outcome.samples, 2);
@@ -198,7 +193,7 @@ mod tests {
         // Second evaluation of an unseen config returns infinity and takes no sample.
         let second = evaluator.evaluate(6);
         assert!(second.is_infinite());
-        assert_eq!(evaluator.samples_taken(), 1);
+        assert_eq!(evaluator.history().len(), 1);
         // Re-asking about the already-seen config returns the recorded value.
         let again = evaluator.evaluate(5);
         assert_eq!(again, first);

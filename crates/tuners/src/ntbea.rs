@@ -22,41 +22,24 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Debug, Clone)]
 pub struct Ntbea {
     seed: u64,
-    /// Mutated candidates scored per iteration.
-    neighbours: usize,
-    /// UCB exploration constant `k`, in units of the observed fitness range.
-    exploration: f64,
-    /// Per-dimension probability of resampling beyond the one forced mutation.
-    mutation_rate: f64,
     /// Warm-start configurations, evaluated (and modelled) before the bandit walk.
     hints: Vec<ConfigId>,
 }
+
+/// Mutated candidates scored per iteration.
+const NEIGHBOURS: usize = 16;
+
+/// UCB exploration constant `k`, in units of the observed fitness range.
+const EXPLORATION: f64 = 1.4;
+
+/// Per-dimension probability of resampling beyond the one forced mutation.
+const MUTATION_RATE: f64 = 0.3;
 
 impl Ntbea {
     /// Creates an NTBEA tuner with the standard neighbourhood and exploration.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            neighbours: 16,
-            exploration: 1.4,
-            mutation_rate: 0.3,
-            hints: Vec::new(),
-        }
-    }
-
-    /// Creates an NTBEA tuner with a custom neighbourhood size and exploration
-    /// constant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `neighbours` is zero.
-    pub fn with_neighbourhood(seed: u64, neighbours: usize, exploration: f64) -> Self {
-        assert!(neighbours > 0, "the neighbourhood must not be empty");
-        Self {
-            seed,
-            neighbours,
-            exploration,
-            mutation_rate: 0.3,
             hints: Vec::new(),
         }
     }
@@ -264,16 +247,16 @@ impl Tuner for Ntbea {
             // Score a mutated neighbourhood of the current point; strict `>` keeps the
             // first of tied candidates, so the walk is deterministic.
             let mut best: Option<(Vec<usize>, f64)> = None;
-            for _ in 0..self.neighbours {
+            for _ in 0..NEIGHBOURS {
                 let mut candidate = current.clone();
                 let forced = rng.index(dims);
                 candidate[forced] = rng.index(levels[forced]);
                 for (dim, level) in candidate.iter_mut().enumerate() {
-                    if dim != forced && rng.uniform() < self.mutation_rate {
+                    if dim != forced && rng.uniform() < MUTATION_RATE {
                         *level = rng.index(levels[dim]);
                     }
                 }
-                let score = model.ucb(&candidate, self.exploration);
+                let score = model.ucb(&candidate, EXPLORATION);
                 if best.as_ref().map_or(true, |(_, s)| score > *s) {
                     best = Some((candidate, score));
                 }
@@ -375,11 +358,5 @@ mod tests {
                 .chosen
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be empty")]
-    fn empty_neighbourhood_rejected() {
-        Ntbea::with_neighbourhood(1, 0, 1.4);
     }
 }

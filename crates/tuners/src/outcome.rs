@@ -40,14 +40,6 @@ impl TuningOutcome {
                 .expect("no NaN")
         })
     }
-
-    /// Number of *distinct* configurations evaluated.
-    pub fn distinct_configs(&self) -> usize {
-        let mut ids: Vec<ConfigId> = self.history.iter().map(|s| s.config).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
 }
 
 #[cfg(test)]
@@ -87,15 +79,9 @@ mod tests {
     }
 
     #[test]
-    fn distinct_configs_deduplicates() {
-        assert_eq!(outcome().distinct_configs(), 2);
-    }
-
-    #[test]
     fn empty_history_has_no_best() {
         let mut o = outcome();
         o.history.clear();
         assert!(o.best_observed().is_none());
-        assert_eq!(o.distinct_configs(), 0);
     }
 }
