@@ -94,8 +94,7 @@ fn bench_timeline_lookups(c: &mut Criterion) {
 fn bench_single_game(c: &mut Criterion) {
     let workload = Workload::scaled(Application::Redis, 50_000);
     let env = || CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 3);
-    // 16 players fill the engine's four-lane top-2 scan; 5 leave a remainder in it and
-    // in the packed rate pass.
+    // 16 players, the paper-scale width, and 5, a narrow game of the fig15 sweep.
     for players in [16, 5] {
         let configs: Vec<u64> = (0..players)
             .map(|i| i * (workload.size() / (players + 1)))

@@ -2,8 +2,8 @@
 //!
 //! The scenario engine promises that wrapping a backend in a pass-through
 //! [`ScenarioBackend`] costs effectively nothing: the wrapper adds a handful of float
-//! multiplies and a timeline lookup per operation, against about 200 integration
-//! steps inside each simulated game. This bench drives the identical operation
+//! multiplies and a timeline lookup per operation, against the piecewise integration
+//! of each simulated game. This bench drives the identical operation
 //! sequence through a bare `CloudEnvironment` and through a `steady`-wrapped one, asserts
 //! the results are bit-identical, and demands the wrapper's overhead stay under 5 %.
 //!
@@ -86,7 +86,7 @@ fn timed(exec: Box<dyn ExecutionBackend>, rounds: u64) -> ((u64, u64, u64), f64)
 
 fn main() {
     let smoke = std::env::var("DG_SCENARIO_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    // A round costs about 30 us. Short legs keep the two legs of a pair close in time;
+    // A round costs about 8 us. Short legs keep the two legs of a pair close in time;
     // many pairs let the median shrug off the pairs a scheduler hiccup lands in.
     let rounds: u64 = if smoke { 400 } else { 1_500 };
     let pairs = 41;

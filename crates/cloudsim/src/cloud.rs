@@ -31,10 +31,11 @@ pub struct ObservedRun {
     pub observed_time: f64,
     /// Simulated time at which the run started.
     pub started_at: SimTime,
-    /// Wall-clock seconds the run occupied (and was charged for) on its node. Slightly
-    /// larger than `observed_time` because the simulator integrates in discrete steps
-    /// and charges whole steps; this is the exact value the cost tracker saw, which
-    /// record/replay execution backends need to reproduce accounting bit for bit.
+    /// Wall-clock seconds the run occupied (and was charged for) on its node. A run
+    /// that finishes stops at its finish instant, so this equals `observed_time`; a run
+    /// cut at the cap of 64 times its base time stops there and observes more. This is
+    /// the exact value the cost tracker saw, which record/replay execution backends need
+    /// to reproduce accounting bit for bit.
     pub elapsed: f64,
 }
 
@@ -86,7 +87,10 @@ pub struct GamePlay {
     /// Simulated time at which the game started.
     pub start: SimTime,
     /// Wall-clock seconds the game occupied its node (the quantity committed to the
-    /// cost tracker).
+    /// cost tracker): the instant the first player finished, the instant the Fig. 5
+    /// rule fired, or the cap, whichever came first. The engine integrates exactly
+    /// between the interference's breakpoints (see [`CloudEnvironment::play_game`]), so
+    /// a finished game's `elapsed` is its smallest observed time, with no overshoot.
     pub elapsed: f64,
     /// Observed (or extrapolated) execution time per player, in player order.
     pub observed_times: Vec<f64>,
@@ -103,140 +107,410 @@ impl GamePlay {
     }
 }
 
-/// Reusable per-game buffers for the game engine: one flat `Vec<f64>` per hot
-/// per-player quantity (struct-of-arrays), cleared and refilled per game so steady-state
-/// games allocate nothing but their returned observation vectors. The rate pass reads
-/// the columns by index with no state carried from one player to the next, which is what
-/// lets it compile to packed instructions.
+/// Nodes of the four-point Gauss–Legendre rule on `[-1, 1]`, ascending:
+/// `±sqrt(3/7 ± (2/7) sqrt(6/5))`.
+const NODES: [f64; NODE_COUNT] = [
+    -0.8611363115940526,
+    -0.3399810435848563,
+    0.3399810435848563,
+    0.8611363115940526,
+];
+
+/// The weights of [`NODES`]: `(18 ∓ sqrt(30)) / 36`.
+const WEIGHTS: [f64; NODE_COUNT] = [
+    0.34785484513745385,
+    0.6521451548625461,
+    0.6521451548625461,
+    0.34785484513745385,
+];
+
+/// Interference samples per piece.
+const NODE_COUNT: usize = 4;
+
+/// The longest piece, as a multiple of the fastest player's scaled base time, so that
+/// no game interpolates its end from nodes far past it.
+const MAX_PIECE: f64 = 1.0;
+
+/// Evenly spaced instants per piece at which the work-done gap is checked, once the
+/// leader has reached `min_leader_progress`.
+const GAP_CHECKS: usize = 4;
+
+/// `1 / prod(NODES[j] - NODES[m], m != j)`: the denominators of the Lagrange basis.
+const BASIS_SCALE: [f64; NODE_COUNT] = [
+    1.0 / ((NODES[0] - NODES[1]) * (NODES[0] - NODES[2]) * (NODES[0] - NODES[3])),
+    1.0 / ((NODES[1] - NODES[0]) * (NODES[1] - NODES[2]) * (NODES[1] - NODES[3])),
+    1.0 / ((NODES[2] - NODES[0]) * (NODES[2] - NODES[1]) * (NODES[2] - NODES[3])),
+    1.0 / ((NODES[3] - NODES[0]) * (NODES[3] - NODES[1]) * (NODES[3] - NODES[2])),
+];
+
+/// The Lagrange basis of [`NODES`] at `u`: the weights that interpolate values at the
+/// nodes to `u`.
+fn basis(u: f64) -> [f64; NODE_COUNT] {
+    let d = NODES.map(|x| u - x);
+    [
+        BASIS_SCALE[0] * d[1] * d[2] * d[3],
+        BASIS_SCALE[1] * d[0] * d[2] * d[3],
+        BASIS_SCALE[2] * d[0] * d[1] * d[3],
+        BASIS_SCALE[3] * d[0] * d[1] * d[2],
+    ]
+}
+
+/// The integrals of the [`basis`] from -1 to `u`: the weights that integrate the
+/// interpolant of values at the nodes over `[-1, u]`. Each basis polynomial is a cubic,
+/// so the two-point Gauss–Legendre rule on `[-1, u]` is exact.
+fn basis_integral(u: f64) -> [f64; NODE_COUNT] {
+    let half = (u + 1.0) / 2.0;
+    let (middle, offset) = ((u - 1.0) / 2.0, half / 3.0_f64.sqrt());
+    let (left, right) = (basis(middle - offset), basis(middle + offset));
+    std::array::from_fn(|j| half * (left[j] + right[j]))
+}
+
+/// The Fig. 5 work-done gap between the leader's and the runner-up's work: the
+/// runner-up's shortfall relative to the leader.
+fn gap(leader: f64, runner_up: f64) -> f64 {
+    if leader > 0.0 {
+        (leader - runner_up.max(0.0)) / leader
+    } else {
+        0.0
+    }
+}
+
+fn dot(a: &[f64; NODE_COUNT], b: &[f64; NODE_COUNT]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| a * b).sum()
+}
+
+/// The root in `[lo, hi]` of `f(u) = c + h * q · basis_integral(u)`, whose slope is
+/// `h * q · basis(u)`, given `f(lo) < 0 <= f(hi)` and both values: Newton steps from
+/// the secant's root, kept inside the shrinking bracket by bisection. Newton converges
+/// quadratically, so once a step is under `1e-7`, what is left is far below the
+/// rounding of an instant.
+fn root(
+    c: f64,
+    h: f64,
+    q: &[f64; NODE_COUNT],
+    (mut lo, f_lo): (f64, f64),
+    (mut hi, f_hi): (f64, f64),
+) -> f64 {
+    let mut u = if f_hi > f_lo {
+        (lo - f_lo * (hi - lo) / (f_hi - f_lo)).clamp(lo, hi)
+    } else {
+        hi
+    };
+    for _ in 0..64 {
+        let value = c + h * dot(q, &basis_integral(u));
+        if value < 0.0 {
+            lo = u;
+        } else {
+            hi = u;
+        }
+        let step = value / (h * dot(q, &basis(u)));
+        let next = u - step;
+        if !(next > lo && next < hi) {
+            u = lo + (hi - lo) / 2.0;
+            if lo == u || u == hi {
+                return u;
+            }
+        } else if step.abs() <= 1e-7 {
+            return next;
+        } else {
+            u = next;
+        }
+    }
+    u
+}
+
+/// Reusable per-game buffers for the game engine, one flat column per per-player
+/// quantity, cleared and refilled per game, so steady-state games allocate nothing
+/// but their returned observation vectors.
 #[derive(Debug, Default)]
 struct GameScratch {
-    /// VM-scaled base time per player (the SoA split of `ExecutionSpec` that the
-    /// per-step pass reads as flat columns).
-    base: Vec<f64>,
-    /// Sensitivity per player.
-    sens: Vec<f64>,
-    jitter: Vec<f64>,
-    noise: Vec<f64>,
-    /// Work done per player at the start of the step.
+    /// Per player, the rate without interference: `N / (O * base)`.
+    scale: Vec<f64>,
+    /// Per player, the slowdown per unit of shared interference: `sensitivity * J`.
+    weight: Vec<f64>,
+    /// Work done per player at the start of the piece.
     progress: Vec<f64>,
-    /// Work done per player at the end of the step; swapped with `progress` after each
-    /// step instead of copied.
-    advanced: Vec<f64>,
-    /// Finish time per player; NaN = not finished (the stand-in for `Option<f64>`
-    /// that keeps the array flat).
-    finish: Vec<f64>,
+    /// Each player's rate at the piece's nodes.
+    rates: Vec<[f64; NODE_COUNT]>,
+    /// Work done per player at the end of the piece.
+    end: Vec<f64>,
+    /// Work done per player at an instant inside the piece.
+    work: Vec<f64>,
+    /// Observed time per player, once the game is over.
+    observed: Vec<f64>,
+    /// The players that can lead or run up inside the current piece.
+    contenders: Vec<usize>,
 }
 
-/// Steps whose interference level [`AmbientLookahead`] samples at once.
-const LOOKAHEAD: usize = 8;
-
-/// The VM-scaled interference level of each step of a run, sampled `LOOKAHEAD` steps
-/// ahead.
-///
-/// The samples are pure functions of time and independent of each other, so sampling a
-/// batch lets the processor overlap them instead of waiting on each one (its `cos`
-/// above all) at the head of every step, and lets the sampler look the regime and burst
-/// components up once per batch (see [`InterferenceSampler`]). The batch's times repeat
-/// the exact additions the run's `elapsed += dt` makes, so they never decrease and every
-/// step sees the level it would have sampled itself, multiplied by the VM's
-/// interference factor in the same place; a run that ends mid-batch only wastes the rest
-/// of the batch.
-struct AmbientLookahead {
-    start_seconds: f64,
-    dt: f64,
-    interference_factor: f64,
-    /// Elapsed seconds of the first step not yet in `levels`.
-    elapsed: f64,
-    levels: [f64; LOOKAHEAD],
-    next: usize,
-}
-
-impl AmbientLookahead {
-    fn new(start_seconds: f64, dt: f64, interference_factor: f64) -> Self {
-        Self {
-            start_seconds,
-            dt,
-            interference_factor,
-            elapsed: 0.0,
-            levels: [0.0; LOOKAHEAD],
-            next: LOOKAHEAD,
-        }
-    }
-
-    /// The level of the next step: the `k`-th call returns the level at `k - 1`
-    /// additions of `dt` from the start.
-    #[inline]
-    fn next(&mut self, sampler: &InterferenceSampler) -> f64 {
-        if self.next == LOOKAHEAD {
-            self.refill(sampler);
-        }
-        self.next += 1;
-        self.levels[self.next - 1]
-    }
-
-    /// Samples the next `LOOKAHEAD` steps in one sampler call (kept out of line so that
-    /// `next` stays small enough to inline into the step loops).
-    fn refill(&mut self, sampler: &InterferenceSampler) {
-        let mut seconds = [0.0; LOOKAHEAD];
-        for t in &mut seconds {
-            *t = self.start_seconds + self.elapsed;
-            self.elapsed += self.dt;
-        }
-        sampler.levels_at_seconds(&seconds, &mut self.levels);
-        for level in &mut self.levels {
-            *level *= self.interference_factor;
-        }
-        self.next = 0;
-    }
-}
-
-/// The largest and the second-largest value of `work`, counted with multiplicity (two
-/// equal maxima give the pair `(max, max)`); `-inf` stands in for a missing value.
-///
-/// A branch-free max/min update runs in four independent lanes, which are merged at the
-/// end. This equals a sequential scan because the top two of a multiset do not depend
-/// on the order its values arrive in, and it is exact as long as no value is NaN.
-/// `work` holds progress fractions, which are never NaN or `-0.0`.
-fn top_two(work: &[f64]) -> (f64, f64) {
-    // Compare-and-select, the shape of the `maxpd`/`minpd` instructions.
-    fn max(a: f64, b: f64) -> f64 {
-        if a > b {
-            a
+impl GameScratch {
+    /// Plays `specs` on `vm` from `start` under `rules`, as
+    /// [`CloudEnvironment::play_game`] describes, drawing each player's jitter and then
+    /// each player's noise from `rng`. Leaves the observed times in `observed` and
+    /// returns `(elapsed, early_terminated)`.
+    fn play(
+        &mut self,
+        sampler: &InterferenceSampler,
+        vm: VmType,
+        start: SimTime,
+        specs: &[ExecutionSpec],
+        rng: &mut SimRng,
+        rules: &GameRules,
+    ) -> (f64, bool) {
+        let players = specs.len();
+        let vcpus = vm.vcpus();
+        let contention = CONTENTION_COEFF * (players - 1) as f64 / vcpus as f64;
+        let overload = if players > vcpus {
+            players as f64 / vcpus as f64
         } else {
-            b
+            1.0
+        };
+        // The scaled specs, then every player's jitter, then every player's noise.
+        self.scale.clear();
+        self.weight.clear();
+        for spec in specs {
+            let scaled = spec.scaled(vm.speed_factor());
+            self.scale.push(scaled.base_time());
+            self.weight.push(scaled.sensitivity());
+        }
+        let fastest = self.scale.iter().copied().fold(f64::INFINITY, f64::min);
+        for weight in &mut self.weight {
+            *weight *= rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4);
+        }
+        for scale in &mut self.scale {
+            let noise = rng
+                .normal_with(1.0, MEASUREMENT_NOISE_STD)
+                .clamp(0.99, 1.01);
+            *scale = noise / (overload * *scale);
+        }
+        for column in [&mut self.progress, &mut self.end, &mut self.work] {
+            column.clear();
+            column.resize(players, 0.0);
+        }
+        self.rates.clear();
+        self.rates.resize(players, [0.0; NODE_COUNT]);
+
+        let interference_factor = vm.interference_factor();
+        let cap = specs
+            .iter()
+            .map(ExecutionSpec::base_time)
+            .fold(0.0_f64, f64::max)
+            * MAX_RUN_MULTIPLIER;
+        // No piece is shorter than a billionth of the cap, so none rounds away.
+        let max_piece = (fastest * MAX_PIECE).max(cap * 1e-9);
+        let start_seconds = start.as_seconds();
+        let check_early = rules.early_termination && players > 1;
+
+        let mut a = 0.0_f64;
+        loop {
+            // The piece `[a, b]`, mapped to `u` in `[-1, 1]` by `t = a + h * (1 + u)`.
+            let mut breakpoint = sampler.next_breakpoint(start_seconds + a);
+            while breakpoint - start_seconds <= a {
+                // A breakpoint that rounds onto the piece's start starts no piece.
+                breakpoint = sampler.next_breakpoint(breakpoint);
+            }
+            let b = (breakpoint - start_seconds).min(a + max_piece).min(cap);
+            let h = (b - a) / 2.0;
+            let seconds = NODES.map(|x| start_seconds + a + h * (1.0 + x));
+            let mut levels = [0.0; NODE_COUNT];
+            sampler.levels_at_seconds(&seconds, &mut levels);
+            let shared = levels.map(|level| (level * interference_factor + contention).max(0.0));
+            for i in 0..players {
+                let (scale, weight) = (self.scale[i], self.weight[i]);
+                let rates = shared.map(|shared| scale / (1.0 + weight * shared));
+                self.rates[i] = rates;
+                self.end[i] = self.progress[i] + h * dot(&WEIGHTS, &rates);
+            }
+
+            // The first finish in the piece, if any.
+            let finish = self.first_crossing(1.0, h, 1.0, &self.end);
+            let mut finisher = finish.map(|(i, _)| i);
+            let mut stop = finish.map_or(1.0, |(_, u)| u);
+            self.fill_work(h, stop, finisher);
+
+            let mut early_terminated = false;
+            if check_early {
+                if let Some(u) = self.early_stop(h, stop, rules) {
+                    early_terminated = true;
+                    if u < stop {
+                        stop = u;
+                        finisher = None;
+                        self.fill_work(h, stop, None);
+                    }
+                }
+            }
+
+            let elapsed = if stop == 1.0 { b } else { a + h * (1.0 + stop) };
+            if finisher.is_some() || early_terminated || b >= cap {
+                self.observed.clear();
+                for &work in &self.work {
+                    self.observed.push(if work >= 1.0 {
+                        elapsed
+                    } else if work > 0.0 {
+                        elapsed / work
+                    } else {
+                        f64::INFINITY
+                    });
+                }
+                return (elapsed, early_terminated);
+            }
+            std::mem::swap(&mut self.progress, &mut self.end);
+            a = b;
         }
     }
-    fn min(a: f64, b: f64) -> f64 {
-        if a < b {
-            a
+
+    /// The first player whose work reaches `target` by `hi` in the current piece of
+    /// half-length `h`, and the `u` at which it does, given every player's work
+    /// `reached` at `hi`. The leader at `hi` is solved for first; another player can
+    /// only cross earlier if it has reached `target` by then.
+    fn first_crossing(
+        &self,
+        target: f64,
+        h: f64,
+        hi: f64,
+        reached: &[f64],
+    ) -> Option<(usize, f64)> {
+        let mut leader = 0;
+        for (i, &work) in reached.iter().enumerate() {
+            if work > reached[leader] {
+                leader = i;
+            }
+        }
+        if reached[leader] < target {
+            return None;
+        }
+        let solve = |i: usize, hi: f64, at_hi: f64| {
+            let c = self.progress[i] - target;
+            root(c, h, &self.rates[i], (-1.0, c), (hi, at_hi - target))
+        };
+        let mut first = (leader, solve(leader, hi, reached[leader]));
+        let mut weights = basis_integral(first.1);
+        for (i, &work) in reached.iter().enumerate() {
+            if i != leader && work >= target {
+                let at_first = self.progress[i] + h * dot(&self.rates[i], &weights);
+                if at_first >= target {
+                    first = (i, solve(i, first.1, at_first));
+                    weights = basis_integral(first.1);
+                }
+            }
+        }
+        Some(first)
+    }
+
+    /// Player `i`'s work done at `u` of the current piece of half-length `h`.
+    fn progress_at(&self, i: usize, h: f64, u: f64) -> f64 {
+        self.progress[i] + h * dot(&self.rates[i], &basis_integral(u))
+    }
+
+    /// Fills `work` with every player's work done at `u`: `end` at the piece's end, and
+    /// exactly 1 for every player whose work reaches the `finisher`'s.
+    fn fill_work(&mut self, h: f64, u: f64, finisher: Option<usize>) {
+        if u == 1.0 {
+            self.work.copy_from_slice(&self.end);
         } else {
-            b
+            let weights = basis_integral(u);
+            for (work, (progress, rates)) in self
+                .work
+                .iter_mut()
+                .zip(self.progress.iter().zip(&self.rates))
+            {
+                *work = progress + h * dot(rates, &weights);
+            }
+        }
+        if let Some(finisher) = finisher {
+            let done = self.work[finisher];
+            for work in &mut self.work {
+                if *work >= done {
+                    *work = 1.0;
+                }
+            }
         }
     }
-    // The top two of the union of two multisets, given the top two of each.
-    fn merge((best_a, second_a): (f64, f64), (best_b, second_b): (f64, f64)) -> (f64, f64) {
-        (
-            max(best_a, best_b),
-            max(min(best_a, best_b), max(second_a, second_b)),
-        )
-    }
-    let mut best = [f64::NEG_INFINITY; 4];
-    let mut second = [f64::NEG_INFINITY; 4];
-    let mut chunks = work.chunks_exact(4);
-    for chunk in &mut chunks {
-        for lane in 0..4 {
-            second[lane] = max(second[lane], min(best[lane], chunk[lane]));
-            best[lane] = max(best[lane], chunk[lane]);
+
+    /// The first `u` in the current piece, up to `stop`, at which the Fig. 5 rule ends
+    /// the game, given `work` at `stop`; `None` when it does not fire.
+    ///
+    /// The leader's work never decreases, so nothing fires before the first instant
+    /// `from` at which some player reaches `min_leader_progress`, which the players'
+    /// crossings give exactly. The gap is checked there and at [`GAP_CHECKS`] instants
+    /// up to `stop`; at the first check where it has opened, the instant at which the
+    /// leader's and the runner-up's work cross the gap's threshold is solved for. Work
+    /// never decreases, so a player whose work at `stop` is below the runner-up's at
+    /// `from` is out of the top two up to `stop`, and the later checks skip it.
+    fn early_stop(&mut self, h: f64, stop: f64, rules: &GameRules) -> Option<f64> {
+        let threshold = rules.min_leader_progress;
+        let players = self.work.len();
+        if self.work.iter().all(|&work| work < threshold) {
+            return None;
         }
+        self.contenders.clear();
+        self.contenders.extend(0..players);
+        let (from, runner_up) = if self.progress.iter().any(|&work| work >= threshold) {
+            let (_, runner_up) = self.top_two_at(h, -1.0, stop);
+            (-1.0, runner_up.1)
+        } else {
+            let from = if threshold >= 1.0 {
+                // Only a finisher reaches it, at `stop`.
+                stop
+            } else {
+                self.first_crossing(threshold, h, stop, &self.work)
+                    .expect("the leader reaches the threshold by `stop`")
+                    .1
+            };
+            let (leader, runner_up) = self.top_two_at(h, from, stop);
+            if gap(leader.1, runner_up.1) >= rules.work_done_deviation {
+                return Some(from);
+            }
+            (from, runner_up.1)
+        };
+        let work = &self.work;
+        self.contenders.retain(|&i| work[i] >= runner_up);
+
+        let mut previous = from;
+        for check in 1..=GAP_CHECKS {
+            let u = if check == GAP_CHECKS {
+                stop
+            } else {
+                from + (stop - from) * check as f64 / GAP_CHECKS as f64
+            };
+            let (leader, runner_up) = self.top_two_at(h, u, stop);
+            if gap(leader.1, runner_up.1) >= rules.work_done_deviation {
+                // Solve `(1 - d) * leader's work - runner-up's work = 0` on
+                // `[previous, u]`.
+                let keep = 1.0 - rules.work_done_deviation;
+                let (l, r) = (leader.0, runner_up.0);
+                let c = keep * self.progress[l] - self.progress[r];
+                let q = std::array::from_fn(|j| keep * self.rates[l][j] - self.rates[r][j]);
+                let at = |u: f64| keep * self.progress_at(l, h, u) - self.progress_at(r, h, u);
+                let (at_previous, at_u) = (at(previous), keep * leader.1 - runner_up.1);
+                return Some(root(c, h, &q, (previous, at_previous), (u, at_u)));
+            }
+            previous = u;
+        }
+        None
     }
-    for (lane, &x) in chunks.remainder().iter().enumerate() {
-        second[lane] = max(second[lane], min(best[lane], x));
-        best[lane] = max(best[lane], x);
+
+    /// The leader and the runner-up among the contenders at `u` as `(index, work)`,
+    /// counted with multiplicity (two equal leaders give the pair); at `stop` they are
+    /// read from `work`, and at -1 from `progress`. Needs two contenders.
+    fn top_two_at(&self, h: f64, u: f64, stop: f64) -> ((usize, f64), (usize, f64)) {
+        let weights = (u != stop && u != -1.0).then(|| basis_integral(u));
+        let mut leader = (usize::MAX, f64::NEG_INFINITY);
+        let mut runner_up = (usize::MAX, f64::NEG_INFINITY);
+        for &i in &self.contenders {
+            let work = match &weights {
+                Some(weights) => self.progress[i] + h * dot(&self.rates[i], weights),
+                None if u == stop => self.work[i],
+                None => self.progress[i],
+            };
+            if work > leader.1 {
+                runner_up = leader;
+                leader = (i, work);
+            } else if work > runner_up.1 {
+                runner_up = (i, work);
+            }
+        }
+        (leader, runner_up)
     }
-    merge(
-        merge((best[0], second[0]), (best[1], second[1])),
-        merge((best[2], second[2]), (best[3], second[3])),
-    )
 }
 
 /// A shared, interference-prone cloud node on which tuning is performed.
@@ -365,64 +639,65 @@ impl CloudEnvironment {
         self.clock += max_elapsed;
     }
 
-    /// Runs a single configuration alone on the node, committing its cost.
-    ///
-    /// Draws the same two normals from the game RNG stream as a one-player
-    /// [`play_game`](Self::play_game), and observes the same time as a one-player game
-    /// without early termination.
+    /// Runs a single configuration alone on the node, committing its cost: a
+    /// one-player [`play_game`](Self::play_game) under [`GameRules::playoff`], drawing
+    /// the same two normals from the game RNG stream.
     pub fn run_single(&mut self, spec: ExecutionSpec) -> ObservedRun {
         let started_at = self.clock;
-        let jitter = self.rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4);
-        let noise = self
-            .rng
-            .normal_with(1.0, MEASUREMENT_NOISE_STD)
-            .clamp(0.99, 1.01);
-        let (observed_time, elapsed) = self.solo_run(spec, started_at, jitter, noise);
+        let (elapsed, _) = self.scratch.play(
+            &self.sampler,
+            self.vm,
+            started_at,
+            std::slice::from_ref(&spec),
+            &mut self.rng,
+            &GameRules::playoff(),
+        );
         self.commit_elapsed(elapsed);
         ObservedRun {
-            observed_time,
+            observed_time: self.scratch.observed[0],
             started_at,
             elapsed,
         }
     }
 
     /// Plays one co-located game among `specs` under `rules`, starting at the current
-    /// clock, over the node's [`InterferenceSampler`] and reusable struct-of-arrays
-    /// scratch buffers.
+    /// clock, over the node's [`InterferenceSampler`].
     ///
     /// The physics: each player draws a contention jitter `J` (normal around 1 with
     /// standard deviation 0.15, clamped to `[0.6, 1.4]`), then each player a measurement
-    /// noise `N` (0.003, clamped to `[0.99, 1.01]`). The game steps
-    /// `dt = max(smallest scaled base time / 200, 0.25)` seconds at a time. In each step a
-    /// player advances its work fraction by `dt * N / (base * slowdown * O)`, where the
-    /// slowdown is `1 + sensitivity * max(0, (I * f + C) * J)`, `I` is the node's level
-    /// at the start of the step, `f` the VM's interference factor,
-    /// `C = 0.35 * (players - 1) / vcpus` the co-location contention and
-    /// `O = max(1, players / vcpus)` the time-sharing overload. A player that completes
-    /// its work inside a step gets the interpolated finish instant. The game stops after
-    /// the step in which the first player finishes, once 64 times the slowest unscaled
-    /// base time has elapsed, or by the Fig. 5 early-termination rule of [`GameRules`].
-    /// A player that did not finish observes `elapsed / work done`.
+    /// noise `N` (0.003, clamped to `[0.99, 1.01]`). A player's work fraction grows at
+    /// the rate `N / (base * slowdown * O)`, where the slowdown is
+    /// `1 + sensitivity * max(0, (I * f + C) * J)`, `I` is the node's level at that
+    /// instant, `f` the VM's interference factor, `C = 0.35 * (players - 1) / vcpus` the
+    /// co-location contention and `O = max(1, players / vcpus)` the time-sharing
+    /// overload. The game stops at the instant the first player's work reaches 1, once
+    /// 64 times the slowest unscaled base time has elapsed, or at the instant the Fig. 5
+    /// early-termination rule of [`GameRules`] fires. A player that finished observes
+    /// that instant, which is also `elapsed`; every other player observes
+    /// `elapsed / work done`.
     ///
-    /// Each step is four parts, each exact for the reason given:
+    /// **Integration.** The level is smooth between its breakpoints (value-noise cells,
+    /// regime and burst epochs, and burst edges; see [`InterferenceSampler`]), so the
+    /// game is integrated piece by piece between them, no piece longer than the fastest
+    /// player's scaled base time. Each piece samples the level once at the four
+    /// Gauss–Legendre nodes, and every player's rate at those four levels; the four-point
+    /// rule gives each player's work at the piece's end. Inside a piece, work is the
+    /// integral of the cubic that interpolates the four rates, so a finish instant is a
+    /// root of that integral, found by safeguarded Newton steps, and no instant samples
+    /// the level again. Early termination needs the leader at `min_leader_progress`,
+    /// whose first crossing is solved for exactly; from there the gap is checked at that
+    /// instant and at four instants per piece, and where it has opened, the instant the
+    /// leader's and the runner-up's work cross the threshold is solved for. A game that
+    /// ends with a finisher and the rule met at that instant is both.
     ///
-    /// 1. **Rate and advance.** One indexed loop over the flat columns computes each
-    ///    player's rate with the reference's expression and writes its advanced progress
-    ///    into a second column. No state passes between players except an OR-ed
-    ///    "someone reached 1.0" flag, so the loop compiles to packed instructions, and
-    ///    packed IEEE arithmetic rounds every lane exactly like the scalar form.
-    /// 2. **Finish fix-up**, only on the step where the flag is set. A scalar loop
-    ///    recomputes each finisher's rate with the same expression (so the same bits),
-    ///    interpolates its finish instant inside the step and clamps its progress to 1.
-    /// 3. **Column swap.** The progress and advanced columns trade places, no copy.
-    /// 4. **Top-2**, only when early termination applies: the gap reads only the two
-    ///    largest work fractions counted with multiplicity, never the leader's index,
-    ///    so a branch-free four-lane scan gives the reference's gap (see `top_two`).
-    ///
-    /// The crate's tests check every output field and the RNG stream it consumes bit
-    /// for bit against a textbook loop that steps one player at a time and samples the
-    /// interference one component at a time. The game is *uncommitted*: cost and clock
-    /// are untouched until the play is passed to [`commit`](Self::commit) or
+    /// **Error budget.** The crate's tests compare the engine with a fixed-step
+    /// reference 64 times finer than the old 200-step rule. On 7,200 games and 20,000
+    /// solo runs, the observed-time error must stay at most 0.05% at p99 and 1% at most,
+    /// winner and early-termination flips in at most 0.04% of games, and the `elapsed`
+    /// error at p99 no larger than the old rule's (see `budget.rs`). It measured
+    /// 0.0035% at p99 and 0.015% at most, with no flips, where the old rule measured
+    /// 0.21% and 0.96%. The game is *uncommitted*: cost and clock are untouched until
+    /// the play is passed to [`commit`](Self::commit) or
     /// [`commit_parallel`](Self::commit_parallel).
     ///
     /// # Panics
@@ -430,141 +705,14 @@ impl CloudEnvironment {
     /// Panics if `specs` is empty.
     pub fn play_game(&mut self, specs: &[ExecutionSpec], rules: &GameRules) -> GamePlay {
         assert!(!specs.is_empty(), "a game needs at least one player");
-        let players = specs.len();
-        let vcpus = self.vm.vcpus();
-        let speed = self.vm.speed_factor();
-        let interference_factor = self.vm.interference_factor();
         let start = self.clock;
-        let start_seconds = start.as_seconds();
-
-        // Per-player hot state as flat struct-of-arrays, refilled in place. The jitter
-        // draws for all players come before the noise draws; the scaled specs are split
-        // into base/sensitivity columns so the per-step pass is a straight-line loop over
-        // flat `f64` arrays.
-        let scratch = &mut self.scratch;
-        let rng = &mut self.rng;
-        scratch.base.clear();
-        scratch.sens.clear();
-        for spec in specs {
-            let scaled = spec.scaled(speed);
-            scratch.base.push(scaled.base_time());
-            scratch.sens.push(scaled.sensitivity());
-        }
-        scratch.jitter.clear();
-        scratch
-            .jitter
-            .extend((0..players).map(|_| rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4)));
-        scratch.noise.clear();
-        scratch.noise.extend((0..players).map(|_| {
-            rng.normal_with(1.0, MEASUREMENT_NOISE_STD)
-                .clamp(0.99, 1.01)
-        }));
-        scratch.progress.clear();
-        scratch.progress.resize(players, 0.0);
-        scratch.advanced.clear();
-        scratch.advanced.resize(players, 0.0);
-        scratch.finish.clear();
-        scratch.finish.resize(players, f64::NAN);
-
-        let contention = CONTENTION_COEFF * (players.saturating_sub(1)) as f64 / vcpus as f64;
-        let overload = if players > vcpus {
-            players as f64 / vcpus as f64
-        } else {
-            1.0
-        };
-        let dt = scratch.base.iter().copied().fold(f64::INFINITY, f64::min) / 200.0;
-        let dt = dt.max(0.25);
-        let max_seconds = specs
-            .iter()
-            .map(ExecutionSpec::base_time)
-            .fold(0.0_f64, f64::max)
-            * MAX_RUN_MULTIPLIER;
-
-        // `x / 1.0 == x` for every f64, so skipping the division when nobody
-        // time-shares is exact.
-        let overloaded = overload != 1.0;
-        let check_early = rules.early_termination && players > 1;
-        let mut elapsed = 0.0_f64;
-        let mut finished = false;
-        let mut early_terminated = false;
-
-        let base = &scratch.base[..players];
-        let sens = &scratch.sens[..players];
-        let jitter = &scratch.jitter[..players];
-        let noise = &scratch.noise[..players];
-        let mut progress = &mut scratch.progress[..players];
-        let mut advanced = &mut scratch.advanced[..players];
-        let finish = &mut scratch.finish[..players];
-        // Identical expression shape to `ExecutionSpec::progress_rate` composed with the
-        // noise/overload factors of the reference loop.
-        let rate = |i: usize, shared: f64| {
-            let effective = shared * jitter[i];
-            let rate = 1.0 / (base[i] * (1.0 + sens[i] * effective.max(0.0))) * noise[i];
-            if overloaded {
-                rate / overload
-            } else {
-                rate
-            }
-        };
-        let mut ambient = AmbientLookahead::new(start_seconds, dt, interference_factor);
-        // The loop stops at the step in which the first player finishes, so every
-        // player is still running at the head of a step and needs no finished guard.
-        while !finished && elapsed < max_seconds {
-            let shared = ambient.next(&self.sampler) + contention;
-            let mut reached = false;
-            for i in 0..players {
-                let work = progress[i] + rate(i, shared) * dt;
-                advanced[i] = work;
-                reached |= work >= 1.0;
-            }
-            if reached {
-                for i in 0..players {
-                    if advanced[i] >= 1.0 {
-                        // Interpolate the exact finish instant inside this step.
-                        finish[i] = elapsed + (1.0 - progress[i]) / rate(i, shared);
-                        advanced[i] = 1.0;
-                    }
-                }
-                finished = true;
-            }
-            std::mem::swap(&mut progress, &mut advanced);
-            elapsed += dt;
-            if check_early {
-                let (best_work, second_work) = top_two(progress);
-                if best_work >= rules.min_leader_progress {
-                    // The reference path folds the runner-up from 0.0; progress is never
-                    // negative, so clamping the second value reproduces it exactly.
-                    let runner_up = second_work.max(0.0);
-                    let gap = if best_work > 0.0 {
-                        (best_work - runner_up) / best_work
-                    } else {
-                        0.0
-                    };
-                    if gap >= rules.work_done_deviation {
-                        early_terminated = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        let mut observed_times = Vec::with_capacity(players);
-        for (&finish, &progress) in finish.iter().zip(progress.iter()) {
-            observed_times.push(if finish.is_nan() {
-                // Extrapolate from current progress; players that have done no work get
-                // an effectively infinite estimate.
-                if progress > 0.0 {
-                    elapsed / progress
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                finish
-            });
-        }
+        let (elapsed, early_terminated) =
+            self.scratch
+                .play(&self.sampler, self.vm, start, specs, &mut self.rng, rules);
+        let observed_times = self.scratch.observed.clone();
         let best = observed_times.iter().copied().fold(f64::INFINITY, f64::min);
         let execution_scores = if !best.is_finite() || best <= 0.0 {
-            vec![0.0; players]
+            vec![0.0; observed_times.len()]
         } else {
             observed_times
                 .iter()
@@ -587,52 +735,9 @@ impl CloudEnvironment {
         }
     }
 
-    /// Runs one player alone to completion (or the run cap) with pre-drawn jitter and
-    /// noise; returns `(observed_time, elapsed)`. Shared by the committed
-    /// [`run_single`](Self::run_single) and the cost-free
-    /// [`observe_single_at`](Self::observe_single_at).
-    fn solo_run(&self, spec: ExecutionSpec, start: SimTime, jitter: f64, noise: f64) -> (f64, f64) {
-        let scaled = spec.scaled(self.vm.speed_factor());
-        let interference_factor = self.vm.interference_factor();
-        let start_seconds = start.as_seconds();
-        // Same formulas as the co-located engine specialised to one player: zero
-        // contention, no overload.
-        let contention = CONTENTION_COEFF * 0.0 / self.vm.vcpus() as f64;
-        let overload = 1.0;
-        let dt = (scaled.base_time() / 200.0).max(0.25);
-        let cap = self.run_cap(std::slice::from_ref(&spec));
-
-        let mut elapsed = 0.0_f64;
-        let mut progress = 0.0_f64;
-        let mut finish = f64::NAN;
-        let mut ambient = AmbientLookahead::new(start_seconds, dt, interference_factor);
-        while finish.is_nan() && elapsed < cap {
-            let effective = (ambient.next(&self.sampler) + contention) * jitter;
-            let rate = scaled.progress_rate(effective) * noise / overload;
-            let advanced = progress + rate * dt;
-            if advanced >= 1.0 {
-                let remaining = 1.0 - progress;
-                finish = elapsed + remaining / rate;
-                progress = 1.0;
-            } else {
-                progress = advanced;
-            }
-            elapsed += dt;
-        }
-        let observed = if finish.is_nan() {
-            if progress > 0.0 {
-                elapsed / progress
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            finish
-        };
-        (observed, elapsed)
-    }
-
     /// Observes a single run of `spec` starting at `start`, *without* committing cost or
-    /// advancing the clock.
+    /// advancing the clock: a one-player playoff game, like
+    /// [`run_single`](Self::run_single), whose draws come from a stream of their own.
     ///
     /// This models measuring the performance of an already-tuned application at an
     /// arbitrary later time (the repeated-execution measurements behind Fig. 11 and the
@@ -642,11 +747,16 @@ impl CloudEnvironment {
         let mut rng = SimRng::new(self.node_seed)
             .derive_index(salt)
             .derive("observe");
-        let jitter = rng.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4);
-        let noise = rng
-            .normal_with(1.0, MEASUREMENT_NOISE_STD)
-            .clamp(0.99, 1.01);
-        self.solo_run(spec, start, jitter, noise).0
+        let mut scratch = GameScratch::default();
+        scratch.play(
+            &self.sampler,
+            self.vm,
+            start,
+            std::slice::from_ref(&spec),
+            &mut rng,
+            &GameRules::playoff(),
+        );
+        scratch.observed[0]
     }
 
     /// Observes `count` runs of `spec`, spaced `spacing_seconds` apart starting from the
@@ -664,13 +774,54 @@ impl CloudEnvironment {
             })
             .collect()
     }
+}
 
-    fn run_cap(&self, specs: &[ExecutionSpec]) -> f64 {
-        let slowest = specs
-            .iter()
-            .map(ExecutionSpec::base_time)
-            .fold(0.0_f64, f64::max);
-        slowest * MAX_RUN_MULTIPLIER
+#[cfg(test)]
+impl CloudEnvironment {
+    /// Plays `specs` at the clock through the fixed-step reference at step `divisor`
+    /// (see `reference::game`), drawing from the game RNG stream as
+    /// [`play_game`](Self::play_game) does. Also returns how many players finished.
+    pub(crate) fn reference_game(
+        &mut self,
+        specs: &[ExecutionSpec],
+        rules: &GameRules,
+        divisor: f64,
+    ) -> (GamePlay, usize) {
+        crate::reference::game(
+            self.vm,
+            &self.profile,
+            self.node_seed,
+            self.clock,
+            specs,
+            &mut self.rng,
+            rules,
+            divisor,
+        )
+    }
+
+    /// [`observe_single_at`](Self::observe_single_at) through the fixed-step reference
+    /// at step `divisor`: the same draws, as a one-player playoff game.
+    pub(crate) fn reference_probe(
+        &self,
+        spec: ExecutionSpec,
+        start: SimTime,
+        salt: u64,
+        divisor: f64,
+    ) -> f64 {
+        let mut rng = SimRng::new(self.node_seed)
+            .derive_index(salt)
+            .derive("observe");
+        let (play, _) = crate::reference::game(
+            self.vm,
+            &self.profile,
+            self.node_seed,
+            start,
+            &[spec],
+            &mut rng,
+            &GameRules::playoff(),
+            divisor,
+        );
+        play.observed_times[0]
     }
 }
 
@@ -723,7 +874,6 @@ impl DedicatedEnvironment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     fn env(seed: u64) -> CloudEnvironment {
         CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), seed)
@@ -921,106 +1071,109 @@ mod tests {
         cloud.set_clock(SimTime::from_seconds(50.0));
     }
 
-    /// Plays `specs` at `env`'s clock through the textbook reference loop, drawing
-    /// from `env`'s game RNG stream as [`CloudEnvironment::play_game`] does. Also
-    /// returns how many players finished.
-    fn reference_game(
-        env: &mut CloudEnvironment,
-        specs: &[ExecutionSpec],
-        rules: &GameRules,
-    ) -> (GamePlay, usize) {
-        let start = env.clock;
-        reference::game(
-            env.vm,
-            &env.profile,
-            env.node_seed,
-            start,
-            specs,
-            &mut env.rng,
-            rules,
-        )
+    /// The fixed-step reference's divisor in the engine batteries: 4 times finer than
+    /// the old 200-step rule, so that the batteries' debug runtime stays within a few
+    /// times the old bit-identity batteries'.
+    const FINE_DIVISOR: f64 = 800.0;
+
+    /// Relative tolerance of an observed time against the reference at
+    /// [`FINE_DIVISOR`]: 0.2%, a fifth of the ±1% measurement-noise clamp. The
+    /// reference reads the level at each step's start, so its own error is first order
+    /// in the step. Its worst case in these batteries, 0.13%, is a 21 s game that a
+    /// burst starts 3 s into; the reference converges onto the engine there as its
+    /// divisor grows.
+    const OBSERVED_TOLERANCE: f64 = 2e-3;
+
+    /// `|got - want| / want`.
+    fn relative(got: f64, want: f64) -> f64 {
+        (got - want).abs() / want
     }
 
-    fn assert_plays_bit_identical(fast: &GamePlay, reference: &GamePlay, label: &str) {
-        assert_eq!(fast.start, reference.start, "{label}: start");
+    /// Checks an engine play against the fine reference's play of the same draws:
+    /// every observed time and execution score within [`OBSERVED_TOLERANCE`], the same
+    /// early-termination verdict, and `elapsed` within one reference step plus the
+    /// tolerance, because the reference stops only at the end of a step.
+    fn assert_play_matches(
+        vm: VmType,
+        specs: &[ExecutionSpec],
+        got: &GamePlay,
+        want: &GamePlay,
+        label: &str,
+    ) {
+        assert_eq!(got.start, want.start, "{label}: start");
         assert_eq!(
-            fast.elapsed.to_bits(),
-            reference.elapsed.to_bits(),
-            "{label}: elapsed"
-        );
-        assert_eq!(
-            fast.early_terminated, reference.early_terminated,
+            got.early_terminated, want.early_terminated,
             "{label}: early_terminated"
         );
-        assert_eq!(
-            fast.observed_times.len(),
-            reference.observed_times.len(),
-            "{label}: player count"
-        );
-        for i in 0..fast.observed_times.len() {
-            assert_eq!(
-                fast.observed_times[i].to_bits(),
-                reference.observed_times[i].to_bits(),
-                "{label}: observed_times[{i}]"
+        assert_eq!(got.players(), want.players(), "{label}: player count");
+        for i in 0..got.players() {
+            let (g, w) = (got.observed_times[i], want.observed_times[i]);
+            assert!(
+                relative(g, w) <= OBSERVED_TOLERANCE,
+                "{label}: observed_times[{i}] {g} against {w}"
             );
-            assert_eq!(
-                fast.execution_scores[i].to_bits(),
-                reference.execution_scores[i].to_bits(),
-                "{label}: execution_scores[{i}]"
+            let (g, w) = (got.execution_scores[i], want.execution_scores[i]);
+            assert!(
+                (g - w).abs() <= 2.0 * OBSERVED_TOLERANCE,
+                "{label}: execution_scores[{i}] {g} against {w}"
             );
         }
+        let fastest = specs
+            .iter()
+            .map(|s| s.base_time() * vm.speed_factor())
+            .fold(f64::INFINITY, f64::min);
+        let step = fastest.max(50.0) / FINE_DIVISOR;
+        assert!(
+            (got.elapsed - want.elapsed).abs() <= step + OBSERVED_TOLERANCE * want.elapsed,
+            "{label}: elapsed {} against {}",
+            got.elapsed,
+            want.elapsed
+        );
     }
 
     #[test]
-    fn fast_game_is_bit_identical_to_reference() {
-        let rules_default = GameRules::default();
-        let rules_playoff = GameRules::playoff();
+    fn game_matches_fine_reference() {
+        // Five games back to back on every VM under three profiles, so that the engine
+        // and the reference must consume the game RNG stream alike.
         for vm in VmType::ALL {
             for profile in [
                 InterferenceProfile::typical(),
                 InterferenceProfile::heavy(),
                 InterferenceProfile::Dedicated,
             ] {
-                for seed in [1_u64, 77] {
-                    let mut fast_env = CloudEnvironment::new(vm, profile.clone(), seed);
-                    let mut ref_env = CloudEnvironment::new(vm, profile.clone(), seed);
-                    // Several games back to back so the RNG streams must stay aligned,
-                    // with varying player counts including a batch-of-one.
-                    for (game, players) in [2_usize, 1, 8, 16, 3].into_iter().enumerate() {
-                        let specs: Vec<ExecutionSpec> = (0..players)
-                            .map(|i| {
-                                ExecutionSpec::new(
-                                    60.0 + 40.0 * i as f64,
-                                    0.1 + 0.15 * (i % 7) as f64,
-                                )
-                            })
-                            .collect();
-                        let rules = if game % 2 == 0 {
-                            rules_default
-                        } else {
-                            rules_playoff
-                        };
-                        let fast = fast_env.play_game(&specs, &rules);
-                        let (reference, _) = reference_game(&mut ref_env, &specs, &rules);
-                        assert_plays_bit_identical(
-                            &fast,
-                            &reference,
-                            &format!("{vm:?}/{profile:?}/seed={seed}/game={game}"),
-                        );
-                        // Advance both clocks identically so later games differ in start.
-                        fast_env.commit(&fast);
-                        ref_env.commit(&reference);
-                        assert_eq!(fast_env.clock(), ref_env.clock());
-                    }
+                let mut engine_env = CloudEnvironment::new(vm, profile.clone(), 77);
+                let mut ref_env = CloudEnvironment::new(vm, profile.clone(), 77);
+                for (game, players) in [2_usize, 1, 8, 16, 3].into_iter().enumerate() {
+                    let specs: Vec<ExecutionSpec> = (0..players)
+                        .map(|i| {
+                            ExecutionSpec::new(60.0 + 40.0 * i as f64, 0.1 + 0.15 * (i % 7) as f64)
+                        })
+                        .collect();
+                    let rules = if game % 2 == 0 {
+                        GameRules::default()
+                    } else {
+                        GameRules::playoff()
+                    };
+                    let got = engine_env.play_game(&specs, &rules);
+                    let (want, _) = ref_env.reference_game(&specs, &rules, FINE_DIVISOR);
+                    assert_play_matches(
+                        vm,
+                        &specs,
+                        &got,
+                        &want,
+                        &format!("{vm:?}/{profile:?}/game={game}"),
+                    );
+                    // Both clocks advance by the engine's play, so later games start alike.
+                    engine_env.commit(&got);
+                    ref_env.commit(&got);
                 }
             }
         }
 
         // 64 seeded games whose players are drawn from the paper-scale Redis surface,
-        // covering the engine's edge cases: duplicate specs, several players finishing
-        // in the same step (a tie at the top of the top-2 scan), more players than
-        // vCPUs (overload above 1), and base times under 50 s (the step size clamped to
-        // 0.25 s).
+        // covering duplicate specs, several players finishing close together, more
+        // players than vCPUs (overload above 1), and base times under 50 s (the
+        // reference's step clamped to its floor).
         let redis = dg_workloads::Workload::full(dg_workloads::Application::Redis);
         let mut draw = SimRng::new(0x64).derive("paper-scale-battery");
         let draw_spec = |draw: &mut SimRng, scale: f64| {
@@ -1028,7 +1181,7 @@ mod tests {
             let spec = redis.spec(id);
             ExecutionSpec::new(spec.base_time() * scale, spec.sensitivity())
         };
-        let (mut duplicates, mut same_step, mut overloaded, mut clamped) = (0, 0, 0, 0);
+        let (mut duplicates, mut close_finish, mut overloaded, mut clamped) = (0, 0, 0, 0);
         for case in 0..64_u64 {
             let vm = VmType::ALL[draw.index(VmType::ALL.len())];
             let profile = [
@@ -1043,7 +1196,7 @@ mod tests {
                 (0..players).map(|_| draw_spec(&mut draw, scale)).collect();
             match case % 8 {
                 // One spec repeated for the whole game: the players only differ by
-                // their jitter and noise draws, so several finish in the same step.
+                // their jitter and noise draws, so several finish close together.
                 0 | 5 => specs = vec![specs[0]; players],
                 // A few duplicates among distinct specs.
                 2 | 7 => {
@@ -1054,18 +1207,20 @@ mod tests {
                 _ => {}
             }
             let rules = if case % 3 == 1 {
-                rules_playoff
+                GameRules::playoff()
             } else {
-                rules_default
+                GameRules::default()
             };
-            let mut fast_env = CloudEnvironment::new(vm, profile.clone(), case);
-            let mut ref_env = CloudEnvironment::new(vm, profile.clone(), case);
-            let fast = fast_env.play_game(&specs, &rules);
-            let (reference, finished) = reference_game(&mut ref_env, &specs, &rules);
-            assert_plays_bit_identical(&fast, &reference, &format!("paper-scale case {case}"));
+            let got = CloudEnvironment::new(vm, profile.clone(), case).play_game(&specs, &rules);
+            let (want, finished) = CloudEnvironment::new(vm, profile, case).reference_game(
+                &specs,
+                &rules,
+                FINE_DIVISOR,
+            );
+            assert_play_matches(vm, &specs, &got, &want, &format!("paper-scale case {case}"));
 
             duplicates += usize::from((1..players).any(|i| specs[..i].contains(&specs[i])));
-            same_step += usize::from(finished >= 2);
+            close_finish += usize::from(finished >= 2);
             overloaded += usize::from(players > vm.vcpus());
             let min_base = specs
                 .iter()
@@ -1075,7 +1230,7 @@ mod tests {
         }
         for (covered, what) in [
             (duplicates, "duplicate specs"),
-            (same_step, "players finishing in the same step"),
+            (close_finish, "players finishing in the same reference step"),
             (overloaded, "more players than vCPUs"),
             (clamped, "base times under 50 s"),
         ] {
@@ -1084,18 +1239,16 @@ mod tests {
     }
 
     #[test]
-    fn game_is_bit_identical_to_reference_at_every_width() {
-        // Widths 1-33 cover every remainder of the packed rate pass and of the four-lane
-        // top-2 scan. Each width plays on every VM (2 to 96 vCPUs, so overload too),
-        // the profile cycling with the VM and the rule set with the width; a minimum
-        // leader progress of 1.0 lets only a finisher trigger early termination, on
-        // the very step it finishes.
+    fn game_matches_fine_reference_at_every_width() {
+        // Widths 1-33 on every VM (2 to 96 vCPUs, so overload too), the profile cycling
+        // with the VM and the rule set with the width; a minimum leader progress of 1.0
+        // lets only a finisher trigger early termination, at the instant it finishes.
         let finisher_rules = GameRules {
             min_leader_progress: 1.0,
             ..GameRules::default()
         };
         let mut draw = SimRng::new(0x21).derive("width-battery");
-        let (mut early, mut early_on_finish, mut overloaded_ragged) = (0, 0, 0);
+        let (mut early, mut early_on_finish, mut overloaded) = (0, 0, 0);
         for players in 1..=33_usize {
             for (v, vm) in VmType::ALL.into_iter().enumerate() {
                 let case = players * VmType::ALL.len() + v;
@@ -1112,74 +1265,57 @@ mod tests {
                         ExecutionSpec::new(30.0 + 270.0 * draw.uniform(), 1.2 * draw.uniform())
                     })
                     .collect();
-                let mut fast_env = CloudEnvironment::new(vm, profile.clone(), case as u64);
-                let mut ref_env = CloudEnvironment::new(vm, profile, case as u64);
-                let fast = fast_env.play_game(&specs, &rules);
-                let (reference, finished) = reference_game(&mut ref_env, &specs, &rules);
-                assert_plays_bit_identical(
-                    &fast,
-                    &reference,
+                let got = CloudEnvironment::new(vm, profile.clone(), case as u64)
+                    .play_game(&specs, &rules);
+                let (want, finished) = CloudEnvironment::new(vm, profile, case as u64)
+                    .reference_game(&specs, &rules, FINE_DIVISOR);
+                assert_play_matches(
+                    vm,
+                    &specs,
+                    &got,
+                    &want,
                     &format!("{vm:?} with {players} players, case {case}"),
                 );
 
-                early += usize::from(reference.early_terminated);
-                early_on_finish += usize::from(reference.early_terminated && finished > 0);
-                overloaded_ragged += usize::from(players > vm.vcpus() && players % 4 != 0);
+                early += usize::from(want.early_terminated);
+                early_on_finish += usize::from(want.early_terminated && finished > 0);
+                overloaded += usize::from(players > vm.vcpus());
             }
         }
         for (covered, what) in [
             (early, "an early-terminated game"),
-            (early_on_finish, "early termination on a finishing step"),
-            (
-                overloaded_ragged,
-                "an overloaded game of a width not a multiple of 4",
-            ),
+            (early_on_finish, "early termination on a finish"),
+            (overloaded, "an overloaded game"),
         ] {
             assert!(covered > 0, "the width battery never covers {what}");
         }
     }
 
     #[test]
-    fn top_two_counts_ties_and_every_lane() {
-        assert_eq!(top_two(&[0.3]), (0.3, f64::NEG_INFINITY));
-        assert_eq!(top_two(&[0.5, 0.5]), (0.5, 0.5));
-        for players in 1..=13 {
-            for leader in 0..players {
-                let mut work = vec![0.1; players];
-                work[leader] = 0.9;
-                let second = if players > 1 { 0.1 } else { f64::NEG_INFINITY };
-                assert_eq!(top_two(&work), (0.9, second), "{players} players");
-                if players > 1 {
-                    let runner_up = (leader + 1) % players;
-                    work[runner_up] = 0.7;
-                    assert_eq!(top_two(&work), (0.9, 0.7), "{players} players");
-                    work[runner_up] = 0.9;
-                    assert_eq!(top_two(&work), (0.9, 0.9), "{players} players");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fast_solo_run_is_bit_identical_to_reference() {
+    fn solo_run_matches_fine_reference() {
         for seed in [2_u64, 13, 101] {
-            let mut fast_env = env(seed);
+            let mut engine_env = env(seed);
             let mut ref_env = env(seed);
             for i in 0..6 {
                 let spec = ExecutionSpec::new(50.0 + 30.0 * i as f64, 0.2 + 0.1 * i as f64);
-                let fast = fast_env.run_single(spec);
-                // The same run as a one-player reference game, committed.
-                let (reference, _) = reference_game(&mut ref_env, &[spec], &GameRules::playoff());
-                ref_env.commit(&reference);
-                assert_eq!(
-                    fast.observed_time.to_bits(),
-                    reference.observed_times[0].to_bits()
+                let got = engine_env.run_single(spec);
+                // The same run as a one-player reference game.
+                let (want, _) =
+                    ref_env.reference_game(&[spec], &GameRules::playoff(), FINE_DIVISOR);
+                assert!(
+                    relative(got.observed_time, want.observed_times[0]) <= OBSERVED_TOLERANCE,
+                    "seed {seed} run {i}: {} against {}",
+                    got.observed_time,
+                    want.observed_times[0]
                 );
-                assert_eq!(fast.elapsed.to_bits(), reference.elapsed.to_bits());
-                assert_eq!(fast.started_at, reference.start);
-                assert_eq!(fast_env.clock(), ref_env.clock());
+                assert_eq!(got.started_at, want.start);
+                // A finished solo run ends at its finish: it occupies the node exactly
+                // for its observed time, and is charged for it.
+                assert_eq!(got.elapsed, got.observed_time);
+                ref_env.commit_elapsed(got.elapsed);
+                assert_eq!(engine_env.clock(), ref_env.clock());
                 assert_eq!(
-                    fast_env.cost().core_hours().to_bits(),
+                    engine_env.cost().core_hours().to_bits(),
                     ref_env.cost().core_hours().to_bits()
                 );
             }
@@ -1187,30 +1323,184 @@ mod tests {
     }
 
     #[test]
-    fn fast_observation_is_bit_identical_to_reference() {
+    fn probe_matches_fine_reference() {
         for seed in [3_u64, 29] {
             let cloud = env(seed);
             for salt in 0..5_u64 {
                 for i in 0..4 {
                     let spec = ExecutionSpec::new(80.0 + 25.0 * i as f64, 0.3 + 0.2 * i as f64);
                     let start = SimTime::from_seconds(500.0 * (salt + 1) as f64);
-                    let fast = cloud.observe_single_at(spec, start, salt);
-                    // The same observation as a one-player reference game.
-                    let mut ref_rng = SimRng::new(cloud.node_seed)
-                        .derive_index(salt)
-                        .derive("observe");
-                    let (reference, _) = reference::game(
-                        cloud.vm,
-                        &cloud.profile,
-                        cloud.node_seed,
-                        start,
-                        &[spec],
-                        &mut ref_rng,
-                        &GameRules::playoff(),
+                    let got = cloud.observe_single_at(spec, start, salt);
+                    let want = cloud.reference_probe(spec, start, salt, FINE_DIVISOR);
+                    assert!(
+                        relative(got, want) <= OBSERVED_TOLERANCE,
+                        "seed {seed} salt {salt} spec {i}: {got} against {want}"
                     );
-                    assert_eq!(fast.to_bits(), reference.observed_times[0].to_bits());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn constant_interference_observes_inverse_rates() {
+        // Under a constant level every rate is constant, so each player observes
+        // `1 / r` to rounding (tolerance 1e-12, relative), whether it finished or was
+        // extrapolated from its work, and whether the game ended early or not.
+        let level = 0.4;
+        for vm in [VmType::M5Large, VmType::M5_8xlarge] {
+            for players in [1_usize, 2, 3, 5, 16] {
+                for rules in [GameRules::default(), GameRules::playoff()] {
+                    let mut cloud =
+                        CloudEnvironment::new(vm, InterferenceProfile::Constant(level), 5);
+                    let specs: Vec<ExecutionSpec> = (0..players)
+                        .map(|i| ExecutionSpec::new(90.0 + 35.0 * i as f64, 0.2 * i as f64))
+                        .collect();
+                    let mut draws = cloud.rng.clone();
+                    let jitter: Vec<f64> = (0..players)
+                        .map(|_| draws.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4))
+                        .collect();
+                    let noise: Vec<f64> = (0..players)
+                        .map(|_| {
+                            draws
+                                .normal_with(1.0, MEASUREMENT_NOISE_STD)
+                                .clamp(0.99, 1.01)
+                        })
+                        .collect();
+                    let contention = CONTENTION_COEFF * (players - 1) as f64 / vm.vcpus() as f64;
+                    let overload = (players as f64 / vm.vcpus() as f64).max(1.0);
+                    let play = if players == 1 && !rules.early_termination {
+                        let run = cloud.run_single(specs[0]);
+                        vec![run.observed_time]
+                    } else {
+                        cloud.play_game(&specs, &rules).observed_times
+                    };
+                    for (i, spec) in specs.iter().enumerate() {
+                        let effective = (level * vm.interference_factor() + contention) * jitter[i];
+                        let rate = spec.scaled(vm.speed_factor()).progress_rate(effective)
+                            * noise[i]
+                            / overload;
+                        assert!(
+                            relative(play[i], 1.0 / rate) <= 1e-12,
+                            "{vm:?}, {players} players, player {i}: {} against {}",
+                            play[i],
+                            1.0 / rate
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_finished_game_ends_at_its_first_finish() {
+        // In a game that neither ends early nor reaches the cap, `elapsed` is exactly
+        // the smallest observed time: the finisher's instant.
+        let mut draw = SimRng::new(0xe1).derive("finish-battery");
+        let mut finished = 0;
+        for case in 0..200_u64 {
+            let vm = VmType::ALL[draw.index(VmType::ALL.len())];
+            let profile = [InterferenceProfile::typical(), InterferenceProfile::heavy()]
+                [case as usize % 2]
+                .clone();
+            let mut cloud = CloudEnvironment::new(vm, profile, case);
+            cloud.set_clock(SimTime::from_seconds(86_400.0 * draw.uniform()));
+            let specs: Vec<ExecutionSpec> = (0..1 + draw.index(16))
+                .map(|_| ExecutionSpec::new(30.0 + 270.0 * draw.uniform(), 1.2 * draw.uniform()))
+                .collect();
+            let rules = [GameRules::default(), GameRules::playoff()][case as usize % 2];
+            let play = cloud.play_game(&specs, &rules);
+            if play.early_terminated {
+                continue;
+            }
+            let first = play
+                .observed_times
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(play.elapsed, first, "case {case}");
+            finished += 1;
+        }
+        assert!(finished > 100, "only {finished} games finished");
+    }
+
+    #[test]
+    fn solo_time_never_decreases_with_base_time_or_sensitivity() {
+        // For fixed draws, the level, the contention and the jitter are never negative,
+        // so a run's observed time never decreases as its base time or its sensitivity
+        // grows (exactly: no tolerance). Base times 230-260 s in 0.01 s steps,
+        // sensitivities 0.05, 0.4 and 1.1, 8 node seeds and 4 start times.
+        let sensitivities = [0.05, 0.4, 1.1];
+        for seed in 0..8_u64 {
+            let cloud = env(seed);
+            for s in 0..4 {
+                let start = SimTime::from_seconds(3_600.0 * s as f64 + 1_234.5);
+                let mut previous = [0.0; 3];
+                for step in 0..=3_000 {
+                    let base = 230.0 + 0.01 * step as f64;
+                    let times = sensitivities.map(|sensitivity| {
+                        cloud.observe_single_at(ExecutionSpec::new(base, sensitivity), start, s)
+                    });
+                    for k in 0..3 {
+                        assert!(
+                            times[k] >= previous[k],
+                            "seed {seed} start {s}: base {base} sensitivity {} observes {} after {}",
+                            sensitivities[k],
+                            times[k],
+                            previous[k]
+                        );
+                        if k > 0 {
+                            assert!(
+                                times[k] >= times[k - 1],
+                                "seed {seed} start {s}: base {base} sensitivity {} observes {} \
+                                 below sensitivity {}'s {}",
+                                sensitivities[k],
+                                times[k],
+                                sensitivities[k - 1],
+                                times[k - 1]
+                            );
+                        }
+                    }
+                    previous = times;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quadrature_is_exact_to_its_degree() {
+        // Four-point Gauss–Legendre integrates degree 7 exactly; the basis interpolates
+        // the nodes; the basis integrals reach the weights at 1 (tolerance 1e-14).
+        for degree in 0..8_i32 {
+            let exact = if degree % 2 == 0 {
+                2.0 / (degree + 1) as f64
+            } else {
+                0.0
+            };
+            let rule: f64 = NODES
+                .iter()
+                .zip(&WEIGHTS)
+                .map(|(x, w)| w * x.powi(degree))
+                .sum();
+            assert!((rule - exact).abs() < 1e-14, "degree {degree}: {rule}");
+        }
+        for (j, &x) in NODES.iter().enumerate() {
+            let at_node = basis(x);
+            for (m, value) in at_node.iter().enumerate() {
+                let want = if m == j { 1.0 } else { 0.0 };
+                assert!(
+                    (value - want).abs() < 1e-14,
+                    "basis {m} at node {j}: {value}"
+                );
+            }
+        }
+        let (at_start, at_end) = (basis_integral(-1.0), basis_integral(1.0));
+        for j in 0..NODE_COUNT {
+            assert!(at_start[j].abs() < 1e-14);
+            assert!(
+                (at_end[j] - WEIGHTS[j]).abs() < 1e-14,
+                "weight {j}: {}",
+                at_end[j]
+            );
         }
     }
 }

@@ -38,15 +38,6 @@ impl CoreHours {
     pub fn value(&self) -> f64 {
         self.0
     }
-
-    /// This quantity as a percentage of `reference`. Returns 0 if the reference is zero.
-    pub fn percent_of(&self, reference: CoreHours) -> f64 {
-        if reference.0 <= f64::EPSILON {
-            0.0
-        } else {
-            100.0 * self.0 / reference.0
-        }
-    }
 }
 
 impl Add for CoreHours {
@@ -177,11 +168,6 @@ impl CostTracker {
         self.core_hours.value()
     }
 
-    /// Total compute consumed, as a typed quantity.
-    pub fn core_hours_quantity(&self) -> CoreHours {
-        self.core_hours
-    }
-
     /// Total wall-clock seconds of tuning.
     pub fn wall_clock_seconds(&self) -> f64 {
         self.wall_clock_seconds
@@ -208,14 +194,6 @@ mod tests {
         assert!((a.value() - 32.0).abs() < 1e-12);
         let b = CoreHours::from_usage(2, 1800.0);
         assert!((b.value() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percent_of_reference() {
-        let a = CoreHours::new(5.0);
-        let b = CoreHours::new(50.0);
-        assert!((a.percent_of(b) - 10.0).abs() < 1e-12);
-        assert_eq!(a.percent_of(CoreHours::ZERO), 0.0);
     }
 
     #[test]

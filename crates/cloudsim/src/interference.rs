@@ -179,6 +179,28 @@ impl CompositeSampler {
         )
     }
 
+    /// The first instant after `seconds` at which the level may lose smoothness: the
+    /// next value-noise cell, regime epoch or burst epoch, or an edge of the current
+    /// epoch's burst window.
+    fn next_breakpoint(&self, seconds: f64) -> f64 {
+        let after = |t: f64, period: f64| if t > seconds { t } else { t + period };
+        let next = |period: f64| after(((seconds / period).floor() + 1.0) * period, period);
+        let mut next_break = next(self.value_period)
+            .min(next(self.regime_period))
+            .min(next(self.burst_period));
+        let epoch = (seconds / self.burst_period).floor();
+        let (has_burst, start) = self.burst_in(epoch as u64);
+        if has_burst {
+            for edge in [start, start + self.burst_duty] {
+                let t = (epoch + edge) * self.burst_period;
+                if t > seconds {
+                    next_break = next_break.min(t);
+                }
+            }
+        }
+        next_break
+    }
+
     /// [`level`](Self::level) at each of `seconds`, which must not decrease.
     ///
     /// `floor(t / period)` never decreases as `t` grows (IEEE division by a positive
@@ -329,10 +351,24 @@ impl InterferenceSampler {
         }
     }
 
+    /// The first instant after `seconds` at which the level may lose smoothness, or
+    /// infinity for a constant level. Between two breakpoints the level is smooth: the
+    /// regime and the burst component are constant, and the value noise is one cosine
+    /// interpolation. Breakpoints are the starts of value-noise cells (every 480 s),
+    /// regime epochs (900 s) and burst epochs (600 s), and both edges of each burst
+    /// window. They are pure functions of the seed and `seconds`.
+    pub(crate) fn next_breakpoint(&self, seconds: f64) -> f64 {
+        match &self.kind {
+            SamplerKind::Constant(_) => f64::INFINITY,
+            SamplerKind::Composite(composite) => composite.next_breakpoint(seconds),
+        }
+    }
+
     /// The level at each of `seconds`, which must not decrease: bit-identical to one
     /// [`level_at_seconds`](Self::level_at_seconds) call per time. For the composite
     /// profiles, a batch within one regime epoch and one burst epoch looks those
-    /// components up once instead of once per time.
+    /// components up once instead of once per time. The game engine samples each piece
+    /// between two breakpoints in one call.
     #[inline]
     pub(crate) fn levels_at_seconds<const N: usize>(
         &self,
@@ -574,6 +610,53 @@ mod tests {
     }
 
     #[test]
+    fn every_discontinuity_is_a_breakpoint() {
+        // The reference level sampled every 0.25 s over 20,000 s: wherever it moves by
+        // more than the value noise can in 0.25 s (at most 4e-4 here), a listed
+        // breakpoint must lie in between. A missed burst edge fails this.
+        let profiles = [
+            InterferenceProfile::Dedicated,
+            InterferenceProfile::Constant(0.37),
+            InterferenceProfile::Typical,
+            InterferenceProfile::Heavy,
+            InterferenceProfile::Custom {
+                base: 0.08,
+                value_amplitude: 0.3,
+                regime_scale: 1.5,
+                burst_magnitude: 1.1,
+            },
+        ];
+        let step = 0.25;
+        let mut jumps = 0;
+        for profile in &profiles {
+            for seed in [3, 41] {
+                let sampler = profile.sampler(seed);
+                let level = |t: f64| reference::level(profile, seed, SimTime::from_seconds(t));
+                let mut previous = level(0.0);
+                for i in 1..=80_000 {
+                    let t = i as f64 * step;
+                    let current = level(t);
+                    if (current - previous).abs() > 1e-3 {
+                        let breakpoint = sampler.next_breakpoint(t - step);
+                        assert!(
+                            breakpoint <= t,
+                            "{profile:?} seed={seed}: the level jumps in ({}, {t}] but the \
+                             next breakpoint is {breakpoint}",
+                            t - step
+                        );
+                        jumps += 1;
+                    }
+                    previous = current;
+                }
+                if let SamplerKind::Constant(_) = sampler.kind {
+                    assert_eq!(sampler.next_breakpoint(0.0), f64::INFINITY);
+                }
+            }
+        }
+        assert!(jumps > 100, "only {jumps} jumps");
+    }
+
+    #[test]
     fn batch_fill_is_bit_identical_to_scalar_levels() {
         let profiles = [
             InterferenceProfile::Dedicated,
@@ -595,15 +678,17 @@ mod tests {
                 let scalar = profile.sampler(seed);
                 for dt in [0.25, 0.3, 0.75, 1.15, 2.5, 4.0, 6.3, 9.9] {
                     for i in 0..400 {
-                        // Times built like the engine's: repeated additions of `dt`.
+                        // Four increasing times, as the engine samples a piece at its
+                        // four nodes; a batch that straddles a cell or an epoch takes
+                        // the per-time path.
                         let start = (i * 7919 % 40_000) as f64 * 1.37;
                         let mut elapsed = (i % 5) as f64 * 8.0 * dt;
-                        let mut seconds = [0.0; 8];
+                        let mut seconds = [0.0; 4];
                         for t in &mut seconds {
                             *t = start + elapsed;
                             elapsed += dt;
                         }
-                        let mut batch = [f64::NAN; 8];
+                        let mut batch = [f64::NAN; 4];
                         sampler.levels_at_seconds(&seconds, &mut batch);
                         for (level, &t) in batch.iter().zip(&seconds) {
                             assert_eq!(
@@ -617,7 +702,7 @@ mod tests {
                             continue;
                         };
                         let crosses = |period: f64| {
-                            (seconds[0] / period).floor() != (seconds[7] / period).floor()
+                            (seconds[0] / period).floor() != (seconds[3] / period).floor()
                         };
                         value_edge += usize::from(crosses(c.value_period));
                         burst_edge += usize::from(crosses(c.burst_period));

@@ -15,11 +15,11 @@
 //! * **Co-location.** The players of one game ([`CloudEnvironment::play_game`]) share
 //!   the *same* interference samples and additionally contend with each other, which is
 //!   the physical mechanism DarwinGame exploits to rank configurations relatively. The
-//!   game engine steps flat per-player arrays: a packed rate-and-advance pass, a finish
-//!   fix-up only on the step someone finishes, and a four-lane top-2 scan for early
-//!   termination, with interference sampled eight steps per sampler call. The crate's
-//!   tests check the engine bit for bit against a textbook loop that steps one player
-//!   and one interference component at a time.
+//!   game engine integrates time exactly between the interference's breakpoints: four
+//!   shared samples per piece, every player's work from them, and a game that stops at
+//!   the instant of its first finish or of the Fig. 5 early-termination rule. Solo runs
+//!   and probes are one-player games. The crate's tests check the engine against a
+//!   fine fixed-step textbook loop within a stated error budget.
 //! * **Cost accounting.** Every run is charged in core-hours
 //!   (`vCPUs × wall-clock`), the resource metric of Fig. 12 and Fig. 14.
 //!
@@ -45,6 +45,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod budget;
 mod cloud;
 mod cost;
 mod interference;

@@ -1,10 +1,14 @@
 //! Test-only reference physics: the textbook forms the engine is checked against.
 //!
 //! [`level`] evaluates an interference profile component by component, rehashing every
-//! component at every call, with no memoization and no batching. [`game`] steps a
-//! co-located game one [`level`] call and one player at a time. The engine's samplers
-//! and step loops in `interference.rs` and `cloud.rs` must match both bit for bit, in
-//! every output and in the random draws they consume.
+//! component at every call, with no memoization and no batching; the sampler in
+//! `interference.rs` must match it bit for bit. [`game`] is the fine fixed-step
+//! reference for the game engine in `cloud.rs`: it steps a co-located game one [`level`]
+//! call and one player at a time, with a fixed step of
+//! `max(fastest scaled base time, 50 s) / divisor`, and checks the Fig. 5 rule after
+//! every step. It makes the engine's random draws in the engine's order, and its error
+//! is first order in the step, so the engine is checked against it within a tolerance
+//! (see `budget.rs` for the error budget).
 
 use crate::cloud::{
     CONTENTION_COEFF, MAX_RUN_MULTIPLIER, MEASUREMENT_NOISE_STD, PLAYER_JITTER_STD,
@@ -73,8 +77,10 @@ pub(crate) fn level(profile: &InterferenceProfile, seed: u64, t: SimTime) -> f64
 
 /// Plays `specs` as one co-located game on `vm` from `start` under the Fig. 5 rules of
 /// `rules`, over the signal `level(profile, node_seed, _)`, drawing each player's
-/// jitter and then each player's measurement noise from `rng`. Also returns how many
-/// players finished.
+/// jitter and then each player's measurement noise from `rng`, in fixed steps of
+/// `max(fastest scaled base time, 50 s) / divisor` that read the level at their start.
+/// Also returns how many players finished.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn game(
     vm: VmType,
     profile: &InterferenceProfile,
@@ -83,6 +89,7 @@ pub(crate) fn game(
     specs: &[ExecutionSpec],
     rng: &mut SimRng,
     rules: &GameRules,
+    divisor: f64,
 ) -> (GamePlay, usize) {
     let players = specs.len();
     let scaled: Vec<ExecutionSpec> = specs.iter().map(|s| s.scaled(vm.speed_factor())).collect();
@@ -105,7 +112,7 @@ pub(crate) fn game(
         .iter()
         .map(|s| s.base_time())
         .fold(f64::INFINITY, f64::min);
-    let dt = (min_base / 200.0).max(0.25);
+    let dt = min_base.max(50.0) / divisor;
     let max_seconds =
         specs.iter().map(|s| s.base_time()).fold(0.0_f64, f64::max) * MAX_RUN_MULTIPLIER;
 

@@ -173,22 +173,9 @@ impl SimRng {
         weights.len() - 1
     }
 
-    /// Next raw 32-bit value (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.inner.next_u64() >> 32) as u32
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
-    }
-
-    /// Fills a byte slice with random data.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.inner.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
     }
 }
 

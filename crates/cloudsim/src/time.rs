@@ -34,11 +34,6 @@ impl SimTime {
         Self(seconds)
     }
 
-    /// Creates a timestamp from hours.
-    pub fn from_hours(hours: f64) -> Self {
-        Self::from_seconds(hours * 3600.0)
-    }
-
     /// Seconds since the simulation origin.
     pub fn as_seconds(&self) -> f64 {
         self.0
@@ -47,16 +42,6 @@ impl SimTime {
     /// Minutes since the simulation origin.
     pub fn as_minutes(&self) -> f64 {
         self.0 / 60.0
-    }
-
-    /// Hours since the simulation origin.
-    pub fn as_hours(&self) -> f64 {
-        self.0 / 3600.0
-    }
-
-    /// Elapsed seconds from `earlier` to `self`; zero if `earlier` is later.
-    pub fn seconds_since(&self, earlier: SimTime) -> f64 {
-        (self.0 - earlier.0).max(0.0)
     }
 }
 
@@ -94,10 +79,9 @@ mod tests {
 
     #[test]
     fn conversion_round_trip() {
-        let t = SimTime::from_hours(1.5);
+        let t = SimTime::from_seconds(5400.0);
         assert_eq!(t.as_seconds(), 5400.0);
         assert_eq!(t.as_minutes(), 90.0);
-        assert_eq!(t.as_hours(), 1.5);
     }
 
     #[test]
@@ -105,8 +89,6 @@ mod tests {
         let a = SimTime::from_seconds(100.0);
         let b = a + 50.0;
         assert_eq!(b - a, 50.0);
-        assert_eq!(b.seconds_since(a), 50.0);
-        assert_eq!(a.seconds_since(b), 0.0);
     }
 
     #[test]

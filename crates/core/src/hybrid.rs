@@ -71,7 +71,7 @@ impl SubspaceStrategy for BlissSubspaceStrategy {
         candidates
             .into_iter()
             .zip(scores)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("EI is not NaN"))
+            .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("EI is not NaN"))
             .expect("candidates is non-empty")
             .0
     }

@@ -10,9 +10,8 @@
 
 /// A player's score record across all games played so far, kept as running sums.
 ///
-/// The board holds the game count, the sum of execution scores, the sum of `1 / rank`,
-/// the number of wins, the current win streak and the latest execution score, so a
-/// player is a fixed-size value and every accessor is O(1). The averages are exactly
+/// The board holds the game count, the sum of execution scores, the sum of `1 / rank`
+/// and the latest execution score, so a player is a fixed-size value and every accessor is O(1). The averages are exactly
 /// the ones a stored history would give: each sum starts at `-0.0` and adds one game at
 /// a time in recording order, which is the fold `Iterator::sum::<f64>()` performs over
 /// the history, and the mean divides by the same `games as f64`.
@@ -21,8 +20,6 @@ pub struct ScoreBoard {
     games: usize,
     execution_sum: f64,
     inverse_rank_sum: f64,
-    wins: usize,
-    streak: usize,
     latest_execution_score: f64,
 }
 
@@ -33,8 +30,6 @@ impl Default for ScoreBoard {
             // `-0.0` is the additive identity `Iterator::sum::<f64>()` starts from.
             execution_sum: -0.0,
             inverse_rank_sum: -0.0,
-            wins: 0,
-            streak: 0,
             latest_execution_score: 0.0,
         }
     }
@@ -61,12 +56,6 @@ impl ScoreBoard {
         self.games += 1;
         self.execution_sum += execution_score;
         self.inverse_rank_sum += 1.0 / rank as f64;
-        if rank == 1 {
-            self.wins += 1;
-            self.streak += 1;
-        } else {
-            self.streak = 0;
-        }
         self.latest_execution_score = execution_score;
     }
 
@@ -98,16 +87,6 @@ impl ScoreBoard {
         } else {
             self.inverse_rank_sum / self.games as f64
         }
-    }
-
-    /// Number of games this player has won (rank 1).
-    pub fn wins(&self) -> usize {
-        self.wins
-    }
-
-    /// True when the player won its most recent `streak` games.
-    pub fn winning_streak(&self, streak: usize) -> bool {
-        streak > 0 && self.streak >= streak
     }
 }
 
@@ -261,17 +240,6 @@ mod tests {
                 self.ranks.iter().map(|r| 1.0 / *r as f64).sum::<f64>() / self.ranks.len() as f64
             }
         }
-
-        fn wins(&self) -> usize {
-            self.ranks.iter().filter(|r| **r == 1).count()
-        }
-
-        fn winning_streak(&self, streak: usize) -> bool {
-            if streak == 0 || self.ranks.len() < streak {
-                return false;
-            }
-            self.ranks.iter().rev().take(streak).all(|r| *r == 1)
-        }
     }
 
     fn assert_boards_agree(board: &ScoreBoard, history: &HistoryBoard, case: usize) {
@@ -293,20 +261,11 @@ mod tests {
             history.consistency_score().to_bits(),
             "{label}"
         );
-        assert_eq!(board.wins(), history.wins(), "{label}");
-        for streak in 0..=games + 1 {
-            assert_eq!(
-                board.winning_streak(streak),
-                history.winning_streak(streak),
-                "{label}, streak {streak}"
-            );
-        }
     }
 
     #[test]
     fn running_sums_match_the_stored_history_bit_for_bit() {
         let mut rng = SimRng::new(0x5b).derive("score-board-battery");
-        let mut long_streaks = 0;
         for case in 0..2_000 {
             let mut board = ScoreBoard::new();
             let mut history = HistoryBoard::default();
@@ -317,7 +276,7 @@ mod tests {
                     1 => 1.0,
                     _ => rng.uniform(),
                 };
-                // Rank 1 often enough that win streaks build up and break.
+                // Rank 1 often, as a game winner's.
                 let rank = if rng.uniform() < 0.4 {
                     1
                 } else {
@@ -327,12 +286,7 @@ mod tests {
                 history.record_game(score, rank);
                 assert_boards_agree(&board, &history, case);
             }
-            long_streaks += usize::from(board.winning_streak(3));
         }
-        assert!(
-            long_streaks > 50,
-            "only {long_streaks} boards ended on 3 wins"
-        );
     }
 
     #[test]
@@ -344,7 +298,6 @@ mod tests {
         }
         let expected = (1.0 + 0.25 + 1.0 + 1.0 / 3.0) / 4.0;
         assert!((board.consistency_score() - expected).abs() < 1e-12);
-        assert_eq!(board.wins(), 2);
     }
 
     #[test]
@@ -353,19 +306,6 @@ mod tests {
         assert_eq!(board.average_execution_score(), 0.0);
         assert_eq!(board.consistency_score(), 0.0);
         assert_eq!(board.games_played(), 0);
-        assert!(!board.winning_streak(1));
-    }
-
-    #[test]
-    fn winning_streak_requires_consecutive_wins() {
-        let mut board = ScoreBoard::new();
-        board.record_game(1.0, 1);
-        board.record_game(0.8, 2);
-        board.record_game(1.0, 1);
-        assert!(!board.winning_streak(2));
-        board.record_game(1.0, 1);
-        assert!(board.winning_streak(2));
-        assert!(!board.winning_streak(3));
     }
 
     #[test]

@@ -136,15 +136,23 @@ impl Tuner for Bliss {
             let best_observed = window_targets.iter().copied().fold(f64::INFINITY, f64::min);
             let scores = model.gp.expected_improvements(&vectors, best_observed);
             let mut pick = 0;
-            for (index, &ei) in scores.iter().enumerate().skip(1) {
-                if ei > scores[pick] {
+            for (index, &(ei, _)) in scores.iter().enumerate().skip(1) {
+                if ei > scores[pick].0 {
                     pick = index;
                 }
             }
 
+            // A random candidate's vector is already its configuration's, so the pool
+            // pass has its prediction. The perturbed incumbent snaps to a configuration
+            // whose vector differs, and is predicted anew.
             let chosen_candidate = candidates[pick];
-            let vector = config_to_vector(workload, chosen_candidate);
-            let (predicted, _) = model.gp.predict(&vector);
+            let (vector, predicted) = if pick < CANDIDATE_POOL {
+                (std::mem::take(&mut vectors[pick]), scores[pick].1)
+            } else {
+                let vector = config_to_vector(workload, chosen_candidate);
+                let (predicted, _) = model.gp.predict(&vector);
+                (vector, predicted)
+            };
             let observed = evaluator.evaluate(chosen_candidate);
             if observed.is_finite() {
                 model.record_error((observed - predicted).abs());

@@ -397,18 +397,23 @@ impl GaussianProcess {
         improvement(mean, std_dev, best)
     }
 
-    /// [`expected_improvement`](Self::expected_improvement) of every point, in order.
-    /// Each value is bit-identical to scoring its point alone; scoring a pool in one
-    /// call is faster.
+    /// [`expected_improvement`](Self::expected_improvement) of every point, in order,
+    /// each paired with the point's predictive mean: `(improvement, mean)`. Each value
+    /// is bit-identical to scoring or [`predict`](Self::predict)ing its point alone;
+    /// scoring a pool in one call is faster.
     ///
     /// # Panics
     ///
     /// Panics if the GP has not been fit, or if a point differs in length from the
     /// training inputs.
-    pub fn expected_improvements<P: AsRef<[f64]>>(&self, points: &[P], best: f64) -> Vec<f64> {
+    pub fn expected_improvements<P: AsRef<[f64]>>(
+        &self,
+        points: &[P],
+        best: f64,
+    ) -> Vec<(f64, f64)> {
         let mut scores = Vec::with_capacity(points.len());
         self.posterior(points, |mean, std_dev| {
-            scores.push(improvement(mean, std_dev, best));
+            scores.push((improvement(mean, std_dev, best), mean));
         });
         scores
     }
@@ -739,11 +744,14 @@ mod tests {
 
                     let scores = gp.expected_improvements(&points, best);
                     assert_eq!(scores.len(), pool);
-                    for (index, (point, score)) in points.iter().zip(&scores).enumerate() {
+                    for (index, (point, &(score, pool_mean))) in
+                        points.iter().zip(&scores).enumerate()
+                    {
                         let (mean, std_dev) = reference.predict(point);
                         let expected = improvement(mean, std_dev, best);
                         let context = format!("{context} pool={pool}");
                         assert_eq!(score.to_bits(), expected.to_bits(), "EI, {context}");
+                        assert_eq!(pool_mean.to_bits(), mean.to_bits(), "pool mean, {context}");
                         // Single-point calls pad a block with copies of one query.
                         if index >= 9 && index + 1 < pool {
                             continue;

@@ -21,12 +21,12 @@ use darwingame::prelude::*;
 /// `(regions, seed, champion, games_played, core_hours)` for the pinned configuration
 /// under the `Typical` interference profile.
 const GOLDEN: [(usize, u64, u64, usize, f64); 6] = [
-    (8, 1, 4185, 40, 162.029215441),
-    (8, 2, 8126, 40, 138.819437300),
-    (8, 3, 4622, 33, 110.176233414),
-    (16, 1, 1454, 81, 443.205484864),
-    (16, 2, 1030, 71, 256.858537961),
-    (16, 3, 193, 65, 247.513955105),
+    (8, 1, 4185, 40, 161.560805517),
+    (8, 2, 8126, 40, 138.389203075),
+    (8, 3, 4622, 33, 108.873053918),
+    (16, 1, 6637, 81, 436.304594267),
+    (16, 2, 1030, 71, 256.133777616),
+    (16, 3, 193, 65, 246.773883186),
 ];
 
 /// The same pinned configuration under the `Heavy` profile (environment seeds offset
@@ -35,12 +35,12 @@ const GOLDEN: [(usize, u64, u64, usize, f64); 6] = [
 /// whole downstream RNG/cost stream — pinning it guards the noise-model half of the
 /// pipeline, which the `Typical`-only suite left uncovered.
 const GOLDEN_HEAVY: [(usize, u64, u64, usize, f64); 6] = [
-    (8, 1, 4185, 42, 203.126625699),
-    (8, 2, 8126, 37, 149.274378843),
-    (8, 3, 4622, 38, 142.451298294),
-    (16, 1, 1454, 71, 379.315587762),
-    (16, 2, 1030, 74, 296.270264841),
-    (16, 3, 6054, 72, 299.799704432),
+    (8, 1, 4185, 42, 202.695762436),
+    (8, 2, 8126, 37, 156.946054824),
+    (8, 3, 4622, 38, 142.037498932),
+    (16, 1, 1454, 71, 378.490219512),
+    (16, 2, 1030, 73, 299.651238856),
+    (16, 3, 193, 72, 295.313531368),
 ];
 
 /// `(variant, digest)` of the whole report of the pinned configuration at 16 regions
@@ -52,23 +52,23 @@ const GOLDEN_HEAVY: [(usize, u64, u64, usize, f64); 6] = [
 /// where all eleven reports differ: at seeds 1 to 3 dropping a ranking criterion
 /// leaves every group winner, and so the whole report, as the full design has it.
 const ABLATION_PINS: [(&str, u64); 11] = [
-    ("full DarwinGame", 1_169_656_791_377_063_589),
-    ("w/o regional", 2_229_885_770_550_186_107),
-    ("one-win regional", 146_331_086_926_957_034),
-    ("w/o Swiss", 3_488_272_453_310_583_525),
-    ("w/o global", 3_226_469_689_401_230_071),
-    ("w/o double elimination", 6_020_838_766_643_457_200),
-    ("w/o barrage", 12_502_381_337_572_602_175),
-    ("w/o consistency score", 9_043_373_539_748_532_960),
-    ("w/o execution score", 14_393_563_328_384_741_822),
-    ("all 2-player games", 17_513_324_579_727_683_078),
-    ("w/o early termination", 17_030_121_235_891_697_907),
+    ("full DarwinGame", 4_484_666_359_949_267_649),
+    ("w/o regional", 18_208_612_313_967_463_272),
+    ("one-win regional", 9_086_752_476_569_219_612),
+    ("w/o Swiss", 2_677_493_151_534_159_559),
+    ("w/o global", 10_975_350_310_233_429_163),
+    ("w/o double elimination", 7_092_993_582_675_040_876),
+    ("w/o barrage", 17_066_313_280_819_890_509),
+    ("w/o consistency score", 9_513_148_837_937_163_427),
+    ("w/o execution score", 13_669_962_245_301_094_710),
+    ("all 2-player games", 17_334_326_965_995_527_335),
+    ("w/o early termination", 12_089_518_693_431_299_393),
 ];
 
 /// Digest of a 16-player tournament over the full Redis space (5.3M configurations),
 /// too large for the workload's spec memo, so every spec the tournament uses is
 /// computed from the surface.
-const FULL_REDIS_PIN: u64 = 16_515_972_131_679_087_804;
+const FULL_REDIS_PIN: u64 = 6_596_475_527_938_611_708;
 
 /// The pinned tournament shape: Redis at 10,000 configurations, 8 players per game and
 /// at most 4 Swiss rounds per region, regions played in order.
