@@ -2,10 +2,11 @@
 //!
 //! These do not reproduce a paper figure; they track the performance of the simulator and
 //! tournament building blocks so that regressions in the reproduction's own code are
-//! visible: surface evaluation, interference sampling, a single co-located game of 16 and
-//! of 5 players, a solo run, one paper-scale region of the regional phase, the GP
-//! surrogate fit and candidate-pool scoring used by BLISS, and a small end-to-end
-//! tournament.
+//! visible: surface evaluation (on a scaled space and on the full one, past the spec
+//! memo), one paper-scale region's candidate sampling, interference sampling, a single
+//! co-located game of 16 and of 5 players, a solo run, one paper-scale region of the
+//! regional phase, the GP surrogate fit and candidate-pool scoring used by BLISS, and a
+//! small end-to-end tournament.
 //!
 //! Run with `cargo bench --bench micro_components`.
 
@@ -26,6 +27,33 @@ fn bench_surface_evaluation(c: &mut Criterion) {
             id = (id + 7919) % workload.size();
             black_box(workload.surface().spec(id))
         })
+    });
+    // The paper-scale lookup: fixed random ids of the full 5.3M-config Redis space,
+    // which is past the spec memo, so every lookup evaluates the surface.
+    let full = Workload::full(Application::Redis);
+    let mut rng = SimRng::new(23);
+    let ids: Vec<u64> = (0..4_096)
+        .map(|_| rng.index(full.size() as usize) as u64)
+        .collect();
+    c.bench_function("surface_spec_lookup_full_redis", |b| {
+        let mut next = 0;
+        b.iter(|| {
+            next = (next + 1) % ids.len();
+            black_box(full.spec(black_box(ids[next])))
+        })
+    });
+}
+
+fn bench_candidate_sampling(c: &mut Criterion) {
+    // A paper-scale region's candidate pool: 72 distinct configurations (P = 16 over
+    // the default round cap) from one of the 531-config regions of the full Redis space
+    // cut into 10,000 regions.
+    let partition = IndexPartition::new(Workload::full(Application::Redis).size(), 10_000);
+    let region = 4_321;
+    assert_eq!(partition.part_size(region), 531);
+    let mut rng = SimRng::new(29);
+    c.bench_function("sample_distinct_72_of_531", |b| {
+        b.iter(|| black_box(partition.sample_distinct(region, 72, &mut rng)))
     });
 }
 
@@ -282,6 +310,7 @@ criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20);
     targets = bench_surface_evaluation,
+        bench_candidate_sampling,
         bench_interference_sampling,
         bench_timeline_lookups,
         bench_single_game,

@@ -1,7 +1,7 @@
 //! Observability overhead gate — `dg-obs` must be free when off and cheap when on.
 //!
 //! Runs the Figure 15 VM sweep (the campaign `BENCH_fig15.json` records, via
-//! [`dg_bench::fig15_sweep_spec`]) twice on one worker:
+//! [`dg_bench::fig15_sweep_spec`]) on one worker, in two legs:
 //!
 //! * **disabled** — no sinks, no decorator: exactly the configuration
 //!   `fig15_vm_sweep` runs first, so this leg's report fingerprint must equal the one
@@ -11,12 +11,14 @@
 //!   round, and game events all constructed and delivered.
 //!
 //! The gate demands the instrumented report **byte-identical** to the disabled one
-//! and the wall-clock overhead **< 2 %** at full scale (best-of-N serial on both
-//! legs, so the ratio is a steady-state measurement, not scheduler noise). The
-//! smoke sweep finishes in tens of milliseconds with ~2.6× the event density per
-//! unit of work, so its bound is a looser **< 10 %** — the pinned claim is the
-//! full-scale one. Results land in `BENCH_obs_overhead.json` (pinned at the repo
-//! root in full mode).
+//! and the wall-clock overhead **< 2 %** at full scale. The overhead is the median,
+//! over 41 pairs, of the ratio of the two legs of a pair. The legs of a pair run back
+//! to back, disabled first in even pairs and instrumented first in odd ones, so a
+//! change in the host's speed between pairs moves both legs of a pair alike, and
+//! neither leg always runs first. The smoke sweep finishes in tens of milliseconds
+//! with ~2.6× the event density per unit of work, so its bound is a looser **< 10 %**
+//! — the pinned claim is the full-scale one. Results land in `BENCH_obs_overhead.json`
+//! (pinned at the repo root in full mode).
 //!
 //! Run with `cargo bench --bench obs_overhead`. `DG_FIG15_SMOKE=1` shrinks to the
 //! CI smoke sweep; `DG_OBS_BASELINE=<path>` points the fingerprint cross-check at a
@@ -27,6 +29,7 @@ use dg_campaign::{Campaign, CampaignReport};
 use dg_exec::json::{fnv1a, parse, push_f64, push_key, push_str_literal, JsonValue};
 use dg_exec::{ObsProvider, SimProvider};
 use dg_obs::{install_sink, remove_sink, EventSink, ObsRecord};
+use dg_stats::median;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,31 +47,23 @@ impl EventSink for CountingSink {
     }
 }
 
-/// Best-of-N serial sweep (runs are deterministic; repeats must be byte-identical).
-fn timed(campaign: &Campaign, instrumented: bool, reps: u32) -> (f64, CampaignReport) {
-    let mut best: Option<(f64, CampaignReport)> = None;
-    for _ in 0..reps.max(1) {
+/// Runs the sweep once on one worker and returns its report, its wall-clock seconds
+/// and the events delivered: bare, with no sink installed, or instrumented, with a
+/// counting sink installed for the run and every backend wrapped in [`ObsBackend`].
+fn sweep(campaign: &Campaign, instrumented: bool) -> (CampaignReport, f64, u64) {
+    if !instrumented {
         let start = Instant::now();
-        let report = if instrumented {
-            let provider = ObsProvider::new(Box::new(SimProvider));
-            campaign.run_with_provider(&provider, 1)
-        } else {
-            campaign.run_with_workers(1)
-        };
-        let elapsed = start.elapsed().as_secs_f64();
-        match &mut best {
-            Some((best_elapsed, best_report)) => {
-                assert_eq!(
-                    report.to_json(),
-                    best_report.to_json(),
-                    "repeated sweeps must be byte-identical"
-                );
-                *best_elapsed = best_elapsed.min(elapsed);
-            }
-            None => best = Some((elapsed, report)),
-        }
+        let report = campaign.run_with_workers(1);
+        return (report, start.elapsed().as_secs_f64(), 0);
     }
-    best.expect("at least one repetition")
+    let sink = Arc::new(CountingSink::default());
+    let sink_id = install_sink(sink.clone());
+    let start = Instant::now();
+    let provider = ObsProvider::new(Box::new(SimProvider));
+    let report = campaign.run_with_provider(&provider, 1);
+    let seconds = start.elapsed().as_secs_f64();
+    remove_sink(sink_id);
+    (report, seconds, sink.events.load(Ordering::Relaxed))
 }
 
 /// Pulls `campaign_fingerprint` and `mode` out of a `BENCH_fig15.json` artifact.
@@ -96,31 +91,56 @@ fn main() {
     let smoke = std::env::var("DG_FIG15_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let spec = dg_bench::fig15_sweep_spec(smoke);
     let campaign = Campaign::new(spec);
-    let reps = if smoke { 5 } else { 3 };
+    let pairs = 41;
 
-    println!("=== dg-obs overhead gate (Fig. 15 sweep, 1 worker) ===\n");
+    println!("=== dg-obs overhead gate (Fig. 15 sweep, 1 worker, {pairs} pairs) ===\n");
 
-    // Disabled leg first: no sink installed — the exact configuration
-    // fig15_vm_sweep records.
-    let (disabled_seconds, disabled_report) = timed(&campaign, false, reps);
-    let fingerprint = fnv1a(&disabled_report.to_json());
-    println!("disabled:     {disabled_seconds:>8.3} s  (fingerprint {fingerprint})");
-
-    // Instrumented leg: counting sink live, every backend decorated.
-    let sink = Arc::new(CountingSink::default());
-    let sink_id = install_sink(sink.clone());
-    let (instrumented_seconds, instrumented_report) = timed(&campaign, true, reps);
-    remove_sink(sink_id);
-    let events = sink.events.load(Ordering::Relaxed);
-
+    // Warm-up pass, and the correctness gate: live instrumentation must not change a
+    // byte of the report. The disabled leg is the exact configuration fig15_vm_sweep
+    // records.
+    let (disabled_report, _, _) = sweep(&campaign, false);
+    let reference = disabled_report.to_json();
+    let fingerprint = fnv1a(&reference);
+    let (instrumented_report, _, events) = sweep(&campaign, true);
     assert_eq!(
         instrumented_report.to_json(),
-        disabled_report.to_json(),
+        reference,
         "instrumentation must be invisible in the canonical report"
     );
-    let overhead_percent = (instrumented_seconds / disabled_seconds.max(1e-9) - 1.0) * 100.0;
+    assert!(events > 0, "the instrumented leg must actually emit events");
+
+    let mut disabled_times = Vec::with_capacity(pairs);
+    let mut instrumented_times = Vec::with_capacity(pairs);
+    let mut ratios = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
+        let legs = if pair % 2 == 0 {
+            [false, true]
+        } else {
+            [true, false]
+        };
+        let mut seconds = [0.0; 2];
+        for instrumented in legs {
+            let (report, elapsed, _) = sweep(&campaign, instrumented);
+            assert_eq!(
+                report.to_json(),
+                reference,
+                "repeated sweeps must be byte-identical"
+            );
+            seconds[usize::from(instrumented)] = elapsed;
+        }
+        disabled_times.push(seconds[0]);
+        instrumented_times.push(seconds[1]);
+        ratios.push(seconds[1] / seconds[0]);
+    }
+    let disabled_seconds = median(&disabled_times);
+    let instrumented_seconds = median(&instrumented_times);
+    let overhead_percent = 100.0 * (median(&ratios) - 1.0);
+
     println!(
-        "instrumented: {instrumented_seconds:>8.3} s  ({events} events, {overhead_percent:+.2} % overhead, byte-identical report)"
+        "disabled:     {disabled_seconds:>8.3} s  (median of {pairs}, fingerprint {fingerprint})"
+    );
+    println!(
+        "instrumented: {instrumented_seconds:>8.3} s  (median of {pairs}, {events} events per sweep; median pair {overhead_percent:+.2} % vs disabled, byte-identical report)"
     );
     // The smoke sweep is ~30 ms with ~2.6× the event density per unit of work, so
     // a flat 2 % bound would trip on fixed per-event costs and timer noise there.
@@ -129,7 +149,6 @@ fn main() {
         overhead_percent < max_overhead,
         "live instrumentation must cost < {max_overhead} % on the fig15 sweep (measured {overhead_percent:+.2} %)"
     );
-    assert!(events > 0, "the instrumented leg must actually emit events");
 
     // Cross-check against the fig15 artifact: same campaign, same report. The
     // reference is DG_OBS_BASELINE when set (CI points it at a freshly generated
@@ -166,6 +185,8 @@ fn main() {
     push_str_literal(&mut json, if smoke { "smoke" } else { "full" });
     push_key(&mut json, &mut first, "cells");
     json.push_str(&campaign.spec().grid_size().to_string());
+    push_key(&mut json, &mut first, "pairs");
+    json.push_str(&pairs.to_string());
     push_key(&mut json, &mut first, "disabled_seconds");
     push_f64(&mut json, disabled_seconds);
     push_key(&mut json, &mut first, "instrumented_seconds");

@@ -182,13 +182,6 @@ impl<S: SubspaceStrategy> HybridDarwinGame<S> {
         self.explorations = explorations;
         self
     }
-
-    /// Overrides the template configuration used for the per-subspace tournaments.
-    pub fn with_tournament_config(mut self, tournament: TournamentConfig) -> Self {
-        tournament.validate();
-        self.tournament = tournament;
-        self
-    }
 }
 
 impl<S: SubspaceStrategy> Tuner for HybridDarwinGame<S> {

@@ -17,6 +17,7 @@ use dg_cloudsim::{CostTracker, ExecutionSpec, SimRng};
 use dg_exec::ExecutionBackend;
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, IndexPartition, Workload};
+use std::cmp::Ordering;
 
 /// The result of playing one region.
 #[derive(Debug, Clone)]
@@ -51,8 +52,11 @@ fn region_seed(config: &TournamentConfig, region: usize) -> u64 {
 /// The region keeps flat per-candidate columns (the sampled configurations, a spec
 /// cache filled before each candidate's first game, and a [`ScoreBoard`] each), plays
 /// every game straight on the backend and ranks it into reused buffers, so its
-/// bookkeeping allocates nothing per game. [`Player`]s are built only for the
-/// candidates that advance, each carrying its spec into the global phase.
+/// bookkeeping allocates nothing per game. When the region ends, the best average
+/// execution score sets the advancement threshold and only the candidates at or above it
+/// are sorted into ranking order (the single-winner ablation takes the first candidate
+/// of that order). [`Player`]s are built only for the candidates that advance, each
+/// carrying its spec into the global phase.
 pub fn run_region(
     workload: &Workload,
     partition: &IndexPartition,
@@ -173,28 +177,12 @@ pub fn run_region(
         }
     }
 
-    // Decide who advances: everyone within the work-done deviation of the best player's
-    // average execution score (or only the single best, under the ablation). Candidates
-    // are distinct configurations, so the (score, config) order is total.
-    let mut ranked: Vec<(f64, ConfigId, usize)> = (0..candidates.len())
+    let played: Vec<Standing> = (0..candidates.len())
         .filter(|i| boards[*i].games_played() > 0)
         .map(|i| (boards[i].average_execution_score(), candidates[i], i))
         .collect();
-    let players_in = ranked.len();
-    ranked.sort_unstable_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .expect("scores are not NaN")
-            .then(a.1.cmp(&b.1))
-    });
-    if ranked.is_empty() {
-        // No games were played (degenerate pool): nobody advances.
-    } else if config.ablation.single_regional_winner {
-        ranked.truncate(1);
-    } else {
-        let threshold = ranked[0].0 * (1.0 - config.work_done_deviation);
-        ranked.retain(|(score, _, _)| *score >= threshold);
-    }
-    let winners: Vec<Player> = ranked
+    let players_in = played.len();
+    let winners: Vec<Player> = advancing(played, config)
         .iter()
         .map(|&(_, id, i)| Player::regional_winner(id, region, boards[i], specs[i]))
         .collect();
@@ -207,6 +195,34 @@ pub fn run_region(
         core_hours: exec.cost().core_hours(),
         wall_clock_seconds: exec.cost().wall_clock_seconds(),
     }
+}
+
+/// A candidate that played in a region: its average execution score, its configuration
+/// and its index among the region's candidates.
+type Standing = (f64, ConfigId, usize);
+
+/// The region's ranking order: average execution score descending, then configuration
+/// ascending. Candidates are distinct configurations, so the order is total.
+fn by_rank(a: &Standing, b: &Standing) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .expect("scores are not NaN")
+        .then(a.1.cmp(&b.1))
+}
+
+/// The standings that advance, in ranking order: everyone within the work-done
+/// deviation of the best average execution score, or only the first in ranking order
+/// under the single-winner ablation. Only the standings at or above the threshold are
+/// sorted.
+fn advancing(mut played: Vec<Standing>, config: &TournamentConfig) -> Vec<Standing> {
+    if config.ablation.single_regional_winner {
+        let best = played.iter().copied().min_by(by_rank);
+        return best.into_iter().collect();
+    }
+    let best = played.iter().map(|s| s.0).fold(f64::NEG_INFINITY, f64::max);
+    let threshold = best * (1.0 - config.work_done_deviation);
+    played.retain(|(score, _, _)| *score >= threshold);
+    played.sort_unstable_by(by_rank);
+    played
 }
 
 /// Runs every region and aggregates the results.
@@ -397,6 +413,63 @@ mod tests {
             .map(|id| workload.base_time(id))
             .collect();
         assert!(winner_best < dg_stats::mean(&sample));
+    }
+
+    /// Winner selection as a textbook: sort every standing into ranking order, then keep
+    /// the first under the single-winner ablation, or everyone within the work-done
+    /// deviation of the first.
+    fn advancing_by_sorting_everything(
+        mut ranked: Vec<Standing>,
+        config: &TournamentConfig,
+    ) -> Vec<Standing> {
+        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        if let Some(&(best, _, _)) = ranked.first() {
+            if config.ablation.single_regional_winner {
+                ranked.truncate(1);
+            } else {
+                let threshold = best * (1.0 - config.work_done_deviation);
+                ranked.retain(|(score, _, _)| *score >= threshold);
+            }
+        }
+        ranked
+    }
+
+    #[test]
+    fn threshold_first_selection_matches_sorting_everything() {
+        let mut rng = SimRng::new(0x5e1).derive("advancing-battery");
+        for case in 0..4_000 {
+            // Boards of 0 to 80 players in shuffled order, with distinct configurations.
+            // Even cases draw averages from a few values, so ties are common at the top,
+            // on the threshold and below it.
+            let players = rng.index(81);
+            let distinct = 1 + rng.index(6);
+            let mut configs: Vec<ConfigId> = (0..players as u64).map(|c| 3 * c + 1).collect();
+            rng.shuffle(&mut configs);
+            let played: Vec<Standing> = configs
+                .into_iter()
+                .enumerate()
+                .map(|(i, config)| {
+                    let score = if case % 2 == 0 {
+                        rng.index(distinct) as f64 / distinct as f64
+                    } else {
+                        rng.uniform()
+                    };
+                    (score, config, i)
+                })
+                .collect();
+            let mut config = TournamentConfig::scaled(16, 1);
+            config.work_done_deviation = [0.1, 0.25, 0.5, 0.9][case % 4];
+            config.ablation.single_regional_winner = case % 3 == 0;
+            let got = advancing(played.clone(), &config);
+            let want = advancing_by_sorting_everything(played, &config);
+            let bits = |standings: &[Standing]| -> Vec<(u64, ConfigId, usize)> {
+                standings
+                    .iter()
+                    .map(|s| (s.0.to_bits(), s.1, s.2))
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+        }
     }
 
     #[test]

@@ -43,14 +43,6 @@ impl DarwinGame {
         Self { config }
     }
 
-    /// Creates a tournament tuner with the paper's default parameters and the given seed.
-    pub fn with_seed(seed: u64) -> Self {
-        Self::new(TournamentConfig {
-            seed,
-            ..TournamentConfig::default()
-        })
-    }
-
     /// The tournament configuration.
     pub fn config(&self) -> &TournamentConfig {
         &self.config

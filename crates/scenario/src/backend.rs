@@ -115,12 +115,6 @@ impl ScenarioBackend {
         }
     }
 
-    /// This node's relative hardware speed (`1.0` unless a fleet scenario assigned a
-    /// different machine to this fork).
-    pub fn relative_speed(&self) -> f64 {
-        self.speed
-    }
-
     /// Dollars billed for the committed core-hours so far: each committed wall-clock
     /// second costs the VM's on-demand hourly price times the scenario's price factor
     /// at the moment the operation started — the spot-market meter `PriceChange`
@@ -490,10 +484,14 @@ mod tests {
         let mut scenario = ScenarioSpec::new("fleet");
         scenario.fleet = vec![VmType::M5Large, VmType::M5_8xlarge];
         let mut fleet = wrapped(scenario, 10);
-        assert_eq!(fleet.relative_speed(), 1.0);
+        // The root itself runs at its own VM's speed.
+        let spec = ExecutionSpec::new(100.0, 0.2);
+        assert_eq!(
+            fleet.run_single(spec).observed_time.to_bits(),
+            sim(10).run_single(spec).observed_time.to_bits()
+        );
         let mut slow_fork = fleet.fork(1);
         let mut native_fork = fleet.fork(1);
-        let spec = ExecutionSpec::new(100.0, 0.2);
         let slow = slow_fork.run_single(spec);
         let native = native_fork.run_single(spec);
         let ratio = VmType::M5Large.speed_factor() / VM.speed_factor();

@@ -98,32 +98,47 @@ impl IndexPartition {
     ///
     /// Indices are drawn uniformly with rejection of repeats, at most `64 * count`
     /// draws, and come back in ascending order; if the draws run out, the result is
-    /// topped up with the part's lowest unchosen indices, appended in order. The picks
-    /// are kept in a sorted `Vec` with binary-search insertion, which makes the same
-    /// draws and rejections as a set would without allocating per pick.
+    /// topped up with the part's lowest unchosen indices, appended in order. Repeats are
+    /// rejected with a bitset over the part, one bit per configuration, which is read out
+    /// in ascending order at the end: `span / 64` words, 9 for a 531-config region of the
+    /// full Redis space cut into 10,000 regions, and 83k for a one-region tournament on
+    /// that whole space.
     pub fn sample_distinct(&self, i: usize, count: usize, rng: &mut SimRng) -> Vec<ConfigId> {
         let range = self.range(i);
-        let span = (range.end - range.start) as usize;
-        if span <= count {
+        let span = range.end - range.start;
+        if span <= count as u64 {
             return range.collect();
         }
-        let mut chosen: Vec<ConfigId> = Vec::with_capacity(count);
+        let mut taken = vec![0u64; span.div_ceil(64) as usize];
+        let is_taken =
+            |taken: &[u64], offset: u64| taken[(offset / 64) as usize] >> (offset % 64) & 1 == 1;
+        let mut picked = 0usize;
         // Rejection sampling is fine because count << span in the regional phase.
         let mut attempts = 0usize;
-        while chosen.len() < count && attempts < count * 64 {
-            let pick = self.sample(i, rng);
-            if let Err(at) = chosen.binary_search(&pick) {
-                chosen.insert(at, pick);
+        while picked < count && attempts < count * 64 {
+            // `sample`'s draw, relative to the part's start.
+            let offset = (rng.uniform() * span as f64) as u64;
+            if !is_taken(&taken, offset) {
+                taken[(offset / 64) as usize] |= 1 << (offset % 64);
+                picked += 1;
             }
             attempts += 1;
         }
-        // Degenerate fallback: fill sequentially from the start of the range.
-        let mut next = range.start;
-        while chosen.len() < count {
-            if !chosen.contains(&next) {
-                chosen.push(next);
+        let mut chosen: Vec<ConfigId> = Vec::with_capacity(count);
+        for (word, bits) in (0u64..).zip(&taken) {
+            let mut bits = *bits;
+            while bits != 0 {
+                chosen.push(range.start + word * 64 + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
             }
-            next += 1;
+        }
+        // Degenerate fallback: fill sequentially from the start of the range.
+        let mut offset = 0;
+        while chosen.len() < count {
+            if !is_taken(&taken, offset) {
+                chosen.push(range.start + offset);
+            }
+            offset += 1;
         }
         chosen
     }
@@ -209,8 +224,8 @@ mod tests {
         assert_eq!(samples.len(), 4);
     }
 
-    /// `sample_distinct` as it was before it kept its picks in a sorted `Vec`: the same
-    /// rejection sampling into a `BTreeSet`.
+    /// `sample_distinct` as a textbook: the same rejection sampling into a `BTreeSet`,
+    /// then the same top-up.
     fn sample_distinct_with_a_set(
         partition: &IndexPartition,
         i: usize,
@@ -239,8 +254,28 @@ mod tests {
         result
     }
 
+    /// Asserts `sample_distinct` and the set version pick the same indices from part
+    /// `part` of `partition` and make the same number of draws.
+    fn assert_sampling_matches_the_set_version(
+        partition: &IndexPartition,
+        part: usize,
+        count: usize,
+        seed: u64,
+        label: &str,
+    ) {
+        let (mut bitset_rng, mut set_rng) = (SimRng::new(seed), SimRng::new(seed));
+        let got = partition.sample_distinct(part, count, &mut bitset_rng);
+        let want = sample_distinct_with_a_set(partition, part, count, &mut set_rng);
+        assert_eq!(got, want, "{label}");
+        assert_eq!(
+            bitset_rng.next_u64(),
+            set_rng.next_u64(),
+            "{label}: the two made different numbers of draws"
+        );
+    }
+
     #[test]
-    fn sorted_vec_sampling_matches_the_set_version() {
+    fn bitset_sampling_matches_the_set_version() {
         let mut picker = SimRng::new(0x6a).derive("sample-distinct-battery");
         for case in 0..2_000 {
             let count = 1 + picker.index(72);
@@ -250,16 +285,40 @@ mod tests {
             let parts = 1 + picker.index(4);
             let partition = IndexPartition::new(span * parts as u64, parts);
             let part = picker.index(parts);
-            let seed = picker.next_u64();
-            let (mut sorted_rng, mut set_rng) = (SimRng::new(seed), SimRng::new(seed));
-            let got = partition.sample_distinct(part, count, &mut sorted_rng);
-            let want = sample_distinct_with_a_set(&partition, part, count, &mut set_rng);
-            assert_eq!(got, want, "case {case}: count {count}, span {span}");
-            assert_eq!(
-                sorted_rng.next_u64(),
-                set_rng.next_u64(),
-                "case {case}: the two made different numbers of draws"
+            let label = format!("case {case}: count {count}, span {span}");
+            assert_sampling_matches_the_set_version(
+                &partition,
+                part,
+                count,
+                picker.next_u64(),
+                &label,
             );
+        }
+        // Every small span, asking for one fewer than the part holds, all of it and one
+        // more; the middle part of three, so the part does not start at 0.
+        for span in 1..=200u64 {
+            let partition = IndexPartition::new(3 * span, 3);
+            for count in [span - 1, span, span + 1] {
+                let label = format!("span {span}, count {count}");
+                let seed = picker.next_u64();
+                assert_sampling_matches_the_set_version(
+                    &partition,
+                    1,
+                    count as usize,
+                    seed,
+                    &label,
+                );
+            }
+        }
+        // The paper's regions: the full 5,308,416-config Redis space cut into 10,000
+        // regions of 531 and 530 configurations, 72 candidates each.
+        let partition = IndexPartition::new(5_308_416, 10_000);
+        assert_eq!(partition.part_size(0), 531);
+        assert_eq!(partition.part_size(9_999), 530);
+        for region in (0..10_000).step_by(7).chain([9_999]) {
+            let label = format!("paper region {region}");
+            let seed = picker.next_u64();
+            assert_sampling_matches_the_set_version(&partition, region, 72, seed, &label);
         }
     }
 

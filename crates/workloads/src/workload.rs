@@ -12,16 +12,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Largest search-space size for which a workload pre-allocates a spec memo table
 /// (two `u64` slots per configuration — 16 MiB at the cap). Spaces above the cap, such
-/// as the full Table 1 spaces, recompute a spec on every lookup: a few hundred
-/// nanoseconds of allocation-free surface evaluation. The tournament's regional phase
-/// caches specs per region, so there each candidate's spec is computed once.
+/// as the full Table 1 spaces, recompute a spec on every lookup: about 150 nanoseconds
+/// of allocation-free reads of the surface's compiled tables. The tournament's regional
+/// phase caches specs per region, so there each candidate's spec is computed once.
 const SPEC_MEMO_MAX_CONFIGS: u64 = 1 << 20;
 
 /// A lock-free memo of fully computed [`ExecutionSpec`]s, keyed by configuration id.
 ///
 /// Surface evaluation (`SyntheticSurface::spec`) is a pure function of the id but costs
-/// hundreds of nanoseconds — a decode, a CDF walk, several hashes, and a `powf` — and
-/// tuners fetch the same configuration's spec many times. The memo stores the two
+/// over a hundred nanoseconds — a decode, a CDF bucket search, table reads and three
+/// hashes — and tuners fetch the same configuration's spec many times. The memo stores the two
 /// components as raw bit patterns in atomic slots: `base_time` is strictly positive, so
 /// a zero bit pattern doubles as the "empty" marker. Writers publish the sensitivity
 /// first and release the base-time bits last; racing writers store identical bits
@@ -105,10 +105,10 @@ impl Workload {
     /// [`scaled`](Self::scaled) through a process-wide cache keyed by `(app, max_size)`.
     ///
     /// A scaled workload is a pure function of its arguments, but generating the
-    /// synthetic surface (empirical-CDF sampling) costs over a millisecond — a real tax
-    /// when a campaign builds the identical workload for every grid cell. The cached
-    /// copies share one spec memo, so repeated spec lookups pool across cells and
-    /// workers.
+    /// synthetic surface (empirical-CDF sampling and its tables) and the spec memo costs
+    /// hundreds of microseconds — a real tax when a campaign builds the identical
+    /// workload for every grid cell. The cached copies share one spec memo and one set of
+    /// surface tables, so repeated spec lookups pool across cells and workers.
     pub fn scaled_cached(app: Application, max_size: u64) -> Self {
         static CACHE: OnceLock<Mutex<HashMap<(Application, u64), Workload>>> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
