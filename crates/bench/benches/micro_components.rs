@@ -4,9 +4,9 @@
 //! tournament building blocks so that regressions in the reproduction's own code are
 //! visible: surface evaluation (on a scaled space and on the full one, past the spec
 //! memo), one paper-scale region's candidate sampling, interference sampling, a single
-//! co-located game of 16 and of 5 players, a solo run, one paper-scale region of the
-//! regional phase, the GP surrogate fit and candidate-pool scoring used by BLISS, and a
-//! small end-to-end tournament.
+//! co-located game of 16 and of 5 players, one 16-player game's normal draws, a solo
+//! run, one paper-scale region of the regional phase, the GP surrogate fit and
+//! candidate-pool scoring used by BLISS, and a small end-to-end tournament.
 //!
 //! Run with `cargo bench --bench micro_components`.
 
@@ -150,6 +150,25 @@ fn bench_single_game(c: &mut Criterion) {
             |mut cloud| black_box(cloud.run_single(spec)),
             BatchSize::SmallInput,
         )
+    });
+}
+
+fn bench_normal_draws(c: &mut Criterion) {
+    // One 16-player game's normal draws, as the engine makes them: every player's
+    // contention jitter (standard deviation 0.15, clamped to [0.6, 1.4]), then every
+    // player's measurement noise (0.003, clamped to [0.99, 1.01]).
+    let mut rng = SimRng::new(5);
+    c.bench_function("normal_draws_32", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for _ in 0..16 {
+                sum += rng.normal_with(1.0, 0.15).clamp(0.6, 1.4);
+            }
+            for _ in 0..16 {
+                sum += rng.normal_with(1.0, 0.003).clamp(0.99, 1.01);
+            }
+            black_box(sum)
+        })
     });
 }
 
@@ -314,6 +333,7 @@ criterion_group!(
         bench_interference_sampling,
         bench_timeline_lookups,
         bench_single_game,
+        bench_normal_draws,
         bench_batched_round,
         bench_paper_scale_region,
         bench_gp_fit,

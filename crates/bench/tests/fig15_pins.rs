@@ -32,10 +32,10 @@ fn fig15_spec_fingerprints_are_pinned() {
 
 #[test]
 fn fig15_smoke_sweep_fingerprint_is_pinned() {
-    assert_eq!(fig15_fingerprint(true), 1662940646141843649);
+    assert_eq!(fig15_fingerprint(true), 15098191782860786078);
 }
 
 #[test]
 fn fig15_full_sweep_fingerprint_is_pinned() {
-    assert_eq!(fig15_fingerprint(false), 3016263290765461640);
+    assert_eq!(fig15_fingerprint(false), 15713858934884656195);
 }

@@ -246,17 +246,6 @@ impl Campaign {
         }
     }
 
-    /// Runs the campaign incrementally inside `lab` on the simulation provider, one
-    /// worker per CPU, with no session cap. See
-    /// [`run_lab_session`](Self::run_lab_session).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`LabError`] when the lab cannot be read or written.
-    pub fn run_lab(&self, lab: &CampaignLab) -> Result<LabOutcome, LabError> {
-        self.run_lab_session(lab, &SimProvider, default_workers(), None)
-    }
-
     /// Runs one **lab session**: loads the completed cells already in `lab`, executes
     /// only the missing ones (at most `max_new_cells` of them, all when `None`) with
     /// backends from `provider`, and flushes each cell to disk the moment it

@@ -235,7 +235,7 @@ mod tests {
         let mut meter = ProgressMeter::with_totals(1, 1.0);
         assert!(meter
             .observe(&ObsEvent::Round {
-                phase: "regional".into(),
+                phase: "regional",
                 round: 0,
                 games: 4,
             })

@@ -7,7 +7,7 @@
 //! to both an uninterrupted lab run and a plain in-memory `run()`. The vendored
 //! proptest harness runs 64 deterministic cases per property.
 
-use dg_campaign::{Campaign, CampaignLab, CampaignSpec, ExperimentScale};
+use dg_campaign::{default_workers, Campaign, CampaignLab, CampaignSpec, ExperimentScale};
 use dg_cloudsim::{InterferenceProfile, VmType};
 use dg_exec::SimProvider;
 use dg_workloads::Application;
@@ -118,8 +118,12 @@ fn complete_labs_resume_without_executing_anything() {
     let campaign = Campaign::new(spec.clone());
     let dir = unique_dir("noop");
     let lab = CampaignLab::open(&dir, &spec).expect("lab opens");
-    let first = campaign.run_lab(&lab).expect("first run");
-    let second = campaign.run_lab(&lab).expect("second run");
+    let first = campaign
+        .run_lab_session(&lab, &SimProvider, default_workers(), None)
+        .expect("first run");
+    let second = campaign
+        .run_lab_session(&lab, &SimProvider, default_workers(), None)
+        .expect("second run");
     assert_eq!(second.loaded_cells, lab.grid_cells());
     assert_eq!(second.fresh_cells, 0);
     assert_eq!(
@@ -138,7 +142,7 @@ fn corrupt_cell_files_are_rerun_not_trusted() {
     let dir = unique_dir("corrupt");
     let lab = CampaignLab::open(&dir, &spec).expect("lab opens");
     let whole = campaign
-        .run_lab(&lab)
+        .run_lab_session(&lab, &SimProvider, default_workers(), None)
         .expect("first run")
         .report
         .expect("complete");
@@ -147,7 +151,9 @@ fn corrupt_cell_files_are_rerun_not_trusted() {
     let good = fs::read_to_string(&path).expect("cell file readable");
     fs::write(&path, &good[..good.len() / 2]).expect("truncate cell file");
 
-    let outcome = campaign.run_lab(&lab).expect("resume over corruption");
+    let outcome = campaign
+        .run_lab_session(&lab, &SimProvider, default_workers(), None)
+        .expect("resume over corruption");
     assert_eq!(outcome.discarded_cells, 1);
     assert_eq!(outcome.fresh_cells, 1);
     assert_eq!(outcome.loaded_cells, lab.grid_cells() - 1);
@@ -169,7 +175,7 @@ fn deeply_nested_corrupt_cell_files_are_discarded_not_fatal() {
     let dir = unique_dir("deep");
     let lab = CampaignLab::open(&dir, &spec).expect("lab opens");
     let whole = campaign
-        .run_lab(&lab)
+        .run_lab_session(&lab, &SimProvider, default_workers(), None)
         .expect("first run")
         .report
         .expect("complete");
@@ -178,7 +184,9 @@ fn deeply_nested_corrupt_cell_files_are_discarded_not_fatal() {
     // blow the stack here and take the whole resume down with it.
     fs::write(lab.cell_path(0), "[".repeat(100_000)).expect("overwrite cell file");
 
-    let outcome = campaign.run_lab(&lab).expect("resume over deep nesting");
+    let outcome = campaign
+        .run_lab_session(&lab, &SimProvider, default_workers(), None)
+        .expect("resume over deep nesting");
     assert_eq!(outcome.discarded_cells, 1);
     assert_eq!(outcome.fresh_cells, 1);
     assert_eq!(outcome.loaded_cells, lab.grid_cells() - 1);

@@ -695,8 +695,8 @@ impl CloudEnvironment {
     /// solo runs, the observed-time error must stay at most 0.05% at p99 and 1% at most,
     /// winner and early-termination flips in at most 0.04% of games, and the `elapsed`
     /// error at p99 no larger than the old rule's (see `budget.rs`). It measured
-    /// 0.0035% at p99 and 0.015% at most, with no flips, where the old rule measured
-    /// 0.21% and 0.96%. The game is *uncommitted*: cost and clock are untouched until
+    /// 0.0036% at p99 and 0.015% at most, with no flips, where the old rule measured
+    /// 0.21% and 0.91%. The game is *uncommitted*: cost and clock are untouched until
     /// the play is passed to [`commit`](Self::commit) or
     /// [`commit_parallel`](Self::commit_parallel).
     ///
@@ -1171,9 +1171,9 @@ mod tests {
         }
 
         // 64 seeded games whose players are drawn from the paper-scale Redis surface,
-        // covering duplicate specs, several players finishing close together, more
-        // players than vCPUs (overload above 1), and base times under 50 s (the
-        // reference's step clamped to its floor).
+        // covering duplicate specs, players finishing close together, more players than
+        // vCPUs (overload above 1), and base times under 50 s (the reference's step
+        // clamped to its floor); then one built close finish per VM.
         let redis = dg_workloads::Workload::full(dg_workloads::Application::Redis);
         let mut draw = SimRng::new(0x64).derive("paper-scale-battery");
         let draw_spec = |draw: &mut SimRng, scale: f64| {
@@ -1228,9 +1228,53 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             clamped += usize::from(min_base < 50.0);
         }
+        // Players finishing at the same instant, by construction on every VM: a surface
+        // spec, and a second player whose base time and sensitivity cancel this game's
+        // draws, `base * N_b / N_a` and `sensitivity * J_a / J_b`, so the two progress at
+        // the same rate through the whole interference signal and finish together.
+        for (v, vm) in VmType::ALL.into_iter().enumerate() {
+            let profile = [
+                InterferenceProfile::typical(),
+                InterferenceProfile::heavy(),
+                InterferenceProfile::Dedicated,
+            ][v % 3]
+                .clone();
+            let seed = 0xc105e + v as u64;
+            let mut env = CloudEnvironment::new(vm, profile.clone(), seed);
+            let mut draws = env.rng.clone();
+            let jitter: [f64; 2] =
+                std::array::from_fn(|_| draws.normal_with(1.0, PLAYER_JITTER_STD).clamp(0.6, 1.4));
+            let noise: [f64; 2] = std::array::from_fn(|_| {
+                draws
+                    .normal_with(1.0, MEASUREMENT_NOISE_STD)
+                    .clamp(0.99, 1.01)
+            });
+            let lead = draw_spec(&mut draw, 1.0);
+            let specs = [
+                lead,
+                ExecutionSpec::new(
+                    lead.base_time() * noise[1] / noise[0],
+                    lead.sensitivity() * jitter[0] / jitter[1],
+                ),
+            ];
+            let rules = GameRules::playoff();
+            let got = env.play_game(&specs, &rules);
+            let (want, finished) = CloudEnvironment::new(vm, profile, seed).reference_game(
+                &specs,
+                &rules,
+                FINE_DIVISOR,
+            );
+            let label = format!("close finish on {vm:?}");
+            assert_play_matches(vm, &specs, &got, &want, &label);
+            assert_eq!(finished, 2, "{label}: both players must finish in one step");
+            close_finish += 1;
+        }
         for (covered, what) in [
             (duplicates, "duplicate specs"),
-            (close_finish, "players finishing in the same reference step"),
+            (
+                close_finish,
+                "players finishing in one reference step, drawn or built",
+            ),
             (overloaded, "more players than vCPUs"),
             (clamped, "base times under 50 s"),
         ] {

@@ -140,7 +140,7 @@ pub fn run_global_phase(
         let plays = exec.play_games_batch(&items, &game_options);
         games_played += plays.len();
         emit_with(|| ObsEvent::Round {
-            phase: "global".into(),
+            phase: "global",
             round: rounds - 1,
             games: plays.len(),
         });
@@ -370,6 +370,57 @@ mod tests {
         let outcome = run_global_phase(&mut cloud, &workload, players, &config);
         assert_eq!(outcome.finalists.len(), 2);
         assert_eq!(outcome.rounds, 0);
+    }
+
+    #[test]
+    fn the_execution_score_decides_a_group_the_consistency_score_alone_would_not() {
+        // One global game of three players on a dedicated node. Each base time is at
+        // least 1.25 times the last, which the jitter (at most a few percent of slowdown
+        // here) and the noise (1%) cannot undo, so the game ranks `fast`, `middle`,
+        // `steady` on execution. Nine earlier games, counted with this one, rank them
+        // `steady`, `fast`, `middle` on consistency. The rank sums are 3 for `fast`, 4
+        // for `steady` and 5 for `middle`: the full design advances `fast`, and without
+        // the execution score `steady` wins the group.
+        let workload = Workload::scaled(Application::Redis, 10_000);
+        let mut by_base: Vec<(f64, u64)> = (0..workload.size())
+            .map(|id| (workload.spec(id).base_time(), id))
+            .collect();
+        by_base.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut picked = vec![by_base[0]];
+        for &(base, id) in &by_base {
+            if picked.len() < 3 && base >= 1.25 * picked[picked.len() - 1].0 {
+                picked.push((base, id));
+            }
+        }
+        let [fast, middle, steady] = [picked[0].1, picked[1].1, picked[2].1];
+        let with_history = |config: ConfigId, earlier_rank: usize| {
+            let mut player = Player::new(config, Some(0));
+            for _ in 0..9 {
+                player.scores_mut().record_game(0.5, earlier_rank);
+            }
+            player
+        };
+        let players = vec![
+            with_history(fast, 2),
+            with_history(middle, 4),
+            with_history(steady, 1),
+        ];
+        let winner = |execution_score: bool, consistency_score: bool| {
+            let mut config = TournamentConfig::scaled(16, 7);
+            config.players_per_game = Some(8);
+            config.main_bracket_target = 1;
+            config.ablation.double_elimination = false;
+            config.ablation.execution_score = execution_score;
+            config.ablation.consistency_score = consistency_score;
+            let mut cloud =
+                CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::Dedicated, 23);
+            let outcome = run_global_phase(&mut cloud, &workload, players.clone(), &config);
+            assert_eq!((outcome.games_played, outcome.finalists.len()), (1, 1));
+            outcome.finalists[0].config()
+        };
+        assert_eq!(winner(true, true), fast);
+        assert_eq!(winner(true, false), fast);
+        assert_eq!(winner(false, true), steady);
     }
 
     /// The groups a round's deal gives, built out for comparison.

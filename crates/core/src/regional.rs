@@ -151,7 +151,7 @@ pub fn run_region(
         exec.commit(&play);
         games_played += 1;
         emit_with(|| ObsEvent::Round {
-            phase: "regional".into(),
+            phase: "regional",
             round,
             games: 1,
         });

@@ -92,7 +92,7 @@ pub enum ObsEvent {
     /// One round of a tournament phase played.
     Round {
         /// Phase name, e.g. `"regional"` or `"global"`.
-        phase: String,
+        phase: &'static str,
         /// Round number within the phase, 0-based.
         round: usize,
         /// Games played in the round.

@@ -31,7 +31,7 @@
 //!
 //! let ring = Arc::new(RingSink::new(64));
 //! let id = install_sink(ring.clone());
-//! dg_obs::emit_with(|| ObsEvent::Round { phase: "regional".into(), round: 0, games: 8 });
+//! dg_obs::emit_with(|| ObsEvent::Round { phase: "regional", round: 0, games: 8 });
 //! remove_sink(id);
 //! let records = ring.drain();
 //! assert_eq!(records.len(), 1);

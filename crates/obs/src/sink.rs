@@ -228,7 +228,7 @@ mod tests {
         assert!(obs_active());
         for round in 0..3 {
             emit(ObsEvent::Round {
-                phase: "regional".into(),
+                phase: "regional",
                 round,
                 games: 1,
             });

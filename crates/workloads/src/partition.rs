@@ -96,9 +96,9 @@ impl IndexPartition {
     /// Draws `count` distinct configuration indices from part `i` (or the whole part if
     /// it has fewer than `count` configurations).
     ///
-    /// Indices are drawn uniformly with rejection of repeats, at most `64 * count`
-    /// draws, and come back in ascending order; if the draws run out, the result is
-    /// topped up with the part's lowest unchosen indices, appended in order. Repeats are
+    /// Indices are drawn uniformly with rejection of repeats and come back in ascending
+    /// order. The part holds more than `count` configurations, so while fewer than
+    /// `count` are picked one is still free and the rejection loop ends. Repeats are
     /// rejected with a bitset over the part, one bit per configuration, which is read out
     /// in ascending order at the end: `span / 64` words, 9 for a 531-config region of the
     /// full Redis space cut into 10,000 regions, and 83k for a one-region tournament on
@@ -110,19 +110,15 @@ impl IndexPartition {
             return range.collect();
         }
         let mut taken = vec![0u64; span.div_ceil(64) as usize];
-        let is_taken =
-            |taken: &[u64], offset: u64| taken[(offset / 64) as usize] >> (offset % 64) & 1 == 1;
         let mut picked = 0usize;
-        // Rejection sampling is fine because count << span in the regional phase.
-        let mut attempts = 0usize;
-        while picked < count && attempts < count * 64 {
+        while picked < count {
             // `sample`'s draw, relative to the part's start.
             let offset = (rng.uniform() * span as f64) as u64;
-            if !is_taken(&taken, offset) {
-                taken[(offset / 64) as usize] |= 1 << (offset % 64);
+            let (word, bit) = ((offset / 64) as usize, 1 << (offset % 64));
+            if taken[word] & bit == 0 {
+                taken[word] |= bit;
                 picked += 1;
             }
-            attempts += 1;
         }
         let mut chosen: Vec<ConfigId> = Vec::with_capacity(count);
         for (word, bits) in (0u64..).zip(&taken) {
@@ -131,14 +127,6 @@ impl IndexPartition {
                 chosen.push(range.start + word * 64 + u64::from(bits.trailing_zeros()));
                 bits &= bits - 1;
             }
-        }
-        // Degenerate fallback: fill sequentially from the start of the range.
-        let mut offset = 0;
-        while chosen.len() < count {
-            if !is_taken(&taken, offset) {
-                chosen.push(range.start + offset);
-            }
-            offset += 1;
         }
         chosen
     }
@@ -224,8 +212,7 @@ mod tests {
         assert_eq!(samples.len(), 4);
     }
 
-    /// `sample_distinct` as a textbook: the same rejection sampling into a `BTreeSet`,
-    /// then the same top-up.
+    /// `sample_distinct` as a textbook: the same rejection sampling into a `BTreeSet`.
     fn sample_distinct_with_a_set(
         partition: &IndexPartition,
         i: usize,
@@ -238,20 +225,10 @@ mod tests {
             return range.collect();
         }
         let mut chosen = std::collections::BTreeSet::new();
-        let mut attempts = 0usize;
-        while chosen.len() < count && attempts < count * 64 {
+        while chosen.len() < count {
             chosen.insert(partition.sample(i, rng));
-            attempts += 1;
         }
-        let mut result: Vec<ConfigId> = chosen.into_iter().collect();
-        let mut next = range.start;
-        while result.len() < count {
-            if !result.contains(&next) {
-                result.push(next);
-            }
-            next += 1;
-        }
-        result
+        chosen.into_iter().collect()
     }
 
     /// Asserts `sample_distinct` and the set version pick the same indices from part
