@@ -11,13 +11,25 @@
 //!
 //! Run with `cargo bench --bench fig15_vm_sweep`. Set `DG_FIG15_SMOKE=1` to shrink the
 //! grid to a CI-sized smoke sweep (used by the `replay-smoke` CI job).
+//!
+//! # `BENCH_fig15.json`
+//!
+//! The record holds no timings, so a full run reproduces the committed file byte for
+//! byte (CI checks it with `cmp`):
+//!
+//! | key | meaning |
+//! |---|---|
+//! | `bench`, `mode`, `cells` | `"fig15_vm_sweep"`, `"smoke"` or `"full"`, the campaign grid size |
+//! | `trace_events` | events in the recorded trace the bench replays |
+//! | `campaign_fingerprint` | FNV-1a hash of the canonical campaign report JSON (`u64`) |
+//! | `vms[]` | per VM: `vm`, `vcpus`, `oracle_seconds`, `darwin_seconds`, `cov_percent` (the Fig. 15 curve) |
 
 use dg_campaign::{
     default_workers, Campaign, CampaignReport, ExecutionTrace, ShardPlan, ShardReport,
     ShardStrategy,
 };
 use dg_cloudsim::VmType;
-use dg_exec::json::{fnv1a, push_f64, push_key, push_str_literal};
+use dg_exec::json::{self, fnv1a};
 use dg_exec::sim_ops;
 use dg_stats::{Column, Table};
 use dg_tuners::OracleTuner;
@@ -125,44 +137,27 @@ fn main() {
     // in full mode). `campaign_fingerprint` hashes the canonical report JSON so separate
     // processes (e.g. the obs_overhead bench) can prove they computed the very same
     // campaign.
-    let mut json = String::from("{");
-    let mut first = true;
-    push_key(&mut json, &mut first, "bench");
-    push_str_literal(&mut json, "fig15_vm_sweep");
-    push_key(&mut json, &mut first, "mode");
-    push_str_literal(&mut json, if smoke { "smoke" } else { "full" });
-    push_key(&mut json, &mut first, "cells");
-    json.push_str(&campaign.spec().grid_size().to_string());
-    push_key(&mut json, &mut first, "trace_events");
-    json.push_str(&trace_events.to_string());
-    push_key(&mut json, &mut first, "campaign_fingerprint");
-    json.push_str(&fnv1a(&serial_report.to_json()).to_string());
-    push_key(&mut json, &mut first, "vms");
-    json.push('[');
-    for (i, (group, vm)) in parallel_report
-        .groups
-        .iter()
-        .zip(VmType::ALL.iter())
-        .enumerate()
-    {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push('{');
-        let mut first = true;
-        push_key(&mut json, &mut first, "vm");
-        push_str_literal(&mut json, &group.vm);
-        push_key(&mut json, &mut first, "vcpus");
-        json.push_str(&vm.vcpus().to_string());
-        push_key(&mut json, &mut first, "oracle_seconds");
-        push_f64(&mut json, OracleTuner::new().optimal_time(&workload, *vm));
-        push_key(&mut json, &mut first, "darwin_seconds");
-        push_f64(&mut json, group.mean_time);
-        push_key(&mut json, &mut first, "cov_percent");
-        push_f64(&mut json, group.mean_cov_percent);
-        json.push('}');
-    }
-    json.push_str("]}");
+    let json = json::object(|o| {
+        o.field("bench", "fig15_vm_sweep")
+            .field("mode", if smoke { "smoke" } else { "full" })
+            .field("cells", &campaign.spec().grid_size())
+            .field("trace_events", &trace_events)
+            .field("campaign_fingerprint", &fnv1a(&serial_report.to_json()))
+            .array("vms", |vms| {
+                for (group, vm) in parallel_report.groups.iter().zip(VmType::ALL.iter()) {
+                    vms.object(|row| {
+                        row.field("vm", &group.vm)
+                            .field("vcpus", &vm.vcpus())
+                            .field(
+                                "oracle_seconds",
+                                &OracleTuner::new().optimal_time(&workload, *vm),
+                            )
+                            .field("darwin_seconds", &group.mean_time)
+                            .field("cov_percent", &group.mean_cov_percent);
+                    });
+                }
+            });
+    });
     println!("\n{json}");
     // Full runs refresh the pinned repo-root artifact by default; smoke runs only
     // write when CI points them somewhere explicitly, so a quick local smoke never

@@ -11,12 +11,12 @@
 //! Run with `cargo bench --bench micro_components`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use darwin_core::{play_game, run_region, DarwinGame, GameOptions, TournamentConfig};
+use darwin_core::{play_game, run_region, DarwinGame, TournamentConfig};
 use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimRng, VmType};
-use dg_exec::{ExecutionBackend, GameBatchItem};
+use dg_exec::{ExecutionBackend, GameBatchItem, GameRules};
 use dg_scenario::{ScenarioEvent, ScenarioSpec};
 use dg_tuners::GaussianProcess;
-use dg_workloads::{Application, IndexPartition, PerformanceSurface, Workload};
+use dg_workloads::{Application, IndexPartition, Workload};
 use std::hint::black_box;
 
 fn bench_surface_evaluation(c: &mut Criterion) {
@@ -28,8 +28,7 @@ fn bench_surface_evaluation(c: &mut Criterion) {
             black_box(workload.surface().spec(id))
         })
     });
-    // The paper-scale lookup: fixed random ids of the full 5.3M-config Redis space,
-    // which is past the spec memo, so every lookup evaluates the surface.
+    // The paper-scale lookup: fixed random ids of the full 5.3M-config Redis space.
     let full = Workload::full(Application::Redis);
     let mut rng = SimRng::new(23);
     let ids: Vec<u64> = (0..4_096)
@@ -135,7 +134,7 @@ fn bench_single_game(c: &mut Criterion) {
                         &mut cloud,
                         &workload,
                         &configs,
-                        GameOptions::default(),
+                        GameRules::default(),
                     ))
                 },
                 BatchSize::SmallInput,
@@ -194,7 +193,7 @@ fn bench_batched_round(c: &mut Criterion) {
                         &mut cloud,
                         &workload,
                         configs,
-                        GameOptions::default(),
+                        GameRules::default(),
                     ));
                 }
             },
@@ -211,7 +210,7 @@ fn bench_batched_round(c: &mut Criterion) {
                     .collect();
                 let items: Vec<GameBatchItem<'_>> =
                     specs.iter().map(|specs| GameBatchItem { specs }).collect();
-                black_box(cloud.play_games_batch(&items, &GameOptions::default()))
+                black_box(cloud.play_games_batch(&items, &GameRules::default()))
             },
             BatchSize::SmallInput,
         )
@@ -219,8 +218,8 @@ fn bench_batched_round(c: &mut Criterion) {
 }
 
 fn bench_paper_scale_region(c: &mut Criterion) {
-    // One region of the regional phase at the paper's scale: the full Redis space (past
-    // the spec memo) cut into 10,000 regions, 16 players per game, on a fresh fork of
+    // One region of the regional phase at the paper's scale: the full Redis space
+    // cut into 10,000 regions, 16 players per game, on a fresh fork of
     // the region's backend per iteration, so every iteration plays the same games.
     let workload = Workload::full(Application::Redis);
     let partition = IndexPartition::new(workload.size(), 10_000);

@@ -24,9 +24,20 @@
 //! CI smoke sweep; `DG_OBS_BASELINE=<path>` points the fingerprint cross-check at a
 //! specific `BENCH_fig15.json` (CI generates a smoke one first); `DG_OBS_OUT=<path>`
 //! overrides the output path.
+//!
+//! # `BENCH_obs_overhead.json`
+//!
+//! The two `_seconds` fields are medians over the pairs, and `events` counts one
+//! instrumented sweep's events:
+//!
+//! ```text
+//! {"bench":"obs_overhead","mode":"full"|"smoke","cells":usize,"pairs":usize,
+//!  "disabled_seconds":f64,"instrumented_seconds":f64,"overhead_percent":f64,
+//!  "events":u64,"campaign_fingerprint":u64}
+//! ```
 
 use dg_campaign::{Campaign, CampaignReport};
-use dg_exec::json::{fnv1a, parse, push_f64, push_key, push_str_literal, JsonValue};
+use dg_exec::json::{self, fnv1a, FromJson, Node, ReadError};
 use dg_exec::{ObsProvider, SimProvider};
 use dg_obs::{install_sink, remove_sink, EventSink, ObsRecord};
 use dg_stats::median;
@@ -66,25 +77,19 @@ fn sweep(campaign: &Campaign, instrumented: bool) -> (CampaignReport, f64, u64) 
     (report, seconds, sink.events.load(Ordering::Relaxed))
 }
 
-/// Pulls `campaign_fingerprint` and `mode` out of a `BENCH_fig15.json` artifact.
-fn baseline_fingerprint(path: &str) -> Option<(u64, String)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let value = parse(&text).ok()?;
-    let JsonValue::Object(fields) = value else {
-        return None;
-    };
-    let mut fingerprint = None;
-    let mut mode = None;
-    for (key, value) in fields {
-        match (key.as_str(), value) {
-            ("campaign_fingerprint", JsonValue::Number(token)) => {
-                fingerprint = token.parse::<u64>().ok()
-            }
-            ("mode", JsonValue::Str(s)) => mode = Some(s),
-            _ => {}
-        }
+/// The two keys of a `BENCH_fig15.json` record this gate checks.
+struct Fig15Baseline {
+    mode: String,
+    campaign_fingerprint: u64,
+}
+
+impl FromJson for Fig15Baseline {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        Ok(Fig15Baseline {
+            mode: node.read("mode")?,
+            campaign_fingerprint: node.read("campaign_fingerprint")?,
+        })
     }
-    Some((fingerprint?, mode?))
 }
 
 fn main() {
@@ -163,41 +168,33 @@ fn main() {
     if baseline_path.is_empty() {
         println!("baseline:     skipped (no DG_OBS_BASELINE and not in full mode)");
     } else {
-        let (base_fingerprint, base_mode) = baseline_fingerprint(&baseline_path)
-            .unwrap_or_else(|| panic!("unreadable fig15 baseline at {baseline_path}"));
+        let baseline: Fig15Baseline = std::fs::read_to_string(&baseline_path)
+            .map_err(|err| err.to_string())
+            .and_then(|text| json::decode(&text))
+            .unwrap_or_else(|err| panic!("unreadable fig15 baseline at {baseline_path}: {err}"));
         assert_eq!(
-            base_mode,
+            baseline.mode,
             if smoke { "smoke" } else { "full" },
             "the fig15 baseline at {baseline_path} was produced at a different scale"
         );
         assert_eq!(
-            fingerprint, base_fingerprint,
+            fingerprint, baseline.campaign_fingerprint,
             "disabled-mode sweep diverged from the fig15 baseline at {baseline_path}"
         );
         println!("baseline:     fingerprint matches {baseline_path}");
     }
 
-    let mut json = String::from("{");
-    let mut first = true;
-    push_key(&mut json, &mut first, "bench");
-    push_str_literal(&mut json, "obs_overhead");
-    push_key(&mut json, &mut first, "mode");
-    push_str_literal(&mut json, if smoke { "smoke" } else { "full" });
-    push_key(&mut json, &mut first, "cells");
-    json.push_str(&campaign.spec().grid_size().to_string());
-    push_key(&mut json, &mut first, "pairs");
-    json.push_str(&pairs.to_string());
-    push_key(&mut json, &mut first, "disabled_seconds");
-    push_f64(&mut json, disabled_seconds);
-    push_key(&mut json, &mut first, "instrumented_seconds");
-    push_f64(&mut json, instrumented_seconds);
-    push_key(&mut json, &mut first, "overhead_percent");
-    push_f64(&mut json, overhead_percent);
-    push_key(&mut json, &mut first, "events");
-    json.push_str(&events.to_string());
-    push_key(&mut json, &mut first, "campaign_fingerprint");
-    json.push_str(&fingerprint.to_string());
-    json.push('}');
+    let json = json::object(|o| {
+        o.field("bench", "obs_overhead")
+            .field("mode", if smoke { "smoke" } else { "full" })
+            .field("cells", &campaign.spec().grid_size())
+            .field("pairs", &pairs)
+            .field("disabled_seconds", &disabled_seconds)
+            .field("instrumented_seconds", &instrumented_seconds)
+            .field("overhead_percent", &overhead_percent)
+            .field("events", &events)
+            .field("campaign_fingerprint", &fingerprint);
+    });
     println!("\n{json}");
 
     // Full runs refresh the pinned repo-root artifact by default; smoke runs only

@@ -21,9 +21,23 @@
 //! six-seed column is too small a sample to assert cell-level strictness on) and
 //! `DG_RETUNE_OUT=/path/report.json` to write the machine-readable results (the
 //! same JSON always goes to stdout).
+//!
+//! # `BENCH_retune.json`
+//!
+//! ```text
+//! {"bench":"retune_regret","mode":"full"|"smoke",
+//!  "spec_fingerprint":u64,"cells":usize,
+//!  "dynamic_adaptive_regret":f64,"dynamic_fixed_regret":f64,
+//!  "scenarios":[{"scenario":str,"cells":usize,
+//!                "adaptive_regret":f64,"fixed_regret":f64,
+//!                "regret_reduction_percent":f64,
+//!                "detections":usize,"retunes":usize,"switches":usize}, ...]}
+//! ```
+//!
+//! Each `scenarios` entry is a `RetuneScenarioSummary` as `RetuneReport` writes it.
 
 use dg_campaign::RetuneSpec;
-use dg_exec::json::{push_f64, push_key, push_str_literal};
+use dg_exec::json;
 use dg_serve::RetuneSweep;
 
 fn gauntlet_spec(smoke: bool) -> RetuneSpec {
@@ -104,47 +118,15 @@ fn main() {
     }
 
     // The machine-readable record, to stdout and (optionally) a file.
-    let mut json = String::from("{");
-    let mut first = true;
-    push_key(&mut json, &mut first, "bench");
-    push_str_literal(&mut json, "retune_regret");
-    push_key(&mut json, &mut first, "mode");
-    push_str_literal(&mut json, if smoke { "smoke" } else { "full" });
-    push_key(&mut json, &mut first, "spec_fingerprint");
-    json.push_str(&sweep.spec().fingerprint().to_string());
-    push_key(&mut json, &mut first, "cells");
-    json.push_str(&report.cells.len().to_string());
-    push_key(&mut json, &mut first, "dynamic_adaptive_regret");
-    push_f64(&mut json, adaptive);
-    push_key(&mut json, &mut first, "dynamic_fixed_regret");
-    push_f64(&mut json, fixed);
-    push_key(&mut json, &mut first, "scenarios");
-    json.push('[');
-    for (i, summary) in report.scenarios.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push('{');
-        let mut first = true;
-        push_key(&mut json, &mut first, "scenario");
-        push_str_literal(&mut json, &summary.scenario);
-        push_key(&mut json, &mut first, "cells");
-        json.push_str(&summary.cells.to_string());
-        push_key(&mut json, &mut first, "adaptive_regret");
-        push_f64(&mut json, summary.adaptive_regret);
-        push_key(&mut json, &mut first, "fixed_regret");
-        push_f64(&mut json, summary.fixed_regret);
-        push_key(&mut json, &mut first, "regret_reduction_percent");
-        push_f64(&mut json, summary.regret_reduction_percent());
-        push_key(&mut json, &mut first, "detections");
-        json.push_str(&summary.detections.to_string());
-        push_key(&mut json, &mut first, "retunes");
-        json.push_str(&summary.retunes.to_string());
-        push_key(&mut json, &mut first, "switches");
-        json.push_str(&summary.switches.to_string());
-        json.push('}');
-    }
-    json.push_str("]}");
+    let json = json::object(|o| {
+        o.field("bench", "retune_regret")
+            .field("mode", if smoke { "smoke" } else { "full" })
+            .field("spec_fingerprint", &sweep.spec().fingerprint())
+            .field("cells", &report.cells.len())
+            .field("dynamic_adaptive_regret", &adaptive)
+            .field("dynamic_fixed_regret", &fixed)
+            .field("scenarios", &report.scenarios);
+    });
     println!("\n{json}");
     if let Ok(path) = std::env::var("DG_RETUNE_OUT") {
         if !path.is_empty() {

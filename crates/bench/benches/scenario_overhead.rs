@@ -16,9 +16,20 @@
 //!
 //! Run with `cargo bench --bench scenario_overhead`. Set `DG_SCENARIO_SMOKE=1` for
 //! the CI-sized workload.
+//!
+//! # `BENCH_scenario_overhead.json`
+//!
+//! | key | meaning |
+//! |---|---|
+//! | `bench`, `mode` | `"scenario_overhead"`, `"smoke"` or `"full"` |
+//! | `rounds`, `pairs` | rounds per leg, bare/steady pairs timed |
+//! | `bare_seconds` | bare `CloudEnvironment`, median leg |
+//! | `steady_seconds` | `ScenarioBackend` with a constant timeline (bit-identical), median leg |
+//! | `active_seconds` | `ScenarioBackend` with a regime-shift timeline, median leg |
+//! | `overhead_percent` | median steady/bare ratio of a pair, minus 1, in % (must stay `< 5`) |
 
 use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, VmType};
-use dg_exec::json::{push_f64, push_key, push_str_literal};
+use dg_exec::json;
 use dg_exec::{ExecutionBackend, GameRules};
 use dg_scenario::{ScenarioBackend, ScenarioSpec};
 use std::time::Instant;
@@ -153,25 +164,16 @@ fn main() {
 
     // Machine-readable record (BENCH_scenario_overhead.json at the repo root is the
     // committed full-mode emission). All times are medians over the pairs, in seconds.
-    let mut json = String::from("{");
-    let mut first = true;
-    push_key(&mut json, &mut first, "bench");
-    push_str_literal(&mut json, "scenario_overhead");
-    push_key(&mut json, &mut first, "mode");
-    push_str_literal(&mut json, if smoke { "smoke" } else { "full" });
-    push_key(&mut json, &mut first, "rounds");
-    json.push_str(&rounds.to_string());
-    push_key(&mut json, &mut first, "pairs");
-    json.push_str(&pairs.to_string());
-    push_key(&mut json, &mut first, "bare_seconds");
-    push_f64(&mut json, bare_median);
-    push_key(&mut json, &mut first, "steady_seconds");
-    push_f64(&mut json, steady_median);
-    push_key(&mut json, &mut first, "active_seconds");
-    push_f64(&mut json, active_median);
-    push_key(&mut json, &mut first, "overhead_percent");
-    push_f64(&mut json, overhead_percent);
-    json.push('}');
+    let json = json::object(|o| {
+        o.field("bench", "scenario_overhead")
+            .field("mode", if smoke { "smoke" } else { "full" })
+            .field("rounds", &rounds)
+            .field("pairs", &pairs)
+            .field("bare_seconds", &bare_median)
+            .field("steady_seconds", &steady_median)
+            .field("active_seconds", &active_median)
+            .field("overhead_percent", &overhead_percent);
+    });
     println!("\n{json}");
     let default_path = if smoke {
         String::new()

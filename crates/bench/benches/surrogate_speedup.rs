@@ -19,7 +19,7 @@
 //! machine-readable results (the same JSON always goes to stdout).
 
 use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimTime, VmType};
-use dg_exec::json::{push_f64, push_key, push_str_literal};
+use dg_exec::json;
 use dg_exec::{sim_ops, ExecutionBackend, SurrogateBackend, SurrogateConfig};
 use dg_scenario::{ScenarioBackend, ScenarioSpec};
 use dg_workloads::{Application, ConfigId, Workload};
@@ -166,47 +166,28 @@ fn main() {
     );
 
     // The machine-readable record, to stdout and (optionally) a file.
-    let mut json = String::from("{");
-    let mut first = true;
-    push_key(&mut json, &mut first, "bench");
-    push_str_literal(&mut json, "surrogate_speedup");
-    push_key(&mut json, &mut first, "mode");
-    push_str_literal(&mut json, if smoke { "smoke" } else { "full" });
-    push_key(&mut json, &mut first, "configs");
-    json.push_str(&config_count.to_string());
-    push_key(&mut json, &mut first, "passes");
-    json.push_str(&passes.to_string());
-    push_key(&mut json, &mut first, "direct_sim_ops");
-    json.push_str(&direct_total.to_string());
-    push_key(&mut json, &mut first, "surrogate_sim_ops");
-    json.push_str(&surrogate_total.to_string());
-    push_key(&mut json, &mut first, "sim_ops_ratio");
-    push_f64(&mut json, ops_ratio);
-    push_key(&mut json, &mut first, "quality_ratio");
-    push_f64(&mut json, quality_ratio);
-    push_key(&mut json, &mut first, "scenarios");
-    json.push('[');
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push('{');
-        let mut first = true;
-        push_key(&mut json, &mut first, "scenario");
-        push_str_literal(&mut json, &row.name);
-        push_key(&mut json, &mut first, "direct_sim_ops");
-        json.push_str(&row.direct_ops.to_string());
-        push_key(&mut json, &mut first, "surrogate_sim_ops");
-        json.push_str(&row.surrogate_ops.to_string());
-        push_key(&mut json, &mut first, "model_evals");
-        json.push_str(&row.model_evals.to_string());
-        push_key(&mut json, &mut first, "direct_champion_base_time");
-        push_f64(&mut json, row.direct_quality);
-        push_key(&mut json, &mut first, "surrogate_champion_base_time");
-        push_f64(&mut json, row.surrogate_quality);
-        json.push('}');
-    }
-    json.push_str("]}");
+    let json = json::object(|o| {
+        o.field("bench", "surrogate_speedup")
+            .field("mode", if smoke { "smoke" } else { "full" })
+            .field("configs", &config_count)
+            .field("passes", &passes)
+            .field("direct_sim_ops", &direct_total)
+            .field("surrogate_sim_ops", &surrogate_total)
+            .field("sim_ops_ratio", &ops_ratio)
+            .field("quality_ratio", &quality_ratio)
+            .array("scenarios", |scenarios| {
+                for row in &rows {
+                    scenarios.object(|o| {
+                        o.field("scenario", &row.name)
+                            .field("direct_sim_ops", &row.direct_ops)
+                            .field("surrogate_sim_ops", &row.surrogate_ops)
+                            .field("model_evals", &row.model_evals)
+                            .field("direct_champion_base_time", &row.direct_quality)
+                            .field("surrogate_champion_base_time", &row.surrogate_quality);
+                    });
+                }
+            });
+    });
     println!("\n{json}");
     if let Ok(path) = std::env::var("DG_SURROGATE_OUT") {
         if !path.is_empty() {

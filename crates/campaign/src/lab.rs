@@ -29,11 +29,55 @@
 //! Writes are atomic (write to `*.tmp`, then rename), and loading discards — rather
 //! than trusting — any cell file that is truncated, unparsable, or belongs to a
 //! different spec fingerprint; discarded cells are simply re-run and overwritten.
+//!
+//! # File formats
+//!
+//! The manifest holds the campaign name, the spec fingerprint as 16 hex digits, and
+//! the grid size twice (`grid_cells`, then `scheduled_cells`). A reopened lab checks
+//! the name and the fingerprint. A cell file is a [`ShardReport`] in the framing
+//! above; files written before the caps were removed also carry
+//! `"budget_exhausted":false`, which the reader skips, so older labs resume unchanged.
+//!
+//! ```
+//! use dg_campaign::{CampaignLab, CampaignSpec, CellResult};
+//!
+//! let dir = std::env::temp_dir().join("dg-lab-format-doc");
+//! let _ = std::fs::remove_dir_all(&dir);
+//! let spec = CampaignSpec::single("lab-doc", "RandomSearch", 2);
+//! let lab = CampaignLab::open(&dir, &spec).unwrap();
+//! let fingerprint = format!("{:016x}", spec.fingerprint());
+//! let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+//! assert_eq!(
+//!     manifest,
+//!     format!(r#"{{"campaign":"lab-doc","fingerprint":"{fingerprint}","grid_cells":2,"scheduled_cells":2}}"#)
+//! );
+//!
+//! lab.flush_cell(&CellResult {
+//!     index: 1, tuner: "RandomSearch".into(), application: "Redis".into(),
+//!     vm: "m5.8xlarge".into(), profile: "typical".into(), scenario: "steady".into(),
+//!     seed: 1, chosen: 17, mean_time: 250.5, cov_percent: 1.5, samples: 40,
+//!     core_hours: 0.75, wall_clock_seconds: 600.0, model_evals: 0, failure: None,
+//! })
+//! .unwrap();
+//! let cell = std::fs::read_to_string(lab.cell_path(1)).unwrap();
+//! assert_eq!(
+//!     cell,
+//!     format!(concat!(
+//!         r#"{{"campaign":"lab-doc","fingerprint":"{}","shard":1,"shard_count":2,"#,
+//!         r#""strategy":"lab","grid_cells":2,"scheduled_cells":2,"assigned":[1],"#,
+//!         r#""cells":[{{"index":1,"tuner":"RandomSearch","application":"Redis","#,
+//!         r#""vm":"m5.8xlarge","profile":"typical","seed":1,"chosen":17,"#,
+//!         r#""mean_time":250.5,"cov_percent":1.5,"samples":40,"core_hours":0.75,"#,
+//!         r#""wall_clock_seconds":600}}]}}"#,
+//!     ), fingerprint)
+//! );
+//! let _ = std::fs::remove_dir_all(&dir);
+//! ```
 
 use crate::report::{CampaignReport, CellResult};
-use crate::shard::{MergeError, ShardReport};
+use crate::shard::{HexFingerprint, MergeError, ShardReport};
 use crate::spec::CampaignSpec;
-use dg_exec::json::{self, push_key, push_str_literal, JsonValue};
+use dg_exec::json::{self, FromJson, Node, ReadError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -179,38 +223,24 @@ impl CampaignLab {
     }
 
     fn manifest_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push('{');
-        let mut first = true;
-        push_key(&mut out, &mut first, "campaign");
-        push_str_literal(&mut out, &self.campaign);
-        push_key(&mut out, &mut first, "fingerprint");
-        push_str_literal(&mut out, &format!("{:016x}", self.fingerprint));
-        // `scheduled_cells` repeats the grid size, so manifests keep their bytes.
-        push_key(&mut out, &mut first, "grid_cells");
-        out.push_str(&self.grid_cells.to_string());
-        push_key(&mut out, &mut first, "scheduled_cells");
-        out.push_str(&self.grid_cells.to_string());
-        out.push('}');
-        out
+        json::object(|o| {
+            o.field("campaign", &self.campaign)
+                .field("fingerprint", &HexFingerprint(self.fingerprint))
+                // `scheduled_cells` repeats the grid size, so manifests keep their bytes.
+                .field("grid_cells", &self.grid_cells)
+                .field("scheduled_cells", &self.grid_cells);
+        })
     }
 
     fn check_manifest(&self, text: &str) -> Result<(), LabError> {
-        let root = json::parse(text).map_err(LabError::Manifest)?;
-        let campaign = root
-            .get("campaign")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| LabError::Manifest("missing field \"campaign\"".into()))?;
-        let fingerprint_hex = root
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| LabError::Manifest("missing field \"fingerprint\"".into()))?;
-        let fingerprint = u64::from_str_radix(fingerprint_hex, 16)
-            .map_err(|_| LabError::Manifest(format!("invalid fingerprint {fingerprint_hex:?}")))?;
+        let Manifest {
+            campaign,
+            fingerprint: HexFingerprint(fingerprint),
+        } = json::decode(text).map_err(LabError::Manifest)?;
         if campaign != self.campaign {
             return Err(LabError::CampaignMismatch {
                 expected: self.campaign.clone(),
-                found: campaign.to_string(),
+                found: campaign,
             });
         }
         if fingerprint != self.fingerprint {
@@ -310,6 +340,22 @@ impl CampaignLab {
         CampaignReport::merge(shards)
             .map(Some)
             .map_err(LabError::Merge)
+    }
+}
+
+/// The manifest keys a reopened lab is checked against; `grid_cells` and
+/// `scheduled_cells` follow from the spec's fingerprint.
+struct Manifest {
+    campaign: String,
+    fingerprint: HexFingerprint,
+}
+
+impl FromJson for Manifest {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        Ok(Manifest {
+            campaign: node.read("campaign")?,
+            fingerprint: node.read("fingerprint")?,
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Campaign results: per-cell records, per-group streaming aggregates, JSON emission,
 //! and compact text summaries.
 
-use dg_exec::json::{push_f64, push_key, push_str_literal};
+use dg_exec::json::{self, FromJson, Node, Object, ReadError, ToJson};
 use dg_stats::{Column, EmpiricalCdf, OnlineStats, Table};
 
 /// The result of one completed campaign cell.
@@ -65,47 +65,68 @@ impl CellResult {
             &self.scenario,
         )
     }
+}
 
-    pub(crate) fn to_json(&self, out: &mut String) {
-        out.push('{');
-        let mut first = true;
-        push_key(out, &mut first, "index");
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", self.index));
-        push_key(out, &mut first, "tuner");
-        push_str_literal(out, &self.tuner);
-        push_key(out, &mut first, "application");
-        push_str_literal(out, &self.application);
-        push_key(out, &mut first, "vm");
-        push_str_literal(out, &self.vm);
-        push_key(out, &mut first, "profile");
-        push_str_literal(out, &self.profile);
-        if self.scenario != STEADY_SCENARIO {
-            push_key(out, &mut first, "scenario");
-            push_str_literal(out, &self.scenario);
+impl ToJson for CellResult {
+    fn write_json(&self, out: &mut String) {
+        Object::write(out, |o| {
+            o.field("index", &self.index)
+                .field("tuner", &self.tuner)
+                .field("application", &self.application)
+                .field("vm", &self.vm)
+                .field("profile", &self.profile);
+            if self.scenario != STEADY_SCENARIO {
+                o.field("scenario", &self.scenario);
+            }
+            o.field("seed", &self.seed)
+                .field("chosen", &self.chosen)
+                .field("mean_time", &self.mean_time)
+                .field("cov_percent", &self.cov_percent)
+                .field("samples", &self.samples)
+                .field("core_hours", &self.core_hours)
+                .field("wall_clock_seconds", &self.wall_clock_seconds);
+            if self.model_evals > 0 {
+                o.field("model_evals", &self.model_evals);
+            }
+            if let Some(failure) = &self.failure {
+                o.field("failure", failure);
+            }
+        });
+    }
+}
+
+/// The optional keys read as the values that leave them out: `scenario` as
+/// `"steady"`, `model_evals` as 0 and `failure` as `None`, so reports written before
+/// each key existed still parse.
+impl FromJson for CellResult {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        // A failed cell's mean is +inf; a NaN would poison its group's CDF.
+        let mean_time = node.get("mean_time")?;
+        let time = f64::from_node(mean_time)?;
+        if time.is_nan() || time < 0.0 {
+            return Err(mean_time.error(format_args!(
+                "expected a non-negative time or \"inf\", found {time}"
+            )));
         }
-        push_key(out, &mut first, "seed");
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", self.seed));
-        push_key(out, &mut first, "chosen");
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", self.chosen));
-        push_key(out, &mut first, "mean_time");
-        push_f64(out, self.mean_time);
-        push_key(out, &mut first, "cov_percent");
-        push_f64(out, self.cov_percent);
-        push_key(out, &mut first, "samples");
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", self.samples));
-        push_key(out, &mut first, "core_hours");
-        push_f64(out, self.core_hours);
-        push_key(out, &mut first, "wall_clock_seconds");
-        push_f64(out, self.wall_clock_seconds);
-        if self.model_evals > 0 {
-            push_key(out, &mut first, "model_evals");
-            let _ = std::fmt::Write::write_fmt(out, format_args!("{}", self.model_evals));
-        }
-        if let Some(failure) = &self.failure {
-            push_key(out, &mut first, "failure");
-            push_str_literal(out, failure);
-        }
-        out.push('}');
+        Ok(CellResult {
+            index: node.read("index")?,
+            tuner: node.read("tuner")?,
+            application: node.read("application")?,
+            vm: node.read("vm")?,
+            profile: node.read("profile")?,
+            scenario: node
+                .read_opt("scenario")?
+                .unwrap_or_else(|| STEADY_SCENARIO.to_string()),
+            seed: node.read("seed")?,
+            chosen: node.read("chosen")?,
+            mean_time: time,
+            cov_percent: node.read("cov_percent")?,
+            samples: node.read("samples")?,
+            core_hours: node.read("core_hours")?,
+            wall_clock_seconds: node.read("wall_clock_seconds")?,
+            model_evals: node.read_opt("model_evals")?.unwrap_or(0),
+            failure: node.read_opt("failure")?,
+        })
     }
 }
 
@@ -140,37 +161,24 @@ pub struct GroupSummary {
     pub core_hours: f64,
 }
 
-impl GroupSummary {
-    fn to_json(&self, out: &mut String) {
-        out.push('{');
-        let mut first = true;
-        push_key(out, &mut first, "tuner");
-        push_str_literal(out, &self.tuner);
-        push_key(out, &mut first, "application");
-        push_str_literal(out, &self.application);
-        push_key(out, &mut first, "vm");
-        push_str_literal(out, &self.vm);
-        push_key(out, &mut first, "profile");
-        push_str_literal(out, &self.profile);
-        if self.scenario != STEADY_SCENARIO {
-            push_key(out, &mut first, "scenario");
-            push_str_literal(out, &self.scenario);
-        }
-        push_key(out, &mut first, "cells");
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{}", self.cells));
-        push_key(out, &mut first, "mean_time");
-        push_f64(out, self.mean_time);
-        push_key(out, &mut first, "across_seed_cov_percent");
-        push_f64(out, self.across_seed_cov_percent);
-        push_key(out, &mut first, "mean_cov_percent");
-        push_f64(out, self.mean_cov_percent);
-        push_key(out, &mut first, "p50_time");
-        push_f64(out, self.p50_time);
-        push_key(out, &mut first, "p90_time");
-        push_f64(out, self.p90_time);
-        push_key(out, &mut first, "core_hours");
-        push_f64(out, self.core_hours);
-        out.push('}');
+impl ToJson for GroupSummary {
+    fn write_json(&self, out: &mut String) {
+        Object::write(out, |o| {
+            o.field("tuner", &self.tuner)
+                .field("application", &self.application)
+                .field("vm", &self.vm)
+                .field("profile", &self.profile);
+            if self.scenario != STEADY_SCENARIO {
+                o.field("scenario", &self.scenario);
+            }
+            o.field("cells", &self.cells)
+                .field("mean_time", &self.mean_time)
+                .field("across_seed_cov_percent", &self.across_seed_cov_percent)
+                .field("mean_cov_percent", &self.mean_cov_percent)
+                .field("p50_time", &self.p50_time)
+                .field("p90_time", &self.p90_time)
+                .field("core_hours", &self.core_hours);
+        });
     }
 }
 
@@ -233,6 +241,41 @@ impl GroupAccumulator {
 /// The report deliberately records nothing about the host — no worker count, no host
 /// wall-clock — so a spec serializes to byte-identical JSON whether it ran on one
 /// worker or thirty-two.
+///
+/// # JSON format
+///
+/// [`to_json`](Self::to_json) writes `name`, `grid_cells`, `scheduled_cells` (equal to
+/// `grid_cells`), `completed_cells`, `budget_exhausted` (always `false`; both keys
+/// stay from when runs could be capped), `total_core_hours`, then the `cells` in grid
+/// order and the `groups` in first-appearance order. A cell holds the [`CellResult`]
+/// fields in declaration order; `scenario` is left out for `"steady"`, `model_evals`
+/// when it is 0 and `failure` when there is none, so reports written before each
+/// existed keep their bytes. A group holds the [`GroupSummary`] fields, `scenario`
+/// left out the same way. Non-finite floats are written `"inf"`, `"-inf"` and `"nan"`.
+///
+/// ```
+/// use dg_campaign::{CampaignReport, ShardReport};
+///
+/// let cell = concat!(
+///     r#"{"index":0,"tuner":"DarwinGame","application":"Redis","vm":"m5.large","#,
+///     r#""profile":"typical","seed":0,"chosen":4242,"mean_time":245.5,"#,
+///     r#""cov_percent":0.25,"samples":96,"core_hours":1.5,"wall_clock_seconds":3600}"#,
+/// );
+/// let shard = format!(
+///     r#"{{"campaign":"fig15","fingerprint":"0000000000000001","shard":0,"shard_count":1,"strategy":"contiguous","grid_cells":1,"scheduled_cells":1,"assigned":[0],"cells":[{cell}]}}"#
+/// );
+/// let report = CampaignReport::merge(vec![ShardReport::from_json(&shard).unwrap()]).unwrap();
+/// assert_eq!(
+///     report.to_json(),
+///     format!(concat!(
+///         r#"{{"name":"fig15","grid_cells":1,"scheduled_cells":1,"completed_cells":1,"#,
+///         r#""budget_exhausted":false,"total_core_hours":1.5,"cells":[{}],"groups":["#,
+///         r#"{{"tuner":"DarwinGame","application":"Redis","vm":"m5.large","profile":"typical","#,
+///         r#""cells":1,"mean_time":245.5,"across_seed_cov_percent":0,"mean_cov_percent":0.25,"#,
+///         r#""p50_time":245.5,"p90_time":245.5,"core_hours":1.5}}]}}"#,
+///     ), cell)
+/// );
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Campaign name, copied from the spec.
@@ -296,40 +339,16 @@ impl CampaignReport {
     /// `scheduled_cells` repeats `grid_cells`, and the cap flag after `completed_cells`
     /// is always `false`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.cells.len() * 256);
-        out.push('{');
-        let mut first = true;
-        push_key(&mut out, &mut first, "name");
-        push_str_literal(&mut out, &self.name);
-        push_key(&mut out, &mut first, "grid_cells");
-        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.grid_cells));
-        push_key(&mut out, &mut first, "scheduled_cells");
-        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.grid_cells));
-        push_key(&mut out, &mut first, "completed_cells");
-        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.cells.len()));
-        push_key(&mut out, &mut first, "budget_exhausted");
-        out.push_str("false");
-        push_key(&mut out, &mut first, "total_core_hours");
-        push_f64(&mut out, self.total_core_hours);
-        push_key(&mut out, &mut first, "cells");
-        out.push('[');
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            cell.to_json(&mut out);
-        }
-        out.push(']');
-        push_key(&mut out, &mut first, "groups");
-        out.push('[');
-        for (i, group) in self.groups.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            group.to_json(&mut out);
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("name", &self.name)
+                .field("grid_cells", &self.grid_cells)
+                .field("scheduled_cells", &self.grid_cells)
+                .field("completed_cells", &self.cells.len())
+                .field("budget_exhausted", &false)
+                .field("total_core_hours", &self.total_core_hours)
+                .field("cells", &self.cells)
+                .field("groups", &self.groups);
+        })
     }
 
     /// A compact text table over the group aggregates, one row per group.
@@ -477,7 +496,7 @@ mod tests {
     fn model_evals_serialize_only_when_present() {
         let plain = cell(0, "Random", 0, 100.0);
         let mut out = String::new();
-        plain.to_json(&mut out);
+        plain.write_json(&mut out);
         assert!(
             !out.contains("model_evals"),
             "surrogate-less cells must keep the pre-surrogate schema: {out}"
@@ -486,7 +505,7 @@ mod tests {
         let mut served = cell(1, "NTBEA", 0, 90.0);
         served.model_evals = 17;
         let mut out = String::new();
-        served.to_json(&mut out);
+        served.write_json(&mut out);
         assert!(
             out.contains("\"wall_clock_seconds\":600,\"model_evals\":17}"),
             "model_evals sits after wall_clock_seconds: {out}"

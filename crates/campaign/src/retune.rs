@@ -17,9 +17,10 @@
 //! of retuning. This module holds the declarative spec and the canonical-JSON report;
 //! the loop itself lives in `dg-serve`, which depends on this crate.
 
+use crate::shard::HexFingerprint;
 use crate::spec::profile_label;
 use dg_cloudsim::{mix, InterferenceProfile, SimRng, VmType};
-use dg_exec::json::{fnv1a, push_f64, push_key, push_str_literal};
+use dg_exec::json::{self, fnv1a, Object, ToJson};
 use dg_scenario::{ScenarioEvent, ScenarioSpec};
 use dg_workloads::Application;
 
@@ -407,46 +408,28 @@ impl RetuneCellResult {
     pub fn fixed_regret(&self) -> f64 {
         self.fixed_time - self.reference_time
     }
+}
 
-    /// Canonical JSON: fixed key order, no whitespace, shortest-round-trip floats.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        let mut first = true;
-        push_key(&mut out, &mut first, "scenario");
-        push_str_literal(&mut out, &self.scenario);
-        push_key(&mut out, &mut first, "seed");
-        out.push_str(&self.seed.to_string());
-        push_key(&mut out, &mut first, "adaptive_initial");
-        out.push_str(&self.adaptive_initial.to_string());
-        push_key(&mut out, &mut first, "adaptive_final");
-        out.push_str(&self.adaptive_final.to_string());
-        push_key(&mut out, &mut first, "fixed_champion");
-        out.push_str(&self.fixed_champion.to_string());
-        push_key(&mut out, &mut first, "detections");
-        out.push_str(&self.detections.to_string());
-        push_key(&mut out, &mut first, "retunes");
-        out.push_str(&self.retunes.to_string());
-        push_key(&mut out, &mut first, "switches");
-        out.push_str(&self.switches.to_string());
-        push_key(&mut out, &mut first, "adaptive_time");
-        push_f64(&mut out, self.adaptive_time);
-        push_key(&mut out, &mut first, "fixed_time");
-        push_f64(&mut out, self.fixed_time);
-        push_key(&mut out, &mut first, "reference_time");
-        push_f64(&mut out, self.reference_time);
-        push_key(&mut out, &mut first, "adaptive_regret");
-        push_f64(&mut out, self.adaptive_regret());
-        push_key(&mut out, &mut first, "fixed_regret");
-        push_f64(&mut out, self.fixed_regret());
-        push_key(&mut out, &mut first, "adaptive_evals");
-        out.push_str(&self.adaptive_evals.to_string());
-        push_key(&mut out, &mut first, "fixed_evals");
-        out.push_str(&self.fixed_evals.to_string());
-        push_key(&mut out, &mut first, "core_hours");
-        push_f64(&mut out, self.core_hours);
-        out.push('}');
-        out
+impl ToJson for RetuneCellResult {
+    fn write_json(&self, out: &mut String) {
+        Object::write(out, |o| {
+            o.field("scenario", &self.scenario)
+                .field("seed", &self.seed)
+                .field("adaptive_initial", &self.adaptive_initial)
+                .field("adaptive_final", &self.adaptive_final)
+                .field("fixed_champion", &self.fixed_champion)
+                .field("detections", &self.detections)
+                .field("retunes", &self.retunes)
+                .field("switches", &self.switches)
+                .field("adaptive_time", &self.adaptive_time)
+                .field("fixed_time", &self.fixed_time)
+                .field("reference_time", &self.reference_time)
+                .field("adaptive_regret", &self.adaptive_regret())
+                .field("fixed_regret", &self.fixed_regret())
+                .field("adaptive_evals", &self.adaptive_evals)
+                .field("fixed_evals", &self.fixed_evals)
+                .field("core_hours", &self.core_hours);
+        });
     }
 }
 
@@ -479,29 +462,21 @@ impl RetuneScenarioSummary {
         }
         100.0 * (self.fixed_regret - self.adaptive_regret) / self.fixed_regret
     }
+}
 
-    fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160);
-        out.push('{');
-        let mut first = true;
-        push_key(&mut out, &mut first, "scenario");
-        push_str_literal(&mut out, &self.scenario);
-        push_key(&mut out, &mut first, "cells");
-        out.push_str(&self.cells.to_string());
-        push_key(&mut out, &mut first, "adaptive_regret");
-        push_f64(&mut out, self.adaptive_regret);
-        push_key(&mut out, &mut first, "fixed_regret");
-        push_f64(&mut out, self.fixed_regret);
-        push_key(&mut out, &mut first, "regret_reduction_percent");
-        push_f64(&mut out, self.regret_reduction_percent());
-        push_key(&mut out, &mut first, "detections");
-        out.push_str(&self.detections.to_string());
-        push_key(&mut out, &mut first, "retunes");
-        out.push_str(&self.retunes.to_string());
-        push_key(&mut out, &mut first, "switches");
-        out.push_str(&self.switches.to_string());
-        out.push('}');
-        out
+/// Also the per-scenario rows of `BENCH_retune.json`.
+impl ToJson for RetuneScenarioSummary {
+    fn write_json(&self, out: &mut String) {
+        Object::write(out, |o| {
+            o.field("scenario", &self.scenario)
+                .field("cells", &self.cells)
+                .field("adaptive_regret", &self.adaptive_regret)
+                .field("fixed_regret", &self.fixed_regret)
+                .field("regret_reduction_percent", &self.regret_reduction_percent())
+                .field("detections", &self.detections)
+                .field("retunes", &self.retunes)
+                .field("switches", &self.switches);
+        });
     }
 }
 
@@ -564,33 +539,12 @@ impl RetuneReport {
     /// the fingerprint is rendered as a fixed-width hex string so it survives JSON
     /// consumers that read all numbers as `f64`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.cells.len() * 256);
-        out.push('{');
-        let mut first = true;
-        push_key(&mut out, &mut first, "campaign");
-        push_str_literal(&mut out, &self.campaign);
-        push_key(&mut out, &mut first, "fingerprint");
-        push_str_literal(&mut out, &format!("{:016x}", self.fingerprint));
-        push_key(&mut out, &mut first, "cells");
-        out.push('[');
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&cell.to_json());
-        }
-        out.push(']');
-        push_key(&mut out, &mut first, "scenarios");
-        out.push('[');
-        for (i, summary) in self.scenarios.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&summary.to_json());
-        }
-        out.push(']');
-        out.push('}');
-        out
+        json::object(|o| {
+            o.field("campaign", &self.campaign)
+                .field("fingerprint", &HexFingerprint(self.fingerprint))
+                .field("cells", &self.cells)
+                .field("scenarios", &self.scenarios);
+        })
     }
 
     /// A compact, aligned text summary of the per-scenario aggregates.

@@ -25,12 +25,11 @@
 //! different spec — are rejected with typed [`MergeError`]s instead of corrupting the
 //! output.
 
-use crate::report::{CampaignReport, CellResult, STEADY_SCENARIO};
+use crate::report::{CampaignReport, CellResult};
 use crate::spec::CampaignSpec;
-use dg_exec::json::{self, push_key, push_str_literal, JsonValue};
+use dg_exec::json::{self, FromJson, Node, ReadError, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// How a [`ShardPlan`] distributes cell indices across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,6 +211,36 @@ impl ShardPlan {
 /// Serializes to canonical JSON ([`to_json`](Self::to_json)) and parses back
 /// losslessly ([`from_json`](Self::from_json)), so OS processes (or hosts) can hand
 /// reports around as plain files.
+///
+/// # JSON format
+///
+/// `campaign`; `fingerprint`, the spec's `CampaignSpec::fingerprint` as 16 hex digits
+/// so that readers which parse numbers as `f64` keep every bit; `shard` and
+/// `shard_count`; `strategy` (a [`ShardStrategy`] name, or `"lab"` for a lab cell
+/// file); `grid_cells`; `scheduled_cells`, which must repeat `grid_cells`; the
+/// `assigned` cell indices, ascending; and the completed `cells`, each in the cell
+/// format of [`CampaignReport`]. Keys the format does not name are ignored, so
+/// reports written before the caps were removed, which carry
+/// `"budget_exhausted":false`, still parse and merge. Floats round-trip bit for bit,
+/// and a legacy `null` reads as NaN where NaN is allowed; a cell's `mean_time` must be
+/// a non-negative time or `"inf"`.
+///
+/// ```
+/// use dg_campaign::ShardReport;
+///
+/// let text = concat!(
+///     r#"{"campaign":"fig15-vm-sweep","fingerprint":"a2c7b7d0e3c5f1f2","shard":1,"#,
+///     r#""shard_count":2,"strategy":"contiguous","grid_cells":2,"scheduled_cells":2,"#,
+///     r#""assigned":[1],"cells":[{"index":1,"tuner":"DarwinGame","application":"Redis","#,
+///     r#""vm":"m5.large","profile":"typical","scenario":"regime-shift","seed":1,"#,
+///     r#""chosen":4242,"mean_time":"inf","cov_percent":"nan","samples":96,"#,
+///     r#""core_hours":1.25,"wall_clock_seconds":3600.5,"model_evals":17,"#,
+///     r#""failure":"process exited with status 7"}]}"#,
+/// );
+/// let report = ShardReport::from_json(text).unwrap();
+/// assert_eq!(report.fingerprint, 0xa2c7_b7d0_e3c5_f1f2);
+/// assert_eq!(report.to_json(), text);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
     /// Campaign name, from the spec.
@@ -233,87 +262,67 @@ pub struct ShardReport {
 }
 
 impl ShardReport {
-    /// Canonical JSON serialization: fixed key order, no whitespace,
-    /// shortest-round-trip floats; the fingerprint is rendered as a fixed-width hex
-    /// string so it never loses precision in number-typed JSON readers.
+    /// Canonical JSON serialization (see the format above).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.cells.len() * 256);
-        out.push('{');
-        let mut first = true;
-        push_key(&mut out, &mut first, "campaign");
-        push_str_literal(&mut out, &self.campaign);
-        push_key(&mut out, &mut first, "fingerprint");
-        push_str_literal(&mut out, &format!("{:016x}", self.fingerprint));
-        push_key(&mut out, &mut first, "shard");
-        let _ = write!(out, "{}", self.shard);
-        push_key(&mut out, &mut first, "shard_count");
-        let _ = write!(out, "{}", self.shard_count);
-        push_key(&mut out, &mut first, "strategy");
-        push_str_literal(&mut out, &self.strategy);
-        push_key(&mut out, &mut first, "grid_cells");
-        let _ = write!(out, "{}", self.grid_cells);
-        // The shards cover the whole grid; the key keeps the documents' bytes.
-        push_key(&mut out, &mut first, "scheduled_cells");
-        let _ = write!(out, "{}", self.grid_cells);
-        push_key(&mut out, &mut first, "assigned");
-        out.push('[');
-        for (i, index) in self.assigned.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{index}");
-        }
-        out.push(']');
-        push_key(&mut out, &mut first, "cells");
-        out.push('[');
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            cell.to_json(&mut out);
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("campaign", &self.campaign)
+                .field("fingerprint", &HexFingerprint(self.fingerprint))
+                .field("shard", &self.shard)
+                .field("shard_count", &self.shard_count)
+                .field("strategy", &self.strategy)
+                .field("grid_cells", &self.grid_cells)
+                // The shards cover the whole grid; the key keeps the documents' bytes.
+                .field("scheduled_cells", &self.grid_cells)
+                .field("assigned", &self.assigned)
+                .field("cells", &self.cells);
+        })
     }
 
-    /// Parses a shard report from its canonical JSON form.
-    ///
-    /// The round trip is lossless, including non-finite floats: infinities and NaN
-    /// serialize to the strings `"inf"`/`"-inf"`/`"nan"` and parse back bit-for-bit
-    /// (the legacy `null` encoding older writers used is still accepted as NaN). Keys
-    /// the schema does not name are ignored, so reports from older writers, which
-    /// wrote one more key, still parse. `scheduled_cells` must repeat `grid_cells`:
-    /// the shards of a campaign cover its whole grid.
+    /// Parses a shard report from its canonical JSON form, losslessly (see the
+    /// format above).
     pub fn from_json(text: &str) -> Result<Self, ShardParseError> {
-        let root = json::parse(text).map_err(ShardParseError::new)?;
-        let assigned = array_field(&root, "assigned")?
-            .iter()
-            .map(|v| number_as::<usize>(v, "assigned[]"))
-            .collect::<Result<Vec<usize>, _>>()?;
-        let cells = array_field(&root, "cells")?
-            .iter()
-            .map(parse_cell)
-            .collect::<Result<Vec<CellResult>, _>>()?;
-        let fingerprint_hex = str_field(&root, "fingerprint")?;
-        let fingerprint = u64::from_str_radix(&fingerprint_hex, 16).map_err(|_| {
-            ShardParseError::new(format!("invalid fingerprint {fingerprint_hex:?}"))
-        })?;
-        let grid_cells: usize = number_field(&root, "grid_cells")?;
-        let scheduled_cells: usize = number_field(&root, "scheduled_cells")?;
+        json::decode(text).map_err(|message| ShardParseError { message })
+    }
+}
+
+/// A spec fingerprint written as 16 hex digits, so that it keeps every bit in JSON
+/// readers that parse numbers as `f64`. Shard reports, lab manifests and retune
+/// reports carry one.
+pub(crate) struct HexFingerprint(pub(crate) u64);
+
+impl ToJson for HexFingerprint {
+    fn write_json(&self, out: &mut String) {
+        format!("{:016x}", self.0).write_json(out);
+    }
+}
+
+impl FromJson for HexFingerprint {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        let hex = node.str()?;
+        u64::from_str_radix(hex, 16)
+            .map(HexFingerprint)
+            .map_err(|_| node.error(format_args!("invalid fingerprint {hex:?}")))
+    }
+}
+
+impl FromJson for ShardReport {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        let grid_cells = node.read("grid_cells")?;
+        let scheduled_cells: usize = node.read("scheduled_cells")?;
         if scheduled_cells != grid_cells {
-            return Err(ShardParseError::new(format!(
+            return Err(node.error(format_args!(
                 "field \"scheduled_cells\" is {scheduled_cells}, not grid_cells {grid_cells}"
             )));
         }
         Ok(Self {
-            campaign: str_field(&root, "campaign")?,
-            fingerprint,
-            shard: number_field(&root, "shard")?,
-            shard_count: number_field(&root, "shard_count")?,
-            strategy: str_field(&root, "strategy")?,
+            campaign: node.read("campaign")?,
+            fingerprint: node.read::<HexFingerprint>("fingerprint")?.0,
+            shard: node.read("shard")?,
+            shard_count: node.read("shard_count")?,
+            strategy: node.read("strategy")?,
             grid_cells,
-            assigned,
-            cells,
+            assigned: node.read("assigned")?,
+            cells: node.read("cells")?,
         })
     }
 }
@@ -324,14 +333,6 @@ pub struct ShardParseError {
     message: String,
 }
 
-impl ShardParseError {
-    fn new(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-        }
-    }
-}
-
 impl fmt::Display for ShardParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "invalid shard report: {}", self.message)
@@ -339,86 +340,6 @@ impl fmt::Display for ShardParseError {
 }
 
 impl std::error::Error for ShardParseError {}
-
-fn field<'a>(root: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ShardParseError> {
-    root.get(key)
-        .ok_or_else(|| ShardParseError::new(format!("missing field {key:?}")))
-}
-
-fn str_field(root: &JsonValue, key: &str) -> Result<String, ShardParseError> {
-    field(root, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| ShardParseError::new(format!("field {key:?} is not a string")))
-}
-
-fn array_field<'a>(root: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], ShardParseError> {
-    field(root, key)?
-        .as_array()
-        .ok_or_else(|| ShardParseError::new(format!("field {key:?} is not an array")))
-}
-
-fn number_as<T: std::str::FromStr>(value: &JsonValue, context: &str) -> Result<T, ShardParseError> {
-    value
-        .number_token()
-        .and_then(|token| token.parse::<T>().ok())
-        .ok_or_else(|| ShardParseError::new(format!("field {context:?} is not a valid number")))
-}
-
-fn number_field<T: std::str::FromStr>(root: &JsonValue, key: &str) -> Result<T, ShardParseError> {
-    number_as(field(root, key)?, key)
-}
-
-/// Floats use the shared lossless encoding of `dg_exec::json`: non-finite values are
-/// the strings `"inf"`/`"-inf"`/`"nan"`, and the legacy `null` (which older writers
-/// emitted for every non-finite value) still parses as NaN.
-fn f64_field(root: &JsonValue, key: &str) -> Result<f64, ShardParseError> {
-    json::parse_f64(field(root, key)?)
-        .map_err(|detail| ShardParseError::new(format!("field {key:?}: {detail}")))
-}
-
-fn parse_cell(value: &JsonValue) -> Result<CellResult, ShardParseError> {
-    Ok(CellResult {
-        index: number_field(value, "index")?,
-        tuner: str_field(value, "tuner")?,
-        application: str_field(value, "application")?,
-        vm: str_field(value, "vm")?,
-        profile: str_field(value, "profile")?,
-        // The writer omits the scenario key for the default pass-through scenario, so
-        // pre-scenario shard reports (and default-axis ones) stay parseable unchanged.
-        scenario: match value.get("scenario") {
-            Some(scenario) => scenario
-                .as_str()
-                .ok_or_else(|| ShardParseError::new("field \"scenario\" is not a string"))?
-                .to_string(),
-            None => STEADY_SCENARIO.to_string(),
-        },
-        seed: number_field(value, "seed")?,
-        chosen: number_field(value, "chosen")?,
-        mean_time: f64_field(value, "mean_time")?,
-        cov_percent: f64_field(value, "cov_percent")?,
-        samples: number_field(value, "samples")?,
-        core_hours: f64_field(value, "core_hours")?,
-        wall_clock_seconds: f64_field(value, "wall_clock_seconds")?,
-        // Written only when a surrogate served at least one evaluation; pre-surrogate
-        // (and surrogate-less) reports carry no key.
-        model_evals: match value.get("model_evals") {
-            Some(count) => number_as::<u64>(count, "model_evals")?,
-            None => 0,
-        },
-        // Written only for failed cells; healthy (and pre-ProcessBackend) reports
-        // carry no key.
-        failure: match value.get("failure") {
-            Some(failure) => Some(
-                failure
-                    .as_str()
-                    .ok_or_else(|| ShardParseError::new("field \"failure\" is not a string"))?
-                    .to_string(),
-            ),
-            None => None,
-        },
-    })
-}
 
 /// Why a set of shard reports cannot be merged into a campaign report.
 ///

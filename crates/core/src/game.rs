@@ -1,13 +1,8 @@
 //! Playing a single game: a co-located execution of several configurations.
 
 use crate::score::rank_descending;
-use dg_exec::{ExecutionBackend, GamePlay};
+use dg_exec::{ExecutionBackend, GamePlay, GameRules};
 use dg_workloads::{ConfigId, Workload};
-
-/// How a game should be driven. This is the backend-level [`dg_exec::GameRules`] type:
-/// the tournament layer decides the rules, the execution backend enforces them while
-/// the game runs.
-pub use dg_exec::GameRules as GameOptions;
 
 /// The result of one game.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +54,7 @@ pub fn play_game(
     exec: &mut dyn ExecutionBackend,
     workload: &Workload,
     configs: &[ConfigId],
-    options: GameOptions,
+    options: GameRules,
 ) -> GameResult {
     assert!(!configs.is_empty(), "a game needs at least one player");
     let specs: Vec<_> = configs.iter().map(|id| workload.spec(*id)).collect();
@@ -113,7 +108,7 @@ mod tests {
     fn clearly_faster_config_wins() {
         let (workload, mut cloud) = setup();
         let (fast, slow) = fast_and_slow(&workload);
-        let result = play_game(&mut cloud, &workload, &[slow, fast], GameOptions::default());
+        let result = play_game(&mut cloud, &workload, &[slow, fast], GameRules::default());
         assert_eq!(result.winning_config(), fast);
         assert_eq!(result.ranks[result.winner], 1);
     }
@@ -123,8 +118,8 @@ mod tests {
         let (workload, mut cloud) = setup();
         let (fast, slow) = fast_and_slow(&workload);
 
-        let with_early = play_game(&mut cloud, &workload, &[fast, slow], GameOptions::default());
-        let without_early = play_game(&mut cloud, &workload, &[fast, slow], GameOptions::playoff());
+        let with_early = play_game(&mut cloud, &workload, &[fast, slow], GameRules::default());
+        let without_early = play_game(&mut cloud, &workload, &[fast, slow], GameRules::playoff());
         assert!(with_early.early_terminated);
         assert!(!without_early.early_terminated);
         assert!(with_early.elapsed < without_early.elapsed);
@@ -134,7 +129,7 @@ mod tests {
     fn execution_scores_are_relative_to_winner() {
         let (workload, mut cloud) = setup();
         let configs: Vec<ConfigId> = (0..8).map(|i| i * (workload.size() / 9)).collect();
-        let result = play_game(&mut cloud, &workload, &configs, GameOptions::default());
+        let result = play_game(&mut cloud, &workload, &configs, GameRules::default());
         let winner_score = result.execution_scores[result.winner];
         assert!((winner_score - 1.0).abs() < 1e-9);
         assert!(result
@@ -147,7 +142,7 @@ mod tests {
     fn standings_are_consistent_with_ranks() {
         let (workload, mut cloud) = setup();
         let configs: Vec<ConfigId> = (0..6).map(|i| i * (workload.size() / 7)).collect();
-        let result = play_game(&mut cloud, &workload, &configs, GameOptions::default());
+        let result = play_game(&mut cloud, &workload, &configs, GameRules::default());
         let standings = result.standings();
         assert_eq!(standings.len(), configs.len());
         assert_eq!(standings[0], result.winner);
@@ -160,14 +155,14 @@ mod tests {
     fn games_are_not_committed_to_the_environment() {
         let (workload, mut cloud) = setup();
         let before = cloud.cost().core_hours();
-        let _ = play_game(&mut cloud, &workload, &[0, 1], GameOptions::default());
+        let _ = play_game(&mut cloud, &workload, &[0, 1], GameRules::default());
         assert_eq!(cloud.cost().core_hours(), before);
     }
 
     #[test]
     fn play_carries_the_accounting_triple() {
         let (workload, mut cloud) = setup();
-        let result = play_game(&mut cloud, &workload, &[0, 1], GameOptions::default());
+        let result = play_game(&mut cloud, &workload, &[0, 1], GameRules::default());
         assert_eq!(result.play.players(), 2);
         assert_eq!(result.play.elapsed, result.elapsed);
         assert_eq!(result.play.execution_scores, result.execution_scores);
@@ -177,6 +172,6 @@ mod tests {
     #[should_panic(expected = "at least one player")]
     fn empty_game_rejected() {
         let (workload, mut cloud) = setup();
-        play_game(&mut cloud, &workload, &[], GameOptions::default());
+        play_game(&mut cloud, &workload, &[], GameRules::default());
     }
 }

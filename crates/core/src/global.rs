@@ -9,10 +9,10 @@
 //! play one game whose winner receives a wild-card entry into the playoffs.
 
 use crate::config::TournamentConfig;
-use crate::game::GameOptions;
 use crate::player::Player;
 use crate::score::Ranker;
 use dg_cloudsim::ExecutionSpec;
+use dg_exec::GameRules;
 use dg_exec::{ExecutionBackend, GameBatchItem};
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, Workload};
@@ -59,7 +59,7 @@ pub fn run_global_phase(
     config: &TournamentConfig,
 ) -> GlobalOutcome {
     let players_per_game = config.effective_players_per_game(exec.vm().vcpus());
-    let game_options = GameOptions {
+    let game_options = GameRules {
         early_termination: config.ablation.early_termination,
         work_done_deviation: config.work_done_deviation,
         min_leader_progress: config.min_leader_progress,
@@ -254,7 +254,7 @@ fn play_recorded(
     exec: &mut dyn ExecutionBackend,
     workload: &Workload,
     players: &mut [Player],
-    options: &GameOptions,
+    options: &GameRules,
 ) -> Vec<usize> {
     let specs: Vec<ExecutionSpec> = players.iter().map(|p| p.spec(workload)).collect();
     let play = exec.play_game(&specs, options);

@@ -54,7 +54,7 @@ mod score;
 mod tournament;
 
 pub use config::{AblationConfig, TournamentConfig};
-pub use game::{play_game, GameOptions, GameResult};
+pub use game::{play_game, GameResult};
 pub use global::{run_global_phase, GlobalOutcome};
 pub use hybrid::{
     BlissSubspaceStrategy, HarmonySubspaceStrategy, HybridDarwinGame, SubspaceStrategy,

@@ -8,9 +8,10 @@
 //! head-to-head game decided purely by who finishes first.
 
 use crate::config::TournamentConfig;
-use crate::game::{play_game, GameOptions};
+use crate::game::play_game;
 use crate::player::Player;
 use dg_exec::ExecutionBackend;
+use dg_exec::GameRules;
 use dg_workloads::{ConfigId, Workload};
 
 /// The result of the playoffs and final.
@@ -67,7 +68,7 @@ pub fn run_playoffs(
                            games_played: &mut usize|
      -> (bool, f64) {
         let configs = [a.config(), b.config()];
-        let result = play_game(exec, workload, &configs, GameOptions::playoff());
+        let result = play_game(exec, workload, &configs, GameRules::playoff());
         exec.commit(&result.play);
         *games_played += 1;
         a.scores_mut()
@@ -84,7 +85,7 @@ pub fn run_playoffs(
         // Ablation "w/o barrage": a single multi-player game ranks the playoff players
         // and the top two go to the final.
         let configs: Vec<ConfigId> = players.iter().map(Player::config).collect();
-        let game_options = GameOptions {
+        let game_options = GameRules {
             early_termination: false,
             work_done_deviation: config.work_done_deviation,
             min_leader_progress: config.min_leader_progress,

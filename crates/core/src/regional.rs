@@ -10,11 +10,11 @@
 //! deviation of the regional best advances to the global phase.
 
 use crate::config::TournamentConfig;
-use crate::game::GameOptions;
 use crate::player::Player;
 use crate::score::{Ranker, ScoreBoard};
 use dg_cloudsim::{CostTracker, ExecutionSpec, SimRng};
 use dg_exec::ExecutionBackend;
+use dg_exec::GameRules;
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, IndexPartition, Workload};
 use std::cmp::Ordering;
@@ -68,7 +68,7 @@ pub fn run_region(
     let mut rng = SimRng::new(exec.seed()).derive("regional");
     let players_per_game = config.effective_players_per_game(exec.vm().vcpus());
 
-    let game_options = GameOptions {
+    let game_options = GameRules {
         early_termination: config.ablation.early_termination,
         work_done_deviation: config.work_done_deviation,
         min_leader_progress: config.min_leader_progress,
@@ -83,8 +83,7 @@ pub fn run_region(
     }
     let mut boards = vec![ScoreBoard::new(); candidates.len()];
     // Region-local spec cache: a candidate's spec is looked up before its first game
-    // and reused for every later one, which matters once the space is too large for
-    // the workload's own spec memo.
+    // and reused for every later one.
     let mut specs: Vec<Option<ExecutionSpec>> = vec![None; candidates.len()];
 
     let mut unplayed: Vec<usize> = (0..candidates.len()).collect();

@@ -66,7 +66,8 @@ pub use backend::{BackendProvider, ExecutionBackend, GameBatchItem};
 pub use dg_cloudsim::{GamePlay, GameRules};
 pub use obs::{ObsBackend, ObsProvider};
 pub use process::{
-    process_launches, CommandTemplate, ProcessBackend, ProcessError, ProcessProvider, TimingSource,
+    parse_time_report, process_launches, CommandTemplate, ProcessBackend, ProcessError,
+    ProcessProvider, TimingSource,
 };
 pub use sim::{sim_ops, SimProvider};
 pub use surrogate::{SurrogateBackend, SurrogateConfig, SurrogateStats};

@@ -158,6 +158,35 @@ pub enum TimingSource {
     Reported,
 }
 
+/// Reads a workload's reported duration from its stdout: the last
+/// `DG_TIME=<seconds>` line, which must hold a finite, non-negative number of
+/// seconds ([`TimingSource::Reported`]).
+///
+/// ```
+/// use dg_exec::parse_time_report;
+///
+/// assert_eq!(parse_time_report("warming up\nDG_TIME=1.5\nDG_TIME=245.25\n"), Ok(245.25));
+/// assert!(parse_time_report("DG_TIME=-1").is_err());
+/// assert!(parse_time_report("done").is_err());
+/// ```
+pub fn parse_time_report(stdout: &str) -> Result<f64, String> {
+    let reported = stdout
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("DG_TIME="))
+        .next_back()
+        .ok_or_else(|| "no DG_TIME=<seconds> line on stdout".to_string())?;
+    let seconds: f64 = reported
+        .trim()
+        .parse()
+        .map_err(|_| format!("unparseable DG_TIME value {reported:?}"))?;
+    if !(seconds.is_finite() && seconds >= 0.0) {
+        return Err(format!(
+            "DG_TIME must be finite and non-negative, got {seconds}"
+        ));
+    }
+    Ok(seconds)
+}
+
 /// A command line with placeholders, rendered once per evaluation.
 ///
 /// Recognized placeholders in any argument (and the program itself):
@@ -406,29 +435,8 @@ impl ProcessBackend {
             TimingSource::WallClock => Ok(wall_seconds),
             TimingSource::Reported => {
                 let stdout = fs::read_to_string(job.job_dir.join("stdout.log")).unwrap_or_default();
-                let reported = stdout
-                    .lines()
-                    .filter_map(|line| line.trim().strip_prefix("DG_TIME="))
-                    .next_back()
-                    .ok_or_else(|| ProcessError::BadTimeReport {
-                        job_dir: job_dir.clone(),
-                        detail: "no DG_TIME=<seconds> line on stdout".to_string(),
-                    })?;
-                let seconds: f64 =
-                    reported
-                        .trim()
-                        .parse()
-                        .map_err(|_| ProcessError::BadTimeReport {
-                            job_dir: job_dir.clone(),
-                            detail: format!("unparseable DG_TIME value {reported:?}"),
-                        })?;
-                if !(seconds.is_finite() && seconds >= 0.0) {
-                    return Err(ProcessError::BadTimeReport {
-                        job_dir,
-                        detail: format!("DG_TIME must be finite and non-negative, got {seconds}"),
-                    });
-                }
-                Ok(seconds)
+                parse_time_report(&stdout)
+                    .map_err(|detail| ProcessError::BadTimeReport { job_dir, detail })
             }
         }
     }

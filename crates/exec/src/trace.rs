@@ -8,28 +8,10 @@
 //! arithmetic is re-applied to the recorded elapsed times through the exact code path
 //! the simulator uses), at a tiny fraction of the cost.
 //!
-//! Traces serialize to canonical JSON (fixed key order, no whitespace, shortest
-//! round-trip floats — see [`crate::json`]), so a trace file is a stable, diffable
-//! artifact. Non-finite floats, which JSON cannot express as numbers, are encoded as
-//! the strings `"inf"`, `"-inf"`, and `"nan"`.
-//!
-//! # Trace schema
-//!
-//! ```json
-//! {"campaign": "fig15-vm-sweep",
-//!  "fingerprint": 1234567890123456789,
-//!  "streams": [
-//!    {"key": "cell-0", "vm": "m5.8xlarge", "profile": "typical", "seed": 42,
-//!     "events": [
-//!       {"op":"game","specs":[[230.5,0.8],[400.0,0.2]],"rules":[true,0.1,0.25],
-//!        "start":0,"elapsed":245.25,"times":[244.1,410.9],"scores":[1,0.59],
-//!        "early":false},
-//!       {"op":"single","spec":[230.5,0.8],"time":244.1,"start":245.25,"elapsed":245.5},
-//!       {"op":"observe","spec":[230.5,0.8],"at":1800,"salt":3,"time":244.9},
-//!       {"op":"fork","seed":777}
-//!     ]}
-//!  ]}
-//! ```
+//! Traces serialize to canonical JSON through [`crate::json`] (fixed key order, no
+//! whitespace, shortest round-trip floats, non-finite floats as `"inf"`, `"-inf"` and
+//! `"nan"`), so a trace file is a stable, diffable artifact. [`ExecutionTrace`]
+//! documents the format.
 //!
 //! Replay is strict: each stream's events must be consumed in order by the same
 //! operations with the same arguments, and the trace's spec fingerprint must match the
@@ -38,14 +20,13 @@
 //! driving a backend differently than it was recorded).
 
 use crate::backend::{forward_to_inner, BackendProvider, ExecutionBackend};
-use crate::json::{self, push_f64, push_key, push_str_literal, JsonValue};
+use crate::json::{self, FromJson, Node, Object, ReadError, ToJson};
 use dg_cloudsim::{
     CostTracker, ExecutionSpec, GamePlay, GameRules, InterferenceProfile, ObservedRun, SimTime,
     VmType,
 };
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// A short, human-readable label for an interference profile, used in trace stream
@@ -141,6 +122,46 @@ pub struct TraceStream {
 
 /// A full recorded execution: every stream of one campaign (or standalone run),
 /// plus the identity of the spec it was recorded from.
+///
+/// # JSON format
+///
+/// One object: `campaign` (string), `fingerprint` (the recorded spec's
+/// `CampaignSpec::fingerprint`, an exact `u64`) and `streams`, sorted by key. A stream
+/// carries its header — `key` (`cell-<index>` for a campaign cell,
+/// `<parent>/<ordinal>` for a forked sub-environment), `vm`, `profile` (a
+/// [`profile_label`]), `seed`, and `failure` only when its backend latched one — and
+/// its `events` in execution order, each an object whose `op` is one of:
+///
+/// - `game`: `specs` (`[base_time, sensitivity]` per player), `rules`
+///   (`[early_termination, work_done_deviation, min_leader_progress]`), `start`,
+///   `elapsed`, `times` and `scores` per player, and `early`;
+/// - `single`: `spec`, `time` (the observation), `start` and `elapsed`;
+/// - `observe`: `spec`, `at`, `salt` and `time`;
+/// - `fork`: the child's `seed`; its events live in the stream `<parent>/<ordinal>`.
+///
+/// Instants and elapsed times must be finite and non-negative, the rules' numbers
+/// too, and every fork needs its child stream with the parent's VM and profile and
+/// the fork's seed: a replay could not use anything else. This document round-trips
+/// byte for byte:
+///
+/// ```
+/// use dg_exec::ExecutionTrace;
+///
+/// let text = concat!(
+///     r#"{"campaign":"fig15-vm-sweep","fingerprint":11730536390177712370,"streams":["#,
+///     r#"{"key":"cell-0","vm":"m5.8xlarge","profile":"typical","seed":42,"events":["#,
+///     r#"{"op":"game","specs":[[230.5,0.8],[400,0.2]],"rules":[true,0.1,0.25],"#,
+///     r#""start":0,"elapsed":410.9,"times":[244.1,410.9],"scores":[1,0.59],"early":false},"#,
+///     r#"{"op":"single","spec":[230.5,0.8],"time":244.1,"start":410.9,"elapsed":244.1},"#,
+///     r#"{"op":"observe","spec":[230.5,0.8],"at":1800,"salt":3,"time":"inf"},"#,
+///     r#"{"op":"fork","seed":777}]},"#,
+///     r#"{"key":"cell-0/0","vm":"m5.8xlarge","profile":"typical","seed":777,"#,
+///     r#""failure":"process exited with status 7","events":[]}]}"#,
+/// );
+/// let trace = ExecutionTrace::from_json(text).unwrap();
+/// assert_eq!(trace.events_total(), 4);
+/// assert_eq!(trace.to_json(), text);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionTrace {
     /// Name of the campaign (or driver) the trace was recorded from.
@@ -199,217 +220,186 @@ impl ExecutionTrace {
     /// Canonical JSON serialization: fixed key order, no whitespace, shortest
     /// round-trip float rendering. Byte-identical for identical traces.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.events_total() * 128);
-        out.push('{');
-        let mut first = true;
-        push_key(&mut out, &mut first, "campaign");
-        push_str_literal(&mut out, &self.campaign);
-        push_key(&mut out, &mut first, "fingerprint");
-        let _ = write!(out, "{}", self.fingerprint);
-        push_key(&mut out, &mut first, "streams");
-        out.push('[');
-        for (i, stream) in self.streams.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            stream.to_json(&mut out);
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("campaign", &self.campaign)
+                .field("fingerprint", &self.fingerprint)
+                .field("streams", &self.streams);
+        })
     }
 
     /// Parses a trace from its canonical JSON form.
     pub fn from_json(text: &str) -> Result<Self, TraceError> {
-        let root = json::parse(text).map_err(TraceError::Parse)?;
-        let campaign = get_str(&root, "campaign")?;
-        let fingerprint = get_u64(&root, "fingerprint")?;
-        let mut streams = Vec::new();
-        for value in get_array(&root, "streams")? {
-            streams.push(TraceStream::from_value(value)?);
-        }
+        json::decode(text).map_err(TraceError::Parse)
+    }
+}
+
+impl FromJson for ExecutionTrace {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        let mut streams: Vec<TraceStream> = node.read("streams")?;
         // Canonicalize: streams are key-sorted (the writer always emits them sorted;
         // sorting here keeps hand-edited documents working and lookups O(log n)).
         streams.sort_by(|a, b| a.key.cmp(&b.key));
-        if streams.windows(2).any(|w| w[0].key == w[1].key) {
-            return Err(TraceError::Parse("duplicate stream keys".into()));
+        if let Some(pair) = streams.windows(2).find(|w| w[0].key == w[1].key) {
+            let message = format!("duplicate stream key {:?}", pair[0].key);
+            return Err(node.get("streams")?.error(message));
+        }
+        // Replay opens the stream `<parent>/<ordinal>` of each fork with the parent's
+        // VM and profile and the fork's seed.
+        for parent in &streams {
+            let forks = parent.events.iter().filter_map(|event| match event {
+                TraceEvent::Fork { seed } => Some(*seed),
+                _ => None,
+            });
+            for (ordinal, seed) in forks.enumerate() {
+                let key = format!("{}/{ordinal}", parent.key);
+                let child = streams
+                    .binary_search_by(|s| s.key.as_str().cmp(&key))
+                    .map(|i| &streams[i]);
+                if !child.is_ok_and(|c| {
+                    (&c.vm, &c.profile, c.seed) == (&parent.vm, &parent.profile, seed)
+                }) {
+                    return Err(node.get("streams")?.error(format_args!(
+                        "no stream {key:?} on {:?} under {:?} with seed {seed} for a fork of {:?}",
+                        parent.vm, parent.profile, parent.key
+                    )));
+                }
+            }
         }
         Ok(Self {
-            campaign,
-            fingerprint,
+            campaign: node.read("campaign")?,
+            fingerprint: node.read("fingerprint")?,
             streams,
         })
     }
 }
 
-impl TraceStream {
-    fn to_json(&self, out: &mut String) {
-        out.push('{');
-        let mut first = true;
-        push_key(out, &mut first, "key");
-        push_str_literal(out, &self.key);
-        push_key(out, &mut first, "vm");
-        push_str_literal(out, &self.vm);
-        push_key(out, &mut first, "profile");
-        push_str_literal(out, &self.profile);
-        push_key(out, &mut first, "seed");
-        let _ = write!(out, "{}", self.seed);
-        if let Some(failure) = &self.failure {
-            push_key(out, &mut first, "failure");
-            push_str_literal(out, failure);
-        }
-        push_key(out, &mut first, "events");
-        out.push('[');
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+impl ToJson for TraceStream {
+    fn write_json(&self, out: &mut String) {
+        Object::write(out, |o| {
+            o.field("key", &self.key)
+                .field("vm", &self.vm)
+                .field("profile", &self.profile)
+                .field("seed", &self.seed);
+            if let Some(failure) = &self.failure {
+                o.field("failure", failure);
             }
-            event.to_json(out);
-        }
-        out.push_str("]}");
+            o.field("events", &self.events);
+        });
     }
+}
 
-    fn from_value(value: &JsonValue) -> Result<Self, TraceError> {
-        let mut events = Vec::new();
-        for event in get_array(value, "events")? {
-            events.push(TraceEvent::from_value(event)?);
+impl FromJson for TraceStream {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        let events: Vec<TraceEvent> = node.read("events")?;
+        // A replay adds every charged duration to its clock, which must stay finite.
+        let charged: f64 = events
+            .iter()
+            .map(|event| match event {
+                TraceEvent::Game { play, .. } => play.elapsed,
+                TraceEvent::Single { run, .. } => run.elapsed,
+                _ => 0.0,
+            })
+            .sum();
+        if !charged.is_finite() {
+            return Err(node
+                .get("events")?
+                .error("the elapsed times overflow the clock"));
         }
-        let failure = match value.get("failure") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| TraceError::Parse("failure is not a string".into()))?,
-            ),
-        };
         Ok(Self {
-            key: get_str(value, "key")?,
-            vm: get_str(value, "vm")?,
-            profile: get_str(value, "profile")?,
-            seed: get_u64(value, "seed")?,
-            failure,
+            key: node.read("key")?,
+            vm: node.read("vm")?,
+            profile: node.read("profile")?,
+            seed: node.read("seed")?,
+            failure: node.read_opt("failure")?,
             events,
         })
     }
 }
 
-impl TraceEvent {
-    fn to_json(&self, out: &mut String) {
-        out.push('{');
-        let mut first = true;
-        push_key(out, &mut first, "op");
-        push_str_literal(out, self.op());
-        match self {
-            TraceEvent::Game { specs, rules, play } => {
-                push_key(out, &mut first, "specs");
-                push_spec_array(out, specs);
-                push_key(out, &mut first, "rules");
-                let _ = write!(out, "[{}", rules.early_termination);
-                out.push(',');
-                push_trace_f64(out, rules.work_done_deviation);
-                out.push(',');
-                push_trace_f64(out, rules.min_leader_progress);
-                out.push(']');
-                push_key(out, &mut first, "start");
-                push_trace_f64(out, play.start.as_seconds());
-                push_key(out, &mut first, "elapsed");
-                push_trace_f64(out, play.elapsed);
-                push_key(out, &mut first, "times");
-                push_f64_array(out, &play.observed_times);
-                push_key(out, &mut first, "scores");
-                push_f64_array(out, &play.execution_scores);
-                push_key(out, &mut first, "early");
-                let _ = write!(out, "{}", play.early_terminated);
-            }
-            TraceEvent::Single { spec, run } => {
-                push_key(out, &mut first, "spec");
-                push_spec(out, spec);
-                push_key(out, &mut first, "time");
-                push_trace_f64(out, run.observed_time);
-                push_key(out, &mut first, "start");
-                push_trace_f64(out, run.started_at.as_seconds());
-                push_key(out, &mut first, "elapsed");
-                push_trace_f64(out, run.elapsed);
-            }
-            TraceEvent::Observe {
-                spec,
-                start,
-                salt,
-                time,
-            } => {
-                push_key(out, &mut first, "spec");
-                push_spec(out, spec);
-                push_key(out, &mut first, "at");
-                push_trace_f64(out, start.as_seconds());
-                push_key(out, &mut first, "salt");
-                let _ = write!(out, "{salt}");
-                push_key(out, &mut first, "time");
-                push_trace_f64(out, *time);
-            }
-            TraceEvent::Fork { seed } => {
-                push_key(out, &mut first, "seed");
-                let _ = write!(out, "{seed}");
-            }
-        }
-        out.push('}');
+impl ToJson for TraceEvent {
+    fn write_json(&self, out: &mut String) {
+        Object::write(out, |o| {
+            o.field("op", self.op());
+            match self {
+                TraceEvent::Game { specs, rules, play } => o
+                    .field("specs", specs)
+                    .array("rules", |a| {
+                        a.push(&rules.early_termination)
+                            .push(&rules.work_done_deviation)
+                            .push(&rules.min_leader_progress);
+                    })
+                    .field("start", &play.start)
+                    .field("elapsed", &play.elapsed)
+                    .field("times", &play.observed_times)
+                    .field("scores", &play.execution_scores)
+                    .field("early", &play.early_terminated),
+                TraceEvent::Single { spec, run } => o
+                    .field("spec", spec)
+                    .field("time", &run.observed_time)
+                    .field("start", &run.started_at)
+                    .field("elapsed", &run.elapsed),
+                TraceEvent::Observe {
+                    spec,
+                    start,
+                    salt,
+                    time,
+                } => o
+                    .field("spec", spec)
+                    .field("at", start)
+                    .field("salt", salt)
+                    .field("time", time),
+                TraceEvent::Fork { seed } => o.field("seed", seed),
+            };
+        });
     }
+}
 
-    fn from_value(value: &JsonValue) -> Result<Self, TraceError> {
-        let op = get_str(value, "op")?;
-        match op.as_str() {
+impl FromJson for TraceEvent {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        let op = node.get("op")?;
+        match op.str()? {
             "game" => {
-                let specs = get_array(value, "specs")?
-                    .iter()
-                    .map(parse_spec)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let rules_parts = field(value, "rules")?
-                    .as_array()
-                    .ok_or_else(|| TraceError::Parse("rules is not an array".into()))?;
-                if rules_parts.len() != 3 {
-                    return Err(TraceError::Parse("rules needs 3 entries".into()));
-                }
+                let specs: Vec<ExecutionSpec> = node.read("specs")?;
+                let rules = node.get("rules")?;
+                let [early_termination, work_done_deviation, min_leader_progress] = rules
+                    .elements("[early_termination, work_done_deviation, min_leader_progress]")?;
                 let rules = GameRules {
-                    early_termination: rules_parts[0]
-                        .as_bool()
-                        .ok_or_else(|| TraceError::Parse("rules[0] is not a bool".into()))?,
-                    work_done_deviation: parse_trace_f64(&rules_parts[1])?,
-                    min_leader_progress: parse_trace_f64(&rules_parts[2])?,
+                    early_termination: bool::from_node(early_termination)?,
+                    work_done_deviation: work_done_deviation.non_negative()?,
+                    min_leader_progress: min_leader_progress.non_negative()?,
                 };
                 let play = GamePlay {
-                    start: parse_time(value, "start")?,
-                    elapsed: get_f64(value, "elapsed")?,
-                    observed_times: get_f64_array(value, "times")?,
-                    execution_scores: get_f64_array(value, "scores")?,
-                    early_terminated: field(value, "early")?
-                        .as_bool()
-                        .ok_or_else(|| TraceError::Parse("early is not a bool".into()))?,
+                    start: node.read("start")?,
+                    elapsed: node.get("elapsed")?.non_negative()?,
+                    observed_times: node.read("times")?,
+                    execution_scores: node.read("scores")?,
+                    early_terminated: node.read("early")?,
                 };
                 if play.observed_times.len() != specs.len()
                     || play.execution_scores.len() != specs.len()
                 {
-                    return Err(TraceError::Parse(
-                        "game player counts are inconsistent".into(),
-                    ));
+                    return Err(node.error("game player counts are inconsistent"));
                 }
                 Ok(TraceEvent::Game { specs, rules, play })
             }
             "single" => Ok(TraceEvent::Single {
-                spec: parse_spec(field(value, "spec")?)?,
+                spec: node.read("spec")?,
                 run: ObservedRun {
-                    observed_time: get_f64(value, "time")?,
-                    started_at: parse_time(value, "start")?,
-                    elapsed: get_f64(value, "elapsed")?,
+                    observed_time: node.read("time")?,
+                    started_at: node.read("start")?,
+                    elapsed: node.get("elapsed")?.non_negative()?,
                 },
             }),
             "observe" => Ok(TraceEvent::Observe {
-                spec: parse_spec(field(value, "spec")?)?,
-                start: parse_time(value, "at")?,
-                salt: get_u64(value, "salt")?,
-                time: get_f64(value, "time")?,
+                spec: node.read("spec")?,
+                start: node.read("at")?,
+                salt: node.read("salt")?,
+                time: node.read("time")?,
             }),
             "fork" => Ok(TraceEvent::Fork {
-                seed: get_u64(value, "seed")?,
+                seed: node.read("seed")?,
             }),
-            other => Err(TraceError::Parse(format!("unknown trace op {other:?}"))),
+            other => Err(op.error(format_args!("unknown trace op {other:?}"))),
         }
     }
 }
@@ -928,118 +918,6 @@ impl ExecutionBackend for ReplayBackend {
     }
 }
 
-// ---------- JSON helpers ----------
-
-/// Writes an f64 for the trace format. This is [`json::push_f64`] — the non-finite
-/// string encoding (`"inf"`/`"-inf"`/`"nan"`) started here and is now the shared
-/// wire discipline for every format in the workspace.
-fn push_trace_f64(out: &mut String, value: f64) {
-    push_f64(out, value);
-}
-
-fn parse_trace_f64(value: &JsonValue) -> Result<f64, TraceError> {
-    json::parse_f64(value).map_err(TraceError::Parse)
-}
-
-fn push_spec(out: &mut String, spec: &ExecutionSpec) {
-    out.push('[');
-    push_trace_f64(out, spec.base_time());
-    out.push(',');
-    push_trace_f64(out, spec.sensitivity());
-    out.push(']');
-}
-
-fn push_spec_array(out: &mut String, specs: &[ExecutionSpec]) {
-    out.push('[');
-    for (i, spec) in specs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_spec(out, spec);
-    }
-    out.push(']');
-}
-
-fn push_f64_array(out: &mut String, values: &[f64]) {
-    out.push('[');
-    for (i, value) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_trace_f64(out, *value);
-    }
-    out.push(']');
-}
-
-fn parse_spec(value: &JsonValue) -> Result<ExecutionSpec, TraceError> {
-    let parts = value
-        .as_array()
-        .ok_or_else(|| TraceError::Parse("spec is not an array".into()))?;
-    if parts.len() != 2 {
-        return Err(TraceError::Parse(
-            "spec needs [base_time, sensitivity]".into(),
-        ));
-    }
-    let base_time = parse_trace_f64(&parts[0])?;
-    let sensitivity = parse_trace_f64(&parts[1])?;
-    if !(base_time.is_finite() && base_time > 0.0 && sensitivity.is_finite() && sensitivity >= 0.0)
-    {
-        return Err(TraceError::Parse(format!(
-            "invalid spec [{base_time}, {sensitivity}]"
-        )));
-    }
-    Ok(ExecutionSpec::new(base_time, sensitivity))
-}
-
-fn field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a JsonValue, TraceError> {
-    value
-        .get(key)
-        .ok_or_else(|| TraceError::Parse(format!("missing field {key:?}")))
-}
-
-fn get_str(value: &JsonValue, key: &str) -> Result<String, TraceError> {
-    field(value, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| TraceError::Parse(format!("field {key:?} is not a string")))
-}
-
-fn get_u64(value: &JsonValue, key: &str) -> Result<u64, TraceError> {
-    field(value, key)?
-        .number_token()
-        .and_then(|t| t.parse::<u64>().ok())
-        .ok_or_else(|| TraceError::Parse(format!("field {key:?} is not a u64")))
-}
-
-fn get_f64(value: &JsonValue, key: &str) -> Result<f64, TraceError> {
-    parse_trace_f64(field(value, key)?)
-}
-
-fn get_array<'a>(value: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], TraceError> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| TraceError::Parse(format!("field {key:?} is not an array")))
-}
-
-fn get_f64_array(value: &JsonValue, key: &str) -> Result<Vec<f64>, TraceError> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| TraceError::Parse(format!("field {key:?} is not an array")))?
-        .iter()
-        .map(parse_trace_f64)
-        .collect()
-}
-
-fn parse_time(value: &JsonValue, key: &str) -> Result<SimTime, TraceError> {
-    let seconds = get_f64(value, key)?;
-    if !seconds.is_finite() || seconds < 0.0 {
-        return Err(TraceError::Parse(format!(
-            "field {key:?} is not a valid time: {seconds}"
-        )));
-    }
-    Ok(SimTime::from_seconds(seconds))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1100,18 +978,15 @@ mod tests {
 
     #[test]
     fn non_finite_floats_survive_the_wire_format() {
-        let mut out = String::new();
+        let round_trip = |value: f64| {
+            let mut out = String::new();
+            value.write_json(&mut out);
+            json::decode::<f64>(&out).unwrap()
+        };
         for v in [f64::INFINITY, f64::NEG_INFINITY, 1.5, -0.0] {
-            out.clear();
-            push_trace_f64(&mut out, v);
-            let parsed = parse_trace_f64(&json::parse(&out).unwrap()).unwrap();
-            assert_eq!(parsed.to_bits(), v.to_bits());
+            assert_eq!(round_trip(v).to_bits(), v.to_bits());
         }
-        out.clear();
-        push_trace_f64(&mut out, f64::NAN);
-        assert!(parse_trace_f64(&json::parse(&out).unwrap())
-            .unwrap()
-            .is_nan());
+        assert!(round_trip(f64::NAN).is_nan());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! floats — the same discipline as every other wire format in the workspace, so two
 //! runs that emit the same events produce byte-identical JSONL.
 
-use crate::json::{push_f64, push_key, push_str_literal};
+use crate::json;
 
 /// One observability event, as emitted at an instrumented seam.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,6 +183,44 @@ impl ObsEvent {
 }
 
 /// One emitted event plus the monotone sequence id the bus stamped on it.
+///
+/// # JSON line format
+///
+/// [`JsonlSink`](crate::JsonlSink) writes one object per line: `seq`, `type` (the
+/// event's [`kind`](ObsEvent::kind)), then the event's fields in declaration order.
+/// Span names are `phase.regional`, `phase.global` and `phase.playoffs`.
+///
+/// ```
+/// use dg_obs::{ObsEvent, ObsRecord};
+///
+/// let c = || "smoke".to_string();
+/// for (event, line) in [
+///     (ObsEvent::CampaignStart { campaign: c(), cells: 16, total_cost: 1536.5 },
+///      r#""campaign_start","campaign":"smoke","cells":16,"total_cost":1536.5"#),
+///     (ObsEvent::CellStart { campaign: c(), cell_seq: 3, index: 5, tuner: "DarwinGame".into(), vm: "m5.large".into(), est_cost: 96.0 },
+///      r#""cell_start","campaign":"smoke","cell_seq":3,"index":5,"tuner":"DarwinGame","vm":"m5.large","est_cost":96"#),
+///     (ObsEvent::CellFinish { campaign: c(), cell_seq: 3, index: 5, core_hours: 0.5, mean_time: f64::INFINITY, failed: true },
+///      r#""cell_finish","campaign":"smoke","cell_seq":3,"index":5,"core_hours":0.5,"mean_time":"inf","failed":true"#),
+///     (ObsEvent::CampaignFinish { campaign: c(), completed: 16 }, r#""campaign_finish","campaign":"smoke","completed":16"#),
+///     (ObsEvent::LabSession { campaign: c(), loaded: 4, fresh: 12, discarded: 1 },
+///      r#""lab_session","campaign":"smoke","loaded":4,"fresh":12,"discarded":1"#),
+///     (ObsEvent::SpanStart { name: "phase.global".into() }, r#""span_start","name":"phase.global""#),
+///     (ObsEvent::SpanEnd { name: "phase.global".into(), start_seq: 6 }, r#""span_end","name":"phase.global","start_seq":6"#),
+///     (ObsEvent::Round { phase: "regional", round: 2, games: 8 }, r#""round","phase":"regional","round":2,"games":8"#),
+///     (ObsEvent::Game { players: 4, start: 1800.0, elapsed: 245.25, early_terminated: false },
+///      r#""game","players":4,"start":1800,"elapsed":245.25,"early_terminated":false"#),
+///     (ObsEvent::Solo { start: 0.0, observed_time: 244.1 }, r#""solo","start":0,"observed_time":244.1"#),
+///     (ObsEvent::Probe { start: 3600.0, observed_time: 244.9 }, r#""probe","start":3600,"observed_time":244.9"#),
+///     (ObsEvent::RetuneDetection { step: 40, at: 72000.0, direction: "up".into() },
+///      r#""retune_detection","step":40,"at":72000,"direction":"up""#),
+///     (ObsEvent::Retune { step: 41, kind: "reselect".into(), accepted: true }, r#""retune","step":41,"kind":"reselect","accepted":true"#),
+///     (ObsEvent::ScenarioTimeline { scenario: "diurnal".into(), preemptions: 0 },
+///      r#""scenario_timeline","scenario":"diurnal","preemptions":0"#),
+///     (ObsEvent::PreemptionStrike { at: 9000.0, outage: 420.0 }, r#""preemption_strike","at":9000,"outage":420"#),
+/// ] {
+///     assert_eq!(ObsRecord { seq: 7, event }.to_json(), format!(r#"{{"seq":7,"type":{line}}}"#));
+/// }
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsRecord {
     /// Process-wide monotone sequence id (gaps never occur; interleaving across
@@ -197,185 +235,118 @@ impl ObsRecord {
     /// The canonical one-line JSON form: `{"seq":N,"type":"...",...}` with the
     /// event's fields in declaration order.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        push_key(&mut out, &mut first, "seq");
-        out.push_str(&self.seq.to_string());
-        push_key(&mut out, &mut first, "type");
-        push_str_literal(&mut out, self.event.kind());
-        let f = &mut first;
-        let o = &mut out;
-        match &self.event {
-            ObsEvent::CampaignStart {
-                campaign,
-                cells,
-                total_cost,
-            } => {
-                push_key(o, f, "campaign");
-                push_str_literal(o, campaign);
-                push_key(o, f, "cells");
-                o.push_str(&cells.to_string());
-                push_key(o, f, "total_cost");
-                push_f64(o, *total_cost);
-            }
-            ObsEvent::CampaignFinish {
-                campaign,
-                completed,
-            } => {
-                push_key(o, f, "campaign");
-                push_str_literal(o, campaign);
-                push_key(o, f, "completed");
-                o.push_str(&completed.to_string());
-            }
-            ObsEvent::CellStart {
-                campaign,
-                cell_seq,
-                index,
-                tuner,
-                vm,
-                est_cost,
-            } => {
-                push_key(o, f, "campaign");
-                push_str_literal(o, campaign);
-                push_key(o, f, "cell_seq");
-                o.push_str(&cell_seq.to_string());
-                push_key(o, f, "index");
-                o.push_str(&index.to_string());
-                push_key(o, f, "tuner");
-                push_str_literal(o, tuner);
-                push_key(o, f, "vm");
-                push_str_literal(o, vm);
-                push_key(o, f, "est_cost");
-                push_f64(o, *est_cost);
-            }
-            ObsEvent::CellFinish {
-                campaign,
-                cell_seq,
-                index,
-                core_hours,
-                mean_time,
-                failed,
-            } => {
-                push_key(o, f, "campaign");
-                push_str_literal(o, campaign);
-                push_key(o, f, "cell_seq");
-                o.push_str(&cell_seq.to_string());
-                push_key(o, f, "index");
-                o.push_str(&index.to_string());
-                push_key(o, f, "core_hours");
-                push_f64(o, *core_hours);
-                push_key(o, f, "mean_time");
-                push_f64(o, *mean_time);
-                push_key(o, f, "failed");
-                o.push_str(if *failed { "true" } else { "false" });
-            }
-            ObsEvent::LabSession {
-                campaign,
-                loaded,
-                fresh,
-                discarded,
-            } => {
-                push_key(o, f, "campaign");
-                push_str_literal(o, campaign);
-                push_key(o, f, "loaded");
-                o.push_str(&loaded.to_string());
-                push_key(o, f, "fresh");
-                o.push_str(&fresh.to_string());
-                push_key(o, f, "discarded");
-                o.push_str(&discarded.to_string());
-            }
-            ObsEvent::SpanStart { name } => {
-                push_key(o, f, "name");
-                push_str_literal(o, name);
-            }
-            ObsEvent::SpanEnd { name, start_seq } => {
-                push_key(o, f, "name");
-                push_str_literal(o, name);
-                push_key(o, f, "start_seq");
-                o.push_str(&start_seq.to_string());
-            }
-            ObsEvent::Round {
-                phase,
-                round,
-                games,
-            } => {
-                push_key(o, f, "phase");
-                push_str_literal(o, phase);
-                push_key(o, f, "round");
-                o.push_str(&round.to_string());
-                push_key(o, f, "games");
-                o.push_str(&games.to_string());
-            }
-            ObsEvent::Game {
-                players,
-                start,
-                elapsed,
-                early_terminated,
-            } => {
-                push_key(o, f, "players");
-                o.push_str(&players.to_string());
-                push_key(o, f, "start");
-                push_f64(o, *start);
-                push_key(o, f, "elapsed");
-                push_f64(o, *elapsed);
-                push_key(o, f, "early_terminated");
-                o.push_str(if *early_terminated { "true" } else { "false" });
-            }
-            ObsEvent::Solo {
-                start,
-                observed_time,
-            }
-            | ObsEvent::Probe {
-                start,
-                observed_time,
-            } => {
-                push_key(o, f, "start");
-                push_f64(o, *start);
-                push_key(o, f, "observed_time");
-                push_f64(o, *observed_time);
-            }
-            ObsEvent::RetuneDetection {
-                step,
-                at,
-                direction,
-            } => {
-                push_key(o, f, "step");
-                o.push_str(&step.to_string());
-                push_key(o, f, "at");
-                push_f64(o, *at);
-                push_key(o, f, "direction");
-                push_str_literal(o, direction);
-            }
-            ObsEvent::Retune {
-                step,
-                kind,
-                accepted,
-            } => {
-                push_key(o, f, "step");
-                o.push_str(&step.to_string());
-                push_key(o, f, "kind");
-                push_str_literal(o, kind);
-                push_key(o, f, "accepted");
-                o.push_str(if *accepted { "true" } else { "false" });
-            }
-            ObsEvent::ScenarioTimeline {
-                scenario,
-                preemptions,
-            } => {
-                push_key(o, f, "scenario");
-                push_str_literal(o, scenario);
-                push_key(o, f, "preemptions");
-                o.push_str(&preemptions.to_string());
-            }
-            ObsEvent::PreemptionStrike { at, outage } => {
-                push_key(o, f, "at");
-                push_f64(o, *at);
-                push_key(o, f, "outage");
-                push_f64(o, *outage);
-            }
-        }
-        out.push('}');
-        out
+        json::object(|o| {
+            o.field("seq", &self.seq).field("type", self.event.kind());
+            match &self.event {
+                ObsEvent::CampaignStart {
+                    campaign,
+                    cells,
+                    total_cost,
+                } => o
+                    .field("campaign", campaign)
+                    .field("cells", cells)
+                    .field("total_cost", total_cost),
+                ObsEvent::CampaignFinish {
+                    campaign,
+                    completed,
+                } => o.field("campaign", campaign).field("completed", completed),
+                ObsEvent::CellStart {
+                    campaign,
+                    cell_seq,
+                    index,
+                    tuner,
+                    vm,
+                    est_cost,
+                } => o
+                    .field("campaign", campaign)
+                    .field("cell_seq", cell_seq)
+                    .field("index", index)
+                    .field("tuner", tuner)
+                    .field("vm", vm)
+                    .field("est_cost", est_cost),
+                ObsEvent::CellFinish {
+                    campaign,
+                    cell_seq,
+                    index,
+                    core_hours,
+                    mean_time,
+                    failed,
+                } => o
+                    .field("campaign", campaign)
+                    .field("cell_seq", cell_seq)
+                    .field("index", index)
+                    .field("core_hours", core_hours)
+                    .field("mean_time", mean_time)
+                    .field("failed", failed),
+                ObsEvent::LabSession {
+                    campaign,
+                    loaded,
+                    fresh,
+                    discarded,
+                } => o
+                    .field("campaign", campaign)
+                    .field("loaded", loaded)
+                    .field("fresh", fresh)
+                    .field("discarded", discarded),
+                ObsEvent::SpanStart { name } => o.field("name", name),
+                ObsEvent::SpanEnd { name, start_seq } => {
+                    o.field("name", name).field("start_seq", start_seq)
+                }
+                ObsEvent::Round {
+                    phase,
+                    round,
+                    games,
+                } => o
+                    .field("phase", *phase)
+                    .field("round", round)
+                    .field("games", games),
+                ObsEvent::Game {
+                    players,
+                    start,
+                    elapsed,
+                    early_terminated,
+                } => o
+                    .field("players", players)
+                    .field("start", start)
+                    .field("elapsed", elapsed)
+                    .field("early_terminated", early_terminated),
+                ObsEvent::Solo {
+                    start,
+                    observed_time,
+                }
+                | ObsEvent::Probe {
+                    start,
+                    observed_time,
+                } => o
+                    .field("start", start)
+                    .field("observed_time", observed_time),
+                ObsEvent::RetuneDetection {
+                    step,
+                    at,
+                    direction,
+                } => o
+                    .field("step", step)
+                    .field("at", at)
+                    .field("direction", direction),
+                ObsEvent::Retune {
+                    step,
+                    kind,
+                    accepted,
+                } => o
+                    .field("step", step)
+                    .field("kind", kind)
+                    .field("accepted", accepted),
+                ObsEvent::ScenarioTimeline {
+                    scenario,
+                    preemptions,
+                } => o
+                    .field("scenario", scenario)
+                    .field("preemptions", preemptions),
+                ObsEvent::PreemptionStrike { at, outage } => {
+                    o.field("at", at).field("outage", outage)
+                }
+            };
+        })
     }
 }
 

@@ -1,19 +1,54 @@
-//! Canonical JSON emission and parsing, shared by every wire format in the workspace.
+//! Canonical JSON: the one writer and the typed readers behind every wire format in
+//! the workspace.
 //!
-//! The workspace has no serialization dependency: campaign reports, shard reports, and
-//! execution traces all serialize through this small hand-rolled writer. The output is
+//! The workspace has no serialization dependency. Execution traces, shard reports,
+//! lab manifests, scenario specs, campaign and retune reports, event lines, metrics
+//! snapshots and the `BENCH_*.json` records are all written through [`Object`] and
+//! [`Array`], which place every brace, comma and key, and read back through
+//! [`Node`], whose errors name the key path of the value at fault. The output is
 //! *canonical*: fixed key order, no whitespace, and floats rendered with Rust's
 //! shortest-round-trip `Display` — so two documents with identical contents produce
 //! byte-identical strings, which the determinism tests (1 worker vs N workers, record
 //! vs replay) rely on.
 //!
-//! The reverse direction is a minimal recursive-descent JSON reader ([`parse`]).
-//! Numbers keep their **raw token** ([`JsonValue::Number`]) instead of being eagerly
-//! converted, so integer fields parse exactly (`u64` seeds above 2^53 survive) and
-//! float fields round-trip bit for bit through Rust's shortest-round-trip rendering.
+//! The parser ([`parse`]) is a minimal recursive-descent reader. Numbers keep their
+//! **raw token** ([`JsonValue::Number`]) instead of being eagerly converted, so
+//! integer fields parse exactly (`u64` seeds above 2^53 survive) and float fields
+//! round-trip bit for bit through Rust's shortest-round-trip rendering.
+//!
+//! ```
+//! use dg_obs::json::{self, FromJson, Node, ReadError};
+//!
+//! struct Point {
+//!     label: String,
+//!     at: Vec<f64>,
+//!     hits: Option<u64>,
+//! }
+//!
+//! impl FromJson for Point {
+//!     fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+//!         Ok(Point {
+//!             label: node.read("label")?,
+//!             at: node.read("at")?,
+//!             hits: node.read_opt("hits")?,
+//!         })
+//!     }
+//! }
+//!
+//! let text = json::object(|o| {
+//!     o.field("label", "origin").field("at", &[0.0, f64::INFINITY]);
+//! });
+//! assert_eq!(text, r#"{"label":"origin","at":[0,"inf"]}"#);
+//! let point: Point = json::decode(&text).unwrap();
+//! assert_eq!((point.label.as_str(), point.at[1], point.hits), ("origin", f64::INFINITY, None));
+//!
+//! let err = json::decode::<Vec<Point>>(r#"[{"label":"a","at":[1]},{"label":"b","at":[1,"x"]}]"#);
+//! assert_eq!(err.err().unwrap(), r#"[1].at[1]: unknown non-finite float encoding "x""#);
+//! ```
 
-use dg_cloudsim::InterferenceProfile;
-use std::fmt::Write as _;
+use dg_cloudsim::{ExecutionSpec, InterferenceProfile, SimTime};
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 /// Appends a JSON string literal (with escaping) to `out`.
 pub fn push_str_literal(out: &mut String, value: &str) {
@@ -35,10 +70,8 @@ pub fn push_str_literal(out: &mut String, value: &str) {
 }
 
 /// Appends a JSON number for `value`. JSON has no representation for non-finite
-/// floats, so they are encoded as the strings `"inf"`, `"-inf"`, and `"nan"` — the
-/// same encoding execution traces use — and [`parse_f64`] restores them losslessly.
-/// (Reports used to write `null` here, which collapsed `±inf` to NaN on the way
-/// back in.)
+/// floats, so they are encoded as the strings `"inf"`, `"-inf"`, and `"nan"`, and
+/// [`parse_f64`] restores them losslessly.
 pub fn push_f64(out: &mut String, value: f64) {
     if value.is_finite() {
         // Rust's f64 Display is the shortest decimal string that round-trips, never in
@@ -70,11 +103,12 @@ pub fn parse_f64(value: &JsonValue) -> Result<f64, String> {
             other => Err(format!("unknown non-finite float encoding {other:?}")),
         },
         JsonValue::Null => Ok(f64::NAN),
-        other => Err(format!("expected a float, got {other:?}")),
+        other => Err(format!("expected a float, found {}", other.kind())),
     }
 }
 
-/// Appends `"key":` to an object body, handling the leading comma.
+/// Appends `"key":` to an object body, handling the leading comma. [`Object`] writes
+/// every key through this.
 pub fn push_key(out: &mut String, first: &mut bool, key: &str) {
     if !*first {
         out.push(',');
@@ -82,92 +116,6 @@ pub fn push_key(out: &mut String, first: &mut bool, key: &str) {
     *first = false;
     push_str_literal(out, key);
     out.push(':');
-}
-
-/// Appends the canonical JSON form of an [`InterferenceProfile`] to `out`.
-///
-/// The named recipes serialize as bare strings (`"typical"`, `"heavy"`,
-/// `"dedicated"`), the parameterised ones as single-key objects
-/// (`{"constant":0.5}`, `{"custom":[base,value_amplitude,regime_scale,
-/// burst_magnitude]}`). The enum itself accepts any value: a negative or non-finite
-/// parameter is written as given, [`parse_profile`] rejects it, and
-/// [`InterferenceProfile::sampler`] panics on it. For every profile a node can run,
-/// the shortest-round-trip float rendering of [`push_f64`] is lossless and
-/// [`parse_profile`] round-trips bit for bit. `dg-scenario` embeds profiles in
-/// `ScenarioSpec` documents through this pair.
-pub fn push_profile(out: &mut String, profile: &InterferenceProfile) {
-    match profile {
-        InterferenceProfile::Dedicated => out.push_str("\"dedicated\""),
-        InterferenceProfile::Typical => out.push_str("\"typical\""),
-        InterferenceProfile::Heavy => out.push_str("\"heavy\""),
-        InterferenceProfile::Constant(level) => {
-            out.push_str("{\"constant\":");
-            push_f64(out, *level);
-            out.push('}');
-        }
-        InterferenceProfile::Custom {
-            base,
-            value_amplitude,
-            regime_scale,
-            burst_magnitude,
-        } => {
-            out.push_str("{\"custom\":[");
-            for (i, value) in [base, value_amplitude, regime_scale, burst_magnitude]
-                .into_iter()
-                .enumerate()
-            {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_f64(out, *value);
-            }
-            out.push_str("]}");
-        }
-    }
-}
-
-/// Parses the canonical JSON form written by [`push_profile`] back into an
-/// [`InterferenceProfile`]. Floats round-trip bit for bit.
-pub fn parse_profile(value: &JsonValue) -> Result<InterferenceProfile, String> {
-    let finite = |value: &JsonValue, what: &str| -> Result<f64, String> {
-        let parsed = value
-            .number_token()
-            .and_then(|t| t.parse::<f64>().ok())
-            .ok_or_else(|| format!("profile {what} is not a number"))?;
-        if !parsed.is_finite() || parsed < 0.0 {
-            return Err(format!("profile {what} must be finite and non-negative"));
-        }
-        Ok(parsed)
-    };
-    match value {
-        JsonValue::Str(name) => match name.as_str() {
-            "dedicated" => Ok(InterferenceProfile::Dedicated),
-            "typical" => Ok(InterferenceProfile::Typical),
-            "heavy" => Ok(InterferenceProfile::Heavy),
-            other => Err(format!("unknown profile name {other:?}")),
-        },
-        JsonValue::Object(_) => {
-            if let Some(level) = value.get("constant") {
-                return Ok(InterferenceProfile::Constant(finite(level, "constant")?));
-            }
-            let parts = value
-                .get("custom")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| {
-                    "profile object needs a \"constant\" or \"custom\" key".to_string()
-                })?;
-            if parts.len() != 4 {
-                return Err("custom profile needs 4 parameters".to_string());
-            }
-            Ok(InterferenceProfile::Custom {
-                base: finite(&parts[0], "base")?,
-                value_amplitude: finite(&parts[1], "value_amplitude")?,
-                regime_scale: finite(&parts[2], "regime_scale")?,
-                burst_magnitude: finite(&parts[3], "burst_magnitude")?,
-            })
-        }
-        other => Err(format!("expected a profile, got {other:?}")),
-    }
 }
 
 /// FNV-1a over a canonical textual encoding: the stable 64-bit fingerprint discipline
@@ -181,6 +129,498 @@ pub fn fnv1a(text: &str) -> u64 {
     }
     hash
 }
+
+// ---------- writing ----------
+
+/// A value with a canonical JSON form.
+pub trait ToJson {
+    /// Appends the value's canonical JSON to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        push_str_literal(out, self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        push_str_literal(out, self);
+    }
+}
+
+/// Shortest round-trip, non-finite values as `"inf"`, `"-inf"` and `"nan"`
+/// ([`push_f64`]).
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        push_f64(out, *self);
+    }
+}
+
+impl ToJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        Array::write(out, |array| {
+            for item in self {
+                array.push(item);
+            }
+        });
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+/// `null` for `None`. An optional *key* is left out instead, with an `if` around
+/// [`Object::field`].
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// A JSON object being written: it places the braces, each key and every comma.
+pub struct Object<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Object<'_> {
+    /// Writes `{`, the entries `body` adds, and `}` to `out`.
+    pub fn write(out: &mut String, body: impl FnOnce(&mut Object<'_>)) {
+        out.push('{');
+        let mut object = Object { out, first: true };
+        body(&mut object);
+        object.out.push('}');
+    }
+
+    /// Adds `"key":value`.
+    pub fn field(&mut self, key: &str, value: &(impl ToJson + ?Sized)) -> &mut Self {
+        push_key(self.out, &mut self.first, key);
+        value.write_json(self.out);
+        self
+    }
+
+    /// Adds `"key":{...}`, with the entries `body` adds.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        push_key(self.out, &mut self.first, key);
+        Object::write(self.out, body);
+        self
+    }
+
+    /// Adds `"key":[...]`, with the elements `body` pushes.
+    pub fn array(&mut self, key: &str, body: impl FnOnce(&mut Array<'_>)) -> &mut Self {
+        push_key(self.out, &mut self.first, key);
+        Array::write(self.out, body);
+        self
+    }
+}
+
+/// A JSON array being written: it places the brackets and every comma.
+pub struct Array<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Array<'_> {
+    /// Writes `[`, the elements `body` pushes, and `]` to `out`.
+    pub fn write(out: &mut String, body: impl FnOnce(&mut Array<'_>)) {
+        out.push('[');
+        let mut array = Array { out, first: true };
+        body(&mut array);
+        array.out.push(']');
+    }
+
+    fn slot(&mut self) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.out
+    }
+
+    /// Appends one element.
+    pub fn push(&mut self, value: &(impl ToJson + ?Sized)) -> &mut Self {
+        value.write_json(self.slot());
+        self
+    }
+
+    /// Appends one object, with the entries `body` adds.
+    pub fn object(&mut self, body: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        Object::write(self.slot(), body);
+        self
+    }
+}
+
+/// One canonical JSON object, with the entries `body` adds, as a new string.
+pub fn object(body: impl FnOnce(&mut Object<'_>)) -> String {
+    let mut out = String::new();
+    Object::write(&mut out, body);
+    out
+}
+
+// ---------- reading ----------
+
+/// Why a value could not be read: where it sits in its document, and what is wrong
+/// with it. Displays as `path: message`, e.g.
+/// `streams[2].events[7].spec: expected [base_time, sensitivity]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadError {
+    /// The key path of the value at fault; empty for the document itself.
+    pub path: String,
+    /// What is wrong with it.
+    pub message: String,
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.path.is_empty() {
+            f.write_str(&self.message)
+        } else {
+            write!(f, "{}: {}", self.path, self.message)
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+/// Where a [`Node`] sits in its document: a chain of keys and indices back to the
+/// root, rendered only when a read fails.
+#[derive(Debug, Clone, Copy)]
+enum Path<'p> {
+    Root,
+    Key(&'p Path<'p>, &'p str),
+    Index(&'p Path<'p>, usize),
+}
+
+impl Path<'_> {
+    fn error(&self, message: impl fmt::Display) -> ReadError {
+        ReadError {
+            path: self.to_string(),
+            message: message.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Path::Root => Ok(()),
+            Path::Key(Path::Root, key) => f.write_str(key),
+            Path::Key(parent, key) => write!(f, "{parent}.{key}"),
+            Path::Index(parent, index) => write!(f, "{parent}[{index}]"),
+        }
+    }
+}
+
+/// A value of a parsed document, with the key path that reached it, so that every
+/// typed read names where it failed.
+#[derive(Debug, Clone, Copy)]
+pub struct Node<'v, 'p> {
+    value: &'v JsonValue,
+    path: Path<'p>,
+}
+
+impl<'v> Node<'v, '_> {
+    /// The root of a parsed document.
+    pub fn root(value: &'v JsonValue) -> Self {
+        Node {
+            value,
+            path: Path::Root,
+        }
+    }
+
+    /// An error about this value.
+    pub fn error(&self, message: impl fmt::Display) -> ReadError {
+        self.path.error(message)
+    }
+
+    fn expected(&self, what: impl fmt::Display) -> ReadError {
+        self.error(format_args!("expected {what}, found {}", self.value.kind()))
+    }
+
+    fn child<'s>(&'s self, key: &'s str, value: &'v JsonValue) -> Node<'v, 's> {
+        Node {
+            value,
+            path: Path::Key(&self.path, key),
+        }
+    }
+
+    /// The value under `key`, which may be absent; an error if this is not an object.
+    pub fn get_opt<'s>(&'s self, key: &'s str) -> Result<Option<Node<'v, 's>>, ReadError> {
+        match self.value {
+            JsonValue::Object(entries) => Ok(entries
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, value)| self.child(key, value))),
+            _ => Err(self.expected("an object")),
+        }
+    }
+
+    /// The value under `key`, which must be present.
+    pub fn get<'s>(&'s self, key: &'s str) -> Result<Node<'v, 's>, ReadError> {
+        self.get_opt(key)?
+            .ok_or_else(|| Path::Key(&self.path, key).error("missing"))
+    }
+
+    /// Reads the value under `key`, which must be present.
+    pub fn read<T: FromJson>(&self, key: &str) -> Result<T, ReadError> {
+        T::from_node(self.get(key)?)
+    }
+
+    /// Reads the value under `key`; `None` when the key is absent.
+    pub fn read_opt<T: FromJson>(&self, key: &str) -> Result<Option<T>, ReadError> {
+        self.get_opt(key)?.map(T::from_node).transpose()
+    }
+
+    /// Fails on the first key of this object that `known` does not list.
+    pub fn only_keys(&self, known: &[&str]) -> Result<(), ReadError> {
+        let JsonValue::Object(entries) = self.value else {
+            return Err(self.expected("an object"));
+        };
+        match entries
+            .iter()
+            .find(|(key, _)| !known.contains(&key.as_str()))
+        {
+            Some((key, value)) => Err(self.child(key, value).error("unknown key")),
+            None => Ok(()),
+        }
+    }
+
+    /// The elements of this array, each with its index on its path.
+    pub fn items<'s>(
+        &'s self,
+    ) -> Result<impl ExactSizeIterator<Item = Node<'v, 's>> + 's, ReadError> {
+        let JsonValue::Array(items) = self.value else {
+            return Err(self.expected("an array"));
+        };
+        Ok(items.iter().enumerate().map(|(index, value)| Node {
+            value,
+            path: Path::Index(&self.path, index),
+        }))
+    }
+
+    /// The elements of this array, which must hold exactly `N`. `shape` names them
+    /// in the error, e.g. `[base_time, sensitivity]`.
+    pub fn elements<const N: usize>(&self, shape: &str) -> Result<[Node<'v, '_>; N], ReadError> {
+        self.items()
+            .ok()
+            .and_then(|items| items.collect::<Vec<_>>().try_into().ok())
+            .ok_or_else(|| self.error(format_args!("expected {shape}")))
+    }
+
+    /// A finite, non-negative float: a duration, an instant or a rate.
+    pub fn non_negative(&self) -> Result<f64, ReadError> {
+        let value = f64::from_node(*self)?;
+        if value.is_finite() && value >= 0.0 {
+            Ok(value)
+        } else {
+            Err(self.error(format_args!(
+                "expected a finite, non-negative number, found {value}"
+            )))
+        }
+    }
+
+    /// The string payload.
+    pub fn str(&self) -> Result<&'v str, ReadError> {
+        self.value.as_str().ok_or_else(|| self.expected("a string"))
+    }
+}
+
+/// A value that can be read back from its canonical JSON form.
+pub trait FromJson: Sized {
+    /// Reads the value at `node`, or says what is wrong with it and where.
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError>;
+}
+
+impl FromJson for String {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        node.str().map(str::to_string)
+    }
+}
+
+/// Every float [`push_f64`] writes, bit for bit, and a legacy `null` as NaN
+/// ([`parse_f64`]).
+impl FromJson for f64 {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        parse_f64(node.value).map_err(|message| node.error(message))
+    }
+}
+
+impl FromJson for bool {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        node.value.as_bool().ok_or_else(|| node.expected("a bool"))
+    }
+}
+
+macro_rules! exact_integers {
+    ($($t:ty),*) => {$(
+        /// Written exactly, in decimal.
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+
+        /// Read exactly from the number's token; a fraction, an exponent or a value
+        /// out of range is an error.
+        impl FromJson for $t {
+            fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+                let token = node
+                    .value
+                    .number_token()
+                    .ok_or_else(|| node.expected(stringify!($t)))?;
+                <$t>::from_str(token)
+                    .map_err(|_| node.error(format_args!("expected {}, found {token}", stringify!($t))))
+            }
+        }
+    )*};
+}
+exact_integers!(u32, u64, usize);
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        node.items()?.map(T::from_node).collect()
+    }
+}
+
+/// `None` for `null`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        match node.value {
+            JsonValue::Null => Ok(None),
+            _ => T::from_node(node).map(Some),
+        }
+    }
+}
+
+/// Parses `text` and reads a `T` from its root. Syntax errors and read errors both
+/// come back as their message.
+pub fn decode<T: FromJson>(text: &str) -> Result<T, String> {
+    let root = parse(text)?;
+    T::from_node(Node::root(&root)).map_err(|err| err.to_string())
+}
+
+// ---------- interference profiles ----------
+
+/// The named recipes as bare strings (`"typical"`, `"heavy"`, `"dedicated"`), the
+/// parameterised ones as single-key objects (`{"constant":0.5}`,
+/// `{"custom":[base,value_amplitude,regime_scale,burst_magnitude]}`). The enum
+/// accepts any value: a negative or non-finite parameter is written as given, the
+/// reader rejects it, and [`InterferenceProfile::sampler`] panics on it. For every
+/// profile a node can run, the shortest-round-trip float rendering is lossless and
+/// the reader round-trips bit for bit. `dg-scenario` embeds profiles in
+/// `ScenarioSpec` documents this way.
+impl ToJson for InterferenceProfile {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            InterferenceProfile::Dedicated => "dedicated".write_json(out),
+            InterferenceProfile::Typical => "typical".write_json(out),
+            InterferenceProfile::Heavy => "heavy".write_json(out),
+            InterferenceProfile::Constant(level) => Object::write(out, |o| {
+                o.field("constant", level);
+            }),
+            InterferenceProfile::Custom {
+                base,
+                value_amplitude,
+                regime_scale,
+                burst_magnitude,
+            } => Object::write(out, |o| {
+                o.field(
+                    "custom",
+                    &[*base, *value_amplitude, *regime_scale, *burst_magnitude],
+                );
+            }),
+        }
+    }
+}
+
+/// Reads the form written above; every parameter must be finite and non-negative.
+impl FromJson for InterferenceProfile {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        if let Ok(name) = node.str() {
+            return match name {
+                "dedicated" => Ok(InterferenceProfile::Dedicated),
+                "typical" => Ok(InterferenceProfile::Typical),
+                "heavy" => Ok(InterferenceProfile::Heavy),
+                other => Err(node.error(format_args!("unknown profile name {other:?}"))),
+            };
+        }
+        if let Some(level) = node.get_opt("constant")? {
+            return Ok(InterferenceProfile::Constant(level.non_negative()?));
+        }
+        let custom = node.get("custom")?;
+        let [base, value_amplitude, regime_scale, burst_magnitude] =
+            custom.elements("[base, value_amplitude, regime_scale, burst_magnitude]")?;
+        Ok(InterferenceProfile::Custom {
+            base: base.non_negative()?,
+            value_amplitude: value_amplitude.non_negative()?,
+            regime_scale: regime_scale.non_negative()?,
+            burst_magnitude: burst_magnitude.non_negative()?,
+        })
+    }
+}
+
+// ---------- simulator values ----------
+
+/// `[base_time, sensitivity]`, as execution traces record each player.
+impl ToJson for ExecutionSpec {
+    fn write_json(&self, out: &mut String) {
+        [self.base_time(), self.sensitivity()].write_json(out);
+    }
+}
+
+/// A finite, positive base time and a finite, non-negative sensitivity.
+impl FromJson for ExecutionSpec {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        let [base_time, sensitivity] = node.elements("[base_time, sensitivity]")?;
+        let (base_time, sensitivity) = (base_time.non_negative()?, sensitivity.non_negative()?);
+        if base_time == 0.0 {
+            return Err(node.error("a spec's base time must be positive"));
+        }
+        Ok(ExecutionSpec::new(base_time, sensitivity))
+    }
+}
+
+/// Seconds since the simulation origin.
+impl ToJson for SimTime {
+    fn write_json(&self, out: &mut String) {
+        push_f64(out, self.as_seconds());
+    }
+}
+
+/// Finite and non-negative.
+impl FromJson for SimTime {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        node.non_negative().map(SimTime::from_seconds)
+    }
+}
+
+/// Reads an [`InterferenceProfile`] from its canonical form. Floats round-trip bit
+/// for bit.
+pub fn parse_profile(value: &JsonValue) -> Result<InterferenceProfile, String> {
+    InterferenceProfile::from_node(Node::root(value)).map_err(|err| err.to_string())
+}
+
+// ---------- parsing ----------
 
 /// A parsed JSON value. Object keys keep their document order; numbers keep their raw
 /// token so callers decide the target type without precision loss.
@@ -238,6 +678,18 @@ impl JsonValue {
         match self {
             JsonValue::Array(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// What kind of value this is, for error messages.
+    fn kind(&self) -> &'static str {
+        match self {
+            JsonValue::Null => "null",
+            JsonValue::Bool(_) => "a bool",
+            JsonValue::Number(_) => "a number",
+            JsonValue::Str(_) => "a string",
+            JsonValue::Array(_) => "an array",
+            JsonValue::Object(_) => "an object",
         }
     }
 }
@@ -489,6 +941,12 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn to_string(value: &impl ToJson) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out);
+        out
+    }
+
     #[test]
     fn strings_are_escaped() {
         let mut out = String::new();
@@ -626,13 +1084,10 @@ mod tests {
                 burst_magnitude: 0.9,
             },
         ] {
-            let mut out = String::new();
-            push_profile(&mut out, &profile);
+            let out = to_string(&profile);
             let parsed = parse_profile(&parse(&out).expect("valid JSON")).expect("valid profile");
             assert_eq!(parsed, profile, "round trip through {out}");
-            let mut again = String::new();
-            push_profile(&mut again, &parsed);
-            assert_eq!(again, out, "byte-identical re-serialization");
+            assert_eq!(to_string(&parsed), out, "byte-identical re-serialization");
         }
     }
 
@@ -648,6 +1103,101 @@ mod tests {
             let value = parse(bad).expect("syntactically valid JSON");
             assert!(parse_profile(&value).is_err(), "{bad} must be rejected");
         }
+    }
+
+    #[test]
+    fn the_writer_places_every_comma_and_nests() {
+        let text = object(|o| {
+            o.field("name", "a\"b")
+                .field("n", &u64::MAX)
+                .field("x", &-0.0)
+                .field("ok", &true)
+                .field("none", &None::<f64>)
+                .object("empty", |_| {})
+                .object("nested", |n| {
+                    n.array("rows", |a| {
+                        a.push(&1_usize).object(|row| {
+                            row.field("y", &[0.5, f64::NAN]);
+                        });
+                    });
+                })
+                .array("empty_list", |_| {});
+        });
+        assert_eq!(
+            text,
+            r#"{"name":"a\"b","n":18446744073709551615,"x":-0,"ok":true,"none":null,"empty":{},"nested":{"rows":[1,{"y":[0.5,"nan"]}]},"empty_list":[]}"#
+        );
+        assert_eq!(to_string(&Vec::<u32>::new()), "[]");
+    }
+
+    #[test]
+    fn read_errors_name_the_key_path() {
+        let doc = parse(r#"{"a":[{"b":1},{"b":"x"}],"c":{"d":[1,2,3]},"e":1.5}"#).unwrap();
+        let root = Node::root(&doc);
+        let list = root.get("a").unwrap();
+        let second = list.items().unwrap().nth(1).unwrap();
+        assert_eq!(
+            second.read::<u64>("b").unwrap_err().to_string(),
+            "a[1].b: expected u64, found a string"
+        );
+        let c = root.get("c").unwrap();
+        assert_eq!(
+            c.get("d")
+                .unwrap()
+                .elements::<2>("[x, y]")
+                .unwrap_err()
+                .to_string(),
+            "c.d: expected [x, y]"
+        );
+        assert_eq!(
+            root.read::<String>("z").unwrap_err().to_string(),
+            "z: missing"
+        );
+        assert_eq!(
+            root.read::<u64>("e").unwrap_err().to_string(),
+            "e: expected u64, found 1.5"
+        );
+        assert_eq!(
+            root.get("e")
+                .unwrap()
+                .read::<u64>("f")
+                .unwrap_err()
+                .to_string(),
+            "e: expected an object, found a number"
+        );
+        assert_eq!(
+            root.only_keys(&["a", "c"]).unwrap_err().to_string(),
+            "e: unknown key"
+        );
+        assert_eq!(root.read_opt::<f64>("missing"), Ok(None));
+        assert_eq!(root.read_opt::<f64>("e"), Ok(Some(1.5)));
+    }
+
+    #[test]
+    fn integers_are_read_exactly() {
+        let doc =
+            parse("[18446744073709551615,18446744073709551616,-0,1e3,1.0,4294967296]").unwrap();
+        let root = Node::root(&doc);
+        let items: Vec<Node<'_, '_>> = root.items().unwrap().collect();
+        assert_eq!(u64::from_node(items[0]), Ok(u64::MAX));
+        for item in &items[1..5] {
+            assert!(u64::from_node(*item).is_err());
+        }
+        assert!(u32::from_node(items[5]).is_err());
+        assert_eq!(u64::from_node(items[5]), Ok(1 << 32));
+    }
+
+    #[test]
+    fn optional_values_read_null_as_none() {
+        let doc = parse(r#"{"p":null,"q":"typical"}"#).unwrap();
+        let root = Node::root(&doc);
+        assert_eq!(root.read::<Option<InterferenceProfile>>("p"), Ok(None));
+        assert_eq!(
+            root.read::<Option<InterferenceProfile>>("q"),
+            Ok(Some(InterferenceProfile::Typical))
+        );
+        assert_eq!(decode::<Option<u32>>("null"), Ok(None));
+        assert!(decode::<u32>("null").is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! replaced — only *event* emission waits for an installed sink
 //! ([`obs_active`](crate::obs_active)).
 
-use crate::json::{push_f64, push_key, push_str_literal};
+use crate::json;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -242,6 +242,40 @@ pub struct HistogramSnapshot {
 
 /// A point-in-time capture of every registered metric, sorted by name so the
 /// canonical JSON form is deterministic for a deterministic workload.
+///
+/// # JSON format
+///
+/// [`to_json`](Self::to_json) writes three objects keyed by metric name: `counters`
+/// (exact totals), `gauges` (last values), and `histograms`, each with its `count`,
+/// `sum`, `min`, `max` and one `buckets` entry per [`HISTOGRAM_BOUNDS`] bound plus the
+/// overflow bucket, whose bound `le` is `"inf"`.
+///
+/// ```
+/// use dg_obs::{HistogramSnapshot, MetricsSnapshot};
+///
+/// let snapshot = MetricsSnapshot {
+///     counters: vec![("exec.sim_ops".into(), 1200)],
+///     gauges: vec![("campaign.eta_s".into(), 2.5)],
+///     histograms: vec![HistogramSnapshot {
+///         name: "cell.seconds".into(),
+///         count: 2,
+///         sum: 12.5,
+///         min: 0.5,
+///         max: 12.0,
+///         buckets: vec![0, 0, 0, 1, 0, 1, 0, 0],
+///     }],
+/// };
+/// assert_eq!(
+///     snapshot.to_json(),
+///     concat!(
+///         r#"{"counters":{"exec.sim_ops":1200},"gauges":{"campaign.eta_s":2.5},"#,
+///         r#""histograms":{"cell.seconds":{"count":2,"sum":12.5,"min":0.5,"max":12,"#,
+///         r#""buckets":[{"le":0.001,"count":0},{"le":0.01,"count":0},{"le":0.1,"count":0},"#,
+///         r#"{"le":1,"count":1},{"le":10,"count":0},{"le":100,"count":1},"#,
+///         r#"{"le":1000,"count":0},{"le":"inf","count":0}]}}}"#,
+///     )
+/// );
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, process-wide total)` per counter.
@@ -300,66 +334,37 @@ impl MetricsSnapshot {
     /// The canonical JSON form:
     /// `{"counters":{...},"gauges":{...},"histograms":{...}}` with names sorted.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        push_key(&mut out, &mut first, "counters");
-        out.push('{');
-        let mut inner_first = true;
-        for (name, value) in &self.counters {
-            push_key(&mut out, &mut inner_first, name);
-            out.push_str(&value.to_string());
-        }
-        out.push('}');
-        push_key(&mut out, &mut first, "gauges");
-        out.push('{');
-        let mut inner_first = true;
-        for (name, value) in &self.gauges {
-            push_key(&mut out, &mut inner_first, name);
-            push_f64(&mut out, *value);
-        }
-        out.push('}');
-        push_key(&mut out, &mut first, "histograms");
-        out.push('{');
-        let mut inner_first = true;
-        for hist in &self.histograms {
-            push_key(&mut out, &mut inner_first, &hist.name);
-            out.push('{');
-            let mut hist_first = true;
-            push_key(&mut out, &mut hist_first, "count");
-            out.push_str(&hist.count.to_string());
-            push_key(&mut out, &mut hist_first, "sum");
-            push_f64(&mut out, hist.sum);
-            push_key(&mut out, &mut hist_first, "min");
-            push_f64(&mut out, hist.min);
-            push_key(&mut out, &mut hist_first, "max");
-            push_f64(&mut out, hist.max);
-            push_key(&mut out, &mut hist_first, "buckets");
-            out.push('[');
-            for (i, (bound, count)) in HISTOGRAM_BOUNDS
-                .iter()
-                .map(Some)
-                .chain(std::iter::once(None))
-                .zip(hist.buckets.iter())
-                .enumerate()
-            {
-                if i > 0 {
-                    out.push(',');
+        json::object(|o| {
+            o.object("counters", |counters| {
+                for (name, value) in &self.counters {
+                    counters.field(name, value);
                 }
-                out.push_str("{\"le\":");
-                match bound {
-                    Some(bound) => push_f64(&mut out, *bound),
-                    None => push_str_literal(&mut out, "inf"),
+            })
+            .object("gauges", |gauges| {
+                for (name, value) in &self.gauges {
+                    gauges.field(name, value);
                 }
-                out.push_str(",\"count\":");
-                out.push_str(&count.to_string());
-                out.push('}');
-            }
-            out.push(']');
-            out.push('}');
-        }
-        out.push('}');
-        out.push('}');
-        out
+            })
+            .object("histograms", |histograms| {
+                for hist in &self.histograms {
+                    histograms.object(&hist.name, |h| {
+                        h.field("count", &hist.count)
+                            .field("sum", &hist.sum)
+                            .field("min", &hist.min)
+                            .field("max", &hist.max)
+                            .array("buckets", |buckets| {
+                                // The overflow bucket's bound is written as "inf".
+                                let bounds = HISTOGRAM_BOUNDS.iter().chain([&f64::INFINITY]);
+                                for (bound, count) in bounds.zip(&hist.buckets) {
+                                    buckets.object(|b| {
+                                        b.field("le", bound).field("count", count);
+                                    });
+                                }
+                            });
+                    });
+                }
+            });
+        })
     }
 }
 

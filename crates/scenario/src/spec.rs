@@ -2,10 +2,7 @@
 
 use crate::timeline::Timeline;
 use dg_cloudsim::{InterferenceProfile, VmType};
-use dg_exec::json::{
-    self, fnv1a, parse_profile, push_f64, push_key, push_profile, push_str_literal, JsonValue,
-};
-use std::fmt::Write as _;
+use dg_exec::json::{self, fnv1a, FromJson, Node, Object, ReadError, ToJson};
 
 /// One entry of a scenario's event timeline.
 ///
@@ -115,14 +112,25 @@ impl ScenarioEvent {
     }
 
     /// Checks one event: every time anchor is finite and `>= 0`, every
-    /// duration/period/interval finite and `> 0`, every factor finite and `> 0`, every
-    /// downtime finite and `>= 0`, every probability in `[0, 1]`, and every generator
-    /// count at most [`MAX_GENERATOR_DRAWS`].
+    /// duration/period/interval finite and `> 0`, every factor in `(0, MAX_FACTOR]`,
+    /// every diurnal amplitude in `[0, MAX_FACTOR]`, every downtime in
+    /// `[0, MAX_DOWNTIME]`, every probability in `[0, 1]`, and every generator count at
+    /// most [`MAX_GENERATOR_DRAWS`].
     fn check(&self) -> Result<(), String> {
         let anchor = |at: f64| require(at.is_finite() && at >= 0.0, "event time must be >= 0");
         let span = |d: f64| require(d.is_finite() && d > 0.0, "durations/periods must be > 0");
-        let load = |f: f64| require(f.is_finite() && f > 0.0, "factors must be finite and > 0");
-        let outage = |d: f64| require(d.is_finite() && d >= 0.0, "downtime must be >= 0");
+        let load = |f: f64| {
+            require(
+                f > 0.0 && f <= MAX_FACTOR,
+                "factors must be finite and > 0, and at most 100",
+            )
+        };
+        let outage = |d: f64| {
+            require(
+                (0.0..=MAX_DOWNTIME).contains(&d),
+                "downtime must be >= 0, and at most 10^7 s",
+            )
+        };
         let draws = |n: u32| match n {
             0..=MAX_GENERATOR_DRAWS => Ok(()),
             _ => Err(format!(
@@ -183,8 +191,8 @@ impl ScenarioEvent {
             } => {
                 span(*period)?;
                 require(
-                    amplitude.is_finite() && *amplitude >= 0.0,
-                    "amplitude must be >= 0",
+                    (0.0..=MAX_FACTOR).contains(amplitude),
+                    "amplitude must be >= 0, and at most 100",
                 )?;
                 require(phase.is_finite(), "phase must be finite")
             }
@@ -202,120 +210,94 @@ impl ScenarioEvent {
             ScenarioEvent::Diurnal { .. } => "diurnal",
         }
     }
+}
 
-    fn to_json(&self, out: &mut String) {
-        out.push('{');
-        let mut first = true;
-        push_key(out, &mut first, "op");
-        push_str_literal(out, self.op());
-        let num = |out: &mut String, first: &mut bool, key: &str, value: f64| {
-            push_key(out, first, key);
-            push_f64(out, value);
-        };
-        match self {
-            ScenarioEvent::LoadShift { at, factor } | ScenarioEvent::PriceChange { at, factor } => {
-                num(out, &mut first, "at", *at);
-                num(out, &mut first, "factor", *factor);
-            }
-            ScenarioEvent::Storm {
-                at,
-                duration,
-                factor,
-            } => {
-                num(out, &mut first, "at", *at);
-                num(out, &mut first, "duration", *duration);
-                num(out, &mut first, "factor", *factor);
-            }
-            ScenarioEvent::StormFront {
-                start,
-                period,
-                chance,
-                duration,
-                factor,
-                windows,
-            } => {
-                num(out, &mut first, "start", *start);
-                num(out, &mut first, "period", *period);
-                num(out, &mut first, "chance", *chance);
-                num(out, &mut first, "duration", *duration);
-                num(out, &mut first, "factor", *factor);
-                push_key(out, &mut first, "windows");
-                let _ = write!(out, "{windows}");
-            }
-            ScenarioEvent::Preemption { at, downtime } => {
-                num(out, &mut first, "at", *at);
-                num(out, &mut first, "downtime", *downtime);
-            }
-            ScenarioEvent::Preemptions {
-                start,
-                mean_interval,
-                downtime,
-                count,
-            } => {
-                num(out, &mut first, "start", *start);
-                num(out, &mut first, "mean_interval", *mean_interval);
-                num(out, &mut first, "downtime", *downtime);
-                push_key(out, &mut first, "count");
-                let _ = write!(out, "{count}");
-            }
-            ScenarioEvent::Diurnal {
-                period,
-                amplitude,
-                phase,
-            } => {
-                num(out, &mut first, "period", *period);
-                num(out, &mut first, "amplitude", *amplitude);
-                num(out, &mut first, "phase", *phase);
-            }
-        }
-        out.push('}');
+impl ToJson for ScenarioEvent {
+    fn write_json(&self, out: &mut String) {
+        Object::write(out, |o| {
+            o.field("op", self.op());
+            match self {
+                ScenarioEvent::LoadShift { at, factor }
+                | ScenarioEvent::PriceChange { at, factor } => {
+                    o.field("at", at).field("factor", factor)
+                }
+                ScenarioEvent::Storm {
+                    at,
+                    duration,
+                    factor,
+                } => o
+                    .field("at", at)
+                    .field("duration", duration)
+                    .field("factor", factor),
+                ScenarioEvent::StormFront {
+                    start,
+                    period,
+                    chance,
+                    duration,
+                    factor,
+                    windows,
+                } => o
+                    .field("start", start)
+                    .field("period", period)
+                    .field("chance", chance)
+                    .field("duration", duration)
+                    .field("factor", factor)
+                    .field("windows", windows),
+                ScenarioEvent::Preemption { at, downtime } => {
+                    o.field("at", at).field("downtime", downtime)
+                }
+                ScenarioEvent::Preemptions {
+                    start,
+                    mean_interval,
+                    downtime,
+                    count,
+                } => o
+                    .field("start", start)
+                    .field("mean_interval", mean_interval)
+                    .field("downtime", downtime)
+                    .field("count", count),
+                ScenarioEvent::Diurnal {
+                    period,
+                    amplitude,
+                    phase,
+                } => o
+                    .field("period", period)
+                    .field("amplitude", amplitude)
+                    .field("phase", phase),
+            };
+        });
     }
+}
 
-    fn from_value(value: &JsonValue) -> Result<ScenarioEvent, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::number_token)
-                .and_then(|t| t.parse::<f64>().ok())
-                .ok_or_else(|| format!("event field {key:?} is not a number"))
-        };
-        let int = |key: &str| -> Result<u32, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::number_token)
-                .and_then(|t| t.parse::<u32>().ok())
-                .ok_or_else(|| format!("event field {key:?} is not a u32"))
-        };
-        let op = value
-            .get("op")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "event has no \"op\"".to_string())?;
-        // Each arm lists the keys its op carries, so a stray or misspelt field is an
-        // error instead of being dropped.
-        let (event, keys): (ScenarioEvent, &[&str]) = match op {
+/// Each op names the keys it carries, so a stray or misspelt field is an error
+/// instead of being dropped.
+impl FromJson for ScenarioEvent {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        let op = node.get("op")?;
+        let (event, keys): (ScenarioEvent, &[&str]) = match op.str()? {
             "load" => (
                 ScenarioEvent::LoadShift {
-                    at: num("at")?,
-                    factor: num("factor")?,
+                    at: node.read("at")?,
+                    factor: node.read("factor")?,
                 },
                 &["op", "at", "factor"],
             ),
             "storm" => (
                 ScenarioEvent::Storm {
-                    at: num("at")?,
-                    duration: num("duration")?,
-                    factor: num("factor")?,
+                    at: node.read("at")?,
+                    duration: node.read("duration")?,
+                    factor: node.read("factor")?,
                 },
                 &["op", "at", "duration", "factor"],
             ),
             "storm_front" => (
                 ScenarioEvent::StormFront {
-                    start: num("start")?,
-                    period: num("period")?,
-                    chance: num("chance")?,
-                    duration: num("duration")?,
-                    factor: num("factor")?,
-                    windows: int("windows")?,
+                    start: node.read("start")?,
+                    period: node.read("period")?,
+                    chance: node.read("chance")?,
+                    duration: node.read("duration")?,
+                    factor: node.read("factor")?,
+                    windows: node.read("windows")?,
                 },
                 &[
                     "op", "start", "period", "chance", "duration", "factor", "windows",
@@ -323,40 +305,39 @@ impl ScenarioEvent {
             ),
             "preempt" => (
                 ScenarioEvent::Preemption {
-                    at: num("at")?,
-                    downtime: num("downtime")?,
+                    at: node.read("at")?,
+                    downtime: node.read("downtime")?,
                 },
                 &["op", "at", "downtime"],
             ),
             "preemptions" => (
                 ScenarioEvent::Preemptions {
-                    start: num("start")?,
-                    mean_interval: num("mean_interval")?,
-                    downtime: num("downtime")?,
-                    count: int("count")?,
+                    start: node.read("start")?,
+                    mean_interval: node.read("mean_interval")?,
+                    downtime: node.read("downtime")?,
+                    count: node.read("count")?,
                 },
                 &["op", "start", "mean_interval", "downtime", "count"],
             ),
             "price" => (
                 ScenarioEvent::PriceChange {
-                    at: num("at")?,
-                    factor: num("factor")?,
+                    at: node.read("at")?,
+                    factor: node.read("factor")?,
                 },
                 &["op", "at", "factor"],
             ),
             "diurnal" => (
                 ScenarioEvent::Diurnal {
-                    period: num("period")?,
-                    amplitude: num("amplitude")?,
-                    phase: num("phase")?,
+                    period: node.read("period")?,
+                    amplitude: node.read("amplitude")?,
+                    phase: node.read("phase")?,
                 },
                 &["op", "period", "amplitude", "phase"],
             ),
-            other => return Err(format!("unknown scenario event op {other:?}")),
+            other => return Err(op.error(format_args!("unknown scenario event op {other:?}"))),
         };
-        if let Some(key) = unknown_key(value, keys) {
-            return Err(format!("unknown key {key:?} in a {op:?} event"));
-        }
+        node.only_keys(keys)?;
+        event.check().map_err(|message| node.error(message))?;
         Ok(event)
     }
 }
@@ -367,16 +348,16 @@ impl ScenarioEvent {
 /// exhaust memory.
 const MAX_GENERATOR_DRAWS: u32 = 10_000;
 
-/// The first key of the JSON object `value` that `known` does not list.
-fn unknown_key<'a>(value: &'a JsonValue, known: &[&str]) -> Option<&'a str> {
-    match value {
-        JsonValue::Object(entries) => entries
-            .iter()
-            .map(|(key, _)| key.as_str())
-            .find(|key| !known.contains(key)),
-        _ => None,
-    }
-}
+/// The largest load or price factor, and diurnal amplitude, a scenario may carry:
+/// about 45x the pack's largest (2.2). Factors scale every observed and elapsed
+/// time, and the simulator cannot step a game that starts at a clock so large that
+/// adding one integration piece leaves it unchanged.
+const MAX_FACTOR: f64 = 100.0;
+
+/// The longest outage one preemption may insert, in seconds: about 115 days, for the
+/// same reason as [`MAX_FACTOR`]. With at most [`MAX_GENERATOR_DRAWS`] preemptions a
+/// timeline adds at most 10^11 s to the clock.
+const MAX_DOWNTIME: f64 = 1e7;
 
 /// `Ok` when `ok` holds, otherwise the constraint's `message` as the error.
 fn require(ok: bool, message: &str) -> Result<(), String> {
@@ -398,6 +379,41 @@ fn require(ok: bool, message: &str) -> Result<(), String> {
 /// inner [`ExecutionBackend`](dg_exec::ExecutionBackend). The built-in
 /// [`pack`](Self::pack) names the standard scenarios; [`delayed`](Self::delayed) and
 /// [`with_load_coupling`](Self::with_load_coupling) derive variants of them.
+///
+/// # JSON format
+///
+/// `name`; `profile`, a base-profile override or `null` (profiles are written as
+/// `"typical"`, `"heavy"`, `"dedicated"`, `{"constant":level}` or
+/// `{"custom":[base,value_amplitude,regime_scale,burst_magnitude]}`); `fleet`, VM
+/// names for forked sub-environments (`[]` is homogeneous); `events`, each an object
+/// whose `op` names a [`ScenarioEvent`] and whose other keys are its fields in
+/// declaration order; and `load_coupling`, written only when non-zero. A key the
+/// format does not name, in the scenario or in an event, is an error, and so is a
+/// scenario that breaks a constraint of [`validate`](Self::validate): among them, a
+/// factor or a diurnal amplitude above 100, a downtime above 10^7 s, or a generator
+/// that draws more than 10,000 windows or preemptions.
+///
+/// ```
+/// use dg_scenario::ScenarioSpec;
+///
+/// let text = concat!(
+///     r#"{"name":"storm-season","profile":{"custom":[0.05,0.25,1,0.9]},"#,
+///     r#""fleet":["m5.8xlarge","c5.9xlarge"],"events":["#,
+///     r#"{"op":"load","at":3600,"factor":1.6},"#,
+///     r#"{"op":"storm","at":7200,"duration":900,"factor":1.7},"#,
+///     r#"{"op":"storm_front","start":0,"period":3600,"chance":0.45,"duration":900,"#,
+///     r#""factor":1.7,"windows":48},"#,
+///     r#"{"op":"preempt","at":1800,"downtime":420},"#,
+///     r#"{"op":"preemptions","start":1800,"mean_interval":7200,"downtime":420,"count":24},"#,
+///     r#"{"op":"price","at":0,"factor":0.4},"#,
+///     r#"{"op":"diurnal","period":21600,"amplitude":0.8,"phase":0}],"#,
+///     r#""load_coupling":0.7}"#,
+/// );
+/// let scenario = ScenarioSpec::from_json(text).unwrap();
+/// assert_eq!(scenario.events.len(), 7);
+/// assert_eq!(scenario.to_json(), text);
+/// assert!(ScenarioSpec::from_json(&text.replace("\"chance\"", "\"odds\"")).is_err());
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name: the label cells and reports carry (`"steady"` is the default
@@ -479,7 +495,7 @@ impl ScenarioSpec {
     }
 
     /// The constraints [`validate`](Self::validate) enforces and
-    /// [`from_value`](Self::from_value) reports, naming the first one violated.
+    /// [`from_json`](Self::from_json) reports, naming the first one violated.
     fn check(&self) -> Result<(), String> {
         require(!self.name.is_empty(), "scenario needs a name")?;
         if !(self.load_coupling.is_finite() && (0.0..=1.0).contains(&self.load_coupling)) {
@@ -594,102 +610,24 @@ impl ScenarioSpec {
     /// Canonical JSON serialization: fixed key order, no whitespace, shortest
     /// round-trip floats. Byte-identical for identical specs.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.events.len() * 64);
-        out.push('{');
-        let mut first = true;
-        push_key(&mut out, &mut first, "name");
-        push_str_literal(&mut out, &self.name);
-        push_key(&mut out, &mut first, "profile");
-        match &self.profile {
-            Some(profile) => push_profile(&mut out, profile),
-            None => out.push_str("null"),
-        }
-        push_key(&mut out, &mut first, "fleet");
-        out.push('[');
-        for (i, vm) in self.fleet.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(|o| {
+            o.field("name", &self.name)
+                .field("profile", &self.profile)
+                .array("fleet", |fleet| {
+                    for vm in &self.fleet {
+                        fleet.push(vm.name());
+                    }
+                })
+                .field("events", &self.events);
+            if self.load_coupling != 0.0 {
+                o.field("load_coupling", &self.load_coupling);
             }
-            push_str_literal(&mut out, vm.name());
-        }
-        out.push(']');
-        push_key(&mut out, &mut first, "events");
-        out.push('[');
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            event.to_json(&mut out);
-        }
-        out.push(']');
-        if self.load_coupling != 0.0 {
-            push_key(&mut out, &mut first, "load_coupling");
-            push_f64(&mut out, self.load_coupling);
-        }
-        out.push('}');
-        out
+        })
     }
 
     /// Parses a scenario from its canonical JSON form.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, String> {
-        let root = json::parse(text)?;
-        Self::from_value(&root)
-    }
-
-    /// Parses a scenario from an already-parsed JSON value (used when specs embed
-    /// scenarios in larger documents). A key the schema does not name, in the scenario
-    /// or in an event, is an error, and so is a scenario that parses but breaks a
-    /// constraint of [`validate`](Self::validate).
-    pub fn from_value(root: &JsonValue) -> Result<ScenarioSpec, String> {
-        let known = ["name", "profile", "fleet", "events", "load_coupling"];
-        if let Some(key) = unknown_key(root, &known) {
-            return Err(format!("unknown scenario key {key:?}"));
-        }
-        let name = root
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "scenario has no \"name\"".to_string())?
-            .to_string();
-        let profile = match root.get("profile") {
-            None | Some(JsonValue::Null) => None,
-            Some(value) => Some(parse_profile(value)?),
-        };
-        let mut fleet = Vec::new();
-        for entry in root
-            .get("fleet")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "scenario \"fleet\" is not an array".to_string())?
-        {
-            let vm_name = entry
-                .as_str()
-                .ok_or_else(|| "fleet entries must be VM names".to_string())?;
-            fleet
-                .push(VmType::from_name(vm_name).ok_or_else(|| format!("unknown VM {vm_name:?}"))?);
-        }
-        let mut events = Vec::new();
-        for entry in root
-            .get("events")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "scenario \"events\" is not an array".to_string())?
-        {
-            events.push(ScenarioEvent::from_value(entry)?);
-        }
-        let load_coupling = match root.get("load_coupling") {
-            None => 0.0,
-            Some(value) => value
-                .number_token()
-                .and_then(|t| t.parse::<f64>().ok())
-                .ok_or_else(|| "scenario \"load_coupling\" is not a number".to_string())?,
-        };
-        let spec = ScenarioSpec {
-            name,
-            profile,
-            fleet,
-            events,
-            load_coupling,
-        };
-        spec.check()?;
-        Ok(spec)
+        json::decode(text)
     }
 
     /// A stable 64-bit fingerprint: FNV-1a over the canonical JSON form, so two specs
@@ -698,6 +636,32 @@ impl ScenarioSpec {
     /// scenario axis.
     pub fn fingerprint(&self) -> u64 {
         fnv1a(&self.to_json())
+    }
+}
+
+/// A key the schema does not name, in the scenario or in an event, is an error, and
+/// so is a scenario that parses but breaks a constraint of
+/// [`validate`](ScenarioSpec::validate).
+impl FromJson for ScenarioSpec {
+    fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
+        node.only_keys(&["name", "profile", "fleet", "events", "load_coupling"])?;
+        let fleet = node.get("fleet")?;
+        let spec = ScenarioSpec {
+            name: node.read("name")?,
+            profile: node.read_opt::<Option<_>>("profile")?.flatten(),
+            fleet: fleet
+                .items()?
+                .map(|entry| {
+                    let name = entry.str()?;
+                    VmType::from_name(name)
+                        .ok_or_else(|| entry.error(format_args!("unknown VM {name:?}")))
+                })
+                .collect::<Result<_, _>>()?,
+            events: node.read("events")?,
+            load_coupling: node.read_opt("load_coupling")?.unwrap_or(0.0),
+        };
+        spec.check().map_err(|message| node.error(message))?;
+        Ok(spec)
     }
 }
 

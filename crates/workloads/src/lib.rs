@@ -27,7 +27,6 @@
 mod app;
 mod param;
 mod partition;
-mod progress;
 mod surface;
 mod workload;
 
@@ -37,6 +36,5 @@ pub use app::{
 };
 pub use param::{ConfigId, ConfigPoint, Parameter, ParameterSpace};
 pub use partition::IndexPartition;
-pub use progress::WorkUnit;
-pub use surface::{PerformanceSurface, SurfaceConfig, SyntheticSurface};
+pub use surface::{SurfaceConfig, SyntheticSurface};
 pub use workload::Workload;

@@ -18,7 +18,7 @@
 //!
 //! [`SyntheticSurface::generate`] draws the surface's model (optimal levels, per-level
 //! penalties, pairwise interactions) and compiles it into tables, which are the only
-//! evaluation path: [`PerformanceSurface::spec`], `base_time`, `sensitivity`,
+//! evaluation path: [`SyntheticSurface::spec`], `base_time`, `sensitivity`,
 //! [`SyntheticSurface::normalized_time`] and the build of the empirical CDF itself.
 //! Each table returns the bits of the arithmetic it replaces:
 //!
@@ -43,29 +43,11 @@
 //! * **Hash seeds.** The cluster, sensitivity-noise and robustness draws hash the id
 //!   with a seed mixed from the surface seed; the three seeds are mixed once.
 //!
-//! The tables are built once per surface and shared by its clones, as the workload's
-//! spec memo is.
+//! The tables are built once per surface and shared by its clones.
 
 use crate::param::{ConfigId, ParameterSpace};
 use dg_cloudsim::{ExecutionSpec, SimRng};
 use std::sync::Arc;
-
-/// Anything that can translate a configuration index into execution characteristics.
-pub trait PerformanceSurface {
-    /// The parameter space this surface is defined over.
-    fn space(&self) -> &ParameterSpace;
-
-    /// Dedicated-environment execution time (seconds) of configuration `id`.
-    fn base_time(&self, id: ConfigId) -> f64;
-
-    /// Interference sensitivity of configuration `id`.
-    fn sensitivity(&self, id: ConfigId) -> f64;
-
-    /// The execution spec handed to the cloud simulator for configuration `id`.
-    fn spec(&self, id: ConfigId) -> ExecutionSpec {
-        ExecutionSpec::new(self.base_time(id), self.sensitivity(id))
-    }
-}
 
 /// Tuning knobs for [`SyntheticSurface`] generation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -590,13 +572,13 @@ impl SyntheticSurface {
     }
 
     /// Execution time at a given normalised position (the shared tail of
-    /// [`PerformanceSurface::base_time`]).
+    /// [`SyntheticSurface::base_time`]).
     fn time_from_normalized(&self, normalized: f64) -> f64 {
         self.config.best_time + (self.config.worst_time - self.config.best_time) * normalized
     }
 
     /// Sensitivity at a given normalised position (the shared tail of
-    /// [`PerformanceSurface::sensitivity`]).
+    /// [`SyntheticSurface::sensitivity`]).
     fn sensitivity_from_normalized(&self, id: ConfigId, normalized: f64) -> f64 {
         let base = self.config.max_sensitivity
             - (self.config.max_sensitivity - self.config.min_sensitivity) * normalized;
@@ -624,22 +606,26 @@ impl SyntheticSurface {
     }
 }
 
-impl PerformanceSurface for SyntheticSurface {
-    fn space(&self) -> &ParameterSpace {
+impl SyntheticSurface {
+    /// The parameter space this surface is defined over.
+    pub fn space(&self) -> &ParameterSpace {
         &self.space
     }
 
-    fn base_time(&self, id: ConfigId) -> f64 {
+    /// Dedicated-environment execution time (seconds) of configuration `id`.
+    pub fn base_time(&self, id: ConfigId) -> f64 {
         self.time_from_normalized(self.normalized_time(id))
     }
 
-    fn sensitivity(&self, id: ConfigId) -> f64 {
+    /// Interference sensitivity of configuration `id`.
+    pub fn sensitivity(&self, id: ConfigId) -> f64 {
         self.sensitivity_from_normalized(id, self.normalized_time(id))
     }
 
-    fn spec(&self, id: ConfigId) -> ExecutionSpec {
-        // Both components derive from `normalized_time`, so evaluate it once. Same pure
-        // value either way, so the spec is bit-identical to the default two-pass method.
+    /// The execution spec handed to the cloud simulator for configuration `id`:
+    /// bit-identical to `ExecutionSpec::new(self.base_time(id), self.sensitivity(id))`,
+    /// with `normalized_time` evaluated once for both components.
+    pub fn spec(&self, id: ConfigId) -> ExecutionSpec {
         let normalized = self.normalized_time(id);
         ExecutionSpec::new(
             self.time_from_normalized(normalized),

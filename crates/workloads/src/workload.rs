@@ -3,71 +3,17 @@
 use crate::app::Application;
 use crate::param::{ConfigId, ParameterSpace};
 use crate::partition::IndexPartition;
-use crate::progress::WorkUnit;
-use crate::surface::{PerformanceSurface, SurfaceConfig, SyntheticSurface};
+use crate::surface::{SurfaceConfig, SyntheticSurface};
 use dg_cloudsim::{ExecutionSpec, SimRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Largest search-space size for which a workload pre-allocates a spec memo table
-/// (two `u64` slots per configuration — 16 MiB at the cap). Spaces above the cap, such
-/// as the full Table 1 spaces, recompute a spec on every lookup: about 150 nanoseconds
-/// of allocation-free reads of the surface's compiled tables. The tournament's regional
-/// phase caches specs per region, so there each candidate's spec is computed once.
-const SPEC_MEMO_MAX_CONFIGS: u64 = 1 << 20;
-
-/// A lock-free memo of fully computed [`ExecutionSpec`]s, keyed by configuration id.
-///
-/// Surface evaluation (`SyntheticSurface::spec`) is a pure function of the id but costs
-/// over a hundred nanoseconds — a decode, a CDF bucket search, table reads and three
-/// hashes — and tuners fetch the same configuration's spec many times. The memo stores the two
-/// components as raw bit patterns in atomic slots: `base_time` is strictly positive, so
-/// a zero bit pattern doubles as the "empty" marker. Writers publish the sensitivity
-/// first and release the base-time bits last; racing writers store identical bits
-/// (purity), so the memo is deterministic and bit-transparent.
-#[derive(Debug)]
-struct SpecMemo {
-    base_bits: Box<[AtomicU64]>,
-    sens_bits: Box<[AtomicU64]>,
-}
-
-impl SpecMemo {
-    fn new(size: u64) -> Option<Arc<Self>> {
-        if size == 0 || size > SPEC_MEMO_MAX_CONFIGS {
-            return None;
-        }
-        let zeros = |n: usize| -> Box<[AtomicU64]> { (0..n).map(|_| AtomicU64::new(0)).collect() };
-        Some(Arc::new(Self {
-            base_bits: zeros(size as usize),
-            sens_bits: zeros(size as usize),
-        }))
-    }
-
-    fn get(&self, id: ConfigId) -> Option<ExecutionSpec> {
-        let base = self.base_bits[id as usize].load(Ordering::Acquire);
-        if base == 0 {
-            return None;
-        }
-        let sens = self.sens_bits[id as usize].load(Ordering::Relaxed);
-        Some(ExecutionSpec::new(
-            f64::from_bits(base),
-            f64::from_bits(sens),
-        ))
-    }
-
-    fn put(&self, id: ConfigId, spec: ExecutionSpec) {
-        self.sens_bits[id as usize].store(spec.sensitivity().to_bits(), Ordering::Relaxed);
-        self.base_bits[id as usize].store(spec.base_time().to_bits(), Ordering::Release);
-    }
-}
+use std::sync::{Mutex, OnceLock};
 
 /// Everything a tuner needs to know about one application under tuning.
 ///
-/// A `Workload` owns the parameter space (Table 1), the synthetic performance surface
-/// that stands in for the real application, and the work unit used for progress
-/// reporting. All tuners — the baselines and DarwinGame — evaluate configurations only
-/// through [`Workload::spec`], so they compete on identical footing.
+/// A `Workload` owns the parameter space (Table 1) and the synthetic performance
+/// surface that stands in for the real application. All tuners — the baselines and
+/// DarwinGame — evaluate configurations only through [`Workload::spec`], so they
+/// compete on identical footing.
 ///
 /// ```
 /// use dg_workloads::{Application, Workload};
@@ -81,10 +27,6 @@ impl SpecMemo {
 pub struct Workload {
     app: Application,
     surface: SyntheticSurface,
-    work_unit: WorkUnit,
-    /// Shared spec memo (present for spaces up to [`SPEC_MEMO_MAX_CONFIGS`]); clones
-    /// share the same table, so campaign cells over one workload pool their lookups.
-    spec_memo: Option<Arc<SpecMemo>>,
 }
 
 impl Workload {
@@ -105,10 +47,9 @@ impl Workload {
     /// [`scaled`](Self::scaled) through a process-wide cache keyed by `(app, max_size)`.
     ///
     /// A scaled workload is a pure function of its arguments, but generating the
-    /// synthetic surface (empirical-CDF sampling and its tables) and the spec memo costs
-    /// hundreds of microseconds — a real tax when a campaign builds the identical
-    /// workload for every grid cell. The cached copies share one spec memo and one set of
-    /// surface tables, so repeated spec lookups pool across cells and workers.
+    /// synthetic surface (empirical-CDF sampling and its tables) costs hundreds of
+    /// microseconds — a real tax when a campaign builds the identical workload for every
+    /// grid cell. The cached copies share one set of surface tables.
     pub fn scaled_cached(app: Application, max_size: u64) -> Self {
         static CACHE: OnceLock<Mutex<HashMap<(Application, u64), Workload>>> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
@@ -136,13 +77,9 @@ impl Workload {
         config: SurfaceConfig,
         seed: u64,
     ) -> Self {
-        let surface = SyntheticSurface::generate(space, config, seed);
-        let spec_memo = SpecMemo::new(surface.space().size());
         Self {
             app,
-            surface,
-            work_unit: WorkUnit::for_application(app),
-            spec_memo,
+            surface: SyntheticSurface::generate(space, config, seed),
         }
     }
 
@@ -161,11 +98,6 @@ impl Workload {
         &self.surface
     }
 
-    /// The work unit in which progress is reported.
-    pub fn work_unit(&self) -> WorkUnit {
-        self.work_unit
-    }
-
     /// Number of configurations in the search space.
     pub fn size(&self) -> u64 {
         self.space().size()
@@ -181,21 +113,11 @@ impl Workload {
         self.surface.sensitivity(id)
     }
 
-    /// The execution spec handed to the cloud simulator for configuration `id`.
-    ///
-    /// Memoized per configuration in spaces of up to 2^20 configurations (specs are
-    /// pure functions of the id) and computed with a single normalised-time evaluation.
-    /// Bit-identical to `ExecutionSpec::new(self.base_time(id), self.sensitivity(id))`,
-    /// whether the memo is cold or warm.
+    /// The execution spec handed to the cloud simulator for configuration `id`,
+    /// computed from the surface's compiled tables on every call (about 85 ns) and
+    /// bit-identical to `ExecutionSpec::new(self.base_time(id), self.sensitivity(id))`.
+    /// The regional phase caches each candidate's spec per region.
     pub fn spec(&self, id: ConfigId) -> ExecutionSpec {
-        if let Some(memo) = &self.spec_memo {
-            if let Some(spec) = memo.get(id) {
-                return spec;
-            }
-            let spec = self.surface.spec(id);
-            memo.put(id, spec);
-            return spec;
-        }
         self.surface.spec(id)
     }
 
@@ -280,12 +202,16 @@ mod tests {
     }
 
     #[test]
-    fn spec_equals_its_components_bit_for_bit_with_the_memo_cold_and_warm() {
-        let check = |w: &Workload, pass: &str| {
+    fn spec_equals_its_components_bit_for_bit() {
+        // A space under the retired memo's 2^20 cap and a full Table 1 space.
+        for w in [
+            Workload::scaled(Application::Redis, 60_000),
+            Workload::full(Application::Redis),
+        ] {
             for i in 0..4_096 {
                 let id = i * (w.size() / 4_096);
                 let spec = w.spec(id);
-                let label = format!("{} id {id} ({pass})", w.size());
+                let label = format!("{} id {id}", w.size());
                 assert_eq!(
                     spec.base_time().to_bits(),
                     w.base_time(id).to_bits(),
@@ -297,15 +223,7 @@ mod tests {
                     "{label}"
                 );
             }
-        };
-        let memoized = Workload::scaled(Application::Redis, 60_000);
-        assert!(memoized.spec_memo.is_some());
-        check(&memoized, "cold memo");
-        check(&memoized, "warm memo");
-        // The paper-scale space is past the memo cap, so every lookup recomputes.
-        let full = Workload::full(Application::Redis);
-        assert!(full.spec_memo.is_none());
-        check(&full, "no memo");
+        }
     }
 
     #[test]
