@@ -40,23 +40,9 @@ use dg_campaign::RetuneSpec;
 use dg_exec::json;
 use dg_serve::RetuneSweep;
 
-fn gauntlet_spec(smoke: bool) -> RetuneSpec {
-    let mut spec = RetuneSpec::gauntlet("retune-regret", if smoke { 6 } else { 12 });
-    if smoke {
-        spec.space_size = 500;
-        spec.policy.initial_budget = 16;
-        spec.policy.retune_budget = 4;
-        spec.policy.max_retunes = 3;
-        spec.policy.deploy_steps = 96;
-    }
-    spec.base_seed = 0x5e21;
-    spec
-}
-
 fn main() {
     let smoke = std::env::var("DG_RETUNE_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    let spec = gauntlet_spec(smoke);
-    let sweep = RetuneSweep::new(spec);
+    let sweep = RetuneSweep::new(RetuneSpec::regret_gauntlet("retune-regret", smoke));
 
     println!(
         "=== Retune regret: {} scenarios x {} seeds ({} cells, <= {} evals/leg, {}) ===\n",

@@ -36,15 +36,8 @@ pub fn oracle_reference(workload: &Workload, vm: VmType) -> f64 {
     OracleTuner::new().optimal_time(workload, vm)
 }
 
-/// The tournament configuration used by all DarwinGame runs at this scale.
-pub fn darwin_config(scale: &ExperimentScale, seed: u64) -> TournamentConfig {
-    let mut config = TournamentConfig::scaled(scale.regions, seed);
-    config.players_per_game = Some(scale.players_per_game);
-    config
-}
-
 /// Measures the chosen configuration with repeated later executions in the same cloud.
-pub fn evaluate_choice(
+fn evaluate_choice(
     workload: &Workload,
     cloud: &CloudEnvironment,
     outcome: &TuningOutcome,
@@ -90,46 +83,18 @@ pub fn run_baseline(
     evaluate_choice(&workload, &cloud, &outcome, scale)
 }
 
-/// Runs DarwinGame on a fresh cloud environment and evaluates its choice.
+/// Runs DarwinGame on a fresh m5.8xlarge cloud environment and evaluates its choice.
 pub fn run_darwin(
     app: Application,
     scale: &ExperimentScale,
     tournament_seed: u64,
     env_seed: u64,
 ) -> EvaluatedChoice {
-    run_darwin_on_vm(app, scale, tournament_seed, env_seed, VmType::M5_8xlarge)
-}
-
-/// Runs DarwinGame on a specific VM type (Fig. 15).
-pub fn run_darwin_on_vm(
-    app: Application,
-    scale: &ExperimentScale,
-    tournament_seed: u64,
-    env_seed: u64,
-    vm: VmType,
-) -> EvaluatedChoice {
+    let vm = VmType::M5_8xlarge;
     let workload = standard_workload(app, scale);
     let mut cloud = CloudEnvironment::new(vm, InterferenceProfile::typical(), env_seed);
-    let mut config = darwin_config(scale, tournament_seed);
+    let mut config = TournamentConfig::scaled(scale.regions, tournament_seed);
     config.players_per_game = Some(scale.players_per_game.min(vm.vcpus()).max(2));
-    let report = DarwinGame::new(config).run(&workload, &mut cloud);
-    let outcome = report.to_outcome();
-    evaluate_choice(&workload, &cloud, &outcome, scale)
-}
-
-/// Runs DarwinGame with a modified ablation configuration (Fig. 16).
-pub fn run_darwin_with_ablation(
-    app: Application,
-    scale: &ExperimentScale,
-    tournament_seed: u64,
-    env_seed: u64,
-    ablation: darwin_core::AblationConfig,
-) -> EvaluatedChoice {
-    let workload = standard_workload(app, scale);
-    let mut cloud =
-        CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), env_seed);
-    let mut config = darwin_config(scale, tournament_seed);
-    config.ablation = ablation;
     let report = DarwinGame::new(config).run(&workload, &mut cloud);
     let outcome = report.to_outcome();
     evaluate_choice(&workload, &cloud, &outcome, scale)
@@ -177,15 +142,6 @@ pub fn run_hybrid_active_harmony(
     evaluate_choice(&workload, &cloud, &outcome, scale)
 }
 
-/// Samples the ambient interference level of the default cloud profile over a time
-/// window; used by the micro-benchmarks and by Fig. 1's right panel.
-pub fn measure_interference_trace(seed: u64, samples: usize, spacing: f64) -> Vec<f64> {
-    let cloud = CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), seed);
-    (0..samples)
-        .map(|i| cloud.interference_level(SimTime::from_seconds(i as f64 * spacing)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,12 +169,5 @@ mod tests {
         let mut random = RandomSearch::new(3);
         let choice = run_baseline(&mut random, Application::Ffmpeg, &scale, 9, 0.0);
         assert!(choice.mean_time >= oracle * 0.98);
-    }
-
-    #[test]
-    fn interference_trace_is_nonnegative_and_varying() {
-        let trace = measure_interference_trace(7, 500, 60.0);
-        assert!(trace.iter().all(|v| *v >= 0.0));
-        assert!(dg_stats::std_dev(&trace) > 0.0);
     }
 }

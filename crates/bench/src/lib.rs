@@ -18,9 +18,8 @@ mod sweeps;
 pub use sweeps::fig15_sweep_spec;
 
 pub use harness::{
-    darwin_config, evaluate_choice, measure_interference_trace, oracle_reference, run_baseline,
-    run_darwin, run_darwin_on_vm, run_darwin_with_ablation, run_hybrid_active_harmony,
-    run_hybrid_bliss, standard_workload, EvaluatedChoice,
+    oracle_reference, run_baseline, run_darwin, run_hybrid_active_harmony, run_hybrid_bliss,
+    standard_workload, EvaluatedChoice,
 };
 // The scale type moved into `dg-campaign` (campaigns size their cells with it); the
 // re-export keeps the long-standing `dg_bench::ExperimentScale` path working.

@@ -14,6 +14,7 @@ use crate::scale::ExperimentScale;
 use crate::shard::{ShardPlan, ShardReport};
 use crate::spec::{profile_label, CampaignSpec, CellCoord};
 use darwin_core::{AblationConfig, DarwinGame, TournamentConfig};
+use dg_cloudsim::InterferenceProfile;
 use dg_exec::{
     BackendProvider, ExecutionTrace, SimProvider, SurrogateBackend, SurrogateStats, TraceError,
     TraceRecorder, TraceReplayer,
@@ -140,8 +141,8 @@ impl Campaign {
     /// # Errors
     ///
     /// Returns a typed [`TraceError`] when the trace does not belong to this campaign:
-    /// a different spec fingerprint, a different campaign name, or a missing cell
-    /// stream.
+    /// a different spec fingerprint, a different campaign name, or a cell stream that
+    /// is missing or whose header (VM, profile, seed) disagrees with its cell.
     pub fn replay(
         &self,
         trace: impl Into<Arc<ExecutionTrace>>,
@@ -160,12 +161,11 @@ impl Campaign {
     ) -> Result<CampaignReport, TraceError> {
         let trace: Arc<ExecutionTrace> = trace.into();
         trace.check_origin(&self.spec.name, self.spec.fingerprint())?;
-        // Every cell must have a stream: a gap means the trace is truncated or foreign.
+        // Every cell must have a stream recorded from its own environment: a gap or a
+        // disagreeing header means the trace is truncated, foreign or edited.
         for cell in self.spec.cells() {
-            let stream = cell_stream(&cell);
-            if trace.stream(&stream).is_none() {
-                return Err(TraceError::MissingStream { stream });
-            }
+            let (seed, profile) = cell_environment(&self.spec, &cell);
+            trace.check_stream(&cell_stream(&cell), cell.vm, profile, seed)?;
         }
         Ok(self.run_with_provider(&TraceReplayer::new(trace), workers))
     }
@@ -448,6 +448,26 @@ fn cell_stream(cell: &CellCoord) -> String {
     format!("cell-{}", cell.index)
 }
 
+/// A cell's environment seed and effective interference profile (the scenario may
+/// override the cell's): what its root backend is opened with, what trace stream
+/// headers record, and what replay checks them against.
+fn cell_environment<'a>(
+    spec: &CampaignSpec,
+    cell: &'a CellCoord,
+) -> (u64, &'a InterferenceProfile) {
+    // The seed-axis value folds into the sub-stream so replicates differ even if two
+    // grid positions were ever given the same index-derived root.
+    let env_seed = spec
+        .cell_rng(cell.seed_index)
+        .derive("env")
+        .derive_index(cell.seed)
+        .seed();
+    (
+        env_seed,
+        cell.scenario.profile.as_ref().unwrap_or(&cell.profile),
+    )
+}
+
 /// Runs a single campaign cell: build the workload and a fresh execution backend from
 /// the provider, tune, then re-measure the chosen configuration with repeated later
 /// executions.
@@ -459,19 +479,17 @@ fn run_cell(
 ) -> CellResult {
     // `seed_index` equals `index` unless the spec pairs tuners, in which case cells
     // differing only in tuner share it (and therefore the environment's noise).
-    let root = spec.cell_rng(cell.seed_index);
-    // The seed-axis value folds into both sub-streams so replicates differ even if two
-    // grid positions were ever given the same index-derived root.
-    let env_seed = root.derive("env").derive_index(cell.seed).seed();
-    let tuner_seed = root.derive("tuner").derive_index(cell.seed).seed();
+    let (env_seed, profile) = cell_environment(spec, cell);
+    let tuner_seed = spec
+        .cell_rng(cell.seed_index)
+        .derive("tuner")
+        .derive_index(cell.seed)
+        .seed();
 
     // Cells share one cached workload per (application, size): the surface is a pure
     // function of those arguments and regenerating it per cell is a fixed tax on every
     // grid cell.
     let workload = Workload::scaled_cached(cell.application, spec.scale.space_size);
-    // The scenario may override the cell's interference profile; the provider sees the
-    // effective profile (it is what trace stream headers record and replay validates).
-    let profile = cell.scenario.profile.as_ref().unwrap_or(&cell.profile);
     let mut exec = provider.backend(&cell_stream(cell), cell.vm, profile, env_seed);
     if !cell.scenario.is_passthrough() {
         // The scenario wraps *outside* the provider's backend, so recording captures

@@ -66,7 +66,8 @@ pub use progress::{cell_cost_estimates, ProgressMeter, ProgressUpdate};
 pub use report::{CampaignReport, CellResult, GroupSummary};
 pub use retune::{
     RetuneCellCoord, RetuneCellResult, RetunePolicy, RetuneReport, RetuneScenarioSummary,
-    RetuneSpec,
+    RetuneSpec, ACCEPT_MARGIN, CONFIRM_SAMPLES, CONFIRM_STRIDE_STEPS, DEPLOY_SPACING_SECONDS,
+    HALL_OF_FAME, MONITOR_ALPHA, RETUNE_BUDGET, TRANSIENT_SIGMA,
 };
 pub use scale::ExperimentScale;
 pub use shard::{MergeError, ShardParseError, ShardPlan, ShardReport, ShardStrategy};

@@ -22,79 +22,73 @@ use crate::spec::profile_label;
 use dg_cloudsim::{mix, InterferenceProfile, SimRng, VmType};
 use dg_exec::json::{self, fnv1a, Object, ToJson};
 use dg_scenario::{ScenarioEvent, ScenarioSpec};
+use dg_stats::{DRIFT_DELTA, DRIFT_LAMBDA, DRIFT_MIN_REL_STD, DRIFT_WARMUP};
 use dg_workloads::Application;
 
-/// Policy knobs of the online retuning loop: deployment schedule, drift monitor,
-/// and mini-tournament behaviour.
+/// Evaluation budget of each incremental mini-tournament.
+pub const RETUNE_BUDGET: usize = 4;
+
+/// Number of paired cost-free probes that decide whether a candidate actually beats
+/// the incumbent.
+pub const CONFIRM_SAMPLES: usize = 6;
+
+/// Deployment steps between consecutive acceptance probes. The probe window spans
+/// `CONFIRM_SAMPLES * CONFIRM_STRIDE_STEPS` steps of future schedule, so a candidate
+/// must beat the incumbent across the regimes of the coming hours, not just at the
+/// instant the detector fired. Too narrow a window accepts phase-specialists that rot
+/// when a cyclic load turns.
+pub const CONFIRM_STRIDE_STEPS: usize = 4;
+
+/// Relative improvement a candidate's paired total must show before the loop switches
+/// champions (the ratchet: switch only on clear evidence).
+pub const ACCEPT_MARGIN: f64 = 0.02;
+
+/// Simulated seconds between consecutive deployment observations.
+pub const DEPLOY_SPACING_SECONDS: f64 = 240.0;
+
+/// Maximum number of former champions kept as warm-start hints.
+pub const HALL_OF_FAME: usize = 4;
+
+/// Recency weight of the champion monitor's EWMA belief.
+pub const MONITOR_ALPHA: f64 = 0.2;
+
+/// Deviations beyond this many reference standard deviations are held back one
+/// sample by the monitor: a lone spike is dropped as a transient, a sustained one
+/// feeds through.
+pub const TRANSIENT_SIGMA: f64 = 4.0;
+
+/// The hit count of the monitor's retired confidence gate, which fingerprints still
+/// encode. The gate could never hold a detection back: the detector fires only after
+/// `DRIFT_WARMUP` samples, and the monitor's EWMA absorbs every one of them.
+const RETIRED_MIN_HITS: u32 = 8;
+
+/// The settable part of the online retuning loop's policy: the initial session's
+/// budget, the retune cap and the deployment horizon. Everything else the loop, its
+/// monitor and its detector read is a constant ([`RETUNE_BUDGET`],
+/// [`CONFIRM_SAMPLES`], [`CONFIRM_STRIDE_STEPS`], [`ACCEPT_MARGIN`],
+/// [`DEPLOY_SPACING_SECONDS`], [`HALL_OF_FAME`], [`MONITOR_ALPHA`],
+/// [`TRANSIENT_SIGMA`] and `dg_stats`' `DRIFT_*` thresholds).
 ///
 /// The defaults are sized for the standard gauntlet ([`RetuneSpec::gauntlet`]): a
-/// deployment horizon long enough to cover every event in the scenario pack, a
-/// monitor calibrated across several 900-second interference regimes (so steady-state
-/// wobble never fires), and small incremental tournaments that keep the total
-/// evaluation budget modest.
+/// deployment horizon long enough to cover every event in the scenario pack and
+/// small incremental tournaments that keep the total evaluation budget modest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetunePolicy {
     /// Evaluation budget of the initial tuning session.
     pub initial_budget: usize,
-    /// Evaluation budget of each incremental mini-tournament.
-    pub retune_budget: usize,
     /// Maximum number of mini-tournaments the adaptive leg may run.
     /// [`RetuneSpec::fixed_budget`] is the resulting worst-case per-leg spend.
     pub max_retunes: usize,
-    /// Number of paired cost-free probes used to decide whether a mini-tournament's
-    /// candidate actually beats the incumbent.
-    pub confirm_samples: usize,
-    /// Deployment steps between consecutive acceptance probes. The probe window
-    /// spans `confirm_samples * confirm_stride_steps` steps of future schedule, so a
-    /// candidate must beat the incumbent across the regimes of the coming hours —
-    /// not just at the instant the detector fired. Too narrow a window accepts
-    /// phase-specialists that rot when a cyclic load turns.
-    pub confirm_stride_steps: usize,
-    /// Relative improvement the candidate's paired mean must show before the loop
-    /// switches champions (the ratchet: switch only on clear evidence).
-    pub accept_margin: f64,
     /// Number of deployment observations per leg.
     pub deploy_steps: usize,
-    /// Simulated seconds between consecutive deployment observations.
-    pub spacing_seconds: f64,
-    /// Maximum number of former champions kept as warm-start hints.
-    pub hall_of_fame: usize,
-    /// Recency weight of the monitor's EWMA tracker.
-    pub monitor_alpha: f64,
-    /// Minimum EWMA hits before a drift detection is trusted (confidence gate).
-    pub monitor_min_hits: u32,
-    /// Deviations beyond this many reference standard deviations are held back one
-    /// sample; a lone spike is dropped as a transient, a sustained one feeds through.
-    pub transient_sigma: f64,
-    /// Calibration samples of the CUSUM drift detector.
-    pub drift_warmup: u32,
-    /// CUSUM slack, in reference standard deviations.
-    pub drift_delta: f64,
-    /// CUSUM decision threshold.
-    pub drift_lambda: f64,
-    /// Standard-deviation floor of the detector, relative to the reference mean.
-    pub drift_min_rel_std: f64,
 }
 
 impl Default for RetunePolicy {
     fn default() -> Self {
         Self {
             initial_budget: 32,
-            retune_budget: 4,
             max_retunes: 4,
-            confirm_samples: 6,
-            confirm_stride_steps: 4,
-            accept_margin: 0.02,
             deploy_steps: 128,
-            spacing_seconds: 240.0,
-            hall_of_fame: 4,
-            monitor_alpha: 0.2,
-            monitor_min_hits: 8,
-            transient_sigma: 4.0,
-            drift_warmup: 32,
-            drift_delta: 0.75,
-            drift_lambda: 20.0,
-            drift_min_rel_std: 0.18,
         }
     }
 }
@@ -104,66 +98,34 @@ impl RetunePolicy {
     ///
     /// # Panics
     ///
-    /// Panics on nonsensical knobs (zero budgets or steps, non-finite or negative
-    /// thresholds).
+    /// Panics when the initial budget or the deployment horizon is zero.
     pub fn validate(&self) {
         assert!(self.initial_budget > 0, "initial_budget must be positive");
-        assert!(self.retune_budget > 0, "retune_budget must be positive");
-        assert!(self.confirm_samples > 0, "confirm_samples must be positive");
-        assert!(
-            self.confirm_stride_steps > 0,
-            "confirm_stride_steps must be positive"
-        );
         assert!(self.deploy_steps > 0, "deploy_steps must be positive");
-        assert!(
-            self.spacing_seconds.is_finite() && self.spacing_seconds > 0.0,
-            "spacing_seconds must be positive and finite"
-        );
-        assert!(
-            self.accept_margin.is_finite() && (0.0..1.0).contains(&self.accept_margin),
-            "accept_margin must be in [0, 1)"
-        );
-        assert!(
-            self.monitor_alpha > 0.0 && self.monitor_alpha <= 1.0,
-            "monitor_alpha must be in (0, 1]"
-        );
-        assert!(
-            self.transient_sigma.is_finite() && self.transient_sigma > 0.0,
-            "transient_sigma must be positive and finite"
-        );
-        assert!(self.drift_warmup >= 2, "drift_warmup must be at least 2");
-        for (name, value) in [
-            ("drift_delta", self.drift_delta),
-            ("drift_lambda", self.drift_lambda),
-            ("drift_min_rel_std", self.drift_min_rel_std),
-        ] {
-            assert!(
-                value.is_finite() && value >= 0.0,
-                "{name} must be non-negative and finite"
-            );
-        }
-        assert!(self.drift_lambda > 0.0, "drift_lambda must be positive");
     }
 
+    /// Encodes the loop's 16 settings in the fixed order fingerprints use: the three
+    /// settable values, the loop's and the monitor's constants, the retired gate's hit
+    /// count and the detector's thresholds but `DRIFT_CLAMP_Z`.
     fn encode(&self, push: &mut dyn FnMut(&str)) {
         push(&format!(
             "|policy:{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.initial_budget,
-            self.retune_budget,
+            RETUNE_BUDGET,
             self.max_retunes,
-            self.confirm_samples,
-            self.confirm_stride_steps,
-            self.accept_margin.to_bits(),
+            CONFIRM_SAMPLES,
+            CONFIRM_STRIDE_STEPS,
+            ACCEPT_MARGIN.to_bits(),
             self.deploy_steps,
-            self.spacing_seconds.to_bits(),
-            self.hall_of_fame,
-            self.monitor_alpha.to_bits(),
-            self.monitor_min_hits,
-            self.transient_sigma.to_bits(),
-            self.drift_warmup,
-            self.drift_delta.to_bits(),
-            self.drift_lambda.to_bits(),
-            self.drift_min_rel_std.to_bits(),
+            DEPLOY_SPACING_SECONDS.to_bits(),
+            HALL_OF_FAME,
+            MONITOR_ALPHA.to_bits(),
+            RETIRED_MIN_HITS,
+            TRANSIENT_SIGMA.to_bits(),
+            DRIFT_WARMUP,
+            DRIFT_DELTA.to_bits(),
+            DRIFT_LAMBDA.to_bits(),
+            DRIFT_MIN_REL_STD.to_bits(),
         ));
     }
 }
@@ -202,7 +164,7 @@ pub struct RetuneSpec {
     pub seeds: Vec<u64>,
     /// Base seed all cell seeds are derived from.
     pub base_seed: u64,
-    /// Loop policy knobs.
+    /// The loop's settable policy.
     pub policy: RetunePolicy,
 }
 
@@ -260,11 +222,29 @@ impl RetuneSpec {
         spec
     }
 
+    /// The gauntlet the `retune_regret` bench and the `retune_gauntlet` example run,
+    /// each under its own name, at base seed `0x5e21`: 12 replicates, or with `smoke`
+    /// the CI-sized grid of 6 replicates on a 500-configuration space, with a
+    /// 16-evaluation initial session, at most 3 retunes and a 96-step horizon.
+    pub fn regret_gauntlet(name: impl Into<String>, smoke: bool) -> Self {
+        let mut spec = Self::gauntlet(name, if smoke { 6 } else { 12 });
+        if smoke {
+            spec.space_size = 500;
+            spec.policy = RetunePolicy {
+                initial_budget: 16,
+                max_retunes: 3,
+                deploy_steps: 96,
+            };
+        }
+        spec.base_seed = 0x5e21;
+        spec
+    }
+
     /// Worst-case per-leg evaluation budget: the initial session plus everything the
     /// adaptive leg's mini-tournaments could possibly spend. Each cell's fixed leg
     /// spends the adaptive leg's *realized* evaluations, which this value bounds.
     pub fn fixed_budget(&self) -> usize {
-        self.policy.initial_budget + self.policy.max_retunes * self.policy.retune_budget
+        self.policy.initial_budget + self.policy.max_retunes * RETUNE_BUDGET
     }
 
     /// Size of the sweep grid.
@@ -621,7 +601,7 @@ mod tests {
         let spec = RetuneSpec::new("p");
         assert_eq!(
             spec.fixed_budget(),
-            spec.policy.initial_budget + spec.policy.max_retunes * spec.policy.retune_budget
+            spec.policy.initial_budget + spec.policy.max_retunes * RETUNE_BUDGET
         );
     }
 
@@ -649,7 +629,7 @@ mod tests {
         assert_ne!(spec.fingerprint(), renamed.fingerprint());
 
         let mut retuned = RetuneSpec::gauntlet("g", 2);
-        retuned.policy.drift_lambda += 1.0;
+        retuned.policy.deploy_steps += 1;
         assert_ne!(spec.fingerprint(), retuned.fingerprint());
 
         let mut reseeded = RetuneSpec::gauntlet("g", 2);
@@ -737,10 +717,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "accept_margin")]
+    #[should_panic(expected = "initial_budget")]
     fn invalid_policy_is_rejected() {
         let mut spec = RetuneSpec::new("bad");
-        spec.policy.accept_margin = 1.5;
+        spec.policy.initial_budget = 0;
         spec.validate();
     }
 

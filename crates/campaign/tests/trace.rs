@@ -153,3 +153,30 @@ fn replaying_a_renamed_campaign_is_a_typed_error() {
         .expect_err("renamed campaigns must be rejected");
     assert!(matches!(err, TraceError::FingerprintMismatch { .. }));
 }
+
+#[test]
+fn replaying_a_stream_with_a_foreign_header_is_a_typed_error() {
+    // One RandomSearch cell: a single stream, since RandomSearch never forks.
+    let mut spec = random_spec(1, 1, 5);
+    spec.tuners = vec!["RandomSearch".into()];
+    let campaign = Campaign::new(spec);
+    let (_, trace) = campaign.record_with_workers(1);
+    assert_eq!(trace.streams().len(), 1);
+
+    // One flipped byte in the stream's profile label still decodes.
+    let edited = trace.to_json().replacen("\"typical\"", "\"typicaL\"", 1);
+    let edited = ExecutionTrace::from_json(&edited).expect("the edited trace still parses");
+    let err = campaign
+        .replay_with_workers(edited, 1)
+        .expect_err("a stream recorded under another profile must be rejected");
+    assert_eq!(
+        err,
+        TraceError::StreamMismatch {
+            stream: "cell-0".into(),
+            field: "profile",
+            recorded: "typicaL".into(),
+            requested: "typical".into(),
+        }
+    );
+    assert!(err.to_string().contains("typicaL"));
+}

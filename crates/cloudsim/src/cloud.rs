@@ -135,6 +135,12 @@ const MAX_PIECE: f64 = 1.0;
 /// leader has reached `min_leader_progress`.
 const GAP_CHECKS: usize = 4;
 
+/// The latest instant an operation may reach, 2^53 s (about 285 million years): below
+/// it, f64 resolves every whole second, so each piece's breakpoint lies past its start.
+/// Near 10^19 s the next breakpoint rounds back onto the start and no piece would ever
+/// advance.
+const MAX_CLOCK_SECONDS: f64 = (1u64 << 53) as f64;
+
 /// `1 / prod(NODES[j] - NODES[m], m != j)`: the denominators of the Lagrange basis.
 const BASIS_SCALE: [f64; NODE_COUNT] = [
     1.0 / ((NODES[0] - NODES[1]) * (NODES[0] - NODES[2]) * (NODES[0] - NODES[3])),
@@ -298,6 +304,11 @@ impl GameScratch {
         // No piece is shorter than a billionth of the cap, so none rounds away.
         let max_piece = (fastest * MAX_PIECE).max(cap * 1e-9);
         let start_seconds = start.as_seconds();
+        assert!(
+            start_seconds + cap < MAX_CLOCK_SECONDS,
+            "the engine cannot run an operation that starts at {start_seconds:e} s: it could \
+             run past 2^53 s, where the clock no longer advances"
+        );
         let check_early = rules.early_termination && players > 1;
 
         let mut a = 0.0_f64;

@@ -212,6 +212,50 @@ impl ExecutionTrace {
         Ok(())
     }
 
+    /// Checks that stream `key` can replay a backend opened on `vm` under `profile`
+    /// with `seed`: the stream exists, and its header records that VM, that profile's
+    /// [`profile_label`] and that seed. Returns the stream's position in
+    /// [`streams`](Self::streams). Replay drivers run it for every root stream before
+    /// any backend opens; [`TraceReplayer`] runs it again as each backend, forks
+    /// included, opens.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::MissingStream`] or [`TraceError::StreamMismatch`].
+    pub fn check_stream(
+        &self,
+        key: &str,
+        vm: VmType,
+        profile: &InterferenceProfile,
+        seed: u64,
+    ) -> Result<usize, TraceError> {
+        let index = self
+            .stream_index(key)
+            .ok_or_else(|| TraceError::MissingStream {
+                stream: key.to_string(),
+            })?;
+        let header = &self.streams[index];
+        let mismatch = |field, recorded: String, requested: String| {
+            Err(TraceError::StreamMismatch {
+                stream: key.to_string(),
+                field,
+                recorded,
+                requested,
+            })
+        };
+        if header.vm != vm.name() {
+            return mismatch("vm", header.vm.clone(), vm.name().to_string());
+        }
+        let label = profile_label(profile);
+        if header.profile != label {
+            return mismatch("profile", header.profile.clone(), label);
+        }
+        if header.seed != seed {
+            return mismatch("seed", header.seed.to_string(), seed.to_string());
+        }
+        Ok(index)
+    }
+
     /// Total number of recorded events across all streams.
     pub fn events_total(&self) -> usize {
         self.streams.iter().map(|s| s.events.len()).sum()
@@ -433,6 +477,17 @@ pub enum TraceError {
         /// Key of the missing stream.
         stream: String,
     },
+    /// A stream's header disagrees with the backend the replay needs from it.
+    StreamMismatch {
+        /// Key of the stream.
+        stream: String,
+        /// The disagreeing header field: `vm`, `profile` or `seed`.
+        field: &'static str,
+        /// The value the trace recorded.
+        recorded: String,
+        /// The value the replay requested.
+        requested: String,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -451,6 +506,16 @@ impl fmt::Display for TraceError {
             TraceError::MissingStream { stream } => {
                 write!(f, "trace has no stream {stream:?}")
             }
+            TraceError::StreamMismatch {
+                stream,
+                field,
+                recorded,
+                requested,
+            } => write!(
+                f,
+                "stream {stream:?} was recorded with {field} {recorded}, replay requested \
+                 {requested}"
+            ),
         }
     }
 }
@@ -631,9 +696,10 @@ impl ExecutionBackend for RecordingBackend {
 /// A [`BackendProvider`] that replays a recorded [`ExecutionTrace`] with zero
 /// resimulation.
 ///
-/// Campaign-level compatibility (fingerprint, campaign name, stream coverage) should be
-/// validated up front — `dg-campaign`'s `Campaign::replay` does — because provider
-/// methods cannot return errors; a request for a stream the trace lacks panics.
+/// Campaign-level compatibility (fingerprint, campaign name, and every root stream's
+/// [`check_stream`](ExecutionTrace::check_stream)) should be validated up front —
+/// `dg-campaign`'s `Campaign::replay` does — because provider methods cannot return
+/// errors; a request for a stream the trace lacks, or whose header disagrees, panics.
 pub struct TraceReplayer {
     trace: Arc<ExecutionTrace>,
 }
@@ -699,28 +765,9 @@ impl ReplayBackend {
         profile: InterferenceProfile,
         seed: u64,
     ) -> Self {
-        let stream = trace.stream_index(key).unwrap_or_else(|| {
-            panic!("trace has no stream {key:?}; was it recorded from the same spec?")
-        });
-        let header = &trace.streams[stream];
-        assert_eq!(
-            header.vm,
-            vm.name(),
-            "stream {key:?} was recorded on VM {:?}, replay requested {:?}",
-            header.vm,
-            vm.name()
-        );
-        let label = profile_label(&profile);
-        assert_eq!(
-            header.profile, label,
-            "stream {key:?} was recorded under profile {:?}, replay requested {label:?}",
-            header.profile
-        );
-        assert_eq!(
-            header.seed, seed,
-            "stream {key:?} was recorded with seed {}, replay requested {seed}",
-            header.seed
-        );
+        let stream = trace
+            .check_stream(key, vm, &profile, seed)
+            .unwrap_or_else(|err| panic!("{err}; was the trace recorded from the same spec?"));
         Self {
             trace,
             stream,

@@ -376,6 +376,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot run an operation that starts at")]
+    fn overlapping_storms_cannot_push_the_engine_past_its_clock() {
+        // 48 storms of factor 100 open one second apart and each lasts 10^6 s, so from
+        // t = 47 s on the load is 100^48: the second game's elapsed time carries the
+        // clock to about 10^98 s, where the engine's next breakpoint no longer advances.
+        let mut scenario = ScenarioSpec::new("storm-pileup");
+        scenario.events.push(ScenarioEvent::StormFront {
+            start: 0.0,
+            period: 1.0,
+            chance: 1.0,
+            duration: 1e6,
+            factor: 100.0,
+            windows: 48,
+        });
+        let mut exec = wrapped(scenario, 5);
+        let fast = ExecutionSpec::new(100.0, 0.3);
+        for _ in 0..3 {
+            let play = exec.play_game(&[fast, fast], &GameRules::default());
+            exec.commit(&play);
+        }
+    }
+
+    #[test]
     fn load_shift_scales_observations_and_cost() {
         let mut scenario = ScenarioSpec::new("double");
         scenario.events.push(ScenarioEvent::LoadShift {

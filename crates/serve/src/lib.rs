@@ -4,7 +4,7 @@
 //! happens *after* deployment, when the cloud keeps changing. It provides:
 //!
 //! * [`ChampionMonitor`] — a recency-weighted watch on a deployed champion's observed
-//!   execution times: an EWMA belief with a hit-count confidence gate, a transient
+//!   execution times: an EWMA belief that must leave the reference band, a transient
 //!   filter that drops lone spikes but passes sustained deviations, and `dg-stats`'
 //!   CUSUM [`DriftDetector`](dg_stats::DriftDetector) deciding when the regime
 //!   actually changed;
@@ -42,6 +42,6 @@ pub use dg_campaign::{
     RetuneCellCoord, RetuneCellResult, RetunePolicy, RetuneReport, RetuneScenarioSummary,
     RetuneSpec,
 };
-pub use monitor::{ChampionMonitor, MonitorConfig};
-pub use retune::{monitor_config, RetuneEvent, RetuneLoop, RetuneSession, ServeMode, StepRecord};
+pub use monitor::ChampionMonitor;
+pub use retune::{RetuneEvent, RetuneLoop, RetuneSession, ServeMode, StepRecord};
 pub use sweep::RetuneSweep;

@@ -5,10 +5,9 @@
 //! deployment stream can mislead a retuning loop:
 //!
 //! * an [`Ewma`] tracks the *current belief* about the champion's performance with
-//!   recency weighting; its hit counter is the **confidence gate** — no drift is
-//!   reported until enough samples have been absorbed — and its mean is the **level
-//!   gate**: a detector firing is only reported while the belief itself sits outside
-//!   the calibrated reference band;
+//!   recency weighting; its mean is the **level gate**: a detector firing is only
+//!   reported while the belief itself sits outside the detector's frozen reference
+//!   band;
 //! * a **transient filter** holds any sample deviating wildly from the calibrated
 //!   reference back for one step: a lone spike (preemption retry, cache cold start) is
 //!   dropped, while two consecutive deviations to the same side feed through as the
@@ -16,65 +15,26 @@
 //! * a [`DriftDetector`] (two-sided CUSUM over the filtered stream) decides when the
 //!   accumulated evidence amounts to a *regime change* rather than noise.
 
-use dg_stats::{DriftConfig, DriftDetector, DriftDirection, Ewma};
-
-/// Tuning knobs for a [`ChampionMonitor`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
-    /// Recency weight of the EWMA belief tracker, in `(0, 1]`.
-    pub alpha: f64,
-    /// Minimum EWMA hits before a detector firing is reported (confidence gate).
-    pub min_hits: u64,
-    /// Samples deviating more than this many reference standard deviations are
-    /// treated as potential transients and held back one step.
-    pub transient_sigma: f64,
-    /// Configuration of the underlying CUSUM detector.
-    pub drift: DriftConfig,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.2,
-            min_hits: 8,
-            transient_sigma: 4.0,
-            drift: DriftConfig::default(),
-        }
-    }
-}
-
-impl MonitorConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `alpha` is outside `(0, 1]`, `transient_sigma` is not strictly
-    /// positive, or the drift configuration is invalid.
-    pub fn validate(&self) {
-        assert!(
-            self.alpha.is_finite() && self.alpha > 0.0 && self.alpha <= 1.0,
-            "alpha must be in (0, 1]"
-        );
-        assert!(
-            self.transient_sigma.is_finite() && self.transient_sigma > 0.0,
-            "transient_sigma must be > 0"
-        );
-        self.drift.validate();
-    }
-}
+use dg_campaign::{MONITOR_ALPHA, TRANSIENT_SIGMA};
+use dg_stats::{DriftDetector, DriftDirection, Ewma};
 
 /// Watches one deployed champion's observation stream and reports confirmed regime
-/// changes.
+/// changes, at the retune loop's production settings.
+///
+/// The [`DriftDetector`] calibrates on the first `DRIFT_WARMUP` (32) samples, with a
+/// reference deviation of at least `DRIFT_MIN_REL_STD` (18%) of the mean, and fires on
+/// a CUSUM mass above `DRIFT_LAMBDA` (20) at a slack of `DRIFT_DELTA` (0.75σ). After
+/// calibration, a sample more than [`TRANSIENT_SIGMA`] (4) reference deviations from
+/// the reference mean is held back one step, and a firing is reported only while the
+/// EWMA belief, weighted [`MONITOR_ALPHA`] (0.2) towards each new sample, lies more
+/// than one reference deviation from the reference mean.
 ///
 /// ```
-/// use dg_serve::{ChampionMonitor, MonitorConfig};
-/// use dg_stats::{DriftConfig, DriftDirection};
+/// use dg_serve::ChampionMonitor;
+/// use dg_stats::{DriftDirection, DRIFT_WARMUP};
 ///
-/// let mut monitor = ChampionMonitor::new(MonitorConfig {
-///     drift: DriftConfig { warmup: 8, ..DriftConfig::default() },
-///     ..MonitorConfig::default()
-/// });
-/// for i in 0..8 {
+/// let mut monitor = ChampionMonitor::new();
+/// for i in 0..DRIFT_WARMUP {
 ///     assert_eq!(monitor.push(100.0 + (i % 2) as f64), None);
 /// }
 /// // One wild spike is filtered as a transient...
@@ -86,7 +46,6 @@ impl MonitorConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChampionMonitor {
-    config: MonitorConfig,
     ewma: Ewma,
     detector: DriftDetector,
     /// A deviant sample held back one step by the transient filter.
@@ -95,27 +54,22 @@ pub struct ChampionMonitor {
     samples: u64,
 }
 
+impl Default for ChampionMonitor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ChampionMonitor {
-    /// Creates a monitor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is invalid (see [`MonitorConfig::validate`]).
-    pub fn new(config: MonitorConfig) -> Self {
-        config.validate();
+    /// Creates a monitor with an uncalibrated detector.
+    pub fn new() -> Self {
         Self {
-            config,
-            ewma: Ewma::new(config.alpha),
-            detector: DriftDetector::new(config.drift),
+            ewma: Ewma::new(MONITOR_ALPHA),
+            detector: DriftDetector::new(),
             pending: None,
             transients: 0,
             samples: 0,
         }
-    }
-
-    /// The monitor's configuration.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.config
     }
 
     /// The recency-weighted belief about the monitored stream.
@@ -139,21 +93,22 @@ impl ChampionMonitor {
     }
 
     /// Feeds one observation; returns the drift direction the first time a regime
-    /// change is confirmed *and* the confidence gate is open. NaN samples are ignored.
+    /// change is confirmed *and* the belief has left the reference band. NaN samples
+    /// are ignored.
     pub fn push(&mut self, value: f64) -> Option<DriftDirection> {
         if value.is_nan() {
             return None;
         }
         self.samples += 1;
-        if !self.detector.calibrated() {
+        let Some(band) = self.detector.reference_band() else {
             // During calibration every sample is reference material; the detector
             // cannot fire yet, so the filter has nothing to protect.
             self.ewma.push(value);
-            let fired = self.detector.push(value);
-            return self.gate(fired);
-        }
-        let (mean, std) = self.reference_band();
-        let deviant = (value - mean).abs() > self.config.transient_sigma * std;
+            self.detector.push(value);
+            return None;
+        };
+        let (mean, std) = band;
+        let deviant = (value - mean).abs() > TRANSIENT_SIGMA * std;
         match self.pending.take() {
             Some(held) if deviant && (held > mean) == (value > mean) => {
                 // Two consecutive deviations to the same side: a level change, not a
@@ -162,7 +117,7 @@ impl ChampionMonitor {
                 let first = self.detector.push(held);
                 self.ewma.push(value);
                 let second = self.detector.push(value);
-                self.gate(second.or(first))
+                self.level_gate(second.or(first), band)
             }
             held => {
                 // Any held sample not confirmed by a same-side deviation was a lone
@@ -176,7 +131,7 @@ impl ChampionMonitor {
                 }
                 self.ewma.push(value);
                 let fired = self.detector.push(value);
-                self.gate(fired)
+                self.level_gate(fired, band)
             }
         }
     }
@@ -191,49 +146,26 @@ impl ChampionMonitor {
         self.samples = 0;
     }
 
-    /// The frozen reference band the transient filter compares against, reproducing
-    /// the detector's calibration floor.
-    fn reference_band(&self) -> (f64, f64) {
-        let reference = self.detector.reference();
-        let mean = reference.mean();
-        let std = reference
-            .std_dev()
-            .max(self.config.drift.min_rel_std * mean.abs())
-            .max(f64::EPSILON);
-        (mean, std)
-    }
-
-    fn gate(&self, fired: Option<DriftDirection>) -> Option<DriftDirection> {
-        fired.filter(|_| {
-            if !self.ewma.confident(self.config.min_hits) {
-                return false;
-            }
-            // The recency-weighted belief must itself have left the reference band:
-            // CUSUM evidence without a level change in the belief is the signature of
-            // a slow stationary wave, not a regime change.
-            let (mean, std) = self.reference_band();
-            (self.ewma.mean() - mean).abs() > std
-        })
+    /// Passes a firing only while the recency-weighted belief has itself left the
+    /// reference band `(mean, std)`: CUSUM evidence without a level change in the
+    /// belief is the signature of a slow stationary wave, not a regime change.
+    fn level_gate(
+        &self,
+        fired: Option<DriftDirection>,
+        (mean, std): (f64, f64),
+    ) -> Option<DriftDirection> {
+        fired.filter(|_| (self.ewma.mean() - mean).abs() > std)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_stats::DRIFT_WARMUP;
 
-    fn quick(warmup: u32) -> MonitorConfig {
-        MonitorConfig {
-            drift: DriftConfig {
-                warmup,
-                ..DriftConfig::default()
-            },
-            ..MonitorConfig::default()
-        }
-    }
-
-    fn calibrated(warmup: u32) -> ChampionMonitor {
-        let mut monitor = ChampionMonitor::new(quick(warmup));
-        for i in 0..warmup {
+    fn calibrated() -> ChampionMonitor {
+        let mut monitor = ChampionMonitor::new();
+        for i in 0..DRIFT_WARMUP {
             assert_eq!(monitor.push(100.0 + (i % 3) as f64), None);
         }
         assert!(monitor.detector().calibrated());
@@ -242,7 +174,7 @@ mod tests {
 
     #[test]
     fn steady_wobble_never_fires() {
-        let mut monitor = ChampionMonitor::new(quick(32));
+        let mut monitor = ChampionMonitor::new();
         let sample = |i: u64| 100.0 + 6.0 * ((i as f64 * 0.9).sin() - (i as f64 * 0.17).cos());
         for i in 0..600 {
             assert_eq!(monitor.push(sample(i)), None, "fired at sample {i}");
@@ -252,7 +184,7 @@ mod tests {
 
     #[test]
     fn lone_spikes_are_filtered_as_transients() {
-        let mut monitor = calibrated(16);
+        let mut monitor = calibrated();
         for round in 0..60 {
             let value = if round % 15 == 7 { 500.0 } else { 101.0 };
             assert_eq!(monitor.push(value), None, "fired at round {round}");
@@ -262,40 +194,21 @@ mod tests {
 
     #[test]
     fn sustained_shift_fires_despite_the_filter() {
-        let mut monitor = calibrated(16);
+        let mut monitor = calibrated();
         let fired = (0..24).find_map(|_| monitor.push(180.0));
         assert_eq!(fired, Some(dg_stats::DriftDirection::Up));
     }
 
     #[test]
     fn downward_shift_fires_down() {
-        let mut monitor = calibrated(16);
+        let mut monitor = calibrated();
         let fired = (0..24).find_map(|_| monitor.push(40.0));
         assert_eq!(fired, Some(dg_stats::DriftDirection::Down));
     }
 
     #[test]
-    fn confidence_gate_holds_back_early_detections() {
-        let config = MonitorConfig {
-            min_hits: 1_000,
-            ..quick(8)
-        };
-        let mut monitor = ChampionMonitor::new(config);
-        for i in 0..8 {
-            monitor.push(100.0 + (i % 2) as f64);
-        }
-        for i in 0..200 {
-            assert_eq!(
-                monitor.push(250.0),
-                None,
-                "the gate must suppress the firing at sample {i}"
-            );
-        }
-    }
-
-    #[test]
     fn reset_recalibrates_to_the_new_regime() {
-        let mut monitor = calibrated(8);
+        let mut monitor = calibrated();
         assert!((0..24).find_map(|_| monitor.push(200.0)).is_some());
         monitor.reset();
         assert_eq!(monitor.samples_seen(), 0);
@@ -307,18 +220,9 @@ mod tests {
 
     #[test]
     fn nan_is_ignored() {
-        let mut monitor = calibrated(8);
+        let mut monitor = calibrated();
         let before = monitor.samples_seen();
         assert_eq!(monitor.push(f64::NAN), None);
         assert_eq!(monitor.samples_seen(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "transient_sigma")]
-    fn invalid_config_is_rejected() {
-        ChampionMonitor::new(MonitorConfig {
-            transient_sigma: 0.0,
-            ..MonitorConfig::default()
-        });
     }
 }

@@ -15,19 +15,22 @@
 //!    with the incumbent and a bounded hall of fame of former champions.
 //! 4. **Acceptance gate** — the mini-tournament's candidate replaces the incumbent
 //!    only if paired cost-free probes (identical times and noise draws for both
-//!    configurations) show it faster by at least the configured margin. The gate is a
+//!    configurations) show it faster by at least [`ACCEPT_MARGIN`]. The gate is a
 //!    ratchet: tuning-time flukes cannot make the deployment worse, because the
 //!    comparison is load-controlled in a way single-leg tuning observations are not.
 //!
 //! After every retune the monitor resets, so the (possibly new) champion's behaviour
 //! under the *current* regime becomes the new reference.
 
-use crate::monitor::{ChampionMonitor, MonitorConfig};
-use dg_campaign::RetunePolicy;
+use crate::monitor::ChampionMonitor;
+use dg_campaign::{
+    RetunePolicy, ACCEPT_MARGIN, CONFIRM_SAMPLES, CONFIRM_STRIDE_STEPS, DEPLOY_SPACING_SECONDS,
+    HALL_OF_FAME, RETUNE_BUDGET,
+};
 use dg_cloudsim::{mix, SimTime};
 use dg_exec::ExecutionBackend;
 use dg_obs::{emit_with, ObsEvent};
-use dg_stats::{DriftConfig, DriftDirection};
+use dg_stats::DriftDirection;
 use dg_tuners::{TunerRegistry, TuningBudget};
 use dg_workloads::{ConfigId, Workload};
 
@@ -131,22 +134,6 @@ impl RetuneSession {
     }
 }
 
-/// Builds the monitor configuration a [`RetunePolicy`] describes.
-pub fn monitor_config(policy: &RetunePolicy) -> MonitorConfig {
-    MonitorConfig {
-        alpha: policy.monitor_alpha,
-        min_hits: u64::from(policy.monitor_min_hits),
-        transient_sigma: policy.transient_sigma,
-        drift: DriftConfig {
-            warmup: policy.drift_warmup,
-            delta: policy.drift_delta,
-            lambda: policy.drift_lambda,
-            min_rel_std: policy.drift_min_rel_std,
-            ..DriftConfig::default()
-        },
-    }
-}
-
 /// The online retuning loop for one workload on one execution backend.
 pub struct RetuneLoop<'a> {
     workload: &'a Workload,
@@ -215,7 +202,7 @@ impl<'a> RetuneLoop<'a> {
         let mut core_hours = outcome.core_hours;
         drop(arena);
 
-        let mut monitor = ChampionMonitor::new(monitor_config(policy));
+        let mut monitor = ChampionMonitor::new();
         let mut hall_of_fame: Vec<ConfigId> = Vec::new();
         let mut steps = Vec::with_capacity(policy.deploy_steps);
         let mut events = Vec::new();
@@ -223,7 +210,7 @@ impl<'a> RetuneLoop<'a> {
         let (mut deployed_time, mut reference_time) = (0.0f64, 0.0f64);
 
         for step in 0..policy.deploy_steps {
-            let at = step as f64 * policy.spacing_seconds;
+            let at = step as f64 * DEPLOY_SPACING_SECONDS;
             let start = SimTime::from_seconds(at);
             // Same start and salt for both probes: the measurement-noise draws are
             // identical, so the regret increment isolates the configuration gap.
@@ -280,7 +267,7 @@ impl<'a> RetuneLoop<'a> {
                     switches += 1;
                     hall_of_fame.retain(|h| *h != champion);
                     hall_of_fame.insert(0, champion);
-                    hall_of_fame.truncate(policy.hall_of_fame);
+                    hall_of_fame.truncate(HALL_OF_FAME);
                     champion = candidate;
                     monitor.reset();
                     continue;
@@ -310,7 +297,7 @@ impl<'a> RetuneLoop<'a> {
             let outcome = tuner.tune(
                 self.workload,
                 arena.as_mut(),
-                TuningBudget::evaluations(policy.retune_budget),
+                TuningBudget::evaluations(RETUNE_BUDGET),
             );
             evaluations += outcome.samples;
             core_hours += outcome.core_hours;
@@ -334,7 +321,7 @@ impl<'a> RetuneLoop<'a> {
                 switches += 1;
                 hall_of_fame.retain(|h| *h != champion);
                 hall_of_fame.insert(0, champion);
-                hall_of_fame.truncate(policy.hall_of_fame);
+                hall_of_fame.truncate(HALL_OF_FAME);
                 champion = candidate;
             }
             // Whatever was decided, the current regime becomes the new reference.
@@ -358,10 +345,10 @@ impl<'a> RetuneLoop<'a> {
 
     /// The paired acceptance gate: probes every candidate and the incumbent at the
     /// same upcoming instants with the same salts (identical noise draws), and
-    /// returns the best candidate — only if it beats the incumbent by the configured
-    /// margin. Probes are cost-free, so the gate spends no evaluation budget.
+    /// returns the best candidate — only if it beats the incumbent by
+    /// [`ACCEPT_MARGIN`]. Probes are cost-free, so the gate spends no evaluation budget.
     ///
-    /// Probes spread across `confirm_samples * confirm_stride_steps` steps of future
+    /// Probes spread across `CONFIRM_SAMPLES * CONFIRM_STRIDE_STEPS` steps of future
     /// schedule: the window spans whatever mix of regimes the coming hours hold (a
     /// storm tail plus the quiet after it, the turn of a diurnal cycle), so a
     /// candidate must win across that mix — not just at the instant the detector
@@ -373,10 +360,9 @@ impl<'a> RetuneLoop<'a> {
         incumbent: ConfigId,
         at: f64,
     ) -> Option<ConfigId> {
-        let policy = self.policy;
-        let stride = policy.spacing_seconds * policy.confirm_stride_steps as f64;
+        let stride = DEPLOY_SPACING_SECONDS * CONFIRM_STRIDE_STEPS as f64;
         let total = |exec: &mut dyn ExecutionBackend, config: ConfigId| -> f64 {
-            (0..policy.confirm_samples)
+            (0..CONFIRM_SAMPLES)
                 .map(|probe| {
                     let t = SimTime::from_seconds(at + stride * (probe + 1) as f64);
                     exec.observe_single_at(self.workload.spec(config), t, probe as u64)
@@ -388,7 +374,7 @@ impl<'a> RetuneLoop<'a> {
             .iter()
             .map(|&c| (c, total(exec, c)))
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))?;
-        (best.1 < incumbent_total * (1.0 - policy.accept_margin)).then_some(best.0)
+        (best.1 < incumbent_total * (1.0 - ACCEPT_MARGIN)).then_some(best.0)
     }
 }
 
@@ -434,6 +420,7 @@ mod tests {
     use dg_campaign::standard_registry;
     use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
     use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
+    use dg_stats::DRIFT_WARMUP;
     use dg_workloads::Application;
 
     const VM: VmType = VmType::M5_8xlarge;
@@ -441,13 +428,8 @@ mod tests {
     fn smoke_policy() -> RetunePolicy {
         RetunePolicy {
             initial_budget: 10,
-            retune_budget: 6,
             max_retunes: 2,
-            confirm_samples: 4,
             deploy_steps: 56,
-            spacing_seconds: 240.0,
-            drift_warmup: 16,
-            ..RetunePolicy::default()
         }
     }
 
@@ -502,12 +484,15 @@ mod tests {
     fn a_planted_load_shift_is_detected_and_retuned() {
         let workload = Workload::scaled(Application::Redis, 2_000);
         let registry = standard_registry(&dg_campaign::ExperimentScale::smoke());
-        let policy = smoke_policy();
-        // A 2.2x load shift lands mid-horizon, after calibration completes.
-        let shift_at = 28.0 * policy.spacing_seconds;
+        let policy = RetunePolicy {
+            deploy_steps: 72,
+            ..smoke_policy()
+        };
+        // A 2.2x load shift lands twelve steps after calibration completes.
+        let shift_step = DRIFT_WARMUP as usize + 12;
         let mut spec = ScenarioSpec::new("planted-shift");
         spec.events.push(ScenarioEvent::LoadShift {
-            at: shift_at,
+            at: shift_step as f64 * DEPLOY_SPACING_SECONDS,
             factor: 2.2,
         });
         let mut exec: Box<dyn ExecutionBackend> =
@@ -525,8 +510,9 @@ mod tests {
             })
             .expect("at least one detection");
         assert!(
-            (28..48).contains(&detection_step),
-            "detection at step {detection_step} should closely follow the shift at step 28"
+            (shift_step..shift_step + 20).contains(&detection_step),
+            "detection at step {detection_step} should closely follow the shift at step \
+             {shift_step}"
         );
     }
 }

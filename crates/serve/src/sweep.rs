@@ -10,6 +10,7 @@
 
 use crate::retune::{RetuneLoop, ServeMode};
 use dg_campaign::{run_ordered, RetuneCellCoord, RetuneCellResult, RetuneReport, RetuneSpec};
+use dg_cloudsim::InterferenceProfile;
 use dg_exec::{
     BackendProvider, ExecutionTrace, SimProvider, TraceError, TraceRecorder, TraceReplayer,
 };
@@ -123,7 +124,8 @@ impl RetuneSweep {
     /// # Errors
     ///
     /// Returns a [`TraceError`] when the trace does not belong to this sweep: a
-    /// different spec fingerprint, a different sweep name, or a missing leg stream.
+    /// different spec fingerprint, a different sweep name, or a leg stream that is
+    /// missing or whose header (VM, profile, seed) disagrees with its cell.
     pub fn replay(
         &self,
         trace: impl Into<Arc<ExecutionTrace>>,
@@ -140,11 +142,9 @@ impl RetuneSweep {
         let trace: Arc<ExecutionTrace> = trace.into();
         trace.check_origin(&self.spec.name, self.spec.fingerprint())?;
         for cell in self.spec.cells() {
+            let (seed, profile) = cell_environment(&self.spec, &cell);
             for leg in ["adaptive", "fixed"] {
-                let stream = leg_stream(&cell, leg);
-                if trace.stream(&stream).is_none() {
-                    return Err(TraceError::MissingStream { stream });
-                }
+                trace.check_stream(&leg_stream(&cell, leg), self.spec.vm, profile, seed)?;
             }
         }
         let replayer = TraceReplayer::new(trace);
@@ -157,6 +157,24 @@ fn leg_stream(cell: &RetuneCellCoord, leg: &str) -> String {
     format!("retune-{}-{leg}", cell.index)
 }
 
+/// A cell's environment seed and effective interference profile (the scenario may
+/// override the spec's): what both legs' root backends are opened with, what trace
+/// stream headers record, and what replay checks them against.
+fn cell_environment<'a>(
+    spec: &'a RetuneSpec,
+    cell: &'a RetuneCellCoord,
+) -> (u64, &'a InterferenceProfile) {
+    let env_seed = spec
+        .cell_rng(cell.index)
+        .derive("env")
+        .derive_index(cell.seed)
+        .seed();
+    (
+        env_seed,
+        cell.scenario.profile.as_ref().unwrap_or(&spec.profile),
+    )
+}
+
 /// Runs one cell: both legs over same-seeded environments, so the regret difference
 /// is a paired comparison.
 fn run_cell(
@@ -165,14 +183,14 @@ fn run_cell(
     registry: &TunerRegistry,
     cell: &RetuneCellCoord,
 ) -> RetuneCellResult {
-    let root = spec.cell_rng(cell.index);
-    let env_seed = root.derive("env").derive_index(cell.seed).seed();
-    let loop_seed = root.derive("loop").derive_index(cell.seed).seed();
+    let (env_seed, profile) = cell_environment(spec, cell);
+    let loop_seed = spec
+        .cell_rng(cell.index)
+        .derive("loop")
+        .derive_index(cell.seed)
+        .seed();
 
     let workload = Workload::scaled(spec.application, spec.space_size);
-    // The scenario may override the environment's interference profile; the provider
-    // sees the effective profile (trace stream headers record and validate it).
-    let profile = cell.scenario.profile.as_ref().unwrap_or(&spec.profile);
     let leg_backend = |leg: &str| {
         let mut exec = provider.backend(&leg_stream(cell, leg), spec.vm, profile, env_seed);
         if !cell.scenario.is_passthrough() {
@@ -232,10 +250,8 @@ mod tests {
         spec.space_size = 500;
         spec.seeds = vec![0, 1];
         spec.policy.initial_budget = 8;
-        spec.policy.retune_budget = 4;
         spec.policy.max_retunes = 2;
         spec.policy.deploy_steps = 40;
-        spec.policy.drift_warmup = 16;
         spec
     }
 
@@ -269,6 +285,33 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = RetuneSweep::new(smoke_spec()).run_with_workers(0);
+    }
+
+    #[test]
+    fn replay_rejects_a_stream_recorded_with_another_seed() {
+        let sweep = RetuneSweep::new(smoke_spec());
+        let (_, trace) = sweep.record_with_workers(1);
+        let stream = trace.stream("retune-1-fixed").expect("the leg is recorded");
+        let header = |seed: u64| {
+            format!(
+                "{{\"key\":\"retune-1-fixed\",\"vm\":\"{}\",\"profile\":\"{}\",\"seed\":{seed},",
+                stream.vm, stream.profile
+            )
+        };
+        let json = trace.to_json();
+        let seed = stream.seed;
+        assert_eq!(json.matches(&header(seed)).count(), 1);
+        let edited = ExecutionTrace::from_json(&json.replacen(&header(seed), &header(seed ^ 1), 1))
+            .expect("the edited trace still parses");
+        assert_eq!(
+            sweep.replay_with_workers(edited, 1),
+            Err(TraceError::StreamMismatch {
+                stream: "retune-1-fixed".into(),
+                field: "seed",
+                recorded: (seed ^ 1).to_string(),
+                requested: seed.to_string(),
+            })
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! bounded number of samples) and the determinism contracts (record→replay and
 //! 1-vs-N-worker byte-identity of whole retune sessions).
 
+use dg_campaign::DEPLOY_SPACING_SECONDS;
 use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
 use dg_exec::ExecutionBackend;
 use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
@@ -16,11 +17,8 @@ const VM: VmType = VmType::M5_8xlarge;
 fn policy() -> RetunePolicy {
     RetunePolicy {
         initial_budget: 8,
-        retune_budget: 4,
         max_retunes: 2,
-        confirm_samples: 4,
         deploy_steps: 72,
-        ..RetunePolicy::default()
     }
 }
 
@@ -66,7 +64,7 @@ proptest! {
         let shift_step = 40usize;
         let mut scenario = ScenarioSpec::new("planted-shift");
         scenario.events.push(ScenarioEvent::LoadShift {
-            at: shift_step as f64 * policy().spacing_seconds,
+            at: shift_step as f64 * DEPLOY_SPACING_SECONDS,
             factor: 2.2,
         });
         let session = serve_under(Some(scenario), env_seed, loop_seed);

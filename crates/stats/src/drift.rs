@@ -25,91 +25,50 @@ pub enum DriftDirection {
     Down,
 }
 
-/// Tuning knobs for a [`DriftDetector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// Samples used to calibrate the frozen reference mean/deviation before any
-    /// detection can fire. Must be at least 2.
-    pub warmup: u32,
-    /// Per-sample drift tolerance in reference standard deviations: deviations below
-    /// `delta` never accumulate, so ordinary noise drains the statistic instead of
-    /// feeding it.
-    pub delta: f64,
-    /// Detection threshold on the accumulated (clamped, normalised) deviation mass.
-    pub lambda: f64,
-    /// Z-scores are clamped to `[-clamp_z, clamp_z]` before accumulating, bounding how
-    /// much mass any single spike can contribute.
-    pub clamp_z: f64,
-    /// Floor on the reference standard deviation, as a fraction of the reference
-    /// |mean|: a suspiciously quiet calibration window cannot make the detector
-    /// hair-triggered.
-    pub min_rel_std: f64,
-}
+/// Samples the detector calibrates its frozen reference on before it can fire. At the
+/// retune loop's 240 s cadence, 32 samples span about eight of the typical profile's
+/// 900 s interference regimes.
+pub const DRIFT_WARMUP: u32 = 32;
 
-impl Default for DriftConfig {
-    /// Calibrate on 32 samples, tolerate half a standard deviation of drift, confirm
-    /// after twelve sigmas of accumulated one-sided evidence, clamp spikes at 6σ, and
-    /// never trust a reference deviation tighter than 8% of the mean.
-    fn default() -> Self {
-        Self {
-            warmup: 32,
-            delta: 0.5,
-            lambda: 12.0,
-            clamp_z: 6.0,
-            min_rel_std: 0.08,
-        }
-    }
-}
+/// Per-sample drift tolerance in reference standard deviations: deviations below it
+/// never accumulate, so ordinary noise drains the statistic instead of feeding it.
+pub const DRIFT_DELTA: f64 = 0.75;
 
-impl DriftConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `warmup < 2`, any threshold is not finite and strictly positive, or
-    /// `min_rel_std` is negative.
-    pub fn validate(&self) {
-        assert!(self.warmup >= 2, "warmup needs at least 2 samples");
-        assert!(
-            self.delta.is_finite() && self.delta > 0.0,
-            "delta must be > 0"
-        );
-        assert!(
-            self.lambda.is_finite() && self.lambda > 0.0,
-            "lambda must be > 0"
-        );
-        assert!(
-            self.clamp_z.is_finite() && self.clamp_z > self.delta,
-            "clamp_z must exceed delta"
-        );
-        assert!(
-            self.min_rel_std.is_finite() && self.min_rel_std >= 0.0,
-            "min_rel_std must be >= 0"
-        );
-    }
-}
+/// Detection threshold on the accumulated (clamped, normalised) deviation mass.
+pub const DRIFT_LAMBDA: f64 = 20.0;
+
+/// Z-scores are clamped to `[-DRIFT_CLAMP_Z, DRIFT_CLAMP_Z]` before accumulating,
+/// bounding how much mass any single spike can contribute.
+pub const DRIFT_CLAMP_Z: f64 = 6.0;
+
+/// Floor on the reference standard deviation, as a fraction of the reference |mean|:
+/// a suspiciously quiet calibration window cannot make the detector hair-triggered.
+pub const DRIFT_MIN_REL_STD: f64 = 0.18;
 
 /// Two-sided CUSUM / Page–Hinkley change-point detector over an [`OnlineStats`]
-/// calibration stream.
+/// calibration stream, at the thresholds the retune loop runs.
+///
+/// The detector freezes its reference on the first [`DRIFT_WARMUP`] (32) samples, with
+/// a standard deviation of at least [`DRIFT_MIN_REL_STD`] (18%) of the reference mean.
+/// Each later sample becomes a z-score against that band, clamped to
+/// ±[`DRIFT_CLAMP_Z`] (6); each side's CUSUM gains the z-score minus [`DRIFT_DELTA`]
+/// (0.75) per sample, never falls below zero, and fires once it exceeds
+/// [`DRIFT_LAMBDA`] (20).
 ///
 /// ```
-/// use dg_stats::{DriftConfig, DriftDetector, DriftDirection};
+/// use dg_stats::{DriftDetector, DriftDirection, DRIFT_WARMUP};
 ///
-/// let mut detector = DriftDetector::new(DriftConfig {
-///     warmup: 8,
-///     ..DriftConfig::default()
-/// });
-/// for i in 0..8 {
+/// let mut detector = DriftDetector::new();
+/// for i in 0..DRIFT_WARMUP {
 ///     assert_eq!(detector.push(100.0 + (i % 2) as f64), None);
 /// }
-/// // A persistent 60% slowdown is confirmed within a few samples.
+/// // A persistent 60% slowdown is confirmed within ten samples.
 /// let fired = (0..10).find_map(|_| detector.push(160.0));
 /// assert_eq!(fired, Some(DriftDirection::Up));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DriftDetector {
-    config: DriftConfig,
-    /// The calibration accumulator; frozen once `warmup` samples have arrived.
+    /// The calibration accumulator; frozen once [`DRIFT_WARMUP`] samples have arrived.
     reference: OnlineStats,
     /// Frozen `(mean, std)` once calibration completes.
     frozen: Option<(f64, f64)>,
@@ -121,31 +80,16 @@ pub struct DriftDetector {
 }
 
 impl DriftDetector {
-    /// Creates a detector with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is invalid (see [`DriftConfig::validate`]).
-    pub fn new(config: DriftConfig) -> Self {
-        config.validate();
-        Self {
-            config,
-            reference: OnlineStats::new(),
-            frozen: None,
-            cusum_up: 0.0,
-            cusum_down: 0.0,
-            samples: 0,
-        }
+    /// Creates an uncalibrated detector.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The detector's configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
-    }
-
-    /// The calibration statistics (frozen after `warmup` samples).
-    pub fn reference(&self) -> &OnlineStats {
-        &self.reference
+    /// The frozen reference band, `(mean, std)`, once calibration completes: the
+    /// calibration samples' mean and their standard deviation, floored at
+    /// [`DRIFT_MIN_REL_STD`] of the mean's magnitude and at `f64::EPSILON`.
+    pub fn reference_band(&self) -> Option<(f64, f64)> {
+        self.frozen
     }
 
     /// Non-NaN samples seen so far (calibration included).
@@ -164,7 +108,7 @@ impl DriftDetector {
     }
 
     /// Feeds one observation. Returns the confirmed drift direction the first time the
-    /// accumulated evidence crosses `lambda`; the caller decides what to do (usually
+    /// accumulated evidence crosses [`DRIFT_LAMBDA`]; the caller decides what to do (usually
     /// [`reset`](Self::reset) after acting). NaN samples are ignored entirely — the
     /// calibration accumulator already rejects them, and feeding the CUSUM a NaN would
     /// poison the mass.
@@ -176,12 +120,12 @@ impl DriftDetector {
         let (mean, std) = match self.frozen {
             None => {
                 self.reference.push(value);
-                if self.reference.count() >= u64::from(self.config.warmup) {
+                if self.reference.count() >= u64::from(DRIFT_WARMUP) {
                     let mean = self.reference.mean();
                     let std = self
                         .reference
                         .std_dev()
-                        .max(self.config.min_rel_std * mean.abs())
+                        .max(DRIFT_MIN_REL_STD * mean.abs())
                         .max(f64::EPSILON);
                     self.frozen = Some((mean, std));
                 }
@@ -189,12 +133,12 @@ impl DriftDetector {
             }
             Some(frozen) => frozen,
         };
-        let z = ((value - mean) / std).clamp(-self.config.clamp_z, self.config.clamp_z);
-        self.cusum_up = (self.cusum_up + z - self.config.delta).max(0.0);
-        self.cusum_down = (self.cusum_down - z - self.config.delta).max(0.0);
-        if self.cusum_up > self.config.lambda {
+        let z = ((value - mean) / std).clamp(-DRIFT_CLAMP_Z, DRIFT_CLAMP_Z);
+        self.cusum_up = (self.cusum_up + z - DRIFT_DELTA).max(0.0);
+        self.cusum_down = (self.cusum_down - z - DRIFT_DELTA).max(0.0);
+        if self.cusum_up > DRIFT_LAMBDA {
             Some(DriftDirection::Up)
-        } else if self.cusum_down > self.config.lambda {
+        } else if self.cusum_down > DRIFT_LAMBDA {
             Some(DriftDirection::Down)
         } else {
             None
@@ -216,9 +160,7 @@ impl DriftDetector {
 /// recency-weighted "current belief" view of a monitored stream.
 ///
 /// The weighting follows the standard EWMA recurrences (`West 1979` incremental
-/// form): `mean ← mean + α(x − mean)`, `var ← (1 − α)(var + α(x − mean)²)`. The hit
-/// count is the confidence gate — callers should not act on the belief until
-/// enough samples have arrived ([`confident`](Self::confident)).
+/// form): `mean ← mean + α(x − mean)`, `var ← (1 − α)(var + α(x − mean)²)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
@@ -283,12 +225,6 @@ impl Ewma {
         self.hits
     }
 
-    /// True once at least `min_hits` samples have been absorbed — the hit-count
-    /// confidence gate.
-    pub fn confident(&self, min_hits: u64) -> bool {
-        self.hits >= min_hits
-    }
-
     /// Clears the average.
     pub fn reset(&mut self) {
         self.mean = 0.0;
@@ -301,17 +237,20 @@ impl Ewma {
 mod tests {
     use super::*;
 
-    fn config(warmup: u32) -> DriftConfig {
-        DriftConfig {
-            warmup,
-            ..DriftConfig::default()
+    /// A detector calibrated on `DRIFT_WARMUP` samples of `100 + (i % period)`.
+    fn calibrated(period: u32) -> DriftDetector {
+        let mut detector = DriftDetector::new();
+        for i in 0..DRIFT_WARMUP {
+            assert_eq!(detector.push(100.0 + (i % period) as f64), None);
         }
+        assert!(detector.calibrated());
+        detector
     }
 
     #[test]
     fn no_detection_during_warmup() {
-        let mut detector = DriftDetector::new(config(16));
-        for i in 0..15 {
+        let mut detector = DriftDetector::new();
+        for i in 0..DRIFT_WARMUP - 1 {
             assert_eq!(detector.push(1000.0 * (i + 1) as f64), None);
             assert!(!detector.calibrated());
         }
@@ -321,7 +260,7 @@ mod tests {
 
     #[test]
     fn steady_noise_never_fires() {
-        let mut detector = DriftDetector::new(config(32));
+        let mut detector = DriftDetector::new();
         // A deterministic bounded oscillation around 100.
         let sample = |i: u64| 100.0 + 8.0 * ((i as f64 * 0.7).sin() + (i as f64 * 0.31).cos());
         for i in 0..1000 {
@@ -331,30 +270,21 @@ mod tests {
 
     #[test]
     fn sustained_shift_is_detected_quickly_and_in_the_right_direction() {
-        let mut up = DriftDetector::new(config(16));
-        for i in 0..16 {
-            up.push(100.0 + (i % 3) as f64);
-        }
+        let mut up = calibrated(3);
         let fired_after = (0..20).position(|_| up.push(160.0).is_some());
         assert!(
             fired_after.is_some_and(|n| n < 12),
             "a 60% shift must confirm within a dozen samples (got {fired_after:?})"
         );
 
-        let mut down = DriftDetector::new(config(16));
-        for i in 0..16 {
-            down.push(100.0 + (i % 3) as f64);
-        }
+        let mut down = calibrated(3);
         let fired = (0..20).find_map(|_| down.push(55.0));
         assert_eq!(fired, Some(DriftDirection::Down));
     }
 
     #[test]
     fn single_spikes_are_absorbed() {
-        let mut detector = DriftDetector::new(config(16));
-        for i in 0..16 {
-            detector.push(100.0 + (i % 4) as f64);
-        }
+        let mut detector = calibrated(4);
         for round in 0..50 {
             // One wild outlier every 10 samples, otherwise in-regime.
             let value = if round % 10 == 0 { 400.0 } else { 101.0 };
@@ -364,8 +294,8 @@ mod tests {
 
     #[test]
     fn nan_samples_are_ignored() {
-        let mut detector = DriftDetector::new(config(4));
-        for _ in 0..4 {
+        let mut detector = DriftDetector::new();
+        for _ in 0..DRIFT_WARMUP {
             detector.push(10.0);
         }
         let before = detector.samples_seen();
@@ -376,8 +306,8 @@ mod tests {
 
     #[test]
     fn reset_recalibrates() {
-        let mut detector = DriftDetector::new(config(4));
-        for _ in 0..4 {
+        let mut detector = DriftDetector::new();
+        for _ in 0..DRIFT_WARMUP {
             detector.push(10.0);
         }
         let fired = (0..30).find_map(|_| detector.push(30.0));
@@ -393,12 +323,12 @@ mod tests {
     #[test]
     fn ewma_tracks_level_changes_with_recency_weighting() {
         let mut ewma = Ewma::new(0.3);
-        assert!(!ewma.confident(1));
+        assert_eq!(ewma.hits(), 0);
         for _ in 0..20 {
             ewma.push(100.0);
         }
         assert!((ewma.mean() - 100.0).abs() < 1e-9);
-        assert!(ewma.confident(20));
+        assert_eq!(ewma.hits(), 20);
         for _ in 0..20 {
             ewma.push(200.0);
         }
@@ -418,14 +348,5 @@ mod tests {
     #[should_panic(expected = "alpha must be in (0, 1]")]
     fn ewma_rejects_bad_alpha() {
         Ewma::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "clamp_z must exceed delta")]
-    fn detector_rejects_inverted_clamp() {
-        DriftDetector::new(DriftConfig {
-            clamp_z: 0.1,
-            ..DriftConfig::default()
-        });
     }
 }

@@ -37,6 +37,9 @@ pub use descriptive::{
     coefficient_of_variation, geometric_mean, mean, median, percent_change, percentile,
     population_variance, sample_variance, std_dev, Summary,
 };
-pub use drift::{DriftConfig, DriftDetector, DriftDirection, Ewma};
+pub use drift::{
+    DriftDetector, DriftDirection, Ewma, DRIFT_CLAMP_Z, DRIFT_DELTA, DRIFT_LAMBDA,
+    DRIFT_MIN_REL_STD, DRIFT_WARMUP,
+};
 pub use online::OnlineStats;
 pub use table::{format_row, Alignment, Column, Table};

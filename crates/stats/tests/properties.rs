@@ -3,8 +3,8 @@
 //! variation must not depend on the unit of measurement.
 
 use dg_stats::{
-    coefficient_of_variation, mean, sample_variance, DriftConfig, DriftDetector, EmpiricalCdf,
-    OnlineStats,
+    coefficient_of_variation, mean, sample_variance, DriftDetector, EmpiricalCdf, OnlineStats,
+    DRIFT_WARMUP,
 };
 use proptest::prelude::*;
 
@@ -197,20 +197,20 @@ proptest! {
         base in 50.0f64..500.0,
         wobble in prop::collection::vec(-1.0f64..1.0, 96..128),
     ) {
-        let config = DriftConfig { warmup: 32, ..DriftConfig::default() };
+        let warmup = DRIFT_WARMUP as usize;
         // Stationary: bounded wobble around the base level never accumulates.
-        let mut stationary = DriftDetector::new(config);
+        let mut stationary = DriftDetector::new();
         for w in &wobble {
             prop_assert_eq!(stationary.push(base * (1.0 + 0.05 * w)), None);
         }
         // Shifted: after calibration, a persistent 80% slowdown confirms quickly.
-        let mut shifted = DriftDetector::new(config);
-        for w in wobble.iter().take(32) {
+        let mut shifted = DriftDetector::new();
+        for w in wobble.iter().take(warmup) {
             shifted.push(base * (1.0 + 0.05 * w));
         }
         let fired = wobble
             .iter()
-            .skip(32)
+            .skip(warmup)
             .position(|w| shifted.push(base * 1.8 * (1.0 + 0.05 * w)).is_some());
         prop_assert!(
             fired.is_some_and(|n| n < 24),

@@ -75,12 +75,10 @@ pub mod prelude {
     };
     pub use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
     pub use dg_serve::{
-        ChampionMonitor, MonitorConfig, RetuneLoop, RetunePolicy, RetuneReport,
-        RetuneScenarioSummary, RetuneSpec, RetuneSweep, ServeMode,
+        ChampionMonitor, RetuneLoop, RetunePolicy, RetuneReport, RetuneScenarioSummary, RetuneSpec,
+        RetuneSweep, ServeMode,
     };
-    pub use dg_stats::{
-        coefficient_of_variation, mean, DriftConfig, DriftDetector, EmpiricalCdf, Summary,
-    };
+    pub use dg_stats::{coefficient_of_variation, mean, DriftDetector, EmpiricalCdf, Summary};
     pub use dg_tuners::{
         ActiveHarmony, Bliss, ExhaustiveSearch, Ntbea, OpenTuner, OracleTuner, RandomSearch, Tuner,
         TunerRegistry, TuningBudget, TuningOutcome,

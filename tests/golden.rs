@@ -67,8 +67,7 @@ const ABLATION_PINS: [(&str, u64); 11] = [
 ];
 
 /// Digest of a 16-player tournament over the full Redis space (5.3M configurations),
-/// too large for the workload's spec memo, so every spec the tournament uses is
-/// computed from the surface.
+/// the scale of the paper's own spaces.
 const FULL_REDIS_PIN: u64 = 3_556_879_906_502_776_845;
 
 /// The pinned tournament shape: Redis at 10,000 configurations, 8 players per game and
