@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo bench --bench fig03_tuner_instability`.
 
-use dg_bench::{oracle_reference, run_baseline, standard_workload, ExperimentScale};
+use dg_bench::{oracle_reference, run_session, standard_workload, ExperimentScale};
 use dg_stats::{Column, Table};
 use dg_tuners::{ActiveHarmony, Bliss, ExhaustiveSearch, OpenTuner, Tuner};
 use dg_workloads::Application;
@@ -51,7 +51,7 @@ fn main() {
         let mut times = Vec::new();
         let mut picks = Vec::new();
         for (i, start) in session_starts.iter().enumerate() {
-            let choice = run_baseline(tuner.as_mut(), app, &scale, 300 + i as u64, *start);
+            let choice = run_session(tuner.as_mut(), app, &scale, 300 + i as u64, *start);
             times.push(choice.mean_time);
             picks.push(choice.chosen);
         }

@@ -11,13 +11,15 @@
 //!
 //! Run with `cargo bench --bench fig10_execution_time`.
 
-use dg_bench::{oracle_reference, run_baseline, run_darwin, standard_workload, ExperimentScale};
+use dg_bench::{oracle_reference, run_session, standard_workload, ExperimentScale};
+use dg_campaign::standard_registry;
 use dg_stats::{Column, Summary, Table};
 use dg_tuners::{ActiveHarmony, Bliss, ExhaustiveSearch, OpenTuner, Tuner};
 use dg_workloads::Application;
 
 fn main() {
     let scale = ExperimentScale::default_scale();
+    let registry = standard_registry(&scale);
     println!("=== Figure 10: execution time of the chosen configuration ===");
     println!(
         "scale: {} configurations per app, {} regions, {} repeats per tuner\n",
@@ -78,7 +80,10 @@ fn main() {
         let mut darwin_times = Vec::new();
         let mut darwin_picks = Vec::new();
         for repeat in 0..scale.tuning_repeats {
-            let choice = run_darwin(app, &scale, repeat as u64, 1_000 + repeat as u64);
+            let mut darwin = registry
+                .build("DarwinGame", repeat as u64, dg_cloudsim::VmType::M5_8xlarge)
+                .expect("DarwinGame is registered");
+            let choice = run_session(darwin.as_mut(), app, &scale, 1_000 + repeat as u64, 0.0);
             darwin_times.push(choice.mean_time);
             darwin_picks.push(choice.chosen);
         }
@@ -104,7 +109,7 @@ fn main() {
             let mut picks = Vec::new();
             for repeat in 0..scale.tuning_repeats {
                 let choice =
-                    run_baseline(tuner.as_mut(), app, &scale, 2_000 + repeat as u64 * 17, 0.0);
+                    run_session(tuner.as_mut(), app, &scale, 2_000 + repeat as u64 * 17, 0.0);
                 times.push(choice.mean_time);
                 picks.push(choice.chosen);
             }

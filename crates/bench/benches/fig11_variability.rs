@@ -8,7 +8,9 @@
 //!
 //! Run with `cargo bench --bench fig11_variability`.
 
-use dg_bench::{run_baseline, run_darwin, ExperimentScale};
+use dg_bench::{run_session, ExperimentScale};
+use dg_campaign::standard_registry;
+use dg_cloudsim::VmType;
 use dg_stats::{Column, Table};
 use dg_tuners::{ActiveHarmony, Bliss, ExhaustiveSearch, OpenTuner, Tuner};
 use dg_workloads::Application;
@@ -27,7 +29,10 @@ fn main() {
     let mut darwin_covs = Vec::new();
     let mut baseline_covs = Vec::new();
     for app in Application::ALL {
-        let darwin = run_darwin(app, &scale, 7, 700);
+        let mut tuner = standard_registry(&scale)
+            .build("DarwinGame", 7, VmType::M5_8xlarge)
+            .expect("DarwinGame is registered");
+        let darwin = run_session(tuner.as_mut(), app, &scale, 700, 0.0);
         darwin_covs.push(darwin.cov_percent);
         table.push_row(vec![
             app.name().into(),
@@ -43,7 +48,7 @@ fn main() {
             Box::new(ActiveHarmony::new(43)),
         ];
         for tuner in &mut baselines {
-            let choice = run_baseline(tuner.as_mut(), app, &scale, 900, 0.0);
+            let choice = run_session(tuner.as_mut(), app, &scale, 900, 0.0);
             baseline_covs.push(choice.cov_percent);
             let name = tuner.name().to_string();
             table.push_row(vec![

@@ -6,7 +6,9 @@
 //!
 //! Run with `cargo bench --bench fig12_core_hours`.
 
-use dg_bench::{run_baseline, run_darwin, ExperimentScale};
+use dg_bench::{run_session, ExperimentScale};
+use dg_campaign::standard_registry;
+use dg_cloudsim::VmType;
 use dg_stats::{Column, Table};
 use dg_tuners::{ActiveHarmony, Bliss, ExhaustiveSearch, OpenTuner, Tuner};
 use dg_workloads::Application;
@@ -25,7 +27,7 @@ fn main() {
     for app in Application::ALL {
         // Exhaustive reference.
         let mut exhaustive = ExhaustiveSearch::new();
-        let exhaustive_choice = run_baseline(&mut exhaustive, app, &scale, 500, 0.0);
+        let exhaustive_choice = run_session(&mut exhaustive, app, &scale, 500, 0.0);
         let reference = exhaustive_choice.core_hours;
         table.push_row(vec![
             app.name().into(),
@@ -34,7 +36,10 @@ fn main() {
             "100.0".into(),
         ]);
 
-        let darwin = run_darwin(app, &scale, 9, 901);
+        let mut tuner = standard_registry(&scale)
+            .build("DarwinGame", 9, VmType::M5_8xlarge)
+            .expect("DarwinGame is registered");
+        let darwin = run_session(tuner.as_mut(), app, &scale, 901, 0.0);
         table.push_row(vec![
             app.name().into(),
             "DarwinGame".into(),
@@ -48,7 +53,7 @@ fn main() {
             Box::new(ActiveHarmony::new(53)),
         ];
         for tuner in &mut baselines {
-            let choice = run_baseline(tuner.as_mut(), app, &scale, 902, 0.0);
+            let choice = run_session(tuner.as_mut(), app, &scale, 902, 0.0);
             let name = tuner.name().to_string();
             table.push_row(vec![
                 app.name().into(),

@@ -6,7 +6,8 @@
 //!
 //! Run with `cargo bench --bench fig13_integration_time`.
 
-use dg_bench::{run_baseline, run_hybrid_active_harmony, run_hybrid_bliss, ExperimentScale};
+use darwin_core::HybridDarwinGame;
+use dg_bench::{run_session, ExperimentScale};
 use dg_stats::{Column, Table};
 use dg_tuners::{ActiveHarmony, Bliss};
 use dg_workloads::Application;
@@ -26,8 +27,8 @@ fn main() {
     let mut improvements = Vec::new();
     for app in Application::ALL {
         // BLISS vs BLISS + DarwinGame.
-        let bliss = run_baseline(&mut Bliss::new(61), app, &scale, 610, 0.0);
-        let bliss_hybrid = run_hybrid_bliss(app, &scale, 61, 611);
+        let bliss = run_session(&mut Bliss::new(61), app, &scale, 610, 0.0);
+        let bliss_hybrid = run_session(&mut HybridDarwinGame::bliss(61), app, &scale, 611, 0.0);
         let bliss_improvement =
             100.0 * (bliss.mean_time - bliss_hybrid.mean_time) / bliss.mean_time;
         improvements.push(bliss_improvement);
@@ -47,8 +48,14 @@ fn main() {
         ]);
 
         // ActiveHarmony vs ActiveHarmony + DarwinGame.
-        let harmony = run_baseline(&mut ActiveHarmony::new(62), app, &scale, 620, 0.0);
-        let harmony_hybrid = run_hybrid_active_harmony(app, &scale, 62, 621);
+        let harmony = run_session(&mut ActiveHarmony::new(62), app, &scale, 620, 0.0);
+        let harmony_hybrid = run_session(
+            &mut HybridDarwinGame::active_harmony(62),
+            app,
+            &scale,
+            621,
+            0.0,
+        );
         let harmony_improvement =
             100.0 * (harmony.mean_time - harmony_hybrid.mean_time) / harmony.mean_time;
         improvements.push(harmony_improvement);

@@ -5,7 +5,8 @@
 //!
 //! Run with `cargo bench --bench fig14_integration_hours`.
 
-use dg_bench::{run_baseline, run_hybrid_active_harmony, run_hybrid_bliss, ExperimentScale};
+use darwin_core::HybridDarwinGame;
+use dg_bench::{run_session, ExperimentScale};
 use dg_stats::{Column, Table};
 use dg_tuners::{ActiveHarmony, Bliss, ExhaustiveSearch};
 use dg_workloads::Application;
@@ -22,14 +23,20 @@ fn main() {
     ]);
 
     for app in Application::ALL {
-        let exhaustive = run_baseline(&mut ExhaustiveSearch::new(), app, &scale, 640, 0.0);
+        let exhaustive = run_session(&mut ExhaustiveSearch::new(), app, &scale, 640, 0.0);
         let reference = exhaustive.core_hours;
         let percent = |hours: f64| format!("{:.2}", 100.0 * hours / reference);
 
-        let bliss = run_baseline(&mut Bliss::new(71), app, &scale, 710, 0.0);
-        let bliss_hybrid = run_hybrid_bliss(app, &scale, 71, 711);
-        let harmony = run_baseline(&mut ActiveHarmony::new(72), app, &scale, 720, 0.0);
-        let harmony_hybrid = run_hybrid_active_harmony(app, &scale, 72, 721);
+        let bliss = run_session(&mut Bliss::new(71), app, &scale, 710, 0.0);
+        let bliss_hybrid = run_session(&mut HybridDarwinGame::bliss(71), app, &scale, 711, 0.0);
+        let harmony = run_session(&mut ActiveHarmony::new(72), app, &scale, 720, 0.0);
+        let harmony_hybrid = run_session(
+            &mut HybridDarwinGame::active_harmony(72),
+            app,
+            &scale,
+            721,
+            0.0,
+        );
 
         for (name, hours) in [
             ("BLISS", bliss.core_hours),

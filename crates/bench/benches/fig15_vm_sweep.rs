@@ -9,7 +9,7 @@
 //! operations. The bench times nothing: perfbench's `vm_sweep` workload times this
 //! campaign over repeated fresh-process runs.
 //!
-//! Run with `cargo bench --bench fig15_vm_sweep`. Set `DG_FIG15_SMOKE=1` to shrink the
+//! Run with `cargo bench --bench fig15_vm_sweep`. Set `DG_SMOKE=1` to shrink the
 //! grid to a CI-sized smoke sweep (used by the `replay-smoke` CI job).
 //!
 //! # `BENCH_fig15.json`
@@ -36,7 +36,7 @@ use dg_tuners::OracleTuner;
 use dg_workloads::{Application, Workload};
 
 fn main() {
-    let smoke = std::env::var("DG_FIG15_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = dg_campaign::smoke_requested();
     // Shared with the `obs_overhead` bench, which gates its overhead measurement on
     // this exact sweep and proves it via the report fingerprint.
     let spec = dg_bench::fig15_sweep_spec(smoke);

@@ -11,7 +11,7 @@
 //! Run with `cargo bench --bench micro_components`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use darwin_core::{play_game, run_region, DarwinGame, TournamentConfig};
+use darwin_core::{run_region, DarwinGame, TournamentConfig};
 use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimRng, VmType};
 use dg_exec::{ExecutionBackend, GameBatchItem, GameRules};
 use dg_scenario::{ScenarioEvent, ScenarioSpec};
@@ -130,12 +130,8 @@ fn bench_single_game(c: &mut Criterion) {
             b.iter_batched(
                 env,
                 |mut cloud| {
-                    black_box(play_game(
-                        &mut cloud,
-                        &workload,
-                        &configs,
-                        GameRules::default(),
-                    ))
+                    let specs: Vec<_> = configs.iter().map(|id| workload.spec(*id)).collect();
+                    black_box(cloud.play_game(&specs, &GameRules::default()))
                 },
                 BatchSize::SmallInput,
             )
@@ -189,12 +185,8 @@ fn bench_batched_round(c: &mut Criterion) {
             env,
             |mut cloud| {
                 for configs in &round {
-                    black_box(play_game(
-                        &mut cloud,
-                        &workload,
-                        configs,
-                        GameRules::default(),
-                    ));
+                    let specs: Vec<_> = configs.iter().map(|id| workload.spec(*id)).collect();
+                    black_box(cloud.play_game(&specs, &GameRules::default()));
                 }
             },
             BatchSize::SmallInput,

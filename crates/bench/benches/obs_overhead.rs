@@ -20,7 +20,7 @@
 //! — the pinned claim is the full-scale one. Results land in `BENCH_obs_overhead.json`
 //! (pinned at the repo root in full mode).
 //!
-//! Run with `cargo bench --bench obs_overhead`. `DG_FIG15_SMOKE=1` shrinks to the
+//! Run with `cargo bench --bench obs_overhead`. `DG_SMOKE=1` shrinks to the
 //! CI smoke sweep; `DG_OBS_BASELINE=<path>` points the fingerprint cross-check at a
 //! specific `BENCH_fig15.json` (CI generates a smoke one first); `DG_OBS_OUT=<path>`
 //! overrides the output path.
@@ -93,7 +93,7 @@ impl FromJson for Fig15Baseline {
 }
 
 fn main() {
-    let smoke = std::env::var("DG_FIG15_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = dg_campaign::smoke_requested();
     let spec = dg_bench::fig15_sweep_spec(smoke);
     let campaign = Campaign::new(spec);
     let pairs = 41;

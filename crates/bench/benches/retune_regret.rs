@@ -16,7 +16,7 @@
 //! means a leg beat the single-configuration oracle — possible under coupled load,
 //! where no one configuration is optimal in every regime.
 //!
-//! Run with `cargo bench --bench retune_regret`. Set `DG_RETUNE_SMOKE=1` for the
+//! Run with `cargo bench --bench retune_regret`. Set `DG_SMOKE=1` for the
 //! CI-sized grid (the strict per-scenario assertion relaxes to the aggregate — a
 //! six-seed column is too small a sample to assert cell-level strictness on) and
 //! `DG_RETUNE_OUT=/path/report.json` to write the machine-readable results (the
@@ -41,7 +41,7 @@ use dg_exec::json;
 use dg_serve::RetuneSweep;
 
 fn main() {
-    let smoke = std::env::var("DG_RETUNE_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = dg_campaign::smoke_requested();
     let sweep = RetuneSweep::new(RetuneSpec::regret_gauntlet("retune-regret", smoke));
 
     println!(

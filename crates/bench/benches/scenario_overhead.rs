@@ -14,7 +14,7 @@
 //! timeline (`regime-shift`) for context — that one is allowed to change results, so
 //! only its time is shown.
 //!
-//! Run with `cargo bench --bench scenario_overhead`. Set `DG_SCENARIO_SMOKE=1` for
+//! Run with `cargo bench --bench scenario_overhead`. Set `DG_SMOKE=1` for
 //! the CI-sized workload.
 //!
 //! # `BENCH_scenario_overhead.json`
@@ -96,7 +96,7 @@ fn timed(exec: Box<dyn ExecutionBackend>, rounds: u64) -> ((u64, u64, u64), f64)
 }
 
 fn main() {
-    let smoke = std::env::var("DG_SCENARIO_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = dg_campaign::smoke_requested();
     // A round costs about 8 us. Short legs keep the two legs of a pair close in time;
     // many pairs let the median shrug off the pairs a scheduler hiccup lands in.
     let rounds: u64 = if smoke { 400 } else { 1_500 };

@@ -14,7 +14,7 @@
 //! champion — the ground truth the simulator perturbs — aggregated across the
 //! scenario pack.
 //!
-//! Run with `cargo bench --bench surrogate_speedup`. Set `DG_SURROGATE_SMOKE=1`
+//! Run with `cargo bench --bench surrogate_speedup`. Set `DG_SMOKE=1`
 //! for the CI-sized sweep and `DG_SURROGATE_OUT=/path/report.json` to write the
 //! machine-readable results (the same JSON always goes to stdout).
 
@@ -84,7 +84,7 @@ struct ScenarioRow {
 }
 
 fn main() {
-    let smoke = std::env::var("DG_SURROGATE_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = dg_campaign::smoke_requested();
     let (config_count, passes) = if smoke {
         (24usize, 24u64)
     } else {

@@ -1,6 +1,5 @@
 //! The experiment harness shared by every figure/table benchmark.
 
-use darwin_core::{DarwinGame, HybridDarwinGame, TournamentConfig};
 use dg_campaign::ExperimentScale;
 use dg_cloudsim::{CloudEnvironment, InterferenceProfile, SimTime, VmType};
 use dg_tuners::{OracleTuner, Tuner, TuningBudget, TuningOutcome};
@@ -58,10 +57,13 @@ fn evaluate_choice(
     }
 }
 
-/// Runs one baseline tuner on a fresh cloud environment and evaluates its choice.
+/// Runs one tuning session on a fresh m5.8xlarge cloud environment and evaluates its
+/// choice: any tuner, DarwinGame and the hybrids included. Exhaustive search gets the
+/// scale's exhaustive budget and every other tuner its baseline budget, which
+/// DarwinGame and the hybrids ignore (their tournaments size their own effort).
 ///
 /// `start_time` lets Fig. 3 tune at different times of day; pass 0 for the default.
-pub fn run_baseline(
+pub fn run_session(
     tuner: &mut dyn Tuner,
     app: Application,
     scale: &ExperimentScale,
@@ -83,65 +85,6 @@ pub fn run_baseline(
     evaluate_choice(&workload, &cloud, &outcome, scale)
 }
 
-/// Runs DarwinGame on a fresh m5.8xlarge cloud environment and evaluates its choice.
-pub fn run_darwin(
-    app: Application,
-    scale: &ExperimentScale,
-    tournament_seed: u64,
-    env_seed: u64,
-) -> EvaluatedChoice {
-    let vm = VmType::M5_8xlarge;
-    let workload = standard_workload(app, scale);
-    let mut cloud = CloudEnvironment::new(vm, InterferenceProfile::typical(), env_seed);
-    let mut config = TournamentConfig::scaled(scale.regions, tournament_seed);
-    config.players_per_game = Some(scale.players_per_game.min(vm.vcpus()).max(2));
-    let report = DarwinGame::new(config).run(&workload, &mut cloud);
-    let outcome = report.to_outcome();
-    evaluate_choice(&workload, &cloud, &outcome, scale)
-}
-
-/// Runs the BLISS + DarwinGame hybrid (Fig. 13/14).
-pub fn run_hybrid_bliss(
-    app: Application,
-    scale: &ExperimentScale,
-    seed: u64,
-    env_seed: u64,
-) -> EvaluatedChoice {
-    let workload = standard_workload(app, scale);
-    let mut cloud =
-        CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), env_seed);
-    let mut tuner = HybridDarwinGame::bliss(seed)
-        .with_subspaces(16)
-        .with_explorations(6);
-    let outcome = tuner.tune(
-        &workload,
-        &mut cloud,
-        TuningBudget::evaluations(scale.baseline_budget),
-    );
-    evaluate_choice(&workload, &cloud, &outcome, scale)
-}
-
-/// Runs the ActiveHarmony + DarwinGame hybrid (Fig. 13/14).
-pub fn run_hybrid_active_harmony(
-    app: Application,
-    scale: &ExperimentScale,
-    seed: u64,
-    env_seed: u64,
-) -> EvaluatedChoice {
-    let workload = standard_workload(app, scale);
-    let mut cloud =
-        CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), env_seed);
-    let mut tuner = HybridDarwinGame::active_harmony(seed)
-        .with_subspaces(16)
-        .with_explorations(6);
-    let outcome = tuner.tune(
-        &workload,
-        &mut cloud,
-        TuningBudget::evaluations(scale.baseline_budget),
-    );
-    evaluate_choice(&workload, &cloud, &outcome, scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,11 +94,14 @@ mod tests {
     fn smoke_scale_baseline_and_darwin_round_trip() {
         let scale = ExperimentScale::smoke();
         let mut random = RandomSearch::new(1);
-        let baseline = run_baseline(&mut random, Application::Redis, &scale, 5, 0.0);
+        let baseline = run_session(&mut random, Application::Redis, &scale, 5, 0.0);
         assert!(baseline.mean_time > 0.0);
         assert!(baseline.core_hours > 0.0);
 
-        let darwin = run_darwin(Application::Redis, &scale, 2, 6);
+        let mut tuner = dg_campaign::standard_registry(&scale)
+            .build("DarwinGame", 2, VmType::M5_8xlarge)
+            .expect("DarwinGame is registered");
+        let darwin = run_session(tuner.as_mut(), Application::Redis, &scale, 6, 0.0);
         assert_eq!(darwin.tuner, "DarwinGame");
         assert!(darwin.mean_time > 0.0);
         assert!(darwin.cov_percent >= 0.0);
@@ -167,7 +113,7 @@ mod tests {
         let workload = standard_workload(Application::Ffmpeg, &scale);
         let oracle = oracle_reference(&workload, VmType::M5_8xlarge);
         let mut random = RandomSearch::new(3);
-        let choice = run_baseline(&mut random, Application::Ffmpeg, &scale, 9, 0.0);
+        let choice = run_session(&mut random, Application::Ffmpeg, &scale, 9, 0.0);
         assert!(choice.mean_time >= oracle * 0.98);
     }
 }

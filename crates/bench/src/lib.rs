@@ -17,10 +17,7 @@ mod sweeps;
 
 pub use sweeps::fig15_sweep_spec;
 
-pub use harness::{
-    oracle_reference, run_baseline, run_darwin, run_hybrid_active_harmony, run_hybrid_bliss,
-    standard_workload, EvaluatedChoice,
-};
+pub use harness::{oracle_reference, run_session, standard_workload, EvaluatedChoice};
 // The scale type moved into `dg-campaign` (campaigns size their cells with it); the
 // re-export keeps the long-standing `dg_bench::ExperimentScale` path working.
 pub use dg_campaign::ExperimentScale;

@@ -1,10 +1,10 @@
 //! The parallel campaign executor.
 //!
 //! Cells are independent by construction — each derives every RNG stream from its own
-//! [`CampaignSpec::cell_seed`] — so the executor fans them out with [`run_ordered`]: a
-//! shared atomic cursor (work stealing degenerates to "take the next unstarted cell",
-//! which is optimal when cells are independent and of similar cost) and results
-//! assembled in stable grid order. Every run executes every cell, so the
+//! [`CampaignSpec::cell_seed`] — so the executor fans them out with `dg-exec`'s
+//! [`run_ordered`]: a shared cursor (work stealing degenerates to "take the next
+//! unstarted cell", which is optimal when cells are independent and of similar cost)
+//! and results assembled in stable grid order. Every run executes every cell, so the
 //! [`CampaignReport`] is byte-for-byte identical no matter how many workers ran or in
 //! which order cells completed.
 
@@ -16,14 +16,13 @@ use crate::spec::{profile_label, CampaignSpec, CellCoord};
 use darwin_core::{AblationConfig, DarwinGame, TournamentConfig};
 use dg_cloudsim::InterferenceProfile;
 use dg_exec::{
-    BackendProvider, ExecutionTrace, SimProvider, SurrogateBackend, SurrogateStats, TraceError,
-    TraceRecorder, TraceReplayer,
+    default_workers, run_ordered, BackendProvider, ExecutionTrace, SimProvider, SurrogateBackend,
+    SurrogateStats, TraceError, TraceRecorder, TraceReplayer,
 };
 use dg_obs::{emit_with, ObsEvent};
 use dg_scenario::ScenarioBackend;
 use dg_tuners::{TunerRegistry, TuningBudget};
 use dg_workloads::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A registry with everything the standard experiments sweep over: the `dg-tuners`
@@ -386,61 +385,6 @@ impl Campaign {
         });
         completed
     }
-}
-
-/// Runs `run(i, &items[i])` for every item on up to `workers` threads and returns the
-/// results in item order, whatever order they finished in.
-///
-/// Workers claim items through a shared atomic cursor, so `i` is also the item's
-/// position in claim order. A single worker runs every item on the caller's thread,
-/// with no spawn. The campaign executor and `dg-serve`'s retune sweep both run on this
-/// pool.
-///
-/// # Panics
-///
-/// Panics if `workers == 0`, and re-raises a panic from `run`.
-pub fn run_ordered<T, R, F>(items: &[T], workers: usize, run: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    assert!(workers > 0, "at least one worker is required");
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| run(i, item))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let worker_loop = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::SeqCst);
-            let Some(item) = items.get(i) else {
-                return done;
-            };
-            done.push((i, run(i, item)));
-        }
-    };
-    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker_loop)).collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("pool worker panicked"))
-            .collect()
-    });
-    done.sort_unstable_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, result)| result).collect()
-}
-
-/// One worker per available CPU (at least one).
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// The trace-stream key of a campaign cell, shared by recording and replaying.

@@ -11,8 +11,9 @@
 //!   heterogeneous fleets — with the default `steady` scenario reproducing
 //!   scenario-less campaigns byte-identically;
 //! * [`Campaign`] runs every cell of the grid across worker threads on
-//!   [`run_ordered`] (a shared-cursor work-stealing pool over `std::thread::scope`,
-//!   which `dg-serve`'s retune sweep shares) while keeping results
+//!   [`run_ordered`] (`dg-exec`'s shared-cursor work-stealing pool over
+//!   `std::thread::scope`, which `dg-serve`'s retune sweep and the regional phase
+//!   share) while keeping results
 //!   **deterministic**: every cell derives its RNG streams from
 //!   [`CampaignSpec::cell_seed`] (built on [`dg_cloudsim::mix`]) and results are
 //!   collected in stable grid order, so the report is byte-identical whether it ran on
@@ -56,11 +57,13 @@ mod scale;
 mod shard;
 mod spec;
 
-pub use dg_exec::{BackendProvider, ExecutionTrace, SurrogateConfig, TraceError};
-pub use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
-pub use executor::{
-    default_workers, register_darwin_variant, run_ordered, standard_registry, Campaign,
+// The worker pool lives in `dg-exec`, below both of its users here and in
+// `darwin-core`; re-exported so `dg_campaign::run_ordered` keeps working.
+pub use dg_exec::{
+    default_workers, run_ordered, BackendProvider, ExecutionTrace, SurrogateConfig, TraceError,
 };
+pub use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
+pub use executor::{register_darwin_variant, standard_registry, Campaign};
 pub use lab::{CampaignLab, LabError, LabOutcome};
 pub use progress::{cell_cost_estimates, ProgressMeter, ProgressUpdate};
 pub use report::{CampaignReport, CellResult, GroupSummary};
@@ -69,6 +72,6 @@ pub use retune::{
     RetuneSpec, ACCEPT_MARGIN, CONFIRM_SAMPLES, CONFIRM_STRIDE_STEPS, DEPLOY_SPACING_SECONDS,
     HALL_OF_FAME, MONITOR_ALPHA, RETUNE_BUDGET, TRANSIENT_SIGMA,
 };
-pub use scale::ExperimentScale;
+pub use scale::{smoke_requested, ExperimentScale};
 pub use shard::{MergeError, ShardParseError, ShardPlan, ShardReport, ShardStrategy};
 pub use spec::{profile_label, CampaignSpec, CellCoord};

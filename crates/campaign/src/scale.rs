@@ -1,5 +1,12 @@
 //! Experiment scale parameters.
 
+/// Whether the `DG_SMOKE` environment variable asks for the CI-sized run: set,
+/// non-empty and not `0`. It is the one smoke switch every bench and example with a
+/// reduced size reads.
+pub fn smoke_requested() -> bool {
+    std::env::var("DG_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
 /// How large the reproduced experiments are.
 ///
 /// The paper's experiments use multi-million-point search spaces, 10,000 regions, and

@@ -39,12 +39,23 @@ pub struct ObservedRun {
     pub elapsed: f64,
 }
 
+/// The paper's work-done deviation `d` (Fig. 5): a game may stop once the leader is
+/// this fraction of the work ahead of the runner-up, and a region advances every player
+/// within this fraction of its best average execution score.
+pub const WORK_DONE_DEVIATION: f64 = 0.10;
+
+/// The fraction of its work the leader must have completed before a game may stop
+/// early (Fig. 5).
+pub const MIN_LEADER_PROGRESS: f64 = 0.25;
+
 /// How a co-located game is driven.
 ///
 /// These are the game-termination rules of Fig. 5 of the paper: the game runs until the
 /// fastest player completes, or — when early termination is enabled and the leader has
 /// completed at least `min_leader_progress` of its work — until the work-done gap
-/// between the leader and the runner-up exceeds `work_done_deviation`.
+/// between the leader and the runner-up exceeds `work_done_deviation`. The default is
+/// the paper's rule, [`WORK_DONE_DEVIATION`] and [`MIN_LEADER_PROGRESS`] with early
+/// termination on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GameRules {
     /// Stop the game early when the leader is far enough ahead (Fig. 5).
@@ -59,8 +70,8 @@ impl Default for GameRules {
     fn default() -> Self {
         Self {
             early_termination: true,
-            work_done_deviation: 0.10,
-            min_leader_progress: 0.25,
+            work_done_deviation: WORK_DONE_DEVIATION,
+            min_leader_progress: MIN_LEADER_PROGRESS,
         }
     }
 }

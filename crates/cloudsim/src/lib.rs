@@ -57,7 +57,10 @@ mod spec;
 mod time;
 mod vm;
 
-pub use cloud::{CloudEnvironment, DedicatedEnvironment, GamePlay, GameRules, ObservedRun};
+pub use cloud::{
+    CloudEnvironment, DedicatedEnvironment, GamePlay, GameRules, ObservedRun, MIN_LEADER_PROGRESS,
+    WORK_DONE_DEVIATION,
+};
 pub use cost::{CoreHours, CostDelta, CostSnapshot, CostTracker};
 pub use interference::{InterferenceProfile, InterferenceSampler};
 pub use rng::{hash_unit, mix, SimRng};

@@ -141,6 +141,17 @@ impl AblationConfig {
 }
 
 /// All knobs of a DarwinGame tournament.
+///
+/// The Fig. 5 rule's parameters are not knobs: every phase plays by
+/// [`GameRules::default`] (`d` = [`WORK_DONE_DEVIATION`], the leader at
+/// [`MIN_LEADER_PROGRESS`] of its work), with early termination as the ablation sets it
+/// in the regional and global phases and off in the playoffs ([`GameRules::playoff`]),
+/// and a region advances every player within `d` of its best.
+///
+/// [`GameRules::default`]: dg_exec::GameRules
+/// [`GameRules::playoff`]: dg_exec::GameRules::playoff
+/// [`WORK_DONE_DEVIATION`]: dg_cloudsim::WORK_DONE_DEVIATION
+/// [`MIN_LEADER_PROGRESS`]: dg_cloudsim::MIN_LEADER_PROGRESS
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TournamentConfig {
     /// Number of regions the search space is divided into (`n_r`, Sec. 3.3). The paper
@@ -150,12 +161,6 @@ pub struct TournamentConfig {
     /// Number of players that play a game together in the regional and global phases
     /// (`P`). `None` uses the VM's vCPU count, as in the paper.
     pub players_per_game: Option<usize>,
-    /// Work-done deviation percentage `d` (default 10%), used both for early termination
-    /// and for deciding which regional players advance.
-    pub work_done_deviation: f64,
-    /// Minimum work fraction the leader must have completed before a game may be
-    /// terminated early (default 25%).
-    pub min_leader_progress: f64,
     /// Maximum number of Swiss rounds per region; a safety cap in addition to the
     /// paper's termination conditions.
     pub max_regional_rounds: usize,
@@ -181,8 +186,6 @@ impl Default for TournamentConfig {
         Self {
             regions: 10_000,
             players_per_game: None,
-            work_done_deviation: 0.10,
-            min_leader_progress: 0.25,
             max_regional_rounds: 8,
             main_bracket_target: 3,
             seed: 0x0da2,
@@ -211,14 +214,6 @@ impl TournamentConfig {
     /// Panics if any field is out of its meaningful range.
     pub fn validate(&self) {
         assert!(self.regions > 0, "at least one region is required");
-        assert!(
-            self.work_done_deviation > 0.0 && self.work_done_deviation < 1.0,
-            "work_done_deviation must be in (0, 1)"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.min_leader_progress),
-            "min_leader_progress must be in [0, 1)"
-        );
         assert!(self.max_regional_rounds > 0, "at least one regional round");
         assert!(
             self.main_bracket_target >= 1,
@@ -253,8 +248,6 @@ mod tests {
     fn defaults_match_paper_parameters() {
         let config = TournamentConfig::default();
         assert_eq!(config.regions, 10_000);
-        assert!((config.work_done_deviation - 0.10).abs() < 1e-12);
-        assert!((config.min_leader_progress - 0.25).abs() < 1e-12);
         assert_eq!(config.main_bracket_target, 3);
         config.validate();
     }

@@ -1,92 +1,53 @@
-//! Playing a single game: a co-located execution of several configurations.
+//! Playing a single committed game: the one path every game outside a batched round
+//! takes.
 
-use crate::score::rank_descending;
+use crate::player::Player;
+use crate::score::Ranker;
+use dg_cloudsim::ExecutionSpec;
 use dg_exec::{ExecutionBackend, GamePlay, GameRules};
-use dg_workloads::{ConfigId, Workload};
+use dg_workloads::Workload;
 
-/// The result of one game.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GameResult {
-    /// The configurations that played, in player order.
-    pub configs: Vec<ConfigId>,
-    /// Execution score of every player (work done relative to the fastest player).
-    pub execution_scores: Vec<f64>,
-    /// 1-based rank of every player by execution score.
-    pub ranks: Vec<usize>,
-    /// Index (into `configs`) of the winning player.
-    pub winner: usize,
-    /// Wall-clock seconds the game occupied its node.
-    pub elapsed: f64,
-    /// Whether the game was stopped by the early-termination rule.
-    pub early_terminated: bool,
-    /// The raw backend-level play (the committable unit of accounting).
-    pub play: GamePlay,
-}
-
-impl GameResult {
-    /// Player indices ordered from best to worst execution score.
-    pub fn standings(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.configs.len()).collect();
-        order.sort_by_key(|i| self.ranks[*i]);
-        order
-    }
-
-    /// The winning configuration.
-    pub fn winning_config(&self) -> ConfigId {
-        self.configs[self.winner]
-    }
-}
-
-/// Plays one game among `configs` on the given execution backend.
+/// Plays one game among `players` from the specs they carry, commits it, records every
+/// player's execution score and rank, and returns the players' slots from best to
+/// worst execution score together with the play.
 ///
-/// The game runs until the fastest player completes its work, or — when early termination
-/// is enabled and the leader has completed at least `min_leader_progress` of its work —
-/// until the work-done gap between the leader and the runner-up exceeds
-/// `work_done_deviation`.
-///
-/// The game's cost is **not** committed to the backend; the tournament phases decide
-/// whether games in a round are accounted serially or in parallel.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty.
-pub fn play_game(
+/// The playoffs' two-player games, the w/o-barrage and w/o-global games and the wild
+/// card all go through here; the regional phase and the global rounds rank their games
+/// into their own reused [`Ranker`].
+pub(crate) fn play_recorded(
     exec: &mut dyn ExecutionBackend,
     workload: &Workload,
-    configs: &[ConfigId],
-    options: GameRules,
-) -> GameResult {
-    assert!(!configs.is_empty(), "a game needs at least one player");
-    let specs: Vec<_> = configs.iter().map(|id| workload.spec(*id)).collect();
-    let play = exec.play_game(&specs, &options);
-    let execution_scores = play.execution_scores.clone();
-    let ranks = rank_descending(&execution_scores);
-    let winner = ranks
-        .iter()
-        .position(|r| *r == 1)
-        .expect("exactly one player holds rank 1");
-    GameResult {
-        configs: configs.to_vec(),
-        execution_scores,
-        ranks,
-        winner,
-        elapsed: play.elapsed,
-        early_terminated: play.early_terminated,
-        play,
+    players: &mut [Player],
+    rules: &GameRules,
+) -> (Vec<usize>, GamePlay) {
+    let specs: Vec<ExecutionSpec> = players.iter().map(|p| p.spec(workload)).collect();
+    let play = exec.play_game(&specs, rules);
+    exec.commit(&play);
+    let mut ranker = Ranker::default();
+    let ranks = ranker.rank(&play.execution_scores);
+    for (slot, player) in players.iter_mut().enumerate() {
+        player
+            .scores_mut()
+            .record_game(play.execution_scores[slot], ranks[slot]);
     }
+    (ranker.standings().to_vec(), play)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
-    use dg_workloads::Application;
+    use dg_workloads::{Application, ConfigId};
 
     fn setup() -> (Workload, CloudEnvironment) {
         (
             Workload::scaled(Application::Redis, 10_000),
             CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 5),
         )
+    }
+
+    fn players(configs: &[ConfigId]) -> Vec<Player> {
+        configs.iter().map(|id| Player::new(*id, None)).collect()
     }
 
     /// Finds a pair (fast, slow) of configurations with a large dedicated-time gap.
@@ -108,18 +69,20 @@ mod tests {
     fn clearly_faster_config_wins() {
         let (workload, mut cloud) = setup();
         let (fast, slow) = fast_and_slow(&workload);
-        let result = play_game(&mut cloud, &workload, &[slow, fast], GameRules::default());
-        assert_eq!(result.winning_config(), fast);
-        assert_eq!(result.ranks[result.winner], 1);
+        let mut pair = players(&[slow, fast]);
+        let (standings, _) = play_recorded(&mut cloud, &workload, &mut pair, &GameRules::default());
+        assert_eq!(pair[standings[0]].config(), fast);
+        assert_eq!(pair[standings[0]].consistency_score(), 1.0);
     }
 
     #[test]
     fn early_termination_shortens_lopsided_games() {
         let (workload, mut cloud) = setup();
         let (fast, slow) = fast_and_slow(&workload);
-
-        let with_early = play_game(&mut cloud, &workload, &[fast, slow], GameRules::default());
-        let without_early = play_game(&mut cloud, &workload, &[fast, slow], GameRules::playoff());
+        let rules = [GameRules::default(), GameRules::playoff()];
+        let [with_early, without_early] = rules.map(|rules| {
+            play_recorded(&mut cloud, &workload, &mut players(&[fast, slow]), &rules).1
+        });
         assert!(with_early.early_terminated);
         assert!(!without_early.early_terminated);
         assert!(with_early.elapsed < without_early.elapsed);
@@ -129,49 +92,67 @@ mod tests {
     fn execution_scores_are_relative_to_winner() {
         let (workload, mut cloud) = setup();
         let configs: Vec<ConfigId> = (0..8).map(|i| i * (workload.size() / 9)).collect();
-        let result = play_game(&mut cloud, &workload, &configs, GameRules::default());
-        let winner_score = result.execution_scores[result.winner];
-        assert!((winner_score - 1.0).abs() < 1e-9);
-        assert!(result
-            .execution_scores
+        let mut field = players(&configs);
+        let (standings, play) =
+            play_recorded(&mut cloud, &workload, &mut field, &GameRules::default());
+        assert!((play.execution_scores[standings[0]] - 1.0).abs() < 1e-9);
+        assert!(field
             .iter()
-            .all(|s| (0.0..=1.0 + 1e-9).contains(s)));
+            .all(|p| (0.0..=1.0 + 1e-9).contains(&p.average_execution_score())));
     }
 
     #[test]
     fn standings_are_consistent_with_ranks() {
         let (workload, mut cloud) = setup();
         let configs: Vec<ConfigId> = (0..6).map(|i| i * (workload.size() / 7)).collect();
-        let result = play_game(&mut cloud, &workload, &configs, GameRules::default());
-        let standings = result.standings();
+        let mut field = players(&configs);
+        let (standings, play) =
+            play_recorded(&mut cloud, &workload, &mut field, &GameRules::default());
         assert_eq!(standings.len(), configs.len());
-        assert_eq!(standings[0], result.winner);
+        // Each player recorded `1 / rank`, its position in the standings.
+        for (position, slot) in standings.iter().enumerate() {
+            assert_eq!(
+                field[*slot].consistency_score(),
+                1.0 / (position + 1) as f64
+            );
+        }
         for pair in standings.windows(2) {
-            assert!(result.ranks[pair[0]] < result.ranks[pair[1]]);
+            assert!(play.execution_scores[pair[0]] >= play.execution_scores[pair[1]]);
         }
     }
 
     #[test]
-    fn games_are_not_committed_to_the_environment() {
+    fn recorded_games_are_committed_to_the_environment() {
         let (workload, mut cloud) = setup();
-        let before = cloud.cost().core_hours();
-        let _ = play_game(&mut cloud, &workload, &[0, 1], GameRules::default());
-        assert_eq!(cloud.cost().core_hours(), before);
+        let (_, play) = play_recorded(
+            &mut cloud,
+            &workload,
+            &mut players(&[0, 1]),
+            &GameRules::default(),
+        );
+        assert_eq!(cloud.clock().as_seconds(), play.elapsed);
+        assert!(cloud.cost().core_hours() > 0.0);
     }
 
     #[test]
     fn play_carries_the_accounting_triple() {
         let (workload, mut cloud) = setup();
-        let result = play_game(&mut cloud, &workload, &[0, 1], GameRules::default());
-        assert_eq!(result.play.players(), 2);
-        assert_eq!(result.play.elapsed, result.elapsed);
-        assert_eq!(result.play.execution_scores, result.execution_scores);
+        let mut pair = players(&[0, 1]);
+        let (_, play) = play_recorded(&mut cloud, &workload, &mut pair, &GameRules::default());
+        assert_eq!(play.players(), 2);
+        for (slot, player) in pair.iter().enumerate() {
+            assert_eq!(player.scores().games_played(), 1);
+            assert_eq!(
+                player.scores().latest_execution_score(),
+                Some(play.execution_scores[slot])
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "at least one player")]
     fn empty_game_rejected() {
         let (workload, mut cloud) = setup();
-        play_game(&mut cloud, &workload, &[], GameRules::default());
+        play_recorded(&mut cloud, &workload, &mut [], &GameRules::default());
     }
 }

@@ -9,11 +9,11 @@
 //! play one game whose winner receives a wild-card entry into the playoffs.
 
 use crate::config::TournamentConfig;
+use crate::game::play_recorded;
 use crate::player::Player;
 use crate::score::Ranker;
 use dg_cloudsim::ExecutionSpec;
-use dg_exec::GameRules;
-use dg_exec::{ExecutionBackend, GameBatchItem};
+use dg_exec::{ExecutionBackend, GameBatchItem, GameRules};
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, Workload};
 use std::ops::Range;
@@ -61,8 +61,7 @@ pub fn run_global_phase(
     let players_per_game = config.effective_players_per_game(exec.vm().vcpus());
     let game_options = GameRules {
         early_termination: config.ablation.early_termination,
-        work_done_deviation: config.work_done_deviation,
-        min_leader_progress: config.min_leader_progress,
+        ..GameRules::default()
     };
 
     let mut games_played = 0usize;
@@ -80,7 +79,7 @@ pub fn run_global_phase(
         });
         players.truncate(players_per_game.max(2));
         if players.len() >= 2 {
-            let standings = play_recorded(exec, workload, &mut players, &game_options);
+            let (standings, _) = play_recorded(exec, workload, &mut players, &game_options);
             games_played += 1;
             let keep = config.main_bracket_target.min(standings.len());
             let finalists: Vec<Player> = standings[..keep].iter().map(|i| players[*i]).collect();
@@ -200,7 +199,7 @@ pub fn run_global_phase(
             .iter()
             .map(|i| loser_bracket[*i])
             .collect();
-        let standings = play_recorded(exec, workload, &mut entrants, &game_options);
+        let (standings, _) = play_recorded(exec, workload, &mut entrants, &game_options);
         games_played += 1;
         Some(entrants[standings[0]])
     } else if config.ablation.double_elimination {
@@ -246,27 +245,6 @@ fn group_count(n: usize, players_per_game: usize, main_bracket_target: usize) ->
     } else {
         main_bracket_target.min(n / 2).max(1)
     }
-}
-
-/// Plays one committed game among `players` from their specs, records every player's
-/// score, and returns the players' slots from best to worst execution score.
-fn play_recorded(
-    exec: &mut dyn ExecutionBackend,
-    workload: &Workload,
-    players: &mut [Player],
-    options: &GameRules,
-) -> Vec<usize> {
-    let specs: Vec<ExecutionSpec> = players.iter().map(|p| p.spec(workload)).collect();
-    let play = exec.play_game(&specs, options);
-    exec.commit(&play);
-    let mut ranker = Ranker::default();
-    let ranks = ranker.rank(&play.execution_scores);
-    for (slot, player) in players.iter_mut().enumerate() {
-        player
-            .scores_mut()
-            .record_game(play.execution_scores[slot], ranks[slot]);
-    }
-    ranker.standings().to_vec()
 }
 
 /// A loser's wild-card key: its average execution score plus its consistency score,

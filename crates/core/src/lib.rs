@@ -16,6 +16,12 @@
 //! 3. **Playoffs** (barrage) and 4. **Final**: two-player games without early termination
 //!    decide the champion.
 //!
+//! Every game follows Fig. 5's termination rule, `dg_exec::GameRules::default()`, whose
+//! work-done deviation (d = 10%) and leader threshold (25%) are `dg-cloudsim` constants;
+//! the regional phase advances every player within the same d of its region's best.
+//! Each game is ranked one way, and the games outside a batched round are all played
+//! and recorded by one helper. Regions run on `dg-exec`'s ordered worker pool.
+//!
 //! The champion is the tuning configuration DarwinGame recommends: fast *and* stable
 //! under interference. [`HybridDarwinGame`] additionally integrates the tournament with
 //! an existing tuner's outer search loop (BLISS or ActiveHarmony style), one subspace at
@@ -54,7 +60,6 @@ mod score;
 mod tournament;
 
 pub use config::{AblationConfig, TournamentConfig};
-pub use game::{play_game, GameResult};
 pub use global::{run_global_phase, GlobalOutcome};
 pub use hybrid::{
     BlissSubspaceStrategy, HarmonySubspaceStrategy, HybridDarwinGame, SubspaceStrategy,
@@ -63,5 +68,5 @@ pub use player::Player;
 pub use playoffs::{run_playoffs, PlayoffOutcome};
 pub use regional::{run_region, run_regional_phase, RegionalOutcome};
 pub use report::{PhaseSummary, TournamentReport};
-pub use score::{combined_ranking, rank_descending, ScoreBoard};
+pub use score::ScoreBoard;
 pub use tournament::DarwinGame;

@@ -8,11 +8,10 @@
 //! head-to-head game decided purely by who finishes first.
 
 use crate::config::TournamentConfig;
-use crate::game::play_game;
+use crate::game::play_recorded;
 use crate::player::Player;
-use dg_exec::ExecutionBackend;
-use dg_exec::GameRules;
-use dg_workloads::{ConfigId, Workload};
+use dg_exec::{ExecutionBackend, GameRules};
+use dg_workloads::Workload;
 
 /// The result of the playoffs and final.
 #[derive(Debug, Clone)]
@@ -29,6 +28,9 @@ pub struct PlayoffOutcome {
 
 /// Runs the playoffs (barrage style) and the final on the main tuning VM.
 ///
+/// Every game, the w/o-barrage ablation's single group game included, is played
+/// under [`GameRules::playoff`]: to completion, with no early termination.
+///
 /// # Panics
 ///
 /// Panics if `players` is empty.
@@ -39,7 +41,6 @@ pub fn run_playoffs(
     config: &TournamentConfig,
 ) -> PlayoffOutcome {
     assert!(!players.is_empty(), "the playoffs need at least one player");
-    let mut games_played = 0usize;
 
     if players.len() == 1 {
         let champion = players.remove(0);
@@ -50,7 +51,7 @@ pub fn run_playoffs(
             champion_observed_time: observed,
             champion,
             runner_up: None,
-            games_played,
+            games_played: 0,
         };
     }
 
@@ -62,102 +63,62 @@ pub fn run_playoffs(
             .then(a.config().cmp(&b.config()))
     });
 
-    let two_player_game = |exec: &mut dyn ExecutionBackend,
-                           a: &mut Player,
-                           b: &mut Player,
-                           games_played: &mut usize|
-     -> (bool, f64) {
-        let configs = [a.config(), b.config()];
-        let result = play_game(exec, workload, &configs, GameRules::playoff());
-        exec.commit(&result.play);
-        *games_played += 1;
-        a.scores_mut()
-            .record_game(result.execution_scores[0], result.ranks[0]);
-        b.scores_mut()
-            .record_game(result.execution_scores[1], result.ranks[1]);
-        let winner_time = result.play.observed_times[result.winner];
-        (result.winner == 0, winner_time)
-    };
-
-    let (mut finalist_a, mut finalist_b);
-
-    if !config.ablation.barrage_playoffs {
+    let (finalist_a, finalist_b, barrage_games) = if !config.ablation.barrage_playoffs {
         // Ablation "w/o barrage": a single multi-player game ranks the playoff players
         // and the top two go to the final.
-        let configs: Vec<ConfigId> = players.iter().map(Player::config).collect();
-        let game_options = GameRules {
-            early_termination: false,
-            work_done_deviation: config.work_done_deviation,
-            min_leader_progress: config.min_leader_progress,
-        };
-        let result = play_game(exec, workload, &configs, game_options);
-        exec.commit(&result.play);
-        games_played += 1;
-        for (slot, player) in players.iter_mut().enumerate() {
-            player
-                .scores_mut()
-                .record_game(result.execution_scores[slot], result.ranks[slot]);
-        }
-        let standings = result.standings();
-        finalist_a = players[standings[0]];
-        finalist_b = players[standings[1]];
+        let (standings, _) = play_recorded(exec, workload, &mut players, &GameRules::playoff());
+        (players[standings[0]], players[standings[1]], 1)
     } else if players.len() == 2 {
-        finalist_a = players[0];
-        finalist_b = players[1];
+        (players[0], players[1], 0)
     } else if players.len() == 3 {
         // Game 1: the two best players; the winner goes to the final.
-        let mut p0 = players[0];
-        let mut p1 = players[1];
-        let (first_won, _) = two_player_game(exec, &mut p0, &mut p1, &mut games_played);
-        let (game1_winner, game1_loser) = if first_won { (p0, p1) } else { (p1, p0) };
+        let (game1_winner, game1_loser, _) = duel(exec, workload, players[0], players[1]);
         // Game 2: the loser of game 1 against the remaining player.
-        let mut loser = game1_loser;
-        let mut p2 = players[2];
-        let (loser_won, _) = two_player_game(exec, &mut loser, &mut p2, &mut games_played);
-        finalist_a = game1_winner;
-        finalist_b = if loser_won { loser } else { p2 };
+        let (game2_winner, _, _) = duel(exec, workload, game1_loser, players[2]);
+        (game1_winner, game2_winner, 2)
     } else {
         // Four or more players: classic barrage with the top four.
-        let mut p0 = players[0];
-        let mut p1 = players[1];
-        let mut p2 = players[2];
-        let mut p3 = players[3];
         // Game 1: top two; winner straight to the final.
-        let (first_won, _) = two_player_game(exec, &mut p0, &mut p1, &mut games_played);
-        let (game1_winner, game1_loser) = if first_won { (p0, p1) } else { (p1, p0) };
+        let (game1_winner, game1_loser, _) = duel(exec, workload, players[0], players[1]);
         // Game 2: bottom two; loser eliminated.
-        let (third_won, _) = two_player_game(exec, &mut p2, &mut p3, &mut games_played);
-        let game2_winner = if third_won { p2 } else { p3 };
+        let (game2_winner, _, _) = duel(exec, workload, players[2], players[3]);
         // Game 3: loser of game 1 vs winner of game 2; winner is the second finalist.
-        let mut loser = game1_loser;
-        let mut challenger = game2_winner;
-        let (loser_won, _) = two_player_game(exec, &mut loser, &mut challenger, &mut games_played);
-        finalist_a = game1_winner;
-        finalist_b = if loser_won { loser } else { challenger };
-    }
+        let (game3_winner, _, _) = duel(exec, workload, game1_loser, game2_winner);
+        (game1_winner, game3_winner, 3)
+    };
 
     // The final: a single head-to-head game; whoever finishes first wins.
-    let (a_won, winner_time) =
-        two_player_game(exec, &mut finalist_a, &mut finalist_b, &mut games_played);
-    let (champion, runner_up) = if a_won {
-        (finalist_a, finalist_b)
-    } else {
-        (finalist_b, finalist_a)
-    };
+    let (champion, runner_up, champion_observed_time) =
+        duel(exec, workload, finalist_a, finalist_b);
 
     PlayoffOutcome {
         champion,
         runner_up: Some(runner_up),
-        champion_observed_time: winner_time,
-        games_played,
+        champion_observed_time,
+        games_played: barrage_games + 1,
     }
+}
+
+/// Plays one committed two-player game, `a` in the first slot, under
+/// [`GameRules::playoff`], and returns the winner and the loser, each with the game on
+/// its record, and the winner's observed time.
+fn duel(
+    exec: &mut dyn ExecutionBackend,
+    workload: &Workload,
+    a: Player,
+    b: Player,
+) -> (Player, Player, f64) {
+    let mut pair = [a, b];
+    let (standings, play) = play_recorded(exec, workload, &mut pair, &GameRules::playoff());
+    let winner = standings[0];
+    (pair[winner], pair[1 - winner], play.observed_times[winner])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
-    use dg_workloads::Application;
+    use dg_workloads::{Application, ConfigId};
 
     fn setup() -> (Workload, CloudEnvironment, TournamentConfig) {
         let workload = Workload::scaled(Application::Redis, 10_000);

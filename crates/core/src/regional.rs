@@ -7,14 +7,14 @@
 //! each other, which is the Swiss-style progression of Fig. 6. A region ends when one
 //! configuration has won two games in a row, when there are no new players left to
 //! introduce, or when the round cap is reached; every player within the work-done
-//! deviation of the regional best advances to the global phase.
+//! deviation `d` ([`WORK_DONE_DEVIATION`], 10%) of the regional best advances to the
+//! global phase.
 
 use crate::config::TournamentConfig;
 use crate::player::Player;
 use crate::score::{Ranker, ScoreBoard};
-use dg_cloudsim::{CostTracker, ExecutionSpec, SimRng};
-use dg_exec::ExecutionBackend;
-use dg_exec::GameRules;
+use dg_cloudsim::{CostTracker, ExecutionSpec, SimRng, WORK_DONE_DEVIATION};
+use dg_exec::{default_workers, run_ordered, ExecutionBackend, GameRules};
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, IndexPartition, Workload};
 use std::cmp::Ordering;
@@ -70,8 +70,7 @@ pub fn run_region(
 
     let game_options = GameRules {
         early_termination: config.ablation.early_termination,
-        work_done_deviation: config.work_done_deviation,
-        min_leader_progress: config.min_leader_progress,
+        ..GameRules::default()
     };
 
     // Candidate pool: enough distinct configurations to feed every possible round.
@@ -181,7 +180,8 @@ pub fn run_region(
         .map(|i| (boards[i].average_execution_score(), candidates[i], i))
         .collect();
     let players_in = played.len();
-    let winners: Vec<Player> = advancing(played, config)
+    let single_winner = config.ablation.single_regional_winner;
+    let winners: Vec<Player> = advancing(played, single_winner, WORK_DONE_DEVIATION)
         .iter()
         .map(|&(_, id, i)| Player::regional_winner(id, region, boards[i], specs[i]))
         .collect();
@@ -209,16 +209,16 @@ fn by_rank(a: &Standing, b: &Standing) -> Ordering {
 }
 
 /// The standings that advance, in ranking order: everyone within the work-done
-/// deviation of the best average execution score, or only the first in ranking order
-/// under the single-winner ablation. Only the standings at or above the threshold are
-/// sorted.
-fn advancing(mut played: Vec<Standing>, config: &TournamentConfig) -> Vec<Standing> {
-    if config.ablation.single_regional_winner {
+/// deviation `d` of the best average execution score, or only the first in ranking
+/// order under the single-winner ablation. Only the standings at or above the
+/// threshold are sorted.
+fn advancing(mut played: Vec<Standing>, single_winner: bool, d: f64) -> Vec<Standing> {
+    if single_winner {
         let best = played.iter().copied().min_by(by_rank);
         return best.into_iter().collect();
     }
     let best = played.iter().map(|s| s.0).fold(f64::NEG_INFINITY, f64::max);
-    let threshold = best * (1.0 - config.work_done_deviation);
+    let threshold = best * (1.0 - d);
     played.retain(|(score, _, _)| *score >= threshold);
     played.sort_unstable_by(by_rank);
     played
@@ -228,11 +228,13 @@ fn advancing(mut played: Vec<Standing>, config: &TournamentConfig) -> Vec<Standi
 ///
 /// Every region plays on its own sub-backend, forked from `exec` with a seed derived
 /// from the tournament seed and the region index (forking happens up front, in region
-/// order, so recording backends assign stream keys deterministically).
-/// `parallel_regions` only controls whether the host uses worker threads, not the
-/// simulated cost model (regions are always charged as if they ran concurrently on
-/// separate VMs, so the aggregate wall clock is the longest region, per Fig. 6's
-/// "played in parallel").
+/// order, so recording backends assign stream keys deterministically). The regions
+/// then run on `dg-exec`'s [`run_ordered`] pool, each taking its backend by value:
+/// [`default_workers`] threads when `parallel_regions` is set, else one, which runs
+/// every region on the caller's thread. Either way the outcomes come back in region
+/// order, and the simulated cost model is the same: regions are always charged as if
+/// they ran concurrently on separate VMs, so the aggregate wall clock is the longest
+/// region, per Fig. 6's "played in parallel".
 pub fn run_regional_phase(
     workload: &Workload,
     partition: &IndexPartition,
@@ -244,72 +246,21 @@ pub fn run_regional_phase(
     let backends: Vec<Box<dyn ExecutionBackend>> = (0..partition.parts())
         .map(|region| exec.fork(region_seed(config, region)))
         .collect();
-    let regions: Vec<(usize, Box<dyn ExecutionBackend>)> =
-        backends.into_iter().enumerate().collect();
-
-    let outcomes: Vec<RegionalOutcome> = if config.parallel_regions && regions.len() > 1 {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(regions.len());
-        let chunk_size = regions.len().div_ceil(threads);
-        let mut results: Vec<Option<RegionalOutcome>> = vec![None; regions.len()];
-        let mut chunks: Vec<Vec<(usize, Box<dyn ExecutionBackend>)>> = Vec::new();
-        {
-            let mut regions = regions;
-            while !regions.is_empty() {
-                let take = chunk_size.min(regions.len());
-                chunks.push(regions.drain(..take).collect());
-            }
-        }
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (chunk_index, chunk) in chunks.into_iter().enumerate() {
-                handles.push((
-                    chunk_index,
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(region, mut backend)| {
-                                run_region(
-                                    workload,
-                                    partition,
-                                    region,
-                                    offset,
-                                    backend.as_mut(),
-                                    config,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    }),
-                ));
-            }
-            for (chunk_index, handle) in handles {
-                let chunk_results = handle.join().expect("regional worker thread panicked");
-                for (i, outcome) in chunk_results.into_iter().enumerate() {
-                    results[chunk_index * chunk_size + i] = Some(outcome);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every region produces an outcome"))
-            .collect()
+    let workers = if config.parallel_regions {
+        default_workers()
     } else {
-        regions
-            .into_iter()
-            .map(|(region, mut backend)| {
-                run_region(
-                    workload,
-                    partition,
-                    region,
-                    offset,
-                    backend.as_mut(),
-                    config,
-                )
-            })
-            .collect()
+        1
     };
+    let outcomes = run_ordered(backends, workers, |region, mut backend| {
+        run_region(
+            workload,
+            partition,
+            region,
+            offset,
+            backend.as_mut(),
+            config,
+        )
+    });
 
     // Regions run concurrently on separate VMs: core-hours add up, wall-clock is the max.
     let mut cost = CostTracker::new();
@@ -419,14 +370,15 @@ mod tests {
     /// deviation of the first.
     fn advancing_by_sorting_everything(
         mut ranked: Vec<Standing>,
-        config: &TournamentConfig,
+        single_winner: bool,
+        d: f64,
     ) -> Vec<Standing> {
         ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
         if let Some(&(best, _, _)) = ranked.first() {
-            if config.ablation.single_regional_winner {
+            if single_winner {
                 ranked.truncate(1);
             } else {
-                let threshold = best * (1.0 - config.work_done_deviation);
+                let threshold = best * (1.0 - d);
                 ranked.retain(|(score, _, _)| *score >= threshold);
             }
         }
@@ -456,11 +408,10 @@ mod tests {
                     (score, config, i)
                 })
                 .collect();
-            let mut config = TournamentConfig::scaled(16, 1);
-            config.work_done_deviation = [0.1, 0.25, 0.5, 0.9][case % 4];
-            config.ablation.single_regional_winner = case % 3 == 0;
-            let got = advancing(played.clone(), &config);
-            let want = advancing_by_sorting_everything(played, &config);
+            let d = [WORK_DONE_DEVIATION, 0.25, 0.5, 0.9][case % 4];
+            let single_winner = case % 3 == 0;
+            let got = advancing(played.clone(), single_winner, d);
+            let want = advancing_by_sorting_everything(played, single_winner, d);
             let bits = |standings: &[Standing]| -> Vec<(u64, ConfigId, usize)> {
                 standings
                     .iter()

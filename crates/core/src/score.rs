@@ -90,41 +90,15 @@ impl ScoreBoard {
     }
 }
 
-/// Combines the two score rankings the way the global phase does: players are ranked by
-/// execution score and by consistency score separately, and the *sum of the two rank
-/// positions* decides the game (lowest sum wins). Either criterion can be disabled to
-/// reproduce the Fig. 16 ablations.
-///
-/// Returns the indices of `players` ordered from best (winner) to worst.
-pub fn combined_ranking(
-    execution_scores: &[f64],
-    consistency_scores: &[f64],
-    use_execution: bool,
-    use_consistency: bool,
-) -> Vec<usize> {
-    assert_eq!(
-        execution_scores.len(),
-        consistency_scores.len(),
-        "score slices must have equal length"
-    );
-    let mut ranker = Ranker::default();
-    ranker.rank(execution_scores);
-    ranker
-        .combined(consistency_scores, use_execution, use_consistency)
-        .to_vec()
-}
-
-/// 1-based ranks of values sorted descending (highest value gets rank 1). Ties are broken
-/// by index for determinism.
-pub fn rank_descending(values: &[f64]) -> Vec<usize> {
-    let mut ranker = Ranker::default();
-    ranker.rank(values);
-    ranker.ranks
-}
-
 /// Ranks one game after another into buffers it reuses, so a tournament phase ranks
-/// its games without allocating; [`rank_descending`] and [`combined_ranking`] are the
-/// one-shot forms.
+/// its games without allocating. Every game of the tournament is ranked through one.
+///
+/// A game's **execution ranking** orders its players by execution score, highest
+/// first, with 1-based ranks; ties go to the lower player index, for determinism. The
+/// global phase then **combines** it with the players' consistency scores: each player
+/// is ranked by execution score and by consistency score separately, and the lowest
+/// *sum of the two rank positions* wins (ties again to the lower index). Either
+/// criterion can be switched off to reproduce the Fig. 16 ablations.
 #[derive(Debug, Default)]
 pub(crate) struct Ranker {
     /// Player indices ordered by the last [`Ranker::rank`], best first.
@@ -137,9 +111,9 @@ pub(crate) struct Ranker {
 }
 
 impl Ranker {
-    /// Ranks `execution_scores` (see [`rank_descending`]) and returns the ranks.
+    /// Ranks `execution_scores`, highest first, and returns each player's 1-based rank.
     pub(crate) fn rank(&mut self, execution_scores: &[f64]) -> &[usize] {
-        rank_descending_into(execution_scores, &mut self.standings, &mut self.ranks);
+        rank_into(execution_scores, &mut self.standings, &mut self.ranks);
         &self.ranks
     }
 
@@ -148,7 +122,7 @@ impl Ranker {
         &self.standings
     }
 
-    /// The [`combined_ranking`] order of the last ranked game, given its players'
+    /// The combined order of the last ranked game, best first, given its players'
     /// consistency scores.
     pub(crate) fn combined(
         &mut self,
@@ -156,7 +130,7 @@ impl Ranker {
         use_execution: bool,
         use_consistency: bool,
     ) -> &[usize] {
-        rank_descending_into(
+        rank_into(
             consistency_scores,
             &mut self.consistency_order,
             &mut self.consistency_ranks,
@@ -186,9 +160,9 @@ impl Ranker {
     }
 }
 
-/// [`rank_descending`] into reused buffers: `order` receives the indices best first and
-/// `ranks` each index's 1-based rank.
-fn rank_descending_into(values: &[f64], order: &mut Vec<usize>, ranks: &mut Vec<usize>) {
+/// Ranks `values`, highest first, into reused buffers: `order` receives the indices
+/// best first (ties by index) and `ranks` each index's 1-based rank.
+fn rank_into(values: &[f64], order: &mut Vec<usize>, ranks: &mut Vec<usize>) {
     order.clear();
     order.extend(0..values.len());
     // The index tie-break makes the order total, so the unstable sort gives the stable
@@ -309,18 +283,22 @@ mod tests {
     }
 
     #[test]
-    fn rank_descending_is_one_based_and_tie_stable() {
-        let ranks = rank_descending(&[0.5, 0.9, 0.5, 0.1]);
-        assert_eq!(ranks, vec![2, 1, 3, 4]);
+    fn ranks_are_one_based_and_tie_stable() {
+        let mut ranker = Ranker::default();
+        assert_eq!(ranker.rank(&[0.5, 0.9, 0.5, 0.1]), [2, 1, 3, 4]);
+        assert_eq!(ranker.standings(), [1, 0, 2, 3]);
+        // The buffers are reused: a smaller game ranks cleanly after a larger one.
+        assert_eq!(ranker.rank(&[0.2, 0.7]), [2, 1]);
+        assert_eq!(ranker.standings(), [1, 0]);
     }
 
     #[test]
-    fn combined_ranking_sums_both_criteria() {
+    fn combined_order_sums_both_criteria() {
         // Player 0: best execution, poor consistency. Player 1: decent on both.
         // Player 2: poor on both.
-        let execution = [1.0, 0.9, 0.5];
-        let consistency = [0.3, 0.9, 0.4];
-        let order = combined_ranking(&execution, &consistency, true, true);
+        let mut ranker = Ranker::default();
+        ranker.rank(&[1.0, 0.9, 0.5]);
+        let order = ranker.combined(&[0.3, 0.9, 0.4], true, true);
         assert_eq!(
             order[0], 1,
             "balanced player should win the combined ranking"
@@ -329,13 +307,14 @@ mod tests {
     }
 
     #[test]
-    fn combined_ranking_respects_ablation_flags() {
-        let execution = [1.0, 0.9];
+    fn combined_order_respects_ablation_flags() {
+        let mut ranker = Ranker::default();
+        ranker.rank(&[1.0, 0.9]);
         let consistency = [0.1, 0.9];
-        let exec_only = combined_ranking(&execution, &consistency, true, false);
-        assert_eq!(exec_only[0], 0);
-        let consistency_only = combined_ranking(&execution, &consistency, false, true);
-        assert_eq!(consistency_only[0], 1);
+        assert_eq!(ranker.combined(&consistency, true, false)[0], 0);
+        assert_eq!(ranker.combined(&consistency, false, true)[0], 1);
+        // With both criteria off the execution ranking decides.
+        assert_eq!(ranker.combined(&consistency, false, false)[0], 0);
     }
 
     #[test]

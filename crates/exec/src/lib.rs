@@ -26,6 +26,10 @@
 //! backend per grid cell through a provider, which is what makes recording and
 //! replaying whole campaigns a drop-in swap.
 //!
+//! [`run_ordered`] is the one worker pool above the seam: campaign cells, retune cells
+//! and a tournament's region backends all run on it, their results in item order for
+//! any worker count.
+//!
 //! # Quick example
 //!
 //! ```
@@ -50,6 +54,7 @@
 
 mod backend;
 mod obs;
+mod pool;
 mod process;
 mod sim;
 mod surrogate;
@@ -65,6 +70,7 @@ pub use backend::{BackendProvider, ExecutionBackend, GameBatchItem};
 // above names them through the execution seam.
 pub use dg_cloudsim::{GamePlay, GameRules};
 pub use obs::{ObsBackend, ObsProvider};
+pub use pool::{default_workers, run_ordered};
 pub use process::{
     parse_time_report, process_launches, CommandTemplate, ProcessBackend, ProcessError,
     ProcessProvider, TimingSource,

@@ -81,7 +81,7 @@ impl std::fmt::Debug for ScenarioBackend {
 impl ScenarioBackend {
     /// Wraps `inner` in `scenario`, expanding the timeline for `seed` (pass the same
     /// seed the inner backend was built with so the scenario realisation is part of
-    /// the backend's identity).
+    /// the backend's identity). The scenario clock starts where `inner`'s clock reads.
     pub fn new(inner: Box<dyn ExecutionBackend>, scenario: ScenarioSpec, seed: u64) -> Self {
         scenario.validate();
         let base_vm = inner.vm();
@@ -101,12 +101,13 @@ impl ScenarioBackend {
         base_vm: VmType,
     ) -> Self {
         let timeline = scenario.timeline(seed);
+        let clock = inner.clock();
         Self {
             inner,
             spec: scenario,
             timeline,
             next_preemption: 0,
-            clock: SimTime::ZERO,
+            clock,
             cost: CostTracker::new(),
             billed_dollars: 0.0,
             speed,
@@ -141,8 +142,9 @@ impl ScenarioBackend {
     }
 
     /// Moves the inner backend's clock forward to the scenario clock so inner noise
-    /// processes are sampled at scenario time. The inner clock never advances on its
-    /// own (commits are not delegated), so it can only lag, never lead.
+    /// processes are sampled at scenario time. The scenario clock starts at the inner
+    /// one, and the inner clock never advances on its own (commits are not delegated),
+    /// so it can only lag, never lead.
     fn sync_inner_clock(&mut self) {
         if self.inner.clock().as_seconds() < self.clock.as_seconds() {
             self.inner.set_clock(self.clock);
@@ -373,6 +375,27 @@ mod tests {
         );
         assert_eq!(bare_hours.to_bits(), hours.to_bits());
         assert_eq!(bare_clock.to_bits(), clock.to_bits());
+    }
+
+    #[test]
+    fn wrapping_a_moved_clock_starts_the_scenario_there() {
+        let mut inner = sim(13);
+        inner.set_clock(SimTime::from_seconds(10_000.0));
+        let mut exec = ScenarioBackend::new(inner, ScenarioSpec::steady(), 13);
+        assert_eq!(exec.clock().as_seconds(), 10_000.0);
+        let specs = [
+            ExecutionSpec::new(100.0, 0.3),
+            ExecutionSpec::new(220.0, 0.9),
+        ];
+        let first = exec.play_game(&specs, &GameRules::default());
+        exec.commit(&first);
+        assert_eq!(first.start.as_seconds(), 10_000.0);
+        let after_first = exec.clock().as_seconds();
+        assert_eq!(after_first, 10_000.0 + first.elapsed);
+        let second = exec.play_game(&specs, &GameRules::default());
+        exec.commit(&second);
+        assert_eq!(second.start.as_seconds(), after_first);
+        assert_eq!(exec.clock().as_seconds(), after_first + second.elapsed);
     }
 
     #[test]

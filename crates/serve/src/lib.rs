@@ -14,7 +14,7 @@
 //!   *paired* cost-free probes before it takes over;
 //! * [`RetuneSweep`] — the grid driver measuring adaptive serving against the
 //!   paper's tune-once protocol at evaluation parity. It runs its cells on
-//!   `dg-campaign`'s worker pool ([`dg_campaign::run_ordered`]) and produces
+//!   `dg-exec`'s worker pool ([`dg_exec::run_ordered`]) and produces
 //!   `dg-campaign`'s [`RetuneReport`] (canonical JSON, byte-identical across worker
 //!   counts, and recordable/replayable through `dg-exec` traces).
 //!

@@ -1,18 +1,19 @@
 //! The retune sweep driver: runs a [`RetuneSpec`] grid across worker threads.
 //!
-//! Runs on `dg-campaign`'s worker pool ([`run_ordered`]): cells are independent (every
+//! Runs on `dg-exec`'s worker pool ([`run_ordered`]): cells are independent (every
 //! RNG stream derives from [`RetuneSpec::cell_seed`]), workers pull cells from a shared
-//! atomic cursor, and results are assembled in stable grid order — so the
+//! cursor, and results are assembled in stable grid order — so the
 //! [`RetuneReport`] is byte-identical no matter how many workers ran. Each cell's two
 //! legs draw their backends from a [`BackendProvider`] under distinct stream keys,
 //! which is what makes whole sweeps recordable and replayable through `dg-exec`'s
 //! trace machinery.
 
 use crate::retune::{RetuneLoop, ServeMode};
-use dg_campaign::{run_ordered, RetuneCellCoord, RetuneCellResult, RetuneReport, RetuneSpec};
+use dg_campaign::{RetuneCellCoord, RetuneCellResult, RetuneReport, RetuneSpec};
 use dg_cloudsim::InterferenceProfile;
 use dg_exec::{
-    BackendProvider, ExecutionTrace, SimProvider, TraceError, TraceRecorder, TraceReplayer,
+    default_workers, run_ordered, BackendProvider, ExecutionTrace, SimProvider, TraceError,
+    TraceRecorder, TraceReplayer,
 };
 use dg_scenario::ScenarioBackend;
 use dg_tuners::TunerRegistry;
@@ -70,7 +71,7 @@ impl RetuneSweep {
 
     /// Runs the sweep on one worker per available CPU.
     pub fn run(&self) -> RetuneReport {
-        self.run_with_workers(dg_campaign::default_workers())
+        self.run_with_workers(default_workers())
     }
 
     /// Runs the sweep on exactly `workers` worker threads. The report is byte-for-byte
@@ -104,7 +105,7 @@ impl RetuneSweep {
     /// an [`ExecutionTrace`] that [`replay`](Self::replay) turns back into the
     /// byte-identical report with zero resimulation.
     pub fn record(&self) -> (RetuneReport, ExecutionTrace) {
-        self.record_with_workers(dg_campaign::default_workers())
+        self.record_with_workers(default_workers())
     }
 
     /// [`record`](Self::record) on exactly `workers` worker threads.
@@ -130,7 +131,7 @@ impl RetuneSweep {
         &self,
         trace: impl Into<Arc<ExecutionTrace>>,
     ) -> Result<RetuneReport, TraceError> {
-        self.replay_with_workers(trace, dg_campaign::default_workers())
+        self.replay_with_workers(trace, default_workers())
     }
 
     /// [`replay`](Self::replay) on exactly `workers` worker threads.

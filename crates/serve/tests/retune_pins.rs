@@ -19,7 +19,7 @@ fn full_gauntlet(name: &str) -> RetuneSpec {
     spec
 }
 
-/// The gauntlet the bench and the example run with `DG_RETUNE_SMOKE=1`.
+/// The gauntlet the bench and the example run with `DG_SMOKE=1`.
 fn smoke_gauntlet(name: &str) -> RetuneSpec {
     let mut spec = RetuneSpec::gauntlet(name, 6);
     spec.space_size = 500;

@@ -10,9 +10,9 @@
 //! sustained shift accumulates linearly and crosses the threshold within a handful of
 //! samples.
 //!
-//! [`Ewma`] is the companion recency-weighted view: an exponentially weighted mean and
-//! variance plus a hit counter, the "current belief" a monitor reports while the
-//! detector decides whether that belief still describes the same regime.
+//! [`Ewma`] is the companion recency-weighted view: an exponentially weighted mean, the
+//! "current belief" a monitor gates on while the detector decides whether that belief
+//! still describes the same regime.
 
 use crate::online::OnlineStats;
 
@@ -76,7 +76,6 @@ pub struct DriftDetector {
     cusum_up: f64,
     /// Downward (speedup) CUSUM mass.
     cusum_down: f64,
-    samples: u64,
 }
 
 impl DriftDetector {
@@ -92,21 +91,6 @@ impl DriftDetector {
         self.frozen
     }
 
-    /// Non-NaN samples seen so far (calibration included).
-    pub fn samples_seen(&self) -> u64 {
-        self.samples
-    }
-
-    /// True once the calibration window is full and detection is armed.
-    pub fn calibrated(&self) -> bool {
-        self.frozen.is_some()
-    }
-
-    /// The current accumulated `(up, down)` CUSUM mass (0 until calibrated).
-    pub fn pressure(&self) -> (f64, f64) {
-        (self.cusum_up, self.cusum_down)
-    }
-
     /// Feeds one observation. Returns the confirmed drift direction the first time the
     /// accumulated evidence crosses [`DRIFT_LAMBDA`]; the caller decides what to do (usually
     /// [`reset`](Self::reset) after acting). NaN samples are ignored entirely — the
@@ -116,7 +100,6 @@ impl DriftDetector {
         if value.is_nan() {
             return None;
         }
-        self.samples += 1;
         let (mean, std) = match self.frozen {
             None => {
                 self.reference.push(value);
@@ -152,20 +135,19 @@ impl DriftDetector {
         self.frozen = None;
         self.cusum_up = 0.0;
         self.cusum_down = 0.0;
-        self.samples = 0;
     }
 }
 
-/// An exponentially weighted moving average with variance and a hit counter: the
-/// recency-weighted "current belief" view of a monitored stream.
+/// An exponentially weighted moving average: the recency-weighted "current belief"
+/// view of a monitored stream.
 ///
-/// The weighting follows the standard EWMA recurrences (`West 1979` incremental
-/// form): `mean ← mean + α(x − mean)`, `var ← (1 − α)(var + α(x − mean)²)`.
+/// The first sample seeds the mean; each later one moves it by the standard EWMA
+/// recurrence `mean ← mean + α(x − mean)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     mean: f64,
-    variance: f64,
+    /// Samples absorbed since the last reset.
     hits: u64,
 }
 
@@ -184,7 +166,6 @@ impl Ewma {
         Self {
             alpha,
             mean: 0.0,
-            variance: 0.0,
             hits: 0,
         }
     }
@@ -197,12 +178,9 @@ impl Ewma {
         self.hits += 1;
         if self.hits == 1 {
             self.mean = value;
-            self.variance = 0.0;
             return;
         }
-        let delta = value - self.mean;
-        self.mean += self.alpha * delta;
-        self.variance = (1.0 - self.alpha) * (self.variance + self.alpha * delta * delta);
+        self.mean += self.alpha * (value - self.mean);
     }
 
     /// The recency-weighted mean, or 0 before any sample.
@@ -210,25 +188,9 @@ impl Ewma {
         self.mean
     }
 
-    /// The recency-weighted variance.
-    pub fn variance(&self) -> f64 {
-        self.variance
-    }
-
-    /// The recency-weighted standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Number of samples absorbed.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Clears the average.
     pub fn reset(&mut self) {
         self.mean = 0.0;
-        self.variance = 0.0;
         self.hits = 0;
     }
 }
@@ -243,7 +205,7 @@ mod tests {
         for i in 0..DRIFT_WARMUP {
             assert_eq!(detector.push(100.0 + (i % period) as f64), None);
         }
-        assert!(detector.calibrated());
+        assert!(detector.reference_band().is_some());
         detector
     }
 
@@ -252,10 +214,10 @@ mod tests {
         let mut detector = DriftDetector::new();
         for i in 0..DRIFT_WARMUP - 1 {
             assert_eq!(detector.push(1000.0 * (i + 1) as f64), None);
-            assert!(!detector.calibrated());
+            assert_eq!(detector.reference_band(), None);
         }
         detector.push(5.0);
-        assert!(detector.calibrated());
+        assert!(detector.reference_band().is_some());
     }
 
     #[test]
@@ -295,13 +257,19 @@ mod tests {
     #[test]
     fn nan_samples_are_ignored() {
         let mut detector = DriftDetector::new();
-        for _ in 0..DRIFT_WARMUP {
+        // A NaN during calibration does not count towards the warm-up...
+        for _ in 0..DRIFT_WARMUP - 1 {
             detector.push(10.0);
         }
-        let before = detector.samples_seen();
         assert_eq!(detector.push(f64::NAN), None);
-        assert_eq!(detector.samples_seen(), before);
-        assert_eq!(detector.pressure(), (0.0, 0.0));
+        assert_eq!(detector.reference_band(), None);
+        detector.push(10.0);
+        let band = detector.reference_band();
+        assert!(band.is_some());
+        // ...and one after it neither moves the reference nor feeds the CUSUM.
+        assert_eq!(detector.push(f64::NAN), None);
+        assert_eq!(detector.reference_band(), band);
+        assert_eq!((detector.cusum_up, detector.cusum_down), (0.0, 0.0));
     }
 
     #[test]
@@ -313,7 +281,7 @@ mod tests {
         let fired = (0..30).find_map(|_| detector.push(30.0));
         assert!(fired.is_some());
         detector.reset();
-        assert!(!detector.calibrated());
+        assert_eq!(detector.reference_band(), None);
         // The new regime calibrates cleanly; staying there never fires.
         for i in 0..40 {
             assert_eq!(detector.push(30.0 + (i % 2) as f64), None);
@@ -323,12 +291,12 @@ mod tests {
     #[test]
     fn ewma_tracks_level_changes_with_recency_weighting() {
         let mut ewma = Ewma::new(0.3);
-        assert_eq!(ewma.hits(), 0);
+        assert_eq!(ewma.hits, 0);
         for _ in 0..20 {
             ewma.push(100.0);
         }
         assert!((ewma.mean() - 100.0).abs() < 1e-9);
-        assert_eq!(ewma.hits(), 20);
+        assert_eq!(ewma.hits, 20);
         for _ in 0..20 {
             ewma.push(200.0);
         }
@@ -338,10 +306,13 @@ mod tests {
             ewma.mean()
         );
         ewma.push(f64::NAN);
-        assert_eq!(ewma.hits(), 40, "NaN must not count as a hit");
+        assert_eq!(ewma.hits, 40, "NaN must not count as a hit");
         ewma.reset();
-        assert_eq!(ewma.hits(), 0);
+        assert_eq!(ewma.hits, 0);
         assert_eq!(ewma.mean(), 0.0);
+        // The first sample after a reset seeds the mean outright.
+        ewma.push(50.0);
+        assert_eq!(ewma.mean(), 50.0);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! cargo run --release --example compare_tuners
 //! ```
 //!
-//! Set `DG_CAMPAIGN_SMOKE=1` to run the CI-sized grid (seconds instead of minutes).
+//! Set `DG_SMOKE=1` to run the CI-sized grid (seconds instead of minutes).
 
 use darwingame::prelude::*;
 
 fn main() {
-    let smoke = std::env::var("DG_CAMPAIGN_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke_requested();
 
     let mut spec = CampaignSpec::single("compare-tuners", "DarwinGame", 1);
     spec.tuners = vec![

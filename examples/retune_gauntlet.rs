@@ -18,14 +18,14 @@
 //! cargo run --release --example retune_gauntlet
 //! ```
 //!
-//! Set `DG_RETUNE_SMOKE=1` for a CI-sized grid (seconds instead of minutes) and
+//! Set `DG_SMOKE=1` for a CI-sized grid (seconds instead of minutes) and
 //! `DG_RETUNE_OUT=/path/report.json` to write the canonical retune report (the CI
 //! `retune-smoke` job runs the example twice and diffs the two files byte for byte).
 
 use darwingame::prelude::*;
 
 fn main() {
-    let smoke = std::env::var("DG_RETUNE_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke_requested();
     let sweep = RetuneSweep::new(RetuneSpec::regret_gauntlet("retune-gauntlet", smoke));
 
     println!(

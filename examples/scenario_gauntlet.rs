@@ -16,7 +16,7 @@
 //! cargo run --release --example scenario_gauntlet
 //! ```
 //!
-//! Set `DG_GAUNTLET_SMOKE=1` for a CI-sized grid (seconds instead of minutes) and
+//! Set `DG_SMOKE=1` for a CI-sized grid (seconds instead of minutes) and
 //! `DG_GAUNTLET_OUT=/path/report.json` to write the canonical campaign report (the
 //! CI `scenario-smoke` job runs the example twice and diffs the two files byte for
 //! byte).
@@ -64,7 +64,7 @@ fn ranking(report: &CampaignReport, scenario: &str) -> Vec<(String, f64)> {
 }
 
 fn main() {
-    let smoke = std::env::var("DG_GAUNTLET_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    let smoke = smoke_requested();
     let spec = gauntlet_spec(smoke);
     let campaign = Campaign::new(spec);
     let scenarios: Vec<String> = campaign

@@ -56,9 +56,10 @@ pub mod prelude {
         AblationConfig, DarwinGame, HybridDarwinGame, TournamentConfig, TournamentReport,
     };
     pub use dg_campaign::{
-        cell_cost_estimates, default_workers, register_darwin_variant, standard_registry, Campaign,
-        CampaignLab, CampaignReport, CampaignSpec, ExperimentScale, LabError, LabOutcome,
-        MergeError, ProgressMeter, ProgressUpdate, ShardPlan, ShardReport, ShardStrategy,
+        cell_cost_estimates, default_workers, register_darwin_variant, smoke_requested,
+        standard_registry, Campaign, CampaignLab, CampaignReport, CampaignSpec, ExperimentScale,
+        LabError, LabOutcome, MergeError, ProgressMeter, ProgressUpdate, ShardPlan, ShardReport,
+        ShardStrategy,
     };
     pub use dg_cloudsim::{
         CloudEnvironment, DedicatedEnvironment, ExecutionSpec, InterferenceProfile, SimRng,
