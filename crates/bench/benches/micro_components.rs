@@ -260,11 +260,11 @@ fn bench_gp_window(c: &mut Criterion) {
     // BLISS's inner step: a model is fit to a full 120-observation window, then scores
     // a pool of 193 candidates (192 random configurations plus the incumbent's
     // perturbation). The space is Redis at the campaigns' default scale: 12 free
-    // dimensions of 36. At the 0.08 length scale most kernel values are tiny, and
-    // over half of the triangular solves' products would fall below the smallest
-    // normal f64; the GP's scaled solve keeps them normal, and recomputes unscaled the
-    // few rows whose partial sums leave its window. 0.35 does the same work without
-    // tiny values.
+    // dimensions of 36. At the 0.08 length scale most kernel values are tiny: nearly
+    // every candidate is a far query, whose variance needs no solve, and over half of
+    // the fit's solve products would fall below the smallest normal f64, which the
+    // GP's scaled solve keeps normal. 0.35 does the same work without tiny values, and
+    // solves every candidate.
     let workload = Workload::scaled(Application::Redis, 160_000);
     let space = workload.space();
     let normalised = |id: u64| -> Vec<f64> {
@@ -280,21 +280,48 @@ fn bench_gp_window(c: &mut Criterion) {
     };
     let mut rng = SimRng::new(17);
     let mut draw = || rng.index(workload.size() as usize) as u64;
-    let observed: Vec<u64> = (0..120).map(|_| draw()).collect();
+    let mut observed: Vec<u64> = (0..120).map(|_| draw()).collect();
     let pool: Vec<Vec<f64>> = (0..193).map(|_| normalised(draw())).collect();
+    // One observation more, for a window one row later.
+    observed.push(draw());
     let inputs: Vec<Vec<f64>> = observed.iter().map(|&id| normalised(id)).collect();
     let targets: Vec<f64> = observed.iter().map(|&id| workload.base_time(id)).collect();
-    let best = targets.iter().copied().fold(f64::INFINITY, f64::min);
+    let best = targets[..120].iter().copied().fold(f64::INFINITY, f64::min);
     for length_scale in [0.08, 0.35] {
+        // A refit keeps the factor rows of a window whose first rows it shares, so the
+        // fit alternates between two windows one row apart, each of which is factored
+        // afresh, as a sliding window is.
         let mut gp = GaussianProcess::new(length_scale, 1e-3);
+        let mut offset = 0;
         c.bench_function(&format!("gp_fit_120_points_l{length_scale}"), |b| {
-            b.iter(|| gp.fit(black_box(&inputs), black_box(&targets)))
+            b.iter(|| {
+                offset = 1 - offset;
+                gp.fit(
+                    black_box(&inputs[offset..offset + 120]),
+                    black_box(&targets[offset..offset + 120]),
+                )
+            })
         });
+        gp.fit(&inputs[..120], &targets[..120]);
         c.bench_function(
             &format!("gp_score_193_of_120_points_l{length_scale}"),
             |b| b.iter(|| black_box(gp.expected_improvements(black_box(&pool), best))),
         );
     }
+    // A growing window: the model was fit at 119 observations and is refit at 120, so
+    // it factors one new row and re-solves `alpha`.
+    let mut grown = GaussianProcess::new(0.08, 1e-3);
+    grown.fit(&inputs[..119], &targets[..119]);
+    c.bench_function("gp_refit_growing_window", |b| {
+        b.iter_batched(
+            || grown.clone(),
+            |mut gp| {
+                gp.fit(black_box(&inputs[..120]), black_box(&targets[..120]));
+                gp
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 fn bench_small_tournament(c: &mut Criterion) {

@@ -43,22 +43,29 @@ pub(crate) fn vector_to_config(workload: &Workload, vector: &[f64]) -> ConfigId 
     space.index_of(&point)
 }
 
-/// Converts a configuration id to its unit-hypercube representation.
-pub(crate) fn config_to_vector(workload: &Workload, id: ConfigId) -> Vec<f64> {
-    let space = workload.space();
-    space
-        .point_of(id)
-        .iter()
-        .zip(space.parameters().iter())
-        .map(|(level, parameter)| {
-            let levels = parameter.level_count();
-            if levels <= 1 {
-                0.0
-            } else {
-                *level as f64 / (levels - 1) as f64
-            }
-        })
-        .collect()
+/// Writes the unit-hypercube representation of configuration `id` to `vector`: each
+/// parameter's level over its largest level. A pinned parameter is 0, and its level is
+/// not decoded: dividing the rest of the index by its one level would not change it.
+///
+/// # Panics
+///
+/// Panics if `id` is outside the workload's space.
+pub(crate) fn config_to_vector(workload: &Workload, id: ConfigId, vector: &mut Vec<f64>) {
+    let parameters = workload.space().parameters();
+    vector.clear();
+    vector.reserve_exact(parameters.len());
+    let mut rest = id;
+    for parameter in parameters {
+        let levels = parameter.level_count() as u64;
+        vector.push(if levels > 1 {
+            let level = rest % levels;
+            rest /= levels;
+            level as f64 / (levels - 1) as f64
+        } else {
+            0.0
+        });
+    }
+    assert_eq!(rest, 0, "configuration index out of range");
 }
 
 impl Tuner for ActiveHarmony {
@@ -102,8 +109,9 @@ mod tests {
     #[test]
     fn vector_config_round_trip() {
         let workload = Workload::scaled(Application::Redis, 5_000);
+        let mut vector = Vec::new();
         for id in [0u64, 7, 101, workload.size() - 1] {
-            let vector = config_to_vector(&workload, id);
+            config_to_vector(&workload, id, &mut vector);
             assert_eq!(vector_to_config(&workload, &vector), id);
         }
     }

@@ -91,12 +91,16 @@ impl Tuner for Bliss {
             }
             let id = ((rng.uniform() * size as f64) as u64).min(size - 1);
             let observed = evaluator.evaluate(id);
-            inputs.push(config_to_vector(workload, id));
+            let mut vector = Vec::new();
+            config_to_vector(workload, id, &mut vector);
+            inputs.push(vector);
             targets.push(observed);
         }
 
+        // The candidates of a step and their vectors. The vectors are rewritten in place
+        // at every step; only the chosen one moves out, into the observations.
         let mut candidates: Vec<ConfigId> = Vec::with_capacity(CANDIDATE_POOL + 1);
-        let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(CANDIDATE_POOL + 1);
+        let mut vectors: Vec<Vec<f64>> = vec![Vec::new(); CANDIDATE_POOL + 1];
         while !evaluator.exhausted() {
             let window_start = targets.len().saturating_sub(FIT_WINDOW);
             let window_targets = &targets[window_start..];
@@ -115,26 +119,27 @@ impl Tuner for Bliss {
             // keeps the search from ignoring the neighbourhood of the best-known
             // configuration.
             candidates.clear();
-            vectors.clear();
-            for _ in 0..CANDIDATE_POOL {
+            for vector in &mut vectors[..CANDIDATE_POOL] {
                 let candidate = ((rng.uniform() * size as f64) as u64).min(size - 1);
                 candidates.push(candidate);
-                vectors.push(config_to_vector(workload, candidate));
+                config_to_vector(workload, candidate, vector);
             }
             if let Some(best) = evaluator.best() {
-                let mut vector = config_to_vector(workload, best.config);
+                let vector = &mut vectors[CANDIDATE_POOL];
+                config_to_vector(workload, best.config, vector);
                 if !vector.is_empty() {
                     let dim = rng.index(vector.len());
                     vector[dim] = (vector[dim] + rng.normal_with(0.0, 0.2)).clamp(0.0, 1.0);
                 }
-                candidates.push(vector_to_config(workload, &vector));
-                vectors.push(vector);
+                candidates.push(vector_to_config(workload, vector));
             }
 
             // Pick the candidate with the highest expected improvement; the first of tied
             // maxima wins.
             let best_observed = window_targets.iter().copied().fold(f64::INFINITY, f64::min);
-            let scores = model.gp.expected_improvements(&vectors, best_observed);
+            let scores = model
+                .gp
+                .expected_improvements(&vectors[..candidates.len()], best_observed);
             let mut pick = 0;
             for (index, &(ei, _)) in scores.iter().enumerate().skip(1) {
                 if ei > scores[pick].0 {
@@ -144,15 +149,15 @@ impl Tuner for Bliss {
 
             // A random candidate's vector is already its configuration's, so the pool
             // pass has its prediction. The perturbed incumbent snaps to a configuration
-            // whose vector differs, and is predicted anew.
+            // whose vector differs, and is encoded and predicted anew.
             let chosen_candidate = candidates[pick];
-            let (vector, predicted) = if pick < CANDIDATE_POOL {
-                (std::mem::take(&mut vectors[pick]), scores[pick].1)
+            let predicted = if pick < CANDIDATE_POOL {
+                scores[pick].1
             } else {
-                let vector = config_to_vector(workload, chosen_candidate);
-                let (predicted, _) = model.gp.predict(&vector);
-                (vector, predicted)
+                config_to_vector(workload, chosen_candidate, &mut vectors[pick]);
+                model.gp.predict(&vectors[pick]).0
             };
+            let vector = std::mem::take(&mut vectors[pick]);
             let observed = evaluator.evaluate(chosen_candidate);
             if observed.is_finite() {
                 model.record_error((observed - predicted).abs());

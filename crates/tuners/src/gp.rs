@@ -16,19 +16,21 @@
 //!
 //! # Scoring
 //!
-//! [`predict`](GaussianProcess::predict), [`expected_improvement`] and
-//! [`expected_improvements`] share one routine. It scores queries in blocks of
-//! `LANES` (8), advanced in lockstep. For each query it computes the kernel vector
-//! `k`, the mean `k · alpha`, then solves `L v = k` and sums `v · v` for the variance.
-//! The block's eight solves go through `L` together, one row at a time.
+//! [`predict`](GaussianProcess::predict) and [`expected_improvements`] share one
+//! routine. It loads queries in blocks of `LANES` (8) and computes, for each, the kernel
+//! vector `k`, the mean `k · alpha` and `‖k‖²`. A far query (see "Far queries") is
+//! resolved there and then, without a solve. The others wait until eight have
+//! gathered; then it solves `L v = k` for all eight in lockstep, one row of `L` at a
+//! time, and sums `v · v` for each variance. A short final gathering is padded with
+//! copies of its last query, whose results are dropped.
 //!
 //! The lanes are exact. Each lane is an independent chain that accumulates its own
 //! sums in the same order as the textbook single-point code, which the tests keep as a
-//! reference. No sum is split, reassociated or shared between lanes. The gain is
+//! reference. No sum is split, reassociated or shared between lanes, so a query's
+//! results do not depend on which queries share its block or its solve. The gain is
 //! overlap: a triangular solve is one long chain of dependent subtractions, and eight
 //! independent chains side by side keep the floating-point units busy where one chain
-//! would wait on its own previous step. A short final block is padded with copies of
-//! its last query, whose results are dropped.
+//! would wait on its own previous step.
 //!
 //! A squared distance skips a coordinate only where every training input and every
 //! query of the block is 0. Such a term is `(0 - 0)^2 = +0`. Adding `+0` to a sum of
@@ -47,16 +49,76 @@
 //! kernel rows as right-hand sides, the same solve that scoring uses. The 8×8 block on
 //! the diagonal, the diagonal itself and the `alpha` solves stay scalar, in textbook
 //! order. A short final group is padded with copies of its last row, whose results
-//! are dropped.
+//! are dropped. Every entry comes out in textbook order whichever group it falls in.
+//!
+//! # Refits
+//!
+//! Row `i` of `L` depends on the inputs up to `i` and on nothing else. So when the last
+//! fit's inputs are, bit for bit, the first rows of this fit's, the fit keeps those rows
+//! of `L` and their `l_min` and factors only the rows after them, in groups of eight
+//! from the first new row. That is BLISS's growing window: a model picked again after
+//! a few steps extends its factor by the observations made since. `alpha` depends on
+//! every target through their mean and deviation, so it is solved in full at every fit.
+//! A window that has slid has lost its first row, which every later row of `L` depends
+//! on, so it is factored afresh, and so is a shorter one.
+//!
+//! # Far queries
+//!
+//! The variance is `fl(a - v · v)` with `a = fl(1 + noise) ≥ 1`. A computed `v · v`
+//! below `2^-54`, which is a quarter ulp of `a` or less, leaves `a` unchanged: the
+//! difference is nearer to `a` than to the double below it. A query whose kernel vector
+//! is small enough has such a `v · v`, and its variance is exactly `a`, solve or no
+//! solve. The fit derives a threshold `T` from the noise, the row count `n` and the
+//! dimensionality `d`, and a query whose computed `‖k‖²` is below `T` is far. With
+//! `u = 2^-53` and `γ_m = m u / (1 - m u)`:
+//!
+//! - **The matrix.** The fit factors `A = K̂ + noise · I` as computed: the kernel
+//!   values `K̂`, and a diagonal of `a`. The exact kernel matrix of the same inputs,
+//!   `K`, is positive semidefinite, and every entry of `A - noise · I` is within `(d +
+//!   7 + noise) u` of it. The squared distance carries a relative error of at most
+//!   `γ_{d+4}` into the exponent `x`, which `x e^-x ≤ 1/e` turns into an absolute error
+//!   below `γ_{d+4} / e`; `exp` adds at most 2 ulp; the diagonal rounds `1 + noise`
+//!   once. So `λ_min(A) ≥ noise - n (d + 7 + noise) u`.
+//! - **The factor.** Cholesky's backward error (Higham, *Accuracy and Stability of
+//!   Numerical Algorithms*, 2nd ed., Thm 10.3) gives `L Lᵀ = A + ΔA` with `|ΔA| ≤
+//!   γ_{n+1} |L| |Lᵀ|`. Every row of `L` has `‖l_i‖² = a + ΔA_ii ≤ r = a / (1 -
+//!   γ_{n+1})`, so `‖ΔA‖₂ ≤ n γ_{n+1} r` and `λ_min(L Lᵀ) ≥ noise - δ`, with `δ = n (d
+//!   + 7 + noise) u + n γ_{n+1} r`.
+//! - **The solve.** Forward substitution's backward error (Thm 8.5) gives `(L + ΔL) v =
+//!   k` with `|ΔL| ≤ γ_n |L|`, so `‖ΔL‖₂ ≤ γ_n ‖L‖_F ≤ γ_n (n r)^½`, and the smallest
+//!   singular value of `L + ΔL` is at least `σ = (noise - δ)^½ - γ_n (n r)^½`.
+//! - **The sum.** `‖v‖ ≤ ‖k‖ / σ`, and the computed `v · v` is at most `(1 + γ_{n+1})
+//!   ‖v‖²`.
+//!
+//! `T = σ² · 2^-55` keeps the computed `v · v` below `2^-54` with a factor of two to
+//! spare. The spare covers the rounding of `‖k‖²`, of `v · v` and of `T` itself, and
+//! gradual underflow, which adds at most `2^-1075` per operation. The argument also
+//! needs every pivot of the fit to be the one the recurrence defines, not its clamp at
+//! `10^-12`. Each pivot is within a factor `1 ± γ_{n+1}` of a pivot of `L Lᵀ`, which is
+//! at least `λ_min(L Lᵀ) ≥ noise - δ`, so the rule asks for `noise - δ ≥ 2^-38`.
+//!
+//! **Where the rule is off.** `T` is 0, and every query is solved, where `noise - δ <
+//! 2^-38` or `σ ≤ 0`: where the noise does not stand well clear of the rounding of an
+//! `n`-row fit in `d` dimensions, about `n (n + d) u`. At BLISS's 120 rows and 36
+//! dimensions that is a noise below about 6·10^-12. At BLISS's noise of 10^-3, `T` is
+//! `noise · 2^-55` to 8 digits.
+//!
+//! The bound is loose, because `‖v‖² ≈ ‖k‖² / noise` needs `k` along the factor's
+//! smallest singular directions, which a kernel vector with no negative entry meets
+//! only in part. In the tests, a row of six inputs a quarter length scale apart, queried
+//! along its line, brings `v · v` to about 3.1 `‖k‖²` at noise 0.1; there the first
+//! query whose variance moves has `‖k‖² ≈ 13 T`. In the `baselines` workload of the
+//! repository benchmark, 98.6% of the 0.08-scale candidates and 74% of the 0.18-scale
+//! ones are far; at 0.35 and 0.7 none is.
 //!
 //! # Scaled solve
 //!
 //! At short length scales most kernel values are tiny, and so is most of `v`: at the
-//! 0.08 scale over half of the solve's products in `micro_components`' 120-point
-//! window round to a subnormal or to zero, and each such product costs the processor
-//! a slow microcode assist. The lockstep solve therefore works on `x' = x · 2^S` with
-//! `S = 600` (`SCALE_EXP`), where a product stays normal down to an unscaled
-//! `2^-1622`. Every value it returns is still exactly the textbook's:
+//! 0.08 scale, with every query of `micro_components`' 120-point window solved, over
+//! half of the solve's products round to a subnormal or to zero, and each such product
+//! costs the processor a slow microcode assist. The lockstep solve therefore works on
+//! `x' = x · 2^S` with `S = 600` (`SCALE_EXP`), where a product stays normal down to an
+//! unscaled `2^-1622`. Every value it returns is still exactly the textbook's:
 //!
 //! - **Start values.** A lane starts from `b · 2^S`. Scaling a finite double up by a
 //!   power of two never rounds, subnormals included.
@@ -83,8 +145,9 @@
 //!   `2^(S-1021)`, the row of that lane is recomputed unscaled, in textbook order,
 //!   from `x_k = x'_k · 2^-S`, and stored as `x · 2^S`. Both steps are exact,
 //!   subnormals included. In `micro_components`' 120-point window at the 0.08 scale,
-//!   one (row, lane) in 190 is recomputed. At 0.35 no solved value falls below the
-//!   bound, so the row loop tracks nothing and recomputes nothing.
+//!   with every query solved, one (row, lane) in 190 was recomputed. At 0.35 no
+//!   solved value falls below the bound, so the row loop tracks nothing and
+//!   recomputes nothing.
 //! - **Above the window.** A stored value above `2^(S+200)`, or a non-finite one,
 //!   sends the whole block to the textbook loop. Such a value means an unscaled `|x|`
 //!   of `2^200` or more, which kernel values never produce. A scaled value that
@@ -93,7 +156,6 @@
 //!
 //! The solve unscales its solutions by `2^-S` before returning them, which is exact.
 //!
-//! [`expected_improvement`]: GaussianProcess::expected_improvement
 //! [`expected_improvements`]: GaussianProcess::expected_improvements
 
 /// Queries scored together, and rows factored together, by the lockstep solve.
@@ -140,6 +202,9 @@ pub struct GaussianProcess {
     cholesky: Vec<f64>,
     /// The smallest non-zero `|l_ij|` of the factor.
     l_min: f64,
+    /// A query whose kernel vector has a computed `‖k‖²` below this is far: its
+    /// variance is `1 + noise` without a solve. See "Far queries" in the module docs.
+    far_threshold: f64,
     /// The fit's group buffers.
     group: Lanes,
     y_mean: f64,
@@ -169,6 +234,7 @@ impl GaussianProcess {
             alpha: Vec::new(),
             cholesky: Vec::new(),
             l_min: f64::INFINITY,
+            far_threshold: 0.0,
             group: Lanes::default(),
             y_mean: 0.0,
             y_std: 1.0,
@@ -176,7 +242,7 @@ impl GaussianProcess {
     }
 
     /// True once [`fit`](Self::fit) has been called with at least one observation.
-    pub fn is_fit(&self) -> bool {
+    fn is_fit(&self) -> bool {
         !self.alpha.is_empty()
     }
 
@@ -243,28 +309,45 @@ impl GaussianProcess {
             inputs.iter().all(|input| input.len() == dims),
             "inputs must share one dimensionality"
         );
+        // The rows of the last fit, when its inputs are bit for bit this fit's first
+        // rows: their factor and `l_min` stand. See "Refits" in the module docs.
+        let last = self.alpha.len();
+        let kept = if dims == self.dims
+            && last <= n
+            && (0..last).all(|i| {
+                let (new, old) = (&inputs[i], self.input(i));
+                new.iter().zip(old).all(|(a, b)| a.to_bits() == b.to_bits())
+            }) {
+            last
+        } else {
+            0
+        };
         self.dims = dims;
         self.y_mean = dg_stats::mean(targets);
         self.y_std = dg_stats::std_dev(targets).max(1e-9);
 
-        self.inputs.clear();
-        self.nonzero.clear();
-        self.nonzero.resize(dims, false);
-        for input in inputs {
+        if kept == 0 {
+            self.inputs.clear();
+            self.nonzero.clear();
+            self.nonzero.resize(dims, false);
+            self.l_min = f64::INFINITY;
+        }
+        for input in &inputs[kept..] {
             self.inputs.extend_from_slice(input);
             for (flag, &x) in self.nonzero.iter_mut().zip(input) {
                 *flag |= x != 0.0;
             }
         }
 
-        // Factor K + noise * I (= L * L^T) in groups of LANES rows; see "Fitting" in the
-        // module docs. K is never stored whole: each group computes its own kernel rows.
+        // Factor K + noise * I (= L * L^T) in groups of LANES rows from the first row
+        // not kept; see "Fitting" in the module docs. K is never stored whole: each
+        // group computes its own kernel rows.
         let mut l = std::mem::take(&mut self.cholesky);
-        l.clear();
+        l.truncate(row_start(kept));
         l.resize(row_start(n), 0.0);
         let mut group = std::mem::take(&mut self.group);
-        let mut l_min = f64::INFINITY;
-        for first in (0..n).step_by(LANES) {
+        let mut l_min = self.l_min;
+        for first in (kept..n).step_by(LANES) {
             let end = (first + LANES).min(n);
             self.load_kernel(
                 end,
@@ -304,6 +387,7 @@ impl GaussianProcess {
         }
         self.group = group;
         self.l_min = l_min;
+        self.far_threshold = far_threshold(n, dims, self.noise);
 
         // Solve L z = y, then L^T alpha = z, both in place in `alpha`.
         let mut alpha = std::mem::take(&mut self.alpha);
@@ -329,47 +413,101 @@ impl GaussianProcess {
         self.cholesky = l;
     }
 
-    /// Loads `points` into lanes a block at a time, solves `L v = k` for the block,
-    /// and hands the block and its lanes to `each`.
-    fn solve_blocks<P: AsRef<[f64]>>(&self, points: &[P], mut each: impl FnMut(&[P], &Lanes)) {
+    /// Resolves every point's posterior in standardised units and hands `each` the
+    /// point's index, its mean `k · alpha`, its `v · v`, and its solution `v` of `L v =
+    /// k` as lane `lane` of `(solved, lane)`, `solved[i][lane]`. A far query comes with
+    /// `v · v = 0`, which gives its variance exactly, and no solution. The calls come
+    /// in no particular order. See the module docs for the lockstep scoring and why it
+    /// is exact.
+    fn resolve<P: AsRef<[f64]>>(
+        &self,
+        points: &[P],
+        mut each: impl FnMut(usize, f64, f64, Option<(&[[f64; LANES]], usize)>),
+    ) {
         assert!(self.is_fit(), "predict called before fit");
         let n = self.alpha.len();
         let mut lanes = Lanes::default();
-        lanes.solved.resize(n, [0.0; LANES]);
-        for block in points.chunks(LANES) {
+        // The queries waiting for a solve: their kernel vectors as the lanes of
+        // `near.kernel`, and each one's index and mean.
+        let mut near = Lanes::default();
+        near.kernel.resize(n, [0.0; LANES]);
+        near.solved.resize(n, [0.0; LANES]);
+        let mut waiting = [(0, 0.0); LANES];
+        let mut count = 0;
+        for (block_index, block) in points.chunks(LANES).enumerate() {
             self.load_kernel(
                 n,
                 |lane| block[lane.min(block.len() - 1)].as_ref(),
                 &mut lanes,
             );
-            forward_solve(&self.cholesky, self.l_min, &lanes.kernel, &mut lanes.solved);
-            each(block, &lanes);
-        }
-    }
-
-    /// Predictive mean and standard deviation at every point, in order, handed to
-    /// `emit` (in the original target units). See the module docs for the lockstep
-    /// scoring and why it is exact.
-    fn posterior<P: AsRef<[f64]>>(&self, points: &[P], mut emit: impl FnMut(f64, f64)) {
-        self.solve_blocks(points, |block, lanes| {
             // Sums start at -0.0, as `Iterator::sum` over f64 does: a mean whose every
             // term is -0.0 (underflowed kernel values) keeps the textbook's sign.
             let mut mean = [-0.0; LANES];
-            let mut v_dot_v = [-0.0; LANES];
-            for ((k, v), &alpha) in lanes.kernel.iter().zip(&lanes.solved).zip(&self.alpha) {
+            let mut norm = [-0.0; LANES];
+            for (k, &alpha) in lanes.kernel.iter().zip(&self.alpha) {
                 for lane in 0..LANES {
                     mean[lane] += k[lane] * alpha;
-                    v_dot_v[lane] += v[lane] * v[lane];
+                    norm[lane] += k[lane] * k[lane];
                 }
             }
-
             for lane in 0..block.len() {
-                let variance = (1.0 + self.noise - v_dot_v[lane]).max(1e-12);
-                emit(
-                    mean[lane] * self.y_std + self.y_mean,
-                    variance.sqrt() * self.y_std,
-                );
+                let index = block_index * LANES + lane;
+                if norm[lane] < self.far_threshold {
+                    each(index, mean[lane], 0.0, None);
+                    continue;
+                }
+                for (column, k) in near.kernel.iter_mut().zip(&lanes.kernel) {
+                    column[count] = k[lane];
+                }
+                waiting[count] = (index, mean[lane]);
+                count += 1;
+                if count == LANES {
+                    self.solve_waiting(&mut near, &waiting, &mut each);
+                    count = 0;
+                }
             }
+        }
+        if count > 0 {
+            // A short final gathering is padded with copies of its last query, whose
+            // results are dropped.
+            for column in &mut near.kernel {
+                let last = column[count - 1];
+                column[count..].fill(last);
+            }
+            self.solve_waiting(&mut near, &waiting[..count], &mut each);
+        }
+    }
+
+    /// Solves the queries waiting in the lanes of `near.kernel` in lockstep and hands
+    /// each one to `each`, as [`resolve`](Self::resolve) describes.
+    fn solve_waiting(
+        &self,
+        near: &mut Lanes,
+        waiting: &[(usize, f64)],
+        each: &mut impl FnMut(usize, f64, f64, Option<(&[[f64; LANES]], usize)>),
+    ) {
+        forward_solve(&self.cholesky, self.l_min, &near.kernel, &mut near.solved);
+        let mut v_dot_v = [-0.0; LANES];
+        for v in &near.solved {
+            for lane in 0..LANES {
+                v_dot_v[lane] += v[lane] * v[lane];
+            }
+        }
+        for (lane, &(index, mean)) in waiting.iter().enumerate() {
+            each(index, mean, v_dot_v[lane], Some((&near.solved, lane)));
+        }
+    }
+
+    /// Predictive mean and standard deviation of every point (in the original target
+    /// units), handed to `emit` with the point's index, in no particular order.
+    fn posterior<P: AsRef<[f64]>>(&self, points: &[P], mut emit: impl FnMut(usize, f64, f64)) {
+        self.resolve(points, |index, mean, v_dot_v, _| {
+            let variance = (1.0 + self.noise - v_dot_v).max(1e-12);
+            emit(
+                index,
+                mean * self.y_std + self.y_mean,
+                variance.sqrt() * self.y_std,
+            );
         });
     }
 
@@ -381,26 +519,15 @@ impl GaussianProcess {
     /// training inputs.
     pub fn predict(&self, point: &[f64]) -> (f64, f64) {
         let mut prediction = (f64::NAN, f64::NAN);
-        self.posterior(&[point], |mean, std_dev| prediction = (mean, std_dev));
+        self.posterior(&[point], |_, mean, std_dev| prediction = (mean, std_dev));
         prediction
     }
 
-    /// Expected improvement of `point` over the incumbent best target value
-    /// (minimisation). Larger is better.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the GP has not been fit, or if `point` differs in length from the
-    /// training inputs.
-    pub fn expected_improvement(&self, point: &[f64], best: f64) -> f64 {
-        let (mean, std_dev) = self.predict(point);
-        improvement(mean, std_dev, best)
-    }
-
-    /// [`expected_improvement`](Self::expected_improvement) of every point, in order,
-    /// each paired with the point's predictive mean: `(improvement, mean)`. Each value
-    /// is bit-identical to scoring or [`predict`](Self::predict)ing its point alone;
-    /// scoring a pool in one call is faster.
+    /// Expected improvement of every point over the incumbent best target value
+    /// (minimisation; larger is better), in order, each paired with the point's
+    /// predictive mean: `(improvement, mean)`. Each value is bit-identical to scoring
+    /// or [`predict`](Self::predict)ing its point alone; scoring a pool in one call is
+    /// faster.
     ///
     /// # Panics
     ///
@@ -411,11 +538,37 @@ impl GaussianProcess {
         points: &[P],
         best: f64,
     ) -> Vec<(f64, f64)> {
-        let mut scores = Vec::with_capacity(points.len());
-        self.posterior(points, |mean, std_dev| {
-            scores.push((improvement(mean, std_dev, best), mean));
+        let mut scores = vec![(f64::NAN, f64::NAN); points.len()];
+        self.posterior(points, |index, mean, std_dev| {
+            scores[index] = (improvement(mean, std_dev, best), mean);
         });
         scores
+    }
+}
+
+/// The far-query threshold of a fit of `rows` inputs of `dims` dimensions: a query
+/// whose kernel vector has a computed `‖k‖²` below it has a computed `v · v` below
+/// `2^-54`, a quarter ulp of `1 + noise`. 0 where the bound gives none. See "Far
+/// queries" in the module docs.
+fn far_threshold(rows: usize, dims: usize, noise: f64) -> f64 {
+    let unit = pow2(-53);
+    let gamma = |m: usize| m as f64 * unit / (1.0 - m as f64 * unit);
+    let n = rows as f64;
+    // The bound on every row's squared norm in the factor.
+    let row_norm = (1.0 + noise) / (1.0 - gamma(rows + 1));
+    let delta = n * (dims as f64 + 7.0 + noise) * unit + n * gamma(rows + 1) * row_norm;
+    let slack = noise - delta;
+    // A lower bound on the smallest singular value of the perturbed factor; 0 where
+    // the slack is too small (or NaN) for the bound to hold.
+    let sigma = if slack >= pow2(-38) {
+        slack.sqrt() - gamma(rows) * (n * row_norm).sqrt()
+    } else {
+        0.0
+    };
+    if sigma > 0.0 {
+        sigma * sigma * pow2(-55)
+    } else {
+        0.0
     }
 }
 
@@ -730,17 +883,30 @@ mod tests {
                     // A training input itself, where the textbook sums are exact zeros.
                     points[0].clone_from(&inputs[rng.index(n)]);
 
-                    let mut solved = 0;
-                    gp.solve_blocks(&points, |block, lanes| {
-                        for (lane, point) in block.iter().enumerate() {
-                            let v = reference.solve(point);
-                            for (i, (got, v_i)) in lanes.solved.iter().zip(&v).enumerate() {
-                                assert_eq!(got[lane].to_bits(), v_i.to_bits(), "v[{i}], {context}");
+                    // Every query is resolved once; a solved one has the textbook's `v`,
+                    // and a far one a textbook variance of exactly `1 + noise`.
+                    let mut resolved = vec![false; pool];
+                    gp.resolve(&points, |index, _, _, solved| {
+                        assert!(!resolved[index], "query {index} resolved twice, {context}");
+                        resolved[index] = true;
+                        let v = reference.solve(&points[index]);
+                        match solved {
+                            Some((solved, lane)) => {
+                                for (i, (got, v_i)) in solved.iter().zip(&v).enumerate() {
+                                    assert_eq!(
+                                        got[lane].to_bits(),
+                                        v_i.to_bits(),
+                                        "v[{i}], {context}"
+                                    );
+                                }
                             }
-                            solved += 1;
+                            None => {
+                                let v_dot_v: f64 = v.iter().map(|x| x * x).sum();
+                                assert_eq!(1.0 + 1e-3 - v_dot_v, 1.0 + 1e-3, "far, {context}");
+                            }
                         }
                     });
-                    assert_eq!(solved, pool);
+                    assert!(resolved.iter().all(|&r| r), "{context}");
 
                     let scores = gp.expected_improvements(&points, best);
                     assert_eq!(scores.len(), pool);
@@ -760,7 +926,7 @@ mod tests {
                         assert_eq!(got_mean.to_bits(), mean.to_bits(), "mean, {context}");
                         assert_eq!(got_std.to_bits(), std_dev.to_bits(), "std, {context}");
                         assert_eq!(
-                            gp.expected_improvement(point, best).to_bits(),
+                            gp.expected_improvements(&[point], best)[0].0.to_bits(),
                             expected.to_bits(),
                             "single EI, {context}"
                         );
@@ -873,6 +1039,189 @@ mod tests {
         assert_eq!(x[1][1], 2.0);
     }
 
+    /// Checks a refit model against a fresh fit of the same window, bit for bit: the
+    /// factor, `alpha`, `l_min`, the far threshold, and the posterior of every query.
+    fn assert_same_fit(
+        gp: &GaussianProcess,
+        fresh: &GaussianProcess,
+        queries: &[Vec<f64>],
+        context: &str,
+    ) {
+        let bits = |values: &[f64]| values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gp.cholesky), bits(&fresh.cholesky), "L, {context}");
+        assert_eq!(bits(&gp.alpha), bits(&fresh.alpha), "alpha, {context}");
+        assert_eq!(
+            gp.l_min.to_bits(),
+            fresh.l_min.to_bits(),
+            "l_min, {context}"
+        );
+        let far = (gp.far_threshold.to_bits(), fresh.far_threshold.to_bits());
+        assert_eq!(far.0, far.1, "far threshold, {context}");
+        assert_eq!(bits(&gp.inputs), bits(&fresh.inputs), "inputs, {context}");
+        assert_eq!(gp.nonzero, fresh.nonzero, "nonzero dimensions, {context}");
+        let scores = |gp: &GaussianProcess| {
+            let mut posterior = vec![(0, 0); queries.len()];
+            gp.posterior(queries, |index, mean, std_dev| {
+                posterior[index] = (mean.to_bits(), std_dev.to_bits());
+            });
+            posterior
+        };
+        assert_eq!(scores(gp), scores(fresh), "posteriors, {context}");
+    }
+
+    #[test]
+    fn refits_are_bit_identical_to_fresh_fits() {
+        let mut rng = SimRng::new(31);
+        let inputs: Vec<Vec<f64>> = (0..160).map(|_| lattice_point(&mut rng)).collect();
+        let targets: Vec<f64> = (0..160).map(|_| 230.0 + 560.0 * rng.uniform()).collect();
+        let mut queries: Vec<Vec<f64>> = (0..37).map(|_| lattice_point(&mut rng)).collect();
+        queries.extend(inputs[..3].iter().cloned());
+
+        // Windows as row numbers: growing from 1 to 130 rows one at a time, sliding by
+        // 1 to 5 rows, the same window again, a shorter one, the full one again (which
+        // extends the shorter), and one whose last row is replaced.
+        let mut windows: Vec<Vec<usize>> = (1..=130).map(|end| (0..end).collect()).collect();
+        let mut start = 0;
+        for slide in [1, 2, 3, 4, 5, 1, 5, 2] {
+            start += slide;
+            windows.push((start..start + 130).collect());
+        }
+        let last = windows.last().expect("windows is non-empty").clone();
+        windows.push(last.clone());
+        windows.push(last[..121].to_vec());
+        windows.push(last.clone());
+        let mut replaced = last;
+        *replaced.last_mut().expect("a full window") = 159;
+        windows.push(replaced);
+
+        for length_scale in [0.08, 0.35] {
+            // One model refit at every window, and one at about one window in four, as
+            // each of BLISS's four models is.
+            let mut every = GaussianProcess::new(length_scale, 1e-3);
+            let mut some = GaussianProcess::new(length_scale, 1e-3);
+            for (step, window) in windows.iter().enumerate() {
+                let window_inputs: Vec<Vec<f64>> =
+                    window.iter().map(|&i| inputs[i].clone()).collect();
+                let window_targets: Vec<f64> = window.iter().map(|&i| targets[i]).collect();
+                let mut fresh = GaussianProcess::new(length_scale, 1e-3);
+                fresh.fit(&window_inputs, &window_targets);
+                let context = format!("l={length_scale} step {step}, {} rows", window.len());
+                every.fit(&window_inputs, &window_targets);
+                assert_same_fit(&every, &fresh, &queries, &context);
+                if rng.index(4) == 0 || step + 1 == windows.len() {
+                    some.fit(&window_inputs, &window_targets);
+                    assert_same_fit(&some, &fresh, &queries, &format!("some, {context}"));
+                }
+                // The same inputs with other targets keep the factor and re-solve
+                // `alpha`.
+                if step % 16 == 0 {
+                    let shifted: Vec<f64> =
+                        window_targets.iter().map(|y| 2.0 * y - 100.0).collect();
+                    let mut fresh = GaussianProcess::new(length_scale, 1e-3);
+                    fresh.fit(&window_inputs, &shifted);
+                    every.fit(&window_inputs, &shifted);
+                    assert_same_fit(&every, &fresh, &queries, &format!("shifted, {context}"));
+                }
+            }
+        }
+    }
+
+    /// Queries on the line of a row of six inputs spaced a quarter length scale apart,
+    /// beyond its first, each placed by bisection so that its computed `‖k‖²` is just
+    /// below or above a target. Their kernel vectors fall off along the row, which
+    /// puts much of them on the factor's smallest singular directions: at noise 0.1,
+    /// `v · v` reaches about 3.1 `‖k‖²`.
+    #[test]
+    fn queries_on_both_sides_of_the_far_threshold_match_the_textbook_gp() {
+        let length_scale = 0.25;
+        let inputs: Vec<Vec<f64>> = (0..6).map(|i| vec![f64::from(i) * 0.0625]).collect();
+        let targets = [310.0, 296.0, 305.0, 288.0, 301.0, 293.0];
+        for noise in [1e-6, 1e-3, 0.1] {
+            let mut gp = GaussianProcess::new(length_scale, noise);
+            gp.fit(&inputs, &targets);
+            let reference = TextbookGp::fit(length_scale, noise, &inputs, &targets);
+            let threshold = gp.far_threshold;
+            assert!(threshold > 0.0, "noise {noise}");
+            let norm = |x: f64| -> f64 { reference.k_star(&[x]).iter().map(|k| k * k).sum() };
+            // The two adjacent positions at which `norm` crosses `target`, nearer first.
+            let crossing = |target: f64| {
+                let (mut near, mut far) = (0.0, -10.0);
+                loop {
+                    let mid = (near + far) / 2.0;
+                    if mid == near || mid == far {
+                        break;
+                    }
+                    if norm(mid) >= target {
+                        near = mid;
+                    } else {
+                        far = mid;
+                    }
+                }
+                (near, far)
+            };
+            let mut queries = Vec::new();
+            let (above, below) = crossing(threshold);
+            assert!(norm(above) >= threshold && norm(below) < threshold);
+            for step in 0..4 {
+                queries.push(above + f64::from(step) * f64::EPSILON);
+                queries.push(below - f64::from(step) * f64::EPSILON);
+            }
+            for quarter_octave in -20..=48 {
+                let (above, below) =
+                    crossing(threshold * 2f64.powf(f64::from(quarter_octave) / 4.0));
+                queries.extend([above, below]);
+            }
+            let points: Vec<Vec<f64>> = queries.iter().map(|&x| vec![x]).collect();
+
+            let best = 280.0;
+            let scores = gp.expected_improvements(&points, best);
+            let mut far = 0;
+            // The smallest `‖k‖²`, over `threshold`, of a query whose textbook variance is
+            // not `1 + noise`.
+            let mut first_moved = f64::INFINITY;
+            gp.resolve(&points, |index, _, _, solved| {
+                let x = queries[index];
+                assert_eq!(
+                    solved.is_none(),
+                    norm(x) < threshold,
+                    "noise {noise}, x = {x}"
+                );
+                far += usize::from(solved.is_none());
+                let v_dot_v: f64 = reference.solve(&[x]).iter().map(|v| v * v).sum();
+                if 1.0 + noise - v_dot_v != 1.0 + noise {
+                    first_moved = first_moved.min(norm(x) / threshold);
+                }
+            });
+            for (point, &(score, mean)) in points.iter().zip(&scores) {
+                let (expected_mean, expected_std) = reference.predict(point);
+                let context = format!("noise {noise}, x = {}", point[0]);
+                assert_eq!(mean.to_bits(), expected_mean.to_bits(), "mean, {context}");
+                let expected = improvement(expected_mean, expected_std, best);
+                assert_eq!(score.to_bits(), expected.to_bits(), "EI, {context}");
+                let (got_mean, got_std) = gp.predict(point);
+                assert_eq!(
+                    got_mean.to_bits(),
+                    expected_mean.to_bits(),
+                    "mean, {context}"
+                );
+                assert_eq!(got_std.to_bits(), expected_std.to_bits(), "std, {context}");
+            }
+            assert!(
+                far >= 4 && far + 4 <= points.len(),
+                "noise {noise}: {far} far"
+            );
+            // The bound's margin: no query below the threshold moves, and at noise 0.1
+            // a query below 16 times it does, so a threshold 16 times larger fails here.
+            assert!(first_moved > 1.0, "noise {noise}");
+            if noise == 0.1 {
+                assert!(
+                    first_moved < 16.0,
+                    "noise {noise}: first moved at {first_moved} T"
+                );
+            }
+        }
+    }
+
     #[test]
     fn refitting_a_smaller_window_reuses_buffers_exactly() {
         // A model refit on a shorter window must not read stale entries of the longer
@@ -924,8 +1273,8 @@ mod tests {
         let mut gp = GaussianProcess::new(0.25, 1e-4);
         gp.fit(&inputs, &targets);
         let best = targets.iter().copied().fold(f64::INFINITY, f64::min);
-        let ei_at_known_bad = gp.expected_improvement(&[0.0], best);
-        let ei_at_frontier = gp.expected_improvement(&[1.0], best);
+        let ei_at_known_bad = gp.expected_improvements(&[[0.0]], best)[0].0;
+        let ei_at_frontier = gp.expected_improvements(&[[1.0]], best)[0].0;
         assert!(ei_at_frontier >= ei_at_known_bad);
     }
 

@@ -6,9 +6,12 @@
 //! bits of the cost totals, and every `(config, observed time)` of the history. A
 //! change that moves a digest changes a baseline's results and must re-pin on purpose.
 //!
-//! The space is Redis at the campaigns' default scale, where 24 of 36 dimensions are
-//! pinned, and the budget of 160 evaluations lets BLISS's 120-observation fit window
-//! slide after its warm-up of 20.
+//! The main space is Redis at the campaigns' default scale, where 24 of 36 dimensions
+//! are pinned, and the budget of 160 evaluations lets BLISS's 120-observation fit window
+//! slide after its warm-up of 20. BLISS is also pinned on GROMACS at the same scale and
+//! at the default budget of 200: after its warm-up of 24 the window starts at the first
+//! observation for 97 steps and then slides for 79, so both the refits that extend a
+//! factor and the fresh factorizations of a sliding window are pinned.
 
 use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
 use dg_tuners::{Bliss, Ntbea, Tuner, TuningBudget, TuningOutcome};
@@ -36,13 +39,27 @@ fn digest(outcome: &TuningOutcome) -> u64 {
     hash
 }
 
-fn run(tuner: &mut dyn Tuner, env_seed: u64) -> TuningOutcome {
-    let workload = Workload::scaled(Application::Redis, 160_000);
+fn run_on(
+    application: Application,
+    budget: TuningBudget,
+    tuner: &mut dyn Tuner,
+    env_seed: u64,
+) -> TuningOutcome {
+    let workload = Workload::scaled(application, 160_000);
     let mut cloud =
         CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), env_seed);
-    let outcome = tuner.tune(&workload, &mut cloud, TuningBudget::evaluations(BUDGET));
-    assert_eq!(outcome.samples, BUDGET);
+    let outcome = tuner.tune(&workload, &mut cloud, budget);
+    assert_eq!(outcome.samples, budget.max_evaluations);
     outcome
+}
+
+fn run(tuner: &mut dyn Tuner, env_seed: u64) -> TuningOutcome {
+    run_on(
+        Application::Redis,
+        TuningBudget::evaluations(BUDGET),
+        tuner,
+        env_seed,
+    )
 }
 
 #[test]
@@ -56,6 +73,28 @@ fn bliss_outcomes_are_pinned_bit_for_bit() {
             digest(&outcome),
             pinned,
             "BLISS seed {seed}: chosen {} of {} samples",
+            outcome.chosen,
+            outcome.samples
+        );
+    }
+}
+
+#[test]
+fn bliss_outcomes_at_the_default_budget_are_pinned_bit_for_bit() {
+    for (seed, env_seed, pinned) in [
+        (5, 49, 10_398_399_077_328_526_453u64),
+        (13, 50, 16_168_940_827_555_634_506),
+    ] {
+        let outcome = run_on(
+            Application::Gromacs,
+            TuningBudget::default(),
+            &mut Bliss::new(seed),
+            env_seed,
+        );
+        assert_eq!(
+            digest(&outcome),
+            pinned,
+            "BLISS on GROMACS, seed {seed}: chosen {} of {} samples",
             outcome.chosen,
             outcome.samples
         );

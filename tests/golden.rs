@@ -3,7 +3,9 @@
 //! The full tournament pipeline — region partitioning, Swiss regionals, double
 //! elimination, barrage playoffs, and every RNG stream feeding them — is pinned here
 //! for three fixed seeds at two region counts, and as whole-report digests for every
-//! Fig. 16 ablation variant and for one run on the full Redis space. Any accidental
+//! Fig. 16 ablation variant and for one run on the full Redis space. The BLISS hybrid
+//! of Figs. 13 and 14, whose outer loop picks subspaces by a Gaussian process's
+//! expected improvement, is pinned as digests of its outcomes. Any accidental
 //! change to the RNG discipline, the game ordering, or the cost accounting moves at
 //! least one of the pinned values and fails this suite loudly; an *intentional* change
 //! must regenerate the constants (the tuple layout below is exactly what a
@@ -69,6 +71,16 @@ const ABLATION_PINS: [(&str, u64); 11] = [
 /// Digest of a 16-player tournament over the full Redis space (5.3M configurations),
 /// the scale of the paper's own spaces.
 const FULL_REDIS_PIN: u64 = 3_556_879_906_502_776_845;
+
+/// `(subspaces, explorations, seed, digest)` of `HybridDarwinGame::bliss` outcomes on
+/// Redis at 10,000 configurations: the default shape of 16 subspaces and 6
+/// explorations, and a longer search whose Gaussian process is fit to 2 to 11 explored
+/// subspaces and scores the 30 to 21 unexplored ones.
+const BLISS_HYBRID_PINS: [(usize, usize, u64, u64); 3] = [
+    (16, 6, 3, 16_966_057_705_651_776_264),
+    (16, 6, 8, 5_500_172_295_260_578_703),
+    (32, 12, 5, 5_752_123_129_960_803_940),
+];
 
 /// The pinned tournament shape: Redis at 10,000 configurations, 8 players per game and
 /// at most 4 Swiss rounds per region, regions played in order.
@@ -206,6 +218,28 @@ fn report_digest(report: &TournamentReport) -> u64 {
         words.push(phase.games as u64);
         words.push(phase.core_hours.to_bits());
     }
+    fnv1a(&words)
+}
+
+/// FNV-1a over a tuning outcome's fields as little-endian 64-bit words: the chosen
+/// configuration, the sample count, the bits of the cost totals and of the believed
+/// time, and every `(config, observed time)` of the history.
+fn outcome_digest(outcome: &TuningOutcome) -> u64 {
+    let mut words = vec![
+        outcome.chosen,
+        outcome.believed_time.to_bits(),
+        outcome.samples as u64,
+        outcome.core_hours.to_bits(),
+        outcome.wall_clock_seconds.to_bits(),
+    ];
+    for record in &outcome.history {
+        words.push(record.config);
+        words.push(record.observed_time.to_bits());
+    }
+    fnv1a(&words)
+}
+
+fn fnv1a(words: &[u64]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
         hash ^= u64::from(byte);
@@ -253,4 +287,27 @@ fn full_redis_tournament_matches_its_pinned_report() {
         FULL_REDIS_PIN,
         "the report moved: {report:?}"
     );
+}
+
+#[test]
+fn bliss_hybrid_outcomes_match_their_pinned_digests() {
+    let workload = Workload::scaled(Application::Redis, 10_000);
+    for (subspaces, explorations, seed, pinned) in BLISS_HYBRID_PINS {
+        let mut tuner = HybridDarwinGame::bliss(seed)
+            .with_subspaces(subspaces)
+            .with_explorations(explorations);
+        let mut cloud = CloudEnvironment::new(
+            VmType::M5_8xlarge,
+            InterferenceProfile::typical(),
+            90 + seed,
+        );
+        let outcome = tuner.tune(&workload, &mut cloud, TuningBudget::default());
+        assert_eq!(outcome.history.len(), explorations);
+        assert_eq!(
+            outcome_digest(&outcome),
+            pinned,
+            "{subspaces} subspaces, {explorations} explorations, seed {seed}: the outcome \
+             moved: {outcome:?}"
+        );
+    }
 }
