@@ -1,4 +1,24 @@
 //! The N-Tuple Bandit Evolutionary Algorithm (NTBEA).
+//!
+//! # The tuple model
+//!
+//! The model keeps one table of `(count, mean fitness)` per n-tuple, as the NTBEA paper
+//! describes (Kunanusont et al.): one per 1-tuple, one per 2-tuple and, beyond two
+//! dimensions, one for the full point. A 1- or 2-tuple's table is dense, one cell per
+//! combination of its dimensions' levels, at the first dimension's level plus the
+//! second's times the first's level count, and all these tables share one buffer of
+//! cells. A cell whose count is 0 is a setting not yet observed. Redis has 1,620 cells
+//! at the campaigns' default scale and 2,036 on its full space. The full-point table
+//! would need a cell per configuration, so it is a map keyed by configuration id, which
+//! holds only the points observed.
+//!
+//! A UCB score sums, over the tables, an exploration term `sqrt(ln(total + 1) /
+//! count)`, or `sqrt(ln(total + 1) / 0.01)` for a setting not yet observed. Only an
+//! update changes `total`, so each update tabulates the term by count, the unseen one at
+//! count 0, with the same expressions. Scores, updates and values visit the tables in
+//! one order: the 1-tuples by dimension, the 2-tuples by first and then second
+//! dimension, the full point last. The tests keep a textbook model, one map keyed by
+//! tuple and packed levels, which every result matches bit for bit.
 
 use crate::evaluator::{CloudEvaluator, TuningBudget};
 use crate::outcome::TuningOutcome;
@@ -7,7 +27,6 @@ use dg_cloudsim::SimRng;
 use dg_exec::ExecutionBackend;
 use dg_workloads::{ConfigId, Workload};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// NTBEA [Lucas, Liu, Perez-Liebana]: a bandit-driven evolutionary search that fits an
 /// n-tuple model over the parameter space. Every real evaluation updates the running
@@ -45,71 +64,43 @@ impl Ntbea {
     }
 }
 
-/// The tuple dimension sets of a `dims`-dimensional space: all 1-tuples, all
-/// 2-tuples, and (beyond two dimensions) the full point.
-fn tuple_sets(dims: usize) -> Vec<Vec<usize>> {
-    let mut tuples = Vec::new();
-    for i in 0..dims {
-        tuples.push(vec![i]);
-    }
-    for i in 0..dims {
-        for j in (i + 1)..dims {
-            tuples.push(vec![i, j]);
-        }
-    }
-    if dims > 2 {
-        tuples.push((0..dims).collect());
-    }
-    tuples
+/// A 1- or 2-tuple's dense table: the cell of a point is `offset + point[first] +
+/// point[second] * stride`, where `stride` is the first dimension's level count. A
+/// 1-tuple has `second == first` and a stride of 0.
+struct Table {
+    first: usize,
+    second: usize,
+    stride: usize,
+    offset: usize,
 }
 
-/// Packs the levels of `point` at the dimensions of `tuple` into one mixed-radix key.
-fn pack(point: &[usize], tuple: &[usize], levels: &[usize]) -> u64 {
-    let mut key = 0u64;
-    let mut stride = 1u64;
-    for &dim in tuple {
-        key += point[dim] as u64 * stride;
-        stride *= levels[dim] as u64;
-    }
-    key
-}
-
-/// A multiplicative hasher for the tuple-statistics map.
-///
-/// Every update and every UCB score probes the map once per tuple (667 tuples on
-/// Redis's 36 dimensions), so the hash function sets most of NTBEA's own cost, and
-/// SipHash is slow on keys this short. The keys are the tuner's own `(tuple index,
-/// packed levels)` pairs, never outside input, and the map is only probed, never
-/// iterated, so neither collision resistance nor iteration order matters here.
-#[derive(Default)]
-struct TupleKeyHasher(u64);
-
-impl Hasher for TupleKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The product's high bits are its best mixed; the table indexes by the low ones.
-        self.0.rotate_left(26)
+impl Table {
+    fn cell(&self, point: &[usize]) -> usize {
+        self.offset + point[self.first] + point[self.second] * self.stride
     }
 }
 
-/// The running n-tuple fitness model: per-tuple sample counts and mean fitness.
+/// Adds one observation of `fitness` to a tuple's `(count, mean)`.
+fn observe(stats: &mut (u64, f64), fitness: f64) {
+    stats.0 += 1;
+    stats.1 += (fitness - stats.1) / stats.0 as f64;
+}
+
+/// The running n-tuple fitness model: per-tuple sample counts and mean fitness. See
+/// "The tuple model" in the module docs.
 struct TupleModel {
-    tuples: Vec<Vec<usize>>,
     levels: Vec<usize>,
-    stats: HashMap<(usize, u64), (u64, f64), BuildHasherDefault<TupleKeyHasher>>,
+    /// The 1-tuples' tables by dimension, then the 2-tuples' by first and second
+    /// dimension: the visiting order.
+    tables: Vec<Table>,
+    /// `(count, mean fitness)` per cell of every table; a count of 0 is a setting not
+    /// yet observed.
+    cells: Vec<(u64, f64)>,
+    /// The full-point tuple's `(count, mean fitness)` by configuration id, visited
+    /// last; `None` in two dimensions or fewer, which have no full-point tuple.
+    full: Option<HashMap<ConfigId, (u64, f64)>>,
+    /// The exploration term of a tuple by its count, `0..=total`, at this total.
+    bonus: Vec<f64>,
     total: u64,
     fit_min: f64,
     fit_max: f64,
@@ -117,34 +108,96 @@ struct TupleModel {
 
 impl TupleModel {
     fn new(levels: Vec<usize>) -> Self {
-        Self {
-            tuples: tuple_sets(levels.len()),
+        let dims = levels.len();
+        let mut tables = Vec::new();
+        let mut offset = 0;
+        for (first, &count) in levels.iter().enumerate() {
+            tables.push(Table {
+                first,
+                second: first,
+                stride: 0,
+                offset,
+            });
+            offset += count;
+        }
+        for first in 0..dims {
+            for second in first + 1..dims {
+                tables.push(Table {
+                    first,
+                    second,
+                    stride: levels[first],
+                    offset,
+                });
+                offset += levels[first] * levels[second];
+            }
+        }
+        let mut model = Self {
             levels,
-            stats: HashMap::default(),
+            tables,
+            cells: vec![(0, 0.0); offset],
+            full: (dims > 2).then(HashMap::new),
+            bonus: Vec::new(),
             total: 0,
             fit_min: f64::INFINITY,
             fit_max: f64::NEG_INFINITY,
-        }
+        };
+        model.tabulate_bonus();
+        model
+    }
+
+    /// Rebuilds the exploration term by count for the current total: `sqrt(ln(total +
+    /// 1) / count)`, and for an unseen tuple (count 0) `sqrt(ln(total + 1) / 0.01)`.
+    fn tabulate_bonus(&mut self) {
+        let log_total = ((self.total + 1) as f64).ln();
+        self.bonus.clear();
+        self.bonus.push((log_total / 0.01).sqrt());
+        self.bonus
+            .extend((1..=self.total).map(|count| (log_total / count as f64).sqrt()));
+    }
+
+    /// The configuration id of `point`: its levels in mixed radix, the first
+    /// dimension's lowest, as `ParameterSpace::index_of` numbers them.
+    fn config_id(&self, point: &[usize]) -> ConfigId {
+        point
+            .iter()
+            .zip(&self.levels)
+            .rev()
+            .fold(0, |id, (&level, &count)| id * count as u64 + level as u64)
+    }
+
+    /// The `(count, mean)` of every tuple covering `point`, in visiting order.
+    fn stats<'a>(&'a self, point: &'a [usize]) -> impl Iterator<Item = (u64, f64)> + 'a {
+        let full = self.full.as_ref().map(|full| {
+            full.get(&self.config_id(point))
+                .copied()
+                .unwrap_or((0, 0.0))
+        });
+        self.tables
+            .iter()
+            .map(|table| self.cells[table.cell(point)])
+            .chain(full)
     }
 
     fn update(&mut self, point: &[usize], fitness: f64) {
         self.total += 1;
         self.fit_min = self.fit_min.min(fitness);
         self.fit_max = self.fit_max.max(fitness);
-        for (index, tuple) in self.tuples.iter().enumerate() {
-            let key = (index, pack(point, tuple, &self.levels));
-            let entry = self.stats.entry(key).or_insert((0, 0.0));
-            entry.0 += 1;
-            entry.1 += (fitness - entry.1) / entry.0 as f64;
+        for table in &self.tables {
+            observe(&mut self.cells[table.cell(point)], fitness);
         }
+        let id = self.config_id(point);
+        if let Some(full) = &mut self.full {
+            observe(full.entry(id).or_insert((0, 0.0)), fitness);
+        }
+        self.tabulate_bonus();
     }
 
     /// Mean fitness of the tuples covering `point` (exploitation only).
     fn value(&self, point: &[usize]) -> f64 {
         let mut sum = 0.0;
         let mut n = 0u64;
-        for (index, tuple) in self.tuples.iter().enumerate() {
-            if let Some(&(_, mean)) = self.stats.get(&(index, pack(point, tuple, &self.levels))) {
+        for (count, mean) in self.stats(point) {
+            if count > 0 {
                 sum += mean;
                 n += 1;
             }
@@ -159,19 +212,15 @@ impl TupleModel {
     /// UCB score of `point`: tuple-mean value plus an exploration bonus scaled to the
     /// observed fitness range (unseen tuples count as nearly-unvisited).
     fn ucb(&self, point: &[usize], k: f64) -> f64 {
-        let log_total = ((self.total + 1) as f64).ln();
         let mut value_sum = 0.0;
         let mut value_n = 0u64;
         let mut explore = 0.0;
-        for (index, tuple) in self.tuples.iter().enumerate() {
-            match self.stats.get(&(index, pack(point, tuple, &self.levels))) {
-                Some(&(count, mean)) => {
-                    value_sum += mean;
-                    value_n += 1;
-                    explore += (log_total / count as f64).sqrt();
-                }
-                None => explore += (log_total / 0.01).sqrt(),
+        for (count, mean) in self.stats(point) {
+            if count > 0 {
+                value_sum += mean;
+                value_n += 1;
             }
+            explore += self.bonus[count as usize];
         }
         let value = if value_n == 0 {
             0.0
@@ -183,7 +232,8 @@ impl TupleModel {
         } else {
             1.0
         };
-        value + k * range * explore / self.tuples.len() as f64
+        let tuples = self.tables.len() + usize::from(self.full.is_some());
+        value + k * range * explore / tuples as f64
     }
 }
 
@@ -289,6 +339,198 @@ mod tests {
     use super::*;
     use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
     use dg_workloads::Application;
+
+    /// The tuple dimension sets of a `dims`-dimensional space: all 1-tuples, all
+    /// 2-tuples, and (beyond two dimensions) the full point.
+    fn tuple_sets(dims: usize) -> Vec<Vec<usize>> {
+        let mut tuples = Vec::new();
+        for i in 0..dims {
+            tuples.push(vec![i]);
+        }
+        for i in 0..dims {
+            for j in (i + 1)..dims {
+                tuples.push(vec![i, j]);
+            }
+        }
+        if dims > 2 {
+            tuples.push((0..dims).collect());
+        }
+        tuples
+    }
+
+    /// Packs the levels of `point` at the dimensions of `tuple` into one mixed-radix key.
+    fn pack(point: &[usize], tuple: &[usize], levels: &[usize]) -> u64 {
+        let mut key = 0u64;
+        let mut stride = 1u64;
+        for &dim in tuple {
+            key += point[dim] as u64 * stride;
+            stride *= levels[dim] as u64;
+        }
+        key
+    }
+
+    /// The textbook n-tuple model: every tuple's statistics in one map keyed by the
+    /// tuple's index and its packed levels, each term computed where it is summed.
+    /// [`TupleModel`] must match it bit for bit.
+    struct MapModel {
+        tuples: Vec<Vec<usize>>,
+        levels: Vec<usize>,
+        stats: HashMap<(usize, u64), (u64, f64)>,
+        total: u64,
+        fit_min: f64,
+        fit_max: f64,
+    }
+
+    impl MapModel {
+        fn new(levels: Vec<usize>) -> Self {
+            Self {
+                tuples: tuple_sets(levels.len()),
+                levels,
+                stats: HashMap::new(),
+                total: 0,
+                fit_min: f64::INFINITY,
+                fit_max: f64::NEG_INFINITY,
+            }
+        }
+
+        fn update(&mut self, point: &[usize], fitness: f64) {
+            self.total += 1;
+            self.fit_min = self.fit_min.min(fitness);
+            self.fit_max = self.fit_max.max(fitness);
+            for (index, tuple) in self.tuples.iter().enumerate() {
+                let key = (index, pack(point, tuple, &self.levels));
+                let entry = self.stats.entry(key).or_insert((0, 0.0));
+                entry.0 += 1;
+                entry.1 += (fitness - entry.1) / entry.0 as f64;
+            }
+        }
+
+        fn value(&self, point: &[usize]) -> f64 {
+            let mut sum = 0.0;
+            let mut n = 0u64;
+            for (index, tuple) in self.tuples.iter().enumerate() {
+                if let Some(&(_, mean)) = self.stats.get(&(index, pack(point, tuple, &self.levels)))
+                {
+                    sum += mean;
+                    n += 1;
+                }
+            }
+            if n == 0 {
+                f64::NEG_INFINITY
+            } else {
+                sum / n as f64
+            }
+        }
+
+        fn ucb(&self, point: &[usize], k: f64) -> f64 {
+            let log_total = ((self.total + 1) as f64).ln();
+            let mut value_sum = 0.0;
+            let mut value_n = 0u64;
+            let mut explore = 0.0;
+            for (index, tuple) in self.tuples.iter().enumerate() {
+                match self.stats.get(&(index, pack(point, tuple, &self.levels))) {
+                    Some(&(count, mean)) => {
+                        value_sum += mean;
+                        value_n += 1;
+                        explore += (log_total / count as f64).sqrt();
+                    }
+                    None => explore += (log_total / 0.01).sqrt(),
+                }
+            }
+            let value = if value_n == 0 {
+                0.0
+            } else {
+                value_sum / value_n as f64
+            };
+            let range = if self.fit_max > self.fit_min {
+                self.fit_max - self.fit_min
+            } else {
+                1.0
+            };
+            value + k * range * explore / self.tuples.len() as f64
+        }
+    }
+
+    /// Drives [`TupleModel`] and [`MapModel`] on `levels` through the same 200 steps of
+    /// a walk like NTBEA's, and compares every UCB score and value bit for bit: each
+    /// step reads a mutation of the current point, a random point and an earlier point,
+    /// then updates at the current point (one step in ten skips it, as a failed
+    /// evaluation does), and moves to the mutation or, one step in four, to an earlier
+    /// point, whose full-point tuple then counts more than once.
+    fn assert_dense_tables_match_the_map_model(levels: &[usize], seed: u64, context: &str) {
+        let mut rng = SimRng::new(seed);
+        let mut model = TupleModel::new(levels.to_vec());
+        let mut reference = MapModel::new(levels.to_vec());
+        let random = |rng: &mut SimRng| -> Vec<usize> {
+            levels.iter().map(|&count| rng.index(count)).collect()
+        };
+        let mut current = random(&mut rng);
+        let mut visited = vec![current.clone()];
+        for step in 0..200 {
+            let mut mutation = current.clone();
+            let forced = rng.index(levels.len());
+            mutation[forced] = rng.index(levels[forced]);
+            for (dim, level) in mutation.iter_mut().enumerate() {
+                if dim != forced && rng.uniform() < MUTATION_RATE {
+                    *level = rng.index(levels[dim]);
+                }
+            }
+            let earlier = visited[rng.index(visited.len())].clone();
+            for point in [&mutation, &random(&mut rng), &earlier, &current] {
+                let context = format!("{context}, step {step}, point {point:?}");
+                let (got, expected) = (
+                    model.ucb(point, EXPLORATION),
+                    reference.ucb(point, EXPLORATION),
+                );
+                assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "UCB {got} against {expected}, {context}"
+                );
+                let (got, expected) = (model.value(point), reference.value(point));
+                assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "value {got} against {expected}, {context}"
+                );
+            }
+            if rng.index(10) != 0 {
+                let fitness = -(230.0 + 560.0 * rng.uniform());
+                model.update(&current, fitness);
+                reference.update(&current, fitness);
+            }
+            current = if rng.index(4) == 0 { earlier } else { mutation };
+            visited.push(current.clone());
+        }
+        assert_eq!(model.total, reference.total, "{context}");
+    }
+
+    #[test]
+    fn dense_tables_are_bit_identical_to_the_map_model() {
+        for (index, application) in Application::ALL.into_iter().enumerate() {
+            let spaces = [
+                ("default scale", application.scaled_parameter_space(160_000)),
+                ("full space", application.parameter_space()),
+            ];
+            for (scale, space) in spaces {
+                let levels: Vec<usize> =
+                    space.parameters().iter().map(|p| p.level_count()).collect();
+                let context = format!("{application} at {scale}");
+                assert_dense_tables_match_the_map_model(&levels, 41 + index as u64, &context);
+                if application == Application::Redis {
+                    let cells = TupleModel::new(levels).cells.len();
+                    let expected = if scale == "full space" { 2_036 } else { 1_620 };
+                    assert_eq!(cells, expected, "{context}");
+                }
+            }
+        }
+        // Two dimensions or fewer have no full-point tuple.
+        for levels in [vec![3, 5], vec![4, 1], vec![7]] {
+            let model = TupleModel::new(levels.clone());
+            assert!(model.full.is_none());
+            assert_dense_tables_match_the_map_model(&levels, 7, &format!("levels {levels:?}"));
+        }
+    }
 
     #[test]
     fn consumes_budget_and_recommends_a_visited_configuration() {

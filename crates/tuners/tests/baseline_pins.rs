@@ -11,7 +11,10 @@
 //! slide after its warm-up of 20. BLISS is also pinned on GROMACS at the same scale and
 //! at the default budget of 200: after its warm-up of 24 the window starts at the first
 //! observation for 97 steps and then slides for 79, so both the refits that extend a
-//! factor and the fresh factorizations of a sliding window are pinned.
+//! factor and the fresh factorizations of a sliding window are pinned. NTBEA is pinned
+//! there too, at the same seeds, and once more on Redis with a warm start: hints
+//! evaluated before the bandit walk, one of them past the end of the space and one
+//! repeated.
 
 use dg_cloudsim::{CloudEnvironment, InterferenceProfile, VmType};
 use dg_tuners::{Bliss, Ntbea, Tuner, TuningBudget, TuningOutcome};
@@ -117,4 +120,40 @@ fn ntbea_outcomes_are_pinned_bit_for_bit() {
             outcome.samples
         );
     }
+}
+
+#[test]
+fn ntbea_outcomes_at_the_default_budget_are_pinned_bit_for_bit() {
+    for (seed, env_seed, pinned) in [
+        (5, 49, 18_069_015_836_667_307_863u64),
+        (13, 50, 1_236_864_057_076_325_839),
+    ] {
+        let outcome = run_on(
+            Application::Gromacs,
+            TuningBudget::default(),
+            &mut Ntbea::new(seed),
+            env_seed,
+        );
+        assert_eq!(
+            digest(&outcome),
+            pinned,
+            "NTBEA on GROMACS, seed {seed}: chosen {} of {} samples",
+            outcome.chosen,
+            outcome.samples
+        );
+    }
+}
+
+#[test]
+fn warm_started_ntbea_outcomes_are_pinned_bit_for_bit() {
+    let mut tuner = Ntbea::new(7);
+    tuner.warm_start(&[5, 90_000, u64::MAX, 31_337, 5]);
+    let outcome = run(&mut tuner, 51);
+    assert_eq!(
+        digest(&outcome),
+        11_493_548_718_889_267_354,
+        "warm-started NTBEA: chosen {} of {} samples",
+        outcome.chosen,
+        outcome.samples
+    );
 }
