@@ -5,9 +5,9 @@
 //! visible: surface evaluation (on a scaled space and on the full one, past the spec
 //! memo), one paper-scale region's candidate sampling, interference sampling, a single
 //! co-located game of 16 and of 5 players, one 16-player game's normal draws, a solo
-//! run, one paper-scale region of the regional phase, the GP surrogate fit and
-//! candidate-pool scoring used by BLISS, one NTBEA session, and a small end-to-end
-//! tournament.
+//! run, one and a hundred consecutive paper-scale regions of the regional phase, the GP
+//! surrogate fit and candidate-pool scoring used by BLISS, one NTBEA session, and a
+//! small end-to-end tournament.
 //!
 //! Run with `cargo bench --bench micro_components`.
 
@@ -235,6 +235,28 @@ fn bench_paper_scale_region(c: &mut Criterion) {
                     exec.as_mut(),
                     &config,
                 ))
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // A hundred consecutive regions on one thread, as a one-worker regional phase plays
+    // them, keeping every outcome: each region's set-up and the buffers it takes over
+    // from the region before are timed with its games. The backends are forked in the
+    // set-up.
+    c.bench_function("regional_phase_100_regions_full_redis", |b| {
+        b.iter_batched(
+            || {
+                (region..region + 100)
+                    .map(|r| ExecutionBackend::fork(&mut main, r as u64))
+                    .collect::<Vec<_>>()
+            },
+            |backends| {
+                (region..)
+                    .zip(backends)
+                    .map(|(r, mut exec)| {
+                        run_region(&workload, &partition, r, 0, exec.as_mut(), &config)
+                    })
+                    .collect::<Vec<_>>()
             },
             BatchSize::SmallInput,
         )

@@ -196,6 +196,56 @@ fn dot(a: &[f64; NODE_COUNT], b: &[f64; NODE_COUNT]) -> f64 {
     a.iter().zip(b).map(|(a, b)| a * b).sum()
 }
 
+/// Writes every player's work done at one instant of the current piece of half-length
+/// `h` into `out`: `progress + h * dot(rates, weights)`, where `weights` integrate the
+/// nodes up to the instant ([`basis_integral`]). It is one straight pass down the
+/// node-major `rates` columns, and each player's sum runs over the nodes in [`dot`]'s
+/// order, so every player's work has `dot`'s bits.
+fn work_at(
+    progress: &[f64],
+    rates: &[Vec<f64>; NODE_COUNT],
+    h: f64,
+    weights: &[f64; NODE_COUNT],
+    out: &mut [f64],
+) {
+    let players = out.len();
+    let progress = &progress[..players];
+    let [r0, r1, r2, r3] = rates.each_ref().map(|column| &column[..players]);
+    for i in 0..players {
+        let sum = r0[i] * weights[0] + r1[i] * weights[1] + r2[i] * weights[2] + r3[i] * weights[3];
+        out[i] = progress[i] + h * sum;
+    }
+}
+
+/// The leader and the runner-up among `contenders` by `work`, as `(index, work)`,
+/// counted with multiplicity (two equal leaders give the pair): the leader is the first
+/// contender with the most work, and the runner-up the first with the most among the
+/// others. Each contender updates both places through selects on two strict `>`
+/// comparisons, so a tie keeps the earlier contender. With fewer than two contenders, a
+/// missing place is `(usize::MAX, -inf)`.
+fn top_two(work: &[f64], contenders: &[usize]) -> ((usize, f64), (usize, f64)) {
+    let (mut leader, mut leader_work) = (usize::MAX, f64::NEG_INFINITY);
+    let (mut runner_up, mut runner_up_work) = (usize::MAX, f64::NEG_INFINITY);
+    for &i in contenders {
+        let w = work[i];
+        let (leads, runs_up) = (w > leader_work, w > runner_up_work);
+        // The runner-up if `w` does not lead: `w` if it beats the runner-up.
+        let (next, next_work) = if runs_up {
+            (i, w)
+        } else {
+            (runner_up, runner_up_work)
+        };
+        // A new leader hands the old one down to runner-up.
+        (runner_up, runner_up_work) = if leads {
+            (leader, leader_work)
+        } else {
+            (next, next_work)
+        };
+        (leader, leader_work) = if leads { (i, w) } else { (leader, leader_work) };
+    }
+    ((leader, leader_work), (runner_up, runner_up_work))
+}
+
 /// The root in `[lo, hi]` of `f(u) = c + h * q · basis_integral(u)`, whose slope is
 /// `h * q · basis(u)`, given `f(lo) < 0 <= f(hi)` and both values: Newton steps from
 /// the secant's root, kept inside the shrinking bracket by bisection. Newton converges
@@ -247,12 +297,17 @@ struct GameScratch {
     weight: Vec<f64>,
     /// Work done per player at the start of the piece.
     progress: Vec<f64>,
-    /// Each player's rate at the piece's nodes.
-    rates: Vec<[f64; NODE_COUNT]>,
+    /// The players' rates at the piece's nodes, one column per node: `rates[j][i]` is
+    /// player `i`'s rate at node `j`, so every player's work at an instant is one
+    /// straight pass down the columns ([`work_at`]).
+    rates: [Vec<f64>; NODE_COUNT],
     /// Work done per player at the end of the piece.
     end: Vec<f64>,
-    /// Work done per player at an instant inside the piece.
+    /// Work done per player at the instant the piece stops at (its end, a finish or
+    /// the Fig. 5 rule's instant).
     work: Vec<f64>,
+    /// Work done per player at an early-termination check inside the piece.
+    check: Vec<f64>,
     /// Observed time per player, once the game is over.
     observed: Vec<f64>,
     /// The players that can lead or run up inside the current piece.
@@ -299,12 +354,18 @@ impl GameScratch {
                 .clamp(0.99, 1.01);
             *scale = noise / (overload * *scale);
         }
-        for column in [&mut self.progress, &mut self.end, &mut self.work] {
+        for column in [
+            &mut self.progress,
+            &mut self.end,
+            &mut self.work,
+            &mut self.check,
+        ]
+        .into_iter()
+        .chain(&mut self.rates)
+        {
             column.clear();
             column.resize(players, 0.0);
         }
-        self.rates.clear();
-        self.rates.resize(players, [0.0; NODE_COUNT]);
 
         let interference_factor = vm.interference_factor();
         let cap = specs
@@ -336,11 +397,16 @@ impl GameScratch {
             let mut levels = [0.0; NODE_COUNT];
             sampler.levels_at_seconds(&seconds, &mut levels);
             let shared = levels.map(|level| (level * interference_factor + contention).max(0.0));
+            // Each player's rates at the nodes go into the columns, and its work at the
+            // piece's end is summed from them while they are at hand.
+            let [r0, r1, r2, r3] = self.rates.each_mut().map(|column| &mut column[..players]);
+            let (scale, weight) = (&self.scale[..players], &self.weight[..players]);
+            let (progress, end) = (&self.progress[..players], &mut self.end[..players]);
             for i in 0..players {
-                let (scale, weight) = (self.scale[i], self.weight[i]);
+                let (scale, weight) = (scale[i], weight[i]);
                 let rates = shared.map(|shared| scale / (1.0 + weight * shared));
-                self.rates[i] = rates;
-                self.end[i] = self.progress[i] + h * dot(&WEIGHTS, &rates);
+                [r0[i], r1[i], r2[i], r3[i]] = rates;
+                end[i] = progress[i] + h * dot(&WEIGHTS, &rates);
             }
 
             // The first finish in the piece, if any.
@@ -402,13 +468,13 @@ impl GameScratch {
         }
         let solve = |i: usize, hi: f64, at_hi: f64| {
             let c = self.progress[i] - target;
-            root(c, h, &self.rates[i], (-1.0, c), (hi, at_hi - target))
+            root(c, h, &self.rates_of(i), (-1.0, c), (hi, at_hi - target))
         };
         let mut first = (leader, solve(leader, hi, reached[leader]));
         let mut weights = basis_integral(first.1);
         for (i, &work) in reached.iter().enumerate() {
             if i != leader && work >= target {
-                let at_first = self.progress[i] + h * dot(&self.rates[i], &weights);
+                let at_first = self.progress[i] + h * dot(&self.rates_of(i), &weights);
                 if at_first >= target {
                     first = (i, solve(i, first.1, at_first));
                     weights = basis_integral(first.1);
@@ -418,9 +484,14 @@ impl GameScratch {
         Some(first)
     }
 
+    /// Player `i`'s rates at the piece's nodes.
+    fn rates_of(&self, i: usize) -> [f64; NODE_COUNT] {
+        std::array::from_fn(|j| self.rates[j][i])
+    }
+
     /// Player `i`'s work done at `u` of the current piece of half-length `h`.
     fn progress_at(&self, i: usize, h: f64, u: f64) -> f64 {
-        self.progress[i] + h * dot(&self.rates[i], &basis_integral(u))
+        self.progress[i] + h * dot(&self.rates_of(i), &basis_integral(u))
     }
 
     /// Fills `work` with every player's work done at `u`: `end` at the piece's end, and
@@ -429,14 +500,13 @@ impl GameScratch {
         if u == 1.0 {
             self.work.copy_from_slice(&self.end);
         } else {
-            let weights = basis_integral(u);
-            for (work, (progress, rates)) in self
-                .work
-                .iter_mut()
-                .zip(self.progress.iter().zip(&self.rates))
-            {
-                *work = progress + h * dot(rates, &weights);
-            }
+            work_at(
+                &self.progress,
+                &self.rates,
+                h,
+                &basis_integral(u),
+                &mut self.work,
+            );
         }
         if let Some(finisher) = finisher {
             let done = self.work[finisher];
@@ -457,7 +527,10 @@ impl GameScratch {
     /// up to `stop`; at the first check where it has opened, the instant at which the
     /// leader's and the runner-up's work cross the gap's threshold is solved for. Work
     /// never decreases, so a player whose work at `stop` is below the runner-up's at
-    /// `from` is out of the top two up to `stop`, and the later checks skip it.
+    /// `from` is out of the top two up to `stop`, and the later checks skip it. Each
+    /// check is one [`top_two_at`](Self::top_two_at): at an interior instant it
+    /// evaluates every player's work, the skipped ones too, in one straight pass down
+    /// the rate columns, and then scans only the contenders.
     fn early_stop(&mut self, h: f64, stop: f64, rules: &GameRules) -> Option<f64> {
         let threshold = rules.min_leader_progress;
         let players = self.work.len();
@@ -501,7 +574,7 @@ impl GameScratch {
                 let keep = 1.0 - rules.work_done_deviation;
                 let (l, r) = (leader.0, runner_up.0);
                 let c = keep * self.progress[l] - self.progress[r];
-                let q = std::array::from_fn(|j| keep * self.rates[l][j] - self.rates[r][j]);
+                let q = std::array::from_fn(|j| keep * self.rates[j][l] - self.rates[j][r]);
                 let at = |u: f64| keep * self.progress_at(l, h, u) - self.progress_at(r, h, u);
                 let (at_previous, at_u) = (at(previous), keep * leader.1 - runner_up.1);
                 return Some(root(c, h, &q, (previous, at_previous), (u, at_u)));
@@ -511,27 +584,26 @@ impl GameScratch {
         None
     }
 
-    /// The leader and the runner-up among the contenders at `u` as `(index, work)`,
-    /// counted with multiplicity (two equal leaders give the pair); at `stop` they are
-    /// read from `work`, and at -1 from `progress`. Needs two contenders.
-    fn top_two_at(&self, h: f64, u: f64, stop: f64) -> ((usize, f64), (usize, f64)) {
-        let weights = (u != stop && u != -1.0).then(|| basis_integral(u));
-        let mut leader = (usize::MAX, f64::NEG_INFINITY);
-        let mut runner_up = (usize::MAX, f64::NEG_INFINITY);
-        for &i in &self.contenders {
-            let work = match &weights {
-                Some(weights) => self.progress[i] + h * dot(&self.rates[i], weights),
-                None if u == stop => self.work[i],
-                None => self.progress[i],
-            };
-            if work > leader.1 {
-                runner_up = leader;
-                leader = (i, work);
-            } else if work > runner_up.1 {
-                runner_up = (i, work);
-            }
-        }
-        (leader, runner_up)
+    /// The [`top_two`] contenders at `u` of the current piece of half-length `h`. Their
+    /// work is read from `work` at `stop` and from `progress` at -1; at any other
+    /// instant, every player's work is first evaluated into `check` in one [`work_at`]
+    /// pass, which gives each the bits `progress_at` would. Needs two contenders.
+    fn top_two_at(&mut self, h: f64, u: f64, stop: f64) -> ((usize, f64), (usize, f64)) {
+        let work = if u == stop {
+            &self.work
+        } else if u == -1.0 {
+            &self.progress
+        } else {
+            work_at(
+                &self.progress,
+                &self.rates,
+                h,
+                &basis_integral(u),
+                &mut self.check,
+            );
+            &self.check
+        };
+        top_two(work, &self.contenders)
     }
 }
 
@@ -1529,6 +1601,139 @@ mod tests {
                     previous = times;
                 }
             }
+        }
+    }
+
+    /// The top-two scan as it was before the rates became node-major columns: each
+    /// contender's work is evaluated on its own, by `dot` over its row of rates (read
+    /// from `work` at `stop` and from `progress` at -1), and the leader and the
+    /// runner-up are updated through branches.
+    fn top_two_by_rows(
+        progress: &[f64],
+        rows: &[[f64; NODE_COUNT]],
+        work: &[f64],
+        contenders: &[usize],
+        (h, u, stop): (f64, f64, f64),
+    ) -> ((usize, f64), (usize, f64)) {
+        let weights = (u != stop && u != -1.0).then(|| basis_integral(u));
+        let mut leader = (usize::MAX, f64::NEG_INFINITY);
+        let mut runner_up = (usize::MAX, f64::NEG_INFINITY);
+        for &i in contenders {
+            let work = match &weights {
+                Some(weights) => progress[i] + h * dot(&rows[i], weights),
+                None if u == stop => work[i],
+                None => progress[i],
+            };
+            if work > leader.1 {
+                runner_up = leader;
+                leader = (i, work);
+            } else if work > runner_up.1 {
+                runner_up = (i, work);
+            }
+        }
+        (leader, runner_up)
+    }
+
+    #[test]
+    fn top_two_scan_matches_the_branchy_scan_over_rows() {
+        // 3,300 random scratch states, 100 at each width 1-33. Each player's progress
+        // and four rates are drawn, or copied from an earlier player (30%), so copies
+        // tie on all three paths; every third state copies every player from the first,
+        // so all work is equal. Each state is scanned over every player, a random
+        // subset and one player, at the piece's start (-1), at `stop` (the piece's end
+        // half the time) and at two interior instants, and both places must match the
+        // reference's index and work bits.
+        let mut draw = SimRng::new(0x7e2).derive("top-two-battery");
+        let (mut equal_leaders, mut equal_runners_up, mut all_equal) = (0, 0, 0);
+        for case in 0..3_300_usize {
+            let players = 1 + case % 33;
+            let copy_all = case % 3 == 0;
+            let mut progress: Vec<f64> = Vec::new();
+            let mut rows: Vec<[f64; NODE_COUNT]> = Vec::new();
+            for i in 0..players {
+                if i > 0 && (copy_all || draw.chance(0.3)) {
+                    let from = if copy_all { 0 } else { draw.index(i) };
+                    progress.push(progress[from]);
+                    rows.push(rows[from]);
+                } else {
+                    progress.push(0.9 * draw.uniform());
+                    rows.push(std::array::from_fn(|_| (1.0 + draw.uniform()) / 300.0));
+                }
+            }
+            let h = 0.5 + 40.0 * draw.uniform();
+            let stop = if draw.chance(0.5) {
+                1.0
+            } else {
+                -1.0 + 2.0 * draw.uniform()
+            };
+            let at_stop = if stop == 1.0 {
+                WEIGHTS
+            } else {
+                basis_integral(stop)
+            };
+            let work: Vec<f64> = (0..players)
+                .map(|i| progress[i] + h * dot(&rows[i], &at_stop))
+                .collect();
+            let mut scratch = GameScratch {
+                progress: progress.clone(),
+                rates: std::array::from_fn(|j| rows.iter().map(|row| row[j]).collect()),
+                work: work.clone(),
+                check: vec![0.0; players],
+                ..GameScratch::default()
+            };
+            for subset in 0..3 {
+                scratch.contenders = match subset {
+                    0 => (0..players).collect(),
+                    1 => (0..players).filter(|_| draw.chance(0.6)).collect(),
+                    _ => vec![draw.index(players)],
+                };
+                let interior = [0.25, 0.75].map(|f| -1.0 + (stop + 1.0) * f * draw.uniform());
+                for u in [-1.0, stop, interior[0], interior[1]] {
+                    let got = scratch.top_two_at(h, u, stop);
+                    let want =
+                        top_two_by_rows(&progress, &rows, &work, &scratch.contenders, (h, u, stop));
+                    let bits = |((l, lw), (r, rw)): ((usize, f64), (usize, f64))| {
+                        (l, lw.to_bits(), r, rw.to_bits())
+                    };
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "case {case}: {players} players, contenders {:?}, u {u}, stop {stop}",
+                        scratch.contenders
+                    );
+                    let ((leader, leader_work), (runner_up, runner_up_work)) = want;
+                    if scratch.contenders.len() < 2 {
+                        continue;
+                    }
+                    let at = |i: usize| {
+                        top_two_by_rows(&progress, &rows, &work, &[i], (h, u, stop))
+                            .0
+                             .1
+                    };
+                    equal_leaders += usize::from(leader_work == runner_up_work);
+                    equal_runners_up += usize::from(
+                        scratch
+                            .contenders
+                            .iter()
+                            .any(|&i| i != leader && i != runner_up && at(i) == runner_up_work),
+                    );
+                    all_equal +=
+                        usize::from(scratch.contenders.iter().all(|&i| at(i) == leader_work));
+                }
+            }
+        }
+        for (covered, what) in [
+            (equal_leaders, "two equal leaders"),
+            (
+                equal_runners_up,
+                "a third contender tied with the runner-up",
+            ),
+            (all_equal, "all-equal work"),
+        ] {
+            assert!(
+                covered > 100,
+                "the top-two battery covers {what} only {covered} times"
+            );
         }
     }
 

@@ -84,6 +84,24 @@ impl Player {
 }
 
 #[cfg(test)]
+impl Player {
+    /// Every field as 64-bit words, floats as their bits: the configuration, the origin
+    /// region, the score board and the carried spec.
+    pub(crate) fn to_words(self) -> Vec<u64> {
+        let origin = self.origin_region.map_or(u64::MAX, |region| region as u64);
+        let mut words = vec![self.config, origin];
+        words.extend(self.scores.to_words());
+        match self.spec {
+            Some(spec) => {
+                words.extend([1, spec.base_time().to_bits(), spec.sensitivity().to_bits()])
+            }
+            None => words.push(0),
+        }
+        words
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

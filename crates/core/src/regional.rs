@@ -17,6 +17,7 @@ use dg_cloudsim::{CostTracker, ExecutionSpec, SimRng, WORK_DONE_DEVIATION};
 use dg_exec::{default_workers, run_ordered, ExecutionBackend, GameRules};
 use dg_obs::{emit_with, ObsEvent};
 use dg_workloads::{ConfigId, IndexPartition, Workload};
+use std::cell::Cell;
 use std::cmp::Ordering;
 
 /// The result of playing one region.
@@ -52,11 +53,17 @@ fn region_seed(config: &TournamentConfig, region: usize) -> u64 {
 /// The region keeps flat per-candidate columns (the sampled configurations, a spec
 /// cache filled before each candidate's first game, and a [`ScoreBoard`] each), plays
 /// every game straight on the backend and ranks it into reused buffers, so its
-/// bookkeeping allocates nothing per game. When the region ends, the best average
-/// execution score sets the advancement threshold and only the candidates at or above it
-/// are sorted into ranking order (the single-winner ablation takes the first candidate
-/// of that order). [`Player`]s are built only for the candidates that advance, each
-/// carrying its spec into the global phase.
+/// bookkeeping allocates nothing per game. Its veterans, the candidates that have
+/// played, are a bitset in candidate order, and each veteran's selection weight,
+/// `average_execution_score().max(0.01)`, is updated only after its own games: a round
+/// gathers the veterans and their weights from the bitset in candidate order, without
+/// visiting every board or dividing again. The columns, the round buffers and the
+/// ranker are the calling thread's, cleared and reused from one region to the next, so
+/// a region allocates only its candidates and its winners. When the region ends, the
+/// best average execution score sets the advancement threshold and only the candidates
+/// at or above it are sorted into ranking order (the single-winner ablation takes the
+/// first candidate of that order). [`Player`]s are built only for the candidates that
+/// advance, each carrying its spec into the global phase.
 pub fn run_region(
     workload: &Workload,
     partition: &IndexPartition,
@@ -65,135 +72,215 @@ pub fn run_region(
     exec: &mut dyn ExecutionBackend,
     config: &TournamentConfig,
 ) -> RegionalOutcome {
-    let mut rng = SimRng::new(exec.seed()).derive("regional");
-    let players_per_game = config.effective_players_per_game(exec.vm().vcpus());
+    // A region that panics loses the buffers, and the next one starts from new ones.
+    let mut scratch = REGION_SCRATCH.take();
+    let outcome = scratch.play(workload, partition, region, offset, exec, config);
+    REGION_SCRATCH.set(scratch);
+    outcome
+}
 
-    let game_options = GameRules {
-        early_termination: config.ablation.early_termination,
-        ..GameRules::default()
-    };
+thread_local! {
+    /// The buffers of the regions this thread plays.
+    static REGION_SCRATCH: Cell<RegionScratch> = Cell::new(RegionScratch::default());
+}
 
-    // Candidate pool: enough distinct configurations to feed every possible round.
-    let pool_size =
-        players_per_game + (players_per_game / 2) * config.max_regional_rounds.saturating_sub(1);
-    let mut candidates = partition.sample_distinct(region, pool_size, &mut rng);
-    for id in &mut candidates {
-        *id += offset;
-    }
-    let mut boards = vec![ScoreBoard::new(); candidates.len()];
-    // Region-local spec cache: a candidate's spec is looked up before its first game
-    // and reused for every later one.
-    let mut specs: Vec<Option<ExecutionSpec>> = vec![None; candidates.len()];
+/// A region's buffers, cleared and refilled by every region a thread plays.
+#[derive(Debug, Default)]
+struct RegionScratch {
+    /// Per candidate, its score record.
+    boards: Vec<ScoreBoard>,
+    /// Per candidate, its spec, looked up before its first game.
+    specs: Vec<Option<ExecutionSpec>>,
+    /// The veterans, the candidates that have played, one bit each in candidate order.
+    veterans: Vec<u64>,
+    /// Per veteran, its selection weight, `average_execution_score().max(0.01)`.
+    weights: Vec<f64>,
+    /// The candidates that have not played, in the order they are drawn (from the end).
+    unplayed: Vec<usize>,
+    /// The round's players, by candidate.
+    participants: Vec<usize>,
+    /// The round's veterans in candidate order and their weights, as the draws take
+    /// them out.
+    pool: Vec<usize>,
+    pool_weights: Vec<f64>,
+    /// The round's players' specs.
+    game_specs: Vec<ExecutionSpec>,
+    /// The veterans' standings when the region ends, then the advancing ones.
+    standings: Vec<Standing>,
+    ranker: Ranker,
+}
 
-    let mut unplayed: Vec<usize> = (0..candidates.len()).collect();
-    rng.shuffle(&mut unplayed);
+impl RegionScratch {
+    /// Plays one region, as [`run_region`] describes.
+    fn play(
+        &mut self,
+        workload: &Workload,
+        partition: &IndexPartition,
+        region: usize,
+        offset: u64,
+        exec: &mut dyn ExecutionBackend,
+        config: &TournamentConfig,
+    ) -> RegionalOutcome {
+        let mut rng = SimRng::new(exec.seed()).derive("regional");
+        let players_per_game = config.effective_players_per_game(exec.vm().vcpus());
 
-    let mut games_played = 0usize;
-    let mut last_winner: Option<ConfigId> = None;
-    let mut consecutive_wins = 0usize;
+        let game_options = GameRules {
+            early_termination: config.ablation.early_termination,
+            ..GameRules::default()
+        };
 
-    let rounds = if config.ablation.swiss_regional {
-        config.max_regional_rounds
-    } else {
-        // Ablation "w/o Swiss": a single game among the sampled players decides winners.
-        1
-    };
+        // Candidate pool: enough distinct configurations to feed every possible round.
+        let pool_size = players_per_game
+            + (players_per_game / 2) * config.max_regional_rounds.saturating_sub(1);
+        let mut candidates = partition.sample_distinct(region, pool_size, &mut rng);
+        for id in &mut candidates {
+            *id += offset;
+        }
+        let Self {
+            boards,
+            specs,
+            veterans,
+            weights,
+            unplayed,
+            participants,
+            pool,
+            pool_weights,
+            game_specs,
+            standings,
+            ranker,
+        } = self;
+        let count = candidates.len();
+        boards.clear();
+        boards.resize(count, ScoreBoard::new());
+        specs.clear();
+        specs.resize(count, None);
+        veterans.clear();
+        veterans.resize(count.div_ceil(64), 0);
+        weights.clear();
+        weights.resize(count, 0.0);
+        unplayed.clear();
+        unplayed.extend(0..count);
+        rng.shuffle(unplayed);
 
-    // Round scratch, reused from round to round.
-    let mut participants: Vec<usize> = Vec::with_capacity(players_per_game);
-    let mut veterans: Vec<usize> = Vec::with_capacity(candidates.len());
-    let mut weights: Vec<f64> = Vec::with_capacity(candidates.len());
-    let mut game_specs: Vec<ExecutionSpec> = Vec::with_capacity(players_per_game);
-    let mut ranker = Ranker::default();
+        let mut games_played = 0usize;
+        let mut last_winner: Option<ConfigId> = None;
+        let mut consecutive_wins = 0usize;
 
-    for round in 0..rounds {
-        // Select this round's participants.
-        participants.clear();
-        if round == 0 || !config.ablation.swiss_regional {
-            // First round (or non-Swiss single game): random players from the pool.
-            while participants.len() < players_per_game && !unplayed.is_empty() {
-                participants.push(unplayed.pop().expect("unplayed is non-empty"));
-            }
+        let rounds = if config.ablation.swiss_regional {
+            config.max_regional_rounds
         } else {
-            // Half new players, half high-scoring veterans selected probabilistically.
-            // The new players have not played yet, so no veteran is already in the game.
-            let new_slots = (players_per_game / 2).min(unplayed.len());
-            for _ in 0..new_slots {
-                participants.push(unplayed.pop().expect("unplayed is non-empty"));
+            // Ablation "w/o Swiss": a single game among the sampled players decides
+            // winners.
+            1
+        };
+
+        for round in 0..rounds {
+            // Select this round's participants.
+            participants.clear();
+            if round == 0 || !config.ablation.swiss_regional {
+                // First round (or non-Swiss single game): random players from the pool.
+                while participants.len() < players_per_game && !unplayed.is_empty() {
+                    participants.push(unplayed.pop().expect("unplayed is non-empty"));
+                }
+            } else {
+                // Half new players, half high-scoring veterans selected
+                // probabilistically. The new players have not played yet, so no veteran
+                // is already in the game.
+                let new_slots = (players_per_game / 2).min(unplayed.len());
+                for _ in 0..new_slots {
+                    participants.push(unplayed.pop().expect("unplayed is non-empty"));
+                }
+                pool.clear();
+                pool.extend(members(veterans));
+                pool_weights.clear();
+                pool_weights.extend(pool.iter().map(|i| weights[*i]));
+                let veteran_slots = (players_per_game - participants.len()).min(pool.len());
+                for _ in 0..veteran_slots {
+                    let pick = rng.weighted_index(pool_weights);
+                    participants.push(pool.swap_remove(pick));
+                    pool_weights.swap_remove(pick);
+                }
             }
-            veterans.clear();
-            veterans.extend((0..boards.len()).filter(|i| boards[*i].games_played() > 0));
-            let veteran_slots = (players_per_game - participants.len()).min(veterans.len());
-            weights.clear();
-            weights.extend(
-                veterans
-                    .iter()
-                    .map(|i| boards[*i].average_execution_score().max(0.01)),
-            );
-            for _ in 0..veteran_slots {
-                let pick = rng.weighted_index(&weights);
-                participants.push(veterans.swap_remove(pick));
-                weights.swap_remove(pick);
+            if participants.len() < 2 {
+                break;
+            }
+
+            game_specs.clear();
+            for &i in participants.iter() {
+                let id = candidates[i];
+                game_specs.push(*specs[i].get_or_insert_with(|| workload.spec(id)));
+            }
+            let play = exec.play_game(game_specs, &game_options);
+            exec.commit(&play);
+            games_played += 1;
+            emit_with(|| ObsEvent::Round {
+                phase: "regional",
+                round,
+                games: 1,
+            });
+
+            let ranks = ranker.rank(&play.execution_scores);
+            for (slot, &i) in participants.iter().enumerate() {
+                let board = &mut boards[i];
+                board.record_game(play.execution_scores[slot], ranks[slot]);
+                weights[i] = board.average_execution_score().max(0.01);
+                veterans[i / 64] |= 1 << (i % 64);
+            }
+
+            // Track consecutive wins of the same configuration for the termination rule.
+            let winning_config = candidates[participants[ranker.standings()[0]]];
+            if Some(winning_config) == last_winner {
+                consecutive_wins += 1;
+            } else {
+                last_winner = Some(winning_config);
+                consecutive_wins = 1;
+            }
+            if config.ablation.swiss_regional && consecutive_wins >= 2 {
+                break;
+            }
+            if unplayed.is_empty() {
+                break;
             }
         }
-        if participants.len() < 2 {
-            break;
-        }
 
-        game_specs.clear();
-        for &i in &participants {
-            let id = candidates[i];
-            game_specs.push(*specs[i].get_or_insert_with(|| workload.spec(id)));
-        }
-        let play = exec.play_game(&game_specs, &game_options);
-        exec.commit(&play);
-        games_played += 1;
-        emit_with(|| ObsEvent::Round {
-            phase: "regional",
-            round,
-            games: 1,
-        });
+        standings.clear();
+        standings.extend(
+            members(veterans).map(|i| (boards[i].average_execution_score(), candidates[i], i)),
+        );
+        let players_in = standings.len();
+        advancing(
+            standings,
+            config.ablation.single_regional_winner,
+            WORK_DONE_DEVIATION,
+        );
+        let winners: Vec<Player> = standings
+            .iter()
+            .map(|&(_, id, i)| Player::regional_winner(id, region, boards[i], specs[i]))
+            .collect();
 
-        let ranks = ranker.rank(&play.execution_scores);
-        for (slot, i) in participants.iter().enumerate() {
-            boards[*i].record_game(play.execution_scores[slot], ranks[slot]);
-        }
-
-        // Track consecutive wins of the same configuration for the termination rule.
-        let winning_config = candidates[participants[ranker.standings()[0]]];
-        if Some(winning_config) == last_winner {
-            consecutive_wins += 1;
-        } else {
-            last_winner = Some(winning_config);
-            consecutive_wins = 1;
-        }
-        if config.ablation.swiss_regional && consecutive_wins >= 2 {
-            break;
-        }
-        if unplayed.is_empty() {
-            break;
+        RegionalOutcome {
+            region,
+            winners,
+            players_in,
+            games_played,
+            core_hours: exec.cost().core_hours(),
+            wall_clock_seconds: exec.cost().wall_clock_seconds(),
         }
     }
+}
 
-    let played: Vec<Standing> = (0..candidates.len())
-        .filter(|i| boards[*i].games_played() > 0)
-        .map(|i| (boards[i].average_execution_score(), candidates[i], i))
-        .collect();
-    let players_in = played.len();
-    let single_winner = config.ablation.single_regional_winner;
-    let winners: Vec<Player> = advancing(played, single_winner, WORK_DONE_DEVIATION)
-        .iter()
-        .map(|&(_, id, i)| Player::regional_winner(id, region, boards[i], specs[i]))
-        .collect();
-
-    RegionalOutcome {
-        region,
-        winners,
-        players_in,
-        games_played,
-        core_hours: exec.cost().core_hours(),
-        wall_clock_seconds: exec.cost().wall_clock_seconds(),
-    }
+/// The members of a bitset, ascending.
+fn members(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(word, &bits)| {
+        let mut rest = bits;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                word * 64 + bit
+            })
+        })
+    })
 }
 
 /// A candidate that played in a region: its average execution score, its configuration
@@ -208,20 +295,21 @@ fn by_rank(a: &Standing, b: &Standing) -> Ordering {
         .then(a.1.cmp(&b.1))
 }
 
-/// The standings that advance, in ranking order: everyone within the work-done
+/// Keeps the standings that advance, in ranking order: everyone within the work-done
 /// deviation `d` of the best average execution score, or only the first in ranking
 /// order under the single-winner ablation. Only the standings at or above the
 /// threshold are sorted.
-fn advancing(mut played: Vec<Standing>, single_winner: bool, d: f64) -> Vec<Standing> {
+fn advancing(played: &mut Vec<Standing>, single_winner: bool, d: f64) {
     if single_winner {
         let best = played.iter().copied().min_by(by_rank);
-        return best.into_iter().collect();
+        played.clear();
+        played.extend(best);
+        return;
     }
     let best = played.iter().map(|s| s.0).fold(f64::NEG_INFINITY, f64::max);
     let threshold = best * (1.0 - d);
     played.retain(|(score, _, _)| *score >= threshold);
     played.sort_unstable_by(by_rank);
-    played
 }
 
 /// Runs every region and aggregates the results.
@@ -231,7 +319,8 @@ fn advancing(mut played: Vec<Standing>, single_winner: bool, d: f64) -> Vec<Stan
 /// order, so recording backends assign stream keys deterministically). The regions
 /// then run on `dg-exec`'s [`run_ordered`] pool, each taking its backend by value:
 /// [`default_workers`] threads when `parallel_regions` is set, else one, which runs
-/// every region on the caller's thread. Either way the outcomes come back in region
+/// every region on the caller's thread; each thread reuses one set of region buffers
+/// (see [`run_region`]). Either way the outcomes come back in region
 /// order, and the simulated cost model is the same: regions are always charged as if
 /// they ran concurrently on separate VMs, so the aggregate wall clock is the longest
 /// region, per Fig. 6's "played in parallel".
@@ -410,7 +499,8 @@ mod tests {
                 .collect();
             let d = [WORK_DONE_DEVIATION, 0.25, 0.5, 0.9][case % 4];
             let single_winner = case % 3 == 0;
-            let got = advancing(played.clone(), single_winner, d);
+            let mut got = played.clone();
+            advancing(&mut got, single_winner, d);
             let want = advancing_by_sorting_everything(played, single_winner, d);
             let bits = |standings: &[Standing]| -> Vec<(u64, ConfigId, usize)> {
                 standings
@@ -419,6 +509,263 @@ mod tests {
                     .collect()
             };
             assert_eq!(bits(&got), bits(&want), "case {case}");
+        }
+    }
+
+    /// `run_region` as it was before the veteran pool and the thread's buffers: fresh
+    /// columns for every region, and the veterans and their weights rebuilt from every
+    /// board each round. Winners are selected by sorting every standing.
+    fn run_region_textbook(
+        workload: &Workload,
+        partition: &IndexPartition,
+        region: usize,
+        offset: u64,
+        exec: &mut dyn ExecutionBackend,
+        config: &TournamentConfig,
+    ) -> RegionalOutcome {
+        let mut rng = SimRng::new(exec.seed()).derive("regional");
+        let players_per_game = config.effective_players_per_game(exec.vm().vcpus());
+        let game_options = GameRules {
+            early_termination: config.ablation.early_termination,
+            ..GameRules::default()
+        };
+        let pool_size = players_per_game
+            + (players_per_game / 2) * config.max_regional_rounds.saturating_sub(1);
+        let mut candidates = partition.sample_distinct(region, pool_size, &mut rng);
+        for id in &mut candidates {
+            *id += offset;
+        }
+        let mut boards = vec![ScoreBoard::new(); candidates.len()];
+        let mut specs: Vec<Option<ExecutionSpec>> = vec![None; candidates.len()];
+        let mut unplayed: Vec<usize> = (0..candidates.len()).collect();
+        rng.shuffle(&mut unplayed);
+        let mut games_played = 0usize;
+        let mut last_winner: Option<ConfigId> = None;
+        let mut consecutive_wins = 0usize;
+        let rounds = if config.ablation.swiss_regional {
+            config.max_regional_rounds
+        } else {
+            1
+        };
+        let mut ranker = Ranker::default();
+        for round in 0..rounds {
+            let mut participants: Vec<usize> = Vec::new();
+            if round == 0 || !config.ablation.swiss_regional {
+                while participants.len() < players_per_game && !unplayed.is_empty() {
+                    participants.push(unplayed.pop().unwrap());
+                }
+            } else {
+                let new_slots = (players_per_game / 2).min(unplayed.len());
+                for _ in 0..new_slots {
+                    participants.push(unplayed.pop().unwrap());
+                }
+                let mut veterans: Vec<usize> = (0..boards.len())
+                    .filter(|i| boards[*i].games_played() > 0)
+                    .collect();
+                let veteran_slots = (players_per_game - participants.len()).min(veterans.len());
+                let mut weights: Vec<f64> = veterans
+                    .iter()
+                    .map(|i| boards[*i].average_execution_score().max(0.01))
+                    .collect();
+                for _ in 0..veteran_slots {
+                    let pick = rng.weighted_index(&weights);
+                    participants.push(veterans.swap_remove(pick));
+                    weights.swap_remove(pick);
+                }
+            }
+            if participants.len() < 2 {
+                break;
+            }
+            let game_specs: Vec<ExecutionSpec> = participants
+                .iter()
+                .map(|&i| *specs[i].get_or_insert_with(|| workload.spec(candidates[i])))
+                .collect();
+            let play = exec.play_game(&game_specs, &game_options);
+            exec.commit(&play);
+            games_played += 1;
+            let ranks = ranker.rank(&play.execution_scores);
+            for (slot, i) in participants.iter().enumerate() {
+                boards[*i].record_game(play.execution_scores[slot], ranks[slot]);
+            }
+            let winning_config = candidates[participants[ranker.standings()[0]]];
+            if Some(winning_config) == last_winner {
+                consecutive_wins += 1;
+            } else {
+                last_winner = Some(winning_config);
+                consecutive_wins = 1;
+            }
+            if config.ablation.swiss_regional && consecutive_wins >= 2 {
+                break;
+            }
+            if unplayed.is_empty() {
+                break;
+            }
+        }
+        let played: Vec<Standing> = (0..candidates.len())
+            .filter(|i| boards[*i].games_played() > 0)
+            .map(|i| (boards[i].average_execution_score(), candidates[i], i))
+            .collect();
+        let players_in = played.len();
+        let single_winner = config.ablation.single_regional_winner;
+        let winners = advancing_by_sorting_everything(played, single_winner, WORK_DONE_DEVIATION)
+            .iter()
+            .map(|&(_, id, i)| Player::regional_winner(id, region, boards[i], specs[i]))
+            .collect();
+        RegionalOutcome {
+            region,
+            winners,
+            players_in,
+            games_played,
+            core_hours: exec.cost().core_hours(),
+            wall_clock_seconds: exec.cost().wall_clock_seconds(),
+        }
+    }
+
+    /// Everything a region reports, as 64-bit words, floats as their bits: the region,
+    /// `players_in`, `games_played`, the core-hours and wall bits, and every field of
+    /// every winner in order (configuration, origin, score board, spec).
+    fn outcome_words(outcome: &RegionalOutcome) -> Vec<u64> {
+        let mut words = vec![
+            outcome.region as u64,
+            outcome.players_in as u64,
+            outcome.games_played as u64,
+            outcome.core_hours.to_bits(),
+            outcome.wall_clock_seconds.to_bits(),
+            outcome.winners.len() as u64,
+        ];
+        for winner in &outcome.winners {
+            words.extend(winner.to_words());
+        }
+        words
+    }
+
+    /// Plays `region` with `run_region` and with the textbook, each on a fresh fork,
+    /// and asserts the two outcomes are equal word for word.
+    fn assert_region_matches_the_textbook(
+        workload: &Workload,
+        partition: &IndexPartition,
+        region: usize,
+        config: &TournamentConfig,
+        label: &str,
+    ) {
+        let mut exec = region_backend(config, region);
+        let got = run_region(workload, partition, region, 0, exec.as_mut(), config);
+        let mut exec = region_backend(config, region);
+        let want = run_region_textbook(workload, partition, region, 0, exec.as_mut(), config);
+        assert_eq!(
+            outcome_words(&got),
+            outcome_words(&want),
+            "{label}, region {region}: {got:?} against {want:?}"
+        );
+    }
+
+    /// The scaled setup at `seed` under the full design, without Swiss rounds and with
+    /// a single regional winner.
+    fn scaled_variants(seed: u64) -> Vec<(&'static str, TournamentConfig)> {
+        let (_, _, mut config) = setup(16);
+        config.seed = seed;
+        let mut non_swiss = config;
+        non_swiss.ablation.swiss_regional = false;
+        let mut single_winner = config;
+        single_winner.ablation.single_regional_winner = true;
+        vec![
+            ("Swiss", config),
+            ("non-Swiss", non_swiss),
+            ("single winner", single_winner),
+        ]
+    }
+
+    /// The full Redis space in 10,000 regions with 16 players per game: the paper's
+    /// scale.
+    fn paper_scale(seed: u64) -> (Workload, IndexPartition, TournamentConfig) {
+        let workload = Workload::full(Application::Redis);
+        let partition = IndexPartition::new(workload.size(), 10_000);
+        let mut config = TournamentConfig::scaled(10_000, seed);
+        config.players_per_game = Some(16);
+        config.parallel_regions = false;
+        (workload, partition, config)
+    }
+
+    #[test]
+    fn regions_match_the_textbook_on_the_scaled_setup() {
+        // Every region of the scaled setup at three seeds under three variants, all on
+        // this thread, so each region reuses the buffers the one before it left.
+        let (workload, partition, _) = setup(16);
+        for seed in [11, 12, 13] {
+            for (variant, config) in scaled_variants(seed) {
+                for region in 0..partition.parts() {
+                    let label = format!("{variant} at seed {seed}");
+                    assert_region_matches_the_textbook(
+                        &workload, &partition, region, &config, &label,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn paper_scale_regions_match_the_textbook() {
+        // 200 of the 10,000 regions of the full Redis space, one in every 50.
+        let (workload, partition, config) = paper_scale(5);
+        for region in (0..partition.parts()).step_by(50) {
+            assert_region_matches_the_textbook(
+                &workload,
+                &partition,
+                region,
+                &config,
+                "paper scale",
+            );
+        }
+    }
+
+    #[test]
+    fn a_thread_plays_a_wider_region_after_a_narrower_one() {
+        // On a new thread, whose buffers start empty: an 8-player region of the scaled
+        // setup, a 16-player paper-scale region on the buffers it left, then the
+        // 8-player one again on the 16-player region's.
+        std::thread::spawn(|| {
+            let (scaled_workload, scaled_partition, scaled_config) = setup(16);
+            let (workload, partition, config) = paper_scale(9);
+            for _ in 0..2 {
+                assert_region_matches_the_textbook(
+                    &scaled_workload,
+                    &scaled_partition,
+                    7,
+                    &scaled_config,
+                    "8 players",
+                );
+                assert_region_matches_the_textbook(
+                    &workload,
+                    &partition,
+                    4_321,
+                    &config,
+                    "16 players",
+                );
+            }
+        })
+        .join()
+        .expect("the regions match the textbook");
+    }
+
+    #[test]
+    fn the_phase_matches_the_textbook_with_and_without_threads() {
+        let (workload, partition, mut config) = setup(16);
+        for parallel_regions in [false, true] {
+            config.parallel_regions = parallel_regions;
+            let mut main =
+                CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 1);
+            let (outcomes, _) = run_regional_phase(&workload, &partition, 0, &mut main, &config);
+            assert_eq!(outcomes.len(), partition.parts());
+            for (region, got) in outcomes.iter().enumerate() {
+                let mut exec = region_backend(&config, region);
+                let want =
+                    run_region_textbook(&workload, &partition, region, 0, exec.as_mut(), &config);
+                assert_eq!(
+                    outcome_words(got),
+                    outcome_words(&want),
+                    "parallel regions {parallel_regions}, region {region}"
+                );
+            }
         }
     }
 

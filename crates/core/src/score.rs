@@ -181,6 +181,19 @@ fn rank_into(values: &[f64], order: &mut Vec<usize>, ranks: &mut Vec<usize>) {
 }
 
 #[cfg(test)]
+impl ScoreBoard {
+    /// Every field as a 64-bit word, floats as their bits.
+    pub(crate) fn to_words(self) -> [u64; 4] {
+        [
+            self.games as u64,
+            self.execution_sum.to_bits(),
+            self.inverse_rank_sum.to_bits(),
+            self.latest_execution_score.to_bits(),
+        ]
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use dg_cloudsim::SimRng;

@@ -72,6 +72,11 @@ const ABLATION_PINS: [(&str, u64); 11] = [
 /// the scale of the paper's own spaces.
 const FULL_REDIS_PIN: u64 = 3_556_879_906_502_776_845;
 
+/// Digest of a tournament in the benchmark's `paper_scale` shape: the full Redis space
+/// cut into the paper's 10,000 regions, 16 players per game, m5.8xlarge, the typical
+/// profile, regions played in order.
+const PAPER_SCALE_PIN: u64 = 4_365_740_498_270_770_904;
+
 /// `(subspaces, explorations, seed, digest)` of `HybridDarwinGame::bliss` outcomes on
 /// Redis at 10,000 configurations: the default shape of 16 subspaces and 6
 /// explorations, and a longer search whose Gaussian process is fit to 2 to 11 explored
@@ -285,6 +290,24 @@ fn full_redis_tournament_matches_its_pinned_report() {
     assert_eq!(
         report_digest(&report),
         FULL_REDIS_PIN,
+        "the report moved: {report:?}"
+    );
+}
+
+#[test]
+fn paper_scale_tournament_matches_its_pinned_report() {
+    let workload = Workload::full(Application::Redis);
+    let mut config = TournamentConfig::scaled(10_000, 7);
+    config.players_per_game = Some(16);
+    config.parallel_regions = false;
+    let mut cloud = CloudEnvironment::new(VmType::M5_8xlarge, InterferenceProfile::typical(), 59);
+    let report = DarwinGame::new(config).run(&workload, &mut cloud);
+    assert_phases_never_create_players(&report, "paper scale");
+    // Every region plays at least one game.
+    assert!(report.phases[0].games >= 10_000, "{:?}", report.phases[0]);
+    assert_eq!(
+        report_digest(&report),
+        PAPER_SCALE_PIN,
         "the report moved: {report:?}"
     );
 }
