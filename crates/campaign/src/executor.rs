@@ -16,8 +16,8 @@ use crate::spec::{profile_label, CampaignSpec, CellCoord};
 use darwin_core::{AblationConfig, DarwinGame, TournamentConfig};
 use dg_cloudsim::InterferenceProfile;
 use dg_exec::{
-    default_workers, run_ordered, BackendProvider, ExecutionTrace, SimProvider, SurrogateBackend,
-    SurrogateStats, TraceError, TraceRecorder, TraceReplayer,
+    default_workers, run_ordered, BackendProvider, ExecutionTrace, SimProvider, TraceError,
+    TraceRecorder, TraceReplayer,
 };
 use dg_obs::{emit_with, ObsEvent};
 use dg_scenario::ScenarioBackend;
@@ -183,8 +183,8 @@ impl Campaign {
 
     /// Runs the campaign with every cell's backend supplied by `provider` — the
     /// extension point that record/replay, real processes (`ProcessProvider`) and
-    /// instrumentation (`ObsProvider`) plug into. The cell's scenario and surrogate
-    /// then wrap that backend.
+    /// instrumentation (`ObsProvider`) plug into. The cell's scenario then wraps that
+    /// backend.
     ///
     /// # Panics
     ///
@@ -442,20 +442,6 @@ fn run_cell(
         // scenarios run unwrapped, bit-identical to pre-scenario campaigns.
         exec = Box::new(ScenarioBackend::new(exec, cell.scenario.clone(), env_seed));
     }
-    // The surrogate wraps outermost (outside the scenario) so model-served answers
-    // skip the whole stack — scenario expansion, simulation, recording — and the model
-    // trains on scenario-shaped observations, the ones the tuner actually acts on. The
-    // surrogate is a pure deterministic function of the request sequence and the inner
-    // results, so record→replay and 1-vs-N-worker byte-identity are preserved.
-    let surrogate_stats = SurrogateStats::new();
-    if spec.surrogate_active() {
-        let config = spec.surrogate.expect("active implies present");
-        exec = Box::new(SurrogateBackend::with_stats(
-            exec,
-            config,
-            surrogate_stats.clone(),
-        ));
-    }
     let mut tuner = registry
         .build(&cell.tuner, tuner_seed, cell.vm)
         .expect("tuner axis validated at construction");
@@ -481,7 +467,6 @@ fn run_cell(
         samples: outcome.samples,
         core_hours: outcome.core_hours,
         wall_clock_seconds: outcome.wall_clock_seconds,
-        model_evals: surrogate_stats.model_served(),
         // Real-process backends latch the first evaluation error here; simulation
         // backends always report None.
         failure: exec.failure(),

@@ -56,7 +56,7 @@
 //!     index: 1, tuner: "RandomSearch".into(), application: "Redis".into(),
 //!     vm: "m5.8xlarge".into(), profile: "typical".into(), scenario: "steady".into(),
 //!     seed: 1, chosen: 17, mean_time: 250.5, cov_percent: 1.5, samples: 40,
-//!     core_hours: 0.75, wall_clock_seconds: 600.0, model_evals: 0, failure: None,
+//!     core_hours: 0.75, wall_clock_seconds: 600.0, failure: None,
 //! })
 //! .unwrap();
 //! let cell = std::fs::read_to_string(lab.cell_path(1)).unwrap();
@@ -394,7 +394,6 @@ mod tests {
             samples: 40,
             core_hours: 1.25,
             wall_clock_seconds: 300.0,
-            model_evals: 0,
             failure: None,
         }
     }

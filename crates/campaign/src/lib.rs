@@ -59,9 +59,7 @@ mod spec;
 
 // The worker pool lives in `dg-exec`, below both of its users here and in
 // `darwin-core`; re-exported so `dg_campaign::run_ordered` keeps working.
-pub use dg_exec::{
-    default_workers, run_ordered, BackendProvider, ExecutionTrace, SurrogateConfig, TraceError,
-};
+pub use dg_exec::{default_workers, run_ordered, BackendProvider, ExecutionTrace, TraceError};
 pub use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
 pub use executor::{register_darwin_variant, standard_registry, Campaign};
 pub use lab::{CampaignLab, LabError, LabOutcome};

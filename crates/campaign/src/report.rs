@@ -35,12 +35,6 @@ pub struct CellResult {
     pub core_hours: f64,
     /// Simulated wall-clock seconds of tuning this cell.
     pub wall_clock_seconds: f64,
-    /// Evaluations answered by the cell's surrogate model (see
-    /// `dg_exec::SurrogateBackend`) instead of the real backend: cost-free model
-    /// serves of solo evaluations plus observations. `0` for cells run without an
-    /// active surrogate, which serialize without a `model_evals` key — pre-surrogate
-    /// reports stay byte-identical.
-    pub model_evals: u64,
     /// The execution backend's permanent failure, if the cell's backend hit one (see
     /// `ExecutionBackend::failure`) — real-process cells whose command crashed, timed
     /// out, or skipped its completion marker land here with `f64::INFINITY`-poisoned
@@ -85,9 +79,6 @@ impl ToJson for CellResult {
                 .field("samples", &self.samples)
                 .field("core_hours", &self.core_hours)
                 .field("wall_clock_seconds", &self.wall_clock_seconds);
-            if self.model_evals > 0 {
-                o.field("model_evals", &self.model_evals);
-            }
             if let Some(failure) = &self.failure {
                 o.field("failure", failure);
             }
@@ -96,8 +87,8 @@ impl ToJson for CellResult {
 }
 
 /// The optional keys read as the values that leave them out: `scenario` as
-/// `"steady"`, `model_evals` as 0 and `failure` as `None`, so reports written before
-/// each key existed still parse.
+/// `"steady"` and `failure` as `None`, so reports written before each key existed
+/// still parse.
 impl FromJson for CellResult {
     fn from_node(node: Node<'_, '_>) -> Result<Self, ReadError> {
         // A failed cell's mean is +inf; a NaN would poison its group's CDF.
@@ -124,7 +115,6 @@ impl FromJson for CellResult {
             samples: node.read("samples")?,
             core_hours: node.read("core_hours")?,
             wall_clock_seconds: node.read("wall_clock_seconds")?,
-            model_evals: node.read_opt("model_evals")?.unwrap_or(0),
             failure: node.read_opt("failure")?,
         })
     }
@@ -248,10 +238,10 @@ impl GroupAccumulator {
 /// `grid_cells`), `completed_cells`, `budget_exhausted` (always `false`; both keys
 /// stay from when runs could be capped), `total_core_hours`, then the `cells` in grid
 /// order and the `groups` in first-appearance order. A cell holds the [`CellResult`]
-/// fields in declaration order; `scenario` is left out for `"steady"`, `model_evals`
-/// when it is 0 and `failure` when there is none, so reports written before each
-/// existed keep their bytes. A group holds the [`GroupSummary`] fields, `scenario`
-/// left out the same way. Non-finite floats are written `"inf"`, `"-inf"` and `"nan"`.
+/// fields in declaration order; `scenario` is left out for `"steady"` and `failure`
+/// when there is none, so reports written before each existed keep their bytes. A
+/// group holds the [`GroupSummary`] fields, `scenario` left out the same way.
+/// Non-finite floats are written `"inf"`, `"-inf"` and `"nan"`.
 ///
 /// ```
 /// use dg_campaign::{CampaignReport, ShardReport};
@@ -402,7 +392,6 @@ mod tests {
             samples: 10,
             core_hours: 2.0,
             wall_clock_seconds: 600.0,
-            model_evals: 0,
             failure: None,
         }
     }
@@ -489,26 +478,6 @@ mod tests {
         assert!(
             !json.contains("\"scenario\":\"steady\""),
             "steady cells serialize without a scenario key (pre-axis byte compatibility)"
-        );
-    }
-
-    #[test]
-    fn model_evals_serialize_only_when_present() {
-        let plain = cell(0, "Random", 0, 100.0);
-        let mut out = String::new();
-        plain.write_json(&mut out);
-        assert!(
-            !out.contains("model_evals"),
-            "surrogate-less cells must keep the pre-surrogate schema: {out}"
-        );
-
-        let mut served = cell(1, "NTBEA", 0, 90.0);
-        served.model_evals = 17;
-        let mut out = String::new();
-        served.write_json(&mut out);
-        assert!(
-            out.contains("\"wall_clock_seconds\":600,\"model_evals\":17}"),
-            "model_evals sits after wall_clock_seconds: {out}"
         );
     }
 

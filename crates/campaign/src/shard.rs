@@ -234,7 +234,7 @@ impl ShardPlan {
 ///     r#""assigned":[1],"cells":[{"index":1,"tuner":"DarwinGame","application":"Redis","#,
 ///     r#""vm":"m5.large","profile":"typical","scenario":"regime-shift","seed":1,"#,
 ///     r#""chosen":4242,"mean_time":"inf","cov_percent":"nan","samples":96,"#,
-///     r#""core_hours":1.25,"wall_clock_seconds":3600.5,"model_evals":17,"#,
+///     r#""core_hours":1.25,"wall_clock_seconds":3600.5,"#,
 ///     r#""failure":"process exited with status 7"}]}"#,
 /// );
 /// let report = ShardReport::from_json(text).unwrap();
@@ -722,7 +722,6 @@ mod tests {
             samples: 4,
             core_hours: 1.0,
             wall_clock_seconds: 60.0,
-            model_evals: 0,
             failure: None,
         }
     }

@@ -2,7 +2,6 @@
 
 use crate::scale::ExperimentScale;
 use dg_cloudsim::{mix, InterferenceProfile, SimRng, VmType};
-use dg_exec::SurrogateConfig;
 use dg_scenario::ScenarioSpec;
 use dg_workloads::Application;
 
@@ -76,13 +75,6 @@ pub struct CampaignSpec {
     /// needs). When false (the default), every cell is seeded independently, the way
     /// different tenants would each see their own noise.
     pub paired_tuners: bool,
-    /// Optional surrogate-model serving (see `dg_exec::SurrogateBackend`): when set
-    /// and active, every cell's execution backend is wrapped in a surrogate that
-    /// serves confident repeat evaluations from an online n-tuple model, cost-free.
-    /// `None` — and any config with a serving fraction of `0` — leaves cells exactly
-    /// as they were: such campaigns fingerprint and report byte-identically to
-    /// pre-surrogate ones.
-    pub surrogate: Option<SurrogateConfig>,
 }
 
 impl CampaignSpec {
@@ -99,7 +91,6 @@ impl CampaignSpec {
             scale: ExperimentScale::default_scale(),
             base_seed: 0x0da2,
             paired_tuners: false,
-            surrogate: None,
         }
     }
 
@@ -168,19 +159,7 @@ impl CampaignSpec {
             );
         }
         assert!(!self.seeds.is_empty(), "campaign needs at least one seed");
-        if let Some(surrogate) = &self.surrogate {
-            surrogate.validate();
-        }
         self.scale.validate();
-    }
-
-    /// True when the surrogate knob can affect cell execution: a config is present
-    /// *and* its serving fraction is non-zero. Inactive surrogates (absent or
-    /// fraction `0`) have no effect on any result, so they are excluded from the
-    /// fingerprint — fraction-0 campaigns stay byte-compatible with existing shard
-    /// reports and traces.
-    pub fn surrogate_active(&self) -> bool {
-        self.surrogate.is_some_and(|s| s.is_active())
     }
 
     /// The cells of the grid in stable nested order.
@@ -222,7 +201,7 @@ impl CampaignSpec {
     }
 
     /// A stable 64-bit fingerprint of the spec: FNV-1a over a canonical textual
-    /// encoding of every field (axes in order, scale, seeds, pairing, surrogate).
+    /// encoding of every field (axes in order, scale, seeds, pairing).
     ///
     /// Shard reports carry the fingerprint of the spec they were produced from, and
     /// [`CampaignReport::merge`](crate::CampaignReport::merge) refuses to combine
@@ -283,17 +262,6 @@ impl CampaignSpec {
         push("|max_cells:None");
         push("|max_core_hours:None");
         push(&format!("|paired:{}", self.paired_tuners));
-        // Only an *active* surrogate is fingerprinted (see `surrogate_active`).
-        if self.surrogate_active() {
-            let s = self.surrogate.expect("active implies present");
-            push(&format!(
-                "|surrogate:{},{},{},{}",
-                s.fraction.to_bits(),
-                s.min_samples,
-                s.max_rel_std.to_bits(),
-                s.bins
-            ));
-        }
 
         dg_exec::json::fnv1a(&encoded)
     }
@@ -488,42 +456,6 @@ mod tests {
             renamed_steady.fingerprint(),
             "only the canonical steady scenario is fingerprint-neutral"
         );
-    }
-
-    #[test]
-    fn inactive_surrogates_are_fingerprint_neutral() {
-        let spec = two_by_two();
-        let mut passthrough = two_by_two();
-        passthrough.surrogate = Some(SurrogateConfig::passthrough());
-        assert!(!passthrough.surrogate_active());
-        assert_eq!(
-            spec.fingerprint(),
-            passthrough.fingerprint(),
-            "a fraction-0 surrogate has no effect and must not re-key the grid"
-        );
-        passthrough.validate();
-
-        let mut active = two_by_two();
-        active.surrogate = Some(SurrogateConfig::default());
-        assert!(active.surrogate_active());
-        assert_ne!(spec.fingerprint(), active.fingerprint());
-        let mut retuned = two_by_two();
-        retuned.surrogate = Some(SurrogateConfig {
-            min_samples: 3,
-            ..SurrogateConfig::default()
-        });
-        assert_ne!(active.fingerprint(), retuned.fingerprint());
-    }
-
-    #[test]
-    #[should_panic(expected = "surrogate fraction")]
-    fn invalid_surrogate_configs_are_rejected() {
-        let mut spec = two_by_two();
-        spec.surrogate = Some(SurrogateConfig {
-            fraction: -0.5,
-            ..SurrogateConfig::default()
-        });
-        spec.validate();
     }
 
     #[test]

@@ -50,17 +50,15 @@ fn cell(index: usize) -> CellResult {
         samples: 96,
         core_hours: 1.25,
         wall_clock_seconds: 3_600.5,
-        model_evals: 0,
         failure: None,
     }
 }
 
-/// A shard report whose cells carry the optional `scenario`, `model_evals` and
-/// `failure` keys and non-finite floats.
+/// A shard report whose cells carry the optional `scenario` and `failure` keys and
+/// non-finite floats.
 pub fn shard_report() -> ShardReport {
-    let mut served = cell(2);
-    served.scenario = "regime-shift".into();
-    served.model_evals = 17;
+    let mut shifted = cell(2);
+    shifted.scenario = "regime-shift".into();
     let mut failed = cell(5);
     failed.scenario = "bursty-neighbor".into();
     failed.mean_time = f64::INFINITY;
@@ -75,7 +73,7 @@ pub fn shard_report() -> ShardReport {
         strategy: "strided".into(),
         grid_cells: 6,
         assigned: vec![2, 5],
-        cells: vec![served, failed],
+        cells: vec![shifted, failed],
     }
 }
 

@@ -18,7 +18,7 @@ fn trace_bytes_are_pinned() {
 fn shard_report_bytes_are_pinned() {
     assert_eq!(
         fnv1a(&documents::shard_report().to_json()),
-        15_807_145_508_098_918_372
+        2_640_997_938_768_580_861
     );
 }
 
@@ -26,7 +26,7 @@ fn shard_report_bytes_are_pinned() {
 fn campaign_report_bytes_are_pinned() {
     assert_eq!(
         fnv1a(&documents::campaign_report().to_json()),
-        5_574_237_045_108_349_733
+        7_649_539_949_561_594_572
     );
 }
 

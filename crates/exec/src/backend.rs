@@ -31,8 +31,6 @@ pub struct GameBatchItem<'a> {
 /// * [`RecordingBackend`](crate::RecordingBackend) / [`ReplayBackend`](crate::ReplayBackend)
 ///   — record every outcome to an [`ExecutionTrace`](crate::ExecutionTrace), then replay
 ///   it with zero resimulation;
-/// * [`SurrogateBackend`](crate::SurrogateBackend) — a wrapper serving confident repeat
-///   evaluations from an online model;
 /// * [`ObsBackend`](crate::ObsBackend) — a wrapper reporting every operation to the
 ///   `dg-obs` event bus.
 pub trait ExecutionBackend: Send {

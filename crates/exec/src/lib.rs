@@ -16,9 +16,6 @@
 //! * [`TraceRecorder`] / [`TraceReplayer`] — record every outcome into an
 //!   [`ExecutionTrace`] (canonical JSON), then replay a whole campaign byte-identical
 //!   to the live run with **zero** resimulation (and zero process launches);
-//! * [`SurrogateBackend`] — a composable wrapper fitting an online n-tuple model of
-//!   configuration → outcome and serving confident repeat evaluations from it,
-//!   cost-free, behind a tunable fraction and confidence gate;
 //! * [`ObsBackend`] / [`ObsProvider`] — a transparent wrapper reporting every game,
 //!   solo run and probe to the `dg-obs` event bus.
 //!
@@ -57,7 +54,6 @@ mod obs;
 mod pool;
 mod process;
 mod sim;
-mod surrogate;
 mod trace;
 
 /// The canonical JSON writer/parser, re-exported from `dg-obs` (where it moved so
@@ -76,7 +72,6 @@ pub use process::{
     ProcessProvider, TimingSource,
 };
 pub use sim::{sim_ops, SimProvider};
-pub use surrogate::{SurrogateBackend, SurrogateConfig, SurrogateStats};
 pub use trace::{
     profile_label, ExecutionTrace, RecordingBackend, ReplayBackend, TraceError, TraceEvent,
     TraceRecorder, TraceReplayer, TraceStream,

@@ -6,7 +6,7 @@
 //! bus as a side channel. While no sink is installed (the default) each operation
 //! pays one relaxed atomic load and constructs nothing, and either way the wrapped
 //! backend is bit-identical to the bare one in every output — the differential battery
-//! in `tests/obs_backend.rs` pins that over the simulator, surrogate and scenario
+//! in `tests/obs_backend.rs` pins that over the simulator, scenario and record→replay
 //! stacks.
 
 use crate::backend::{forward_to_inner, BackendProvider, ExecutionBackend};

@@ -3,8 +3,8 @@
 //! `ExecutionBackend::play_games_batch` is documented as an accounting-identical
 //! reordering of the per-game loop: same outcomes, same cost, same clock, same RNG
 //! stream. These tests enforce that contract across every composable backend — the
-//! raw simulator, the surrogate, scenario wrappers (plain and load-coupled), and
-//! record→replay traces — over randomized tournaments.
+//! raw simulator, scenario wrappers (plain and load-coupled), and record→replay
+//! traces — over randomized tournaments.
 //!
 //! Every comparison is on `f64::to_bits`, not approximate equality: the batch path is
 //! only allowed transforms that are bitwise invisible.
@@ -12,7 +12,7 @@
 use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, SimRng, VmType};
 use dg_exec::{
     BackendProvider, ExecutionBackend, GameBatchItem, GamePlay, GameRules, SimProvider,
-    SurrogateBackend, SurrogateConfig, TraceRecorder, TraceReplayer,
+    TraceRecorder, TraceReplayer,
 };
 use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
 
@@ -137,13 +137,6 @@ type BackendFactory = Box<dyn Fn(u64) -> Box<dyn ExecutionBackend>>;
 fn factories() -> Vec<(&'static str, BackendFactory)> {
     vec![
         ("sim", Box::new(sim)),
-        (
-            "surrogate",
-            Box::new(|seed| {
-                Box::new(SurrogateBackend::new(sim(seed), SurrogateConfig::default()))
-                    as Box<dyn ExecutionBackend>
-            }),
-        ),
         (
             "scenario",
             Box::new(|seed| {

@@ -4,14 +4,13 @@
 //! it is invisible, and with one **installed** (every event actually constructed and
 //! delivered) the wrapped stack must still produce byte-for-byte the numbers the bare
 //! stack produces. These tests enforce that over the composable backends — simulator,
-//! surrogate, scenario wrapper, record→replay traces — plus the decorator's side
+//! scenario wrapper, record→replay traces — plus the decorator's side
 //! contracts: batch/loop interchangeability, exactly one event per operation, and
 //! none while no sink is installed.
 //!
 //! A last battery checks the methods every decorator passes through to its inner
 //! backend — `vm`, `profile`, `seed`, `clock`, `cost` and `failure()` latching — on
-//! the obs, surrogate, scenario and recording decorators around a failing real-process
-//! backend.
+//! the obs, scenario and recording decorators around a failing real-process backend.
 //!
 //! The global sink registry is process-wide, so every test serializes on a shared
 //! mutex and removes its sink before releasing it.
@@ -19,8 +18,7 @@
 use dg_cloudsim::{CloudEnvironment, ExecutionSpec, InterferenceProfile, SimRng, SimTime, VmType};
 use dg_exec::{
     BackendProvider, CommandTemplate, ExecutionBackend, GameBatchItem, GamePlay, GameRules,
-    ObsBackend, ObsProvider, ProcessProvider, SimProvider, SurrogateBackend, SurrogateConfig,
-    TraceRecorder, TraceReplayer,
+    ObsBackend, ObsProvider, ProcessProvider, SimProvider, TraceRecorder, TraceReplayer,
 };
 use dg_obs::{install_sink, remove_sink, ObsEvent, RingSink};
 use dg_scenario::{ScenarioBackend, ScenarioEvent, ScenarioSpec};
@@ -153,17 +151,7 @@ type BackendFactory = Box<dyn Fn(u64) -> Box<dyn ExecutionBackend>>;
 
 /// Every composable backend the neutrality contract covers.
 fn factories() -> Vec<(&'static str, BackendFactory)> {
-    vec![
-        ("sim", Box::new(sim)),
-        (
-            "surrogate",
-            Box::new(|seed| {
-                Box::new(SurrogateBackend::new(sim(seed), SurrogateConfig::default()))
-                    as Box<dyn ExecutionBackend>
-            }),
-        ),
-        ("scenario", Box::new(eventful)),
-    ]
+    vec![("sim", Box::new(sim)), ("scenario", Box::new(eventful))]
 }
 
 #[test]
@@ -310,13 +298,6 @@ fn failing_stacks(root: &std::path::Path) -> Vec<(&'static str, Box<dyn Executio
     );
     vec![
         ("obs", Box::new(ObsBackend::new(inner("obs")))),
-        (
-            "surrogate",
-            Box::new(SurrogateBackend::new(
-                inner("surrogate"),
-                SurrogateConfig::default(),
-            )),
-        ),
         (
             "scenario",
             Box::new(ScenarioBackend::new(inner("scenario"), scenario, 42)),

@@ -17,8 +17,8 @@
 //!   sink is installed ([`obs_active`]); with none, nothing is built.
 //! * **Metrics** — named [`Counter`]s / [`Gauge`]s / [`Histogram`]s in a process-wide
 //!   registry with one canonical-JSON [`MetricsSnapshot`] export. The scattered
-//!   counters that predate this crate (`sim_ops()`, `process_launches()`, surrogate
-//!   statistics) are now thin shims over registry counters.
+//!   counters that predate this crate (`sim_ops()`, `process_launches()`) are now thin
+//!   shims over registry counters.
 //! * **Canonical JSON** — the hand-rolled writer/parser every wire format in the
 //!   workspace shares lives here as [`json`] (it moved down from `dg-exec`, which
 //!   re-exports it).

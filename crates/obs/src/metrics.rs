@@ -2,9 +2,9 @@
 //! canonical-JSON [`MetricsSnapshot`] export.
 //!
 //! This absorbs the ad-hoc globals that accumulated across the workspace —
-//! `dg_exec::sim_ops()`, `process_launches()`, `SurrogateStats` — behind one naming
-//! scheme (`exec.sim_ops`, `exec.process_launches`, …) while the original free
-//! functions stay as thin shims over their registry counters.
+//! `dg_exec::sim_ops()` and `process_launches()` — behind one naming scheme
+//! (`exec.sim_ops`, `exec.process_launches`, …) while the original free functions
+//! stay as thin shims over their registry counters.
 //!
 //! Counters track **two** readings: a process-wide total and a per-thread count.
 //! The per-thread reading is what `sim_ops()` has always exposed (replay tests use

@@ -36,8 +36,7 @@ use std::collections::HashMap;
 /// candidates with a UCB blend of the tuple means and an exploration bonus. The model
 /// makes each noisy sample inform *every* configuration sharing a parameter setting,
 /// which is what lets NTBEA find good configurations in far fewer evaluations than
-/// direct search — the "model-based is best" result the surrogate backend mirrors at
-/// the execution layer.
+/// direct search — the "model-based is best" result.
 #[derive(Debug, Clone)]
 pub struct Ntbea {
     seed: u64,

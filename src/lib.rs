@@ -12,7 +12,7 @@
 //! * [`darwin`] — the DarwinGame tournament tuner and hybrid integration
 //!   ([`darwin_core`]).
 //! * [`exec`] — the [`dg_exec::ExecutionBackend`] trait with simulation, real-process,
-//!   record/replay, surrogate-model and observability backends ([`dg_exec`]).
+//!   record/replay and observability backends ([`dg_exec`]).
 //! * [`scenario`] — the composable cloud-scenario engine: declarative event timelines
 //!   (preemptions, diurnal load, regime shifts, fleets) over any backend
 //!   ([`dg_scenario`]).
@@ -50,6 +50,12 @@ pub use dg_stats as stats;
 pub use dg_tuners as tuners;
 pub use dg_workloads as workloads;
 
+/// The README, whose Rust blocks run as this crate's doctests so they cannot drift
+/// from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most commonly used types, re-exported flat for examples and quick experiments.
 pub mod prelude {
     pub use darwin_core::{
@@ -67,8 +73,8 @@ pub mod prelude {
     };
     pub use dg_exec::{
         process_launches, BackendProvider, CommandTemplate, ExecutionBackend, ExecutionTrace,
-        GameRules, ProcessBackend, ProcessError, ProcessProvider, SurrogateBackend,
-        SurrogateConfig, SurrogateStats, TimingSource, TraceRecorder, TraceReplayer,
+        GameRules, ProcessBackend, ProcessError, ProcessProvider, TimingSource, TraceRecorder,
+        TraceReplayer,
     };
     pub use dg_obs::{
         emit, emit_with, install_sink, remove_sink, EventSink, JsonlSink, MetricsSnapshot,
