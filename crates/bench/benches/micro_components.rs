@@ -2,11 +2,12 @@
 //!
 //! These do not reproduce a paper figure; they track the performance of the simulator and
 //! tournament building blocks so that regressions in the reproduction's own code are
-//! visible: surface evaluation (on a scaled space and on the full one, past the spec
-//! memo), one paper-scale region's candidate sampling, interference sampling, a single
-//! co-located game of 16 and of 5 players, one 16-player game's normal draws, a solo
-//! run, one and a hundred consecutive paper-scale regions of the regional phase, the GP
-//! surrogate fit and candidate-pool scoring used by BLISS, one NTBEA session, and a
+//! visible: surface evaluation (on a scaled space and on the full one, where every
+//! lookup computes the surface), one paper-scale region's candidate sampling,
+//! interference sampling, a single co-located game of 16 and of 5 players, one
+//! 16-player game's normal draws, a solo run, one and a hundred consecutive paper-scale
+//! regions of the regional phase, the GP surrogate fit, candidate-pool scoring (the
+//! hybrid strategy's path) and the pool's best pick (BLISS's), one NTBEA session, and a
 //! small end-to-end tournament.
 //!
 //! Run with `cargo bench --bench micro_components`.
@@ -281,17 +282,18 @@ fn bench_gp_fit(c: &mut Criterion) {
 }
 
 fn bench_gp_window(c: &mut Criterion) {
-    // BLISS's inner step: a model is fit to a full 120-observation window, then scores
-    // a pool of 193 candidates (192 random configurations plus the incumbent's
+    // BLISS's inner step: a model is fit to a full 120-observation window, then picks
+    // from a pool of 193 candidates (192 random configurations plus the incumbent's
     // perturbation). The space is Redis at the campaigns' default scale: 12 free
     // dimensions of 36. At the 0.08 length scale most kernel values are tiny: nearly
     // every candidate is a far query, whose variance needs no solve, and over half of
     // the fit's solve products would fall below the smallest normal f64, which the
-    // GP's scaled solve keeps normal. 0.35 does the same work without tiny values, and
-    // solves every candidate. A model's kernel memo outlives its fits, so scoring runs
-    // twice: with the memo a fresh fit leaves (cold), and again with the pool's
-    // squared distances already looked up (warm), as a BLISS model picked again has
-    // most of them.
+    // GP's scaled solve keeps normal. 0.35 does the same work without tiny values;
+    // scoring solves every candidate there, and the pick only those whose bound
+    // reaches the best improvement found. A model's kernel memo outlives its fits, so
+    // scoring runs twice: with the memo a fresh fit leaves (cold), and again with the
+    // pool's squared distances already looked up (warm), as a BLISS model picked again
+    // has most of them.
     let workload = Workload::scaled(Application::Redis, 160_000);
     let space = workload.space();
     let normalised = |id: u64| -> Vec<f64> {
@@ -355,6 +357,11 @@ fn bench_gp_window(c: &mut Criterion) {
         c.bench_function(
             &format!("gp_score_193_of_120_points_l{length_scale}_warm"),
             |b| b.iter(|| black_box(gp.expected_improvements(black_box(&pool), best))),
+        );
+        // BLISS's pick: the same pool, solving only the candidates that can win.
+        c.bench_function(
+            &format!("gp_best_of_193_of_120_points_l{length_scale}_warm"),
+            |b| b.iter(|| black_box(gp.best_expected_improvement(black_box(&pool), best))),
         );
     }
     // A growing window: the model is fit at 119 observations in the set-up and refit at

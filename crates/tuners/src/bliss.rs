@@ -137,22 +137,16 @@ impl Tuner for Bliss {
             // Pick the candidate with the highest expected improvement; the first of tied
             // maxima wins.
             let best_observed = window_targets.iter().copied().fold(f64::INFINITY, f64::min);
-            let scores = model
+            let (pick, _, mean) = model
                 .gp
-                .expected_improvements(&vectors[..candidates.len()], best_observed);
-            let mut pick = 0;
-            for (index, &(ei, _)) in scores.iter().enumerate().skip(1) {
-                if ei > scores[pick].0 {
-                    pick = index;
-                }
-            }
+                .best_expected_improvement(&vectors[..candidates.len()], best_observed);
 
-            // A random candidate's vector is already its configuration's, so the pool
-            // pass has its prediction. The perturbed incumbent snaps to a configuration
+            // A random candidate's vector is already its configuration's, so the pick
+            // comes with its prediction. The perturbed incumbent snaps to a configuration
             // whose vector differs, and is encoded and predicted anew.
             let chosen_candidate = candidates[pick];
             let predicted = if pick < CANDIDATE_POOL {
-                scores[pick].1
+                mean
             } else {
                 config_to_vector(workload, chosen_candidate, &mut vectors[pick]);
                 model.gp.predict(&vectors[pick]).0

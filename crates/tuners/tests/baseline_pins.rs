@@ -11,8 +11,10 @@
 //! slide after its warm-up of 20. BLISS is also pinned on GROMACS at the same scale and
 //! at the default budget of 200: after its warm-up of 24 the window starts at the first
 //! observation for 97 steps and then slides for 79, so both the refits that extend a
-//! factor and the fresh factorizations of a sliding window are pinned. NTBEA is pinned
-//! there too, at the same seeds, and once more on Redis with a warm start: hints
+//! factor and the fresh factorizations of a sliding window are pinned. BLISS is pinned
+//! at that budget on LAMMPS and FFmpeg as well, two seeds each, so every application's
+//! acquisition pick is pinned. NTBEA is pinned on GROMACS too, at the same seeds as
+//! BLISS, and once more on Redis with a warm start: hints
 //! evaluated before the bandit walk, one of them past the end of the space and one
 //! repeated.
 
@@ -98,6 +100,30 @@ fn bliss_outcomes_at_the_default_budget_are_pinned_bit_for_bit() {
             digest(&outcome),
             pinned,
             "BLISS on GROMACS, seed {seed}: chosen {} of {} samples",
+            outcome.chosen,
+            outcome.samples
+        );
+    }
+}
+
+#[test]
+fn bliss_outcomes_on_lammps_and_ffmpeg_at_the_default_budget_are_pinned_bit_for_bit() {
+    for (application, seed, env_seed, pinned) in [
+        (Application::Lammps, 17, 52, 3_085_262_856_733_823_262u64),
+        (Application::Lammps, 23, 53, 14_968_949_380_511_500_374),
+        (Application::Ffmpeg, 19, 54, 10_029_409_130_685_822_441),
+        (Application::Ffmpeg, 31, 55, 1_384_526_478_923_044_046),
+    ] {
+        let outcome = run_on(
+            application,
+            TuningBudget::default(),
+            &mut Bliss::new(seed),
+            env_seed,
+        );
+        assert_eq!(
+            digest(&outcome),
+            pinned,
+            "BLISS on {application}, seed {seed}: chosen {} of {} samples",
             outcome.chosen,
             outcome.samples
         );
