@@ -6,9 +6,9 @@
 //! lookup computes the surface), one paper-scale region's candidate sampling,
 //! interference sampling, a single co-located game of 16 and of 5 players, one
 //! 16-player game's normal draws, a solo run, one and a hundred consecutive paper-scale
-//! regions of the regional phase, the GP surrogate fit, candidate-pool scoring (the
-//! hybrid strategy's path) and the pool's best pick (BLISS's), one NTBEA session, and a
-//! small end-to-end tournament.
+//! regions of the regional phase, the GP surrogate fit and refit, the pool's best pick
+//! (BLISS's and the hybrid strategy's path), one NTBEA session, and a small end-to-end
+//! tournament.
 //!
 //! Run with `cargo bench --bench micro_components`.
 
@@ -287,13 +287,12 @@ fn bench_gp_window(c: &mut Criterion) {
     // perturbation). The space is Redis at the campaigns' default scale: 12 free
     // dimensions of 36. At the 0.08 length scale most kernel values are tiny: nearly
     // every candidate is a far query, whose variance needs no solve, and over half of
-    // the fit's solve products would fall below the smallest normal f64, which the
-    // GP's scaled solve keeps normal. 0.35 does the same work without tiny values;
-    // scoring solves every candidate there, and the pick only those whose bound
-    // reaches the best improvement found. A model's kernel memo outlives its fits, so
-    // scoring runs twice: with the memo a fresh fit leaves (cold), and again with the
-    // pool's squared distances already looked up (warm), as a BLISS model picked again
-    // has most of them.
+    // the fit's solve products fall below the smallest normal f64, each of which costs
+    // the processor a slow assist. 0.35 does the same work without tiny values, and
+    // the pick solves only the candidates whose bound reaches the best improvement
+    // found. A model's kernel memo outlives its fits, so the pick runs twice: with the
+    // memo a fresh fit leaves (cold), and again with the pool's squared distances
+    // already looked up (warm), as a BLISS model picked again has most of them.
     let workload = Workload::scaled(Application::Redis, 160_000);
     let space = workload.space();
     let normalised = |id: u64| -> Vec<f64> {
@@ -331,34 +330,29 @@ fn bench_gp_window(c: &mut Criterion) {
                 )
             })
         });
-        // Each sample scores through a model fit afresh; the last one is dropped in
-        // the next set-up, outside the timing.
-        let scored = Cell::new(None);
+        // Each sample picks through a model fit afresh; the last one is dropped in the
+        // next set-up, outside the timing.
+        let picked = Cell::new(None);
         c.bench_function(
-            &format!("gp_score_193_of_120_points_l{length_scale}_cold"),
+            &format!("gp_best_of_193_of_120_points_l{length_scale}_cold"),
             |b| {
                 b.iter_batched(
                     || {
-                        scored.take();
+                        picked.take();
                         let mut gp = GaussianProcess::new(length_scale, 1e-3);
                         gp.fit(&inputs[..120], &targets[..120]);
                         gp
                     },
                     |gp| {
-                        let scores = gp.expected_improvements(black_box(&pool), best);
-                        scored.set(Some(gp));
-                        scores
+                        let pick = gp.best_expected_improvement(black_box(&pool), best);
+                        picked.set(Some(gp));
+                        pick
                     },
                     BatchSize::SmallInput,
                 )
             },
         );
         gp.fit(&inputs[..120], &targets[..120]);
-        c.bench_function(
-            &format!("gp_score_193_of_120_points_l{length_scale}_warm"),
-            |b| b.iter(|| black_box(gp.expected_improvements(black_box(&pool), best))),
-        );
-        // BLISS's pick: the same pool, solving only the candidates that can win.
         c.bench_function(
             &format!("gp_best_of_193_of_120_points_l{length_scale}_warm"),
             |b| b.iter(|| black_box(gp.best_expected_improvement(black_box(&pool), best))),

@@ -65,15 +65,10 @@ impl SubspaceStrategy for BlissSubspaceStrategy {
         let best = targets.iter().copied().fold(f64::INFINITY, f64::min);
         let mut gp = GaussianProcess::new(0.25, 1e-3);
         gp.fit(&inputs, &targets);
-        let points: Vec<Vec<f64>> = candidates.iter().map(|s| normalise(*s)).collect();
-        let scores = gp.expected_improvements(&points, best);
-        // `max_by` keeps the last of tied maxima.
-        candidates
-            .into_iter()
-            .zip(scores)
-            .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("EI is not NaN"))
-            .expect("candidates is non-empty")
-            .0
+        // The pick is the last of tied maxima: the first of the reversed candidates.
+        let points: Vec<Vec<f64>> = candidates.iter().rev().map(|s| normalise(*s)).collect();
+        let (pick, ..) = gp.best_expected_improvement(&points, best);
+        candidates[candidates.len() - 1 - pick]
     }
 }
 
@@ -304,6 +299,29 @@ mod tests {
             assert!(!history.iter().any(|(seen, _)| *seen == s));
             history.push((s, 300.0 - s as f64));
         }
+    }
+
+    #[test]
+    fn bliss_strategy_picks_the_last_of_tied_subspaces() {
+        // Subspace 0 is far better than the rest, so neither unexplored subspace, 3 or
+        // 5, has any expected improvement: both score exactly 0, and the later one wins.
+        let history = [
+            (0, 100.0),
+            (1, 1000.0),
+            (2, 1000.0),
+            (4, 1000.0),
+            (6, 1000.0),
+        ];
+        let inputs: Vec<Vec<f64>> = history.iter().map(|(s, _)| vec![*s as f64 / 6.0]).collect();
+        let targets: Vec<f64> = history.iter().map(|(_, t)| *t).collect();
+        let mut gp = GaussianProcess::new(0.25, 1e-3);
+        gp.fit(&inputs, &targets);
+        for s in [3.0, 5.0] {
+            assert_eq!(gp.best_expected_improvement(&[[s / 6.0]], 100.0).1, 0.0);
+        }
+        let mut rng = SimRng::new(3);
+        let next = BlissSubspaceStrategy.next_subspace(&history, 7, &mut rng);
+        assert_eq!(next, 5);
     }
 
     #[test]

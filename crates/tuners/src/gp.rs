@@ -17,16 +17,16 @@
 //!
 //! # Scoring
 //!
-//! Scoring has two entry points. [`predict`](GaussianProcess::predict) and
-//! [`expected_improvements`], which the hybrid strategy calls, resolve every query
-//! through one routine. It loads queries in blocks of `LANES` (8) and computes, for
-//! each, the kernel vector `k`, the mean `k · alpha` and `‖k‖²`. A far query (see "Far
-//! queries") is resolved there and then, without a solve. The others wait until eight
-//! have gathered; then it solves `L v = k` for all eight in lockstep, one row of `L` at
-//! a time, and sums `v · v` for each variance. A short final gathering is padded with
-//! copies of its last query, whose results are dropped. [`best_expected_improvement`],
-//! which BLISS calls, returns only a pool's argmax, and solves only the candidates that
-//! can win it (see "Acquisition bound").
+//! Scoring has two entry points, [`predict`](GaussianProcess::predict) and
+//! [`best_expected_improvement`], and both work on lockstep blocks of `LANES` (8)
+//! points. Loading a block computes, for each point, the kernel vector `k`, the mean
+//! `k · alpha` and `‖k‖²`; a far point (see "Far queries") needs nothing more. Solving
+//! a block solves `L v = k` for all eight lanes in lockstep, one row of `L` at a time,
+//! and sums `v · v` for each variance. A short block is padded with copies of its last
+//! point, whose results are dropped. `predict` loads its one point as such a block and
+//! solves it unless it is far. `best_expected_improvement`, which BLISS and the hybrid
+//! strategy call, loads a whole pool, returns only its argmax, and solves only the
+//! candidates that can win it (see "Acquisition bound").
 //!
 //! The lanes are exact. Each lane is an independent chain that accumulates its own
 //! sums in the same order as the textbook single-point code, which the tests keep as a
@@ -58,7 +58,7 @@
 //! function of `d` alone, and `exp` is a pure function of its input's bits. A slot
 //! answers only a key equal to all 64 bits of `d`, and every slot starts out holding `d
 //! = +0` with the value the same expression gives it. So the fit, `alpha`, the far-query
-//! rule and the scaled solve see exactly the kernel values they would compute.
+//! rule and every solve see exactly the kernel values they would compute.
 //!
 //! In that campaign 0.95% of the lookups missed at seed 7, and 0.90% at seed 311. At
 //! seed 7, 4,096 slots missed 0.60%, but the campaign's peak memory read 5.8% above no
@@ -81,8 +81,8 @@
 //!
 //! Row `i` of `L` depends on the inputs up to `i` and on nothing else. So when the last
 //! fit's inputs are, bit for bit, the first rows of this fit's, the fit keeps those rows
-//! of `L` and their `l_min` and factors only the rows after them, in groups of eight
-//! from the first new row. That is BLISS's growing window: a model picked again after
+//! of `L` and factors only the rows after them, in groups of eight from the first new
+//! row. That is BLISS's growing window: a model picked again after
 //! a few steps extends its factor by the observations made since. `alpha` depends on
 //! every target through their mean and deviation, so it is solved in full at every fit.
 //! A window that has slid has lost its first row, which every later row of `L` depends
@@ -140,13 +140,14 @@
 //! # Acquisition bound
 //!
 //! BLISS uses only the argmax of its pool's expected improvements (EI), the first of
-//! tied maxima, and few candidates can reach it. [`best_expected_improvement`] works in
-//! two passes:
+//! tied maxima, and few candidates can reach it. The hybrid strategy wants the last of
+//! tied maxima, and passes its pool reversed. [`best_expected_improvement`] works in two
+//! passes:
 //!
-//! - **Pass one** loads the pool in lockstep blocks as scoring does, computing every
-//!   candidate's kernel vector, mean and `‖k‖²`. A far candidate gets its EI there, the
-//!   one scoring computes. A near candidate gets a bound instead: its EI at the prior
-//!   deviation `σ_p = fl(√fl(1 + noise)) · y_std`, a far query's, plus a slack of
+//! - **Pass one** loads the pool in lockstep blocks (see "Scoring"), computing every
+//!   candidate's kernel vector, mean and `‖k‖²`. A far candidate gets its EI there.
+//!   A near candidate gets a bound instead: its EI at the prior deviation
+//!   `σ_p = fl(√fl(1 + noise)) · y_std`, a far query's, plus a slack of
 //!   `10^-6 (|best - mean| + that EI)`.
 //! - **Pass two** takes the near candidates whose bound is at least the best EI found
 //!   so far, the eight highest bounds first (a selection, not a sort), reloads their
@@ -176,64 +177,19 @@
 //! 5. **So a pruned candidate loses.** A candidate is pruned only when its bound is
 //!    below the best EI found, and by 1–4 its computed EI is at most its bound, so it
 //!    is strictly below the pick's and can neither win nor tie. Every candidate that
-//!    can reach the pick is scored as [`expected_improvements`] scores it: a far one in
-//!    pass one, a near one from the same kernel values and a lockstep solve whose lanes
-//!    are independent. Each mean is pass one's.
+//!    can reach the pick gets the EI of the mean and deviation
+//!    [`predict`](GaussianProcess::predict) gives it alone: a far one in pass one, a near
+//!    one from the same kernel values and a lockstep solve whose lanes are independent.
+//!    Each mean is pass one's.
 //!
 //! Every BLISS outcome is therefore unchanged. In one `baselines` campaign of the
 //! repository benchmark at seed 1409 (a scratch copy that counted), the lockstep solve
-//! blocks of pool scoring went from 166, 1,187, 6,000 and 3,150 at the 0.08, 0.18, 0.35
+//! blocks of scoring every candidate went from 166, 1,187, 6,000 and 3,150 at the 0.08, 0.18, 0.35
 //! and 0.7 length scales to 166, 250, 240 and 135: 10,503 to 791. Pass two solved 386 of
 //! the 453 near candidates at 0.08, 1,934 of 8,926 at 0.18, 1,920 of 46,320 at 0.35 and
 //! 1,039 of 24,318 at 0.7. At 0.08 a step has two or three near candidates, close to
 //! the data, which usually bound above the far ones' best and so are solved.
 //!
-//! # Scaled solve
-//!
-//! At short length scales most kernel values are tiny, and so is most of `v`: at the
-//! 0.08 scale, with every query of `micro_components`' 120-point window solved, over
-//! half of the solve's products round to a subnormal or to zero, and each such product
-//! costs the processor a slow microcode assist. The lockstep solve therefore works on
-//! `x' = x · 2^S` with `S = 600` (`SCALE_EXP`), where a product stays normal down to an
-//! unscaled `2^-1622`. Every value it returns is still exactly the textbook's:
-//!
-//! - **Start values.** A lane starts from `b · 2^S`. Scaling a finite double up by a
-//!   power of two never rounds, subnormals included.
-//! - **Products.** A product whose textbook value is at least `2^-1022` is normal in
-//!   both domains, so the scaled product is exactly `2^S` times the textbook's. A zero
-//!   factor gives the same signed zero in both.
-//! - **Tiny products.** Any smaller product is at most `2^-1022` in both domains after
-//!   unscaling. A partial sum of magnitude at least `2^-967` has a quarter-ulp above
-//!   `2^-1022`, so subtracting either product leaves it unchanged in both chains.
-//! - **Partial sums.** Subtracting a product that is exact in both domains rounds the
-//!   same way up to the factor `2^S`: a normal difference rounds to the same
-//!   significand, and a difference below `2^-1022` of two multiples of `2^-1074` is
-//!   exact in both.
-//! - **The division.** A quotient of at least `2^-1021` is normal in both domains and
-//!   rounds the same way.
-//!
-//! The solve checks each row against that window:
-//!
-//! - **Below the window.** No product can be tiny while every solved `|x'_k|` is
-//!   at least `2^(S-1021) / l_min`, where `l_min` is the smallest non-zero `|l_ik|`
-//!   of the factor, kept by the fit. From the first solved value below that bound
-//!   on, each (row, lane) tracks the smallest of its partial sums, start value and
-//!   final sum included. If that falls below `2^(S-967)`, or the quotient below
-//!   `2^(S-1021)`, the row of that lane is recomputed unscaled, in textbook order,
-//!   from `x_k = x'_k · 2^-S`, and stored as `x · 2^S`. Both steps are exact,
-//!   subnormals included. In `micro_components`' 120-point window at the 0.08 scale,
-//!   with every query solved, one (row, lane) in 190 was recomputed. At 0.35 no
-//!   solved value falls below the bound, so the row loop tracks nothing and
-//!   recomputes nothing.
-//! - **Above the window.** A stored value above `2^(S+200)`, or a non-finite one,
-//!   sends the whole block to the textbook loop. Such a value means an unscaled `|x|`
-//!   of `2^200` or more, which kernel values never produce. A scaled value that
-//!   overflowed would have made its row's solution infinite or NaN, so overflow cannot
-//!   move a bit either.
-//!
-//! The solve unscales its solutions by `2^-S` before returning them, which is exact.
-//!
-//! [`expected_improvements`]: GaussianProcess::expected_improvements
 //! [`best_expected_improvement`]: GaussianProcess::best_expected_improvement
 
 use std::cell::RefCell;
@@ -243,10 +199,6 @@ const LANES: usize = 8;
 
 /// Slots of a model's kernel memo; see "Kernel memo" in the module docs.
 const MEMO_SLOTS: usize = 2048;
-
-/// The lockstep solve works on `x · 2^SCALE_EXP`; see "Scaled solve" in the module
-/// docs.
-const SCALE_EXP: i32 = 600;
 
 /// The slack of a near point's acquisition bound, relative to `|best - mean|` plus the
 /// bound itself; see "Acquisition bound" in the module docs.
@@ -325,8 +277,6 @@ pub struct GaussianProcess {
     alpha: Vec<f64>,
     /// Cholesky factor `L` of `K + noise * I`, packed lower triangle, row-major.
     cholesky: Vec<f64>,
-    /// The smallest non-zero `|l_ij|` of the factor.
-    l_min: f64,
     /// A query whose kernel vector has a computed `‖k‖²` below this is far: its
     /// variance is `1 + noise` without a solve. See "Far queries" in the module docs.
     far_threshold: f64,
@@ -358,7 +308,6 @@ impl GaussianProcess {
             nonzero: Vec::new(),
             alpha: Vec::new(),
             cholesky: Vec::new(),
-            l_min: f64::INFINITY,
             far_threshold: 0.0,
             group: Lanes::default(),
             y_mean: 0.0,
@@ -435,7 +384,7 @@ impl GaussianProcess {
             "inputs must share one dimensionality"
         );
         // The rows of the last fit, when its inputs are bit for bit this fit's first
-        // rows: their factor and `l_min` stand. See "Refits" in the module docs.
+        // rows: their factor stands. See "Refits" in the module docs.
         let last = self.alpha.len();
         let kept = if dims == self.dims
             && last <= n
@@ -455,7 +404,6 @@ impl GaussianProcess {
             self.inputs.clear();
             self.nonzero.clear();
             self.nonzero.resize(dims, false);
-            self.l_min = f64::INFINITY;
         }
         for input in &inputs[kept..] {
             self.inputs.extend_from_slice(input);
@@ -471,7 +419,6 @@ impl GaussianProcess {
         l.truncate(row_start(kept));
         l.resize(row_start(n), 0.0);
         let mut group = std::mem::take(&mut self.group);
-        let mut l_min = self.l_min;
         for first in (kept..n).step_by(LANES) {
             let end = (first + LANES).min(n);
             self.load_kernel(
@@ -480,7 +427,7 @@ impl GaussianProcess {
                 &mut group,
             );
             group.solved.resize(first, [0.0; LANES]);
-            forward_solve(&l, l_min, &group.kernel[..first], &mut group.solved);
+            forward_solve(&l, &group.kernel[..first], &mut group.solved);
             for i in first..end {
                 let lane = i - first;
                 let (rows_before, row_i) = l[..row_start(i + 1)].split_at_mut(row_start(i));
@@ -504,14 +451,8 @@ impl GaussianProcess {
                     }
                 }
             }
-            for &l_ij in &l[row_start(first)..row_start(end)] {
-                if l_ij != 0.0 && l_ij.abs() < l_min {
-                    l_min = l_ij.abs();
-                }
-            }
         }
         self.group = group;
-        self.l_min = l_min;
         self.far_threshold = far_threshold(n, dims, self.noise);
 
         // Solve L z = y, then L^T alpha = z, both in place in `alpha`.
@@ -567,7 +508,7 @@ impl GaussianProcess {
     /// `lanes.solved`, and returns each lane's `v · v`.
     fn solve_lanes(&self, lanes: &mut Lanes) -> [f64; LANES] {
         lanes.solved.resize(lanes.kernel.len(), [0.0; LANES]);
-        forward_solve(&self.cholesky, self.l_min, &lanes.kernel, &mut lanes.solved);
+        forward_solve(&self.cholesky, &lanes.kernel, &mut lanes.solved);
         let mut v_dot_v = [-0.0; LANES];
         for v in &lanes.solved {
             for lane in 0..LANES {
@@ -588,78 +529,6 @@ impl GaussianProcess {
         (1.0 + self.noise - v_dot_v).max(1e-12).sqrt() * self.y_std
     }
 
-    /// Resolves every point's posterior in standardised units and hands `each` the
-    /// point's index, its mean `k · alpha`, its `v · v`, and its solution `v` of `L v =
-    /// k` as lane `lane` of `(solved, lane)`, `solved[i][lane]`. A far query comes with
-    /// `v · v = 0`, which gives its variance exactly, and no solution. The calls come
-    /// in no particular order. See the module docs for the lockstep scoring and why it
-    /// is exact.
-    fn resolve<P: AsRef<[f64]>>(
-        &self,
-        points: &[P],
-        mut each: impl FnMut(usize, f64, f64, Option<(&[[f64; LANES]], usize)>),
-    ) {
-        assert!(self.is_fit(), "predict called before fit");
-        let n = self.alpha.len();
-        let mut lanes = Lanes::default();
-        // The queries waiting for a solve: their kernel vectors as the lanes of
-        // `near.kernel`, and each one's index and mean.
-        let mut near = Lanes::default();
-        near.kernel.resize(n, [0.0; LANES]);
-        let mut waiting = [(0, 0.0); LANES];
-        let mut count = 0;
-        for (block_index, block) in points.chunks(LANES).enumerate() {
-            let (mean, norm) = self.load_block(block, &mut lanes);
-            for lane in 0..block.len() {
-                let index = block_index * LANES + lane;
-                if norm[lane] < self.far_threshold {
-                    each(index, mean[lane], 0.0, None);
-                    continue;
-                }
-                for (column, k) in near.kernel.iter_mut().zip(&lanes.kernel) {
-                    column[count] = k[lane];
-                }
-                waiting[count] = (index, mean[lane]);
-                count += 1;
-                if count == LANES {
-                    self.solve_waiting(&mut near, &waiting, &mut each);
-                    count = 0;
-                }
-            }
-        }
-        if count > 0 {
-            // A short final gathering is padded with copies of its last query, whose
-            // results are dropped.
-            for column in &mut near.kernel {
-                let last = column[count - 1];
-                column[count..].fill(last);
-            }
-            self.solve_waiting(&mut near, &waiting[..count], &mut each);
-        }
-    }
-
-    /// Solves the queries waiting in the lanes of `near.kernel` in lockstep and hands
-    /// each one to `each`, as [`resolve`](Self::resolve) describes.
-    fn solve_waiting(
-        &self,
-        near: &mut Lanes,
-        waiting: &[(usize, f64)],
-        each: &mut impl FnMut(usize, f64, f64, Option<(&[[f64; LANES]], usize)>),
-    ) {
-        let v_dot_v = self.solve_lanes(near);
-        for (lane, &(index, mean)) in waiting.iter().enumerate() {
-            each(index, mean, v_dot_v[lane], Some((&near.solved, lane)));
-        }
-    }
-
-    /// Predictive mean and standard deviation of every point (in the original target
-    /// units), handed to `emit` with the point's index, in no particular order.
-    fn posterior<P: AsRef<[f64]>>(&self, points: &[P], mut emit: impl FnMut(usize, f64, f64)) {
-        self.resolve(points, |index, mean, v_dot_v, _| {
-            emit(index, self.target_mean(mean), self.target_std_dev(v_dot_v));
-        });
-    }
-
     /// Predictive mean and standard deviation at `point` (in the original target units).
     ///
     /// # Panics
@@ -667,38 +536,22 @@ impl GaussianProcess {
     /// Panics if the GP has not been fit, or if `point` differs in length from the
     /// training inputs.
     pub fn predict(&self, point: &[f64]) -> (f64, f64) {
-        let mut prediction = (f64::NAN, f64::NAN);
-        self.posterior(&[point], |_, mean, std_dev| prediction = (mean, std_dev));
-        prediction
+        assert!(self.is_fit(), "predict called before fit");
+        let mut lanes = Lanes::default();
+        let (mean, norm) = self.load_block(&[point], &mut lanes);
+        let v_dot_v = if norm[0] < self.far_threshold {
+            0.0
+        } else {
+            self.solve_lanes(&mut lanes)[0]
+        };
+        (self.target_mean(mean[0]), self.target_std_dev(v_dot_v))
     }
 
-    /// Expected improvement of every point over the incumbent best target value
-    /// (minimisation; larger is better), in order, each paired with the point's
-    /// predictive mean: `(improvement, mean)`. Each value is bit-identical to scoring
-    /// or [`predict`](Self::predict)ing its point alone; scoring a pool in one call is
-    /// faster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the GP has not been fit, or if a point differs in length from the
-    /// training inputs.
-    pub fn expected_improvements<P: AsRef<[f64]>>(
-        &self,
-        points: &[P],
-        best: f64,
-    ) -> Vec<(f64, f64)> {
-        let mut scores = vec![(f64::NAN, f64::NAN); points.len()];
-        self.posterior(points, |index, mean, std_dev| {
-            scores[index] = (improvement(mean, std_dev, best), mean);
-        });
-        scores
-    }
-
-    /// The point of highest expected improvement over `best`, the first of tied maxima,
-    /// as `(index, improvement, mean)`: bit for bit the argmax over
-    /// [`expected_improvements`](Self::expected_improvements), with the point's
-    /// predictive mean. Only the points whose improvement can reach the highest one
-    /// found so far are solved; see "Acquisition bound" in the module docs.
+    /// The point of highest expected improvement over `best` (minimisation), the first
+    /// of tied maxima, as `(index, improvement, mean)`: bit for bit the argmax of the
+    /// improvements that each point's [`predict`](Self::predict)ed mean and deviation
+    /// give, with that mean. Only the points whose improvement can reach the highest
+    /// one found so far are solved; see "Acquisition bound" in the module docs.
     ///
     /// # Panics
     ///
@@ -807,86 +660,9 @@ fn far_threshold(rows: usize, dims: usize, noise: f64) -> f64 {
 
 /// Solves `L[..rows, ..rows] x = b` for `LANES` right-hand sides at once, where `l` is
 /// a packed lower triangle and `rows = b.len() = x.len()`, and writes the solutions to
-/// `x`, bit for bit the textbook's. `l_min` is at most the smallest non-zero `|l_ik|`
-/// of those rows. See "Scaled solve" in the module docs.
-fn forward_solve(l: &[f64], l_min: f64, b: &[[f64; LANES]], x: &mut [[f64; LANES]]) {
+/// `x`: the textbook's forward substitution, each lane in its own order.
+fn forward_solve(l: &[f64], b: &[[f64; LANES]], x: &mut [[f64; LANES]]) {
     assert_eq!(b.len(), x.len(), "one solution row per right-hand-side row");
-    let scale = pow2(SCALE_EXP);
-    let unscale = pow2(-SCALE_EXP);
-    // Scaled: the smallest partial sum next to which a tiny product cannot round; the
-    // smallest product or quotient known to be normal unscaled, with a binade to spare
-    // for the rounding of the check itself; the largest solution.
-    let sum_floor = pow2(SCALE_EXP - 967);
-    let normal_floor = pow2(SCALE_EXP - 1021);
-    let ceiling = pow2(SCALE_EXP + 200);
-    // While every solved `|x'_k|` is at least `x_floor`, every non-zero product
-    // exceeds `2^(S-1022)`: none is tiny, and no partial sum needs tracking.
-    let x_floor = normal_floor / l_min;
-    let mut products_normal = true;
-    for (i, b_i) in b.iter().enumerate() {
-        let row = &l[row_start(i)..row_start(i + 1)];
-        let (solved, rest) = x.split_at_mut(i);
-        let mut sum = b_i.map(|b| b * scale);
-        // Per lane: the smallest partial sum, tracked once a product can be tiny.
-        let mut low = [f64::INFINITY; LANES];
-        if products_normal {
-            for (&l_ik, x_k) in row[..i].iter().zip(solved.iter()) {
-                for lane in 0..LANES {
-                    sum[lane] -= l_ik * x_k[lane];
-                }
-            }
-        } else {
-            low = sum.map(f64::abs);
-            for (&l_ik, x_k) in row[..i].iter().zip(solved.iter()) {
-                for lane in 0..LANES {
-                    sum[lane] -= l_ik * x_k[lane];
-                    let magnitude = sum[lane].abs();
-                    low[lane] = if low[lane] < magnitude {
-                        low[lane]
-                    } else {
-                        magnitude
-                    };
-                }
-            }
-        }
-        let x_i = &mut rest[0];
-        let mut below = false;
-        for lane in 0..LANES {
-            x_i[lane] = sum[lane] / row[i];
-            below |= (low[lane] < sum_floor) | (x_i[lane].abs() < normal_floor);
-        }
-        if below {
-            for lane in 0..LANES {
-                if (low[lane] < sum_floor) | (x_i[lane].abs() < normal_floor) {
-                    let mut sum = b_i[lane];
-                    for (&l_ik, x_k) in row[..i].iter().zip(solved.iter()) {
-                        sum -= l_ik * (x_k[lane] * unscale);
-                    }
-                    x_i[lane] = sum / row[i] * scale;
-                }
-            }
-        }
-        let mut outside = false;
-        for x in x_i.iter() {
-            let magnitude = x.abs();
-            outside |= magnitude.is_nan() | (magnitude > ceiling);
-            products_normal &= magnitude >= x_floor;
-        }
-        if outside {
-            textbook_solve(l, b, x);
-            return;
-        }
-    }
-    for x_i in x {
-        for x in x_i {
-            *x *= unscale;
-        }
-    }
-}
-
-/// The textbook's forward substitution, unscaled, each lane in its own order: the
-/// fallback of [`forward_solve`] above its window.
-fn textbook_solve(l: &[f64], b: &[[f64; LANES]], x: &mut [[f64; LANES]]) {
     for (i, b_i) in b.iter().enumerate() {
         let row = &l[row_start(i)..row_start(i + 1)];
         let (solved, rest) = x.split_at_mut(i);
@@ -1078,6 +854,58 @@ mod tests {
             .collect()
     }
 
+    /// The batteries' reference scorer: the pool in lockstep blocks of eight, as
+    /// `load_block` loads them, every block solved whole. `each` gets every point's
+    /// index, its standardised mean and `v · v`, and its solution `v` of `L v = k` as
+    /// lane `lane` of `(solved, lane)`, `solved[i][lane]`; a far point gets `v · v = 0`,
+    /// which gives its variance exactly, and no solution.
+    fn score_blocks<P: AsRef<[f64]>>(
+        gp: &GaussianProcess,
+        points: &[P],
+        mut each: impl FnMut(usize, f64, f64, Option<(&[[f64; LANES]], usize)>),
+    ) {
+        let mut lanes = Lanes::default();
+        for (block_index, block) in points.chunks(LANES).enumerate() {
+            let (mean, norm) = gp.load_block(block, &mut lanes);
+            let v_dot_v = gp.solve_lanes(&mut lanes);
+            for lane in 0..block.len() {
+                let index = block_index * LANES + lane;
+                if norm[lane] < gp.far_threshold {
+                    each(index, mean[lane], 0.0, None);
+                } else {
+                    let solved = lanes.solved.as_slice();
+                    each(index, mean[lane], v_dot_v[lane], Some((solved, lane)));
+                }
+            }
+        }
+    }
+
+    /// Every point's predictive mean and standard deviation through [`score_blocks`],
+    /// as bits.
+    fn posterior_bits(gp: &GaussianProcess, points: &[Vec<f64>]) -> Vec<(u64, u64)> {
+        let mut posterior = vec![(0, 0); points.len()];
+        score_blocks(gp, points, |index, mean, v_dot_v, _| {
+            let (mean, std_dev) = (gp.target_mean(mean), gp.target_std_dev(v_dot_v));
+            posterior[index] = (mean.to_bits(), std_dev.to_bits());
+        });
+        posterior
+    }
+
+    /// Every point's expected improvement over `best` through [`score_blocks`], with
+    /// its predictive mean: `(improvement, mean)`.
+    fn expected_improvements(
+        gp: &GaussianProcess,
+        points: &[Vec<f64>],
+        best: f64,
+    ) -> Vec<(f64, f64)> {
+        let mut scores = vec![(f64::NAN, f64::NAN); points.len()];
+        score_blocks(gp, points, |index, mean, v_dot_v, _| {
+            let mean = gp.target_mean(mean);
+            scores[index] = (improvement(mean, gp.target_std_dev(v_dot_v), best), mean);
+        });
+        scores
+    }
+
     #[test]
     fn lockstep_scoring_is_bit_identical_to_the_textbook_gp() {
         let mut rng = SimRng::new(13);
@@ -1104,11 +932,6 @@ mod tests {
                 for (i, (got, alpha)) in gp.alpha.iter().zip(&reference.alpha).enumerate() {
                     assert_eq!(got.to_bits(), alpha.to_bits(), "alpha[{i}], {context}");
                 }
-                let l_min = (0..n)
-                    .flat_map(|i| &reference.cholesky[i][..=i])
-                    .filter(|l_ij| **l_ij != 0.0)
-                    .fold(f64::INFINITY, |min, l_ij| min.min(l_ij.abs()));
-                assert_eq!(gp.l_min, l_min, "l_min, {context}");
 
                 for pool in [1, 7, 9, 193] {
                     let mut points: Vec<Vec<f64>> =
@@ -1124,12 +947,9 @@ mod tests {
                     // A training input itself, where the textbook sums are exact zeros.
                     points[0].clone_from(&inputs[rng.index(n)]);
 
-                    // Every query is resolved once; a solved one has the textbook's `v`,
-                    // and a far one a textbook variance of exactly `1 + noise`.
-                    let mut resolved = vec![false; pool];
-                    gp.resolve(&points, |index, _, _, solved| {
-                        assert!(!resolved[index], "query {index} resolved twice, {context}");
-                        resolved[index] = true;
+                    // A solved query has the textbook's `v`, and a far one a textbook
+                    // variance of exactly `1 + noise`.
+                    score_blocks(&gp, &points, |index, _, _, solved| {
                         let v = reference.solve(&points[index]);
                         match solved {
                             Some((solved, lane)) => {
@@ -1147,9 +967,8 @@ mod tests {
                             }
                         }
                     });
-                    assert!(resolved.iter().all(|&r| r), "{context}");
 
-                    let scores = gp.expected_improvements(&points, best);
+                    let scores = expected_improvements(&gp, &points, best);
                     assert_eq!(scores.len(), pool);
                     for (index, (point, &(score, pool_mean))) in
                         points.iter().zip(&scores).enumerate()
@@ -1167,8 +986,8 @@ mod tests {
                         assert_eq!(got_mean.to_bits(), mean.to_bits(), "mean, {context}");
                         assert_eq!(got_std.to_bits(), std_dev.to_bits(), "std, {context}");
                         assert_eq!(
-                            gp.expected_improvements(&[point], best)[0].0.to_bits(),
-                            expected.to_bits(),
+                            pick_bits(gp.best_expected_improvement(&[point], best)),
+                            pick_bits((0, expected, mean)),
                             "single EI, {context}"
                         );
                     }
@@ -1179,109 +998,8 @@ mod tests {
         assert_eq!(fits, 48);
     }
 
-    /// Packs the rows of a lower triangle.
-    fn packed(rows: &[&[f64]]) -> Vec<f64> {
-        rows.iter().flat_map(|row| row.iter().copied()).collect()
-    }
-
-    /// Runs the scaled solve on `b` and checks it against the textbook loop, lane by
-    /// lane and bit for bit; returns the solution.
-    fn solve_checked(l: &[f64], l_min: f64, b: &[[f64; LANES]]) -> Vec<[f64; LANES]> {
-        let mut x = vec![[f64::NAN; LANES]; b.len()];
-        forward_solve(l, l_min, b, &mut x);
-        let mut expected = vec![[f64::NAN; LANES]; b.len()];
-        textbook_solve(l, b, &mut expected);
-        for (i, (got, expected)) in x.iter().zip(&expected).enumerate() {
-            for lane in 0..LANES {
-                assert_eq!(
-                    got[lane].to_bits(),
-                    expected[lane].to_bits(),
-                    "x[{i}] lane {lane}"
-                );
-            }
-        }
-        x
-    }
-
-    #[test]
-    fn scaled_solve_recomputes_rows_below_its_window() {
-        // 2^-1074, the smallest subnormal.
-        let tiny = f64::from_bits(1);
-        // Each product 0.75 * 4097 * 2^-1074 rounds to 3073 * 2^-1074 in the textbook
-        // but is exact in the scaled domain, which would end on 7165.75 * 2^-1074 and
-        // round to 7166 instead of 7165. Lane `lane` scales the system by 2^(40 lane),
-        // which lifts the later lanes into the window, where no row is recomputed.
-        let l = packed(&[
-            &[1.0],
-            &[0.0, 1.0],
-            &[0.0, 0.0, 1.0],
-            &[0.75, 0.75, 0.75, 1.0],
-        ]);
-        let b: Vec<[f64; LANES]> = [4097.0, 4097.0, 4097.0, 16384.0]
-            .iter()
-            .map(|&units| std::array::from_fn(|lane| units * tiny * pow2(40 * lane as i32)))
-            .collect();
-        let x = solve_checked(&l, 0.75, &b);
-        assert_eq!(x[3][0], 7165.0 * tiny);
-        assert_eq!(x[3][7], 7165.75 * pow2(-794));
-
-        // A quotient that is subnormal in the textbook: 2 * 2^-1074 over the double
-        // just below 0.8 is 2.5000000000000004 units and rounds to 3, but rounding it
-        // first to 53 bits in the scaled domain gives 2.5, which then rounds to 2.
-        let l = packed(&[&[0.7999999999999999]]);
-        let x = solve_checked(&l, 0.7999999999999999, &[[2.0 * tiny; LANES]]);
-        assert_eq!(x[0][0], 3.0 * tiny);
-
-        // A row whose final sum is inside the window but whose partial sums are not.
-        // It starts like the first case: -3073 units in the textbook, -3072.75 scaled.
-        // Each later product q_n turns the textbook's sum into a tie that rounds to
-        // even, away from the scaled sum, and doubles the gap: after step n both are
-        // near -2^(n-1022) and 2^n units apart. After 55 steps the sums are at
-        // 2^-967, with no subnormal left, and still one ulp apart.
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        let mut b = vec![4097.0 * tiny];
-        let mut step = tiny;
-        for n in 1..=55 {
-            let q = if n == 1 {
-                (2f64.powi(53) - 3070.0) * tiny
-            } else {
-                (2f64.powi(52) + 1.0) * step
-            };
-            step *= 2.0;
-            b.push(q);
-        }
-        for (i, _) in b.iter().enumerate() {
-            let mut row = vec![0.0; i + 1];
-            row[i] = 1.0;
-            rows.push(row);
-        }
-        let mut last = vec![1.0; b.len() + 1];
-        last[0] = 0.75;
-        rows.push(last);
-        b.push(0.0);
-        let l = packed(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let b: Vec<[f64; LANES]> = b.iter().map(|&b| [b; LANES]).collect();
-        let x = solve_checked(&l, 0.75, &b);
-        assert_eq!(x[56][0], -(2f64.powi(52) + 2.0) * pow2(-1019));
-    }
-
-    #[test]
-    fn scaled_solve_falls_back_above_its_window() {
-        // Scaled by 2^600, x_0 = 2^423 is 2^1023, above the window, and x_1 = 2^424
-        // would overflow to infinity. Lanes 1-7 stay small but share the fallback.
-        let l = packed(&[&[1.0], &[-1.0, 1.0]]);
-        let big = pow2(423);
-        let b = [
-            std::array::from_fn(|lane| if lane == 0 { big } else { 1.0 }),
-            std::array::from_fn(|lane| if lane == 0 { big } else { 1.0 }),
-        ];
-        let x = solve_checked(&l, 1.0, &b);
-        assert_eq!(x[1][0], pow2(424));
-        assert_eq!(x[1][1], 2.0);
-    }
-
     /// Checks a refit model against a fresh fit of the same window, bit for bit: the
-    /// factor, `alpha`, `l_min`, the far threshold, and the posterior of every query.
+    /// factor, `alpha`, the far threshold, and the posterior of every query.
     fn assert_same_fit(
         gp: &GaussianProcess,
         fresh: &GaussianProcess,
@@ -1291,23 +1009,15 @@ mod tests {
         let bits = |values: &[f64]| values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&gp.cholesky), bits(&fresh.cholesky), "L, {context}");
         assert_eq!(bits(&gp.alpha), bits(&fresh.alpha), "alpha, {context}");
-        assert_eq!(
-            gp.l_min.to_bits(),
-            fresh.l_min.to_bits(),
-            "l_min, {context}"
-        );
         let far = (gp.far_threshold.to_bits(), fresh.far_threshold.to_bits());
         assert_eq!(far.0, far.1, "far threshold, {context}");
         assert_eq!(bits(&gp.inputs), bits(&fresh.inputs), "inputs, {context}");
         assert_eq!(gp.nonzero, fresh.nonzero, "nonzero dimensions, {context}");
-        let scores = |gp: &GaussianProcess| {
-            let mut posterior = vec![(0, 0); queries.len()];
-            gp.posterior(queries, |index, mean, std_dev| {
-                posterior[index] = (mean.to_bits(), std_dev.to_bits());
-            });
-            posterior
-        };
-        assert_eq!(scores(gp), scores(fresh), "posteriors, {context}");
+        assert_eq!(
+            posterior_bits(gp, queries),
+            posterior_bits(fresh, queries),
+            "posteriors, {context}"
+        );
     }
 
     #[test]
@@ -1415,12 +1125,12 @@ mod tests {
             let points: Vec<Vec<f64>> = queries.iter().map(|&x| vec![x]).collect();
 
             let best = 280.0;
-            let scores = gp.expected_improvements(&points, best);
+            let scores = expected_improvements(&gp, &points, best);
             let mut far = 0;
             // The smallest `‖k‖²`, over `threshold`, of a query whose textbook variance is
             // not `1 + noise`.
             let mut first_moved = f64::INFINITY;
-            gp.resolve(&points, |index, _, _, solved| {
+            score_blocks(&gp, &points, |index, _, _, solved| {
                 let x = queries[index];
                 assert_eq!(
                     solved.is_none(),
@@ -1490,11 +1200,11 @@ mod tests {
         for (i, (got, alpha)) in gp.alpha.iter().zip(&reference.alpha).enumerate() {
             assert_eq!(got.to_bits(), alpha.to_bits(), "alpha[{i}], {context}");
         }
-        let mut posterior = vec![(0, 0); queries.len()];
-        gp.posterior(queries, |index, mean, std_dev| {
-            posterior[index] = (mean.to_bits(), std_dev.to_bits());
-        });
-        assert_eq!(posterior, expected, "posteriors, {context}");
+        assert_eq!(
+            posterior_bits(gp, queries),
+            expected,
+            "posteriors, {context}"
+        );
     }
 
     /// The kernel memo against the textbook GP on the refit battery's windows, at the
@@ -1600,7 +1310,7 @@ mod tests {
         exercised: &mut Exercised,
         context: &str,
     ) {
-        let scores = gp.expected_improvements(points, best);
+        let scores = expected_improvements(gp, points, best);
         let expected = first_of_tied_maxima(&scores);
         let got = pick_bits(gp.best_expected_improvement(points, best));
         assert_eq!(got, expected, "{context}");
@@ -1608,7 +1318,9 @@ mod tests {
         assert_eq!(tight, expected, "tight bound, {context}");
 
         let mut far = vec![false; points.len()];
-        gp.resolve(points, |index, _, _, solved| far[index] = solved.is_none());
+        score_blocks(gp, points, |index, _, _, solved| {
+            far[index] = solved.is_none()
+        });
         let prior = gp.target_std_dev(0.0);
         let top = f64::from_bits(expected.1);
         let mut prunable = false;
@@ -1637,7 +1349,8 @@ mod tests {
     /// copies of the winner at the front, across a block edge and at the back; training
     /// inputs in the pool; an all-far pool; a pool whose every improvement is 0; the
     /// winner moved into the short last block; and a point with a NaN coordinate, whose
-    /// bound is NaN, first in a pool whose every improvement is 0.
+    /// bound is NaN, first in a pool whose every improvement is 0. Then the hybrid
+    /// strategy's model on pools of unexplored subspaces, reversed.
     #[test]
     fn best_expected_improvement_is_the_first_of_tied_maxima_bit_for_bit() {
         let mut rng = SimRng::new(43);
@@ -1658,7 +1371,8 @@ mod tests {
                             (0..pool).map(|_| lattice_point(&mut rng)).collect();
                         let last = random.last_mut().expect("pool is non-empty");
                         last[rng.index(DIMS)] = rng.uniform();
-                        let top = first_of_tied_maxima(&gp.expected_improvements(&random, best)).0;
+                        let top =
+                            first_of_tied_maxima(&expected_improvements(&gp, &random, best)).0;
 
                         let mut tied = random.clone();
                         for index in [0, 7, 8, pool / 2, pool - 1] {
@@ -1693,12 +1407,12 @@ mod tests {
                         ] {
                             let context = format!("{case}, {context}");
                             if case == "all far" {
-                                gp.resolve(points, |_, _, _, solved| {
+                                score_blocks(&gp, points, |_, _, _, solved| {
                                     assert!(solved.is_none(), "{context}");
                                 });
                             }
                             if case == "every improvement 0" || case == "a NaN point first" {
-                                let scores = gp.expected_improvements(points, best);
+                                let scores = expected_improvements(&gp, points, best);
                                 assert!(scores.iter().all(|s| s.0 == 0.0), "{context}");
                             }
                             check_pick(&gp, points, best, &mut exercised, &context);
@@ -1716,6 +1430,59 @@ mod tests {
         assert!(exercised.tied_picks >= 100, "{exercised:?}");
         assert!(exercised.prunable >= 100, "{exercised:?}");
         assert!(exercised.tied_near_picks >= 100, "{exercised:?}");
+
+        // The hybrid strategy's model: one dimension, the normalised subspace index, at
+        // length scale 0.25, fit to the subspaces explored so far and picking from the
+        // unexplored ones. It passes its pool reversed, so its pick must be the last of
+        // tied maxima of the pool in order, as `max_by` picks it.
+        let mut hybrid_pools = 0;
+        let mut hybrid_ties = 0;
+        for total in [3, 7, 8, 16, 24, 33] {
+            let normalise = |s: usize| vec![s as f64 / (total - 1) as f64];
+            for explored in 2..total {
+                // `explored` subspaces drawn at random, in the order drawn.
+                let mut order: Vec<usize> = (0..total).collect();
+                for i in 0..explored {
+                    order.swap(i, i + rng.index(total - i));
+                }
+                let (history, rest) = order.split_at(explored);
+                let mut unexplored = rest.to_vec();
+                unexplored.sort_unstable();
+                let inputs: Vec<Vec<f64>> = history.iter().map(|&s| normalise(s)).collect();
+                let spread: Vec<f64> = history
+                    .iter()
+                    .map(|_| 230.0 + 560.0 * rng.uniform())
+                    .collect();
+                // One subspace far better than the others: most improvements are 0.
+                let one_best: Vec<f64> = (0..explored)
+                    .map(|i| if i == 0 { 100.0 } else { 1000.0 })
+                    .collect();
+                for targets in [&spread, &one_best] {
+                    let mut gp = GaussianProcess::new(0.25, 1e-3);
+                    gp.fit(&inputs, targets);
+                    let best = targets.iter().copied().fold(f64::INFINITY, f64::min);
+                    let pool: Vec<Vec<f64>> = unexplored.iter().map(|&s| normalise(s)).collect();
+                    let scores = expected_improvements(&gp, &pool, best);
+                    let (last, &top) = scores
+                        .iter()
+                        .enumerate()
+                        .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("EI is not NaN"))
+                        .expect("the pool is non-empty");
+                    let reversed: Vec<Vec<f64>> = pool.iter().rev().cloned().collect();
+                    let (index, score, mean) = gp.best_expected_improvement(&reversed, best);
+                    assert_eq!(
+                        pick_bits((pool.len() - 1 - index, score, mean)),
+                        pick_bits((last, top.0, top.1)),
+                        "hybrid, {total} subspaces, {explored} explored"
+                    );
+                    hybrid_ties += usize::from(scores.iter().filter(|s| s.0 == top.0).count() > 1);
+                    hybrid_pools += 1;
+                }
+            }
+        }
+        assert_eq!(hybrid_pools, 2 * (1 + 5 + 6 + 14 + 22 + 31));
+        // Ties are where the reversal matters.
+        assert!(hybrid_ties >= 50, "{hybrid_ties} tied hybrid pools");
     }
 
     /// The first premise of the acquisition bound: the implemented CDF, Abramowitz and
@@ -1828,8 +1595,8 @@ mod tests {
         let mut gp = GaussianProcess::new(0.25, 1e-4);
         gp.fit(&inputs, &targets);
         let best = targets.iter().copied().fold(f64::INFINITY, f64::min);
-        let ei_at_known_bad = gp.expected_improvements(&[[0.0]], best)[0].0;
-        let ei_at_frontier = gp.expected_improvements(&[[1.0]], best)[0].0;
+        let ei_at_known_bad = gp.best_expected_improvement(&[[0.0]], best).1;
+        let ei_at_frontier = gp.best_expected_improvement(&[[1.0]], best).1;
         assert!(ei_at_frontier >= ei_at_known_bad);
     }
 
